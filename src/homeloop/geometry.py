@@ -2,17 +2,18 @@
 
 The world is top-down: poses are (x, y, heading) in meters/radians, footprints
 are simple polygons, and the room is rasterized onto a uint8 occupancy grid
-(0 = free, 1 = occupied). All grid work is deterministic; ties in cell
-selection always break by lowest (col, row) lexicographic order on cell
-coordinates expressed as (cx, cy).
+(0 = free, 1 = occupied). Grid search is a numpy wavefront: an 8-connected BFS
+grown one layer per 3x3 dilation, so a cell's distance is the index of the
+layer that first reaches it (int32, -1 = unreached). All grid work is
+deterministic; ties in cell selection always break by lowest (col, row)
+lexicographic order on cell coordinates expressed as (cx, cy).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +104,39 @@ def _probe_points(poly: Sequence[tuple[float, float]], step: float) -> Iterator[
 
 
 _NEIGHBORS8 = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
-_NEIGHBORS4 = ((0, -1), (-1, 0), (1, 0), (0, 1))
+
+
+def dilate8(mask: np.ndarray) -> np.ndarray:
+    """3x3 box dilation of a boolean mask; nothing wraps around the border."""
+    rows = mask.copy()
+    rows[1:, :] |= mask[:-1, :]
+    rows[:-1, :] |= mask[1:, :]
+    out = rows.copy()
+    out[:, 1:] |= rows[:, :-1]
+    out[:, :-1] |= rows[:, 1:]
+    return out
+
+
+def wavefront(passable: np.ndarray, start: Cell, targets: Optional[np.ndarray] = None) -> np.ndarray:
+    """8-connected BFS from ``start`` over ``passable`` cells, one layer per
+    dilation. Returns int32 step distances, -1 where unreached. With
+    ``targets``, growth stops after the first layer that contains a target."""
+    dist = np.full(passable.shape, -1, dtype=np.int32)
+    cx, cy = start
+    if not (0 <= cy < passable.shape[0] and 0 <= cx < passable.shape[1] and passable[cy, cx]):
+        return dist
+    layer = np.zeros(passable.shape, dtype=bool)
+    layer[cy, cx] = True
+    unreached = passable.copy()
+    d = 0
+    while layer.any():
+        dist[layer] = d
+        if targets is not None and (layer & targets).any():
+            break
+        unreached &= ~layer
+        layer = dilate8(layer) & unreached
+        d += 1
+    return dist
 
 
 class OccupancyGrid:
@@ -159,41 +192,14 @@ class OccupancyGrid:
             if self.in_bounds(n):
                 yield n
 
-    def neighbors4(self, cell: Cell) -> Iterator[Cell]:
-        cx, cy = cell
-        for dx, dy in _NEIGHBORS4:
-            n = (cx + dx, cy + dy)
-            if self.in_bounds(n):
-                yield n
-
     def flood_fill(self, start: Cell) -> np.ndarray:
         """Boolean mask of free cells 8-connected to ``start``."""
-        mask = np.zeros_like(self.occ, dtype=bool)
-        if not self.is_free(start):
-            return mask
-        queue: deque[Cell] = deque([start])
-        mask[start[1], start[0]] = True
-        while queue:
-            cell = queue.popleft()
-            for n in self.neighbors8(cell):
-                if self.is_free(n) and not mask[n[1], n[0]]:
-                    mask[n[1], n[0]] = True
-                    queue.append(n)
-        return mask
+        return wavefront(self.occ == 0, start) >= 0
 
-    def bfs_distances(self, start: Cell, passable: np.ndarray) -> dict[Cell, int]:
-        """Grid BFS over cells where ``passable`` is True (8-connected)."""
-        if not passable[start[1], start[0]]:
-            return {}
-        dist: dict[Cell, int] = {start: 0}
-        queue: deque[Cell] = deque([start])
-        while queue:
-            cell = queue.popleft()
-            for n in self.neighbors8(cell):
-                if passable[n[1], n[0]] and n not in dist:
-                    dist[n] = dist[cell] + 1
-                    queue.append(n)
-        return dist
+    def bfs_distances(self, start: Cell, passable: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """8-connected step distances over ``passable`` cells, grown only up to
+        the first layer that contains a ``targets`` cell (-1 = unreached)."""
+        return wavefront(passable, start, targets)
 
     def line_of_sight(self, a: Cell, b: Cell) -> bool:
         """True when the Bresenham ray from a to b crosses no occupied cell

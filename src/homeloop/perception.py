@@ -20,7 +20,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ApiCallError, ExplorationStalled, Fault, NotAtReceptacle, TargetNotVisible
-from .geometry import Cell, polygon_centroid
+from .geometry import Cell, dilate8, polygon_centroid, wavefront
 from .world import PhantomRecord, World
 
 PHANTOM_CATEGORY_POOL = ("cup", "toy", "fruit", "book", "bottle")
@@ -57,7 +57,6 @@ class SceneObject:
 class GlobalMap:
     furniture: list[SceneObject]
     explored_mask: np.ndarray
-    frontier_cells: list[Cell]
 
     def find(self, ref: str) -> Optional[SceneObject]:
         for f in self.furniture:
@@ -221,39 +220,28 @@ def _sense(world: World, explored: np.ndarray, origin_cell: Cell) -> None:
     the sensing radius, plus the occupied surfaces bordering them. Occlusion
     falls out of connectivity — the scan cannot pass through furniture, so a
     walled-off region stays unexplored."""
-    from collections import deque
-
-    radius_cells = int(world.config.sensing_radius / world.config.grid_resolution)
-    r2 = radius_cells**2
-    cx0, cy0 = origin_cell
     if not world.grid.is_free(origin_cell):
         return
-    seen: set[Cell] = {origin_cell}
-    queue = deque([origin_cell])
-    explored[cy0, cx0] = True
-    while queue:
-        cell = queue.popleft()
-        for n in world.grid.neighbors8(cell):
-            nx, ny = n
-            if (nx - cx0) ** 2 + (ny - cy0) ** 2 > r2 or n in seen:
-                continue
-            seen.add(n)
-            explored[ny, nx] = True
-            if world.grid.occ[ny, nx] == 0:
-                queue.append(n)
+    radius = int(world.config.sensing_radius / world.config.grid_resolution)
+    cx0, cy0 = origin_cell
+    x0, y0 = max(0, cx0 - radius), max(0, cy0 - radius)
+    x1, y1 = min(world.grid.width, cx0 + radius + 1), min(world.grid.height, cy0 + radius + 1)
+    ys, xs = np.ogrid[y0:y1, x0:x1]
+    disk = (xs - cx0) ** 2 + (ys - cy0) ** 2 <= radius**2
+    free = world.grid.occ[y0:y1, x0:x1] == 0
+    seen = wavefront(free & disk, (cx0 - x0, cy0 - y0)) >= 0
+    explored[y0:y1, x0:x1] |= seen | (dilate8(seen) & disk)
 
 
-def _frontiers(world: World, explored: np.ndarray) -> list[Cell]:
-    """Explored free cells bordering at least one unexplored cell."""
+def _frontiers(world: World, explored: np.ndarray) -> np.ndarray:
+    """Mask of explored free cells bordering at least one unexplored cell."""
     unexplored = ~explored
     border = np.zeros_like(explored)
     border[:-1, :] |= unexplored[1:, :]
     border[1:, :] |= unexplored[:-1, :]
     border[:, :-1] |= unexplored[:, 1:]
     border[:, 1:] |= unexplored[:, :-1]
-    mask = explored & (world.grid.occ == 0) & border
-    ys, xs = np.nonzero(mask)
-    return [(int(x), int(y)) for x, y in zip(xs, ys)]
+    return explored & (world.grid.occ == 0) & border
 
 
 def explore_global(world: World, belief: Belief) -> GlobalMap:
@@ -271,19 +259,20 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
     guard = world.grid.width * world.grid.height + 8
     for _ in range(guard):
         frontiers = _frontiers(world, explored)
-        if not frontiers:
+        if not frontiers.any():
             break
-        passable = free & explored
-        dist = world.grid.bfs_distances(world.robot_cell(), passable)
-        reachable_frontiers = [c for c in frontiers if c in dist]
-        if not reachable_frontiers:
+        dist = world.grid.bfs_distances(world.robot_cell(), free & explored, frontiers)
+        ys, xs = np.nonzero(frontiers & (dist >= 0))
+        if len(xs) == 0:
             remaining = free & world.reachable & ~explored
             if remaining.any():
                 raise ExplorationStalled(
                     f"{int(remaining.sum())} reachable cells unexplored but no frontier reachable"
                 )
             break
-        target = min(reachable_frontiers, key=lambda c: (dist[c], c[0], c[1]))
+        # nearest first, then lowest (cx, cy)
+        i = np.lexsort((ys, xs, dist[ys, xs]))[0]
+        target = (int(xs[i]), int(ys[i]))
         x, y = world.grid.center_of(target)
         world.robot = type(world.robot)(x, y, world.robot.heading)
         _sense(world, explored, target)
@@ -311,11 +300,7 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
             )
         )
 
-    gmap = GlobalMap(
-        furniture=furniture_objs,
-        explored_mask=explored,
-        frontier_cells=_frontiers(world, explored),
-    )
+    gmap = GlobalMap(furniture=furniture_objs, explored_mask=explored)
     belief.global_map = gmap
     belief.at_receptacle = None
     belief.approach_side = None

@@ -52,16 +52,20 @@ class TrialReport:
         return sum(1 for r in self.failure_records if r.direct_failure)
 
     def check_identities(self) -> None:
-        """Accounting invariants every trace must satisfy."""
-        assert self.successful_steps <= self.execution_steps
-        assert self.recovered_executions <= self.replanned_executions
+        """Accounting invariants every trace must satisfy. Explicit raises,
+        so that ``python -O`` keeps them."""
+        if self.successful_steps > self.execution_steps:
+            raise ValueError(f"{self.successful_steps} successful steps > {self.execution_steps} executed")
+        if self.recovered_executions > self.replanned_executions:
+            raise ValueError(f"{self.recovered_executions} recovered > {self.replanned_executions} replanned")
         total = len(self.failure_records)
-        assert total == self.replanned_executions + self.direct_failures, (
-            f"{total} failures != {self.replanned_executions} replanned "
-            f"+ {self.direct_failures} direct"
-        )
-        if self.outcome != OUTCOME_INVALID:
-            assert (self.outcome == OUTCOME_SUCCESS) == self.goal_satisfied
+        if total != self.replanned_executions + self.direct_failures:
+            raise ValueError(
+                f"{total} failures != {self.replanned_executions} replanned "
+                f"+ {self.direct_failures} direct"
+            )
+        if self.outcome != OUTCOME_INVALID and (self.outcome == OUTCOME_SUCCESS) != self.goal_satisfied:
+            raise ValueError(f"outcome {self.outcome!r} disagrees with goal_satisfied={self.goal_satisfied}")
 
 
 def _dump(doc: dict[str, Any]) -> str:

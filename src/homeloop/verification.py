@@ -94,8 +94,10 @@ class FailureRecord:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        assert self.cause in CAUSES, self.cause
-        assert self.recovery_level in LEVELS, self.recovery_level
+        if self.cause not in CAUSES:
+            raise ValueError(f"unknown failure cause {self.cause!r}")
+        if self.recovery_level not in LEVELS:
+            raise ValueError(f"unknown recovery level {self.recovery_level!r}")
 
     def mark_direct(self) -> None:
         self.direct_failure = True

@@ -407,6 +407,15 @@ class World:
                 raise KeyError(f"receptacle {current!r} is not resting on anything")
         return current
 
+    def _resting_root(self, rid: str, verb: str):
+        """``(root_furniture_of(rid), None)``, or ``(None, fault result)`` when
+        the chain ends off furniture (a small receptacle on the floor)."""
+        try:
+            return self.root_furniture_of(rid), None
+        except KeyError:
+            fault = PreconditionFault("bad_argument", f"{rid} is not resting on a surface")
+            return None, (False, fault, f"{verb} failed: receptacle not on a surface", {})
+
     def anchor_of(self, rid: str) -> tuple[float, float]:
         """Surface anchor: furniture footprint centroid, or the small
         receptacle's own position."""
@@ -647,7 +656,9 @@ class World:
             )
         pos = self.position_of(target)
         if obj.placement.kind == "on":
-            root = self.root_furniture_of(obj.placement.receptacle)  # type: ignore[arg-type]
+            root, unresolved = self._resting_root(obj.placement.receptacle, "grasp")  # type: ignore[arg-type]
+            if unresolved is not None:
+                return unresolved
             if not self.robot_adjacent_to(root):
                 return (
                     False,
@@ -741,7 +752,9 @@ class World:
                 "place failed: unknown receptacle",
                 {},
             )
-        root = self.root_furniture_of(rid)
+        root, unresolved = self._resting_root(rid, "place")
+        if unresolved is not None:
+            return unresolved
         if not self.robot_adjacent_to(root):
             return (
                 False,

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
+import pytest
+
 from homeloop.errors import ApiCallError, PreconditionFault, TargetNotVisible
 from homeloop.perception import Belief, Observation, SceneObject
 from homeloop.skills import ActionRequest, Feedback, SkillContext, dispatch
@@ -262,3 +268,27 @@ def test_zero_noise_verdicts_match_ground_outcomes(mini_world):
         after = capture(ctx.world, "stay")
         verdict = verify_success(before, after, fb, request)
         assert verdict.success == fb.success == True  # noqa: E712
+
+
+_OPTIMIZED_CHECKS = {
+    "unknown failure cause": "FailureRecord('bogus_cause', 0, 'nowhere')",
+    "unknown recovery level": "FailureRecord('grasp_failed', 0, 'nowhere')",
+    "1 failures != 0 replanned + 0 direct": (
+        "TrialReport('t', 0, 0, 'failure', '', False, 1, 0,"
+        " failure_records=[FailureRecord('grasp_failed', 0, 'object')]).check_identities()"
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_OPTIMIZED_CHECKS))
+def test_invariants_survive_python_dash_o(message):
+    code = (
+        "from homeloop.verification import FailureRecord\n"
+        "from homeloop.trace import TrialReport\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        + _OPTIMIZED_CHECKS[message]
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert f"ValueError: {message}" in proc.stderr, proc.stderr

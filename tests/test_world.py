@@ -250,3 +250,21 @@ def test_vary_config_deterministic_and_bounded():
         if o.category == "cup":
             assert o.on in ("table_0", "table_1")
     World(a)  # varied scenes still satisfy every config invariant
+
+
+def test_place_onto_dropped_receptacle_is_typed_fault():
+    world = make_world(load_builtin_scene("tidy_table"), **zero_noise())
+    assert world.apply_action(nav("table_0")).success
+    assert world.apply_action(ActionRequest(verb="grasp", target="box_0")).success
+    world.config.noise.p_place_fail = 1.0
+    out = world.apply_action(ActionRequest(verb="place", target="table_0"))
+    assert not out.success and out.details == {"dropped": "box_0"}
+    assert world.objects["box_0"].placement.kind == "floor"
+    world.config.noise.p_place_fail = 0.0
+    assert world.apply_action(ActionRequest(verb="grasp", target="toy_0")).success
+    out = world.apply_action(ActionRequest(verb="place", target="box_0"))
+    assert not out.success
+    assert isinstance(out.fault, PreconditionFault)
+    assert out.fault.code == "bad_argument"
+    assert out.fault.message == "box_0 is not resting on a surface"
+    assert world.gripper == "toy_0"
