@@ -37,6 +37,12 @@ def polygon_bbox(poly: Sequence[tuple[float, float]]) -> tuple[float, float, flo
     return min(xs), min(ys), max(xs), max(ys)
 
 
+def polygon_half_extent(poly: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Half the width and half the height of the polygon's bounding box."""
+    minx, miny, maxx, maxy = polygon_bbox(poly)
+    return (maxx - minx) / 2.0, (maxy - miny) / 2.0
+
+
 def polygon_centroid(poly: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Area-weighted centroid; falls back to vertex mean for degenerate rings."""
     area = 0.0
@@ -201,24 +207,13 @@ class OccupancyGrid:
         the first layer that contains a ``targets`` cell (-1 = unreached)."""
         return wavefront(passable, start, targets)
 
-    def line_of_sight(self, a: Cell, b: Cell) -> bool:
-        """True when the Bresenham ray from a to b crosses no occupied cell
-        strictly before b (b itself may be occupied: surfaces are visible)."""
-        for cell in bresenham(a, b):
-            if cell == b:
-                return True
-            if cell != a and not self.is_free(cell):
-                return False
-        return True
-
-    def adjacent_free_cells(self, cells: Iterable[Cell]) -> set[Cell]:
-        """Free cells 8-adjacent to any cell of a footprint."""
-        out: set[Cell] = set()
-        for cell in cells:
-            for n in self.neighbors8(cell):
-                if self.is_free(n):
-                    out.add(n)
-        return out
+    def adjacent_free_cells(self, cells: Iterable[Cell]) -> np.ndarray:
+        """Mask of the free cells 8-adjacent to a footprint: the 3x3 dilation
+        of the footprint's mask, minus the footprint, where the grid is free."""
+        mask = np.zeros(self.occ.shape, dtype=bool)
+        for cx, cy in cells:
+            mask[cy, cx] = True
+        return dilate8(mask) & ~mask & (self.occ == 0)
 
 
 def bresenham(a: Cell, b: Cell) -> Iterator[Cell]:

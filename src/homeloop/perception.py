@@ -20,7 +20,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ApiCallError, ExplorationStalled, Fault, NotAtReceptacle, TargetNotVisible
-from .geometry import Cell, dilate8, polygon_centroid, wavefront
+from .geometry import Cell, dilate8, wavefront
 from .world import PhantomRecord, World
 
 PHANTOM_CATEGORY_POOL = ("cup", "toy", "fruit", "book", "bottle")
@@ -285,13 +285,12 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
         if not any(explored[cy, cx] for cx, cy in cells):
             continue
         f = world.furniture[fid]
-        centroid = polygon_centroid(f.footprint)
         furniture_objs.append(
             SceneObject(
                 id=fid,
                 category=f.category,
                 attributes=frozenset(),
-                location=centroid,
+                location=world.centroids[fid],
                 footprint=tuple(f.footprint),
                 description=f"{f.category} ({f.surface_height or 'no'} surface)",
                 provenance="global",

@@ -20,8 +20,19 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import numpy as np
+
 from .errors import ConfigError, Fault, PreconditionFault, TargetNotVisible
-from .geometry import Cell, OccupancyGrid, Pose, bresenham, polygon_centroid, polygons_overlap, side_of
+from .geometry import (
+    Cell,
+    OccupancyGrid,
+    Pose,
+    bresenham,
+    polygon_centroid,
+    polygon_half_extent,
+    polygons_overlap,
+    side_of,
+)
 
 SIDES = ("north", "east", "south", "west")
 
@@ -327,13 +338,14 @@ class GroundOutcome:
     success: bool
     fault: Optional[Fault]
     message: str
-    pre_hash: str
-    post_hash: str
     details: dict[str, Any] = field(default_factory=dict)
 
 
 class World:
-    """One trial's ground truth. Single-writer: a trial owns its World."""
+    """One trial's ground truth. Single-writer: a trial owns its World.
+
+    Furniture never moves, so its geometry is built once here: footprint
+    cells, centroids, half extents and the approach table."""
 
     def __init__(self, config: WorldConfig) -> None:
         validate_config(config)
@@ -343,9 +355,13 @@ class World:
 
         self.furniture: dict[str, FurnitureSpec] = {}
         self.footprint_cells: dict[str, set[Cell]] = {}
+        self.centroids: dict[str, tuple[float, float]] = {}
+        self.half_extents: dict[str, tuple[float, float]] = {}
         for f in config.furniture:
             self.furniture[f.id] = f
             self.footprint_cells[f.id] = self.grid.rasterize_polygon(f.footprint)
+            self.centroids[f.id] = polygon_centroid(f.footprint)
+            self.half_extents[f.id] = polygon_half_extent(f.footprint)
 
         start_cell = self.grid.cell_of(config.robot_start.x, config.robot_start.y)
         if not self.grid.is_free(start_cell):
@@ -371,6 +387,7 @@ class World:
         self._minted_ids: set[str] = set()
 
         self.reachable = self.grid.flood_fill(start_cell)
+        self._approach = {fid: self._approach_table(fid) for fid in self.furniture}
 
     # -- invariant helper -------------------------------------------------------
 
@@ -420,15 +437,12 @@ class World:
         """Surface anchor: furniture footprint centroid, or the small
         receptacle's own position."""
         if rid in self.furniture:
-            return polygon_centroid(self.furniture[rid].footprint)
+            return self.centroids[rid]
         return self.position_of(rid)
 
     def _surface_half_extent(self, rid: str) -> tuple[float, float]:
         if rid in self.furniture:
-            poly = self.furniture[rid].footprint
-            xs = [p[0] for p in poly]
-            ys = [p[1] for p in poly]
-            return (max(xs) - min(xs)) / 2.0, (max(ys) - min(ys)) / 2.0
+            return self.half_extents[rid]
         extent = self.objects[rid].spec.extent
         return extent[0] / 2.0, extent[1] / 2.0
 
@@ -476,21 +490,31 @@ class World:
         return rc in cells  # degenerate, should not happen
 
     def robot_side_of(self, furniture_id: str) -> str:
-        centroid = polygon_centroid(self.furniture[furniture_id].footprint)
-        return side_of(centroid, (self.robot.x, self.robot.y))
+        return side_of(self.centroids[furniture_id], (self.robot.x, self.robot.y))
 
     def within_reach(self, pos: tuple[float, float]) -> bool:
         return self.robot.distance_to(pos) <= self.config.arm_reach
 
     # -- approach selection --------------------------------------------------------
 
-    def approach_cells(self, furniture_id: str, side: Optional[str] = None) -> list[Cell]:
-        cells = self.grid.adjacent_free_cells(self.footprint_cells[furniture_id])
-        cells = {c for c in cells if self.reachable[c[1], c[0]]}
-        if side is not None:
-            centroid = polygon_centroid(self.furniture[furniture_id].footprint)
-            cells = {c for c in cells if side_of(centroid, self.grid.center_of(c)) == side}
-        return sorted(cells)
+    def _approach_table(self, furniture_id: str) -> dict[Optional[str], tuple[Cell, ...]]:
+        """Reachable free cells adjacent to the footprint, sorted by (cx, cy),
+        keyed by None (all of them) and by the side of the footprint's
+        centroid each cell's center lies on."""
+        near = self.grid.adjacent_free_cells(self.footprint_cells[furniture_id]) & self.reachable
+        # transposed, nonzero yields cells in (cx, cy) order
+        cells = tuple((int(cx), int(cy)) for cx, cy in zip(*np.nonzero(near.T)))
+        centroid = self.centroids[furniture_id]
+        sides = [side_of(centroid, self.grid.center_of(cell)) for cell in cells]
+        table: dict[Optional[str], tuple[Cell, ...]] = {
+            side: tuple(cell for cell, s in zip(cells, sides) if s == side) for side in SIDES
+        }
+        table[None] = cells
+        return table
+
+    def approach_cells(self, furniture_id: str, side: Optional[str] = None) -> tuple[Cell, ...]:
+        """The furniture's approach cells, all of them or those on one side."""
+        return self._approach[furniture_id][side]
 
     def select_approach(
         self,
@@ -503,14 +527,14 @@ class World:
         lexicographic tie-breaking. A ``focus`` point (e.g. the object the
         robot wants to reach) overrides the line rule and picks the candidate
         closest to that point instead."""
-        candidates = set(self.approach_cells(furniture_id, side))
+        candidates = self.approach_cells(furniture_id, side)
         if not candidates:
             return None
         if focus is None:
-            centroid = polygon_centroid(self.furniture[furniture_id].footprint)
-            centroid_cell = self.grid.cell_of(*centroid)
+            members = set(candidates)
+            centroid_cell = self.grid.cell_of(*self.centroids[furniture_id])
             for cell in bresenham(self.robot_cell(), centroid_cell):
-                if cell in candidates:
+                if cell in members:
                     return cell
         px, py = focus if focus is not None else (self.robot.x, self.robot.y)
 
@@ -573,7 +597,6 @@ class World:
         Precondition violations come back as typed faults (never sampled);
         everything else draws success from the noise model.
         """
-        pre = self.state_digest()
         self.step_counter += 1
         handler = {
             "navigate": self._do_navigate,
@@ -587,14 +610,7 @@ class World:
             if self.rng.random() < self.config.noise.p_flag_error:
                 success, message = False, message + " (reported)"
                 details["flag_flipped"] = True
-        return GroundOutcome(
-            success=success,
-            fault=fault,
-            message=message,
-            pre_hash=pre,
-            post_hash=self.state_digest(),
-            details=details,
-        )
+        return GroundOutcome(success=success, fault=fault, message=message, details=details)
 
     def _do_navigate(self, request: ActionRequest):
         target = request.target
@@ -612,7 +628,7 @@ class World:
         if self.rng.random() < self.config.noise.p_nav_fail:
             return False, None, "navigation failed", {}
         x, y = self.grid.center_of(approach)
-        cx, cy = polygon_centroid(self.furniture[target].footprint)
+        cx, cy = self.centroids[target]
         self.robot = Pose(x, y, math.atan2(cy - y, cx - x))
         side = self.robot_side_of(target)
         return True, None, f"arrived at {target} ({side} side)", {"approach_side": side}
@@ -898,9 +914,7 @@ def vary_config(config: WorldConfig, trial_seed: int) -> WorldConfig:
 def _half_extent_for(config: WorldConfig, rid: str) -> tuple[float, float]:
     for f in config.furniture:
         if f.id == rid:
-            xs = [p[0] for p in f.footprint]
-            ys = [p[1] for p in f.footprint]
-            return (max(xs) - min(xs)) / 2.0, (max(ys) - min(ys)) / 2.0
+            return polygon_half_extent(f.footprint)
     for o in config.objects:
         if o.id == rid:
             return o.extent[0] / 2.0, o.extent[1] / 2.0

@@ -65,16 +65,6 @@ def test_bresenham_endpoints_and_monotonicity():
     assert all(abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1 for a, b in zip(line, line[1:]))
 
 
-def test_line_of_sight_blocked_by_wall():
-    grid = OccupancyGrid(3.0, 1.0, 0.1)
-    grid.rasterize_polygon([(1.4, 0.0), (1.6, 0.0), (1.6, 1.0), (1.4, 1.0)])
-    a = grid.cell_of(0.5, 0.5)
-    b = grid.cell_of(2.5, 0.5)
-    assert not grid.line_of_sight(a, b)
-    wall_cell = grid.cell_of(1.45, 0.5)
-    assert grid.line_of_sight(a, wall_cell)  # the surface itself is visible
-
-
 def test_side_of_quadrants():
     c = (1.0, 1.0)
     assert side_of(c, (1.0, 2.0)) == "north"

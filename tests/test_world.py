@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeloop.errors import ConfigError, PreconditionFault
+from homeloop.geometry import Pose, bresenham, polygon_centroid, side_of
 from homeloop.world import ActionRequest, World, parse_config, validate_config, vary_config
 
 from conftest import MINI_SCENE, make_world, scene, zero_noise
@@ -153,10 +156,17 @@ def test_determinism_identical_outcome_sequences():
     ]
     def run():
         world = make_world(MINI_SCENE, p_grasp_fail=0.4, p_nav_fail=0.1, rng_seed=11)
-        outs = [world.apply_action(copy.deepcopy(r)) for r in requests]
-        return [(o.success, o.message, o.pre_hash, o.post_hash) for o in outs]
+        digests = [world.state_digest()]
+        outs = []
+        for r in requests:
+            o = world.apply_action(copy.deepcopy(r))
+            outs.append((o.success, o.message))
+            digests.append(world.state_digest())
+        return outs, digests
 
-    assert run() == run()
+    first = run()
+    assert first == run()
+    assert len(set(first[1])) > 1  # the actions moved the state the digests cover
 
 
 def test_zero_noise_totality(mini_world):
@@ -268,3 +278,97 @@ def test_place_onto_dropped_receptacle_is_typed_fault():
     assert out.fault.code == "bad_argument"
     assert out.fault.message == "box_0 is not resting on a surface"
     assert world.gripper == "toy_0"
+
+
+# --- approach table vs the per-call computation it replaced ------------------------
+
+# table_1 sits in the room's north-east corner behind an L-shaped wall, so
+# every free cell around it is unreachable from the start.
+WALLED_SCENE = {
+    "name": "walled",
+    "room": {"width": 4.0, "height": 3.0},
+    "robot_start": {"x": 1.5, "y": 1.0},
+    "furniture": [
+        {
+            "id": "table_0",
+            "category": "table",
+            "footprint": [[0.5, 2.0], [1.7, 2.0], [1.7, 2.7], [0.5, 2.7]],
+            "surface_height": "mid",
+        },
+        {
+            "id": "table_1",
+            "category": "table",
+            "footprint": [[3.4, 2.5], [3.8, 2.5], [3.8, 2.8], [3.4, 2.8]],
+            "surface_height": "mid",
+        },
+        {
+            "id": "wall_0",
+            "category": "wall",
+            "footprint": [[3.0, 3.0], [3.0, 2.0], [4.0, 2.0], [4.0, 2.2], [3.2, 2.2], [3.2, 3.0]],
+        },
+    ],
+    "objects": [{"id": "cup_0", "category": "cup", "on": "table_0", "offset": [0.1, 0.0]}],
+    "noise": {"rng_seed": 0},
+}
+
+
+def reference_approach_cells(world, fid, side):
+    cells = set()
+    for cell in world.footprint_cells[fid]:
+        for n in world.grid.neighbors8(cell):
+            if world.grid.is_free(n):
+                cells.add(n)
+    cells = {c for c in cells if world.reachable[c[1], c[0]]}
+    if side is not None:
+        centroid = polygon_centroid(world.furniture[fid].footprint)
+        cells = {c for c in cells if side_of(centroid, world.grid.center_of(c)) == side}
+    return sorted(cells)
+
+
+def reference_select_approach(world, fid, side, focus):
+    candidates = set(reference_approach_cells(world, fid, side))
+    if not candidates:
+        return None
+    if focus is None:
+        centroid_cell = world.grid.cell_of(*polygon_centroid(world.furniture[fid].footprint))
+        for cell in bresenham(world.robot_cell(), centroid_cell):
+            if cell in candidates:
+                return cell
+    px, py = focus if focus is not None else (world.robot.x, world.robot.y)
+
+    def key(cell):
+        x, y = world.grid.center_of(cell)
+        return ((x - px) ** 2 + (y - py) ** 2, cell[0], cell[1])
+
+    return min(candidates, key=key)
+
+
+def approach_worlds():
+    scenes = resources.files("homeloop").joinpath("data/scenes")
+    docs = [json.loads(p.read_text("utf-8")) for p in sorted(scenes.iterdir(), key=lambda p: p.name)]
+    docs.append(WALLED_SCENE)
+    for doc in docs:
+        for seed in (0, 5, 23):
+            yield doc["name"], seed, World(vary_config(parse_config(doc), seed))
+
+
+def test_approach_table_matches_per_call_reference():
+    rng = random.Random(41)
+    unreachable_cells = 0
+    for name, seed, world in approach_worlds():
+        free = np.argwhere(world.grid.occ == 0)  # (cy, cx) rows
+        width, height = world.config.room
+        for fid in sorted(world.furniture):
+            near = world.grid.adjacent_free_cells(world.footprint_cells[fid])
+            unreachable_cells += int((near & ~world.reachable).sum())
+            for side in (None, "north", "east", "south", "west"):
+                where = (name, seed, fid, side)
+                assert list(world.approach_cells(fid, side)) == reference_approach_cells(world, fid, side), where
+                for _ in range(4):
+                    cy, cx = map(int, free[rng.randrange(len(free))])
+                    x, y = world.grid.center_of((cx, cy))
+                    world.robot = Pose(x, y, 0.0)
+                    focus = rng.choice([None, (rng.uniform(0, width), rng.uniform(0, height))])
+                    got = world.select_approach(fid, side, focus)
+                    assert got == reference_select_approach(world, fid, side, focus), where + ((cx, cy), focus)
+    assert unreachable_cells > 0  # the reachable filter is exercised
