@@ -30,7 +30,6 @@ from .world import (
     World,
     WorldConfig,
     load_config_file,
-    load_scene,
     parse_config,
     vary_config,
 )

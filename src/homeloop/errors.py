@@ -87,6 +87,13 @@ class ApiCallError(Fault):
     argument type."""
 
 
+# Every fault class by its ``kind`` (class name), for rebuilding faults from a
+# trace. A new Fault subclass must be listed here to replay as itself.
+FAULT_TYPES: dict[str, type[Fault]] = {
+    cls.__name__: cls for cls in (Fault, PreconditionFault, NotAtReceptacle, TargetNotVisible, ApiCallError)
+}
+
+
 # Fault codes that indicate a planner mistake (wrong or missing call) rather
 # than a physical failure. They map to the api_call_error failure cause.
 PLAN_LEVEL_CODES = frozenset(

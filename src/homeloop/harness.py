@@ -19,16 +19,15 @@ annotating trial videos.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Callable, Optional
 
-from .errors import PLAN_LEVEL_CODES, BudgetExceeded, ConfigError, TransportError
+from .errors import FAULT_TYPES, PLAN_LEVEL_CODES, BudgetExceeded, ConfigError, Fault, TransportError
 from .goals import Goal, goal_satisfied, ground_view, parse_goal
-from .perception import Belief, LocalMap, capture
+from .perception import Belief, capture
 from .planning import (
     Call,
     ChatModelPlanner,
@@ -48,6 +47,7 @@ from .trace import (
     OUTCOME_INVALID,
     OUTCOME_SUCCESS,
     TrialReport,
+    observation_from_json,
     write_trace_file,
 )
 from .metrics import MetricsTable, compute_metrics
@@ -64,6 +64,9 @@ from .verification import (
 from .world import NoiseModel, World, WorldConfig, load_config_file, parse_config, validate_config, vary_config
 
 DEFAULT_STEP_CAP = 100
+# A trial also ends after this many requests per allowed execution step, so a
+# planner that only issues perception calls still terminates.
+REQUEST_CAP_FACTOR = 10
 
 NOISE_PROFILES: dict[str, dict[str, float]] = {
     "zero": {name: 0.0 for name in NoiseModel.PROB_FIELDS},
@@ -102,7 +105,6 @@ class TrialOptions:
     strict_escalation: bool = False
     budgets: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     step_cap: Optional[int] = None
-    request_cap_factor: int = 10
 
 
 def resolve_noise_profile(profile: "str | dict[str, float] | None") -> dict[str, float]:
@@ -112,6 +114,13 @@ def resolve_noise_profile(profile: "str | dict[str, float] | None") -> dict[str,
         if profile not in NOISE_PROFILES:
             raise ConfigError("noise_profile", f"unknown profile {profile!r}; known: {sorted(NOISE_PROFILES)}")
         return dict(NOISE_PROFILES[profile])
+    if not isinstance(profile, dict):
+        raise ConfigError("noise_profile", f"expected a profile name or a JSON object, got {profile!r}")
+    for key, value in profile.items():
+        if key not in NoiseModel.PROB_FIELDS:
+            raise ConfigError(f"noise_profile.{key}", f"unknown field; known: {', '.join(NoiseModel.PROB_FIELDS)}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+            raise ConfigError(f"noise_profile.{key}", f"expected a probability in [0, 1], got {value!r}")
     return dict(profile)
 
 
@@ -129,9 +138,7 @@ class _Trial:
         self.options = options
 
         config = vary_config(task.scene, seed)
-        noise_kwargs = {name: getattr(config.noise, name) for name in NoiseModel.PROB_FIELDS}
-        noise_kwargs.update(options.noise or {})
-        config = _with_noise(config, NoiseModel(rng_seed=seed, **noise_kwargs))
+        config = replace(config, noise=replace(config.noise, rng_seed=seed, **(options.noise or {})))
         self.world = World(config)
         self.belief = Belief()
         self.events: list[dict[str, Any]] = []
@@ -146,7 +153,7 @@ class _Trial:
             feasibility=lambda: verify_feasibility(task.goal, self.belief),
             trace=self.events.append,
             record_sink=self.records.append,
-            goal_check=lambda: goal_believed_done(task.goal, self.belief),
+            goal_check=lambda: belief_goal_satisfied(task.goal, self.belief),
             verdict_trace=self._trace_verdict,
         )
 
@@ -159,9 +166,7 @@ class _Trial:
                 "index": request.request_index,
                 "verb": request.verb,
                 "target": request.target,
-                "location": (
-                    [request.location[0], list(request.location[1])] if request.location else None
-                ),
+                "location": _location_json(request),
                 "side": request.side,
                 "source": request.params.get("recovery_level", "planner"),
             }
@@ -173,11 +178,7 @@ class _Trial:
                 "verb": fb.verb,
                 "success": fb.success,
                 "counted": fb.counted,
-                "fault": (
-                    {"kind": fb.fault.kind, "code": fb.fault.code, "message": fb.fault.message}
-                    if fb.fault
-                    else None
-                ),
+                "fault": _fault_json(fb.fault),
                 "message": fb.message,
                 "details": _jsonable(fb.details),
             }
@@ -195,9 +196,7 @@ class _Trial:
                 "index": fb.request_index,
                 "verb": request.verb,
                 "target": request.target,
-                "location": (
-                    [request.location[0], list(request.location[1])] if request.location else None
-                ),
+                "location": _location_json(request),
                 "placed": fb.details.get("placed"),
                 "dropped": fb.details.get("dropped"),
                 "success": verdict.success,
@@ -206,11 +205,7 @@ class _Trial:
                 "suspected_cause": verdict.suspected_cause,
                 "explanation": verdict.explanation,
                 "feedback_success": fb.success,
-                "fault": (
-                    {"kind": fb.fault.kind, "code": fb.fault.code, "message": fb.fault.message}
-                    if fb.fault
-                    else None
-                ),
+                "fault": _fault_json(fb.fault),
                 "before": before.to_json(),
                 "after": after.to_json(),
             }
@@ -222,14 +217,7 @@ class _Trial:
         prior_map = None
         if request.verb == "explore_local" and request.target in self.belief.local_maps:
             m = self.belief.local_maps[request.target]
-            prior_map = LocalMap(
-                receptacle_id=m.receptacle_id,
-                items=list(m.items),
-                built_at_step=m.built_at_step,
-                built_version=m.built_version,
-                stale=m.stale,
-                scan_count=m.scan_count,
-            )
+            prior_map = replace(m, items=list(m.items))
         before = capture(self.world, "stay")
         fb = dispatch(self.ctx, request)
         after = capture(self.world, "stay")
@@ -294,7 +282,7 @@ class _Trial:
         task = self.task
         options = self.options
         step_cap = options.step_cap or task.step_cap
-        request_cap = step_cap * options.request_cap_factor
+        request_cap = step_cap * REQUEST_CAP_FACTOR
         outcome = OUTCOME_FAILURE
         reason = "unset"
 
@@ -469,10 +457,6 @@ class _Trial:
             )
 
 
-def goal_believed_done(goal: Goal, belief: Belief) -> bool:
-    return belief_goal_satisfied(goal, belief)
-
-
 def _not_plan_fault(fb: Feedback) -> bool:
     return fb.fault is None or fb.fault.code not in PLAN_LEVEL_CODES
 
@@ -485,21 +469,12 @@ def _episode_object(request: ActionRequest, fb: Feedback, held_before: Optional[
     return None
 
 
-def _with_noise(config: WorldConfig, noise: NoiseModel) -> WorldConfig:
-    return WorldConfig(
-        name=config.name,
-        room=config.room,
-        furniture=config.furniture,
-        objects=config.objects,
-        robot_start=config.robot_start,
-        noise=noise,
-        grid_resolution=config.grid_resolution,
-        arm_reach=config.arm_reach,
-        sensing_radius=config.sensing_radius,
-        view_radius=config.view_radius,
-        closeup_radius=config.closeup_radius,
-        variation=config.variation,
-    )
+def _location_json(request: ActionRequest) -> Optional[list]:
+    return [request.location[0], list(request.location[1])] if request.location else None
+
+
+def _fault_json(fault: Optional[Fault]) -> Optional[dict[str, str]]:
+    return {"kind": fault.kind, "code": fault.code, "message": fault.message} if fault else None
 
 
 def _jsonable(doc: dict[str, Any]) -> dict[str, Any]:
@@ -536,7 +511,6 @@ class SuiteConfig:
     tasks: list[TaskSpec]
     noise_profile: "str | dict[str, float]" = "default"
     planner: str = "scripted"
-    parallel: int = 1
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -580,7 +554,6 @@ def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
         tasks=tasks,
         noise_profile=raw.get("noise_profile", "default"),
         planner=str(raw.get("planner", "scripted")),
-        parallel=int(raw.get("parallel", 1)),
     )
 
 
@@ -623,26 +596,24 @@ def run_suite(
     out_dir: Optional[str] = None,
     options: Optional[TrialOptions] = None,
     base_seed: int = 0,
-    parallel: Optional[int] = None,
+    parallel: int = 1,
 ) -> tuple[MetricsTable, list[TrialReport]]:
     """Run every task's trials (optionally across worker threads, one World
     per trial), write per-trial traces and the aggregate report."""
     options = options or TrialOptions()
     if options.noise is None:
-        options = dataclasses.replace(options, noise=resolve_noise_profile(suite.noise_profile))
+        options = replace(options, noise=resolve_noise_profile(suite.noise_profile))
     jobs = []
     for task in suite.tasks:
         for trial_index in range(task.trial_count):
             jobs.append((task, trial_index, task.seed_for(trial_index, base_seed)))
 
-    workers = parallel if parallel is not None else suite.parallel
-
     def run_one(job):
         task, trial_index, seed = job
         return run_trial(task, planner_factory(), seed, trial_index, options)
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    if parallel > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
             reports = list(pool.map(run_one, jobs))
     else:
         reports = [run_one(job) for job in jobs]
@@ -681,23 +652,13 @@ def _write_sidecar_meta(out_dir: str, suite: SuiteConfig) -> None:
 def replay_verdicts(report: TrialReport) -> list[tuple[dict, SuccessVerdict]]:
     """Re-derive every recorded verdict from its traced evidence. Returns
     (recorded_event, rederived_verdict) pairs; determinism means they agree."""
-    from .errors import ApiCallError, Fault, NotAtReceptacle, PreconditionFault, TargetNotVisible
-    from .trace import observation_from_json
-
-    fault_types = {
-        "ApiCallError": ApiCallError,
-        "NotAtReceptacle": NotAtReceptacle,
-        "PreconditionFault": PreconditionFault,
-        "TargetNotVisible": TargetNotVisible,
-        "Fault": Fault,
-    }
     out = []
     for event in report.events:
         if event.get("event") != "verdict":
             continue
         fault = None
         if event.get("fault"):
-            cls = fault_types.get(event["fault"]["kind"], Fault)
+            cls = FAULT_TYPES.get(event["fault"]["kind"], Fault)
             fault = cls(event["fault"]["code"], event["fault"]["message"])
         details = {}
         if event.get("placed"):

@@ -22,18 +22,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .trace import OUTCOME_INVALID, OUTCOME_SUCCESS, TrialReport
+from .verification import CAUSES
 
 EMPTY_RATIO = "–"  # en dash for 0/0
-
-CAUSE_ORDER = (
-    "false_positive",
-    "missed_detection",
-    "visual_feedback_error",
-    "api_call_error",
-    "grasp_failed",
-    "place_failed",
-    "navigation_failed",
-)
 
 CAUSE_GROUP = {
     "false_positive": "perception",
@@ -187,7 +178,7 @@ def compute_metrics(reports: Iterable[TrialReport]) -> MetricsTable:
     )
 
     failure_rows = []
-    for cause in CAUSE_ORDER:
+    for cause in CAUSES:
         records = [rec for r in valid for rec in r.failure_records if rec.cause == cause]
         failure_rows.append(
             FailureRow(

@@ -34,10 +34,7 @@ class SceneObject:
     category: str
     attributes: frozenset[str]
     location: tuple[float, float]
-    footprint: tuple[tuple[float, float], ...]
-    description: str
     provenance: str  # "global" | "local" | "object"
-    last_seen_step: int
     parent_id: Optional[str] = None
     is_receptacle: bool = False
 
@@ -69,7 +66,6 @@ class GlobalMap:
 class LocalMap:
     receptacle_id: str
     items: list[SceneObject]
-    built_at_step: int
     built_version: int
     stale: bool = False
     scan_count: int = 1
@@ -115,7 +111,6 @@ class BeliefObject:
     is_receptacle: bool
     inspected: bool = False
     ruled_out: bool = False  # close-up contradicted the believed category
-    last_seen_step: int = 0
 
 
 @dataclass
@@ -154,12 +149,18 @@ class Belief:
         if b is not None:
             b.parent_id = rid
             b.location = pos
-        root = rid
+        self.mark_stale(self.root_of(rid))
+
+    def root_of(self, ref: str) -> str:
+        """Top of the believed parent chain, starting at ``ref`` itself: the
+        furniture an object rests on, or the object itself when it has no
+        believed parent (furniture, a dropped object, an unknown id)."""
+        root = ref
         seen = set()
         while root in self.objects and self.objects[root].parent_id and root not in seen:
             seen.add(root)
             root = self.objects[root].parent_id  # type: ignore[assignment]
-        self.mark_stale(root)
+        return root
 
 
 # --- snapshot helpers -----------------------------------------------------------
@@ -185,10 +186,7 @@ def _snapshot(
         category=obj.spec.category,
         attributes=frozenset(obj.spec.attributes) if with_attributes else frozenset(),
         location=pos,
-        footprint=((pos[0] - 0.03, pos[1] - 0.03), (pos[0] + 0.03, pos[1] + 0.03)),
-        description=f"{obj.spec.category} at ({pos[0]:.2f}, {pos[1]:.2f})",
         provenance=provenance,
-        last_seen_step=world.step_counter,
         parent_id=parent,
         is_receptacle=obj.spec.receptacle,
     )
@@ -291,10 +289,7 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
                 category=f.category,
                 attributes=frozenset(),
                 location=world.centroids[fid],
-                footprint=tuple(f.footprint),
-                description=f"{f.category} ({f.surface_height or 'no'} surface)",
                 provenance="global",
-                last_seen_step=world.step_counter,
                 is_receptacle=f.is_receptacle,
             )
         )
@@ -311,7 +306,6 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
             location=f.location,
             parent_id=None,
             is_receptacle=f.is_receptacle,
-            last_seen_step=world.step_counter,
         )
     return gmap
 
@@ -334,7 +328,7 @@ def explore_local(
     if receptacle_id not in world.furniture:
         raise KeyError(f"explore_local target {receptacle_id!r} is not furniture")
     if not world.robot_adjacent_to(receptacle_id):
-        raise _not_at(receptacle_id)
+        raise NotAtReceptacleError(receptacle_id)
 
     noise = world.config.noise
     items: list[SceneObject] = []
@@ -355,18 +349,13 @@ def explore_local(
     lmap = LocalMap(
         receptacle_id=receptacle_id,
         items=sorted(items, key=lambda o: o.id),
-        built_at_step=world.step_counter,
         built_version=version,
         stale=False,
         scan_count=(prior.scan_count + 1) if prior is not None else 1,
     )
     belief.local_maps[receptacle_id] = lmap
-    _merge_into_belief(belief, lmap, world.step_counter)
+    _merge_into_belief(belief, lmap)
     return lmap
-
-
-def _not_at(receptacle_id: str) -> "NotAtReceptacleError":
-    return NotAtReceptacleError(receptacle_id)
 
 
 class NotAtReceptacleError(Exception):
@@ -416,16 +405,13 @@ def _insert_phantom(world: World, receptacle_id: str, detected: set[str]) -> Sce
         category=believed,
         attributes=frozenset(),
         location=pos,
-        footprint=((pos[0] - 0.03, pos[1] - 0.03), (pos[0] + 0.03, pos[1] + 0.03)),
-        description=f"{believed} at ({pos[0]:.2f}, {pos[1]:.2f})",
         provenance="local",
-        last_seen_step=world.step_counter,
         parent_id=receptacle_id,
         is_receptacle=False,
     )
 
 
-def _merge_into_belief(belief: Belief, lmap: LocalMap, step: int) -> None:
+def _merge_into_belief(belief: Belief, lmap: LocalMap) -> None:
     current_ids = {o.id for o in lmap.items}
     for o in lmap.items:
         prior = belief.objects.get(o.id)
@@ -438,27 +424,13 @@ def _merge_into_belief(belief: Belief, lmap: LocalMap, step: int) -> None:
             is_receptacle=o.is_receptacle,
             inspected=prior.inspected if prior else False,
             ruled_out=prior.ruled_out if prior else False,
-            last_seen_step=step,
         )
     # objects previously believed rooted here but gone from the fresh scan
     for oid, b in list(belief.objects.items()):
         if oid in current_ids or b.is_receptacle or oid == belief.holding:
             continue
-        root = _belief_root(belief, b)
-        if root == lmap.receptacle_id:
+        if b.parent_id and belief.root_of(b.parent_id) == lmap.receptacle_id:
             del belief.objects[oid]
-
-
-def _belief_root(belief: Belief, b: BeliefObject) -> Optional[str]:
-    current = b.parent_id
-    seen = set()
-    while current is not None and current in belief.objects and current not in seen:
-        seen.add(current)
-        nxt = belief.objects[current].parent_id
-        if nxt is None:
-            return current
-        current = nxt
-    return current
 
 
 def refresh_local(world: World, belief: Belief, lmap: LocalMap) -> LocalMap:
@@ -488,17 +460,14 @@ def report_observation(world: World, belief: Belief, target: "SceneObject | str"
     if oid in world.phantoms:
         record = world.phantoms[oid]
         if world.config.noise.p_closeup_error > 0 and world.rng.random() < world.config.noise.p_closeup_error:
-            revealed = replace(target, provenance="object", last_seen_step=world.step_counter)
+            revealed = replace(target, provenance="object")
         else:
             revealed = SceneObject(
                 id=oid,
                 category=record.reveal_category,
                 attributes=frozenset(record.reveal_attributes),
                 location=record.position,
-                footprint=target.footprint,
-                description=f"close-up shows {record.reveal_category}",
                 provenance="object",
-                last_seen_step=world.step_counter,
                 parent_id=target.parent_id,
                 is_receptacle=False,
             )
@@ -544,7 +513,6 @@ def _merge_closeup(belief: Belief, obs: Observation) -> None:
             is_receptacle=prior.is_receptacle,
             inspected=True,
             ruled_out=ruled_out,
-            last_seen_step=obs.captured_at_step,
         )
         for m in belief.local_maps.values():
             m.items = [

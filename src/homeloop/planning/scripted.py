@@ -18,7 +18,6 @@ from typing import Optional
 
 from ..errors import PolicyStuck
 from ..goals import AllOn, Goal, Holding, Not, On, Or, SameReceptacle, Selector
-from ..geometry import polygon_centroid
 from ..perception import Belief, BeliefObject
 from ..verification import (
     belief_goal_satisfied,
@@ -67,15 +66,11 @@ def _unscanned(belief: Belief) -> list[str]:
 
 
 def _root_of(belief: Belief, oid: str) -> Optional[str]:
-    if belief.global_map is not None and belief.global_map.find(oid) is not None:
-        return oid
-    b = belief.objects.get(oid)
-    seen = set()
-    while b is not None and b.parent_id is not None and b.id not in seen:
-        seen.add(b.id)
-        if belief.global_map is not None and belief.global_map.find(b.parent_id) is not None:
-            return b.parent_id
-        b = belief.objects.get(b.parent_id)
+    """The furniture ``oid`` rests on (or ``oid`` itself if it is furniture);
+    None when its believed chain ends off the global map, e.g. on the floor."""
+    root = belief.root_of(oid)
+    if belief.global_map is not None and belief.global_map.find(root) is not None:
+        return root
     return None
 
 
@@ -284,5 +279,5 @@ def _styled_location(task, belief: Belief, dest: str) -> Optional[Loc]:
         return None
     cx = sum(p[0] for p in points) / len(points)
     cy = sum(p[1] for p in points) / len(points)
-    ax, ay = polygon_centroid(dest_obj.footprint)
+    ax, ay = dest_obj.location
     return Loc(dest, (round(cx - ax, 3), round(cy - ay, 3)))

@@ -3,7 +3,7 @@
 One episode tracks one failure from detection to resolution. Directives walk
 up a three-level ladder that mirrors the perception hierarchy:
 
-    object level  — retry the manipulation with a perturbed pose
+    object level  — re-issue the same request, a fresh draw of its outcome
     local level   — rebuild the local map, re-resolve the target, act again
     global level  — approach from a better side or fall back to another
                     receptacle, then rebuild and act again
@@ -63,7 +63,6 @@ class RecoveryEpisode:
     evidence: RetryState = field(default_factory=RetryState)
     current_level: str = "object"
     directives: list[RecoveryDirective] = field(default_factory=list)
-    actions_emitted: list[ActionRequest] = field(default_factory=list)
     tried_sides: set[str] = field(default_factory=set)
     last_before: Optional[Observation] = None
     strict_escalation: bool = False
@@ -76,7 +75,7 @@ def _bump_level(level: str, floor: str) -> str:
     return level if LEVEL_ORDER[level] >= LEVEL_ORDER[floor] else floor
 
 
-def select_recovery(episode: RecoveryEpisode, new_evidence: Optional[RetryState] = None) -> RecoveryDirective:
+def select_recovery(episode: RecoveryEpisode) -> RecoveryDirective:
     """Pick the next directive, escalating on spent budgets and on evidence.
 
     The returned directive's level is recorded as the episode's new floor, so
@@ -84,7 +83,7 @@ def select_recovery(episode: RecoveryEpisode, new_evidence: Optional[RetryState]
     """
     if episode.status != "active":
         return RecoveryDirective.exhausted()
-    ev = new_evidence or episode.evidence
+    ev = episode.evidence
     if episode.strict_escalation:
         level = episode.current_level
     else:
@@ -223,7 +222,6 @@ class EpisodeRunner:
         verdict = verify_success(before, after, fb, request)
         if self.verdict_trace is not None:
             self.verdict_trace(request, fb, verdict, before, after)
-        episode.actions_emitted.append(request)
         self._emit(
             {
                 "event": "recovery_action",
@@ -253,16 +251,14 @@ class EpisodeRunner:
             verb=episode.verb,
             target=episode.target,
             location=episode.location,
-            params={"recovery_level": level, "perturbation": episode.spent()},
+            params={"recovery_level": level},
         )
 
     def _reissue(self, episode: RecoveryEpisode, level: str) -> Optional[tuple[Feedback, SuccessVerdict]]:
         """Re-run the failed verb; a place whose object fell to the floor is
         re-grasped first."""
         if episode.verb == "place" and self.ctx.belief.holding is None and episode.object_id is not None:
-            g = ActionRequest(
-                verb="grasp", target=episode.object_id, params={"recovery_level": level, "regrasp": True}
-            )
+            g = ActionRequest(verb="grasp", target=episode.object_id, params={"recovery_level": level})
             fb, verdict = self._execute(episode, g)
             if not (fb.success and verdict.success):
                 return fb, verdict
@@ -271,7 +267,8 @@ class EpisodeRunner:
     # -- the three levels ----------------------------------------------------------------
 
     def object_level_retry(self, episode: RecoveryEpisode) -> Optional[tuple[Feedback, SuccessVerdict]]:
-        """Re-attempt the manipulation with a perturbed pose parameter."""
+        """Re-issue the failed request unchanged: the world draws its outcome
+        afresh, so a sampled failure can succeed on the next attempt."""
         if episode.failure.cause == "visual_feedback_error":
             resolved = self._reobserve(episode)
             if resolved is not None:

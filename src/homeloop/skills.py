@@ -30,11 +30,7 @@ from .perception import (
 )
 from .world import ActionRequest, EXECUTION_VERBS, World
 
-__all__ = ["ActionRequest", "Feedback", "SkillContext", "dispatch", "is_execution_verb"]
-
-
-def is_execution_verb(verb: str) -> bool:
-    return verb in EXECUTION_VERBS
+__all__ = ["ActionRequest", "Feedback", "SkillContext", "dispatch"]
 
 
 @dataclass
@@ -51,7 +47,7 @@ class Feedback:
 
     @property
     def counted(self) -> bool:
-        return is_execution_verb(self.verb)
+        return self.verb in EXECUTION_VERBS
 
     def render(self) -> str:
         """One line for the planner dialogue."""
@@ -156,9 +152,9 @@ def grasp(ctx: SkillContext, request: ActionRequest) -> Feedback:
     if outcome.success:
         ctx.belief.note_grasped(ref)
     elif details.get("shifted"):
-        root = _believed_root(ctx.belief, ref)
-        if root is not None:
-            ctx.belief.mark_stale(root)
+        b = ctx.belief.objects.get(ref)
+        if b is not None and b.parent_id:
+            ctx.belief.mark_stale(ctx.belief.root_of(b.parent_id))
     return _feedback(
         ctx,
         request,
@@ -312,18 +308,3 @@ def dispatch(ctx: SkillContext, request: ActionRequest) -> Feedback:
             message=f"unknown verb {request.verb!r}",
         )
     return handler(ctx, request)
-
-
-def _believed_root(belief: Belief, oid: str) -> Optional[str]:
-    b = belief.objects.get(oid)
-    if b is None:
-        return None
-    current = b.parent_id
-    seen = set()
-    while current is not None and current in belief.objects and current not in seen:
-        seen.add(current)
-        parent = belief.objects[current].parent_id
-        if parent is None:
-            return current
-        current = parent
-    return current

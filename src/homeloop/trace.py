@@ -164,10 +164,7 @@ def scene_object_from_json(doc: dict[str, Any]) -> SceneObject:
         category=doc["category"],
         attributes=frozenset(doc.get("attributes", [])),
         location=(float(pose[0]), float(pose[1])),
-        footprint=(),
-        description="",
         provenance=doc.get("provenance", "object"),
-        last_seen_step=int(doc.get("step", 0)),
         parent_id=doc.get("parent"),
         is_receptacle=bool(doc.get("receptacle", False)),
     )

@@ -133,7 +133,6 @@ class FailureRecord:
 class RetryState:
     """Evidence accumulated across recovery attempts for one episode."""
 
-    attempt: int = 0
     shifted: bool = False
     target_lost: bool = False
     out_of_reach: bool = False
@@ -306,7 +305,7 @@ def _scan_saw_kind(lmap, sel: Selector) -> bool:
     return False
 
 
-def verify_feasibility(goal: Goal, belief: Belief, history: object = None) -> FeasibilityVerdict:
+def verify_feasibility(goal: Goal, belief: Belief) -> FeasibilityVerdict:
     """Can the plan still proceed?
 
     Feasible while a candidate for the first unsatisfied atom exists anywhere

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -818,11 +818,6 @@ class World:
         return True, None, f"placed {held} on {rid}", {"placed": held, "on": rid, "offset": list(chosen)}
 
 
-def load_scene(config: WorldConfig) -> World:
-    """Construct a World; raises ConfigError with a field path on violations."""
-    return World(config)
-
-
 # --- Scene variation -------------------------------------------------------------
 
 
@@ -836,19 +831,7 @@ def vary_config(config: WorldConfig, trial_seed: int) -> WorldConfig:
     if spec is None:
         return config
     rng = random.Random((trial_seed * 2654435761) % 2**32 ^ 0x5EED)
-    objects = [
-        ObjectSpec(
-            id=o.id,
-            category=o.category,
-            attributes=list(o.attributes),
-            on=o.on,
-            offset=o.offset,
-            floor=o.floor,
-            receptacle=o.receptacle,
-            extent=o.extent,
-        )
-        for o in config.objects
-    ]
+    objects = [replace(o, attributes=list(o.attributes)) for o in config.objects]
 
     for category, (lo, hi) in sorted(spec.extra_count_range.items()):
         template = next((o for o in objects if o.category == category and not o.receptacle), None)
@@ -895,20 +878,7 @@ def vary_config(config: WorldConfig, trial_seed: int) -> WorldConfig:
                 else:
                     taken.append(o.offset)
 
-    return WorldConfig(
-        name=config.name,
-        room=config.room,
-        furniture=config.furniture,
-        objects=objects,
-        robot_start=config.robot_start,
-        noise=config.noise,
-        grid_resolution=config.grid_resolution,
-        arm_reach=config.arm_reach,
-        sensing_radius=config.sensing_radius,
-        view_radius=config.view_radius,
-        closeup_radius=config.closeup_radius,
-        variation=None,
-    )
+    return replace(config, objects=objects, variation=None)
 
 
 def _half_extent_for(config: WorldConfig, rid: str) -> tuple[float, float]:

@@ -142,3 +142,14 @@ def test_unknown_task_exits_2(tiny_suite, capsys):
     _, suite_path = tiny_suite
     code = main(["trial", "--suite", str(suite_path), "--task", "Z9"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "profile",
+    ['{"p_grasp_fial": 0.5}', '{"p_grasp_fail": "x"}', '{"p_grasp_fail": 1.5}', '{"rng_seed": 3}'],
+)
+def test_malformed_inline_noise_profile_exits_2(tiny_suite, capsys, profile):
+    _, suite_path = tiny_suite
+    code = main(["trial", "--suite", str(suite_path), "--task", "T1", "--noise-profile", profile])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: [config] noise_profile.")

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from homeloop.errors import ConfigError, TraceFormatError
+from homeloop.errors import FAULT_TYPES, ConfigError, Fault, TraceFormatError
 from homeloop.harness import (
     SuiteConfig,
     TrialOptions,
@@ -102,6 +102,12 @@ def test_replay_rederives_identical_verdicts():
     for seed in (0, 1, 2, 3):
         report = run_trial(mini_task(), ScriptedPlanner(), seed=seed, options=TrialOptions(noise=dict(noise)))
         assert replay_matches(report)
+
+
+def test_fault_registry_lists_every_fault_class():
+    # replay rebuilds faults by kind; an unlisted class would come back as a bare Fault
+    assert set(FAULT_TYPES.values()) == {Fault, *Fault.__subclasses__()}
+    assert all(kind == cls.__name__ for kind, cls in FAULT_TYPES.items())
 
 
 def test_perception_verbs_never_counted(zero_options):

@@ -4,7 +4,7 @@ import pytest
 
 from homeloop.metrics import EMPTY_RATIO, Ratio, compute_metrics
 from homeloop.trace import TrialReport
-from homeloop.verification import FailureRecord
+from homeloop.verification import CAUSES, FailureRecord
 
 
 def trial(task_id, success, steps_ok, steps_all, records=(), trial_index=0):
@@ -111,6 +111,8 @@ def test_failure_breakdown_fixture():
     assert nav.overall.render() == "0/1"
     grasp = next(r for r in table.failure_rows if r.cause == "grasp_failed")
     assert grasp.recovery_rate.render() == "16/23"
+    # one row per cause of the closed vocabulary, in its order
+    assert [r.cause for r in table.failure_rows] == list(CAUSES)
 
 
 def test_baseline_column_fixture():

@@ -6,9 +6,14 @@ from importlib import resources
 
 import pytest
 
+import numpy as np
+
 from homeloop.perception import (
     Belief,
+    BeliefObject,
+    GlobalMap,
     NotAtReceptacleError,
+    SceneObject,
     TargetNotVisibleSignal,
     capture,
     explore_global,
@@ -16,6 +21,7 @@ from homeloop.perception import (
     refresh_local,
     report_observation,
 )
+from homeloop.planning.scripted import _root_of
 from homeloop.world import ActionRequest
 
 from conftest import DOLL_SCENE, MINI_SCENE, make_world, zero_noise
@@ -249,3 +255,36 @@ def test_capture_excludes_gripper_contents(mini_world):
     world.apply_action(ActionRequest(verb="grasp", target="toy_0"))
     obs = capture(world, "stay")
     assert obs.find("toy_0") is None
+
+
+# --- the believed parent chain -------------------------------------------------------
+
+
+def _believed(oid, parent=None, receptacle=False):
+    return BeliefObject(oid, "thing", frozenset(), (1.0, 1.0), parent, receptacle)
+
+
+def test_root_of_walks_the_believed_parent_chain():
+    belief = Belief()
+    belief.global_map = GlobalMap(
+        [SceneObject("table_0", "table", frozenset(), (1.0, 1.0), "global", is_receptacle=True)],
+        np.zeros((2, 2), dtype=bool),
+    )
+    for b in (
+        _believed("table_0", receptacle=True),
+        _believed("plate_0", "table_0", receptacle=True),
+        _believed("cup_0", "plate_0"),
+        _believed("toy_0"),  # dropped on the floor: no believed parent
+        _believed("a", "b"),
+        _believed("b", "a"),
+    ):
+        belief.objects[b.id] = b
+    assert belief.root_of("cup_0") == "table_0"
+    assert _root_of(belief, "cup_0") == "table_0"
+    assert belief.root_of("toy_0") == "toy_0"
+    assert _root_of(belief, "toy_0") is None
+    assert belief.root_of("table_0") == "table_0"
+    assert _root_of(belief, "table_0") == "table_0"
+    assert belief.root_of("ghost_9") == "ghost_9"
+    assert belief.root_of("a") in ("a", "b")
+    assert _root_of(belief, "a") is None

@@ -26,10 +26,7 @@ def snap(oid: str, category: str, parent: str | None = None, pos=(1.0, 1.0), att
         category=category,
         attributes=frozenset(attrs),
         location=pos,
-        footprint=(),
-        description="",
         provenance="object",
-        last_seen_step=0,
         parent_id=parent,
     )
 
