@@ -40,8 +40,8 @@ from .planning import (
     ScriptedPlanner,
     to_request,
 )
-from .recovery import DEFAULT_BUDGETS, EpisodeRunner, RecoveryEpisode
-from .skills import ActionRequest, Feedback, SkillContext, dispatch
+from .recovery import EpisodeRunner, RecoveryEpisode
+from .skills import ActionRequest, Feedback, SkillContext, dispatch, verdict_event
 from .trace import (
     OUTCOME_FAILURE,
     OUTCOME_INVALID,
@@ -55,13 +55,14 @@ from .verification import (
     FailureRecord,
     SuccessVerdict,
     atom_object_selector,
-    belief_goal_satisfied,
     classify_failure,
     first_unsatisfied_atom,
     verify_feasibility,
     verify_success,
 )
-from .world import NoiseModel, World, WorldConfig, load_config_file, parse_config, validate_config, vary_config
+from .world import (
+    NoiseModel, World, WorldConfig, check_noise_fields, load_config_file, parse_config, validate_config, vary_config,
+)
 
 DEFAULT_STEP_CAP = 100
 # A trial also ends after this many requests per allowed execution step, so a
@@ -103,8 +104,6 @@ class TrialOptions:
     recovery_enabled: bool = True
     planner_driven_recovery: bool = False
     strict_escalation: bool = False
-    budgets: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
-    step_cap: Optional[int] = None
 
 
 def resolve_noise_profile(profile: "str | dict[str, float] | None") -> dict[str, float]:
@@ -114,14 +113,7 @@ def resolve_noise_profile(profile: "str | dict[str, float] | None") -> dict[str,
         if profile not in NOISE_PROFILES:
             raise ConfigError("noise_profile", f"unknown profile {profile!r}; known: {sorted(NOISE_PROFILES)}")
         return dict(NOISE_PROFILES[profile])
-    if not isinstance(profile, dict):
-        raise ConfigError("noise_profile", f"expected a profile name or a JSON object, got {profile!r}")
-    for key, value in profile.items():
-        if key not in NoiseModel.PROB_FIELDS:
-            raise ConfigError(f"noise_profile.{key}", f"unknown field; known: {', '.join(NoiseModel.PROB_FIELDS)}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-            raise ConfigError(f"noise_profile.{key}", f"expected a probability in [0, 1], got {value!r}")
-    return dict(profile)
+    return check_noise_fields(profile, "noise_profile", with_seed=False)
 
 
 # --- trial execution -------------------------------------------------------------
@@ -141,75 +133,11 @@ class _Trial:
         config = replace(config, noise=replace(config.noise, rng_seed=seed, **(options.noise or {})))
         self.world = World(config)
         self.belief = Belief()
-        self.events: list[dict[str, Any]] = []
-        self.records: list[FailureRecord] = []
         self._finding_keys: set[str] = set()
-        self.ctx = SkillContext(self.world, self.belief, on_feedback=self._trace_feedback)
+        self.ctx = SkillContext(self.world, self.belief)
         self.history = DialogueHistory(task.instruction)
         self.pending_plan_fix: Optional[FailureRecord] = None
         self.pending_diagnostic: Optional[str] = None
-        self.runner = EpisodeRunner(
-            ctx=self.ctx,
-            feasibility=lambda: verify_feasibility(task.goal, self.belief),
-            trace=self.events.append,
-            record_sink=self.records.append,
-            goal_check=lambda: belief_goal_satisfied(task.goal, self.belief),
-            verdict_trace=self._trace_verdict,
-        )
-
-    # -- tracing hooks ---------------------------------------------------------
-
-    def _trace_feedback(self, request: ActionRequest, fb: Feedback) -> None:
-        self.events.append(
-            {
-                "event": "request",
-                "index": request.request_index,
-                "verb": request.verb,
-                "target": request.target,
-                "location": _location_json(request),
-                "side": request.side,
-                "source": request.params.get("recovery_level", "planner"),
-            }
-        )
-        self.events.append(
-            {
-                "event": "feedback",
-                "index": fb.request_index,
-                "verb": fb.verb,
-                "success": fb.success,
-                "counted": fb.counted,
-                "fault": _fault_json(fb.fault),
-                "message": fb.message,
-                "details": _jsonable(fb.details),
-            }
-        )
-        if fb.observation is not None:
-            self.events.append(
-                {"event": "observation", "index": fb.request_index, "phase": "result",
-                 "observation": fb.observation.to_json()}
-            )
-
-    def _trace_verdict(self, request, fb, verdict, before, after) -> None:
-        self.events.append(
-            {
-                "event": "verdict",
-                "index": fb.request_index,
-                "verb": request.verb,
-                "target": request.target,
-                "location": _location_json(request),
-                "placed": fb.details.get("placed"),
-                "dropped": fb.details.get("dropped"),
-                "success": verdict.success,
-                "feedback_flag": verdict.feedback_flag,
-                "delta_consistent": verdict.delta_consistent,
-                "suspected_cause": verdict.suspected_cause,
-                "explanation": verdict.explanation,
-                "feedback_success": fb.success,
-                "fault": _fault_json(fb.fault),
-                "before": before.to_json(),
-                "after": after.to_json(),
-            }
-        )
 
     # -- execution with verification ------------------------------------------------
 
@@ -222,7 +150,7 @@ class _Trial:
         fb = dispatch(self.ctx, request)
         after = capture(self.world, "stay")
         verdict = verify_success(before, after, fb, request)
-        self._trace_verdict(request, fb, verdict, before, after)
+        self.ctx.events.append(verdict_event(request, fb, verdict, before, after))
         self._perception_findings(request, fb, prior_map)
         return fb, verdict, before
 
@@ -239,7 +167,7 @@ class _Trial:
                 for oid in sorted(new_ids - prior_ids):
                     if oid in self.world.objects and f"md:{oid}" not in self._finding_keys:
                         self._finding_keys.add(f"md:{oid}")
-                        self.records.append(
+                        self.ctx.records.append(
                             FailureRecord(
                                 "missed_detection", fb.request_index, "local",
                                 replanned=True, recovered=True,
@@ -249,7 +177,7 @@ class _Trial:
                 for pid in sorted(prior_ids - new_ids):
                     if pid in self.world.phantoms and f"fp:{pid}" not in self._finding_keys:
                         self._finding_keys.add(f"fp:{pid}")
-                        self.records.append(
+                        self.ctx.records.append(
                             FailureRecord(
                                 "false_positive", fb.request_index, "local",
                                 replanned=True, recovered=True,
@@ -268,7 +196,7 @@ class _Trial:
                 believed = self.world.phantoms[target].believed_category
                 if revealed is not None and revealed.category != believed:
                     self._finding_keys.add(f"fp:{target}")
-                    self.records.append(
+                    self.ctx.records.append(
                         FailureRecord(
                             "false_positive", fb.request_index, "object",
                             replanned=True, recovered=True,
@@ -281,13 +209,12 @@ class _Trial:
     def run(self) -> TrialReport:
         task = self.task
         options = self.options
-        step_cap = options.step_cap or task.step_cap
-        request_cap = step_cap * REQUEST_CAP_FACTOR
+        request_cap = task.step_cap * REQUEST_CAP_FACTOR
         outcome = OUTCOME_FAILURE
         reason = "unset"
 
         while True:
-            if self.ctx.execution_steps >= step_cap:
+            if self.ctx.execution_steps >= task.step_cap:
                 reason = "step cap"
                 break
             if self.ctx.requests_made >= request_cap:
@@ -296,7 +223,7 @@ class _Trial:
             verdict_f = None
             if self.belief.global_map is not None:
                 verdict_f = verify_feasibility(task.goal, self.belief)
-                self.events.append({"event": "feasibility", **verdict_f.to_json()})
+                self.ctx.events.append({"event": "feasibility", **verdict_f.to_json()})
             view = PlannerView(
                 belief=self.belief,
                 feasibility=verdict_f,
@@ -309,7 +236,7 @@ class _Trial:
                 outcome, reason = OUTCOME_INVALID, f"transport: {exc}"
                 break
             except (BudgetExceeded, ParseError) as exc:
-                self.records.append(
+                self.ctx.records.append(
                     FailureRecord(
                         "api_call_error", self.ctx.requests_made, "none",
                         direct_failure=True, detail=str(exc),
@@ -319,13 +246,13 @@ class _Trial:
                 break
             repairs = getattr(self.planner, "last_repairs", 0)
             for _ in range(repairs):
-                self.records.append(
+                self.ctx.records.append(
                     FailureRecord(
                         "api_call_error", self.ctx.requests_made, "none",
                         replanned=True, recovered=True, detail="plan repaired after parse diagnostic",
                     )
                 )
-            self.events.append({"event": "plan", "text": step.render(), "repairs": repairs})
+            self.ctx.events.append({"event": "plan", "text": step.render(), "repairs": repairs})
             self.history.append_plan(step.render())
             self.pending_diagnostic = None
 
@@ -363,8 +290,8 @@ class _Trial:
                 continue
 
             record = classify_failure(verdict, fb, None)
-            self.records.append(record)
-            self.events.append({"event": "failure", **record.to_json()})
+            self.ctx.records.append(record)
+            self.ctx.events.append({"event": "failure", **record.to_json()})
 
             if record.cause == "api_call_error":
                 # plan-level mistake: the diagnostic goes back to the planner
@@ -386,12 +313,11 @@ class _Trial:
                 object_id=_episode_object(request, fb, held_before),
                 target=request.target,
                 location=request.location,
-                budgets=dict(options.budgets),
                 last_before=before,
                 strict_escalation=options.strict_escalation,
             )
-            self.runner.run(episode)
-            self.events.append(
+            EpisodeRunner(self.ctx, task.goal).run(episode)
+            self.ctx.events.append(
                 {
                     "event": "episode_end",
                     "status": episode.status,
@@ -429,8 +355,8 @@ class _Trial:
             goal_satisfied=satisfied,
             execution_steps=self.ctx.execution_steps,
             successful_steps=self.ctx.successful_steps,
-            failure_records=self.records,
-            events=self.events,
+            failure_records=self.ctx.records,
+            events=self.ctx.events,
         )
         report.check_identities()
         return report
@@ -448,7 +374,7 @@ class _Trial:
             return
         view = ground_view(self.world)
         if view.select(sel):
-            self.records.append(
+            self.ctx.records.append(
                 FailureRecord(
                     "missed_detection", self.ctx.requests_made, "none",
                     direct_failure=True,
@@ -467,18 +393,6 @@ def _episode_object(request: ActionRequest, fb: Feedback, held_before: Optional[
     if request.verb == "place":
         return fb.details.get("placed") or fb.details.get("dropped") or held_before
     return None
-
-
-def _location_json(request: ActionRequest) -> Optional[list]:
-    return [request.location[0], list(request.location[1])] if request.location else None
-
-
-def _fault_json(fault: Optional[Fault]) -> Optional[dict[str, str]]:
-    return {"kind": fault.kind, "code": fault.code, "message": fault.message} if fault else None
-
-
-def _jsonable(doc: dict[str, Any]) -> dict[str, Any]:
-    return json.loads(json.dumps(doc, default=str))
 
 
 def _compact_observation(fb: Feedback) -> str:

@@ -313,12 +313,7 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
 # --- local scanning -----------------------------------------------------------------
 
 
-def explore_local(
-    world: World,
-    belief: Belief,
-    receptacle_id: str,
-    preserve: Optional[LocalMap] = None,
-) -> LocalMap:
+def explore_local(world: World, belief: Belief, receptacle_id: str) -> LocalMap:
     """Scan the small objects rooted at one furniture piece.
 
     Each true object is omitted with p_missed_detection; with p_false_positive
@@ -345,7 +340,7 @@ def explore_local(
         items.append(_insert_phantom(world, receptacle_id, detected_ids))
 
     version = world.receptacle_versions.get(receptacle_id, 0)
-    prior = preserve if preserve is not None else belief.local_maps.get(receptacle_id)
+    prior = belief.local_maps.get(receptacle_id)
     lmap = LocalMap(
         receptacle_id=receptacle_id,
         items=sorted(items, key=lambda o: o.id),
@@ -438,7 +433,7 @@ def refresh_local(world: World, belief: Belief, lmap: LocalMap) -> LocalMap:
     A non-stale map is returned unchanged."""
     if not lmap.stale:
         return lmap
-    return explore_local(world, belief, lmap.receptacle_id, preserve=lmap)
+    return explore_local(world, belief, lmap.receptacle_id)
 
 
 # --- object-level inspection ------------------------------------------------------------

@@ -20,22 +20,24 @@ re-issue is itself a new failure event for the accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
+from .goals import Goal
 from .perception import Observation, capture, refresh_local
-from .skills import Feedback, SkillContext, dispatch
+from .skills import Feedback, SkillContext, dispatch, verdict_event
 from .verification import (
     FailureRecord,
-    FeasibilityVerdict,
     RetryState,
     SuccessVerdict,
+    belief_goal_satisfied,
     classify_failure,
+    verify_feasibility,
     verify_success,
 )
 from .world import ActionRequest
 
 LEVEL_ORDER = {"object": 0, "local": 1, "global": 2}
-DEFAULT_BUDGETS = {"object": 3, "local": 2, "global": 2}
+BUDGETS = {"object": 3, "local": 2, "global": 2}  # re-issues allowed per level
 
 SHIFT_EPSILON = 0.02  # meters of believed movement that counts as "shifted"
 
@@ -57,7 +59,6 @@ class RecoveryEpisode:
     object_id: Optional[str]
     target: Optional[str]
     location: Optional[tuple[str, tuple[float, float]]] = None
-    budgets: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
     attempts: dict[str, int] = field(default_factory=lambda: {"object": 0, "local": 0, "global": 0})
     status: str = "active"  # active | recovered | exhausted
     evidence: RetryState = field(default_factory=RetryState)
@@ -95,7 +96,7 @@ def select_recovery(episode: RecoveryEpisode) -> RecoveryDirective:
         if ev.out_of_reach or ev.target_lost:
             level = _bump_level(level, "global")
         level = _bump_level(level, episode.current_level)
-    while LEVEL_ORDER.get(level, 3) <= 2 and episode.attempts[level] >= episode.budgets[level]:
+    while LEVEL_ORDER.get(level, 3) <= 2 and episode.attempts[level] >= BUDGETS[level]:
         idx = LEVEL_ORDER[level] + 1
         if idx > 2:
             episode.status = "exhausted"
@@ -114,45 +115,29 @@ def select_recovery(episode: RecoveryEpisode) -> RecoveryDirective:
 # --- directive execution ----------------------------------------------------------
 
 
-TraceHook = Callable[[dict], None]
-RecordSink = Callable[[FailureRecord], None]
-VerdictTrace = Callable[[ActionRequest, Feedback, SuccessVerdict, Observation, Observation], None]
-
-
 @dataclass
 class EpisodeRunner:
-    """Drives one episode to recovered/exhausted against a live context."""
+    """Drives one episode to recovered/exhausted against a live context,
+    logging events and new failure records on the context."""
 
     ctx: SkillContext
-    feasibility: Callable[[], FeasibilityVerdict]
-    trace: Optional[TraceHook] = None
-    record_sink: Optional[RecordSink] = None
-    goal_check: Optional[Callable[[], bool]] = None
-    verdict_trace: Optional[VerdictTrace] = None
-
-    def _emit(self, event: dict) -> None:
-        if self.trace is not None:
-            self.trace(event)
-
-    def _sink(self, record: FailureRecord) -> None:
-        if self.record_sink is not None:
-            self.record_sink(record)
+    goal: Goal
 
     def run(self, episode: RecoveryEpisode) -> RecoveryEpisode:
         prev_record = episode.failure
-        guard = sum(episode.budgets.values()) + 2
+        guard = sum(BUDGETS.values()) + 2
         for _ in range(guard):
-            if self.goal_check is not None and self.goal_check():
+            if belief_goal_satisfied(self.goal, self.ctx.belief):
                 # the situation resolved itself (e.g. a phantom target cleared
                 # on re-map and the goal is already met): the map-level fix
                 # counts as the recovery
                 prev_record.replanned = True
                 prev_record.recovered = True
                 episode.status = "recovered"
-                self._emit({"event": "recovery", "directive": "end", "status": "recovered"})
+                self.ctx.events.append({"event": "recovery", "directive": "end", "status": "recovered"})
                 return episode
             directive = select_recovery(episode)
-            self._emit(
+            self.ctx.events.append(
                 {
                     "event": "recovery",
                     "directive": directive.kind,
@@ -169,7 +154,7 @@ class EpisodeRunner:
                 # the last failure event got no re-issue: it ends the task
                 prev_record.mark_direct()
                 episode.status = "exhausted"
-                self._emit({"event": "recovery", "directive": "end", "status": "exhausted"})
+                self.ctx.events.append({"event": "recovery", "directive": "end", "status": "exhausted"})
                 return episode
 
             if directive.kind == "retry":
@@ -189,16 +174,16 @@ class EpisodeRunner:
             if fb.success and verdict.success:
                 prev_record.recovered = True
                 episode.status = "recovered"
-                self._emit({"event": "recovery", "directive": "end", "status": "recovered"})
+                self.ctx.events.append({"event": "recovery", "directive": "end", "status": "recovered"})
                 return episode
             prev_record.recovered = False
             new_record = classify_failure(verdict, fb, episode.evidence)
             self._update_evidence(episode, fb)
-            self._sink(new_record)
+            self.ctx.records.append(new_record)
             prev_record = new_record
         episode.status = "exhausted"
         prev_record.mark_direct()
-        self._emit({"event": "recovery", "directive": "end", "status": "exhausted"})
+        self.ctx.events.append({"event": "recovery", "directive": "end", "status": "exhausted"})
         return episode
 
     def _update_evidence(self, episode: RecoveryEpisode, fb: Feedback) -> None:
@@ -220,9 +205,8 @@ class EpisodeRunner:
         fb = dispatch(self.ctx, request)
         after = capture(self.ctx.world, "stay")
         verdict = verify_success(before, after, fb, request)
-        if self.verdict_trace is not None:
-            self.verdict_trace(request, fb, verdict, before, after)
-        self._emit(
+        self.ctx.events.append(verdict_event(request, fb, verdict, before, after))
+        self.ctx.events.append(
             {
                 "event": "recovery_action",
                 "verb": request.verb,
@@ -309,7 +293,7 @@ class EpisodeRunner:
         # fresh scan even when no ground change marked it stale
         belief.local_maps[root].stale = True
         lmap = refresh_local(self.ctx.world, belief, belief.local_maps[root])
-        self._emit({"event": "recovery_remap", "receptacle": root, "items": [o.id for o in lmap.items]})
+        self.ctx.events.append({"event": "recovery_remap", "receptacle": root, "items": [o.id for o in lmap.items]})
         if episode.verb in ("grasp",) or (episode.verb == "place" and belief.holding is None):
             resolved = self._resolve_object(episode, lmap)
             if resolved is None:
@@ -338,7 +322,7 @@ class EpisodeRunner:
                 episode.object_id = item.id
                 if episode.verb == "grasp":
                     episode.target = item.id
-                self._emit({"event": "recovery_retarget", "from": oid, "to": item.id})
+                self.ctx.events.append({"event": "recovery_retarget", "from": oid, "to": item.id})
                 return item.id
         return None
 
@@ -370,8 +354,7 @@ class EpisodeRunner:
             episode.tried_sides.add(side)
             return self._reissue(episode, "global")
 
-        verdict_f = self.feasibility()
-        suggestion = verdict_f.rollback
+        suggestion = verify_feasibility(self.goal, belief).rollback
         if suggestion is None or suggestion.level != "global":
             return None
         nav = ActionRequest(

@@ -10,12 +10,16 @@ verbatim in the system prompt and in the plan DSL grammar.
 
 Execution verbs (navigate/grasp/place) count toward step-wise accounting;
 perception verbs never do.
+
+Every call appends its request, its feedback and any observation to the
+trial's event log on the ``SkillContext``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import ApiCallError, Fault
 from .perception import (
@@ -30,7 +34,10 @@ from .perception import (
 )
 from .world import ActionRequest, EXECUTION_VERBS, World
 
-__all__ = ["ActionRequest", "Feedback", "SkillContext", "dispatch"]
+if TYPE_CHECKING:
+    from .verification import FailureRecord, SuccessVerdict
+
+__all__ = ["ActionRequest", "Feedback", "SkillContext", "dispatch", "verdict_event"]
 
 
 @dataclass
@@ -60,12 +67,13 @@ class Feedback:
 
 @dataclass
 class SkillContext:
-    """Per-trial execution context: the world, the belief, and hooks the
-    harness uses for tracing and step accounting."""
+    """Per-trial execution context: the world, the belief, the trial's event
+    log and failure records, and the step accounting."""
 
     world: World
     belief: Belief
-    on_feedback: Optional[Callable[[ActionRequest, Feedback], None]] = None
+    events: list[dict[str, Any]] = field(default_factory=list)
+    records: list[FailureRecord] = field(default_factory=list)
     requests_made: int = 0
     execution_steps: int = 0
     successful_steps: int = 0
@@ -82,9 +90,71 @@ def _feedback(ctx: SkillContext, request: ActionRequest, **kw: Any) -> Feedback:
         ctx.execution_steps += 1
         if fb.success:
             ctx.successful_steps += 1
-    if ctx.on_feedback is not None:
-        ctx.on_feedback(request, fb)
+    ctx.events.append(
+        {
+            "event": "request",
+            "index": request.request_index,
+            "verb": request.verb,
+            "target": request.target,
+            "location": _location_json(request),
+            "side": request.side,
+            "source": request.params.get("recovery_level", "planner"),
+        }
+    )
+    ctx.events.append(
+        {
+            "event": "feedback",
+            "index": fb.request_index,
+            "verb": fb.verb,
+            "success": fb.success,
+            "counted": fb.counted,
+            "fault": _fault_json(fb.fault),
+            "message": fb.message,
+            "details": _jsonable(fb.details),
+        }
+    )
+    if fb.observation is not None:
+        ctx.events.append(
+            {"event": "observation", "index": fb.request_index, "phase": "result",
+             "observation": fb.observation.to_json()}
+        )
     return fb
+
+
+def verdict_event(
+    request: ActionRequest, fb: Feedback, verdict: SuccessVerdict, before: Observation, after: Observation
+) -> dict[str, Any]:
+    """The trace event of one verified execution."""
+    return {
+        "event": "verdict",
+        "index": fb.request_index,
+        "verb": request.verb,
+        "target": request.target,
+        "location": _location_json(request),
+        "placed": fb.details.get("placed"),
+        "dropped": fb.details.get("dropped"),
+        "success": verdict.success,
+        "feedback_flag": verdict.feedback_flag,
+        "delta_consistent": verdict.delta_consistent,
+        "suspected_cause": verdict.suspected_cause,
+        "explanation": verdict.explanation,
+        "feedback_success": fb.success,
+        "fault": _fault_json(fb.fault),
+        "before": before.to_json(),
+        "after": after.to_json(),
+    }
+
+
+def _location_json(request: ActionRequest) -> Optional[list]:
+    return [request.location[0], list(request.location[1])] if request.location else None
+
+
+def _fault_json(fault: Optional[Fault]) -> Optional[dict[str, str]]:
+    return {"kind": fault.kind, "code": fault.code, "message": fault.message} if fault else None
+
+
+def _jsonable(doc: dict[str, Any]) -> dict[str, Any]:
+    return json.loads(json.dumps(doc, default=str))
 
 
 def _api_error(ctx: SkillContext, request: ActionRequest, code: str, message: str) -> Feedback:
@@ -292,7 +362,7 @@ _HANDLERS = {
 
 def dispatch(ctx: SkillContext, request: ActionRequest) -> Feedback:
     """Single entry point for every plan step. Assigns the request index,
-    routes to the verb handler, and feeds the accounting hooks."""
+    routes to the verb handler, and logs the call on the context."""
     if request.request_index < 0:
         request.request_index = ctx.take_index()
     handler = _HANDLERS.get(request.verb)

@@ -106,6 +106,24 @@ class NoiseModel:
                 raise ConfigError(f"{path}.{name}", f"probability {value} outside [0, 1]")
 
 
+def check_noise_fields(raw: Any, path: str, with_seed: bool) -> dict[str, Any]:
+    """Check a block of ``NoiseModel`` fields read from outside the program:
+    every key a field, every probability a number in [0, 1], and, where
+    ``with_seed`` allows it, ``rng_seed`` an integer. Returns a copy."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected a JSON object, got {raw!r}")
+    known = NoiseModel.PROB_FIELDS + (("rng_seed",) if with_seed else ())
+    for key, value in raw.items():
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", f"unknown field; known: {', '.join(known)}")
+        if key == "rng_seed":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{path}.{key}", f"expected a probability in [0, 1], got {value!r}")
+    return dict(raw)
+
+
 @dataclass
 class VariationSpec:
     """Per-trial scene variation, driven by the trial seed.
@@ -193,7 +211,7 @@ def parse_config(raw: dict) -> WorldConfig:
         float(start_raw.get("heading", 0.0)),
     )
 
-    noise = NoiseModel(**raw.get("noise", {}))
+    noise = NoiseModel(**check_noise_fields(raw.get("noise", {}), "noise", with_seed=True))
 
     variation = None
     if "variation" in raw:

@@ -25,7 +25,7 @@ from homeloop.harness import (
 from homeloop.metrics import EMPTY_RATIO, compute_metrics
 from homeloop.perception import Belief, explore_global, explore_local, report_observation
 from homeloop.planning import Call, ChatModelPlanner, HttpChatBackend, ScriptedPlanner, TranscriptBackend
-from homeloop.recovery import DEFAULT_BUDGETS, LEVEL_ORDER, RecoveryEpisode, select_recovery
+from homeloop.recovery import BUDGETS, LEVEL_ORDER, RecoveryEpisode, select_recovery
 from homeloop.trace import load_trace, write_trace
 from homeloop.verification import FailureRecord
 from homeloop.world import ActionRequest
@@ -178,7 +178,7 @@ def test_criterion_5_escalation_protocol(events, start_level):
         target="toy_0",
     )
     levels = []
-    for step in range(sum(DEFAULT_BUDGETS.values()) + 1):
+    for step in range(sum(BUDGETS.values()) + 1):
         directive = select_recovery(episode)
         if directive.kind == "exhausted":
             break
@@ -197,7 +197,7 @@ def test_criterion_5_escalation_protocol(events, start_level):
     else:
         raise AssertionError("episode failed to terminate within budget")
     assert levels == sorted(levels, key=lambda lv: LEVEL_ORDER[lv])
-    for level, budget in DEFAULT_BUDGETS.items():
+    for level, budget in BUDGETS.items():
         assert episode.attempts[level] <= budget
 
 

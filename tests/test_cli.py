@@ -144,12 +144,31 @@ def test_unknown_task_exits_2(tiny_suite, capsys):
     assert code == 2
 
 
+MALFORMED_NOISE = [
+    ("noise_profile", {"p_grasp_fial": 0.5}),
+    ("noise_profile", {"p_grasp_fail": "x"}),
+    ("noise_profile", {"p_grasp_fail": 1.5}),
+    ("noise_profile", {"rng_seed": 3}),
+    ("noise", {"p_grasp_fial": 0.5}),
+    ("noise", {"p_grasp_fail": "x"}),
+    ("noise", {"p_grasp_fail": True}),
+    ("noise", {"rng_seed": "a"}),
+]
+
+
 @pytest.mark.parametrize(
-    "profile",
-    ['{"p_grasp_fial": 0.5}', '{"p_grasp_fail": "x"}', '{"p_grasp_fail": 1.5}', '{"rng_seed": 3}'],
+    "where, block",
+    MALFORMED_NOISE,
+    ids=[json.dumps(b) if w == "noise_profile" else f"scene:{json.dumps(b)}" for w, b in MALFORMED_NOISE],
 )
-def test_malformed_inline_noise_profile_exits_2(tiny_suite, capsys, profile):
-    _, suite_path = tiny_suite
-    code = main(["trial", "--suite", str(suite_path), "--task", "T1", "--noise-profile", profile])
+def test_malformed_inline_noise_profile_exits_2(tiny_suite, capsys, where, block):
+    # an inline --noise-profile and a scene file's noise block get the same check
+    scene_path, suite_path = tiny_suite
+    if where == "noise_profile":
+        code = main(["trial", "--suite", str(suite_path), "--task", "T1", "--noise-profile", json.dumps(block)])
+    else:
+        scene = json.loads(scene_path.read_text())
+        scene_path.write_text(json.dumps({**scene, "noise": block}))
+        code = main(["validate", "--scene", str(scene_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: [config] noise_profile.")
+    assert capsys.readouterr().err.startswith(f"error: [config] {where}.")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import io
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ from homeloop.errors import FAULT_TYPES, ConfigError, Fault, TraceFormatError
 from homeloop.harness import (
     SuiteConfig,
     TrialOptions,
+    _Trial,
     load_builtin_suite,
     replay_matches,
     run_suite,
@@ -50,6 +53,21 @@ def test_step_cap_reached(zero_options):
     assert report.outcome == "failure"
     assert report.reason == "step cap"
     assert report.execution_steps == 2
+
+
+def test_finished_trial_frees_its_world_without_cyclic_gc():
+    # a recovery episode runs, so the EpisodeRunner is exercised too
+    noise = zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=0.0)
+    trial = _Trial(mini_task(), ScriptedPlanner(), 0, 0, TrialOptions(noise=noise))
+    world = weakref.ref(trial.world)
+    gc.disable()
+    try:
+        report = trial.run()
+        del trial
+        assert world() is None
+    finally:
+        gc.enable()
+    assert any(e["event"] == "recovery" for e in report.events)
 
 
 def test_recovery_disabled_direct_failure():

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from homeloop.goals import On, Selector
 from homeloop.perception import Belief, capture, explore_global, explore_local
 from homeloop.recovery import (
-    DEFAULT_BUDGETS,
+    BUDGETS,
     LEVEL_ORDER,
     EpisodeRunner,
     RecoveryEpisode,
     select_recovery,
 )
 from homeloop.skills import ActionRequest, SkillContext, dispatch
-from homeloop.verification import FailureRecord, RetryState, classify_failure, verify_feasibility
+from homeloop.verification import FailureRecord, RetryState, classify_failure
 
 from conftest import MINI_SCENE, make_world, zero_noise
 
@@ -101,7 +101,7 @@ def test_escalation_property_under_adversarial_schedules(events, start_level):
     # shift forces >= local and out-of-reach forces global
     episode = fresh_episode(level=start_level)
     levels: list[str] = []
-    for step in range(sum(DEFAULT_BUDGETS.values()) + 1):
+    for step in range(sum(BUDGETS.values()) + 1):
         directive = select_recovery(episode)
         if directive.kind == "exhausted":
             break
@@ -120,19 +120,11 @@ def test_escalation_property_under_adversarial_schedules(events, start_level):
     else:
         raise AssertionError("episode did not terminate within budget")
     assert levels == sorted(levels, key=lambda lv: LEVEL_ORDER[lv])
-    for level, budget in DEFAULT_BUDGETS.items():
+    for level, budget in BUDGETS.items():
         assert episode.attempts[level] <= budget
 
 
 # --- live episodes against the world ------------------------------------------------
-
-
-def runner_for(ctx: SkillContext, goal) -> EpisodeRunner:
-    return EpisodeRunner(
-        ctx=ctx,
-        feasibility=lambda: verify_feasibility(goal, ctx.belief),
-        record_sink=lambda record: None,
-    )
 
 
 def booted_ctx(doc, **noise) -> SkillContext:
@@ -161,7 +153,7 @@ def test_retry_success_terminates_episode():
     ctx = booted_ctx(MINI_SCENE, **zero_noise())
     episode = trigger_grasp_failure(ctx)
     ctx.world.config.noise.p_grasp_fail = 0.0
-    runner_for(ctx, GOAL).run(episode)
+    EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
     assert [d.level for d in episode.directives] == ["object"]
     assert episode.failure.replanned and episode.failure.recovered
@@ -176,7 +168,7 @@ def test_object_level_recovery_rate_matches_bernoulli_oracle():
     for _ in range(reps):
         episode = trigger_grasp_failure(ctx)
         ctx.world.config.noise.p_grasp_fail = p
-        runner = runner_for(ctx, goal)
+        runner = EpisodeRunner(ctx, goal)
         runner.run(episode)
         if episode.status == "recovered" and all(d.level == "object" for d in episode.directives):
             recovered_at_object += 1
@@ -197,7 +189,7 @@ def test_object_level_recovery_rate_matches_bernoulli_oracle():
 def test_three_failed_retries_escalate_to_remap():
     ctx = booted_ctx(MINI_SCENE, **zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=0.0))
     episode = trigger_grasp_failure(ctx)  # keeps p at 1.0
-    runner_for(ctx, GOAL).run(episode)
+    EpisodeRunner(ctx, GOAL).run(episode)
     levels = [d.level for d in episode.directives]
     assert levels[:3] == ["object", "object", "object"]
     assert "local" in levels and levels[-1] == "global"
@@ -212,7 +204,7 @@ def test_shifted_target_escalates_and_remap_relocates():
     episode = trigger_grasp_failure(ctx)
     assert episode.failure.recovery_level == "local"  # shift was already evident
     ctx.world.config.noise.p_grasp_fail = 0.0
-    runner_for(ctx, GOAL).run(episode)
+    EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
     assert all(LEVEL_ORDER[d.level] >= LEVEL_ORDER["local"] for d in episode.directives)
 
@@ -238,7 +230,7 @@ def test_out_of_reach_recovers_by_renavigating_to_reachable_side():
     assert record.recovery_level == "global"
     episode = RecoveryEpisode(failure=record, verb="grasp", object_id="toy_0", target="toy_0")
     episode.evidence.out_of_reach = True
-    runner_for(ctx, GOAL).run(episode)
+    EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
     assert ctx.world.gripper == "toy_0"
     # reachability oracle: recompute per-side minimum distances to the toy's
@@ -277,7 +269,7 @@ def test_phantom_vanishes_on_remap_then_escalates():
     assert record.cause == "false_positive"
     episode = RecoveryEpisode(failure=record, verb="grasp", object_id=phantom_id, target=phantom_id)
     goal = On(Selector(category="cup"), Selector(id="table_1"))
-    runner_for(ctx, goal).run(episode)
+    EpisodeRunner(ctx, goal).run(episode)
     assert episode.evidence.target_lost
     assert all(m.find(phantom_id) is None for m in ctx.belief.local_maps.values())
 
@@ -296,7 +288,7 @@ def test_place_failure_regrasps_from_floor_and_replaces():
     episode = RecoveryEpisode(
         failure=record, verb="place", object_id="toy_0", target="bed_0", last_before=before
     )
-    runner_for(ctx, GOAL).run(episode)
+    EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
     assert ctx.world.objects["toy_0"].placement.receptacle == "bed_0"
 
@@ -306,7 +298,7 @@ def test_termination_bound_on_total_reissues():
     # budget sum worth of directives
     ctx = booted_ctx(MINI_SCENE, **zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=0.0))
     episode = trigger_grasp_failure(ctx)
-    runner_for(ctx, GOAL).run(episode)
+    EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "exhausted"
-    assert len(episode.directives) <= sum(DEFAULT_BUDGETS.values())
-    assert episode.spent() <= sum(DEFAULT_BUDGETS.values())
+    assert len(episode.directives) <= sum(BUDGETS.values())
+    assert episode.spent() <= sum(BUDGETS.values())
