@@ -2,7 +2,9 @@
 
 Exceptions signal misuse or broken infrastructure and abort the caller.
 Faults are *data*: they ride inside action feedback so the planner can read
-them, and they never unwind the trial loop.
+them, and they never unwind the trial loop. A layer that refuses a request
+raises ``Refused`` with the fault; ``skills.dispatch`` and
+``World.apply_action`` turn it back into data, a failed result.
 """
 
 from __future__ import annotations
@@ -85,6 +87,16 @@ class TargetNotVisible(Fault):
 class ApiCallError(Fault):
     """The request itself is malformed: unknown verb, bad reference, wrong
     argument type."""
+
+
+class Refused(Exception):
+    """A request turned down before it moved anything: the typed fault and
+    the feedback line, which defaults to the fault's message."""
+
+    def __init__(self, fault: Fault, message: str = "") -> None:
+        self.fault = fault
+        self.message = message or fault.message
+        super().__init__(self.message)
 
 
 # Every fault class by its ``kind`` (class name), for rebuilding faults from a

@@ -137,7 +137,6 @@ class _Trial:
         self.ctx = SkillContext(self.world, self.belief)
         self.history = DialogueHistory(task.instruction)
         self.pending_plan_fix: Optional[FailureRecord] = None
-        self.pending_diagnostic: Optional[str] = None
 
     # -- execution with verification ------------------------------------------------
 
@@ -224,12 +223,7 @@ class _Trial:
             if self.belief.global_map is not None:
                 verdict_f = verify_feasibility(task.goal, self.belief)
                 self.ctx.events.append({"event": "feasibility", **verdict_f.to_json()})
-            view = PlannerView(
-                belief=self.belief,
-                feasibility=verdict_f,
-                execution_steps=self.ctx.execution_steps,
-                pending_diagnostic=self.pending_diagnostic,
-            )
+            view = PlannerView(belief=self.belief, feasibility=verdict_f)
             try:
                 step = self.planner.next_step(task, self.history, view)
             except TransportError as exc:
@@ -254,7 +248,6 @@ class _Trial:
                 )
             self.ctx.events.append({"event": "plan", "text": step.render(), "repairs": repairs})
             self.history.append_plan(step.render())
-            self.pending_diagnostic = None
 
             if isinstance(step, Done):
                 satisfied = goal_satisfied(self.world, task.goal)
@@ -296,7 +289,6 @@ class _Trial:
             if record.cause == "api_call_error":
                 # plan-level mistake: the diagnostic goes back to the planner
                 self.pending_plan_fix = record
-                self.pending_diagnostic = fb.fault.message if fb.fault else fb.message
                 continue
             if not options.recovery_enabled:
                 record.mark_direct()
@@ -304,7 +296,6 @@ class _Trial:
                 break
             if options.planner_driven_recovery:
                 self.pending_plan_fix = record
-                self.pending_diagnostic = f"{record.cause}: {record.detail}"
                 continue
 
             episode = RecoveryEpisode(

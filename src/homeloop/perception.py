@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ApiCallError, ExplorationStalled, Fault, NotAtReceptacle, TargetNotVisible
+from .errors import ApiCallError, ExplorationStalled, NotAtReceptacle, Refused, TargetNotVisible
 from .geometry import Cell, dilate8, wavefront
 from .world import PhantomRecord, World
 
@@ -318,12 +318,14 @@ def explore_local(world: World, belief: Belief, receptacle_id: str) -> LocalMap:
 
     Each true object is omitted with p_missed_detection; with p_false_positive
     one phantom detection (belief-only, no ground placement) is inserted and
-    registered with ground truth so a later close-up can unmask it.
+    registered with ground truth so a later close-up can unmask it. Refuses
+    when the robot is not next to the receptacle.
     """
     if receptacle_id not in world.furniture:
         raise KeyError(f"explore_local target {receptacle_id!r} is not furniture")
     if not world.robot_adjacent_to(receptacle_id):
-        raise NotAtReceptacleError(receptacle_id)
+        fault = NotAtReceptacle("not_at_receptacle", f"robot is not at {receptacle_id}; navigate there first")
+        raise Refused(fault, f"robot is not at {receptacle_id}")
 
     noise = world.config.noise
     items: list[SceneObject] = []
@@ -353,17 +355,6 @@ def explore_local(world: World, belief: Belief, receptacle_id: str) -> LocalMap:
     return lmap
 
 
-class NotAtReceptacleError(Exception):
-    """Internal signal; the skills layer converts it into a typed fault."""
-
-    def __init__(self, receptacle_id: str) -> None:
-        self.receptacle_id = receptacle_id
-        super().__init__(f"robot is not at {receptacle_id}")
-
-    def fault(self) -> Fault:
-        return NotAtReceptacle("not_at_receptacle", f"robot is not at {self.receptacle_id}; navigate there first")
-
-
 def _insert_phantom(world: World, receptacle_id: str, detected: set[str]) -> SceneObject:
     """Hallucinate one detection. When real objects sit on the receptacle the
     phantom anchors to the nearest one (a misread: its close-up reveals the
@@ -391,8 +382,6 @@ def _insert_phantom(world: World, receptacle_id: str, detected: set[str]) -> Sce
             reveal_category=reveal_cat,
             reveal_attributes=reveal_attrs,
             position=pos,
-            root_furniture=receptacle_id,
-            created_step=world.step_counter,
         )
     )
     return SceneObject(
@@ -444,12 +433,14 @@ def report_observation(world: World, belief: Belief, target: "SceneObject | str"
 
     Close-ups are truthful: real objects report their ground attributes, and
     phantoms are revealed as whatever actually occupies their believed spot
-    (unless p_closeup_error fires, preserving the wrong belief).
+    (unless p_closeup_error fires, preserving the wrong belief). Refuses a
+    mode other than those two, and a target that is no ground object or no
+    longer sits at its believed location.
     """
     if isinstance(target, str):
         if target in ("stay", "rest"):
             return capture(world, target)
-        raise ApiCallErrorSignal(f"report_observation mode must be \"stay\" or \"rest\", got {target!r}")
+        raise Refused(ApiCallError("bad_argument", f'report_observation mode must be "stay" or "rest", got {target!r}'))
 
     oid = target.id
     if oid in world.phantoms:
@@ -472,12 +463,10 @@ def report_observation(world: World, belief: Belief, target: "SceneObject | str"
         _merge_closeup(belief, obs)
         return obs
 
-    if oid not in world.objects:
-        raise TargetNotVisibleSignal(oid)
-    pos = world.position_of(oid)
+    pos = world.position_of(oid) if oid in world.objects else None
     believed = target.location
-    if (pos[0] - believed[0]) ** 2 + (pos[1] - believed[1]) ** 2 > world.config.closeup_radius**2:
-        raise TargetNotVisibleSignal(oid)
+    if pos is None or (pos[0] - believed[0]) ** 2 + (pos[1] - believed[1]) ** 2 > world.config.closeup_radius**2:
+        raise Refused(TargetNotVisible("target_not_visible", f"{oid} no longer exists at its believed location"))
 
     visible = [_snapshot(world, oid, "object")]
     for other in sorted(world.objects):
@@ -514,21 +503,3 @@ def _merge_closeup(belief: Belief, obs: Observation) -> None:
                 replace(i, category=o.category, attributes=o.attributes) if i.id == o.id else i
                 for i in m.items
             ]
-
-
-class ApiCallErrorSignal(Exception):
-    def __init__(self, message: str) -> None:
-        self.message = message
-        super().__init__(message)
-
-    def fault(self) -> Fault:
-        return ApiCallError("bad_argument", self.message)
-
-
-class TargetNotVisibleSignal(Exception):
-    def __init__(self, oid: str) -> None:
-        self.oid = oid
-        super().__init__(f"{oid} no longer exists at its believed location")
-
-    def fault(self) -> Fault:
-        return TargetNotVisible("target_not_visible", f"{self.oid} no longer exists at its believed location")

@@ -13,13 +13,11 @@ from .dsl import PlanStep
 @dataclass
 class PlannerView:
     """Everything a planner may look at when emitting the next step: the
-    belief maps, the latest feasibility verdict, and loop progress. Planners
-    never touch the world."""
+    belief maps and the latest feasibility verdict. Planners never touch the
+    world."""
 
     belief: Belief
     feasibility: Optional[FeasibilityVerdict] = None
-    execution_steps: int = 0
-    pending_diagnostic: Optional[str] = None  # last plan-level fault text
 
 
 class Planner(Protocol):

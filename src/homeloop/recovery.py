@@ -96,15 +96,12 @@ def select_recovery(episode: RecoveryEpisode) -> RecoveryDirective:
         if ev.out_of_reach or ev.target_lost:
             level = _bump_level(level, "global")
         level = _bump_level(level, episode.current_level)
-    while LEVEL_ORDER.get(level, 3) <= 2 and episode.attempts[level] >= BUDGETS[level]:
+    while episode.attempts[level] >= BUDGETS[level]:
         idx = LEVEL_ORDER[level] + 1
         if idx > 2:
             episode.status = "exhausted"
             return RecoveryDirective.exhausted()
         level = ("object", "local", "global")[idx]
-    if LEVEL_ORDER.get(level, 3) > 2:
-        episode.status = "exhausted"
-        return RecoveryDirective.exhausted()
     episode.current_level = level
     episode.attempts[level] += 1
     directive = RecoveryDirective({"object": "retry", "local": "remap", "global": "renavigate"}[level], level)

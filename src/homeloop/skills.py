@@ -11,6 +11,9 @@ verbatim in the system prompt and in the plan DSL grammar.
 Execution verbs (navigate/grasp/place) count toward step-wise accounting;
 perception verbs never do.
 
+Any layer refuses a request by raising ``Refused``; ``dispatch`` is the one
+place that turns it into a failed Feedback.
+
 Every call appends its request, its feedback and any observation to the
 trial's event log on the ``SkillContext``.
 """
@@ -21,17 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from .errors import ApiCallError, Fault
-from .perception import (
-    ApiCallErrorSignal,
-    Belief,
-    NotAtReceptacleError,
-    Observation,
-    TargetNotVisibleSignal,
-    explore_global,
-    explore_local,
-    report_observation,
-)
+from .errors import ApiCallError, Fault, Refused
+from .perception import Belief, Observation, explore_global, explore_local, report_observation
 from .world import ActionRequest, EXECUTION_VERBS, World
 
 if TYPE_CHECKING:
@@ -133,11 +127,7 @@ def verdict_event(
         "location": _location_json(request),
         "placed": fb.details.get("placed"),
         "dropped": fb.details.get("dropped"),
-        "success": verdict.success,
-        "feedback_flag": verdict.feedback_flag,
-        "delta_consistent": verdict.delta_consistent,
-        "suspected_cause": verdict.suspected_cause,
-        "explanation": verdict.explanation,
+        **verdict.to_json(),
         "feedback_success": fb.success,
         "fault": _fault_json(fb.fault),
         "before": before.to_json(),
@@ -157,32 +147,20 @@ def _jsonable(doc: dict[str, Any]) -> dict[str, Any]:
     return json.loads(json.dumps(doc, default=str))
 
 
-def _api_error(ctx: SkillContext, request: ActionRequest, code: str, message: str) -> Feedback:
-    return _feedback(
-        ctx,
-        request,
-        success=False,
-        fault=ApiCallError(code, message),
-        message=message,
-    )
-
-
 # --- the six verbs --------------------------------------------------------------
 
 
 def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
     ref = request.target
     if ref is None or request.params.get("string_literal"):
-        return _api_error(
-            ctx, request, "bad_argument",
-            f"navigate expects an object reference from the global map, got a string literal {ref!r}",
-        )
+        raise Refused(ApiCallError(
+            "bad_argument", f"navigate expects an object reference from the global map, got a string literal {ref!r}"
+        ))
     gmap = ctx.belief.global_map
     if gmap is None or gmap.find(ref) is None:
-        return _api_error(
-            ctx, request, "unknown_reference",
-            f"navigate target {ref!r} is not in the global object map; run explore_global first",
-        )
+        raise Refused(ApiCallError(
+            "unknown_reference", f"navigate target {ref!r} is not in the global object map; run explore_global first"
+        ))
     outcome = ctx.world.apply_action(request)
     if outcome.success:
         ctx.belief.at_receptacle = ref
@@ -200,23 +178,17 @@ def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
 def grasp(ctx: SkillContext, request: ActionRequest) -> Feedback:
     ref = request.target
     if ref is None or request.params.get("string_literal"):
-        return _api_error(
-            ctx, request, "bad_argument",
-            f"grasp expects an object reference from a local map, got a string literal {ref!r}",
-        )
+        raise Refused(ApiCallError(
+            "bad_argument", f"grasp expects an object reference from a local map, got a string literal {ref!r}"
+        ))
     if ctx.belief.global_map is not None and ctx.belief.global_map.find(ref) is not None:
-        return _api_error(ctx, request, "bad_argument", f"{ref!r} is furniture and cannot be grasped")
+        raise Refused(ApiCallError("bad_argument", f"{ref!r} is furniture and cannot be grasped"))
     # normal flow: the target entered the belief through a local scan; a
     # dropped object noted on the floor stays referencable for re-grasping
     known = ref in ctx.belief.objects or any(m.find(ref) for m in ctx.belief.local_maps.values())
     if not known:
-        return _feedback(
-            ctx,
-            request,
-            success=False,
-            fault=ApiCallError("target_not_in_local_map", f"{ref!r} is not in any current local map"),
-            message=f"grasp failed: {ref} not in local map",
-        )
+        fault = ApiCallError("target_not_in_local_map", f"{ref!r} is not in any current local map")
+        raise Refused(fault, f"grasp failed: {ref} not in local map")
     outcome = ctx.world.apply_action(request)
     details = dict(outcome.details)
     if outcome.success:
@@ -239,19 +211,15 @@ def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
     if request.location is None:
         ref = request.target
         if ref is None or request.params.get("string_literal"):
-            return _api_error(
-                ctx, request, "bad_argument",
-                f"place expects a receptacle reference or a location, got a string literal {ref!r}",
-            )
+            raise Refused(ApiCallError(
+                "bad_argument", f"place expects a receptacle reference or a location, got a string literal {ref!r}"
+            ))
         known = (
             (ctx.belief.global_map is not None and ctx.belief.global_map.find(ref) is not None)
             or ref in ctx.belief.objects
         )
         if not known:
-            return _api_error(
-                ctx, request, "unknown_reference",
-                f"place target {ref!r} is not in any map",
-            )
+            raise Refused(ApiCallError("unknown_reference", f"place target {ref!r} is not in any map"))
     held = ctx.world.gripper
     outcome = ctx.world.apply_action(request)
     if outcome.success and held is not None:
@@ -291,20 +259,15 @@ def do_explore_global(ctx: SkillContext, request: ActionRequest) -> Feedback:
 def do_explore_local(ctx: SkillContext, request: ActionRequest) -> Feedback:
     ref = request.target
     if ref is None or request.params.get("string_literal"):
-        return _api_error(
-            ctx, request, "bad_argument",
-            f"explore_local expects a furniture reference, got a string literal {ref!r}",
-        )
+        raise Refused(ApiCallError(
+            "bad_argument", f"explore_local expects a furniture reference, got a string literal {ref!r}"
+        ))
     gmap = ctx.belief.global_map
     if gmap is None or gmap.find(ref) is None:
-        return _api_error(
-            ctx, request, "unknown_reference",
-            f"explore_local target {ref!r} is not in the global object map",
-        )
-    try:
-        lmap = explore_local(ctx.world, ctx.belief, ref)
-    except NotAtReceptacleError as exc:
-        return _feedback(ctx, request, success=False, fault=exc.fault(), message=str(exc))
+        raise Refused(ApiCallError(
+            "unknown_reference", f"explore_local target {ref!r} is not in the global object map"
+        ))
+    lmap = explore_local(ctx.world, ctx.belief, ref)
     listing = ", ".join(f"{o.id} ({o.category})" for o in lmap.items) or "no objects"
     obs = Observation(
         kind="stay", target=ref, visible=tuple(lmap.items), captured_at_step=ctx.world.step_counter
@@ -326,7 +289,7 @@ def do_report_observation(ctx: SkillContext, request: ActionRequest) -> Feedback
         listing = ", ".join(o.id for o in obs.visible) or "nothing in view"
         return _feedback(ctx, request, success=True, observation=obs, message=f"{ref} view: {listing}")
     if ref is None:
-        return _api_error(ctx, request, "bad_argument", "report_observation needs a target or a mode")
+        raise Refused(ApiCallError("bad_argument", "report_observation needs a target or a mode"))
     target_obj = None
     for m in ctx.belief.local_maps.values():
         target_obj = m.find(ref)
@@ -335,19 +298,18 @@ def do_report_observation(ctx: SkillContext, request: ActionRequest) -> Feedback
     if target_obj is None and ctx.belief.global_map is not None:
         target_obj = ctx.belief.global_map.find(ref)
     if target_obj is None:
-        return _api_error(
-            ctx, request, "unknown_reference",
-            f"report_observation target {ref!r} is not in any current map",
-        )
-    try:
-        obs = report_observation(ctx.world, ctx.belief, target_obj)
-    except TargetNotVisibleSignal as exc:
-        return _feedback(ctx, request, success=False, fault=exc.fault(), message=str(exc))
-    except ApiCallErrorSignal as exc:
-        return _feedback(ctx, request, success=False, fault=exc.fault(), message=exc.message)
+        raise Refused(ApiCallError(
+            "unknown_reference", f"report_observation target {ref!r} is not in any current map"
+        ))
+    obs = report_observation(ctx.world, ctx.belief, target_obj)
     seen = obs.find(ref)
     desc = f"{seen.category} with attributes {sorted(seen.attributes)}" if seen else "nothing"
     return _feedback(ctx, request, success=True, observation=obs, message=f"close-up of {ref}: {desc}")
+
+
+def _unknown_verb(ctx: SkillContext, request: ActionRequest) -> Feedback:
+    fault = ApiCallError("unknown_verb", f"unknown verb {request.verb!r}; available: {', '.join(sorted(_HANDLERS))}")
+    raise Refused(fault, f"unknown verb {request.verb!r}")
 
 
 _HANDLERS = {
@@ -362,19 +324,11 @@ _HANDLERS = {
 
 def dispatch(ctx: SkillContext, request: ActionRequest) -> Feedback:
     """Single entry point for every plan step. Assigns the request index,
-    routes to the verb handler, and logs the call on the context."""
+    routes to the verb handler, turns a refusal into a failed Feedback, and
+    logs the call on the context."""
     if request.request_index < 0:
         request.request_index = ctx.take_index()
-    handler = _HANDLERS.get(request.verb)
-    if handler is None:
-        return _feedback(
-            ctx,
-            request,
-            success=False,
-            fault=ApiCallError(
-                "unknown_verb",
-                f"unknown verb {request.verb!r}; available: {', '.join(sorted(_HANDLERS))}",
-            ),
-            message=f"unknown verb {request.verb!r}",
-        )
-    return handler(ctx, request)
+    try:
+        return _HANDLERS.get(request.verb, _unknown_verb)(ctx, request)
+    except Refused as refusal:
+        return _feedback(ctx, request, success=False, fault=refusal.fault, message=refusal.message)

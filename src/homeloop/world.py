@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError, Fault, PreconditionFault, TargetNotVisible
+from .errors import ConfigError, Fault, PreconditionFault, Refused, TargetNotVisible
 from .geometry import (
     Cell,
     OccupancyGrid,
@@ -335,8 +335,6 @@ class PhantomRecord:
     reveal_category: str
     reveal_attributes: tuple[str, ...]
     position: tuple[float, float]
-    root_furniture: str
-    created_step: int
 
 
 @dataclass
@@ -442,14 +440,14 @@ class World:
                 raise KeyError(f"receptacle {current!r} is not resting on anything")
         return current
 
-    def _resting_root(self, rid: str, verb: str):
-        """``(root_furniture_of(rid), None)``, or ``(None, fault result)`` when
-        the chain ends off furniture (a small receptacle on the floor)."""
+    def _resting_root(self, rid: str, verb: str) -> str:
+        """``root_furniture_of(rid)``; refuses ``verb`` when the chain ends off
+        furniture (a small receptacle on the floor)."""
         try:
-            return self.root_furniture_of(rid), None
+            return self.root_furniture_of(rid)
         except KeyError:
             fault = PreconditionFault("bad_argument", f"{rid} is not resting on a surface")
-            return None, (False, fault, f"{verb} failed: receptacle not on a surface", {})
+            raise Refused(fault, f"{verb} failed: receptacle not on a surface") from None
 
     def anchor_of(self, rid: str) -> tuple[float, float]:
         """Surface anchor: furniture footprint centroid, or the small
@@ -612,8 +610,9 @@ class World:
     def apply_action(self, request: ActionRequest) -> GroundOutcome:
         """Execute one execution-verb request against ground truth.
 
-        Precondition violations come back as typed faults (never sampled);
-        everything else draws success from the noise model.
+        A handler refuses a violated precondition by raising ``Refused``; it
+        comes back as a typed fault (never sampled). Everything else draws
+        success from the noise model.
         """
         self.step_counter += 1
         handler = {
@@ -623,33 +622,32 @@ class World:
         }.get(request.verb)
         if handler is None:
             raise ValueError(f"apply_action only handles execution verbs, got {request.verb!r}")
-        success, fault, message, details = handler(request)
+        try:
+            success, message, details = handler(request)
+        except Refused as refusal:
+            return GroundOutcome(success=False, fault=refusal.fault, message=refusal.message)
         if success and self.config.noise.p_flag_error > 0:
             if self.rng.random() < self.config.noise.p_flag_error:
                 success, message = False, message + " (reported)"
                 details["flag_flipped"] = True
-        return GroundOutcome(success=success, fault=fault, message=message, details=details)
+        return GroundOutcome(success=success, fault=None, message=message, details=details)
 
     def _do_navigate(self, request: ActionRequest):
         target = request.target
         if target not in self.furniture:
-            return (
-                False,
-                PreconditionFault("unknown_reference", f"navigate target {target!r} is not furniture"),
-                f"navigate({target}) -> unknown furniture",
-                {},
-            )
+            fault = PreconditionFault("unknown_reference", f"navigate target {target!r} is not furniture")
+            raise Refused(fault, f"navigate({target}) -> unknown furniture")
         focus = request.params.get("focus")
         approach = self.select_approach(target, request.side, tuple(focus) if focus else None)
         if approach is None:
-            return False, None, "navigation failed (no reachable approach)", {"unreachable": True}
+            return False, "navigation failed (no reachable approach)", {"unreachable": True}
         if self.rng.random() < self.config.noise.p_nav_fail:
-            return False, None, "navigation failed", {}
+            return False, "navigation failed", {}
         x, y = self.grid.center_of(approach)
         cx, cy = self.centroids[target]
         self.robot = Pose(x, y, math.atan2(cy - y, cx - x))
         side = self.robot_side_of(target)
-        return True, None, f"arrived at {target} ({side} side)", {"approach_side": side}
+        return True, f"arrived at {target} ({side} side)", {"approach_side": side}
 
     def _grasp_fail_probability(self, oid: str) -> float:
         p = self.config.noise.p_grasp_fail
@@ -667,45 +665,30 @@ class World:
     def _do_grasp(self, request: ActionRequest):
         target = request.target
         if self.gripper is not None:
-            return (
-                False,
+            raise Refused(
                 PreconditionFault("gripper_full", f"grasp while gripper holds {self.gripper}"),
                 "grasp failed: gripper full",
-                {},
             )
         if target not in self.objects:
-            return (
-                False,
+            raise Refused(
                 TargetNotVisible("target_not_visible", f"{target} not found at its believed location"),
                 f"grasp({target}) -> target not visible",
-                {},
             )
         obj = self.objects[target]
         if obj.placement.kind == "gripper":
-            return (
-                False,
-                PreconditionFault("gripper_full", f"{target} already in gripper"),
-                "grasp failed: already holding it",
-                {},
+            raise Refused(
+                PreconditionFault("gripper_full", f"{target} already in gripper"), "grasp failed: already holding it"
             )
         pos = self.position_of(target)
         if obj.placement.kind == "on":
-            root, unresolved = self._resting_root(obj.placement.receptacle, "grasp")  # type: ignore[arg-type]
-            if unresolved is not None:
-                return unresolved
+            root = self._resting_root(obj.placement.receptacle, "grasp")  # type: ignore[arg-type]
             if not self.robot_adjacent_to(root):
-                return (
-                    False,
-                    PreconditionFault("out_of_reach", f"not adjacent to {root}"),
-                    "grasp failed: target out of reach",
-                    {},
+                raise Refused(
+                    PreconditionFault("out_of_reach", f"not adjacent to {root}"), "grasp failed: target out of reach"
                 )
         if not self.within_reach(pos):
-            return (
-                False,
-                PreconditionFault("out_of_reach", f"{target} beyond arm reach"),
-                "grasp failed: target out of reach",
-                {},
+            raise Refused(
+                PreconditionFault("out_of_reach", f"{target} beyond arm reach"), "grasp failed: target out of reach"
             )
         parent = obj.placement.receptacle if obj.placement.kind == "on" else None
         if self.rng.random() < self._grasp_fail_probability(target):
@@ -721,18 +704,16 @@ class World:
                 )
                 shifted = True
                 self._bump(parent)
-            return False, None, "grasp failed", {"shifted": shifted}
+            return False, "grasp failed", {"shifted": shifted}
         if obj.spec.receptacle and self.objects_directly_on(target):
-            return (
-                False,
+            raise Refused(
                 PreconditionFault("bad_argument", f"{target} is loaded; unload it first"),
                 "grasp failed: receptacle not empty",
-                {},
             )
         obj.placement = Placement.gripper()
         self.gripper = target
         self._bump(parent)
-        return True, None, f"grasped {target}", {"holding": target}
+        return True, f"grasped {target}", {"holding": target}
 
     def free_offset_on(self, rid: str, prefer: Optional[tuple[float, float]] = None) -> Optional[tuple[float, float]]:
         """First free, reachable surface offset scanning row-major at 5 cm
@@ -769,71 +750,56 @@ class World:
     def _do_place(self, request: ActionRequest):
         held = self.gripper
         if held is None:
-            return (
-                False,
+            raise Refused(
                 PreconditionFault("place_without_grasp", "place without prior grasping"),
                 "place failed: place without prior grasping",
-                {},
             )
         if request.location is not None:
             rid, offset = request.location
         else:
             rid, offset = request.target, None  # type: ignore[assignment]
         if rid is None or not self.is_receptacle(rid):
-            return (
-                False,
+            raise Refused(
                 PreconditionFault("unknown_reference", f"place target {rid!r} is not a receptacle"),
                 "place failed: unknown receptacle",
-                {},
             )
-        root, unresolved = self._resting_root(rid, "place")
-        if unresolved is not None:
-            return unresolved
+        root = self._resting_root(rid, "place")
         if not self.robot_adjacent_to(root):
-            return (
-                False,
-                PreconditionFault("out_of_reach", f"not adjacent to {root}"),
-                "place failed: target out of reach",
-                {},
+            raise Refused(
+                PreconditionFault("out_of_reach", f"not adjacent to {root}"), "place failed: target out of reach"
             )
         if offset is not None:
             anchor = self.anchor_of(rid)
             pos = (anchor[0] + offset[0], anchor[1] + offset[1])
             half_w, half_h = self._surface_half_extent(rid)
             if abs(offset[0]) > half_w or abs(offset[1]) > half_h:
-                return (
-                    False,
+                raise Refused(
                     PreconditionFault("bad_argument", f"offset {offset} outside {rid} surface"),
                     "place failed: offset outside surface",
-                    {},
                 )
             if not self.within_reach(pos):
-                return (
-                    False,
+                raise Refused(
                     PreconditionFault("out_of_reach", f"location on {rid} beyond arm reach"),
                     "place failed: target out of reach",
-                    {},
                 )
             chosen = offset
         else:
             chosen = self.free_offset_on(rid)
             if chosen is None:
-                return (
-                    False,
+                raise Refused(
                     PreconditionFault("no_free_space", f"no reachable free spot on {rid}"),
                     "place failed: no free space on target",
-                    {},
                 )
         if self.rng.random() < self.config.noise.p_place_fail:
             drop = (self.robot.x + 0.2, self.robot.y)
             self.objects[held].placement = Placement.on_floor(drop)
             self.gripper = None
             self._bump(root)
-            return False, None, "place failed", {"dropped": held}
+            return False, "place failed", {"dropped": held}
         self.objects[held].placement = Placement.on(rid, chosen)
         self.gripper = None
         self._bump(rid)
-        return True, None, f"placed {held} on {rid}", {"placed": held, "on": rid, "offset": list(chosen)}
+        return True, f"placed {held} on {rid}", {"placed": held, "on": rid, "offset": list(chosen)}
 
 
 # --- Scene variation -------------------------------------------------------------

@@ -8,13 +8,12 @@ import pytest
 
 import numpy as np
 
+from homeloop.errors import NotAtReceptacle, Refused, TargetNotVisible
 from homeloop.perception import (
     Belief,
     BeliefObject,
     GlobalMap,
-    NotAtReceptacleError,
     SceneObject,
-    TargetNotVisibleSignal,
     capture,
     explore_global,
     explore_local,
@@ -125,9 +124,10 @@ def test_explore_local_zero_noise_matches_ground():
 
 def test_explore_local_requires_adjacency():
     world, belief = explored_world(DOLL_SCENE)
-    with pytest.raises(NotAtReceptacleError) as exc:
+    with pytest.raises(Refused) as exc:
         explore_local(world, belief, "table_0")
     assert "table_0" in str(exc.value)
+    assert isinstance(exc.value.fault, NotAtReceptacle)
 
 
 def test_missed_detection_one_means_empty_map():
@@ -181,8 +181,9 @@ def test_closeup_vanished_target_raises():
     lmap = explore_local(world, belief, "table_0")
     snap = lmap.find("cup_1")
     world.apply_action(ActionRequest(verb="grasp", target="cup_1"))  # now in gripper
-    with pytest.raises(TargetNotVisibleSignal):
+    with pytest.raises(Refused) as exc:
         report_observation(world, belief, snap)
+    assert isinstance(exc.value.fault, TargetNotVisible)
 
 
 def test_stay_mode_empty_when_alone():

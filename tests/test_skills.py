@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import copy
+import json
+from importlib import resources
 
-from homeloop.errors import ApiCallError, TargetNotVisible
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, TargetNotVisible
 from homeloop.perception import Belief
 from homeloop.skills import ActionRequest, SkillContext, dispatch
-from homeloop.world import PERCEPTION_VERBS
+from homeloop.world import ALL_VERBS, PERCEPTION_VERBS, SIDES
 
 from conftest import DOLL_SCENE, MINI_SCENE, make_world, zero_noise
 
@@ -168,3 +174,239 @@ def test_feedback_render_contains_fault_string():
     dispatch(ctx, ActionRequest(verb="navigate", target="table_0"))
     fb = dispatch(ctx, ActionRequest(verb="place", target="table_0"))
     assert "place without prior grasping" in fb.render()
+
+
+# --- every refusal, pinned byte for byte ----------------------------------------
+
+# A 5 m bench whose far end is beyond arm reach from the approach cell, a
+# plate with no free spot left, a loaded box, a bed to be away from, and a
+# crate on the floor with a pen on it.
+REFUSAL_SCENE = {
+    "name": "refusals",
+    "room": {"width": 6.0, "height": 4.0},
+    "robot_start": {"x": 3.0, "y": 1.2},
+    "furniture": [
+        {
+            "id": "bench_0",
+            "category": "table",
+            "footprint": [[0.5, 2.6], [5.5, 2.6], [5.5, 3.3], [0.5, 3.3]],
+            "surface_height": "mid",
+        },
+        {
+            "id": "bed_0",
+            "category": "bed",
+            "footprint": [[0.4, 0.3], [1.6, 0.3], [1.6, 1.3], [0.4, 1.3]],
+            "surface_height": "low",
+        },
+    ],
+    "objects": [
+        {"id": "toy_0", "category": "toy", "on": "bench_0", "offset": [-2.2, 0.0]},
+        {"id": "cup_0", "category": "cup", "on": "bench_0", "offset": [0.0, 0.0]},
+        {"id": "plate_0", "category": "plate", "on": "bench_0", "offset": [0.5, 0.0],
+         "receptacle": True, "extent": [0.12, 0.12]},
+        {"id": "cup_1", "category": "cup", "on": "plate_0", "offset": [0.0, 0.0]},
+        {"id": "box_0", "category": "box", "on": "bench_0", "offset": [-0.5, 0.0],
+         "receptacle": True, "extent": [0.3, 0.3]},
+        {"id": "ball_0", "category": "ball", "on": "box_0", "offset": [0.0, 0.0]},
+        {"id": "fruit_0", "category": "fruit", "on": "bed_0", "offset": [0.0, 0.0]},
+        {"id": "crate_0", "category": "box", "floor": [5.0, 1.0], "receptacle": True, "extent": [0.3, 0.3]},
+        {"id": "pen_0", "category": "pen", "on": "crate_0", "offset": [0.0, 0.0]},
+    ],
+    "noise": {"rng_seed": 0},
+}
+
+BUNDLED_SCENES = {
+    name: json.loads(resources.files("homeloop").joinpath(f"data/scenes/{name}.json").read_text("utf-8"))
+    for name in ("bedroom", "fruit_among_cups", "gather_cups", "move_cup_and_toy", "move_toy",
+                 "place_fruit", "prepare_cup", "tidy_table", "transfer_all_toys")
+}
+
+
+def _req(verb, target=None, literal=False, **kw):
+    return ActionRequest(verb=verb, target=target, params={"string_literal": True} if literal else {}, **kw)
+
+
+_BOOT = [_req("explore_global")]
+# the approach cell nearest the bench's middle: cup_0 within reach, toy_0 not
+_TO_BENCH = ActionRequest(verb="navigate", target="bench_0", params={"focus": [3.0, 2.95]})
+_AT_BENCH = _BOOT + [_TO_BENCH, _req("explore_local", "bench_0")]
+_HOLDING = _AT_BENCH + [_req("grasp", "cup_0")]
+_UNKNOWN_VERB = (
+    "unknown verb 'fly'; available: explore_global, explore_local, grasp, navigate, place, report_observation"
+)
+
+# (scene, steps, fault class, code, fault message, feedback message). The last
+# step is the refused request; a dict step sets noise fields. A "world-" case
+# sends its refused request to World.apply_action, past the skills layer's
+# checks; no verb sequence reaches those two refusals through dispatch.
+REFUSALS = {
+    "navigate-literal": (REFUSAL_SCENE, _BOOT + [_req("navigate", "bench", literal=True)], ApiCallError,
+                         "bad_argument", "navigate expects an object reference from the global map, "
+                         "got a string literal 'bench'", None),
+    "navigate-unmapped": (REFUSAL_SCENE, [_req("navigate", "bench_0")], ApiCallError, "unknown_reference",
+                          "navigate target 'bench_0' is not in the global object map; run explore_global first",
+                          None),
+    "world-navigate-not-furniture": (REFUSAL_SCENE, [_req("navigate", "cup_0")], PreconditionFault,
+                                     "unknown_reference", "navigate target 'cup_0' is not furniture",
+                                     "navigate(cup_0) -> unknown furniture"),
+    "grasp-none": (REFUSAL_SCENE, _AT_BENCH + [_req("grasp")], ApiCallError, "bad_argument",
+                   "grasp expects an object reference from a local map, got a string literal None", None),
+    "grasp-furniture": (REFUSAL_SCENE, _AT_BENCH + [_req("grasp", "bench_0")], ApiCallError, "bad_argument",
+                        "'bench_0' is furniture and cannot be grasped", None),
+    "grasp-unscanned": (REFUSAL_SCENE, _BOOT + [_req("navigate", "bench_0"), _req("grasp", "cup_0")],
+                        ApiCallError, "target_not_in_local_map", "'cup_0' is not in any current local map",
+                        "grasp failed: cup_0 not in local map"),
+    "grasp-gripper-full": (REFUSAL_SCENE, _HOLDING + [_req("grasp", "toy_0")], PreconditionFault,
+                           "gripper_full", "grasp while gripper holds cup_0", "grasp failed: gripper full"),
+    "grasp-phantom": (DOLL_SCENE, [{"p_false_positive": 1.0}, _req("explore_global"), _req("navigate", "table_0"),
+                                   _req("explore_local", "table_0"), _req("grasp", "bottle_0")],
+                      TargetNotVisible, "target_not_visible", "bottle_0 not found at its believed location",
+                      "grasp(bottle_0) -> target not visible"),
+    "world-grasp-floor-receptacle": (REFUSAL_SCENE, [_req("grasp", "pen_0")], PreconditionFault,
+                                     "bad_argument", "crate_0 is not resting on a surface",
+                                     "grasp failed: receptacle not on a surface"),
+    "grasp-not-adjacent": (REFUSAL_SCENE, _BOOT + [_req("navigate", "bed_0"), _req("explore_local", "bed_0"),
+                                                   _TO_BENCH, _req("grasp", "fruit_0")],
+                           PreconditionFault, "out_of_reach", "not adjacent to bed_0",
+                           "grasp failed: target out of reach"),
+    "grasp-beyond-reach": (REFUSAL_SCENE, _AT_BENCH + [_req("grasp", "toy_0")], PreconditionFault,
+                           "out_of_reach", "toy_0 beyond arm reach", "grasp failed: target out of reach"),
+    "grasp-loaded": (REFUSAL_SCENE, _AT_BENCH + [_req("grasp", "box_0")], PreconditionFault, "bad_argument",
+                     "box_0 is loaded; unload it first", "grasp failed: receptacle not empty"),
+    "place-literal": (REFUSAL_SCENE, _HOLDING + [_req("place", "bench", literal=True)], ApiCallError,
+                      "bad_argument", "place expects a receptacle reference or a location, "
+                      "got a string literal 'bench'", None),
+    "place-unmapped": (REFUSAL_SCENE, _HOLDING + [_req("place", "moon")], ApiCallError, "unknown_reference",
+                       "place target 'moon' is not in any map", None),
+    "place-empty-gripper": (REFUSAL_SCENE, _AT_BENCH + [_req("place", "bench_0")], PreconditionFault,
+                            "place_without_grasp", "place without prior grasping",
+                            "place failed: place without prior grasping"),
+    "place-not-receptacle": (REFUSAL_SCENE, _HOLDING + [_req("place", "toy_0")], PreconditionFault,
+                             "unknown_reference", "place target 'toy_0' is not a receptacle",
+                             "place failed: unknown receptacle"),
+    "place-floor-receptacle": (
+        BUNDLED_SCENES["tidy_table"],
+        _BOOT + [_req("navigate", "table_0"), _req("explore_local", "table_0"), _req("grasp", "box_0"),
+                 {"p_place_fail": 1.0}, _req("place", "table_0"), {"p_place_fail": 0.0},  # box_0 falls
+                 _req("grasp", "toy_0"), _req("place", "box_0")],
+        PreconditionFault, "bad_argument", "box_0 is not resting on a surface",
+        "place failed: receptacle not on a surface",
+    ),
+    "place-not-adjacent": (REFUSAL_SCENE, _HOLDING + [_req("place", "bed_0")], PreconditionFault, "out_of_reach",
+                           "not adjacent to bed_0", "place failed: target out of reach"),
+    "place-offset-outside": (REFUSAL_SCENE, _HOLDING + [_req("place", location=("bench_0", (2.6, 0.0)))],
+                             PreconditionFault, "bad_argument", "offset (2.6, 0.0) outside bench_0 surface",
+                             "place failed: offset outside surface"),
+    "place-beyond-reach": (REFUSAL_SCENE, _HOLDING + [_req("place", location=("bench_0", (2.0, 0.0)))],
+                           PreconditionFault, "out_of_reach", "location on bench_0 beyond arm reach",
+                           "place failed: target out of reach"),
+    "place-no-free-space": (REFUSAL_SCENE, _HOLDING + [_req("place", "plate_0")], PreconditionFault,
+                            "no_free_space", "no reachable free spot on plate_0",
+                            "place failed: no free space on target"),
+    "explore-local-literal": (REFUSAL_SCENE, _BOOT + [_req("explore_local", "bench", literal=True)], ApiCallError,
+                              "bad_argument", "explore_local expects a furniture reference, "
+                              "got a string literal 'bench'", None),
+    "explore-local-unmapped": (REFUSAL_SCENE, _BOOT + [_req("explore_local", "moon")], ApiCallError,
+                               "unknown_reference", "explore_local target 'moon' is not in the global object map",
+                               None),
+    "explore-local-away": (REFUSAL_SCENE, _BOOT + [_req("explore_local", "bed_0")], NotAtReceptacle,
+                           "not_at_receptacle", "robot is not at bed_0; navigate there first",
+                           "robot is not at bed_0"),
+    "report-none": (REFUSAL_SCENE, [_req("report_observation")], ApiCallError, "bad_argument",
+                    "report_observation needs a target or a mode", None),
+    "report-unmapped": (REFUSAL_SCENE, _BOOT + [_req("report_observation", "moon")], ApiCallError,
+                        "unknown_reference", "report_observation target 'moon' is not in any current map", None),
+    "report-furniture": (REFUSAL_SCENE, _BOOT + [_req("report_observation", "bench_0")], TargetNotVisible,
+                         "target_not_visible", "bench_0 no longer exists at its believed location", None),
+    "unknown-verb": (REFUSAL_SCENE, [_req("fly", "moon")], ApiCallError, "unknown_verb", _UNKNOWN_VERB,
+                     "unknown verb 'fly'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_every_refusal_keeps_its_fault_and_message(case):
+    """Each refusal site's fault class, code, fault message and feedback line.
+    A feedback message of None means it repeats the fault message. World's
+    "already in gripper" grasp refusal is left out: "gripper full" always
+    fires first."""
+    doc, steps, kind, code, fault_message, message = REFUSALS[case]
+    ctx = fresh_ctx(doc, **zero_noise())
+    *setup, refused = copy.deepcopy(steps)
+    for step in setup:
+        if isinstance(step, dict):
+            for name, value in step.items():
+                setattr(ctx.world.config.noise, name, value)
+        else:
+            dispatch(ctx, step)
+    out = ctx.world.apply_action(refused) if case.startswith("world-") else dispatch(ctx, refused)
+    assert not out.success
+    assert type(out.fault) is kind
+    assert (out.fault.code, out.fault.message) == (code, fault_message)
+    assert out.message == (fault_message if message is None else message)
+    assert out.details == {}
+
+
+# --- dispatch under random requests -----------------------------------------------
+
+_FUZZ_NOISE = dict(p_grasp_fail=0.3, p_place_fail=0.3, p_nav_fail=0.1, p_false_positive=0.3,
+                   p_missed_detection=0.2, p_object_shift_on_fail=0.5, p_flag_error=0.1, p_closeup_error=0.1)
+_OFFSET = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _next_verb(belief):
+    """The verb a fetch-and-place planner would call next."""
+    if belief.global_map is None:
+        return "explore_global"
+    if belief.holding is not None:
+        return "place" if belief.at_receptacle else "navigate"
+    if belief.at_receptacle is None:
+        return "navigate"
+    lmap = belief.local_maps.get(belief.at_receptacle)
+    return "grasp" if lmap is not None and lmap.items and not lmap.stale else "explore_local"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_dispatch_survives_random_requests_and_keeps_its_books(data):
+    """Any verb (and one unknown), any target (furniture, object, phantom, a
+    bogus id, a mode or none), either literal flag, any place location and any
+    side: nothing escapes dispatch, indices count up from 0, a fault always
+    means failure, and the step counters match the logged feedback. Half the
+    requests are the step a planner would take next, so that held, dropped
+    and shifted objects occur."""
+    scene_name = data.draw(st.sampled_from(sorted(BUNDLED_SCENES)))
+    ctx = fresh_ctx(BUNDLED_SCENES[scene_name], rng_seed=data.draw(st.integers(0, 2**16)), **_FUZZ_NOISE)
+    belief = ctx.belief
+    for i in range(data.draw(st.integers(1, 30))):
+        furniture = st.sampled_from(sorted(ctx.world.furniture))
+        small = st.sampled_from(sorted(ctx.world.objects) + sorted(ctx.world.phantoms))
+        targets = furniture | small | st.sampled_from(["moon", "stay", "rest", None])
+        if data.draw(st.booleans()):
+            verb = _next_verb(belief)
+            lmap = belief.local_maps.get(belief.at_receptacle or "")
+            if verb == "navigate":
+                targets = furniture
+            elif verb == "grasp":
+                targets = st.sampled_from([o.id for o in lmap.items])
+            elif verb != "explore_global":
+                targets = st.just(belief.at_receptacle)
+        else:
+            verb = data.draw(st.sampled_from(ALL_VERBS + ("fly",)))
+        location = None
+        if verb == "place":
+            spot = st.tuples(furniture | small | st.just("moon"), st.tuples(_OFFSET, _OFFSET))
+            location = data.draw(st.none() | spot)
+        request = ActionRequest(
+            verb=verb,
+            target=data.draw(targets),
+            location=location,
+            side=data.draw(st.sampled_from((None,) + SIDES)),
+            # one request in eight comes as a string literal
+            params={"string_literal": True} if data.draw(st.integers(0, 7)) == 0 else {},
+        )
+        fb = dispatch(ctx, request)
+        assert fb.request_index == i
+        assert fb.fault is None or not fb.success
+    counted = [e for e in ctx.events if e["event"] == "feedback" and e["counted"]]
+    assert ctx.execution_steps == len(counted)
+    assert ctx.successful_steps == sum(e["success"] for e in counted)
