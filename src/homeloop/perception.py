@@ -242,23 +242,19 @@ def _frontiers(world: World, explored: np.ndarray) -> np.ndarray:
     return explored & (world.grid.occ == 0) & border
 
 
-def explore_global(world: World, belief: Belief) -> GlobalMap:
-    """Frontier-based sweep: repeatedly drive to the nearest frontier cell and
-    sense, until no frontier remains among reachable cells. The robot ends at
-    its last frontier; adjacency to any receptacle is lost."""
-    explored = (
-        belief.global_map.explored_mask.copy()
-        if belief.global_map is not None
-        else np.zeros_like(world.grid.occ, dtype=bool)
-    )
+def _sweep(world: World, explored: np.ndarray) -> Optional[tuple[float, float]]:
+    """Frontier loop: sense, then repeatedly drive to the nearest frontier
+    cell and sense, until no frontier remains among reachable cells. Grows
+    ``explored`` in place and returns where the robot ended, or None when it
+    never moved."""
     _sense(world, explored, world.robot_cell())
-
+    end = None
     free = world.grid.occ == 0
     guard = world.grid.width * world.grid.height + 8
     for _ in range(guard):
         frontiers = _frontiers(world, explored)
         if not frontiers.any():
-            break
+            return end
         dist = world.grid.bfs_distances(world.robot_cell(), free & explored, frontiers)
         ys, xs = np.nonzero(frontiers & (dist >= 0))
         if len(xs) == 0:
@@ -267,15 +263,42 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
                 raise ExplorationStalled(
                     f"{int(remaining.sum())} reachable cells unexplored but no frontier reachable"
                 )
-            break
+            return end
         # nearest first, then lowest (cx, cy)
         i = np.lexsort((ys, xs, dist[ys, xs]))[0]
         target = (int(xs[i]), int(ys[i]))
-        x, y = world.grid.center_of(target)
-        world.robot = type(world.robot)(x, y, world.robot.heading)
+        end = world.grid.center_of(target)
+        world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
         _sense(world, explored, target)
+    raise ExplorationStalled("frontier loop exceeded the cell-count bound")
+
+
+def explore_global(world: World, belief: Belief) -> GlobalMap:
+    """Frontier-based sweep (``_sweep``) that extends the explored map. The
+    robot ends at its last frontier; adjacency to any receptacle is lost.
+
+    A trial's first sweep draws no random numbers and depends only on the
+    layout, the start cell and the sensing radius, so it is memoised in the
+    scene geometry's ``first_sweeps``: a hit copies the explored mask and
+    moves the robot to the recorded end, keeping its heading. A stalled
+    sweep is never memoised; later sweeps always run."""
+    if belief.global_map is not None:
+        explored = belief.global_map.explored_mask.copy()
+        _sweep(world, explored)
     else:
-        raise ExplorationStalled("frontier loop exceeded the cell-count bound")
+        key = (world.robot_cell(), world.config.sensing_radius)
+        memo = world.geometry.first_sweeps.get(key)
+        if memo is None:
+            explored = np.zeros(world.grid.occ.shape, dtype=bool)
+            end = _sweep(world, explored)
+            shared = explored.copy()
+            shared.flags.writeable = False
+            world.geometry.first_sweeps[key] = (shared, end)
+        else:
+            shared, end = memo
+            explored = shared.copy()
+            if end is not None:
+                world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
 
     furniture_objs = []
     for fid in sorted(world.furniture):

@@ -13,6 +13,7 @@ request sequence reproduces a bit-identical outcome sequence.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -357,31 +358,106 @@ class GroundOutcome:
     details: dict[str, Any] = field(default_factory=dict)
 
 
+# --- Static scene geometry -------------------------------------------------------
+
+
+class SceneGeometry:
+    """What no trial changes about a scene: the rasterised grid, footprint
+    cells, centroids, half extents, the cells reachable from the robot
+    start, the approach tables (built on first use) and the first global
+    sweep from each start cell (filled by ``perception.explore_global``).
+
+    Every World of the same layout shares one, across threads too: the
+    arrays are read-only, and the lazily filled tables are pure functions of
+    the layout, so a race at worst computes an entry twice."""
+
+    def __init__(
+        self,
+        room: tuple[float, float],
+        resolution: float,
+        furniture: tuple[tuple[str, tuple[tuple[float, float], ...]], ...],
+        start: tuple[float, float],
+    ) -> None:
+        self.grid = OccupancyGrid(room[0], room[1], resolution)
+        self.footprint_cells: dict[str, frozenset[Cell]] = {}
+        self.centroids: dict[str, tuple[float, float]] = {}
+        self.half_extents: dict[str, tuple[float, float]] = {}
+        for fid, footprint in furniture:
+            self.footprint_cells[fid] = frozenset(self.grid.rasterize_polygon(footprint))
+            self.centroids[fid] = polygon_centroid(footprint)
+            self.half_extents[fid] = polygon_half_extent(footprint)
+        self.grid.occ.flags.writeable = False
+
+        start_cell = self.grid.cell_of(*start)
+        if not self.grid.is_free(start_cell):
+            raise ConfigError("robot_start", "inside a furniture footprint")
+        self.reachable = self.grid.flood_fill(start_cell)
+        self.reachable.flags.writeable = False
+        self._approach: dict[str, dict[Optional[str], tuple[Cell, ...]]] = {}
+        # (start cell, sensing radius) -> (explored mask, end position), the
+        # end position None when the robot never moved
+        self.first_sweeps: dict[tuple[Cell, float], tuple[np.ndarray, Optional[tuple[float, float]]]] = {}
+
+    def approach_cells(self, furniture_id: str, side: Optional[str] = None) -> tuple[Cell, ...]:
+        """The furniture's approach cells, all of them or those on one side."""
+        table = self._approach.get(furniture_id)
+        if table is None:
+            table = self._approach[furniture_id] = self._approach_table(furniture_id)
+        return table[side]
+
+    def _approach_table(self, furniture_id: str) -> dict[Optional[str], tuple[Cell, ...]]:
+        """Reachable free cells adjacent to the footprint, sorted by (cx, cy),
+        keyed by None (all of them) and by the side of the footprint's
+        centroid each cell's center lies on."""
+        near = self.grid.adjacent_free_cells(self.footprint_cells[furniture_id]) & self.reachable
+        # transposed, nonzero yields cells in (cx, cy) order
+        cells = tuple((int(cx), int(cy)) for cx, cy in zip(*np.nonzero(near.T)))
+        centroid = self.centroids[furniture_id]
+        sides = [side_of(centroid, self.grid.center_of(cell)) for cell in cells]
+        table: dict[Optional[str], tuple[Cell, ...]] = {
+            side: tuple(cell for cell, s in zip(cells, sides) if s == side) for side in SIDES
+        }
+        table[None] = cells
+        return table
+
+
+# Layouts kept; a stream of never-repeating scenes (generated layouts) then
+# costs at most this many geometries.
+geometry_cache = functools.lru_cache(maxsize=16)(SceneGeometry)
+
+
+def scene_geometry(config: WorldConfig) -> SceneGeometry:
+    """The shared geometry of the config's layout, keyed on content: room,
+    resolution, each furniture's id and footprint, and the robot start. Every
+    ``vary_config`` draw of a scene, and every scene with the same layout,
+    gets the same instance. A bad robot start raises and is never cached."""
+    return geometry_cache(
+        tuple(config.room),
+        config.grid_resolution,
+        tuple((f.id, tuple(map(tuple, f.footprint))) for f in config.furniture),
+        (config.robot_start.x, config.robot_start.y),
+    )
+
+
 class World:
     """One trial's ground truth. Single-writer: a trial owns its World.
 
-    Furniture never moves, so its geometry is built once here: footprint
-    cells, centroids, half extents and the approach table."""
+    Furniture never moves, so everything static about the scene (grid,
+    footprint cells, centroids, half extents, reachability, approach cells
+    and the first sweep) lives on a ``SceneGeometry`` that every trial of
+    the same layout shares; the World holds the state a trial mutates."""
 
     def __init__(self, config: WorldConfig) -> None:
         validate_config(config)
         self.config = config
         self.rng = random.Random(config.noise.rng_seed)
-        self.grid = OccupancyGrid(config.room[0], config.room[1], config.grid_resolution)
-
-        self.furniture: dict[str, FurnitureSpec] = {}
-        self.footprint_cells: dict[str, set[Cell]] = {}
-        self.centroids: dict[str, tuple[float, float]] = {}
-        self.half_extents: dict[str, tuple[float, float]] = {}
-        for f in config.furniture:
-            self.furniture[f.id] = f
-            self.footprint_cells[f.id] = self.grid.rasterize_polygon(f.footprint)
-            self.centroids[f.id] = polygon_centroid(f.footprint)
-            self.half_extents[f.id] = polygon_half_extent(f.footprint)
-
-        start_cell = self.grid.cell_of(config.robot_start.x, config.robot_start.y)
-        if not self.grid.is_free(start_cell):
-            raise ConfigError("robot_start", "inside a furniture footprint")
+        self.geometry = scene_geometry(config)
+        self.grid = self.geometry.grid
+        self.furniture: dict[str, FurnitureSpec] = {f.id: f for f in config.furniture}
+        self.footprint_cells = self.geometry.footprint_cells
+        self.centroids = self.geometry.centroids
+        self.half_extents = self.geometry.half_extents
+        self.reachable = self.geometry.reachable
 
         self.objects: dict[str, GroundObject] = {}
         for spec in config.objects:
@@ -401,9 +477,6 @@ class World:
                 self.receptacle_versions[spec.id] = 0
         self.phantoms: dict[str, PhantomRecord] = {}
         self._minted_ids: set[str] = set()
-
-        self.reachable = self.grid.flood_fill(start_cell)
-        self._approach = {fid: self._approach_table(fid) for fid in self.furniture}
 
     # -- invariant helper -------------------------------------------------------
 
@@ -513,24 +586,9 @@ class World:
 
     # -- approach selection --------------------------------------------------------
 
-    def _approach_table(self, furniture_id: str) -> dict[Optional[str], tuple[Cell, ...]]:
-        """Reachable free cells adjacent to the footprint, sorted by (cx, cy),
-        keyed by None (all of them) and by the side of the footprint's
-        centroid each cell's center lies on."""
-        near = self.grid.adjacent_free_cells(self.footprint_cells[furniture_id]) & self.reachable
-        # transposed, nonzero yields cells in (cx, cy) order
-        cells = tuple((int(cx), int(cy)) for cx, cy in zip(*np.nonzero(near.T)))
-        centroid = self.centroids[furniture_id]
-        sides = [side_of(centroid, self.grid.center_of(cell)) for cell in cells]
-        table: dict[Optional[str], tuple[Cell, ...]] = {
-            side: tuple(cell for cell, s in zip(cells, sides) if s == side) for side in SIDES
-        }
-        table[None] = cells
-        return table
-
     def approach_cells(self, furniture_id: str, side: Optional[str] = None) -> tuple[Cell, ...]:
         """The furniture's approach cells, all of them or those on one side."""
-        return self._approach[furniture_id][side]
+        return self.geometry.approach_cells(furniture_id, side)
 
     def select_approach(
         self,
@@ -675,10 +733,6 @@ class World:
                 f"grasp({target}) -> target not visible",
             )
         obj = self.objects[target]
-        if obj.placement.kind == "gripper":
-            raise Refused(
-                PreconditionFault("gripper_full", f"{target} already in gripper"), "grasp failed: already holding it"
-            )
         pos = self.position_of(target)
         if obj.placement.kind == "on":
             root = self._resting_root(obj.placement.receptacle, "grasp")  # type: ignore[arg-type]

@@ -238,7 +238,7 @@ _UNKNOWN_VERB = (
 # (scene, steps, fault class, code, fault message, feedback message). The last
 # step is the refused request; a dict step sets noise fields. A "world-" case
 # sends its refused request to World.apply_action, past the skills layer's
-# checks; no verb sequence reaches those two refusals through dispatch.
+# checks; no verb sequence reaches those refusals through dispatch.
 REFUSALS = {
     "navigate-literal": (REFUSAL_SCENE, _BOOT + [_req("navigate", "bench", literal=True)], ApiCallError,
                          "bad_argument", "navigate expects an object reference from the global map, "
@@ -258,6 +258,8 @@ REFUSALS = {
                         "grasp failed: cup_0 not in local map"),
     "grasp-gripper-full": (REFUSAL_SCENE, _HOLDING + [_req("grasp", "toy_0")], PreconditionFault,
                            "gripper_full", "grasp while gripper holds cup_0", "grasp failed: gripper full"),
+    "world-grasp-held-object": (REFUSAL_SCENE, _HOLDING + [_req("grasp", "cup_0")], PreconditionFault,
+                                "gripper_full", "grasp while gripper holds cup_0", "grasp failed: gripper full"),
     "grasp-phantom": (DOLL_SCENE, [{"p_false_positive": 1.0}, _req("explore_global"), _req("navigate", "table_0"),
                                    _req("explore_local", "table_0"), _req("grasp", "bottle_0")],
                       TargetNotVisible, "target_not_visible", "bottle_0 not found at its believed location",
@@ -326,9 +328,9 @@ REFUSALS = {
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_every_refusal_keeps_its_fault_and_message(case):
     """Each refusal site's fault class, code, fault message and feedback line.
-    A feedback message of None means it repeats the fault message. World's
-    "already in gripper" grasp refusal is left out: "gripper full" always
-    fires first."""
+    A feedback message of None means it repeats the fault message. Grasping
+    the held object itself is refused as "gripper full": an object in the
+    gripper always sets ``World.gripper``."""
     doc, steps, kind, code, fault_message, message = REFUSALS[case]
     ctx = fresh_ctx(doc, **zero_noise())
     *setup, refused = copy.deepcopy(steps)
