@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ApiCallError, ExplorationStalled, NotAtReceptacle, Refused, TargetNotVisible
+from .errors import ExplorationStalled, NotAtReceptacle, Refused, TargetNotVisible
 from .geometry import Cell, dilate8, wavefront
 from .world import PhantomRecord, World
 
@@ -115,7 +115,13 @@ class BeliefObject:
 
 @dataclass
 class Belief:
-    """All maps and merged object knowledge owned by one trial."""
+    """All maps and merged object knowledge owned by one trial.
+
+    ``version`` counts the writes to ``objects`` and ``holding``: every
+    writer is a method here or a perception merge, and each ends with
+    ``touch()``. Values derived from those two fields (the placement view,
+    goal results) are kept in ``derived()`` and live as long as the version
+    they were computed at."""
 
     global_map: Optional[GlobalMap] = None
     local_maps: dict[str, LocalMap] = field(default_factory=dict)
@@ -123,6 +129,21 @@ class Belief:
     holding: Optional[str] = None
     at_receptacle: Optional[str] = None
     approach_side: Optional[str] = None
+    version: int = field(default=0, compare=False)
+    _memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo_version: int = field(default=0, init=False, repr=False, compare=False)
+
+    def touch(self) -> None:
+        """Record a write to ``objects`` or ``holding``."""
+        self.version += 1
+
+    def derived(self) -> dict[Any, Any]:
+        """Memo of values computed from ``objects`` and ``holding`` at the
+        current version; emptied by the first read after a write."""
+        if self._memo_version != self.version:
+            self._memo.clear()
+            self._memo_version = self.version
+        return self._memo
 
     def receptacle_entities(self) -> list[BeliefObject]:
         return sorted(
@@ -142,6 +163,7 @@ class Belief:
             b.parent_id = None
         for m in self.local_maps.values():
             m.items = [o for o in m.items if o.id != oid]
+        self.touch()
 
     def note_placed(self, oid: str, rid: str, pos: tuple[float, float]) -> None:
         self.holding = None
@@ -150,6 +172,16 @@ class Belief:
             b.parent_id = rid
             b.location = pos
         self.mark_stale(self.root_of(rid))
+        self.touch()
+
+    def note_dropped(self, oid: str, pos: tuple[float, float]) -> None:
+        """A failed place left the held object on the floor at ``pos``."""
+        self.holding = None
+        b = self.objects.get(oid)
+        if b is not None:
+            b.parent_id = None
+            b.location = pos
+        self.touch()
 
     def root_of(self, ref: str) -> str:
         """Top of the believed parent chain, starting at ``ref`` itself: the
@@ -195,7 +227,24 @@ def _snapshot(
 def capture(world: World, kind: str = "stay") -> Observation:
     """Truthful snapshot of non-held objects within view radius of the robot
     (or of the rest pose for kind="rest"). Used for before/after evidence and
-    for the stay/rest observation modes."""
+    for the stay/rest observation modes.
+
+    Objects move only inside ``World.apply_action``, which bumps
+    ``step_counter``, and ``explore_global`` moves the robot without a step,
+    so the observation is the same while (step_counter, robot pose, kind)
+    is: it is kept on ``world.last_capture`` and returned again. A step's
+    ``before`` is then the previous step's ``after``."""
+    key = (world.step_counter, world.robot, kind)
+    last = world.last_capture
+    if last is not None and last[0] == key:
+        return last[1]
+    obs = _observe(world, kind)
+    world.last_capture = (key, obs)
+    return obs
+
+
+def _observe(world: World, kind: str) -> Observation:
+    """``capture`` without the memo."""
     if kind == "rest":
         origin = (world.config.robot_start.x, world.config.robot_start.y)
     else:
@@ -330,6 +379,7 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
             parent_id=None,
             is_receptacle=f.is_receptacle,
         )
+    belief.touch()
     return gmap
 
 
@@ -438,6 +488,7 @@ def _merge_into_belief(belief: Belief, lmap: LocalMap) -> None:
             continue
         if b.parent_id and belief.root_of(b.parent_id) == lmap.receptacle_id:
             del belief.objects[oid]
+    belief.touch()
 
 
 def refresh_local(world: World, belief: Belief, lmap: LocalMap) -> LocalMap:
@@ -457,13 +508,11 @@ def report_observation(world: World, belief: Belief, target: "SceneObject | str"
     Close-ups are truthful: real objects report their ground attributes, and
     phantoms are revealed as whatever actually occupies their believed spot
     (unless p_closeup_error fires, preserving the wrong belief). Refuses a
-    mode other than those two, and a target that is no ground object or no
-    longer sits at its believed location.
+    target that is no ground object or no longer sits at its believed
+    location.
     """
     if isinstance(target, str):
-        if target in ("stay", "rest"):
-            return capture(world, target)
-        raise Refused(ApiCallError("bad_argument", f'report_observation mode must be "stay" or "rest", got {target!r}'))
+        return capture(world, target)
 
     oid = target.id
     if oid in world.phantoms:
@@ -526,3 +575,4 @@ def _merge_closeup(belief: Belief, obs: Observation) -> None:
                 replace(i, category=o.category, attributes=o.attributes) if i.id == o.id else i
                 for i in m.items
             ]
+    belief.touch()

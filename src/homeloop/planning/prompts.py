@@ -10,6 +10,7 @@ are never elided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..world import ALL_VERBS
 from .base import PlannerView
@@ -44,6 +45,14 @@ class PromptTemplate:
 
     def render_system(self) -> str:
         return "\n\n".join(f"# {name}\n{body.strip()}" for name, body in self.sections())
+
+    @cached_property
+    def system_message(self) -> tuple[str, int]:
+        """The validated system prompt and its token estimate, computed on
+        first use (the template is frozen)."""
+        self.validate()
+        text = self.render_system()
+        return text, estimate_tokens(text)
 
 
 def default_template() -> PromptTemplate:
@@ -93,35 +102,65 @@ def default_template() -> PromptTemplate:
     )
 
 
-@dataclass
+_PREFIX = {"plan": "", "feedback": "feedback: ", "observation": "observation: ", "note": "note: "}
+
+
+@dataclass(frozen=True)
 class HistoryEntry:
+    """One dialogue message. Its chat content, its token estimate and its
+    elided form are rendered once, when the entry is made."""
+
     kind: str  # "plan" | "feedback" | "observation" | "note"
     index: int
     text: str
     elidable: bool = True
+    role: str = field(init=False)
+    content: str = field(init=False)
+    tokens: int = field(init=False)
+    elided: str = field(init=False)
+    elided_tokens: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        content = _PREFIX[self.kind] + self.text
+        elided = content.split(":", 1)[0] + ": [elided]"
+        for name, value in (
+            ("role", "assistant" if self.kind == "plan" else "user"),
+            ("content", content),
+            ("tokens", estimate_tokens(content)),
+            ("elided", elided),
+            ("elided_tokens", estimate_tokens(elided)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
 class DialogueHistory:
-    """Ordered record of one trial's planner dialogue."""
+    """Ordered record of one trial's planner dialogue; ``tokens`` is the
+    running token estimate of all its entries."""
 
     instruction: str
     entries: list[HistoryEntry] = field(default_factory=list)
+    tokens: int = field(init=False)
 
-    def _next_index(self) -> int:
-        return len(self.entries)
+    def __post_init__(self) -> None:
+        self.tokens = sum(e.tokens for e in self.entries)
+
+    def _append(self, kind: str, text: str, elidable: bool = True) -> None:
+        entry = HistoryEntry(kind, len(self.entries), text, elidable)
+        self.entries.append(entry)
+        self.tokens += entry.tokens
 
     def append_plan(self, text: str) -> None:
-        self.entries.append(HistoryEntry("plan", self._next_index(), text, elidable=False))
+        self._append("plan", text, elidable=False)
 
     def append_feedback(self, text: str) -> None:
-        self.entries.append(HistoryEntry("feedback", self._next_index(), text))
+        self._append("feedback", text)
 
     def append_observation(self, text: str) -> None:
-        self.entries.append(HistoryEntry("observation", self._next_index(), text))
+        self._append("observation", text)
 
     def append_note(self, text: str) -> None:
-        self.entries.append(HistoryEntry("note", self._next_index(), text))
+        self._append("note", text)
 
     def last_feedback_text(self) -> str:
         for entry in reversed(self.entries):
@@ -164,37 +203,33 @@ def assemble_prompt(
     view: PlannerView,
     token_budget: int = 8000,
 ) -> list[dict[str, str]]:
-    """Deterministic message sequence for a chat completion request."""
-    template.validate()
+    """Deterministic message sequence for a chat completion request.
+
+    Each history entry carries its own content and token estimate, so the
+    cost of a call does not grow with the token count of the history."""
+    system, system_tokens = template.system_message
+    instruction = f"Instruction: {history.instruction}"
     messages: list[dict[str, str]] = [
-        {"role": "system", "content": template.render_system()},
-        {"role": "user", "content": f"Instruction: {history.instruction}"},
+        {"role": "system", "content": system},
+        {"role": "user", "content": instruction},
     ]
     if not history.entries:
         # nothing has happened yet: exactly the system and instruction messages
         return messages
-    body_entries = []
-    for entry in history.entries:
-        role = "assistant" if entry.kind == "plan" else "user"
-        prefix = {"plan": "", "feedback": "feedback: ", "observation": "observation: ", "note": "note: "}[
-            entry.kind
-        ]
-        message = {"role": role, "content": prefix + entry.text}
-        messages.append(message)
-        if entry.elidable:
-            body_entries.append(message)
+    messages.extend({"role": e.role, "content": e.content} for e in history.entries)
     tail = render_view(view)
     last_fb = history.last_feedback_text()
     if last_fb:
         tail += f"\nlast feedback: {last_fb}"
-    messages.append({"role": "user", "content": tail + "\nNext step?"})
+    tail += "\nNext step?"
+    messages.append({"role": "user", "content": tail})
 
-    total = sum(estimate_tokens(m["content"]) for m in messages)
-    for message in body_entries:  # oldest first
-        if total <= token_budget:
-            break
-        saved = estimate_tokens(message["content"])
-        head = message["content"].split(":", 1)[0]
-        message["content"] = f"{head}: [elided]"
-        total -= saved - estimate_tokens(message["content"])
+    total = system_tokens + estimate_tokens(instruction) + history.tokens + estimate_tokens(tail)
+    if total > token_budget:
+        for message, entry in zip(messages[2:], history.entries):  # oldest first
+            if total <= token_budget:
+                break
+            if entry.elidable:
+                message["content"] = entry.elided
+                total -= entry.tokens - entry.elided_tokens
     return messages

@@ -227,12 +227,8 @@ def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
         ctx.belief.note_placed(held, rid, ctx.world.position_of(held))
     elif outcome.details.get("dropped"):
         # failed place drops the held object on the floor near the robot
-        ctx.belief.holding = None
         dropped = outcome.details["dropped"]
-        b = ctx.belief.objects.get(dropped)
-        if b is not None:
-            b.parent_id = None
-            b.location = ctx.world.position_of(dropped)
+        ctx.belief.note_dropped(dropped, ctx.world.position_of(dropped))
     return _feedback(
         ctx,
         request,

@@ -217,7 +217,12 @@ def verify_success(
 # --- feasibility verification -----------------------------------------------------
 
 
-def _belief_view(belief: Belief) -> PlacementView:
+# The view and the goal results below are read several times per step (the
+# harness's feasibility check, then the planner) but change only when the
+# belief's objects or holding do: each is computed once per belief version.
+
+
+def _build_belief_view(belief: Belief) -> PlacementView:
     entities: dict[str, EntityView] = {}
     for b in belief.objects.values():
         entities[b.id] = EntityView(
@@ -230,14 +235,36 @@ def _belief_view(belief: Belief) -> PlacementView:
     return PlacementView(entities, belief.holding)
 
 
+def _belief_view(belief: Belief) -> PlacementView:
+    memo = belief.derived()
+    view = memo.get("view")
+    if view is None:
+        view = memo["view"] = _build_belief_view(belief)
+    return view
+
+
+def _goal_status(goal: Goal, belief: Belief) -> tuple[bool, Optional[Goal]]:
+    """(satisfied, first unsatisfied atom) against the belief. ``_first_unsat``
+    returns a node only from an unsatisfied subtree, so a found atom already
+    answers "not satisfied" and the full evaluation runs only when none is.
+    The memo is keyed on the goal's identity, cheap where a goal tree's hash
+    is not; the entry keeps the goal alive, so its id cannot be reused."""
+    memo = belief.derived()
+    entry = memo.get(id(goal))
+    if entry is None:
+        view = _belief_view(belief)
+        atom = _first_unsat(goal, view)
+        entry = memo[id(goal)] = (goal, atom is None and goal.satisfied(view), atom)
+    return entry[1], entry[2]
+
+
 def belief_goal_satisfied(goal: Goal, belief: Belief) -> bool:
-    return goal.satisfied(_belief_view(belief))
+    return _goal_status(goal, belief)[0]
 
 
 def first_unsatisfied_atom(goal: Goal, belief: Belief) -> Optional[Goal]:
     """Deterministic left-to-right search through the predicate tree."""
-    view = _belief_view(belief)
-    return _first_unsat(goal, view)
+    return _goal_status(goal, belief)[1]
 
 
 def _first_unsat(goal: Goal, view: PlacementView) -> Optional[Goal]:

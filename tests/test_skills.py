@@ -9,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, TargetNotVisible
-from homeloop.perception import Belief
+from homeloop.goals import parse_goal
+from homeloop.harness import load_builtin_suite
+from homeloop.perception import Belief, _observe, capture
 from homeloop.skills import ActionRequest, SkillContext, dispatch
+from homeloop.verification import (
+    _belief_view,
+    _build_belief_view,
+    _first_unsat,
+    belief_goal_satisfied,
+    first_unsatisfied_atom,
+)
 from homeloop.world import ALL_VERBS, PERCEPTION_VERBS, SIDES
 
 from conftest import DOLL_SCENE, MINI_SCENE, make_world, zero_noise
@@ -367,48 +376,104 @@ def _next_verb(belief):
     return "grasp" if lmap is not None and lmap.items and not lmap.stale else "explore_local"
 
 
+def _draw_request(data, ctx) -> ActionRequest:
+    """Any verb (and one unknown), any target (furniture, object, phantom, a
+    bogus id, a mode or none), either literal flag, any place location and
+    any side. Half the requests are the step a planner would take next, so
+    that held, dropped and shifted objects occur."""
+    belief = ctx.belief
+    furniture = st.sampled_from(sorted(ctx.world.furniture))
+    small = st.sampled_from(sorted(ctx.world.objects) + sorted(ctx.world.phantoms))
+    targets = furniture | small | st.sampled_from(["moon", "stay", "rest", None])
+    if data.draw(st.booleans()):
+        verb = _next_verb(belief)
+        lmap = belief.local_maps.get(belief.at_receptacle or "")
+        if verb == "navigate":
+            targets = furniture
+        elif verb == "grasp":
+            targets = st.sampled_from([o.id for o in lmap.items])
+        elif verb != "explore_global":
+            targets = st.just(belief.at_receptacle)
+    else:
+        verb = data.draw(st.sampled_from(ALL_VERBS + ("fly",)))
+    location = None
+    if verb == "place":
+        spot = st.tuples(furniture | small | st.just("moon"), st.tuples(_OFFSET, _OFFSET))
+        location = data.draw(st.none() | spot)
+    return ActionRequest(
+        verb=verb,
+        target=data.draw(targets),
+        location=location,
+        side=data.draw(st.sampled_from((None,) + SIDES)),
+        # one request in eight comes as a string literal
+        params={"string_literal": True} if data.draw(st.integers(0, 7)) == 0 else {},
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_dispatch_survives_random_requests_and_keeps_its_books(data):
-    """Any verb (and one unknown), any target (furniture, object, phantom, a
-    bogus id, a mode or none), either literal flag, any place location and any
-    side: nothing escapes dispatch, indices count up from 0, a fault always
-    means failure, and the step counters match the logged feedback. Half the
-    requests are the step a planner would take next, so that held, dropped
-    and shifted objects occur."""
+    """Random requests (``_draw_request``) on a bundled scene with noise on:
+    nothing escapes dispatch, indices count up from 0, a fault always means
+    failure, and the step counters match the logged feedback."""
     scene_name = data.draw(st.sampled_from(sorted(BUNDLED_SCENES)))
     ctx = fresh_ctx(BUNDLED_SCENES[scene_name], rng_seed=data.draw(st.integers(0, 2**16)), **_FUZZ_NOISE)
-    belief = ctx.belief
     for i in range(data.draw(st.integers(1, 30))):
-        furniture = st.sampled_from(sorted(ctx.world.furniture))
-        small = st.sampled_from(sorted(ctx.world.objects) + sorted(ctx.world.phantoms))
-        targets = furniture | small | st.sampled_from(["moon", "stay", "rest", None])
-        if data.draw(st.booleans()):
-            verb = _next_verb(belief)
-            lmap = belief.local_maps.get(belief.at_receptacle or "")
-            if verb == "navigate":
-                targets = furniture
-            elif verb == "grasp":
-                targets = st.sampled_from([o.id for o in lmap.items])
-            elif verb != "explore_global":
-                targets = st.just(belief.at_receptacle)
-        else:
-            verb = data.draw(st.sampled_from(ALL_VERBS + ("fly",)))
-        location = None
-        if verb == "place":
-            spot = st.tuples(furniture | small | st.just("moon"), st.tuples(_OFFSET, _OFFSET))
-            location = data.draw(st.none() | spot)
-        request = ActionRequest(
-            verb=verb,
-            target=data.draw(targets),
-            location=location,
-            side=data.draw(st.sampled_from((None,) + SIDES)),
-            # one request in eight comes as a string literal
-            params={"string_literal": True} if data.draw(st.integers(0, 7)) == 0 else {},
-        )
-        fb = dispatch(ctx, request)
+        fb = dispatch(ctx, _draw_request(data, ctx))
         assert fb.request_index == i
         assert fb.fault is None or not fb.success
     counted = [e for e in ctx.events if e["event"] == "feedback" and e["counted"]]
     assert ctx.execution_steps == len(counted)
     assert ctx.successful_steps == sum(e["success"] for e in counted)
+
+
+# --- derived values never go stale ----------------------------------------------------
+
+# Goals of every node type, the empty Or included, over categories that occur
+# in the bundled scenes; each scene's suite goals are checked as well.
+_PROBE_GOALS = [parse_goal(g) for g in (
+    {"holding": {"object": {"category": "cup"}}},
+    {"not": {"on": {"object": {"category": "toy"}, "receptacle": {"category": "table"}}}},
+    {"or": [{"all_on": {"category": "cup", "receptacle": {"category": "table"}}},
+            {"same_receptacle": {"category": "toy"}}]},
+    {"or": []},
+    {"and": [{"all_on": {"category": "fruit", "receptacle": {"category": "table"}}},
+             {"not": {"holding": {"object": {}}}}]},
+)]
+_SUITE_GOALS: dict[str, list] = {}
+for _suite in ("acceptance", "benchmark"):
+    for _task in load_builtin_suite(_suite).tasks:
+        _SUITE_GOALS.setdefault(_task.name, []).append(_task.goal)
+
+
+def _assert_derived_values_fresh(ctx, goals) -> None:
+    """Every memoised read equals a recomputation from scratch. Only the
+    "stay" capture is read here, as the step loop reads it: reading "rest"
+    in between would replace the memo and hide a stale one."""
+    fresh = _build_belief_view(ctx.belief)
+    view = _belief_view(ctx.belief)
+    assert (view.entities, view.holding) == (fresh.entities, fresh.holding)
+    for goal in goals:
+        assert belief_goal_satisfied(goal, ctx.belief) == goal.satisfied(fresh)
+        assert first_unsatisfied_atom(goal, ctx.belief) == _first_unsat(goal, fresh)
+    assert capture(ctx.world, "stay") == _observe(ctx.world, "stay")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_memoised_views_goal_results_and_captures_never_go_stale(data):
+    """Before the first request and after every one, the belief's cached
+    placement view, both goal results and ``capture`` equal fresh
+    computations, and so does a "stay"/"rest" observation a request
+    returned. A writer of ``Belief.objects`` or ``holding`` that skips
+    ``touch()``, or a capture key that misses a change, fails this."""
+    scene_name = data.draw(st.sampled_from(sorted(BUNDLED_SCENES)))
+    ctx = fresh_ctx(BUNDLED_SCENES[scene_name], rng_seed=data.draw(st.integers(0, 2**16)), **_FUZZ_NOISE)
+    goals = _PROBE_GOALS + _SUITE_GOALS.get(scene_name, [])
+    _assert_derived_values_fresh(ctx, goals)
+    for _ in range(data.draw(st.integers(30, 80))):
+        request = _draw_request(data, ctx)
+        fb = dispatch(ctx, request)
+        if fb.observation is not None and request.target in ("stay", "rest"):
+            assert fb.observation == _observe(ctx.world, request.target)
+        _assert_derived_values_fresh(ctx, goals)
