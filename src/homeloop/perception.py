@@ -129,7 +129,7 @@ class Belief:
     holding: Optional[str] = None
     at_receptacle: Optional[str] = None
     approach_side: Optional[str] = None
-    version: int = field(default=0, compare=False)
+    version: int = field(default=0, init=False, compare=False)
     _memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo_version: int = field(default=0, init=False, repr=False, compare=False)
 

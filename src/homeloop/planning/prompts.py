@@ -107,8 +107,8 @@ _PREFIX = {"plan": "", "feedback": "feedback: ", "observation": "observation: ",
 
 @dataclass(frozen=True)
 class HistoryEntry:
-    """One dialogue message. Its chat content, its token estimate and its
-    elided form are rendered once, when the entry is made."""
+    """One dialogue message. Its chat content and its token estimate are
+    rendered once, when the entry is made."""
 
     kind: str  # "plan" | "feedback" | "observation" | "note"
     index: int
@@ -117,20 +117,12 @@ class HistoryEntry:
     role: str = field(init=False)
     content: str = field(init=False)
     tokens: int = field(init=False)
-    elided: str = field(init=False)
-    elided_tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
         content = _PREFIX[self.kind] + self.text
-        elided = content.split(":", 1)[0] + ": [elided]"
-        for name, value in (
-            ("role", "assistant" if self.kind == "plan" else "user"),
-            ("content", content),
-            ("tokens", estimate_tokens(content)),
-            ("elided", elided),
-            ("elided_tokens", estimate_tokens(elided)),
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "role", "assistant" if self.kind == "plan" else "user")
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "tokens", estimate_tokens(content))
 
 
 @dataclass
@@ -230,6 +222,7 @@ def assemble_prompt(
             if total <= token_budget:
                 break
             if entry.elidable:
-                message["content"] = entry.elided
-                total -= entry.tokens - entry.elided_tokens
+                head = entry.content.split(":", 1)[0]
+                message["content"] = f"{head}: [elided]"
+                total -= entry.tokens - estimate_tokens(message["content"])
     return messages

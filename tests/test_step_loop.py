@@ -110,8 +110,11 @@ def test_history_keeps_a_running_token_total():
 
 
 def test_prompt_assembly_estimates_the_same_number_of_texts_for_any_history(monkeypatch):
+    """Without elision a call estimates the same texts for any history
+    length; elision estimates each elided message as it always has."""
     template, view = default_template(), scanned_view()
     histories = {n: random_history(n) for n in (10, 600)}
+    budget = 10 * max(h.tokens for h in histories.values())  # elides nothing
     assemble_prompt(template, histories[10], view)  # renders the system prompt once
     calls = Counter()
 
@@ -121,12 +124,12 @@ def test_prompt_assembly_estimates_the_same_number_of_texts_for_any_history(monk
 
     monkeypatch.setattr(prompts, "estimate_tokens", counting)
     per_call = {}
-    for budget in (400, 8000):
-        for n, history in histories.items():
-            calls.clear()
-            assemble_prompt(template, history, view, budget)
-            per_call[(n, budget)] = calls["n"]
-    assert len(set(per_call.values())) == 1, per_call
+    for n, history in histories.items():
+        calls.clear()
+        messages = assemble_prompt(template, history, view, budget)
+        assert not any(m["content"].endswith(": [elided]") for m in messages)
+        per_call[n] = calls["n"]
+    assert per_call[10] == per_call[600] == 2, per_call
 
 
 def long_horizon_trial():

@@ -1,13 +1,13 @@
 """Profile one workload in-process under cProfile.
 
     python3 tools/profile_workload.py long_horizon 5 3
-    python3 tools/profile_workload.py apartments 64 2 --top 30
+    python3 tools/profile_workload.py apartments 64 2
 
 Run it from the root of a checkout; it imports homeloop from that checkout's
 ``src`` and the workloads from its ``perfbench`` (read-only). It runs units
 ``0 .. units-1`` of the workload at the seed, each suite through
 ``run_suite`` with an output directory, as the benchmark does, and prints
-the top functions by self time and by cumulative time. Traces go to a
+the top ``TOP`` functions by self time and by cumulative time. Traces go to a
 temporary directory that is deleted afterwards.
 """
 
@@ -27,6 +27,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 from homeloop.harness import run_suite  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
+TOP = 20  # functions listed per table
+
 
 def run_units(name: str, seed: int, units: int, out: Path) -> int:
     """Run the workload's units and return the number of trials."""
@@ -45,7 +47,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("seed", type=int)
     parser.add_argument("units", type=int)
-    parser.add_argument("--top", type=int, default=20, help="functions listed per table")
     args = parser.parse_args(argv)
     if args.units < 1:
         parser.error("units must be at least 1")
@@ -59,8 +60,8 @@ def main(argv: list[str] | None = None) -> None:
     print(f"{args.workload} seed {args.seed}: {args.units} unit(s), {trials} trial(s), "
           f"{stats.total_tt:.3f} s profiled")
     for order, title in (("tottime", "self time"), ("cumulative", "cumulative time")):
-        print(f"\n=== top {args.top} by {title} ===")
-        stats.sort_stats(order).print_stats(args.top)
+        print(f"\n=== top {TOP} by {title} ===")
+        stats.sort_stats(order).print_stats(TOP)
 
 
 if __name__ == "__main__":
