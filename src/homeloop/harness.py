@@ -41,7 +41,7 @@ from .planning import (
     to_request,
 )
 from .recovery import EpisodeRunner, RecoveryEpisode
-from .skills import ActionRequest, Feedback, SkillContext, dispatch, verdict_event
+from .skills import ActionRequest, Feedback, SkillContext, dispatch, evidence_ids, verdict_event
 from .trace import (
     OUTCOME_FAILURE,
     OUTCOME_INVALID,
@@ -145,9 +145,9 @@ class _Trial:
         if request.verb == "explore_local" and request.target in self.belief.local_maps:
             m = self.belief.local_maps[request.target]
             prior_map = replace(m, items=list(m.items))
-        before = capture(self.world, "stay")
+        before = capture(self.world, "stay", evidence_ids(request))
         fb = dispatch(self.ctx, request)
-        after = capture(self.world, "stay")
+        after = capture(self.world, "stay", evidence_ids(request, fb))
         verdict = verify_success(before, after, fb, request)
         self.ctx.events.append(verdict_event(request, fb, verdict, before, after))
         self._perception_findings(request, fb, prior_map)
@@ -304,6 +304,9 @@ class _Trial:
                 object_id=_episode_object(request, fb, held_before),
                 target=request.target,
                 location=request.location,
+                # the first shift check reads this as it read the full view:
+                # a grasp's target is in its evidence, and a place moves no
+                # object in view
                 last_before=before,
                 strict_escalation=options.strict_escalation,
             )

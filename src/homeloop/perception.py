@@ -15,7 +15,7 @@ number of rescans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -119,9 +119,9 @@ class Belief:
 
     ``version`` counts the writes to ``objects`` and ``holding``: every
     writer is a method here or a perception merge, and each ends with
-    ``touch()``. Values derived from those two fields (the placement view,
-    goal results) are kept in ``derived()`` and live as long as the version
-    they were computed at."""
+    ``touch()``. Values derived from those two fields (the objects in id
+    order, the placement view, goal results) are kept in ``derived()`` and
+    live as long as the version they were computed at."""
 
     global_map: Optional[GlobalMap] = None
     local_maps: dict[str, LocalMap] = field(default_factory=dict)
@@ -145,11 +145,16 @@ class Belief:
             self._memo_version = self.version
         return self._memo
 
+    def sorted_objects(self) -> tuple[BeliefObject, ...]:
+        """``objects`` in id order, sorted once per version."""
+        memo = self.derived()
+        ordered = memo.get("sorted")
+        if ordered is None:
+            ordered = memo["sorted"] = tuple(sorted(self.objects.values(), key=lambda o: o.id))
+        return ordered
+
     def receptacle_entities(self) -> list[BeliefObject]:
-        return sorted(
-            (o for o in self.objects.values() if o.is_receptacle),
-            key=lambda o: o.id,
-        )
+        return [o for o in self.sorted_objects() if o.is_receptacle]
 
     def mark_stale(self, furniture_id: str) -> None:
         m = self.local_maps.get(furniture_id)
@@ -224,33 +229,21 @@ def _snapshot(
     )
 
 
-def capture(world: World, kind: str = "stay") -> Observation:
+def capture(world: World, kind: str = "stay", ids: Optional[Iterable[str]] = None) -> Observation:
     """Truthful snapshot of non-held objects within view radius of the robot
-    (or of the rest pose for kind="rest"). Used for before/after evidence and
-    for the stay/rest observation modes.
+    (or of the rest pose for kind="rest"), in id order.
 
-    Objects move only inside ``World.apply_action``, which bumps
-    ``step_counter``, and ``explore_global`` moves the robot without a step,
-    so the observation is the same while (step_counter, robot pose, kind)
-    is: it is kept on ``world.last_capture`` and returned again. A step's
-    ``before`` is then the previous step's ``after``."""
-    key = (world.step_counter, world.robot, kind)
-    last = world.last_capture
-    if last is not None and last[0] == key:
-        return last[1]
-    obs = _observe(world, kind)
-    world.last_capture = (key, obs)
-    return obs
-
-
-def _observe(world: World, kind: str) -> Observation:
-    """``capture`` without the memo."""
+    ``ids`` restricts the snapshot to those objects; ids of no ground object
+    (phantoms, furniture, unknown names) are skipped. Before/after evidence
+    looks up only what a verdict reads (``skills.evidence_ids``); the
+    stay/rest observation modes pass no ids and see every object."""
     if kind == "rest":
         origin = (world.config.robot_start.x, world.config.robot_start.y)
     else:
         origin = (world.robot.x, world.robot.y)
+    candidates = world.objects if ids is None else world.objects.keys() & ids
     visible = []
-    for oid in sorted(world.objects):
+    for oid in sorted(candidates):
         if world.objects[oid].placement.kind == "gripper":
             continue
         pos = world.position_of(oid)

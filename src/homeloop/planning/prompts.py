@@ -177,7 +177,7 @@ def render_view(view: PlannerView) -> str:
         lines.append(f"local {rid}{stale}: {contents}")
     known_attrs = [
         f"{b.id}: {sorted(b.attributes)}"
-        for b in sorted(view.belief.objects.values(), key=lambda o: o.id)
+        for b in belief.sorted_objects()
         if b.inspected
     ]
     if known_attrs:

@@ -175,7 +175,7 @@ def _resolve_destination(atom: Goal, belief: Belief) -> Optional[str]:
     if isinstance(atom, SameReceptacle):
         members = [
             b
-            for b in sorted(belief.objects.values(), key=lambda o: o.id)
+            for b in belief.sorted_objects()
             if b.category == atom.category and not b.is_receptacle
         ]
         counts: dict[str, int] = {}
@@ -203,7 +203,7 @@ def _resolve_destination(atom: Goal, belief: Belief) -> Optional[str]:
 
 def _next_mover(atom: Goal, belief: Belief, dest: str) -> Optional[str]:
     category = atom.category  # type: ignore[union-attr]
-    for b in sorted(belief.objects.values(), key=lambda o: o.id):
+    for b in belief.sorted_objects():
         if b.is_receptacle or b.ruled_out or b.category != category:
             continue
         if b.parent_id != dest:
@@ -272,7 +272,7 @@ def _styled_location(task, belief: Belief, dest: str) -> Optional[Loc]:
         return None  # style applies to furniture surfaces only
     points = [
         b.location
-        for b in sorted(belief.objects.values(), key=lambda o: o.id)
+        for b in belief.sorted_objects()
         if b.category == category and not b.ruled_out and not b.is_receptacle
     ]
     if not points:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .goals import Goal
 from .perception import Observation, capture, refresh_local
-from .skills import Feedback, SkillContext, dispatch, verdict_event
+from .skills import Feedback, SkillContext, dispatch, evidence_ids, verdict_event
 from .verification import (
     FailureRecord,
     RetryState,
@@ -196,11 +196,15 @@ class EpisodeRunner:
     # -- one verified execution ------------------------------------------------------
 
     def _execute(self, episode: RecoveryEpisode, request: ActionRequest) -> tuple[Feedback, SuccessVerdict]:
-        before = capture(self.ctx.world, "stay")
-        self._check_shift(episode, before)
-        episode.last_before = before
+        world = self.ctx.world
+        before = capture(world, "stay", evidence_ids(request))
+        # the shift check reads only the episode object and is not traced; a
+        # retargeted object has not moved since, unless it rode on the old one
+        seen = capture(world, "stay", () if episode.object_id is None else (episode.object_id,))
+        self._check_shift(episode, seen)
+        episode.last_before = seen
         fb = dispatch(self.ctx, request)
-        after = capture(self.ctx.world, "stay")
+        after = capture(world, "stay", evidence_ids(request, fb))
         verdict = verify_success(before, after, fb, request)
         self.ctx.events.append(verdict_event(request, fb, verdict, before, after))
         self.ctx.events.append(
@@ -260,10 +264,10 @@ class EpisodeRunner:
         """Second look for flag/delta mismatches: trust the fresh delta. When
         it shows the intent was achieved the episode resolves without another
         execution; otherwise fall through to a real retry."""
-        fresh = capture(self.ctx.world, "stay")
         oid = episode.object_id
         if oid is None:
             return None
+        fresh = capture(self.ctx.world, "stay", (oid,))
         if episode.verb == "grasp":
             achieved = fresh.find(oid) is None and self.ctx.world.gripper == oid
             if achieved:

@@ -31,7 +31,7 @@ from .world import ActionRequest, EXECUTION_VERBS, World
 if TYPE_CHECKING:
     from .verification import FailureRecord, SuccessVerdict
 
-__all__ = ["ActionRequest", "Feedback", "SkillContext", "dispatch", "verdict_event"]
+__all__ = ["ActionRequest", "Feedback", "SkillContext", "dispatch", "evidence_ids", "verdict_event"]
 
 
 @dataclass
@@ -115,10 +115,24 @@ def _feedback(ctx: SkillContext, request: ActionRequest, **kw: Any) -> Feedback:
     return fb
 
 
+def evidence_ids(request: ActionRequest, fb: Optional[Feedback] = None) -> tuple[str, ...]:
+    """The objects ``verify_success`` reads from the before image (no
+    ``fb``) or the after image of ``request``: a grasp's target before and
+    after, a place's placed or dropped object after, nothing otherwise."""
+    if request.verb == "grasp":
+        ids = (request.target,)
+    elif request.verb == "place" and fb is not None:
+        ids = (fb.details.get("placed"), fb.details.get("dropped"))
+    else:
+        return ()
+    return tuple(i for i in ids if i)
+
+
 def verdict_event(
     request: ActionRequest, fb: Feedback, verdict: SuccessVerdict, before: Observation, after: Observation
 ) -> dict[str, Any]:
-    """The trace event of one verified execution."""
+    """The trace event of one verified execution. ``before`` and ``after``
+    hold the evidence the verdict read (``evidence_ids``)."""
     return {
         "event": "verdict",
         "index": fb.request_index,

@@ -16,7 +16,10 @@ from .errors import TraceFormatError
 from .perception import Observation, SceneObject
 from .verification import FailureRecord
 
-SCHEMA = "homeloop-trace@1"
+# @2 verdicts hold only the objects the verdict read; an @1 verdict holds
+# the whole view, which replays to the same verdict through the same reader.
+SCHEMA = "homeloop-trace@2"
+READABLE_SCHEMAS = ("homeloop-trace@1", SCHEMA)
 
 OUTCOME_SUCCESS = "success"
 OUTCOME_FAILURE = "failure"
@@ -120,7 +123,7 @@ def load_trace(source) -> TrialReport:
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {i} is not valid JSON: {exc}", i - 1) from exc
     header = parsed[0]
-    if header.get("schema") != SCHEMA:
+    if header.get("schema") not in READABLE_SCHEMAS:
         raise TraceFormatError(f"unknown schema {header.get('schema')!r}", 0)
     if len(parsed) < 2 or parsed[-1].get("event") != "trial_end":
         raise TraceFormatError("missing trial_end footer", len(parsed))

@@ -298,7 +298,7 @@ def candidate_objects(belief: Belief, sel: Selector) -> list[str]:
     not ruled out by a close-up, and attributes either already verified or
     still unknown (uninspected)."""
     out = []
-    for b in sorted(belief.objects.values(), key=lambda o: o.id):
+    for b in belief.sorted_objects():
         if b.is_receptacle or b.ruled_out:
             continue
         if sel.id is not None and sel.id != b.id:

@@ -471,7 +471,6 @@ class World:
         self.robot = Pose(config.robot_start.x, config.robot_start.y, config.robot_start.heading)
         self.gripper: Optional[str] = None
         self.step_counter = 0
-        self.last_capture: Optional[tuple[Any, Any]] = None  # perception.capture's memo
         self.receptacle_versions: dict[str, int] = {f.id: 0 for f in config.furniture}
         for spec in config.objects:
             if spec.receptacle:

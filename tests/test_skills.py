@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, TargetNotVisible
 from homeloop.goals import parse_goal
 from homeloop.harness import load_builtin_suite
-from homeloop.perception import Belief, _observe, capture
+from homeloop.perception import Belief, Observation, capture
 from homeloop.skills import ActionRequest, SkillContext, dispatch
 from homeloop.verification import (
     _belief_view,
@@ -447,33 +447,59 @@ for _suite in ("acceptance", "benchmark"):
 
 
 def _assert_derived_values_fresh(ctx, goals) -> None:
-    """Every memoised read equals a recomputation from scratch. Only the
-    "stay" capture is read here, as the step loop reads it: reading "rest"
-    in between would replace the memo and hide a stale one."""
+    """Every memoised read equals a recomputation from scratch."""
+    assert ctx.belief.sorted_objects() == tuple(sorted(ctx.belief.objects.values(), key=lambda o: o.id))
     fresh = _build_belief_view(ctx.belief)
     view = _belief_view(ctx.belief)
     assert (view.entities, view.holding) == (fresh.entities, fresh.holding)
     for goal in goals:
         assert belief_goal_satisfied(goal, ctx.belief) == goal.satisfied(fresh)
         assert first_unsatisfied_atom(goal, ctx.belief) == _first_unsat(goal, fresh)
-    assert capture(ctx.world, "stay") == _observe(ctx.world, "stay")
+
+
+def _assert_evidence_lookup_is_the_filtered_view(data, ctx) -> None:
+    """A capture of some ids is the full capture with every other object
+    left out. The ids mix ground objects, phantoms, furniture, an unknown
+    name and the held object, which must stay out of view."""
+    world = ctx.world
+    pool = sorted(world.objects) + sorted(world.phantoms) + sorted(world.furniture) + ["moon"]
+    ids = set(data.draw(st.lists(st.sampled_from(pool), max_size=6)))
+    ids |= set(sorted(world.phantoms)[:1]) | ({world.gripper} if world.gripper else set())
+    for kind in ("stay", "rest"):
+        full = capture(world, kind)
+        expected = Observation(kind, None, tuple(o for o in full.visible if o.id in ids), full.captured_at_step)
+        assert capture(world, kind, ids) == expected
+    assert world.gripper is None or full.find(world.gripper) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_memoised_views_goal_results_and_captures_never_go_stale(data):
     """Before the first request and after every one, the belief's cached
-    placement view, both goal results and ``capture`` equal fresh
-    computations, and so does a "stay"/"rest" observation a request
-    returned. A writer of ``Belief.objects`` or ``holding`` that skips
-    ``touch()``, or a capture key that misses a change, fails this."""
+    placement view, sorted objects and both goal results equal fresh
+    computations, and a capture of some ids equals the full capture
+    filtered to them. A writer of ``Belief.objects`` or ``holding`` that
+    skips ``touch()`` fails this.
+
+    Recovery's shift check reads one object where it read a full view. That
+    is exact because no request but a grasp moves an object other than the
+    held one, which is out of view. The believed held object is the
+    gripper's or none until a flag error: a successful place reported as
+    failed leaves the belief holding an object the gripper let go."""
     scene_name = data.draw(st.sampled_from(sorted(BUNDLED_SCENES)))
     ctx = fresh_ctx(BUNDLED_SCENES[scene_name], rng_seed=data.draw(st.integers(0, 2**16)), **_FUZZ_NOISE)
+    world = ctx.world
     goals = _PROBE_GOALS + _SUITE_GOALS.get(scene_name, [])
     _assert_derived_values_fresh(ctx, goals)
+    flag_flipped = False
     for _ in range(data.draw(st.integers(30, 80))):
         request = _draw_request(data, ctx)
+        unheld = {oid: world.position_of(oid) for oid in world.objects if oid != world.gripper}
         fb = dispatch(ctx, request)
-        if fb.observation is not None and request.target in ("stay", "rest"):
-            assert fb.observation == _observe(ctx.world, request.target)
+        if request.verb != "grasp":
+            assert {oid: world.position_of(oid) for oid in unheld} == unheld
         _assert_derived_values_fresh(ctx, goals)
+        _assert_evidence_lookup_is_the_filtered_view(data, ctx)
+        flag_flipped = flag_flipped or bool(fb.details.get("flag_flipped"))
+        if not flag_flipped:
+            assert ctx.belief.holding in (None, world.gripper)

@@ -3,6 +3,10 @@
 Any change to world dynamics, perception, planning or trace layout moves
 this digest. A change meant to be a pure optimisation must leave it as is.
 ``run_meta.json`` carries a wall-clock timestamp and is left out.
+
+The digest was re-recorded once, when trace schema @2 restricted verdict
+evidence to what each verdict reads; ``tests/test_trace_evidence.py`` shows
+that this moved no behaviour.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import hashlib
 from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
 
 BASE_SEED = 3
-GOLDEN_SHA256 = "4a8784daab1c8f700b4688b2c38d77035df5f0db001ed8238784e56e6cf81f6a"
+GOLDEN_SHA256 = "2d3f75773e1e1bc1e13d560c4a9e0fdf2dd23dc1a6229a7562dda59d80e58ec9"
 
 
 def test_bundled_trace_digest_is_unchanged(tmp_path):
