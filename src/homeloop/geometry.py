@@ -2,11 +2,15 @@
 
 The world is top-down: poses are (x, y, heading) in meters/radians, footprints
 are simple polygons, and the room is rasterized onto a uint8 occupancy grid
-(0 = free, 1 = occupied). Grid search is a numpy wavefront: an 8-connected BFS
-grown one layer per 3x3 dilation, so a cell's distance is the index of the
-layer that first reaches it (int32, -1 = unreached). All grid work is
-deterministic; ties in cell selection always break by lowest (col, row)
-lexicographic order on cell coordinates expressed as (cx, cy).
+(0 = free, 1 = occupied). Grid search is an 8-connected BFS on bit-packed
+Python ints: a (H, W) mask becomes one int, row-major with W + 1 bits per
+row, where the extra bit is a guard that no mask ever sets, so a one-bit
+shift out of the first or last column cannot wrap into the next row. A layer
+grows with two shifts by one bit and two by a row, masked by the cells not yet
+reached. A cell's distance + 1 is spread over bit-planes, one int per bit,
+and unpacked once at the end into int32 distances (-1 = unreached). All grid
+work is deterministic; ties in cell selection always break by lowest (col,
+row) lexicographic order on cell coordinates expressed as (cx, cy).
 """
 
 from __future__ import annotations
@@ -123,26 +127,51 @@ def dilate8(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pack(mask: np.ndarray) -> int:
+    """A (H, W) boolean mask as one int: bit ``y * (W + 1) + x`` is cell
+    (x, y), and bit W of every row is a guard that is always clear."""
+    h, w = mask.shape
+    padded = np.zeros((h, w + 1), dtype=bool)
+    padded[:, :w] = mask
+    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+
 def wavefront(passable: np.ndarray, start: Cell, targets: Optional[np.ndarray] = None) -> np.ndarray:
     """8-connected BFS from ``start`` over ``passable`` cells, one layer per
-    dilation. Returns int32 step distances, -1 where unreached. With
-    ``targets``, growth stops after the first layer that contains a target."""
-    dist = np.full(passable.shape, -1, dtype=np.int32)
+    step on packed ints (see ``_pack``). Returns int32 step distances, -1
+    where unreached. With ``targets``, growth stops after the first layer that
+    contains a target."""
+    h, w = passable.shape
     cx, cy = start
-    if not (0 <= cy < passable.shape[0] and 0 <= cx < passable.shape[1] and passable[cy, cx]):
-        return dist
-    layer = np.zeros(passable.shape, dtype=bool)
-    layer[cy, cx] = True
-    unreached = passable.copy()
-    d = 0
-    while layer.any():
-        dist[layer] = d
-        if targets is not None and (layer & targets).any():
+    if not (0 <= cy < h and 0 <= cx < w and passable[cy, cx]):
+        return np.full((h, w), -1, dtype=np.int32)
+    row = w + 1
+    goal = _pack(targets) if targets is not None else 0
+    layer = 1 << (cy * row + cx)
+    unreached = _pack(passable) ^ layer
+    # a shift out of column 0 or W-1 lands on a guard bit, which no mask holds
+    label = 1  # the layer's distance + 1, so unreached cells read 0
+    planes = [layer]  # planes[b]: the cells whose label has bit b set
+    while not layer & goal:
+        g = layer | layer << 1 | layer >> 1
+        layer = (g | g << row | g >> row) & unreached
+        if not layer:
             break
-        unreached &= ~layer
-        layer = dilate8(layer) & unreached
-        d += 1
-    return dist
+        unreached ^= layer
+        label += 1
+        if label >> len(planes):
+            planes.append(0)
+        for b in range(len(planes)):
+            if label >> b & 1:
+                planes[b] |= layer
+    size = h * row
+    nbytes = (size + 7) // 8
+    raw = np.frombuffer(b"".join(p.to_bytes(nbytes, "little") for p in planes), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(planes), nbytes), axis=1, count=size, bitorder="little")
+    dtype = np.min_scalar_type((1 << len(planes)) - 1)
+    weights = 1 << np.arange(len(planes), dtype=dtype)
+    labels = np.bitwise_or.reduce(bits.astype(dtype, copy=False) * weights[:, None], axis=0)
+    return labels.reshape(h, row)[:, :w].astype(np.int32) - 1
 
 
 class OccupancyGrid:
@@ -176,18 +205,33 @@ class OccupancyGrid:
     # -- rasterization ---------------------------------------------------------
 
     def rasterize_polygon(self, poly: Sequence[tuple[float, float]]) -> set[Cell]:
-        """Mark all cells whose center lies inside the polygon; returns them."""
+        """Mark all cells whose center lies inside the polygon; returns them.
+        This is ``point_in_polygon`` over every cell center of the bounding
+        box at once, with the same float expressions in the same order: a
+        center on an edge is inside, a crossing right of it toggles parity."""
         minx, miny, maxx, maxy = polygon_bbox(poly)
         c0x, c0y = self.cell_of(minx, miny)
         c1x, c1y = self.cell_of(maxx, maxy)
-        cells: set[Cell] = set()
-        for cy in range(c0y, c1y + 1):
-            for cx in range(c0x, c1x + 1):
-                x, y = self.center_of((cx, cy))
-                if point_in_polygon(x, y, poly):
-                    self.occ[cy, cx] = 1
-                    cells.add((cx, cy))
-        return cells
+        x = (np.arange(c0x, c1x + 1) + 0.5) * self.resolution
+        y = ((np.arange(c0y, c1y + 1) + 0.5) * self.resolution)[:, None]
+        odd = np.zeros((y.size, x.size), dtype=bool)
+        on_edge = np.zeros_like(odd)
+        n = len(poly)
+        for i in range(n):
+            x0, y0 = poly[i]
+            x1, y1 = poly[(i + 1) % n]
+            if y0 == y1:
+                continue  # no center row crosses a horizontal edge
+            crosses = (y0 > y) != (y1 > y)
+            t = (y - y0) / (y1 - y0)
+            xi = x0 + t * (x1 - x0)
+            left = x < xi
+            odd ^= crosses & left
+            on_edge |= crosses & ~left & (np.abs(x - xi) < 1e-12)
+        inside = odd | on_edge
+        self.occ[c0y : c1y + 1, c0x : c1x + 1][inside] = 1
+        rows, cols = np.nonzero(inside)
+        return {(c0x + cx, c0y + cy) for cy, cx in zip(rows.tolist(), cols.tolist())}
 
     # -- traversal --------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from homeloop.geometry import (
     polygon_centroid,
     polygons_overlap,
     side_of,
+    wavefront,
 )
 from homeloop.perception import _sense
 
@@ -204,3 +205,147 @@ def test_sense_marks_what_the_queue_scan_marked(case, radius):
     explored = np.zeros(occ.shape, dtype=bool)
     _sense(world, explored, origin)
     assert np.array_equal(explored, reference_sense(occ, origin, radius))
+
+
+# --- the packed layout: row widths, strips, apartment-sized and long searches ---------
+
+
+def reference_distances(passable, start, targets=None):
+    """``wavefront``'s contract from the queue BFS: int32 distances, -1 where
+    unreached or beyond the first layer that holds a target."""
+    h, w = passable.shape
+    expected = np.full((h, w), -1, dtype=np.int32)
+    if not (0 <= start[0] < w and 0 <= start[1] < h):
+        return expected
+    reference = reference_bfs(passable, start)
+    hits = [d for (cx, cy), d in reference.items() if targets is not None and targets[cy, cx]]
+    last = min(hits) if hits else math.inf
+    for (cx, cy), d in reference.items():
+        if d <= last:
+            expected[cy, cx] = d
+    return expected
+
+
+def assert_wavefront_matches(passable, start, targets=None):
+    dist = wavefront(passable, start, targets)
+    assert dist.dtype == np.int32 and dist.shape == passable.shape
+    assert np.array_equal(dist, reference_distances(passable, start, targets))
+    return dist
+
+
+@st.composite
+def packed_cases(draw):
+    """A mask whose row width puts the guard bit on a byte or 64-bit word
+    boundary (W + 1 = 8, 16, 64) or next to one, a 1xN or Nx1 strip, a start
+    anywhere within two cells of the grid, and maybe a sparse target mask."""
+    h, w = draw(st.sampled_from([(1, 1), (1, 63), (1, 64), (63, 1), (64, 1), (5, 7), (9, 15),
+                                 (3, 63), (2, 64), (7, 8), (16, 16)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    passable = rng.random((h, w)) >= draw(st.sampled_from([0.0, 0.15, 0.3]))
+    start = (draw(st.integers(-2, w + 1)), draw(st.integers(-2, h + 1)))
+    targets = rng.random((h, w)) < 0.02 if draw(st.booleans()) else None
+    return passable, start, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_cases())
+def test_wavefront_matches_reference_across_packed_row_widths(case):
+    assert_wavefront_matches(*case)
+
+
+def walled_apartment(seed, h=80, w=100):
+    """An apartment-sized mask: outer walls, an interior wall with one
+    doorway, and scattered blocked cells."""
+    rng = np.random.default_rng(seed)
+    passable = rng.random((h, w)) >= 0.1
+    passable[[0, -1], :] = passable[:, [0, -1]] = False
+    wall = int(rng.integers(w // 3, 2 * w // 3))
+    passable[:, wall] = False
+    door = int(rng.integers(2, h - 12))
+    passable[door : door + 10, wall] = True
+    return passable
+
+
+def test_wavefront_matches_reference_on_apartment_sized_grids():
+    for seed in range(3):
+        passable = walled_apartment(seed)
+        free = np.argwhere(passable)
+        cy, cx = free[len(free) // 5]
+        dist = assert_wavefront_matches(passable, (int(cx), int(cy)))
+        assert dist.max() > 60
+        far = dist == dist.max()
+        assert_wavefront_matches(passable, (int(cx), int(cy)), far)
+
+
+def test_wavefront_counts_past_255_along_a_serpentine():
+    # walls on every other row, each open at alternating ends: one corridor
+    # folded 30 times, so distances need ten bit-planes
+    h, w = 61, 40
+    passable = np.ones((h, w), dtype=bool)
+    for i, y in enumerate(range(1, h, 2)):
+        passable[y, :] = False
+        passable[y, w - 1 if i % 2 == 0 else 0] = True
+    dist = assert_wavefront_matches(passable, (0, 0))
+    assert dist.max() > 511
+    targets = np.zeros_like(passable)
+    targets[h - 1, 5] = True
+    assert assert_wavefront_matches(passable, (0, 0), targets).max() > 255
+
+
+def test_wavefront_from_an_off_grid_or_blocked_start_reaches_nothing():
+    passable = np.ones((9, 15), dtype=bool)
+    passable[:, 7] = False
+    passable[4, 7] = True
+    for start in [(-1, 4), (15, 4), (4, -1), (4, 9), (-1, -1), (15, 9), (7, 0), (7, 8)]:
+        dist = assert_wavefront_matches(passable, start)
+        assert (dist == -1).all()
+
+
+# --- polygon rasterisation against the per-cell crossing test ------------------------
+
+
+def rasterize_by_point(grid, poly):
+    """``rasterize_polygon`` as a per-cell loop over ``point_in_polygon``."""
+    minx, miny, maxx, maxy = polygon_bbox(poly)
+    c0x, c0y = grid.cell_of(minx, miny)
+    c1x, c1y = grid.cell_of(maxx, maxy)
+    cells = set()
+    for cy in range(c0y, c1y + 1):
+        for cx in range(c0x, c1x + 1):
+            if point_in_polygon(*grid.center_of((cx, cy)), poly):
+                grid.occ[cy, cx] = 1
+                cells.add((cx, cy))
+    return cells
+
+
+@st.composite
+def polygons(draw):
+    """A room, a resolution, and either an axis-aligned box whose edges lie on
+    multiples of 0.05 m (so cell centres fall on its edges) or a star-shaped
+    ring that may reach past the room, with vertices maybe snapped to 0.05 m."""
+    res = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    room = (draw(st.integers(5, 60)) * 0.1, draw(st.integers(5, 60)) * 0.1)
+    if draw(st.booleans()):
+        xs = sorted(draw(st.integers(-5, int(room[0] / 0.05) + 5)) * 0.05 for _ in range(2))
+        ys = sorted(draw(st.integers(-5, int(room[1] / 0.05) + 5)) * 0.05 for _ in range(2))
+        return room, res, [(xs[0], ys[0]), (xs[1], ys[0]), (xs[1], ys[1]), (xs[0], ys[1])]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(3, 8))
+    angles = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+    radii = rng.uniform(0.1, 2.0, k)
+    cx, cy = rng.uniform(0.0, room[0]), rng.uniform(0.0, room[1])
+    poly = [(float(cx + r * math.cos(a)), float(cy + r * math.sin(a))) for a, r in zip(angles, radii)]
+    if draw(st.booleans()):
+        poly = [(round(x / 0.05) * 0.05, round(y / 0.05) * 0.05) for x, y in poly]
+    return room, res, poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygons())
+def test_rasterize_polygon_marks_what_point_in_polygon_marks(case):
+    room, res, poly = case
+    grid, reference = OccupancyGrid(*room, res), OccupancyGrid(*room, res)
+    cells = grid.rasterize_polygon(poly)
+    expected = rasterize_by_point(reference, poly)
+    assert cells == expected and list(cells) == list(expected)
+    assert np.array_equal(grid.occ, reference.occ)
