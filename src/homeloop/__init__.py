@@ -49,7 +49,6 @@ from .planning import (
     ChatModelPlanner,
     DialogueHistory,
     PlannerView,
-    PromptTemplate,
     ScriptedPlanner,
     TranscriptBackend,
     parse_plan,

@@ -28,7 +28,8 @@ from .harness import (
     run_trial,
 )
 from .metrics import compute_metrics
-from .planning import API_KEY_ENV, HttpChatBackend, ParseError, default_template, parse_plan
+from .planning import API_KEY_ENV, SYSTEM_PROMPT, HttpChatBackend, ParseError, parse_plan
+from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
 from .trace import load_trace_file
 from .world import load_config_file
 
@@ -54,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     common_planner.add_argument("--no-recovery", action="store_true")
     common_planner.add_argument("--strict-escalation", action="store_true")
     common_planner.add_argument("--llm-url", default=None)
-    common_planner.add_argument("--llm-model", default="gpt-4o")
-    common_planner.add_argument("--timeout-secs", type=float, default=30.0)
+    common_planner.add_argument("--llm-model", default=DEFAULT_MODEL)
+    common_planner.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_S)
 
     p_run = sub.add_parser("run", parents=[common_planner], help="run a full suite")
     p_run.add_argument("--suite", required=True, help="suite JSON path or builtin:<name>")
@@ -81,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe-llm", help="send one canned prompt to a chat endpoint")
     p_probe.add_argument("--llm-url", required=True)
-    p_probe.add_argument("--llm-model", default="gpt-4o")
-    p_probe.add_argument("--timeout-secs", type=float, default=30.0)
+    p_probe.add_argument("--llm-model", default=DEFAULT_MODEL)
+    p_probe.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_S)
 
     return parser
 
@@ -188,9 +189,8 @@ def cmd_probe_llm(args: argparse.Namespace) -> int:
     backend = HttpChatBackend(
         base_url=args.llm_url, model=args.llm_model, timeout=args.timeout_secs
     )
-    template = default_template()
     messages = [
-        {"role": "system", "content": template.render_system()},
+        {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": "Instruction: reply with a single line: explore_global()"},
     ]
     reply = backend.complete(messages)

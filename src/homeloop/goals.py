@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import ConfigError
-from .world import World
+from .world import World, as_json
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def _parse_selector(raw: dict, path: str) -> Selector:
     return Selector(
         id=raw.get("id"),
         category=raw.get("category"),
-        attributes=frozenset(raw.get("attributes", [])),
+        attributes=frozenset(str(a) for a in as_json(raw.get("attributes", []), list, f"{path}.attributes")),
     )
 
 
@@ -205,11 +205,13 @@ def parse_goal(raw: dict, path: str = "goal") -> Goal:
         raise ConfigError(path, "goal node must be a single-key object")
     op, body = next(iter(raw.items()))
     if op == "and":
-        return And(tuple(parse_goal(c, f"{path}.and[{i}]") for i, c in enumerate(body)))
+        return And(tuple(parse_goal(c, f"{path}.and[{i}]") for i, c in enumerate(as_json(body, list, f"{path}.and"))))
     if op == "or":
-        return Or(tuple(parse_goal(c, f"{path}.or[{i}]") for i, c in enumerate(body)))
+        return Or(tuple(parse_goal(c, f"{path}.or[{i}]") for i, c in enumerate(as_json(body, list, f"{path}.or"))))
     if op == "not":
         return Not(parse_goal(body, f"{path}.not"))
+    if op in ("on", "all_on", "same_receptacle", "holding"):
+        as_json(body, dict, f"{path}.{op}")
     if op == "on":
         return On(
             obj=_parse_selector(body.get("object", {}), f"{path}.on.object"),

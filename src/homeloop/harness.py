@@ -40,6 +40,7 @@ from .planning import (
     ScriptedPlanner,
     to_request,
 )
+from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
 from .recovery import EpisodeRunner, RecoveryEpisode
 from .skills import ActionRequest, Feedback, SkillContext, dispatch, evidence_ids, verdict_event
 from .trace import (
@@ -61,7 +62,8 @@ from .verification import (
     verify_success,
 )
 from .world import (
-    NoiseModel, World, WorldConfig, check_noise_fields, load_config_file, parse_config, validate_config, vary_config,
+    NoiseModel, World, WorldConfig, as_json, as_number, check_noise_fields, load_config_file, parse_config,
+    read_json, validate_config, vary_config,
 )
 
 DEFAULT_STEP_CAP = 100
@@ -91,11 +93,11 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.trial_count <= 0:
             raise ConfigError(f"task.{self.id}.trials", "trial_count must be > 0")
-        if not self.seeds:
-            self.seeds = list(range(self.trial_count))
 
     def seed_for(self, trial_index: int, base: int = 0) -> int:
-        return self.seeds[trial_index % len(self.seeds)] + base * 100003
+        """Seed ``i`` of the cycled seed list, or ``i`` mod the trial count without one."""
+        seed = self.seeds[trial_index % len(self.seeds)] if self.seeds else trial_index % self.trial_count
+        return seed + base * 100003
 
 
 @dataclass
@@ -425,36 +427,44 @@ class SuiteConfig:
             raise ConfigError("suite.tasks", "no tasks")
 
 
-def _resolve_scene(ref: str, base_dir: Optional[str]) -> WorldConfig:
+def _read_builtin(kind: str, name: str, field: str) -> Any:
+    """The bundled document ``data/<kind>/<name>.json``."""
+    ref = resources.files("homeloop").joinpath(f"data/{kind}/{name}.json")
+    if not ref.is_file():
+        raise ConfigError(field, f"no builtin {kind[:-1]} {name!r}")
+    return json.loads(ref.read_text("utf-8"))
+
+
+def _resolve_scene(ref: str, base_dir: Optional[str], field: str) -> WorldConfig:
     if ref.startswith("builtin:"):
-        name = ref.split(":", 1)[1]
-        payload = resources.files("homeloop").joinpath(f"data/scenes/{name}.json").read_text("utf-8")
-        raw = json.loads(payload)
-        config = parse_config(raw)
+        config = parse_config(_read_builtin("scenes", ref.split(":", 1)[1], field))
         validate_config(config)
         return config
     path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
-    return load_config_file(path)
+    return load_config_file(path, field)
 
 
 def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
+    as_json(raw, dict, "suite")
     tasks = []
-    for i, t in enumerate(raw.get("tasks", [])):
+    for i, t in enumerate(as_json(raw.get("tasks", []), list, "tasks")):
         path = f"tasks[{i}]"
+        as_json(t, dict, path)
         for key in ("id", "instruction", "scene", "goal"):
             if key not in t:
                 raise ConfigError(f"{path}.{key}", "missing required field")
+        seeds = as_json(t.get("seeds", []), list, f"{path}.seeds")
         tasks.append(
             TaskSpec(
                 id=str(t["id"]),
                 name=str(t.get("name", t["id"])),
                 instruction=str(t["instruction"]),
-                scene=_resolve_scene(str(t["scene"]), base_dir),
+                scene=_resolve_scene(str(t["scene"]), base_dir, f"{path}.scene"),
                 goal=parse_goal(t["goal"], f"{path}.goal"),
-                trial_count=int(t.get("trials", 5)),
-                seeds=[int(s) for s in t.get("seeds", [])],
+                trial_count=as_number(t.get("trials", 5), f"{path}.trials", int),
+                seeds=[as_number(s, f"{path}.seeds[{k}]", int) for k, s in enumerate(seeds)],
                 placement_style=t.get("placement_style"),
-                step_cap=int(t.get("step_cap", DEFAULT_STEP_CAP)),
+                step_cap=as_number(t.get("step_cap", DEFAULT_STEP_CAP), f"{path}.step_cap", int),
             )
         )
     return SuiteConfig(
@@ -466,14 +476,11 @@ def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
 
 
 def load_suite_file(path: str) -> SuiteConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return parse_suite(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_suite(read_json(path, "suite"), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def load_builtin_suite(name: str) -> SuiteConfig:
-    payload = resources.files("homeloop").joinpath(f"data/suites/{name}.json").read_text("utf-8")
-    return parse_suite(json.loads(payload), base_dir=None)
+    return parse_suite(_read_builtin("suites", name, "suite"), base_dir=None)
 
 
 PlannerFactory = Callable[[], Planner]
@@ -482,8 +489,8 @@ PlannerFactory = Callable[[], Planner]
 def make_planner_factory(
     kind: str,
     llm_url: Optional[str] = None,
-    llm_model: str = "gpt-4o",
-    timeout: float = 30.0,
+    llm_model: str = DEFAULT_MODEL,
+    timeout: float = DEFAULT_TIMEOUT_S,
 ) -> PlannerFactory:
     if kind == "scripted":
         return ScriptedPlanner

@@ -22,19 +22,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .trace import OUTCOME_INVALID, OUTCOME_SUCCESS, TrialReport
-from .verification import CAUSES
+from .verification import CAUSE_GROUP, CAUSES
 
 EMPTY_RATIO = "–"  # en dash for 0/0
-
-CAUSE_GROUP = {
-    "false_positive": "perception",
-    "missed_detection": "perception",
-    "visual_feedback_error": "perception",
-    "api_call_error": "execution",
-    "grasp_failed": "execution",
-    "place_failed": "execution",
-    "navigation_failed": "execution",
-}
 
 
 @dataclass(frozen=True)

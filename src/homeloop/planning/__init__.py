@@ -3,10 +3,9 @@
 from .base import Planner, PlannerView
 from .dsl import Call, Done, Loc, ParseError, PlanStep, Ref, Str, parse_plan, render_plan, to_request
 from .prompts import (
+    SYSTEM_PROMPT,
     DialogueHistory,
-    PromptTemplate,
     assemble_prompt,
-    default_template,
     estimate_tokens,
     render_view,
 )
@@ -26,13 +25,12 @@ __all__ = [
     "Planner",
     "PlannerView",
     "PlanStep",
-    "PromptTemplate",
     "Ref",
+    "SYSTEM_PROMPT",
     "ScriptedPlanner",
     "Str",
     "TranscriptBackend",
     "assemble_prompt",
-    "default_template",
     "estimate_tokens",
     "parse_plan",
     "render_plan",

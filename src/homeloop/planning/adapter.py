@@ -4,7 +4,8 @@ Speaks the common chat-completions JSON shape: a role-tagged message list in,
 a choice list out. The credential comes from the COME_LLM_API_KEY environment
 variable. Replies are parsed through the plan DSL; a reply that fails the
 static checks triggers an automatic repair round-trip with the rendered error
-appended, up to a configurable cap.
+appended, at most ``MAX_REPAIR_ROUNDS`` times. Decoding is greedy
+(temperature 0, at most 512 reply tokens).
 
 A transcript backend replays canned replies from a JSON fixture for offline
 tests and deterministic demos.
@@ -22,9 +23,14 @@ import requests
 from ..errors import BudgetExceeded, TransportError
 from .base import PlannerView
 from .dsl import Call, Done, ParseError, PlanStep, Ref, parse_plan
-from .prompts import DialogueHistory, PromptTemplate, assemble_prompt, default_template
+from .prompts import DialogueHistory, assemble_prompt
 
 API_KEY_ENV = "COME_LLM_API_KEY"
+DEFAULT_MODEL = "gpt-4o"
+DEFAULT_TIMEOUT_S = 30.0
+TEMPERATURE = 0.0
+MAX_TOKENS = 512
+MAX_REPAIR_ROUNDS = 2
 
 
 class ChatBackend(Protocol):
@@ -37,10 +43,8 @@ class HttpChatBackend:
     """Minimal chat-completions client over HTTP."""
 
     base_url: str
-    model: str = "gpt-4o"
-    temperature: float = 0.0
-    max_tokens: int = 512
-    timeout: float = 30.0
+    model: str = DEFAULT_MODEL
+    timeout: float = DEFAULT_TIMEOUT_S
     api_key: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -54,8 +58,8 @@ class HttpChatBackend:
         body = {
             "model": self.model,
             "messages": messages,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         try:
             resp = requests.post(
@@ -106,17 +110,8 @@ class ChatModelPlanner:
     force a fresh completion.
     """
 
-    def __init__(
-        self,
-        backend: ChatBackend,
-        template: Optional[PromptTemplate] = None,
-        token_budget: int = 8000,
-        max_repair_rounds: int = 2,
-    ) -> None:
+    def __init__(self, backend: ChatBackend) -> None:
         self.backend = backend
-        self.template = template or default_template()
-        self.token_budget = token_budget
-        self.max_repair_rounds = max_repair_rounds
         self.pending: list[PlanStep] = []
         self.last_repairs = 0
 
@@ -128,9 +123,9 @@ class ChatModelPlanner:
                 return step
             self.pending.clear()
 
-        messages = assemble_prompt(self.template, history, view, self.token_budget)
+        messages = assemble_prompt(history, view)
         last_error: Optional[ParseError] = None
-        for _ in range(self.max_repair_rounds + 1):
+        for _ in range(MAX_REPAIR_ROUNDS + 1):
             text = self.backend.complete(messages)
             try:
                 steps = parse_plan(text, gripper_occupied=view.belief.holding is not None)
@@ -146,7 +141,7 @@ class ChatModelPlanner:
             return steps[0]
         self.last_repairs -= 1  # the final failed round is not a repair, it is the give-up
         raise BudgetExceeded(
-            f"plan still malformed after {self.max_repair_rounds} repair round(s): {last_error}"
+            f"plan still malformed after {MAX_REPAIR_ROUNDS} repair round(s): {last_error}"
         )
 
     def _still_valid(self, step: PlanStep, view: PlannerView) -> bool:

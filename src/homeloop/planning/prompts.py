@@ -10,7 +10,6 @@ are never elided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..world import ALL_VERBS
 from .base import PlannerView
@@ -21,85 +20,52 @@ def estimate_tokens(text: str) -> int:
     return max(1, (len(text) + 3) // 4)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    task_description: str
-    feedback_handling: str
-    robot_setup_and_skills: str
-    response_guidelines: str
-    useful_tips: str
+_SKILLS = """\
+navigate(furniture_ref)        -- drive to a furniture item from the global map
+grasp(object_ref)              -- pick up an object from a local map
+place(receptacle_ref)          -- put the held object onto a receptacle
+place(receptacle_ref:dx,dy)    -- put it at a receptacle-relative offset in meters
+explore_global()               -- frontier-sweep the room, build the global furniture map
+explore_local(furniture_ref)   -- scan small objects on one furniture item
+report_observation(object_ref) -- close-up inspection: true category and attributes
+report_observation("stay")     -- wide capture from the current pose
+report_observation("rest")     -- wide capture from the rest pose
+done("message")                -- declare the task finished"""
 
-    def sections(self) -> list[tuple[str, str]]:
-        return [
-            ("Task Description", self.task_description),
-            ("Feedback Handling", self.feedback_handling),
-            ("Robot Setup and Skills Library", self.robot_setup_and_skills),
-            ("Response Guidelines", self.response_guidelines),
-            ("Useful Tips", self.useful_tips),
-        ]
-
-    def validate(self) -> None:
-        for name, body in self.sections():
-            if not body.strip():
-                raise ValueError(f"prompt section {name!r} is empty")
-
-    def render_system(self) -> str:
-        return "\n\n".join(f"# {name}\n{body.strip()}" for name, body in self.sections())
-
-    @cached_property
-    def system_message(self) -> tuple[str, int]:
-        """The validated system prompt and its token estimate, computed on
-        first use (the template is frozen)."""
-        self.validate()
-        text = self.render_system()
-        return text, estimate_tokens(text)
-
-
-def default_template() -> PromptTemplate:
-    skills = "\n".join(
-        [
-            "navigate(furniture_ref)        -- drive to a furniture item from the global map",
-            "grasp(object_ref)              -- pick up an object from a local map",
-            "place(receptacle_ref)          -- put the held object onto a receptacle",
-            "place(receptacle_ref:dx,dy)    -- put it at a receptacle-relative offset in meters",
-            "explore_global()               -- frontier-sweep the room, build the global furniture map",
-            "explore_local(furniture_ref)   -- scan small objects on one furniture item",
-            'report_observation(object_ref) -- close-up inspection: true category and attributes',
-            'report_observation("stay")     -- wide capture from the current pose',
-            'report_observation("rest")     -- wide capture from the rest pose',
-            'done("message")                -- declare the task finished',
-        ]
-    )
-    return PromptTemplate(
-        task_description=(
-            "You control a single-arm mobile robot in a household room. "
-            "Follow the user's instruction by emitting one short plan at a time "
-            "in the call language below. You see the world only through the maps "
-            "and observations echoed back to you."
-        ),
-        feedback_handling=(
-            "After every executed call you receive a feedback line: ok or FAILED "
-            "plus a message. A FAILED line names the fault; fix the plan rather "
-            "than repeating the same call blindly. Typical faults: grasp failed, "
-            "place without prior grasping, target out of reach, navigation failed, "
-            "target not visible."
-        ),
-        robot_setup_and_skills=(
-            "The gripper holds at most one object. Reference tokens come from the "
-            "maps (never invent ids, never pass a name in quotes where a reference "
-            "is required). Available calls:\n" + skills
-        ),
-        response_guidelines=(
-            "Reply with a fenced code block containing one call per line. "
-            "Emit at most three calls per reply; the loop re-consults you after "
-            f"each execution. Verbs: {', '.join(ALL_VERBS)}, done."
-        ),
-        useful_tips=(
-            "Explore globally before navigating. Scan a table before grasping "
-            "from it. Use close-ups to check attributes before committing to an "
-            "object. If a needed object is missing here, try another receptacle."
-        ),
-    )
+# The five sections of the system prompt, in order: header, body.
+_SECTIONS = {
+    "Task Description": (
+        "You control a single-arm mobile robot in a household room. "
+        "Follow the user's instruction by emitting one short plan at a time "
+        "in the call language below. You see the world only through the maps "
+        "and observations echoed back to you."
+    ),
+    "Feedback Handling": (
+        "After every executed call you receive a feedback line: ok or FAILED "
+        "plus a message. A FAILED line names the fault; fix the plan rather "
+        "than repeating the same call blindly. Typical faults: grasp failed, "
+        "place without prior grasping, target out of reach, navigation failed, "
+        "target not visible."
+    ),
+    "Robot Setup and Skills Library": (
+        "The gripper holds at most one object. Reference tokens come from the "
+        "maps (never invent ids, never pass a name in quotes where a reference "
+        "is required). Available calls:\n" + _SKILLS
+    ),
+    "Response Guidelines": (
+        "Reply with a fenced code block containing one call per line. "
+        "Emit at most three calls per reply; the loop re-consults you after "
+        f"each execution. Verbs: {', '.join(ALL_VERBS)}, done."
+    ),
+    "Useful Tips": (
+        "Explore globally before navigating. Scan a table before grasping "
+        "from it. Use close-ups to check attributes before committing to an "
+        "object. If a needed object is missing here, try another receptacle."
+    ),
+}
+SYSTEM_PROMPT = "\n\n".join(f"# {name}\n{body}" for name, body in _SECTIONS.items())
+SYSTEM_TOKENS = estimate_tokens(SYSTEM_PROMPT)
+TOKEN_BUDGET = 8000
 
 
 _PREFIX = {"plan": "", "feedback": "feedback: ", "observation": "observation: ", "note": "note: "}
@@ -111,7 +77,6 @@ class HistoryEntry:
     rendered once, when the entry is made."""
 
     kind: str  # "plan" | "feedback" | "observation" | "note"
-    index: int
     text: str
     elidable: bool = True
     role: str = field(init=False)
@@ -138,7 +103,7 @@ class DialogueHistory:
         self.tokens = sum(e.tokens for e in self.entries)
 
     def _append(self, kind: str, text: str, elidable: bool = True) -> None:
-        entry = HistoryEntry(kind, len(self.entries), text, elidable)
+        entry = HistoryEntry(kind, text, elidable)
         self.entries.append(entry)
         self.tokens += entry.tokens
 
@@ -190,19 +155,17 @@ def render_view(view: PlannerView) -> str:
 
 
 def assemble_prompt(
-    template: PromptTemplate,
     history: DialogueHistory,
     view: PlannerView,
-    token_budget: int = 8000,
+    token_budget: int = TOKEN_BUDGET,
 ) -> list[dict[str, str]]:
     """Deterministic message sequence for a chat completion request.
 
     Each history entry carries its own content and token estimate, so the
     cost of a call does not grow with the token count of the history."""
-    system, system_tokens = template.system_message
     instruction = f"Instruction: {history.instruction}"
     messages: list[dict[str, str]] = [
-        {"role": "system", "content": system},
+        {"role": "system", "content": SYSTEM_PROMPT},
         {"role": "user", "content": instruction},
     ]
     if not history.entries:
@@ -216,7 +179,7 @@ def assemble_prompt(
     tail += "\nNext step?"
     messages.append({"role": "user", "content": tail})
 
-    total = system_tokens + estimate_tokens(instruction) + history.tokens + estimate_tokens(tail)
+    total = SYSTEM_TOKENS + estimate_tokens(instruction) + history.tokens + estimate_tokens(tail)
     if total > token_budget:
         for message, entry in zip(messages[2:], history.entries):  # oldest first
             if total <= token_budget:

@@ -23,16 +23,18 @@ from .perception import Belief, Observation
 from .skills import Feedback
 from .world import ActionRequest
 
-# The closed failure-cause vocabulary.
-CAUSES = (
-    "false_positive",
-    "missed_detection",
-    "visual_feedback_error",
-    "api_call_error",
-    "grasp_failed",
-    "place_failed",
-    "navigation_failed",
-)
+# The closed failure-cause vocabulary, each cause with the module group the
+# failure table reports it under, in table order.
+CAUSE_GROUP = {
+    "false_positive": "perception",
+    "missed_detection": "perception",
+    "visual_feedback_error": "perception",
+    "api_call_error": "execution",
+    "grasp_failed": "execution",
+    "place_failed": "execution",
+    "navigation_failed": "execution",
+}
+CAUSES = tuple(CAUSE_GROUP)
 
 LEVELS = ("object", "local", "global", "none")
 

@@ -166,62 +166,96 @@ def _req(raw: dict, key: str, path: str) -> Any:
     return raw[key]
 
 
+# Checked accessors for documents read from outside the program: each returns
+# the value in the shape the parser needs or raises ConfigError at ``path``.
+
+
+def as_json(value: Any, kind: type, path: str) -> Any:
+    """``value`` if it is a JSON object (``kind`` dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise ConfigError(path, f"expected a JSON {'object' if kind is dict else 'array'}, got {value!r}")
+    return value
+
+
+def as_number(value: Any, path: str, kind: type = float) -> Any:
+    """``kind(value)``: whatever ``float()`` (or ``int()``) takes."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, f"expected a number, got {value!r}") from None
+
+
+def as_pair(value: Any, path: str, kind: type = float) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(path, f"expected [a, b], got {value!r}")
+    return as_number(value[0], f"{path}[0]", kind), as_number(value[1], f"{path}[1]", kind)
+
+
 def parse_config(raw: dict) -> WorldConfig:
     """Build a WorldConfig from a plain JSON document, reporting the field
     path of the first violation."""
-    room_raw = _req(raw, "room", "config")
-    room = (float(_req(room_raw, "width", "room")), float(_req(room_raw, "height", "room")))
+    as_json(raw, dict, "config")
+    room_raw = as_json(_req(raw, "room", "config"), dict, "room")
+    room = tuple(as_number(_req(room_raw, key, "room"), f"room.{key}") for key in ("width", "height"))
 
     furniture = []
-    for i, f in enumerate(raw.get("furniture", [])):
+    for i, f in enumerate(as_json(raw.get("furniture", []), list, "furniture")):
         path = f"furniture[{i}]"
-        footprint = [(float(p[0]), float(p[1])) for p in _req(f, "footprint", path)]
+        as_json(f, dict, path)
+        vertices = as_json(_req(f, "footprint", path), list, f"{path}.footprint")
+        footprint = [as_pair(p, f"{path}.footprint[{j}]") for j, p in enumerate(vertices)]
         if len(footprint) < 3:
             raise ConfigError(f"{path}.footprint", "needs at least 3 vertices")
+        difficulty = as_json(f.get("grasp_difficulty", {}), dict, f"{path}.grasp_difficulty")
         furniture.append(
             FurnitureSpec(
                 id=str(_req(f, "id", path)),
                 category=str(_req(f, "category", path)),
                 footprint=footprint,
                 surface_height=f.get("surface_height"),
-                grasp_difficulty={str(k): float(v) for k, v in f.get("grasp_difficulty", {}).items()},
+                grasp_difficulty={str(k): as_number(v, f"{path}.grasp_difficulty.{k}") for k, v in difficulty.items()},
             )
         )
 
     objects = []
-    for i, o in enumerate(raw.get("objects", [])):
+    for i, o in enumerate(as_json(raw.get("objects", []), list, "objects")):
         path = f"objects[{i}]"
+        as_json(o, dict, path)
         floor = o.get("floor")
         objects.append(
             ObjectSpec(
                 id=str(_req(o, "id", path)),
                 category=str(_req(o, "category", path)),
-                attributes=[str(a) for a in o.get("attributes", [])],
+                attributes=[str(a) for a in as_json(o.get("attributes", []), list, f"{path}.attributes")],
                 on=o.get("on"),
-                offset=tuple(float(v) for v in o.get("offset", (0.0, 0.0))),
-                floor=tuple(float(v) for v in floor) if floor is not None else None,
+                offset=as_pair(o.get("offset", [0.0, 0.0]), f"{path}.offset"),
+                floor=as_pair(floor, f"{path}.floor") if floor is not None else None,
                 receptacle=bool(o.get("receptacle", False)),
-                extent=tuple(float(v) for v in o.get("extent", (0.0, 0.0))),
+                extent=as_pair(o.get("extent", [0.0, 0.0]), f"{path}.extent"),
             )
         )
 
-    start_raw = _req(raw, "robot_start", "config")
+    start_raw = as_json(_req(raw, "robot_start", "config"), dict, "robot_start")
     robot_start = Pose(
-        float(_req(start_raw, "x", "robot_start")),
-        float(_req(start_raw, "y", "robot_start")),
-        float(start_raw.get("heading", 0.0)),
+        as_number(_req(start_raw, "x", "robot_start"), "robot_start.x"),
+        as_number(_req(start_raw, "y", "robot_start"), "robot_start.y"),
+        as_number(start_raw.get("heading", 0.0), "robot_start.heading"),
     )
 
     noise = NoiseModel(**check_noise_fields(raw.get("noise", {}), "noise", with_seed=True))
 
     variation = None
     if "variation" in raw:
-        v = raw["variation"]
+        v = as_json(raw["variation"], dict, "variation")
+        pool = as_json(v.get("receptacle_pool", {}), dict, "variation.receptacle_pool")
+        counts = as_json(v.get("extra_count_range", {}), dict, "variation.extra_count_range")
         variation = VariationSpec(
             shuffle_offsets=bool(v.get("shuffle_offsets", False)),
-            receptacle_pool={k: list(map(str, vs)) for k, vs in v.get("receptacle_pool", {}).items()},
+            receptacle_pool={
+                k: list(map(str, as_json(vs, list, f"variation.receptacle_pool.{k}"))) for k, vs in pool.items()
+            },
             extra_count_range={
-                k: (int(r[0]), int(r[1])) for k, r in v.get("extra_count_range", {}).items()
+                k: as_pair(r, f"variation.extra_count_range.{k}", int) for k, r in counts.items()
             },
         )
 
@@ -232,11 +266,11 @@ def parse_config(raw: dict) -> WorldConfig:
         objects=objects,
         robot_start=robot_start,
         noise=noise,
-        grid_resolution=float(raw.get("grid_resolution", 0.1)),
-        arm_reach=float(raw.get("arm_reach", 1.0)),
-        sensing_radius=float(raw.get("sensing_radius", 3.0)),
-        view_radius=float(raw.get("view_radius", 1.5)),
-        closeup_radius=float(raw.get("closeup_radius", 0.3)),
+        grid_resolution=as_number(raw.get("grid_resolution", 0.1), "grid_resolution"),
+        arm_reach=as_number(raw.get("arm_reach", 1.0), "arm_reach"),
+        sensing_radius=as_number(raw.get("sensing_radius", 3.0), "sensing_radius"),
+        view_radius=as_number(raw.get("view_radius", 1.5), "view_radius"),
+        closeup_radius=as_number(raw.get("closeup_radius", 0.3), "closeup_radius"),
         variation=variation,
     )
 
@@ -281,16 +315,23 @@ def validate_config(config: WorldConfig) -> None:
         seen_o.add(o.id)
         if (o.on is None) == (o.floor is None):
             raise ConfigError(path, "exactly one of 'on' or 'floor' is required")
-        if o.on is not None and o.on not in receptacle_ids:
+        if o.on is not None and (not isinstance(o.on, str) or o.on not in receptacle_ids):
             raise ConfigError(f"{path}.on", f"unknown receptacle id {o.on!r}")
         if o.receptacle and (o.extent[0] <= 0 or o.extent[1] <= 0):
             raise ConfigError(f"{path}.extent", "receptacle objects need a positive extent")
 
 
-def load_config_file(path: str) -> WorldConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    config = parse_config(raw)
+def read_json(path: str, field: str) -> Any:
+    """The JSON document in the file at ``path``, or a ConfigError at ``field``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(field, f"cannot read {path!r}: {exc}") from None
+
+
+def load_config_file(path: str, field: str = "scene") -> WorldConfig:
+    config = parse_config(read_json(path, field))
     validate_config(config)
     return config
 

@@ -43,6 +43,8 @@ def test_wellformed_reply_parses_to_plan_step(monkeypatch):
         body = server.requests[0]
         assert body["messages"][0]["role"] == "system"
         assert body["temperature"] == 0.0
+        assert body["max_tokens"] == 512
+        assert body["model"] == "gpt-4o"
 
 
 def test_malformed_then_repaired_records_one_repair(monkeypatch):
@@ -61,7 +63,7 @@ def test_malformed_then_repaired_records_one_repair(monkeypatch):
 def test_persistently_malformed_exceeds_budget(monkeypatch):
     monkeypatch.setenv("COME_LLM_API_KEY", "test-key")
     with MockChatServer(["gibberish without calls ???"]) as server:
-        planner = ChatModelPlanner(HttpChatBackend(base_url=server.base_url), max_repair_rounds=2)
+        planner = ChatModelPlanner(HttpChatBackend(base_url=server.base_url))
         with pytest.raises(BudgetExceeded):
             ask(planner)
         assert len(server.requests) == 3  # original + two repair rounds

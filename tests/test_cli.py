@@ -172,3 +172,77 @@ def test_malformed_inline_noise_profile_exits_2(tiny_suite, capsys, where, block
         code = main(["validate", "--scene", str(scene_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: [config] {where}.")
+
+
+def _set_scene_field(scene, path, value):
+    parent = scene
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+
+
+MALFORMED_SCENES = [
+    (("room",), 5, "room"),
+    (("furniture",), 5, "furniture"),
+    (("objects",), [5], "objects[0]"),
+    (("variation",), 5, "variation"),
+    (("furniture", 0, "footprint", 0), [0], "furniture[0].footprint[0]"),
+    (("objects", 0, "offset"), [0.1, 0.2, 0.3], "objects[0].offset"),
+    (("objects", 0, "on"), ["table_0"], "objects[0].on"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", MALFORMED_SCENES, ids=[f for _, _, f in MALFORMED_SCENES])
+def test_malformed_scene_exits_2_naming_the_field(tiny_suite, capsys, path, value, field):
+    scene_path, _ = tiny_suite
+    scene = json.loads(scene_path.read_text())
+    scene["variation"] = {}
+    _set_scene_field(scene, path, value)
+    scene_path.write_text(json.dumps(scene))
+    assert main(["validate", "--scene", str(scene_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [config] {field}:")
+
+
+MALFORMED_SUITES = [
+    ({"tasks": [5]}, "tasks[0]"),
+    ({"seeds": 5}, "tasks[0].seeds"),
+    ({"seeds": ["x"]}, "tasks[0].seeds[0]"),
+    ({"trials": "many"}, "tasks[0].trials"),
+    ({"scene": "builtin:nope"}, "tasks[0].scene"),
+    ({"scene": "missing.json"}, "tasks[0].scene"),
+    ({"goal": {"on": 5}}, "tasks[0].goal.on"),
+    ({"goal": {"and": 5}}, "tasks[0].goal.and"),
+    ({"goal": {"or": [{"holding": []}]}}, "tasks[0].goal.or[0].holding"),
+]
+
+
+@pytest.mark.parametrize("change, field", MALFORMED_SUITES, ids=[json.dumps(c) for c, _ in MALFORMED_SUITES])
+def test_malformed_suite_exits_2_naming_the_field(tiny_suite, capsys, change, field):
+    _, suite_path = tiny_suite
+    suite = json.loads(suite_path.read_text())
+    if "tasks" in change:
+        suite.update(change)
+    else:
+        suite["tasks"][0].update(change)
+    suite_path.write_text(json.dumps(suite))
+    assert main(["validate", "--suite", str(suite_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [config] {field}:")
+
+
+MISSING_DOCUMENTS = [["--suite", "builtin:nope"], ["--suite", "no/such.json"], ["--scene", "no/such.json"]]
+
+
+@pytest.mark.parametrize("args", MISSING_DOCUMENTS)
+def test_missing_document_exits_2(capsys, args):
+    assert main(["validate", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: [config] ")
+
+
+def test_a_huge_trial_count_validates_without_listing_its_seeds(tiny_suite, capsys):
+    # without "seeds", trial i runs seed i mod trials; no list of all trials' seeds is built
+    _, suite_path = tiny_suite
+    suite = json.loads(suite_path.read_text())
+    suite["tasks"][0]["trials"] = 10**19
+    suite_path.write_text(json.dumps(suite))
+    assert main(["validate", "--suite", str(suite_path)]) == 0
+    assert "suite ok" in capsys.readouterr().out

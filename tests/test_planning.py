@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,15 +17,14 @@ from homeloop.planning import (
     Ref,
     ScriptedPlanner,
     Str,
+    SYSTEM_PROMPT,
     assemble_prompt,
-    default_template,
     estimate_tokens,
     parse_plan,
     render_plan,
     scripted_next_step,
     to_request,
 )
-from homeloop.planning.prompts import PromptTemplate
 
 from conftest import mini_task, zero_noise
 
@@ -126,26 +127,27 @@ def test_render_parse_round_trip(steps):
 def test_empty_history_is_system_plus_instruction():
     history = DialogueHistory(instruction="Tidy up.")
     view = PlannerView(belief=Belief())
-    messages = assemble_prompt(default_template(), history, view)
+    messages = assemble_prompt(history, view)
     assert [m["role"] for m in messages] == ["system", "user"]
     assert "Tidy up." in messages[1]["content"]
 
 
 def test_system_prompt_has_five_sections():
-    text = default_template().render_system()
-    for header in (
+    headers = [line for line in SYSTEM_PROMPT.splitlines() if line.startswith("# ")]
+    assert headers == [
         "# Task Description",
         "# Feedback Handling",
         "# Robot Setup and Skills Library",
         "# Response Guidelines",
         "# Useful Tips",
-    ):
-        assert header in text
+    ]
 
 
-def test_template_rejects_empty_section():
-    with pytest.raises(ValueError):
-        PromptTemplate("a", "", "c", "d", "e").validate()
+def test_system_prompt_bytes_are_pinned():
+    """The prompt as the five-field template rendered it before it became a
+    constant. Traces hold no prompt text, so only this shows a prompt edit."""
+    digest = hashlib.sha256(SYSTEM_PROMPT.encode("utf-8")).hexdigest()
+    assert digest == "88ce2b3ab4184e67f5f9f2e55fd3f6fd25b1872f18124a0849434d7076b7f974"
 
 
 def test_last_message_carries_latest_fault_string():
@@ -153,7 +155,7 @@ def test_last_message_carries_latest_fault_string():
     history.append_plan("grasp(toy_0)")
     history.append_feedback("[3] grasp -> FAILED: grasp failed")
     view = PlannerView(belief=Belief())
-    messages = assemble_prompt(default_template(), history, view)
+    messages = assemble_prompt(history, view)
     assert "grasp failed" in messages[-1]["content"]
 
 
@@ -165,7 +167,7 @@ def test_elision_keeps_budget_and_sections():
         history.append_observation("stay: " + "y" * 200)
     view = PlannerView(belief=Belief())
     budget = 8000
-    messages = assemble_prompt(default_template(), history, view, token_budget=budget)
+    messages = assemble_prompt(history, view, token_budget=budget)
     total = sum(estimate_tokens(m["content"]) for m in messages)
     assert total <= budget
     assert "# Useful Tips" in messages[0]["content"]  # sections intact
@@ -182,8 +184,8 @@ def test_assembly_deterministic():
     history.append_plan("explore_global()")
     history.append_feedback("[0] explore_global -> ok: global map built")
     view = PlannerView(belief=Belief())
-    a = assemble_prompt(default_template(), history, view)
-    b = assemble_prompt(default_template(), history, view)
+    a = assemble_prompt(history, view)
+    b = assemble_prompt(history, view)
     assert a == b
 
 

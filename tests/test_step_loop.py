@@ -20,7 +20,7 @@ import homeloop.planning.prompts as prompts
 import homeloop.verification as verification
 from homeloop.harness import TrialOptions, resolve_noise_profile, run_trial
 from homeloop.perception import Belief
-from homeloop.planning import DialogueHistory, PlannerView, assemble_prompt, default_template, estimate_tokens
+from homeloop.planning import DialogueHistory, PlannerView, assemble_prompt, estimate_tokens
 from homeloop.skills import ActionRequest, SkillContext, dispatch
 from homeloop.verification import verify_feasibility
 
@@ -29,12 +29,11 @@ from conftest import MINI_SCENE, make_world, mini_task, zero_noise
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def reference_assemble_prompt(template, history, view, token_budget=8000):
+def reference_assemble_prompt(history, view, token_budget=8000):
     """``assemble_prompt`` as it was when it re-rendered and re-estimated
     every history message on every call."""
-    template.validate()
     messages = [
-        {"role": "system", "content": template.render_system()},
+        {"role": "system", "content": prompts.SYSTEM_PROMPT},
         {"role": "user", "content": f"Instruction: {history.instruction}"},
     ]
     if not history.entries:
@@ -90,16 +89,16 @@ def scanned_view() -> PlannerView:
 def test_elision_matches_the_reference_assembly(budget):
     history = random_history(600)
     view = scanned_view()
-    expected = reference_assemble_prompt(default_template(), history, view, budget)
-    assert assemble_prompt(default_template(), history, view, budget) == expected
+    expected = reference_assemble_prompt(history, view, budget)
+    assert assemble_prompt(history, view, budget) == expected
     assert any(m["content"].endswith(": [elided]") for m in expected)
 
 
 def test_short_and_empty_histories_match_the_reference_assembly():
     view = scanned_view()
     for history in (DialogueHistory(instruction="Tidy up."), random_history(10, seed=1)):
-        expected = reference_assemble_prompt(default_template(), history, view)
-        assert assemble_prompt(default_template(), history, view) == expected
+        expected = reference_assemble_prompt(history, view)
+        assert assemble_prompt(history, view) == expected
 
 
 def test_history_keeps_a_running_token_total():
@@ -112,10 +111,9 @@ def test_history_keeps_a_running_token_total():
 def test_prompt_assembly_estimates_the_same_number_of_texts_for_any_history(monkeypatch):
     """Without elision a call estimates the same texts for any history
     length; elision estimates each elided message as it always has."""
-    template, view = default_template(), scanned_view()
+    view = scanned_view()
     histories = {n: random_history(n) for n in (10, 600)}
     budget = 10 * max(h.tokens for h in histories.values())  # elides nothing
-    assemble_prompt(template, histories[10], view)  # renders the system prompt once
     calls = Counter()
 
     def counting(text: str) -> int:
@@ -126,7 +124,7 @@ def test_prompt_assembly_estimates_the_same_number_of_texts_for_any_history(monk
     per_call = {}
     for n, history in histories.items():
         calls.clear()
-        messages = assemble_prompt(template, history, view, budget)
+        messages = assemble_prompt(history, view, budget)
         assert not any(m["content"].endswith(": [elided]") for m in messages)
         per_call[n] = calls["n"]
     assert per_call[10] == per_call[600] == 2, per_call

@@ -9,6 +9,9 @@ Run it from the root of a checkout; it imports homeloop from that checkout's
 - both bundled suites at base seed 3, as ``tests/test_trace_digest.py`` does;
 - the ``bundled`` (1 unit), ``apartments`` and ``long_horizon`` (3 units
   each) workloads at seeds 21 and 22;
+- for ``long_horizon``, also every message list the chat adapter sends,
+  recorded by a wrapper around ``ScriptedChatBackend.complete``. Traces hold
+  no prompt text, so this line is what shows a change to the prompts;
 - 50 seeded random ``dispatch`` sequences of 60 requests on each of the nine
   bundled scenes with noise on, at seeds 21 and 22: the event logs and the
   final ``state_digest()`` of each. They reach refusals that no suite run
@@ -21,6 +24,7 @@ logs for those requests. ``run_meta.json`` holds a timestamp and is left out.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -37,7 +41,7 @@ from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
 from homeloop.perception import Belief  # noqa: E402
 from homeloop.skills import ActionRequest, SkillContext, dispatch  # noqa: E402
 from homeloop.world import ALL_VERBS, SIDES, World, parse_config  # noqa: E402
-from perfbench.workloads import WORKLOADS  # noqa: E402
+from perfbench.workloads import WORKLOADS, ScriptedChatBackend  # noqa: E402
 
 SUITES_BASE_SEED = 3
 WORKLOAD_SEEDS = (21, 22)
@@ -72,6 +76,24 @@ def workload_digest(name: str, seed: int, out: Path) -> str:
         for suite, base in workload.load(workload.docs(seed, unit), seed, unit):
             run_suite(suite, factory, out_dir=str(out / f"u{unit}" / suite.name), base_seed=base)
     return digest(out)
+
+
+@contextlib.contextmanager
+def recorded_prompts():
+    """Yield a SHA-256 that every message list sent to a
+    ``ScriptedChatBackend`` updates, in the order they are sent."""
+    h = hashlib.sha256()
+    original = ScriptedChatBackend.complete
+
+    def complete(self, messages):
+        h.update(json.dumps(messages, sort_keys=True).encode("utf-8") + b"\n")
+        return original(self, messages)
+
+    ScriptedChatBackend.complete = complete
+    try:
+        yield h
+    finally:
+        ScriptedChatBackend.complete = original
 
 
 def next_verb(ctx: SkillContext) -> str:
@@ -139,7 +161,10 @@ def main() -> None:
         print(f"suites {SUITES_BASE_SEED} {suites_digest(Path(tmp) / 'suites')}", flush=True)
         for name in UNITS:
             for seed in WORKLOAD_SEEDS:
-                print(f"{name} {seed} {workload_digest(name, seed, Path(tmp) / f'{name}-{seed}')}", flush=True)
+                with recorded_prompts() as prompts:
+                    print(f"{name} {seed} {workload_digest(name, seed, Path(tmp) / f'{name}-{seed}')}", flush=True)
+                if name == "long_horizon":
+                    print(f"long_horizon-prompts {seed} {prompts.hexdigest()}", flush=True)
     for seed in WORKLOAD_SEEDS:
         print(f"dispatch {seed} {dispatch_digest(seed)}", flush=True)
 
