@@ -3,8 +3,8 @@
 Exceptions signal misuse or broken infrastructure and abort the caller.
 Faults are *data*: they ride inside action feedback so the planner can read
 them, and they never unwind the trial loop. A layer that refuses a request
-raises ``Refused`` with the fault; ``skills.dispatch`` and
-``World.apply_action`` turn it back into data, a failed result.
+raises ``Refused`` with the fault (``World.apply_action`` too); only
+``skills.dispatch`` turns it back into data, a failed ``Feedback``.
 """
 
 from __future__ import annotations

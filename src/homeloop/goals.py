@@ -193,6 +193,9 @@ class Not(Goal):
 def _parse_selector(raw: dict, path: str) -> Selector:
     if not isinstance(raw, dict):
         raise ConfigError(path, "selector must be an object")
+    for key in ("id", "category"):
+        if raw.get(key) is not None:
+            as_json(raw[key], str, f"{path}.{key}")
     return Selector(
         id=raw.get("id"),
         category=raw.get("category"),
@@ -221,13 +224,13 @@ def parse_goal(raw: dict, path: str = "goal") -> Goal:
         if "category" not in body:
             raise ConfigError(f"{path}.all_on", "missing category")
         return AllOn(
-            category=body["category"],
+            category=as_json(body["category"], str, f"{path}.all_on.category"),
             receptacle=_parse_selector(body.get("receptacle", {}), f"{path}.all_on.receptacle"),
         )
     if op == "same_receptacle":
         if "category" not in body:
             raise ConfigError(f"{path}.same_receptacle", "missing category")
-        return SameReceptacle(category=body["category"])
+        return SameReceptacle(category=as_json(body["category"], str, f"{path}.same_receptacle.category"))
     if op == "holding":
         return Holding(obj=_parse_selector(body.get("object", {}), f"{path}.holding.object"))
     raise ConfigError(path, f"unknown goal operator {op!r}")

@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional
 
 from .errors import FAULT_TYPES, PLAN_LEVEL_CODES, BudgetExceeded, ConfigError, Fault, TransportError
 from .goals import Goal, goal_satisfied, ground_view, parse_goal
-from .perception import Belief, capture
+from .perception import Belief
 from .planning import (
     Call,
     ChatModelPlanner,
@@ -41,8 +41,10 @@ from .planning import (
     to_request,
 )
 from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
-from .recovery import EpisodeRunner, RecoveryEpisode
-from .skills import ActionRequest, Feedback, SkillContext, dispatch, evidence_ids, verdict_event
+from .recovery import EpisodeRunner, RecoveryEpisode, execute
+# unused here, but perfbench/tracing.SPANS wraps capture and dispatch at these names
+from .recovery import capture, dispatch  # noqa: F401
+from .skills import ActionRequest, Feedback, SkillContext
 from .trace import (
     OUTCOME_FAILURE,
     OUTCOME_INVALID,
@@ -139,21 +141,6 @@ class _Trial:
         self.ctx = SkillContext(self.world, self.belief)
         self.history = DialogueHistory(task.instruction)
         self.pending_plan_fix: Optional[FailureRecord] = None
-
-    # -- execution with verification ------------------------------------------------
-
-    def _execute(self, request: ActionRequest) -> tuple[Feedback, "SuccessVerdict", Any]:
-        prior_map = None
-        if request.verb == "explore_local" and request.target in self.belief.local_maps:
-            m = self.belief.local_maps[request.target]
-            prior_map = replace(m, items=list(m.items))
-        before = capture(self.world, "stay", evidence_ids(request))
-        fb = dispatch(self.ctx, request)
-        after = capture(self.world, "stay", evidence_ids(request, fb))
-        verdict = verify_success(before, after, fb, request)
-        self.ctx.events.append(verdict_event(request, fb, verdict, before, after))
-        self._perception_findings(request, fb, prior_map)
-        return fb, verdict, before
 
     def _perception_findings(self, request: ActionRequest, fb: Feedback, prior_map) -> None:
         """Ground-truth-assisted accounting for perception failures: a rescan
@@ -265,7 +252,12 @@ class _Trial:
                 self.history.append_note(step.warning)
             request = to_request(step)
             held_before = self.belief.holding
-            fb, verdict, before = self._execute(request)
+            prior_map = None
+            if request.verb == "explore_local" and request.target in self.belief.local_maps:
+                m = self.belief.local_maps[request.target]
+                prior_map = replace(m, items=list(m.items))
+            fb, verdict, before = execute(self.ctx, request)
+            self._perception_findings(request, fb, prior_map)
             self.history.append_feedback(fb.render())
             if fb.observation is not None and fb.verb != "explore_global":
                 self.history.append_observation(_compact_observation(fb))
@@ -453,6 +445,8 @@ def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
         for key in ("id", "instruction", "scene", "goal"):
             if key not in t:
                 raise ConfigError(f"{path}.{key}", "missing required field")
+        if t.get("placement_style") is not None:
+            as_json(t["placement_style"], str, f"{path}.placement_style")
         seeds = as_json(t.get("seeds", []), list, f"{path}.seeds")
         tasks.append(
             TaskSpec(

@@ -112,6 +112,18 @@ def select_recovery(episode: RecoveryEpisode) -> RecoveryDirective:
 # --- directive execution ----------------------------------------------------------
 
 
+def execute(ctx: SkillContext, request: ActionRequest) -> tuple[Feedback, SuccessVerdict, Observation]:
+    """One verified execution, for the trial loop and recovery alike: capture
+    the verdict's evidence, dispatch, capture again, verify, log the verdict
+    event. Returns the feedback, the verdict and the before image."""
+    before = capture(ctx.world, "stay", evidence_ids(request))
+    fb = dispatch(ctx, request)
+    after = capture(ctx.world, "stay", evidence_ids(request, fb))
+    verdict = verify_success(before, after, fb, request)
+    ctx.events.append(verdict_event(request, fb, verdict, before, after))
+    return fb, verdict, before
+
+
 @dataclass
 class EpisodeRunner:
     """Drives one episode to recovered/exhausted against a live context,
@@ -128,11 +140,7 @@ class EpisodeRunner:
                 # the situation resolved itself (e.g. a phantom target cleared
                 # on re-map and the goal is already met): the map-level fix
                 # counts as the recovery
-                prev_record.replanned = True
-                prev_record.recovered = True
-                episode.status = "recovered"
-                self.ctx.events.append({"event": "recovery", "directive": "end", "status": "recovered"})
-                return episode
+                return self._end(episode, prev_record, "recovered")
             directive = select_recovery(episode)
             self.ctx.events.append(
                 {
@@ -149,10 +157,7 @@ class EpisodeRunner:
             )
             if directive.kind == "exhausted":
                 # the last failure event got no re-issue: it ends the task
-                prev_record.mark_direct()
-                episode.status = "exhausted"
-                self.ctx.events.append({"event": "recovery", "directive": "end", "status": "exhausted"})
-                return episode
+                return self._end(episode, prev_record, "exhausted")
 
             if directive.kind == "retry":
                 result = self.object_level_retry(episode)
@@ -167,20 +172,25 @@ class EpisodeRunner:
                 continue
 
             fb, verdict = result
-            prev_record.replanned = True
             if fb.success and verdict.success:
-                prev_record.recovered = True
-                episode.status = "recovered"
-                self.ctx.events.append({"event": "recovery", "directive": "end", "status": "recovered"})
-                return episode
+                return self._end(episode, prev_record, "recovered")
+            prev_record.replanned = True
             prev_record.recovered = False
             new_record = classify_failure(verdict, fb, episode.evidence)
             self._update_evidence(episode, fb)
             self.ctx.records.append(new_record)
             prev_record = new_record
-        episode.status = "exhausted"
-        prev_record.mark_direct()
-        self.ctx.events.append({"event": "recovery", "directive": "end", "status": "exhausted"})
+        return self._end(episode, prev_record, "exhausted")
+
+    def _end(self, episode: RecoveryEpisode, record: FailureRecord, status: str) -> RecoveryEpisode:
+        """Close the episode: the last failure record is recovered by the
+        episode or, when it ends exhausted, a direct failure."""
+        if status == "recovered":
+            record.replanned = record.recovered = True
+        else:
+            record.mark_direct()
+        episode.status = status
+        self.ctx.events.append({"event": "recovery", "directive": "end", "status": status})
         return episode
 
     def _update_evidence(self, episode: RecoveryEpisode, fb: Feedback) -> None:
@@ -196,17 +206,12 @@ class EpisodeRunner:
     # -- one verified execution ------------------------------------------------------
 
     def _execute(self, episode: RecoveryEpisode, request: ActionRequest) -> tuple[Feedback, SuccessVerdict]:
-        world = self.ctx.world
-        before = capture(world, "stay", evidence_ids(request))
         # the shift check reads only the episode object and is not traced; a
         # retargeted object has not moved since, unless it rode on the old one
-        seen = capture(world, "stay", () if episode.object_id is None else (episode.object_id,))
+        seen = capture(self.ctx.world, "stay", () if episode.object_id is None else (episode.object_id,))
         self._check_shift(episode, seen)
         episode.last_before = seen
-        fb = dispatch(self.ctx, request)
-        after = capture(world, "stay", evidence_ids(request, fb))
-        verdict = verify_success(before, after, fb, request)
-        self.ctx.events.append(verdict_event(request, fb, verdict, before, after))
+        fb, verdict, _ = execute(self.ctx, request)
         self.ctx.events.append(
             {
                 "event": "recovery_action",

@@ -183,7 +183,6 @@ def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
         ctx,
         request,
         success=outcome.success,
-        fault=outcome.fault,
         message=outcome.message,
         details=outcome.details,
     )
@@ -215,7 +214,6 @@ def grasp(ctx: SkillContext, request: ActionRequest) -> Feedback:
         ctx,
         request,
         success=outcome.success,
-        fault=outcome.fault,
         message=outcome.message,
         details=details,
     )
@@ -247,7 +245,6 @@ def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
         ctx,
         request,
         success=outcome.success,
-        fault=outcome.fault,
         message=outcome.message,
         details=outcome.details,
     )

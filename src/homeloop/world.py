@@ -23,7 +23,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError, Fault, PreconditionFault, Refused, TargetNotVisible
+from .errors import ConfigError, PreconditionFault, Refused, TargetNotVisible
 from .geometry import (
     Cell,
     OccupancyGrid,
@@ -171,9 +171,10 @@ def _req(raw: dict, key: str, path: str) -> Any:
 
 
 def as_json(value: Any, kind: type, path: str) -> Any:
-    """``value`` if it is a JSON object (``kind`` dict) or array (list)."""
+    """``value`` if it is a JSON object, array or string (``kind`` dict, list, str)."""
     if not isinstance(value, kind):
-        raise ConfigError(path, f"expected a JSON {'object' if kind is dict else 'array'}, got {value!r}")
+        name = {dict: "object", list: "array", str: "string"}[kind]
+        raise ConfigError(path, f"expected a JSON {name}, got {value!r}")
     return value
 
 
@@ -394,7 +395,6 @@ class ActionRequest:
 @dataclass
 class GroundOutcome:
     success: bool
-    fault: Optional[Fault]
     message: str
     details: dict[str, Any] = field(default_factory=dict)
 
@@ -709,9 +709,9 @@ class World:
     def apply_action(self, request: ActionRequest) -> GroundOutcome:
         """Execute one execution-verb request against ground truth.
 
-        A handler refuses a violated precondition by raising ``Refused``; it
-        comes back as a typed fault (never sampled). Everything else draws
-        success from the noise model.
+        A violated precondition raises ``Refused`` with its typed fault
+        (never sampled) to the caller. Everything else draws success from the
+        noise model.
         """
         self.step_counter += 1
         handler = {
@@ -721,15 +721,12 @@ class World:
         }.get(request.verb)
         if handler is None:
             raise ValueError(f"apply_action only handles execution verbs, got {request.verb!r}")
-        try:
-            success, message, details = handler(request)
-        except Refused as refusal:
-            return GroundOutcome(success=False, fault=refusal.fault, message=refusal.message)
+        success, message, details = handler(request)
         if success and self.config.noise.p_flag_error > 0:
             if self.rng.random() < self.config.noise.p_flag_error:
                 success, message = False, message + " (reported)"
                 details["flag_flipped"] = True
-        return GroundOutcome(success=success, fault=None, message=message, details=details)
+        return GroundOutcome(success=success, message=message, details=details)
 
     def _do_navigate(self, request: ActionRequest):
         target = request.target

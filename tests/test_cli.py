@@ -213,6 +213,11 @@ MALFORMED_SUITES = [
     ({"goal": {"on": 5}}, "tasks[0].goal.on"),
     ({"goal": {"and": 5}}, "tasks[0].goal.and"),
     ({"goal": {"or": [{"holding": []}]}}, "tasks[0].goal.or[0].holding"),
+    ({"placement_style": 5}, "tasks[0].placement_style"),
+    ({"goal": {"on": {"object": {"id": 5}, "receptacle": {"id": "bed_0"}}}}, "tasks[0].goal.on.object.id"),
+    ({"goal": {"holding": {"object": {"category": ["toy"]}}}}, "tasks[0].goal.holding.object.category"),
+    ({"goal": {"all_on": {"category": 5}}}, "tasks[0].goal.all_on.category"),
+    ({"goal": {"same_receptacle": {"category": None}}}, "tasks[0].goal.same_receptacle.category"),
 ]
 
 

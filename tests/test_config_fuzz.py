@@ -1,7 +1,9 @@
 """Scene, suite and goal documents come from outside the program, so a
 malformed one must end in a ``ConfigError`` naming the field, never in
 another exception. Each example takes a bundled document and swaps one of its
-fields (or the whole document) for an arbitrary JSON value."""
+fields (or the whole document) for an arbitrary JSON value. A document that
+parses must hold text wherever a trial reads text, or it validates and then
+crashes the trial."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeloop.errors import ConfigError
-from homeloop.goals import parse_goal
+from homeloop.goals import Goal, Selector, parse_goal
 from homeloop.harness import parse_suite
 from homeloop.world import parse_config, validate_config
 
@@ -63,11 +65,24 @@ def mutated(draw, docs: list) -> object:
     return doc
 
 
-def only_config_errors(parse, doc) -> None:
+def only_config_errors(parse, doc):
+    """What ``parse`` returns, or None when it raises ``ConfigError``."""
     try:
-        parse(doc)
+        return parse(doc)
     except ConfigError:
-        pass
+        return None
+
+
+def is_text(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def assert_goal_text(goal: Goal) -> None:
+    """Every selector's id and category and every atom's category."""
+    for atom in goal.atoms():
+        selectors = [v for v in vars(atom).values() if isinstance(v, Selector)]
+        texts = [getattr(atom, "category", None)] + [t for s in selectors for t in (s.id, s.category)]
+        assert all(map(is_text, texts)), atom
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,10 +94,15 @@ def test_a_malformed_scene_raises_only_config_error(doc):
 @settings(max_examples=150, deadline=None)
 @given(mutated(SUITES))
 def test_a_malformed_suite_raises_only_config_error(doc):
-    only_config_errors(parse_suite, doc)
+    suite = only_config_errors(parse_suite, doc)
+    for task in suite.tasks if suite else ():
+        assert is_text(task.placement_style), task.placement_style
+        assert_goal_text(task.goal)
 
 
 @settings(max_examples=200, deadline=None)
 @given(mutated(GOALS))
 def test_a_malformed_goal_raises_only_config_error(doc):
-    only_config_errors(parse_goal, doc)
+    goal = only_config_errors(parse_goal, doc)
+    if goal is not None:
+        assert_goal_text(goal)

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from homeloop import harness, recovery
 from homeloop.errors import FAULT_TYPES, ConfigError, Fault, TraceFormatError
 from homeloop.harness import (
     SuiteConfig,
@@ -45,6 +46,30 @@ def test_single_grasp_failure_then_recovery_counts():
             assert report.direct_failures == 0
             return
     raise AssertionError("no single-failure seed found in 60 tries")
+
+
+def test_every_verified_step_runs_through_the_one_executor(monkeypatch):
+    """The trial loop and recovery share ``recovery.execute``: one call per
+    verdict event, recovery re-issues included."""
+    calls = []
+    original = recovery.execute
+
+    def counting(ctx, request):
+        calls.append(request.verb)
+        return original(ctx, request)
+
+    # harness binds the name on import, so it is patched there too
+    monkeypatch.setattr(recovery, "execute", counting)
+    monkeypatch.setattr(harness, "execute", counting)
+    noise = zero_noise(p_grasp_fail=0.5, p_object_shift_on_fail=0.0)
+    for seed in range(20):
+        calls.clear()
+        report = run_trial(mini_task(), ScriptedPlanner(), seed=seed, options=TrialOptions(noise=dict(noise)))
+        if any(e["event"] == "recovery_action" for e in report.events):
+            break
+    else:
+        raise AssertionError("no trial with a recovery episode in 20 seeds")
+    assert calls == [e["verb"] for e in report.events if e["event"] == "verdict"]
 
 
 def test_step_cap_reached(zero_options):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, TargetNotVisible
+from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, Refused, TargetNotVisible
 from homeloop.goals import parse_goal
 from homeloop.harness import load_builtin_suite
 from homeloop.perception import Belief, Observation, capture
@@ -247,7 +247,8 @@ _UNKNOWN_VERB = (
 # (scene, steps, fault class, code, fault message, feedback message). The last
 # step is the refused request; a dict step sets noise fields. A "world-" case
 # sends its refused request to World.apply_action, past the skills layer's
-# checks; no verb sequence reaches those refusals through dispatch.
+# checks, and expects it raised as Refused; no verb sequence reaches those
+# refusals through dispatch.
 REFUSALS = {
     "navigate-literal": (REFUSAL_SCENE, _BOOT + [_req("navigate", "bench", literal=True)], ApiCallError,
                          "bad_argument", "navigate expects an object reference from the global map, "
@@ -349,12 +350,17 @@ def test_every_refusal_keeps_its_fault_and_message(case):
                 setattr(ctx.world.config.noise, name, value)
         else:
             dispatch(ctx, step)
-    out = ctx.world.apply_action(refused) if case.startswith("world-") else dispatch(ctx, refused)
-    assert not out.success
+    if case.startswith("world-"):
+        with pytest.raises(Refused) as refusal:
+            ctx.world.apply_action(refused)
+        out = refusal.value
+    else:
+        out = dispatch(ctx, refused)
+        assert not out.success
+        assert out.details == {}
     assert type(out.fault) is kind
     assert (out.fault.code, out.fault.message) == (code, fault_message)
     assert out.message == (fault_message if message is None else message)
-    assert out.details == {}
 
 
 # --- dispatch under random requests -----------------------------------------------

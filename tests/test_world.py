@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeloop.errors import ConfigError, PreconditionFault
+from homeloop.errors import ConfigError, PreconditionFault, Refused
 from homeloop.geometry import Pose, bresenham, polygon_centroid, side_of
 from homeloop.world import ActionRequest, World, parse_config, validate_config, vary_config
 
@@ -106,25 +107,26 @@ def test_zero_noise_grasp_and_place(mini_world):
 
 
 def test_place_without_grasp_is_typed_fault(mini_world):
-    out = mini_world.apply_action(ActionRequest(verb="place", target="table_0"))
-    assert not out.success
-    assert isinstance(out.fault, PreconditionFault)
-    assert "place without prior grasping" in out.fault.message
+    with pytest.raises(Refused) as refusal:
+        mini_world.apply_action(ActionRequest(verb="place", target="table_0"))
+    assert isinstance(refusal.value.fault, PreconditionFault)
+    assert "place without prior grasping" in refusal.value.fault.message
 
 
 def test_grasp_while_full_is_typed_fault(mini_world):
     world = mini_world
     world.apply_action(nav("table_0"))
     assert world.apply_action(ActionRequest(verb="grasp", target="toy_0")).success
-    out = world.apply_action(ActionRequest(verb="grasp", target="toy_0"))
-    assert isinstance(out.fault, PreconditionFault)
-    assert out.fault.code == "gripper_full"
+    with pytest.raises(Refused) as refusal:
+        world.apply_action(ActionRequest(verb="grasp", target="toy_0"))
+    assert isinstance(refusal.value.fault, PreconditionFault)
+    assert refusal.value.fault.code == "gripper_full"
 
 
 def test_navigate_unknown_id_is_typed_fault(mini_world):
-    out = mini_world.apply_action(nav("wardrobe_7"))
-    assert not out.success
-    assert out.fault is not None and out.fault.code == "unknown_reference"
+    with pytest.raises(Refused) as refusal:
+        mini_world.apply_action(nav("wardrobe_7"))
+    assert refusal.value.fault.code == "unknown_reference"
 
 
 def test_grasp_failure_rate_monte_carlo():
@@ -194,7 +196,8 @@ def test_placement_exclusivity_and_conservation(actions, seed):
     world = make_world(MINI_SCENE, p_grasp_fail=0.3, p_place_fail=0.2, p_nav_fail=0.1, rng_seed=seed)
     ids = set(world.objects)
     for verb, target in actions:
-        world.apply_action(ActionRequest(verb=verb, target=target))
+        with contextlib.suppress(Refused):  # a refusal, like a failed outcome, keeps the invariants
+            world.apply_action(ActionRequest(verb=verb, target=target))
         assert set(world.objects) == ids  # conservation
         in_gripper = [oid for oid, o in world.objects.items() if o.placement.kind == "gripper"]
         assert len(in_gripper) <= 1
@@ -212,7 +215,7 @@ def test_side_multiplier_drives_grasp_failure():
     assert world.apply_action(nav("table_0", side="south")).success
     assert world.robot_side_of("table_0") == "south"
     out = world.apply_action(ActionRequest(verb="grasp", target="toy_0"))
-    assert not out.success and out.fault is None  # sampled failure, p capped at 1.0
+    assert not out.success  # sampled failure, p capped at 1.0
     assert world.apply_action(nav("table_0", side="north")).success
     # from the north side the multiplier does not apply; p = 0.01 over the
     # remaining stream: draw a success quickly
@@ -236,9 +239,10 @@ def test_out_of_reach_fault():
     world = make_world(doc)
     # approach from the west short side: the cup at the east end is too far
     assert world.apply_action(nav("table_0", side="west")).success
-    out = world.apply_action(ActionRequest(verb="grasp", target="cup_0"))
-    assert out.fault is not None and out.fault.code == "out_of_reach"
-    assert "target out of reach" in out.message
+    with pytest.raises(Refused) as refusal:
+        world.apply_action(ActionRequest(verb="grasp", target="cup_0"))
+    assert refusal.value.fault.code == "out_of_reach"
+    assert "target out of reach" in refusal.value.message
 
 
 def test_vary_config_deterministic_and_bounded():
@@ -272,11 +276,11 @@ def test_place_onto_dropped_receptacle_is_typed_fault():
     assert world.objects["box_0"].placement.kind == "floor"
     world.config.noise.p_place_fail = 0.0
     assert world.apply_action(ActionRequest(verb="grasp", target="toy_0")).success
-    out = world.apply_action(ActionRequest(verb="place", target="box_0"))
-    assert not out.success
-    assert isinstance(out.fault, PreconditionFault)
-    assert out.fault.code == "bad_argument"
-    assert out.fault.message == "box_0 is not resting on a surface"
+    with pytest.raises(Refused) as refusal:
+        world.apply_action(ActionRequest(verb="place", target="box_0"))
+    assert isinstance(refusal.value.fault, PreconditionFault)
+    assert refusal.value.fault.code == "bad_argument"
+    assert refusal.value.fault.message == "box_0 is not resting on a surface"
     assert world.gripper == "toy_0"
 
 
