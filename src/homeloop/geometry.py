@@ -83,28 +83,29 @@ def point_in_polygon(x: float, y: float, poly: Sequence[tuple[float, float]]) ->
     return inside
 
 
-def polygons_overlap(
-    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]], probe: float = 0.02
-) -> bool:
+OVERLAP_PROBE = 0.02  # meters between the probe points of polygons_overlap
+
+
+def polygons_overlap(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]) -> bool:
     """Approximate polygon intersection test: bounding-box rejection, then
     mutual dense probing. Good enough for axis-aligned-ish furniture."""
     a0x, a0y, a1x, a1y = polygon_bbox(a)
     b0x, b0y, b1x, b1y = polygon_bbox(b)
     if a1x < b0x or b1x < a0x or a1y < b0y or b1y < a0y:
         return False
-    for x, y in _probe_points(a, probe):
+    for x, y in _probe_points(a):
         if point_in_polygon(x, y, b):
             return True
-    for x, y in _probe_points(b, probe):
+    for x, y in _probe_points(b):
         if point_in_polygon(x, y, a):
             return True
     return False
 
 
-def _probe_points(poly: Sequence[tuple[float, float]], step: float) -> Iterator[tuple[float, float]]:
+def _probe_points(poly: Sequence[tuple[float, float]]) -> Iterator[tuple[float, float]]:
     minx, miny, maxx, maxy = polygon_bbox(poly)
-    nx = max(2, int((maxx - minx) / step) + 1)
-    ny = max(2, int((maxy - miny) / step) + 1)
+    nx = max(2, int((maxx - minx) / OVERLAP_PROBE) + 1)
+    ny = max(2, int((maxy - miny) / OVERLAP_PROBE) + 1)
     for i in range(nx + 1):
         for j in range(ny + 1):
             x = minx + (maxx - minx) * i / nx

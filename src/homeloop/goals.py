@@ -64,12 +64,8 @@ class PlacementView:
         self.entities = dict(entities)
         self.holding = holding
 
-    def select(self, sel: Selector, receptacles_only: bool = False) -> list[EntityView]:
-        out = [
-            e
-            for e in self.entities.values()
-            if (not receptacles_only or e.is_receptacle) and sel.matches(e.id, e.category, e.attributes)
-        ]
+    def select(self, sel: Selector) -> list[EntityView]:
+        out = [e for e in self.entities.values() if sel.matches(e.id, e.category, e.attributes)]
         return sorted(out, key=lambda e: e.id)
 
 

@@ -106,7 +106,6 @@ class TaskSpec:
 class TrialOptions:
     noise: Optional[dict[str, float]] = None  # probability overrides
     recovery_enabled: bool = True
-    planner_driven_recovery: bool = False
     strict_escalation: bool = False
 
 
@@ -153,25 +152,12 @@ class _Trial:
                 prior_ids = {o.id for o in prior_map.items}
                 new_ids = {o.id for o in new_map.items}
                 for oid in sorted(new_ids - prior_ids):
-                    if oid in self.world.objects and f"md:{oid}" not in self._finding_keys:
-                        self._finding_keys.add(f"md:{oid}")
-                        self.ctx.records.append(
-                            FailureRecord(
-                                "missed_detection", fb.request_index, "local",
-                                replanned=True, recovered=True,
-                                detail=f"{oid} appeared on re-scan of {request.target}",
-                            )
-                        )
+                    if oid in self.world.objects:
+                        self._finding(f"md:{oid}", "missed_detection", fb, "local",
+                                      f"{oid} appeared on re-scan of {request.target}")
                 for pid in sorted(prior_ids - new_ids):
-                    if pid in self.world.phantoms and f"fp:{pid}" not in self._finding_keys:
-                        self._finding_keys.add(f"fp:{pid}")
-                        self.ctx.records.append(
-                            FailureRecord(
-                                "false_positive", fb.request_index, "local",
-                                replanned=True, recovered=True,
-                                detail=f"phantom {pid} vanished on re-scan",
-                            )
-                        )
+                    if pid in self.world.phantoms:
+                        self._finding(f"fp:{pid}", "false_positive", fb, "local", f"phantom {pid} vanished on re-scan")
         if (
             request.verb == "report_observation"
             and fb.success
@@ -179,18 +165,19 @@ class _Trial:
             and fb.observation.kind == "close_up"
         ):
             target = request.target or ""
-            if target in self.world.phantoms and f"fp:{target}" not in self._finding_keys:
+            if target in self.world.phantoms:
                 revealed = fb.observation.find(target)
-                believed = self.world.phantoms[target].believed_category
-                if revealed is not None and revealed.category != believed:
-                    self._finding_keys.add(f"fp:{target}")
-                    self.ctx.records.append(
-                        FailureRecord(
-                            "false_positive", fb.request_index, "object",
-                            replanned=True, recovered=True,
-                            detail=f"{target} unmasked as {revealed.category} by close-up",
-                        )
-                    )
+                if revealed is not None and revealed.category != self.world.phantoms[target].believed_category:
+                    self._finding(f"fp:{target}", "false_positive", fb, "object",
+                                  f"{target} unmasked as {revealed.category} by close-up")
+
+    def _finding(self, key: str, cause: str, fb: Feedback, level: str, detail: str) -> None:
+        """Append one replanned-and-recovered perception record, once per key."""
+        if key not in self._finding_keys:
+            self._finding_keys.add(key)
+            self.ctx.records.append(
+                FailureRecord(cause, fb.request_index, level, replanned=True, recovered=True, detail=detail)
+            )
 
     # -- the loop ---------------------------------------------------------------------
 
@@ -266,12 +253,9 @@ class _Trial:
                 fix = self.pending_plan_fix
                 self.pending_plan_fix = None
                 fix.replanned = True
-                if fix.cause == "api_call_error":
-                    # recovered when the follow-up call is well-formed, even if
-                    # its physical outcome is a fresh sampled failure
-                    fix.recovered = _not_plan_fault(fb)
-                else:
-                    fix.recovered = fb.success and verdict.success
+                # recovered when the follow-up call is well-formed, even if
+                # its physical outcome is a fresh sampled failure
+                fix.recovered = _not_plan_fault(fb)
 
             if fb.success and verdict.success:
                 continue
@@ -288,9 +272,6 @@ class _Trial:
                 record.mark_direct()
                 outcome, reason = OUTCOME_FAILURE, f"unrecovered {record.cause} (recovery disabled)"
                 break
-            if options.planner_driven_recovery:
-                self.pending_plan_fix = record
-                continue
 
             episode = RecoveryEpisode(
                 failure=record,

@@ -207,7 +207,6 @@ def _snapshot(
     world: World,
     oid: str,
     provenance: str,
-    parent_override: Optional[str] = None,
     with_attributes: bool = True,
 ) -> SceneObject:
     """Snapshot one ground object. Local-level detections deliberately omit
@@ -215,9 +214,7 @@ def _snapshot(
     product, which is what makes the close-up step informative."""
     obj = world.objects[oid]
     pos = world.position_of(oid)
-    parent = parent_override
-    if parent is None and obj.placement.kind == "on":
-        parent = obj.placement.receptacle
+    parent = obj.placement.receptacle if obj.placement.kind == "on" else None
     return SceneObject(
         id=oid,
         category=obj.spec.category,
@@ -440,15 +437,12 @@ def _insert_phantom(world: World, receptacle_id: str, detected: set[str]) -> Sce
         reveal_attrs = ()
     pool = [c for c in PHANTOM_CATEGORY_POOL if c != reveal_cat]
     believed = pool[world.rng.randrange(len(pool))]
-    pid = world.mint_phantom_id(believed, set(world.phantoms))
-    world.register_phantom(
-        PhantomRecord(
-            phantom_id=pid,
-            believed_category=believed,
-            reveal_category=reveal_cat,
-            reveal_attributes=reveal_attrs,
-            position=pos,
-        )
+    pid = world.mint_phantom_id(believed)
+    world.phantoms[pid] = PhantomRecord(
+        believed_category=believed,
+        reveal_category=reveal_cat,
+        reveal_attributes=reveal_attrs,
+        position=pos,
     )
     return SceneObject(
         id=pid,
@@ -482,14 +476,6 @@ def _merge_into_belief(belief: Belief, lmap: LocalMap) -> None:
         if b.parent_id and belief.root_of(b.parent_id) == lmap.receptacle_id:
             del belief.objects[oid]
     belief.touch()
-
-
-def refresh_local(world: World, belief: Belief, lmap: LocalMap) -> LocalMap:
-    """Re-scan a stale local map, preserving ids of undisturbed objects.
-    A non-stale map is returned unchanged."""
-    if not lmap.stale:
-        return lmap
-    return explore_local(world, belief, lmap.receptacle_id)
 
 
 # --- object-level inspection ------------------------------------------------------------

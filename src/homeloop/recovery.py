@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import perception
 from .goals import Goal
-from .perception import Observation, capture, refresh_local
+from .perception import Observation, capture
 from .skills import Feedback, SkillContext, dispatch, evidence_ids, verdict_event
 from .verification import (
     FailureRecord,
@@ -34,7 +35,7 @@ from .verification import (
     verify_feasibility,
     verify_success,
 )
-from .world import ActionRequest
+from .world import SIDES, ActionRequest
 
 LEVEL_ORDER = {"object": 0, "local": 1, "global": 2}
 BUDGETS = {"object": 3, "local": 2, "global": 2}  # re-issues allowed per level
@@ -67,9 +68,6 @@ class RecoveryEpisode:
     tried_sides: set[str] = field(default_factory=set)
     last_before: Optional[Observation] = None
     strict_escalation: bool = False
-
-    def spent(self) -> int:
-        return sum(self.attempts.values())
 
 
 def _bump_level(level: str, floor: str) -> str:
@@ -236,14 +234,6 @@ class EpisodeRunner:
             if dx * dx + dy * dy > SHIFT_EPSILON**2:
                 episode.evidence.shifted = True
 
-    def _reissue_request(self, episode: RecoveryEpisode, level: str) -> ActionRequest:
-        return ActionRequest(
-            verb=episode.verb,
-            target=episode.target,
-            location=episode.location,
-            params={"recovery_level": level},
-        )
-
     def _reissue(self, episode: RecoveryEpisode, level: str) -> Optional[tuple[Feedback, SuccessVerdict]]:
         """Re-run the failed verb; a place whose object fell to the floor is
         re-grasped first."""
@@ -252,7 +242,22 @@ class EpisodeRunner:
             fb, verdict = self._execute(episode, g)
             if not (fb.success and verdict.success):
                 return fb, verdict
-        return self._execute(episode, self._reissue_request(episode, level))
+        request = ActionRequest(
+            verb=episode.verb, target=episode.target, location=episode.location, params={"recovery_level": level}
+        )
+        return self._execute(episode, request)
+
+    def _reissue_after_scan(
+        self, episode: RecoveryEpisode, lmap, level: str
+    ) -> Optional[tuple[Feedback, SuccessVerdict]]:
+        """Re-issue at ``level`` after a fresh scan. A grasp, or a place whose
+        object fell, first re-resolves its object in the new map; when none
+        matches, the target is lost and nothing is issued."""
+        if episode.verb == "grasp" or (episode.verb == "place" and self.ctx.belief.holding is None):
+            if self._resolve_object(episode, lmap) is None:
+                episode.evidence.target_lost = True
+                return None
+        return self._reissue(episode, level)
 
     # -- the three levels ----------------------------------------------------------------
 
@@ -289,23 +294,20 @@ class EpisodeRunner:
         return None
 
     def local_level_remap(self, episode: RecoveryEpisode) -> Optional[tuple[Feedback, SuccessVerdict]]:
-        """Rebuild the local map, re-resolve the target, act again."""
+        """Rebuild the local map, re-resolve the target, act again. The failed
+        interaction is itself evidence the map is wrong, so the scan runs even
+        when no ground change marked the map stale."""
         belief = self.ctx.belief
         root = belief.at_receptacle
-        if root is None or root not in belief.local_maps:
+        # a flipped success flag can leave the belief at a receptacle the
+        # robot is not next to, where a scan would be refused
+        if root is None or root not in belief.local_maps or not self.ctx.world.robot_adjacent_to(root):
             episode.evidence.target_lost = True
             return None
-        # the failed interaction is itself evidence the map is wrong: force a
-        # fresh scan even when no ground change marked it stale
-        belief.local_maps[root].stale = True
-        lmap = refresh_local(self.ctx.world, belief, belief.local_maps[root])
+        # looked up through the module, where perfbench/tracing.SPANS counts it
+        lmap = perception.explore_local(self.ctx.world, belief, root)
         self.ctx.events.append({"event": "recovery_remap", "receptacle": root, "items": [o.id for o in lmap.items]})
-        if episode.verb in ("grasp",) or (episode.verb == "place" and belief.holding is None):
-            resolved = self._resolve_object(episode, lmap)
-            if resolved is None:
-                episode.evidence.target_lost = True
-                return None
-        return self._reissue(episode, "local")
+        return self._reissue_after_scan(episode, lmap, "local")
 
     def _resolve_object(self, episode: RecoveryEpisode, lmap) -> Optional[str]:
         """Same id if still present, else category+attribute match."""
@@ -375,11 +377,7 @@ class EpisodeRunner:
         if lmap is None:
             episode.evidence.target_lost = True
             return None
-        if episode.verb in ("grasp",) or (episode.verb == "place" and belief.holding is None):
-            if self._resolve_object(episode, lmap) is None:
-                episode.evidence.target_lost = True
-                return None
-        return self._reissue(episode, "global")
+        return self._reissue_after_scan(episode, lmap, "global")
 
     def _pick_side(self, episode: RecoveryEpisode, root: str) -> Optional[str]:
         """Untried sides with a usable approach, preferring those that bring
@@ -393,7 +391,7 @@ class EpisodeRunner:
             if b is not None:
                 target_pos = b.location
         ranked = []
-        for side in ("north", "east", "south", "west"):
+        for side in SIDES:
             if side in episode.tried_sides:
                 continue
             cells = world.approach_cells(root, side)

@@ -20,7 +20,6 @@ trial's event log on the ``SkillContext``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -104,7 +103,7 @@ def _feedback(ctx: SkillContext, request: ActionRequest, **kw: Any) -> Feedback:
             "counted": fb.counted,
             "fault": _fault_json(fb.fault),
             "message": fb.message,
-            "details": _jsonable(fb.details),
+            "details": dict(fb.details),
         }
     )
     if fb.observation is not None:
@@ -155,10 +154,6 @@ def _location_json(request: ActionRequest) -> Optional[list]:
 
 def _fault_json(fault: Optional[Fault]) -> Optional[dict[str, str]]:
     return {"kind": fault.kind, "code": fault.code, "message": fault.message} if fault else None
-
-
-def _jsonable(doc: dict[str, Any]) -> dict[str, Any]:
-    return json.loads(json.dumps(doc, default=str))
 
 
 # --- the six verbs --------------------------------------------------------------

@@ -320,6 +320,19 @@ def validate_config(config: WorldConfig) -> None:
             raise ConfigError(f"{path}.on", f"unknown receptacle id {o.on!r}")
         if o.receptacle and (o.extent[0] <= 0 or o.extent[1] <= 0):
             raise ConfigError(f"{path}.extent", "receptacle objects need a positive extent")
+    if config.variation is not None:
+        for category, pool in config.variation.receptacle_pool.items():
+            path = f"variation.receptacle_pool.{category}"
+            if not pool:
+                raise ConfigError(path, "needs at least one receptacle id")
+            for rid in pool:
+                if rid not in receptacle_ids:
+                    raise ConfigError(path, f"unknown receptacle id {rid!r}")
+        for category, (low, high) in config.variation.extra_count_range.items():
+            if not 0 <= low <= high:
+                raise ConfigError(
+                    f"variation.extra_count_range.{category}", f"needs 0 <= low <= high, got [{low}, {high}]"
+                )
 
 
 def read_json(path: str, field: str) -> Any:
@@ -370,10 +383,10 @@ class GroundObject:
 
 @dataclass
 class PhantomRecord:
-    """Book-keeping for a hallucinated detection: the belief id, where it was
-    believed to be, and what a close-up actually finds there."""
+    """Book-keeping for a hallucinated detection, keyed by its belief id in
+    ``World.phantoms``: where it was believed to be, and what a close-up
+    actually finds there."""
 
-    phantom_id: str
     believed_category: str
     reveal_category: str
     reveal_attributes: tuple[str, ...]
@@ -517,7 +530,6 @@ class World:
             if spec.receptacle:
                 self.receptacle_versions[spec.id] = 0
         self.phantoms: dict[str, PhantomRecord] = {}
-        self._minted_ids: set[str] = set()
 
     # -- invariant helper -------------------------------------------------------
 
@@ -692,17 +704,12 @@ class World:
 
     # -- phantom registry --------------------------------------------------------------
 
-    def mint_phantom_id(self, category: str, taken: set[str]) -> str:
+    def mint_phantom_id(self, category: str) -> str:
+        """The first ``<category>_<n>`` that names neither an object nor a phantom."""
         n = 0
-        while True:
-            candidate = f"{category}_{n}"
-            if candidate not in self.objects and candidate not in taken and candidate not in self._minted_ids:
-                self._minted_ids.add(candidate)
-                return candidate
+        while f"{category}_{n}" in self.objects or f"{category}_{n}" in self.phantoms:
             n += 1
-
-    def register_phantom(self, record: PhantomRecord) -> None:
-        self.phantoms[record.phantom_id] = record
+        return f"{category}_{n}"
 
     # -- action dynamics ----------------------------------------------------------------
 
@@ -807,10 +814,9 @@ class World:
         self._bump(parent)
         return True, f"grasped {target}", {"holding": target}
 
-    def free_offset_on(self, rid: str, prefer: Optional[tuple[float, float]] = None) -> Optional[tuple[float, float]]:
+    def free_offset_on(self, rid: str) -> Optional[tuple[float, float]]:
         """First free, reachable surface offset scanning row-major at 5 cm
-        pitch (low y, then low x, first). ``prefer`` short-circuits the scan
-        when the given offset is itself free and reachable."""
+        pitch (low y, then low x, first)."""
         half_w, half_h = self._surface_half_extent(rid)
         margin = 0.05
         anchor = self.anchor_of(rid)
@@ -827,8 +833,6 @@ class World:
                 return False
             return all((pos[0] - ox) ** 2 + (pos[1] - oy) ** 2 >= 0.1**2 for ox, oy in occupied)
 
-        if prefer is not None and usable(prefer):
-            return prefer
         pitch = 0.05
         ny = max(1, int((2 * (half_h - margin)) / pitch))
         nx = max(1, int((2 * (half_w - margin)) / pitch))

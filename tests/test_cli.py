@@ -144,6 +144,13 @@ def test_unknown_task_exits_2(tiny_suite, capsys):
     assert code == 2
 
 
+def test_strict_escalation_after_a_flipped_flag_ends_without_a_traceback(capsys):
+    code = main(["trial", "--suite", "builtin:benchmark", "--task", "A2", "--trial-index", "4", "--seed", "2",
+                 "--strict-escalation", "--noise-profile", json.dumps({"p_flag_error": 0.3})])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 MALFORMED_NOISE = [
     ("noise_profile", {"p_grasp_fial": 0.5}),
     ("noise_profile", {"p_grasp_fail": "x"}),
@@ -189,6 +196,10 @@ MALFORMED_SCENES = [
     (("furniture", 0, "footprint", 0), [0], "furniture[0].footprint[0]"),
     (("objects", 0, "offset"), [0.1, 0.2, 0.3], "objects[0].offset"),
     (("objects", 0, "on"), ["table_0"], "objects[0].on"),
+    (("variation", "extra_count_range"), {"toy": [2, 1]}, "variation.extra_count_range.toy"),
+    (("variation", "receptacle_pool"), {"toy": []}, "variation.receptacle_pool.toy"),
+    (("variation", "receptacle_pool"), {"toy": ["nope_0"]}, "variation.receptacle_pool.toy"),
+    (("variation", "receptacle_pool"), {"toy": [5]}, "variation.receptacle_pool.toy"),
 ]
 
 

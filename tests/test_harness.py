@@ -213,25 +213,6 @@ def test_paired_seed_recovery_dominance_small():
     assert wins[True] >= wins[False]
 
 
-def test_planner_driven_recovery_mode():
-    # failures surface to the planner as diagnostics; the scripted policy's
-    # natural re-attempt is counted as the replan
-    noise = zero_noise(p_grasp_fail=0.35, p_object_shift_on_fail=0.0)
-    for seed in range(60):
-        report = run_trial(
-            mini_task(), ScriptedPlanner(), seed=seed,
-            options=TrialOptions(noise=dict(noise), planner_driven_recovery=True),
-        )
-        causes = [r.cause for r in report.failure_records]
-        if report.outcome == "success" and causes == ["grasp_failed"]:
-            record = report.failure_records[0]
-            assert record.replanned and record.recovered
-            # no core episode ran in this mode
-            assert not any(e["event"] == "episode_end" for e in report.events)
-            return
-    raise AssertionError("no single-failure planner-driven seed found")
-
-
 def test_strict_escalation_trial_stays_level_by_level():
     noise = zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=1.0)
     report = run_trial(
@@ -244,6 +225,19 @@ def test_strict_escalation_trial_stays_level_by_level():
     # despite shift evidence, strict mode starts at object and walks upward
     assert episode_levels[0] == "object"
     assert episode_levels == sorted(episode_levels, key=("object", "local", "global").index)
+
+
+def test_strict_remap_after_a_flipped_navigate_flag_stays_in_the_trial():
+    # a flipped success flag leaves the belief at sofa_0 while the robot
+    # stands at table_0; the strict local level must not rescan sofa_0
+    task = next(t for t in load_builtin_suite("benchmark").tasks if t.id == "A2")
+    report = run_trial(
+        task, ScriptedPlanner(), seed=200010, trial_index=4,
+        options=TrialOptions(noise={"p_flag_error": 0.3}, strict_escalation=True),
+    )
+    assert report.outcome in ("success", "failure")
+    remaps = [e for e in report.events if e["event"] == "recovery" and e["directive"] == "remap"]
+    assert remaps, "the trial no longer reaches the strict local level"
 
 
 def test_prepare_cup_requires_closeups(zero_options):

@@ -17,7 +17,6 @@ from homeloop.perception import (
     capture,
     explore_global,
     explore_local,
-    refresh_local,
     report_observation,
 )
 from homeloop.planning.scripted import _root_of
@@ -201,8 +200,7 @@ def test_refresh_preserves_ids_after_shift():
     lmap = explore_local(world, belief, "table_0")
     before_pos = lmap.find("cup_1").location
     world.apply_action(ActionRequest(verb="grasp", target="cup_1"))  # fails, shifts cup_1
-    lmap.stale = True
-    fresh = refresh_local(world, belief, lmap)
+    fresh = explore_local(world, belief, "table_0")
     moved = fresh.find("cup_1")
     assert moved is not None  # same id survives the shift
     assert moved.location != before_pos
@@ -211,27 +209,18 @@ def test_refresh_preserves_ids_after_shift():
 def test_refresh_drops_removed_object():
     world, belief = explored_world(DOLL_SCENE)
     goto(world, belief, "table_0")
-    lmap = explore_local(world, belief, "table_0")
+    explore_local(world, belief, "table_0")
     world.apply_action(ActionRequest(verb="grasp", target="cup_2"))
-    lmap.stale = True
-    fresh = refresh_local(world, belief, lmap)
+    fresh = explore_local(world, belief, "table_0")
     assert fresh.find("cup_2") is None
-
-
-def test_refresh_identity_when_not_stale():
-    world, belief = explored_world(DOLL_SCENE)
-    goto(world, belief, "table_0")
-    lmap = explore_local(world, belief, "table_0")
-    assert refresh_local(world, belief, lmap) is lmap
 
 
 def test_id_persistence_across_many_refreshes():
     world, belief = explored_world(DOLL_SCENE)
     goto(world, belief, "table_0")
-    lmap = explore_local(world, belief, "table_0")
+    explore_local(world, belief, "table_0")
     for _ in range(5):
-        lmap.stale = True
-        lmap = refresh_local(world, belief, lmap)
+        lmap = explore_local(world, belief, "table_0")
         assert {o.id for o in lmap.items} == {"cup_1", "cup_2", "doll_0"}
 
 

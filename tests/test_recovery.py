@@ -301,4 +301,4 @@ def test_termination_bound_on_total_reissues():
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "exhausted"
     assert len(episode.directives) <= sum(BUDGETS.values())
-    assert episode.spent() <= sum(BUDGETS.values())
+    assert sum(episode.attempts.values()) <= sum(BUDGETS.values())

@@ -6,7 +6,9 @@ writes, and of the event logs of random ``dispatch`` sequences.
 Run it from the root of a checkout; it imports homeloop from that checkout's
 ``src`` and the workloads from its ``perfbench``. It runs:
 
-- both bundled suites at base seed 3, as ``tests/test_trace_digest.py`` does;
+- both bundled suites at base seed 3, as ``tests/test_trace_digest.py`` does,
+  then again with each recovery ablation of the CLI: ``--strict-escalation``
+  (``strict``) and ``--no-recovery`` (``no-recovery``);
 - the ``bundled`` (1 unit), ``apartments`` and ``long_horizon`` (3 units
   each) workloads at seeds 21 and 22;
 - for ``long_horizon``, also every message list the chat adapter sends,
@@ -37,7 +39,7 @@ from pathlib import Path
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite  # noqa: E402
+from homeloop.harness import TrialOptions, load_builtin_suite, make_planner_factory, run_suite  # noqa: E402
 from homeloop.perception import Belief  # noqa: E402
 from homeloop.skills import ActionRequest, SkillContext, dispatch  # noqa: E402
 from homeloop.world import ALL_VERBS, SIDES, World, parse_config  # noqa: E402
@@ -50,6 +52,7 @@ SCENES = ("bedroom", "fruit_among_cups", "gather_cups", "move_cup_and_toy", "mov
           "place_fruit", "prepare_cup", "tidy_table", "transfer_all_toys")
 SEQUENCES_PER_SCENE = 50
 REQUESTS_PER_SEQUENCE = 60
+ABLATIONS = {"strict": TrialOptions(strict_escalation=True), "no-recovery": TrialOptions(recovery_enabled=False)}
 NOISE = {"p_grasp_fail": 0.3, "p_place_fail": 0.3, "p_nav_fail": 0.1, "p_false_positive": 0.3,
          "p_missed_detection": 0.2, "p_object_shift_on_fail": 0.5, "p_flag_error": 0.1, "p_closeup_error": 0.1}
 
@@ -62,10 +65,10 @@ def digest(out: Path) -> str:
     return h.hexdigest()
 
 
-def suites_digest(out: Path) -> str:
+def suites_digest(out: Path, options: TrialOptions | None = None) -> str:
     for name in ("acceptance", "benchmark"):
         run_suite(load_builtin_suite(name), make_planner_factory("scripted"),
-                  out_dir=str(out / name), base_seed=SUITES_BASE_SEED)
+                  out_dir=str(out / name), options=options, base_seed=SUITES_BASE_SEED)
     return digest(out)
 
 
@@ -159,6 +162,8 @@ def dispatch_digest(seed: int) -> str:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         print(f"suites {SUITES_BASE_SEED} {suites_digest(Path(tmp) / 'suites')}", flush=True)
+        for label, options in ABLATIONS.items():
+            print(f"{label} {SUITES_BASE_SEED} {suites_digest(Path(tmp) / label, options)}", flush=True)
         for name in UNITS:
             for seed in WORKLOAD_SEEDS:
                 with recorded_prompts() as prompts:
