@@ -44,7 +44,7 @@ from .verification import (
     verify_feasibility,
     verify_success,
 )
-from .recovery import RecoveryDirective, RecoveryEpisode, select_recovery
+from .recovery import RecoveryEpisode, select_recovery
 from .planning import (
     ChatModelPlanner,
     DialogueHistory,

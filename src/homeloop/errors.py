@@ -5,6 +5,10 @@ Faults are *data*: they ride inside action feedback so the planner can read
 them, and they never unwind the trial loop. A layer that refuses a request
 raises ``Refused`` with the fault (``World.apply_action`` too); only
 ``skills.dispatch`` turns it back into data, a failed ``Feedback``.
+
+A fault's ``code`` alone decides what kind of failure it is
+(``verification.PHYSICAL_FAULT_CODES``); its class names it in feedback lines
+and traces (``kind``).
 """
 
 from __future__ import annotations
@@ -97,26 +101,3 @@ class Refused(Exception):
         self.fault = fault
         self.message = message or fault.message
         super().__init__(self.message)
-
-
-# Every fault class by its ``kind`` (class name), for rebuilding faults from a
-# trace. A new Fault subclass must be listed here to replay as itself.
-FAULT_TYPES: dict[str, type[Fault]] = {
-    cls.__name__: cls for cls in (Fault, PreconditionFault, NotAtReceptacle, TargetNotVisible, ApiCallError)
-}
-
-
-# Fault codes that indicate a planner mistake (wrong or missing call) rather
-# than a physical failure. They map to the api_call_error failure cause.
-PLAN_LEVEL_CODES = frozenset(
-    {
-        "unknown_verb",
-        "unknown_reference",
-        "bad_argument",
-        "place_without_grasp",
-        "gripper_full",
-        "not_at_receptacle",
-        "target_not_in_local_map",
-        "no_free_space",
-    }
-)

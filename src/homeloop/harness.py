@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Callable, Optional
 
-from .errors import FAULT_TYPES, PLAN_LEVEL_CODES, BudgetExceeded, ConfigError, Fault, TransportError
+from .errors import BudgetExceeded, ConfigError, Fault, TransportError
 from .goals import Goal, goal_satisfied, ground_view, parse_goal
 from .perception import Belief
 from .planning import (
@@ -55,6 +55,7 @@ from .trace import (
 )
 from .metrics import MetricsTable, compute_metrics
 from .verification import (
+    PHYSICAL_FAULT_CODES,
     FailureRecord,
     SuccessVerdict,
     atom_object_selector,
@@ -239,10 +240,8 @@ class _Trial:
                 self.history.append_note(step.warning)
             request = to_request(step)
             held_before = self.belief.holding
-            prior_map = None
-            if request.verb == "explore_local" and request.target in self.belief.local_maps:
-                m = self.belief.local_maps[request.target]
-                prior_map = replace(m, items=list(m.items))
+            # a scan installs a new map and leaves the old one as it was
+            prior_map = self.belief.local_maps.get(request.target) if request.verb == "explore_local" else None
             fb, verdict, before = execute(self.ctx, request)
             self._perception_findings(request, fb, prior_map)
             self.history.append_feedback(fb.render())
@@ -250,12 +249,10 @@ class _Trial:
                 self.history.append_observation(_compact_observation(fb))
 
             if self.pending_plan_fix is not None:
-                fix = self.pending_plan_fix
-                self.pending_plan_fix = None
-                fix.replanned = True
                 # recovered when the follow-up call is well-formed, even if
                 # its physical outcome is a fresh sampled failure
-                fix.recovered = _not_plan_fault(fb)
+                self.pending_plan_fix.mark_replanned(fb.fault is None or fb.fault.code in PHYSICAL_FAULT_CODES)
+                self.pending_plan_fix = None
 
             if fb.success and verdict.success:
                 continue
@@ -291,7 +288,7 @@ class _Trial:
                     "event": "episode_end",
                     "status": episode.status,
                     "attempts": dict(episode.attempts),
-                    "levels": [d.level for d in episode.directives],
+                    "levels": episode.levels,
                 }
             )
             if episode.status == "exhausted":
@@ -310,7 +307,7 @@ class _Trial:
         if self.pending_plan_fix is not None:
             fix = self.pending_plan_fix
             if outcome == OUTCOME_SUCCESS:
-                fix.replanned, fix.recovered = True, True
+                fix.mark_replanned(True)
             else:
                 fix.mark_direct()
             self.pending_plan_fix = None
@@ -350,10 +347,6 @@ class _Trial:
                     detail=f"gave up although ground truth holds {sel.describe()}",
                 )
             )
-
-
-def _not_plan_fault(fb: Feedback) -> bool:
-    return fb.fault is None or fb.fault.code not in PLAN_LEVEL_CODES
 
 
 def _episode_object(request: ActionRequest, fb: Feedback, held_before: Optional[str]) -> Optional[str]:
@@ -546,10 +539,8 @@ def replay_verdicts(report: TrialReport) -> list[tuple[dict, SuccessVerdict]]:
     for event in report.events:
         if event.get("event") != "verdict":
             continue
-        fault = None
-        if event.get("fault"):
-            cls = FAULT_TYPES.get(event["fault"]["kind"], Fault)
-            fault = cls(event["fault"]["code"], event["fault"]["message"])
+        # the verdict reads only whether a fault exists and its message
+        fault = Fault(event["fault"]["code"], event["fault"]["message"]) if event.get("fault") else None
         details = {}
         if event.get("placed"):
             details["placed"] = event["placed"]

@@ -50,16 +50,21 @@ class SceneObject:
         }
 
 
+def find_by_id(items: Iterable[SceneObject], ref: str) -> Optional[SceneObject]:
+    """The first of ``items`` with id ``ref``, or None."""
+    for o in items:
+        if o.id == ref:
+            return o
+    return None
+
+
 @dataclass
 class GlobalMap:
     furniture: list[SceneObject]
     explored_mask: np.ndarray
 
     def find(self, ref: str) -> Optional[SceneObject]:
-        for f in self.furniture:
-            if f.id == ref:
-                return f
-        return None
+        return find_by_id(self.furniture, ref)
 
 
 @dataclass
@@ -71,10 +76,7 @@ class LocalMap:
     scan_count: int = 1
 
     def find(self, ref: str) -> Optional[SceneObject]:
-        for o in self.items:
-            if o.id == ref:
-                return o
-        return None
+        return find_by_id(self.items, ref)
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,7 @@ class Observation:
     captured_at_step: int
 
     def find(self, ref: str) -> Optional[SceneObject]:
-        for o in self.visible:
-            if o.id == ref:
-                return o
-        return None
+        return find_by_id(self.visible, ref)
 
     def to_json(self) -> dict[str, Any]:
         return {

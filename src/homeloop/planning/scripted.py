@@ -20,10 +20,13 @@ from ..errors import PolicyStuck
 from ..goals import AllOn, Goal, Holding, Not, On, Or, SameReceptacle, Selector
 from ..perception import Belief, BeliefObject
 from ..verification import (
+    atom_object_selector,
     belief_goal_satisfied,
     candidate_objects,
     first_unsatisfied_atom,
     scannable_receptacles,
+    selector_admits,
+    unscanned_receptacles,
     verify_feasibility,
 )
 from .base import PlannerView
@@ -44,8 +47,8 @@ def scripted_next_step(task, history, view: PlannerView) -> PlanStep:
 
     goal: Goal = task.goal
     if belief_goal_satisfied(goal, belief):
-        if _needs_full_scan(goal) and _unscanned(belief):
-            return _scan_step(belief, _unscanned(belief)[0])
+        if _needs_full_scan(goal) and unscanned_receptacles(belief):
+            return _scan_step(belief, unscanned_receptacles(belief)[0])
         return Done("goal satisfied")
 
     atom = first_unsatisfied_atom(goal, belief)
@@ -59,10 +62,6 @@ def scripted_next_step(task, history, view: PlannerView) -> PlanStep:
 
 def _needs_full_scan(goal: Goal) -> bool:
     return any(isinstance(a, (AllOn, SameReceptacle)) for a in goal.atoms())
-
-
-def _unscanned(belief: Belief) -> list[str]:
-    return [r for r in scannable_receptacles(belief) if r not in belief.local_maps]
 
 
 def _root_of(belief: Belief, oid: str) -> Optional[str]:
@@ -94,7 +93,7 @@ def _pursue(atom: Goal, task, view: PlannerView) -> PlanStep:
 
     # category-quantified atoms need complete knowledge before moving anything
     if isinstance(atom, (AllOn, SameReceptacle)):
-        pending = _unscanned(belief)
+        pending = unscanned_receptacles(belief)
         if pending:
             return _scan_step(belief, pending[0])
         dest = _resolve_destination(atom, belief)
@@ -129,25 +128,11 @@ def _attrs_verified(b: BeliefObject, sel: Selector) -> bool:
     return b.inspected and sel.attributes <= set(b.attributes)
 
 
-def _matches_held(atom: Goal, held: BeliefObject) -> bool:
-    if isinstance(atom, (AllOn, SameReceptacle)):
-        return held.category == atom.category
-    if isinstance(atom, (On, Holding)):
-        sel = atom.obj
-        if sel.id is not None and sel.id != held.id:
-            return False
-        if sel.category is not None and sel.category != held.category:
-            return False
-        if sel.attributes and held.inspected and not (sel.attributes <= set(held.attributes)):
-            return False
-        return True
-    return False
-
-
 def _deliver_or_unload(atom: Goal, task, view: PlannerView, held: str) -> PlanStep:
     belief = view.belief
     held_obj = belief.objects.get(held)
-    if held_obj is None or not _matches_held(atom, held_obj):
+    sel = atom_object_selector(atom)
+    if held_obj is None or sel is None or not selector_admits(sel, held_obj):
         # holding something irrelevant: set it down where we stand
         if belief.at_receptacle is not None:
             return Call("place", Ref(belief.at_receptacle))
@@ -250,7 +235,7 @@ def _object_search(atom: Goal, task, view: PlannerView) -> PlanStep:
 
 
 def _dest_search(atom: Goal, belief: Belief) -> PlanStep:
-    pending = _unscanned(belief)
+    pending = unscanned_receptacles(belief)
     if pending:
         return _scan_step(belief, pending[0])
     return Done("infeasible: destination receptacle not found")

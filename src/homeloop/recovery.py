@@ -1,7 +1,7 @@
 """Hierarchical failure recovery.
 
-One episode tracks one failure from detection to resolution. Directives walk
-up a three-level ladder that mirrors the perception hierarchy:
+One episode tracks one failure from detection to resolution. It walks up a
+three-level ladder (``LADDER``) that mirrors the perception hierarchy:
 
     object level  — re-issue the same request, a fresh draw of its outcome
     local level   — rebuild the local map, re-resolve the target, act again
@@ -14,7 +14,8 @@ that shifted needs at least a re-map, an out-of-reach or lost target needs a
 new vantage point. Budgets bound every episode to a handful of re-issues.
 
 Each re-issued execution is verified like a first-class step; a failed
-re-issue is itself a new failure event for the accounting.
+re-issue is itself a new failure event for the accounting. A level reports
+what became of the episode: nothing issued (None), recovered or not.
 """
 
 from __future__ import annotations
@@ -37,20 +38,13 @@ from .verification import (
 )
 from .world import SIDES, ActionRequest
 
-LEVEL_ORDER = {"object": 0, "local": 1, "global": 2}
-BUDGETS = {"object": 3, "local": 2, "global": 2}  # re-issues allowed per level
+# The recovery ladder, bottom to top; the re-issues each level allows; and
+# the directive each level (and "none", an exhausted episode) is traced as.
+LADDER = ("object", "local", "global")
+BUDGETS = {"object": 3, "local": 2, "global": 2}
+DIRECTIVES = {"object": "retry", "local": "remap", "global": "renavigate", "none": "exhausted"}
 
 SHIFT_EPSILON = 0.02  # meters of believed movement that counts as "shifted"
-
-
-@dataclass(frozen=True)
-class RecoveryDirective:
-    kind: str  # "retry" | "remap" | "renavigate" | "exhausted"
-    level: str  # "object" | "local" | "global" | "none"
-
-    @staticmethod
-    def exhausted() -> "RecoveryDirective":
-        return RecoveryDirective("exhausted", "none")
 
 
 @dataclass
@@ -60,54 +54,50 @@ class RecoveryEpisode:
     object_id: Optional[str]
     target: Optional[str]
     location: Optional[tuple[str, tuple[float, float]]] = None
-    attempts: dict[str, int] = field(default_factory=lambda: {"object": 0, "local": 0, "global": 0})
+    attempts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LADDER, 0))
     status: str = "active"  # active | recovered | exhausted
     evidence: RetryState = field(default_factory=RetryState)
     current_level: str = "object"
-    directives: list[RecoveryDirective] = field(default_factory=list)
+    levels: list[str] = field(default_factory=list)  # every level selected, in order
     tried_sides: set[str] = field(default_factory=set)
     last_before: Optional[Observation] = None
     strict_escalation: bool = False
+    # the failure the next re-issue answers: ``failure``, then each failed re-issue
+    latest: FailureRecord = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.latest = self.failure
 
 
-def _bump_level(level: str, floor: str) -> str:
-    return level if LEVEL_ORDER[level] >= LEVEL_ORDER[floor] else floor
+def select_recovery(episode: RecoveryEpisode) -> str:
+    """Pick the next level, escalating on spent budgets and on evidence, or
+    "none" once the episode is exhausted.
 
-
-def select_recovery(episode: RecoveryEpisode) -> RecoveryDirective:
-    """Pick the next directive, escalating on spent budgets and on evidence.
-
-    The returned directive's level is recorded as the episode's new floor, so
-    emitted levels form a non-decreasing sequence.
+    The returned level is recorded as the episode's new floor, so selected
+    levels form a non-decreasing sequence.
     """
     if episode.status != "active":
-        return RecoveryDirective.exhausted()
-    ev = episode.evidence
-    if episode.strict_escalation:
-        level = episode.current_level
-    else:
-        level = episode.failure.recovery_level
-        if level == "none":
-            level = "object"
+        return "none"
+    floors = [episode.current_level]
+    if not episode.strict_escalation:
+        ev = episode.evidence
+        floors.append(episode.failure.recovery_level)  # "none" sets no floor
         if ev.shifted:
-            level = _bump_level(level, "local")
+            floors.append("local")
         if ev.out_of_reach or ev.target_lost:
-            level = _bump_level(level, "global")
-        level = _bump_level(level, episode.current_level)
-    while episode.attempts[level] >= BUDGETS[level]:
-        idx = LEVEL_ORDER[level] + 1
-        if idx > 2:
-            episode.status = "exhausted"
-            return RecoveryDirective.exhausted()
-        level = ("object", "local", "global")[idx]
+            floors.append("global")
+    rank = max(LADDER.index(f) for f in floors if f in LADDER)
+    level = next((lv for lv in LADDER[rank:] if episode.attempts[lv] < BUDGETS[lv]), None)
+    if level is None:
+        episode.status = "exhausted"
+        return "none"
     episode.current_level = level
     episode.attempts[level] += 1
-    directive = RecoveryDirective({"object": "retry", "local": "remap", "global": "renavigate"}[level], level)
-    episode.directives.append(directive)
-    return directive
+    episode.levels.append(level)
+    return level
 
 
-# --- directive execution ----------------------------------------------------------
+# --- execution ---------------------------------------------------------------------
 
 
 def execute(ctx: SkillContext, request: ActionRequest) -> tuple[Feedback, SuccessVerdict, Observation]:
@@ -131,21 +121,22 @@ class EpisodeRunner:
     goal: Goal
 
     def run(self, episode: RecoveryEpisode) -> RecoveryEpisode:
-        prev_record = episode.failure
+        act_at = {"object": self.object_level_retry, "local": self.local_level_remap,
+                  "global": self.global_level_renavigate}
         guard = sum(BUDGETS.values()) + 2
         for _ in range(guard):
             if belief_goal_satisfied(self.goal, self.ctx.belief):
                 # the situation resolved itself (e.g. a phantom target cleared
                 # on re-map and the goal is already met): the map-level fix
                 # counts as the recovery
-                return self._end(episode, prev_record, "recovered")
-            directive = select_recovery(episode)
+                return self._end(episode, "recovered")
+            level = select_recovery(episode)
             self.ctx.events.append(
                 {
                     "event": "recovery",
-                    "directive": directive.kind,
-                    "level": directive.level,
-                    "attempt": episode.attempts.get(directive.level, 0),
+                    "directive": DIRECTIVES[level],
+                    "level": level,
+                    "attempt": episode.attempts.get(level, 0),
                     "evidence": {
                         "shifted": episode.evidence.shifted,
                         "target_lost": episode.evidence.target_lost,
@@ -153,40 +144,22 @@ class EpisodeRunner:
                     },
                 }
             )
-            if directive.kind == "exhausted":
+            if level == "none":
                 # the last failure event got no re-issue: it ends the task
-                return self._end(episode, prev_record, "exhausted")
+                return self._end(episode, "exhausted")
+            # a level that issued nothing (lost target, no alternative)
+            # returns None: its evidence is updated, keep escalating
+            if act_at[level](episode):
+                return self._end(episode, "recovered")
+        return self._end(episode, "exhausted")
 
-            if directive.kind == "retry":
-                result = self.object_level_retry(episode)
-            elif directive.kind == "remap":
-                result = self.local_level_remap(episode)
-            else:
-                result = self.global_level_renavigate(episode)
-
-            if result is None:
-                # no action could be issued at this level (lost target, no
-                # alternative); evidence was updated, keep escalating
-                continue
-
-            fb, verdict = result
-            if fb.success and verdict.success:
-                return self._end(episode, prev_record, "recovered")
-            prev_record.replanned = True
-            prev_record.recovered = False
-            new_record = classify_failure(verdict, fb, episode.evidence)
-            self._update_evidence(episode, fb)
-            self.ctx.records.append(new_record)
-            prev_record = new_record
-        return self._end(episode, prev_record, "exhausted")
-
-    def _end(self, episode: RecoveryEpisode, record: FailureRecord, status: str) -> RecoveryEpisode:
+    def _end(self, episode: RecoveryEpisode, status: str) -> RecoveryEpisode:
         """Close the episode: the last failure record is recovered by the
         episode or, when it ends exhausted, a direct failure."""
         if status == "recovered":
-            record.replanned = record.recovered = True
+            episode.latest.mark_replanned(True)
         else:
-            record.mark_direct()
+            episode.latest.mark_direct()
         episode.status = status
         self.ctx.events.append({"event": "recovery", "directive": "end", "status": status})
         return episode
@@ -203,23 +176,31 @@ class EpisodeRunner:
 
     # -- one verified execution ------------------------------------------------------
 
-    def _execute(self, episode: RecoveryEpisode, request: ActionRequest) -> tuple[Feedback, SuccessVerdict]:
+    def _execute(self, episode: RecoveryEpisode, request: ActionRequest) -> bool:
+        """Re-issue one verified request; a failure answers the episode's
+        latest failure and becomes the new latest. Returns the success."""
         # the shift check reads only the episode object and is not traced; a
         # retargeted object has not moved since, unless it rode on the old one
         seen = capture(self.ctx.world, "stay", () if episode.object_id is None else (episode.object_id,))
         self._check_shift(episode, seen)
         episode.last_before = seen
         fb, verdict, _ = execute(self.ctx, request)
+        success = fb.success and verdict.success
         self.ctx.events.append(
             {
                 "event": "recovery_action",
                 "verb": request.verb,
                 "target": request.target,
                 "index": fb.request_index,
-                "success": fb.success and verdict.success,
+                "success": success,
             }
         )
-        return fb, verdict
+        if not success:
+            episode.latest.mark_replanned(False)
+            episode.latest = classify_failure(verdict, fb, episode.evidence)
+            self._update_evidence(episode, fb)
+            self.ctx.records.append(episode.latest)
+        return success
 
     def _check_shift(self, episode: RecoveryEpisode, fresh: Observation) -> None:
         """Compare before-images across attempts: a moved target is evidence
@@ -234,22 +215,19 @@ class EpisodeRunner:
             if dx * dx + dy * dy > SHIFT_EPSILON**2:
                 episode.evidence.shifted = True
 
-    def _reissue(self, episode: RecoveryEpisode, level: str) -> Optional[tuple[Feedback, SuccessVerdict]]:
+    def _reissue(self, episode: RecoveryEpisode, level: str) -> bool:
         """Re-run the failed verb; a place whose object fell to the floor is
         re-grasped first."""
         if episode.verb == "place" and self.ctx.belief.holding is None and episode.object_id is not None:
             g = ActionRequest(verb="grasp", target=episode.object_id, params={"recovery_level": level})
-            fb, verdict = self._execute(episode, g)
-            if not (fb.success and verdict.success):
-                return fb, verdict
+            if not self._execute(episode, g):
+                return False
         request = ActionRequest(
             verb=episode.verb, target=episode.target, location=episode.location, params={"recovery_level": level}
         )
         return self._execute(episode, request)
 
-    def _reissue_after_scan(
-        self, episode: RecoveryEpisode, lmap, level: str
-    ) -> Optional[tuple[Feedback, SuccessVerdict]]:
+    def _reissue_after_scan(self, episode: RecoveryEpisode, lmap, level: str) -> Optional[bool]:
         """Re-issue at ``level`` after a fresh scan. A grasp, or a place whose
         object fell, first re-resolves its object in the new map; when none
         matches, the target is lost and nothing is issued."""
@@ -261,39 +239,33 @@ class EpisodeRunner:
 
     # -- the three levels ----------------------------------------------------------------
 
-    def object_level_retry(self, episode: RecoveryEpisode) -> Optional[tuple[Feedback, SuccessVerdict]]:
+    def object_level_retry(self, episode: RecoveryEpisode) -> bool:
         """Re-issue the failed request unchanged: the world draws its outcome
         afresh, so a sampled failure can succeed on the next attempt."""
-        if episode.failure.cause == "visual_feedback_error":
-            resolved = self._reobserve(episode)
-            if resolved is not None:
-                return resolved
+        if episode.failure.cause == "visual_feedback_error" and self._reobserve(episode):
+            return True
         return self._reissue(episode, "object")
 
-    def _reobserve(self, episode: RecoveryEpisode) -> Optional[tuple[Feedback, SuccessVerdict]]:
-        """Second look for flag/delta mismatches: trust the fresh delta. When
-        it shows the intent was achieved the episode resolves without another
-        execution; otherwise fall through to a real retry."""
+    def _reobserve(self, episode: RecoveryEpisode) -> bool:
+        """Second look for flag/delta mismatches: trust the fresh delta. True
+        when it shows the intent was achieved, and the episode resolves
+        without another execution; otherwise a real retry follows."""
         oid = episode.object_id
         if oid is None:
-            return None
+            return False
         fresh = capture(self.ctx.world, "stay", (oid,))
-        if episode.verb == "grasp":
-            achieved = fresh.find(oid) is None and self.ctx.world.gripper == oid
-            if achieved:
-                self.ctx.belief.note_grasped(oid)
-                fb = Feedback(request_index=-1, verb="grasp", success=True, message="re-observation: already holding")
-                return fb, SuccessVerdict(True, True, True, "re-observation confirms the grasp succeeded")
+        if episode.verb == "grasp" and fresh.find(oid) is None and self.ctx.world.gripper == oid:
+            self.ctx.belief.note_grasped(oid)
+            return True
         if episode.verb == "place":
             snap = fresh.find(oid)
             rid = episode.location[0] if episode.location else episode.target
             if snap is not None and snap.parent_id == rid:
                 self.ctx.belief.note_placed(oid, rid, snap.location)
-                fb = Feedback(request_index=-1, verb="place", success=True, message="re-observation: already placed")
-                return fb, SuccessVerdict(True, True, True, "re-observation confirms the place succeeded")
-        return None
+                return True
+        return False
 
-    def local_level_remap(self, episode: RecoveryEpisode) -> Optional[tuple[Feedback, SuccessVerdict]]:
+    def local_level_remap(self, episode: RecoveryEpisode) -> Optional[bool]:
         """Rebuild the local map, re-resolve the target, act again. The failed
         interaction is itself evidence the map is wrong, so the scan runs even
         when no ground change marked the map stale."""
@@ -334,7 +306,7 @@ class EpisodeRunner:
                 return item.id
         return None
 
-    def global_level_renavigate(self, episode: RecoveryEpisode) -> Optional[tuple[Feedback, SuccessVerdict]]:
+    def global_level_renavigate(self, episode: RecoveryEpisode) -> Optional[bool]:
         """New vantage point: an untried side with the target in reach, or an
         alternative receptacle suggested by the feasibility check."""
         belief = self.ctx.belief
@@ -356,9 +328,8 @@ class EpisodeRunner:
                 verb="navigate", target=root, side=side,
                 params={"recovery_level": "global", "focus": focus},
             )
-            fb, verdict = self._execute(episode, nav)
-            if not (fb.success and verdict.success):
-                return fb, verdict
+            if not self._execute(episode, nav):
+                return False
             episode.tried_sides.add(side)
             return self._reissue(episode, "global")
 
@@ -368,10 +339,9 @@ class EpisodeRunner:
         nav = ActionRequest(
             verb="navigate", target=suggestion.receptacle, params={"recovery_level": "global"}
         )
-        fb, verdict = self._execute(episode, nav)
-        if not (fb.success and verdict.success):
-            return fb, verdict
-        scan = ActionRequest(verb="explore_local", target=suggestion.receptacle)
+        if not self._execute(episode, nav):
+            return False
+        scan = ActionRequest(verb="explore_local", target=suggestion.receptacle, params={"recovery_level": "global"})
         dispatch(self.ctx, scan)  # perception, not counted
         lmap = belief.local_maps.get(suggestion.receptacle)
         if lmap is None:

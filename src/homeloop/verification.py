@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ApiCallError, Fault, NotAtReceptacle, PreconditionFault, TargetNotVisible, PLAN_LEVEL_CODES
 from .goals import EntityView, Goal, PlacementView, Selector, On, AllOn, SameReceptacle, Holding, And, Or, Not
-from .perception import Belief, Observation
+from .perception import Belief, BeliefObject, Observation
 from .skills import Feedback
 from .world import ActionRequest
 
@@ -37,6 +36,10 @@ CAUSE_GROUP = {
 CAUSES = tuple(CAUSE_GROUP)
 
 LEVELS = ("object", "local", "global", "none")
+
+# The only fault codes that report a physical failure; every other fault is a
+# planner mistake (wrong or missing call), an api_call_error.
+PHYSICAL_FAULT_CODES = frozenset({"target_not_visible", "out_of_reach"})
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,10 @@ class FailureRecord:
         self.recovery_level = "none"
         self.replanned = False
         self.recovered = False
+
+    def mark_replanned(self, recovered: bool) -> None:
+        self.replanned = True
+        self.recovered = recovered
 
     def to_json(self) -> dict:
         return {
@@ -295,22 +302,22 @@ def atom_object_selector(atom: Goal) -> Optional[Selector]:
     return None
 
 
+def selector_admits(sel: Selector, b: BeliefObject) -> bool:
+    """The believed object could be the selected one: id and category match,
+    and its attributes are either verified or still unknown (uninspected)."""
+    return (
+        (sel.id is None or sel.id == b.id)
+        and (sel.category is None or sel.category == b.category)
+        and not (sel.attributes and b.inspected and not sel.attributes <= set(b.attributes))
+    )
+
+
 def candidate_objects(belief: Belief, sel: Selector) -> list[str]:
-    """Believed objects that could satisfy the selector: category/id match,
-    not ruled out by a close-up, and attributes either already verified or
-    still unknown (uninspected)."""
-    out = []
-    for b in belief.sorted_objects():
-        if b.is_receptacle or b.ruled_out:
-            continue
-        if sel.id is not None and sel.id != b.id:
-            continue
-        if sel.category is not None and sel.category != b.category:
-            continue
-        if sel.attributes and b.inspected and not (sel.attributes <= set(b.attributes)):
-            continue
-        out.append(b.id)
-    return out
+    """Believed objects that could satisfy the selector and that no close-up
+    ruled out."""
+    return [
+        b.id for b in belief.sorted_objects() if not (b.is_receptacle or b.ruled_out) and selector_admits(sel, b)
+    ]
 
 
 def scannable_receptacles(belief: Belief) -> list[str]:
@@ -321,6 +328,11 @@ def scannable_receptacles(belief: Belief) -> list[str]:
         return []
     recs = [f for f in gmap.furniture if f.is_receptacle]
     return [f.id for f in sorted(recs, key=lambda f: (0 if f.category == "table" else 1, f.id))]
+
+
+def unscanned_receptacles(belief: Belief) -> list[str]:
+    """``scannable_receptacles`` that no local map covers yet."""
+    return [r for r in scannable_receptacles(belief) if r not in belief.local_maps]
 
 
 def _scan_saw_kind(lmap, sel: Selector) -> bool:
@@ -367,7 +379,7 @@ def verify_feasibility(goal: Goal, belief: Belief) -> FeasibilityVerdict:
                 RollbackSuggestion("local", current, f"re-scan {current}: {sel.describe()} may have been missed"),
                 f"no candidate for {sel.describe()} at {current}; one re-scan pending",
             )
-    unscanned = [r for r in scannable_receptacles(belief) if r not in belief.local_maps]
+    unscanned = unscanned_receptacles(belief)
     if unscanned:
         return FeasibilityVerdict(
             False,
@@ -387,22 +399,22 @@ def classify_failure(
 ) -> FailureRecord:
     """Map evidence onto exactly one cause and an initial recovery level.
 
-    Manipulation faults start at object level, perception faults on small
-    objects at local level, navigation/reachability faults at global level;
-    plan-level mistakes (wrong or missing calls) are handed back to the
-    planner (level none).
+    A fault is classified by its code alone: a target no longer where it was
+    believed is a false positive (local level), a target out of reach a
+    manipulation failure (global level), and every other fault a plan-level
+    mistake handed back to the planner (level none). Without a fault,
+    manipulation failures start at object level and navigation failures at
+    global level.
     """
     rs = retry_state or RetryState()
     fault = fb.fault
     if fault is not None:
-        if isinstance(fault, (ApiCallError, NotAtReceptacle)) or fault.code in PLAN_LEVEL_CODES:
+        if fault.code not in PHYSICAL_FAULT_CODES:
             return FailureRecord("api_call_error", fb.request_index, "none", detail=fault.message)
-        if isinstance(fault, TargetNotVisible):
+        if fault.code == "target_not_visible":
             return FailureRecord("false_positive", fb.request_index, "local", detail=fault.message)
-        if isinstance(fault, PreconditionFault) and fault.code == "out_of_reach":
-            cause = "place_failed" if fb.verb == "place" else "grasp_failed"
-            return FailureRecord(cause, fb.request_index, "global", detail=fault.message)
-        return FailureRecord("api_call_error", fb.request_index, "none", detail=fault.message)
+        cause = "place_failed" if fb.verb == "place" else "grasp_failed"
+        return FailureRecord(cause, fb.request_index, "global", detail=fault.message)
 
     if verdict is not None and verdict.suspected_cause == "visual_feedback_error":
         return FailureRecord("visual_feedback_error", fb.request_index, "object", detail=verdict.explanation)

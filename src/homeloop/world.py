@@ -125,15 +125,19 @@ def check_noise_fields(raw: Any, path: str, with_seed: bool) -> dict[str, Any]:
     return dict(raw)
 
 
+MAX_EXTRA_COUNT = 100  # the most clones a variation may add per category
+
+
 @dataclass
 class VariationSpec:
     """Per-trial scene variation, driven by the trial seed.
 
     shuffle_offsets: re-draw each object's surface offset.
     receptacle_pool: categories whose members may be re-dealt across the
-        listed receptacles.
+        listed receptacles, keeping their offsets when no shuffled one fits.
     extra_count_range: extra clones of the first object of a category,
-        inclusive range; clones get ids ``<category>_vN``.
+        inclusive range of at most ``MAX_EXTRA_COUNT``; clones get ids
+        ``<category>_vN`` and the first object's offset.
     """
 
     shuffle_offsets: bool = False
@@ -328,11 +332,18 @@ def validate_config(config: WorldConfig) -> None:
             for rid in pool:
                 if rid not in receptacle_ids:
                     raise ConfigError(path, f"unknown receptacle id {rid!r}")
+                half_w, half_h = _half_extent_for(config, rid)
+                for o in config.objects:
+                    if o.category == category and not o.receptacle and o.on is not None:
+                        if abs(o.offset[0]) > half_w or abs(o.offset[1]) > half_h:
+                            raise ConfigError(path, f"offset of {o.id!r} outside surface of {rid!r}")
         for category, (low, high) in config.variation.extra_count_range.items():
-            if not 0 <= low <= high:
-                raise ConfigError(
-                    f"variation.extra_count_range.{category}", f"needs 0 <= low <= high, got [{low}, {high}]"
-                )
+            path = f"variation.extra_count_range.{category}"
+            if not 0 <= low <= high <= MAX_EXTRA_COUNT:
+                raise ConfigError(path, f"needs 0 <= low <= high <= {MAX_EXTRA_COUNT}, got [{low}, {high}]")
+            for clone in (f"{category}_v{k}" for k in range(high)):
+                if clone in seen_o or clone in seen_f:
+                    raise ConfigError(path, f"clone id {clone!r} names an object or furniture")
 
 
 def read_json(path: str, field: str) -> Any:

@@ -25,7 +25,7 @@ from homeloop.harness import (
 from homeloop.metrics import EMPTY_RATIO, compute_metrics
 from homeloop.perception import Belief, explore_global, explore_local, report_observation
 from homeloop.planning import Call, ChatModelPlanner, HttpChatBackend, ScriptedPlanner, TranscriptBackend
-from homeloop.recovery import BUDGETS, LEVEL_ORDER, RecoveryEpisode, select_recovery
+from homeloop.recovery import BUDGETS, DIRECTIVES, LADDER, RecoveryEpisode, select_recovery
 from homeloop.trace import load_trace, write_trace
 from homeloop.verification import FailureRecord
 from homeloop.world import ActionRequest
@@ -179,14 +179,14 @@ def test_criterion_5_escalation_protocol(events, start_level):
     )
     levels = []
     for step in range(sum(BUDGETS.values()) + 1):
-        directive = select_recovery(episode)
-        if directive.kind == "exhausted":
+        level = select_recovery(episode)
+        if DIRECTIVES[level] == "exhausted":
             break
-        levels.append(directive.level)
+        levels.append(level)
         if episode.evidence.shifted:
-            assert LEVEL_ORDER[directive.level] >= LEVEL_ORDER["local"]
+            assert LADDER.index(level) >= LADDER.index("local")
         if episode.evidence.out_of_reach or episode.evidence.target_lost:
-            assert directive.level == "global"
+            assert level == "global"
         event = events[step % len(events)] if events else "none"
         if event == "shift":
             episode.evidence.shifted = True
@@ -196,7 +196,7 @@ def test_criterion_5_escalation_protocol(events, start_level):
             episode.evidence.out_of_reach = True
     else:
         raise AssertionError("episode failed to terminate within budget")
-    assert levels == sorted(levels, key=lambda lv: LEVEL_ORDER[lv])
+    assert levels == sorted(levels, key=LADDER.index)
     for level, budget in BUDGETS.items():
         assert episode.attempts[level] <= budget
 

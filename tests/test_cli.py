@@ -188,6 +188,11 @@ def _set_scene_field(scene, path, value):
     parent[path[-1]] = value
 
 
+TOY = {"id": "toy_0", "category": "toy", "on": "table_0", "offset": [0.3, -0.1]}
+CUP = {"id": "cup_0", "category": "cup", "on": "table_0", "offset": [-0.3, 0.1]}
+PLATE = {"id": "plate_0", "category": "plate", "on": "table_0", "offset": [0.0, 0.0],
+         "receptacle": True, "extent": [0.2, 0.2]}
+
 MALFORMED_SCENES = [
     (("room",), 5, "room"),
     (("furniture",), 5, "furniture"),
@@ -200,6 +205,13 @@ MALFORMED_SCENES = [
     (("variation", "receptacle_pool"), {"toy": []}, "variation.receptacle_pool.toy"),
     (("variation", "receptacle_pool"), {"toy": ["nope_0"]}, "variation.receptacle_pool.toy"),
     (("variation", "receptacle_pool"), {"toy": [5]}, "variation.receptacle_pool.toy"),
+    # variations whose clone ids, re-dealt offsets or clone count would crash
+    # every trial; an empty path sets several top-level fields at once
+    ((), {"objects": [TOY, dict(CUP, id="cup_v0"), CUP], "variation": {"extra_count_range": {"cup": [1, 1]}}},
+     "variation.extra_count_range.cup"),
+    ((), {"objects": [TOY, CUP, PLATE], "variation": {"receptacle_pool": {"cup": ["table_0", "plate_0"]}}},
+     "variation.receptacle_pool.cup"),
+    (("variation", "extra_count_range"), {"book": [0, 1000000000]}, "variation.extra_count_range.book"),
 ]
 
 
@@ -208,7 +220,10 @@ def test_malformed_scene_exits_2_naming_the_field(tiny_suite, capsys, path, valu
     scene_path, _ = tiny_suite
     scene = json.loads(scene_path.read_text())
     scene["variation"] = {}
-    _set_scene_field(scene, path, value)
+    if path:
+        _set_scene_field(scene, path, value)
+    else:
+        scene.update(value)
     scene_path.write_text(json.dumps(scene))
     assert main(["validate", "--scene", str(scene_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: [config] {field}:")

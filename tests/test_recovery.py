@@ -9,12 +9,14 @@ from homeloop.goals import On, Selector
 from homeloop.perception import Belief, capture, explore_global, explore_local
 from homeloop.recovery import (
     BUDGETS,
-    LEVEL_ORDER,
+    DIRECTIVES,
+    LADDER,
     EpisodeRunner,
     RecoveryEpisode,
     select_recovery,
 )
 from homeloop.skills import ActionRequest, SkillContext, dispatch
+from homeloop.world import SIDES
 from homeloop.verification import FailureRecord, RetryState, classify_failure
 
 from conftest import MINI_SCENE, make_world, zero_noise
@@ -39,54 +41,54 @@ def fresh_episode(level="object", cause="grasp_failed", strict=False) -> Recover
 
 def test_first_directive_is_object_retry():
     episode = fresh_episode()
-    directive = select_recovery(episode)
-    assert directive.kind == "retry" and directive.level == "object"
+    level = select_recovery(episode)
+    assert DIRECTIVES[level] == "retry" and level == "object"
 
 
 def test_budget_exhaustion_escalates():
     episode = fresh_episode()
-    kinds = [select_recovery(episode).kind for _ in range(3)]
+    kinds = [DIRECTIVES[select_recovery(episode)] for _ in range(3)]
     assert kinds == ["retry", "retry", "retry"]
-    assert select_recovery(episode).kind == "remap"  # object budget spent
-    assert select_recovery(episode).kind == "remap"
-    assert select_recovery(episode).kind == "renavigate"
-    assert select_recovery(episode).kind == "renavigate"
-    assert select_recovery(episode).kind == "exhausted"
+    assert DIRECTIVES[select_recovery(episode)] == "remap"  # object budget spent
+    assert DIRECTIVES[select_recovery(episode)] == "remap"
+    assert DIRECTIVES[select_recovery(episode)] == "renavigate"
+    assert DIRECTIVES[select_recovery(episode)] == "renavigate"
+    assert DIRECTIVES[select_recovery(episode)] == "exhausted"
     assert episode.status == "exhausted"
 
 
 def test_shift_evidence_skips_to_local():
     episode = fresh_episode()
-    assert select_recovery(episode).level == "object"
+    assert select_recovery(episode) == "object"
     episode.evidence.shifted = True
-    assert select_recovery(episode).level == "local"
+    assert select_recovery(episode) == "local"
 
 
 def test_out_of_reach_evidence_skips_to_global():
     episode = fresh_episode()
     episode.evidence.out_of_reach = True
-    assert select_recovery(episode).level == "global"
+    assert select_recovery(episode) == "global"
 
 
 def test_target_lost_evidence_forces_global():
     episode = fresh_episode(level="local", cause="false_positive")
-    assert select_recovery(episode).level == "local"
+    assert select_recovery(episode) == "local"
     episode.evidence.target_lost = True
-    assert select_recovery(episode).level == "global"
+    assert select_recovery(episode) == "global"
 
 
 def test_strict_escalation_ignores_evidence_skips():
     episode = fresh_episode(strict=True)
     episode.evidence.out_of_reach = True
-    assert select_recovery(episode).level == "object"
+    assert select_recovery(episode) == "object"
 
 
 def test_levels_ratchet_never_decrease():
     episode = fresh_episode()
     episode.evidence.shifted = True
-    assert select_recovery(episode).level == "local"
+    assert select_recovery(episode) == "local"
     episode.evidence.shifted = False  # evidence retraction must not demote
-    assert select_recovery(episode).level == "local"
+    assert select_recovery(episode) == "local"
 
 
 EVIDENCE_EVENTS = st.lists(
@@ -102,14 +104,14 @@ def test_escalation_property_under_adversarial_schedules(events, start_level):
     episode = fresh_episode(level=start_level)
     levels: list[str] = []
     for step in range(sum(BUDGETS.values()) + 1):
-        directive = select_recovery(episode)
-        if directive.kind == "exhausted":
+        level = select_recovery(episode)
+        if DIRECTIVES[level] == "exhausted":
             break
-        levels.append(directive.level)
+        levels.append(level)
         if episode.evidence.shifted:
-            assert LEVEL_ORDER[directive.level] >= LEVEL_ORDER["local"]
+            assert LADDER.index(level) >= LADDER.index("local")
         if episode.evidence.out_of_reach or episode.evidence.target_lost:
-            assert directive.level == "global"
+            assert level == "global"
         event = events[step % len(events)] if events else "none"
         if event == "shift":
             episode.evidence.shifted = True
@@ -119,7 +121,7 @@ def test_escalation_property_under_adversarial_schedules(events, start_level):
             episode.evidence.out_of_reach = True
     else:
         raise AssertionError("episode did not terminate within budget")
-    assert levels == sorted(levels, key=lambda lv: LEVEL_ORDER[lv])
+    assert levels == sorted(levels, key=LADDER.index)
     for level, budget in BUDGETS.items():
         assert episode.attempts[level] <= budget
 
@@ -155,7 +157,7 @@ def test_retry_success_terminates_episode():
     ctx.world.config.noise.p_grasp_fail = 0.0
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
-    assert [d.level for d in episode.directives] == ["object"]
+    assert episode.levels == ["object"]
     assert episode.failure.replanned and episode.failure.recovered
 
 
@@ -170,7 +172,7 @@ def test_object_level_recovery_rate_matches_bernoulli_oracle():
         ctx.world.config.noise.p_grasp_fail = p
         runner = EpisodeRunner(ctx, goal)
         runner.run(episode)
-        if episode.status == "recovered" and all(d.level == "object" for d in episode.directives):
+        if episode.status == "recovered" and all(level == "object" for level in episode.levels):
             recovered_at_object += 1
         # reset the plant for the next episode
         world = ctx.world
@@ -190,14 +192,14 @@ def test_three_failed_retries_escalate_to_remap():
     ctx = booted_ctx(MINI_SCENE, **zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=0.0))
     episode = trigger_grasp_failure(ctx)  # keeps p at 1.0
     EpisodeRunner(ctx, GOAL).run(episode)
-    levels = [d.level for d in episode.directives]
+    levels = episode.levels
     assert levels[:3] == ["object", "object", "object"]
     assert "local" in levels and levels[-1] == "global"
     assert episode.status == "exhausted"
 
 
 def test_shifted_target_escalates_and_remap_relocates():
-    # grasp failure shifts the cup; the next directive must be >= local,
+    # grasp failure shifts the cup; the next level must be >= local,
     # and the remap re-resolves the same id at its new position
     ctx = booted_ctx(MINI_SCENE, **zero_noise())
     ctx.world.config.noise.p_object_shift_on_fail = 1.0
@@ -206,7 +208,7 @@ def test_shifted_target_escalates_and_remap_relocates():
     ctx.world.config.noise.p_grasp_fail = 0.0
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
-    assert all(LEVEL_ORDER[d.level] >= LEVEL_ORDER["local"] for d in episode.directives)
+    assert all(LADDER.index(level) >= LADDER.index("local") for level in episode.levels)
 
 
 def test_out_of_reach_recovers_by_renavigating_to_reachable_side():
@@ -295,10 +297,53 @@ def test_place_failure_regrasps_from_floor_and_replaces():
 
 def test_termination_bound_on_total_reissues():
     # adversarial: everything fails forever; the episode must stop within the
-    # budget sum worth of directives
+    # budget sum worth of levels
     ctx = booted_ctx(MINI_SCENE, **zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=0.0))
     episode = trigger_grasp_failure(ctx)
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "exhausted"
-    assert len(episode.directives) <= sum(BUDGETS.values())
+    assert len(episode.levels) <= sum(BUDGETS.values())
     assert sum(episode.attempts.values()) <= sum(BUDGETS.values())
+
+
+def phantom_grasp_with_every_side_tried(rng_seed: int) -> tuple[SkillContext, RecoveryEpisode]:
+    """A phantom on an otherwise empty table_0 fails its grasp; with every
+    approach side of table_0 tried, the global level can only fall back to the
+    feasibility rollback, table_1, where the only real cup stands."""
+    doc = copy.deepcopy(MINI_SCENE)
+    doc["objects"] = [o for o in doc["objects"] if o["id"] != "toy_0"]
+    doc["noise"]["rng_seed"] = rng_seed
+    ctx = booted_ctx(doc, **zero_noise(p_false_positive=1.0))
+    phantom_id = next(o.id for o in ctx.belief.local_maps["table_0"].items)
+    ctx.world.config.noise.p_false_positive = 0.0
+    fb = dispatch(ctx, ActionRequest(verb="grasp", target=phantom_id))
+    episode = RecoveryEpisode(
+        failure=classify_failure(None, fb, RetryState()), verb="grasp", object_id=phantom_id, target=phantom_id
+    )
+    episode.tried_sides = set(SIDES)
+    return ctx, episode
+
+
+def test_global_fallback_scans_the_rollback_receptacle_and_retargets():
+    ctx, episode = phantom_grasp_with_every_side_tried(rng_seed=4)
+    phantom_id = episode.object_id
+    assert ctx.world.phantoms[phantom_id].believed_category == "cup"
+    EpisodeRunner(ctx, On(Selector(category="cup"), Selector(id="bed_0"))).run(episode)
+    assert episode.status == "recovered"
+    assert episode.levels == ["local", "global"]
+    assert ctx.world.gripper == "cup_0"
+    assert {"event": "recovery_retarget", "from": phantom_id, "to": "cup_0"} in ctx.events
+    scans = [e for e in ctx.events if e["event"] == "request" and e["verb"] == "explore_local"]
+    assert [(e["target"], e["source"]) for e in scans[-2:]] == [("table_0", "planner"), ("table_1", "global")]
+    assert episode.failure.replanned and episode.failure.recovered
+
+
+def test_global_fallback_loses_a_target_of_another_category():
+    ctx, episode = phantom_grasp_with_every_side_tried(rng_seed=0)
+    assert ctx.world.phantoms[episode.object_id].believed_category != "cup"
+    EpisodeRunner(ctx, On(Selector(category="cup"), Selector(id="bed_0"))).run(episode)
+    assert episode.status == "exhausted"
+    assert episode.evidence.target_lost
+    assert ctx.world.gripper is None
+    assert "table_1" in ctx.belief.local_maps
+    assert episode.failure.direct_failure

@@ -8,7 +8,9 @@ Run it from the root of a checkout; it imports homeloop from that checkout's
 
 - both bundled suites at base seed 3, as ``tests/test_trace_digest.py`` does,
   then again with each recovery ablation of the CLI: ``--strict-escalation``
-  (``strict``) and ``--no-recovery`` (``no-recovery``);
+  (``strict``) and ``--no-recovery`` (``no-recovery``), and once with success
+  flags and close-ups that lie 30% of the time (``flags``), where recovery
+  re-observes instead of re-issuing;
 - the ``bundled`` (1 unit), ``apartments`` and ``long_horizon`` (3 units
   each) workloads at seeds 21 and 22;
 - for ``long_horizon``, also every message list the chat adapter sends,
@@ -52,7 +54,11 @@ SCENES = ("bedroom", "fruit_among_cups", "gather_cups", "move_cup_and_toy", "mov
           "place_fruit", "prepare_cup", "tidy_table", "transfer_all_toys")
 SEQUENCES_PER_SCENE = 50
 REQUESTS_PER_SEQUENCE = 60
-ABLATIONS = {"strict": TrialOptions(strict_escalation=True), "no-recovery": TrialOptions(recovery_enabled=False)}
+ABLATIONS = {
+    "strict": TrialOptions(strict_escalation=True),
+    "no-recovery": TrialOptions(recovery_enabled=False),
+    "flags": TrialOptions(noise={"p_flag_error": 0.3, "p_closeup_error": 0.3}),
+}
 NOISE = {"p_grasp_fail": 0.3, "p_place_fail": 0.3, "p_nav_fail": 0.1, "p_false_positive": 0.3,
          "p_missed_detection": 0.2, "p_object_shift_on_fail": 0.5, "p_flag_error": 0.1, "p_closeup_error": 0.1}
 
