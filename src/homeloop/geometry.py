@@ -3,18 +3,22 @@
 The world is top-down: poses are (x, y, heading) in meters/radians, footprints
 are simple polygons, and the room is rasterized onto a uint8 occupancy grid
 (0 = free, 1 = occupied). Grid search is an 8-connected BFS on bit-packed
-Python ints: a (H, W) mask becomes one int, row-major with W + 1 bits per
-row, where the extra bit is a guard that no mask ever sets, so a one-bit
-shift out of the first or last column cannot wrap into the next row. A layer
-grows with two shifts by one bit and two by a row, masked by the cells not yet
-reached. A cell's distance + 1 is spread over bit-planes, one int per bit,
-and unpacked once at the end into int32 distances (-1 = unreached). All grid
-work is deterministic; ties in cell selection always break by lowest (col,
-row) lexicographic order on cell coordinates expressed as (cx, cy).
+Python ints (``PackedGrid``): a (H, W) mask becomes one int, row-major with
+W + 1 bits per row, where the extra bit is a guard that no mask ever sets, so
+a one-bit shift out of the first or last column cannot wrap into the next
+row. A layer grows with two shifts by one bit and two by a row, masked by the
+cells not yet reached. ``PackedGrid.reach`` keeps only the reached cells and,
+given a goal mask, the first layer's goal cells: all that flood fill, sensing
+and frontier search read. ``wavefront`` spreads each cell's distance + 1 over
+bit-planes, one int per bit, and unpacks them once at the end into int32
+distances (-1 = unreached). All grid work is deterministic; ties in cell
+selection always break by lowest (col, row) lexicographic order on cell
+coordinates expressed as (cx, cy).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -128,51 +132,147 @@ def dilate8(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(mask: np.ndarray) -> int:
-    """A (H, W) boolean mask as one int: bit ``y * (W + 1) + x`` is cell
-    (x, y), and bit W of every row is a guard that is always clear."""
-    h, w = mask.shape
-    padded = np.zeros((h, w + 1), dtype=bool)
-    padded[:, :w] = mask
-    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+class PackedGrid:
+    """The packed layout of a (height, width) grid: a mask is one int whose
+    bit ``y * row + x`` is cell (x, y), with ``row = width + 1``. Bit
+    ``width`` of every row is a guard that no mask holds, so a one-bit shift
+    out of column 0 or ``width - 1`` lands on a guard and is masked away."""
+
+    __slots__ = ("height", "width", "row", "column0", "cells")
+
+    def __init__(self, height: int, width: int) -> None:
+        self.height = height
+        self.width = width
+        self.row = width + 1
+        self.column0 = ((1 << (height * self.row)) - 1) // ((1 << self.row) - 1)  # bit 0 of every row
+        self.cells = ((1 << width) - 1) * self.column0  # every cell set, every guard clear
+
+    def pack(self, mask: np.ndarray) -> int:
+        padded = np.zeros((self.height, self.row), dtype=bool)
+        padded[:, : self.width] = mask
+        return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+    def _bits(self, packed: Sequence[int]) -> np.ndarray:
+        """(len(packed), H, W) uint8 bits of several masks."""
+        size = self.height * self.row
+        nbytes = (size + 7) // 8
+        raw = np.frombuffer(b"".join(p.to_bytes(nbytes, "little") for p in packed), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(packed), nbytes), axis=1, count=size, bitorder="little")
+        return bits.reshape(len(packed), self.height, self.row)[:, :, : self.width]
+
+    def unpack(self, packed: int) -> np.ndarray:
+        """The (H, W) boolean mask of ``packed``."""
+        return self._bits([packed])[0].astype(bool)
+
+    def bit(self, cell: Cell) -> int:
+        cx, cy = cell
+        return 1 << (cy * self.row + cx)
+
+    def first_cell(self, packed: int) -> Cell:
+        """The set cell with the lowest x, then the lowest y (``packed`` != 0)."""
+        fold, span = packed, 1
+        while span < self.height:  # OR every row into row 0
+            fold |= fold >> (span * self.row)
+            span *= 2
+        columns = fold & ((1 << self.width) - 1)
+        cx = (columns & -columns).bit_length() - 1
+        column = packed >> cx & self.column0
+        return cx, ((column & -column).bit_length() - 1) // self.row
+
+    def dilate8(self, packed: int) -> int:
+        """3x3 box dilation; guard bits may be set in the result."""
+        g = packed | packed << 1 | packed >> 1
+        return g | g << self.row | g >> self.row
+
+    def disk(self, center: Cell, radius: int) -> int:
+        """The cells within Euclidean distance ``radius`` of ``center``.
+
+        Two precomputed half disks are shifted into place: the west half
+        (each row from its west end to the centre column) and the east half
+        (from the centre column to its east end). A row that runs past a grid
+        edge wraps into the neighbouring row, but only on the far side of the
+        centre column, because no half row is longer than the grid is wide;
+        so the west half is kept at columns <= cx and the east half at
+        columns >= cx."""
+        west, east, reach, c = _half_disks(self.row, radius)
+        cx, cy = center
+        base = (cy - reach) * self.row + cx
+        west_cols = ((1 << (cx + 1)) - 1) * self.column0
+        east_cols = self.cells ^ (west_cols >> 1 & self.cells)
+        return _shift(west, base - c) & west_cols | _shift(east, base) & east_cols
+
+    def layers(self, passable: int, start: int, goal: int = 0) -> Iterator[int]:
+        """The 8-connected BFS layers over ``passable`` from the ``start``
+        bits, nearest first; stops after the first layer that meets ``goal``."""
+        layer = start & passable
+        unreached = passable ^ layer
+        row = self.row
+        while layer:
+            yield layer
+            if layer & goal:
+                return
+            g = layer | layer << 1 | layer >> 1
+            layer = (g | g << row | g >> row) & unreached
+            unreached ^= layer
+
+    def reach(self, passable: int, start: int, goal: int = 0) -> tuple[int, int]:
+        """The cells of ``passable`` connected to ``start`` (up to the first
+        layer that meets ``goal``), and that layer's cells in ``goal``."""
+        reached = layer = 0
+        for layer in self.layers(passable, start, goal):
+            reached |= layer
+        return reached, layer & goal
+
+
+def _shift(packed: int, by: int) -> int:
+    return packed << by if by >= 0 else packed >> -by
+
+
+@functools.lru_cache(maxsize=32)
+def _half_disks(row: int, radius: int) -> tuple[int, int, int, int]:
+    """``PackedGrid.disk``'s templates on ``row``-bit rows: (west, east,
+    reach, c). Packed row ``i`` of each half is disk row ``i - reach``; the
+    west half's centre column is ``c`` and the east half's is 0. Each half
+    row is capped at ``row - 1`` cells past the centre, which no grid of
+    that row length needs more of."""
+    r2 = radius * radius
+    reach = math.isqrt(r2)
+    c = min(reach, row - 1)
+    west = east = 0
+    for dy in range(reach, -reach - 1, -1):
+        half = min(math.isqrt(r2 - dy * dy), row - 1)
+        run = (1 << (half + 1)) - 1
+        west = west << row | run << (c - half)
+        east = east << row | run
+    return west, east, reach, c
 
 
 def wavefront(passable: np.ndarray, start: Cell, targets: Optional[np.ndarray] = None) -> np.ndarray:
     """8-connected BFS from ``start`` over ``passable`` cells, one layer per
-    step on packed ints (see ``_pack``). Returns int32 step distances, -1
-    where unreached. With ``targets``, growth stops after the first layer that
-    contains a target."""
+    step on packed ints (``PackedGrid.layers``). Returns int32 step
+    distances, -1 where unreached. With ``targets``, growth stops after the
+    first layer that contains a target."""
     h, w = passable.shape
     cx, cy = start
-    if not (0 <= cy < h and 0 <= cx < w and passable[cy, cx]):
-        return np.full((h, w), -1, dtype=np.int32)
-    row = w + 1
-    goal = _pack(targets) if targets is not None else 0
-    layer = 1 << (cy * row + cx)
-    unreached = _pack(passable) ^ layer
-    # a shift out of column 0 or W-1 lands on a guard bit, which no mask holds
-    label = 1  # the layer's distance + 1, so unreached cells read 0
-    planes = [layer]  # planes[b]: the cells whose label has bit b set
-    while not layer & goal:
-        g = layer | layer << 1 | layer >> 1
-        layer = (g | g << row | g >> row) & unreached
-        if not layer:
-            break
-        unreached ^= layer
-        label += 1
+    nothing = np.full((h, w), -1, dtype=np.int32)
+    if not (0 <= cy < h and 0 <= cx < w):
+        return nothing
+    packed = PackedGrid(h, w)
+    goal = packed.pack(targets) if targets is not None else 0
+    planes: list[int] = []  # planes[b]: the cells whose distance + 1 has bit b set
+    for label, layer in enumerate(packed.layers(packed.pack(passable), packed.bit(start), goal), 1):
         if label >> len(planes):
             planes.append(0)
         for b in range(len(planes)):
             if label >> b & 1:
                 planes[b] |= layer
-    size = h * row
-    nbytes = (size + 7) // 8
-    raw = np.frombuffer(b"".join(p.to_bytes(nbytes, "little") for p in planes), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(planes), nbytes), axis=1, count=size, bitorder="little")
+    if not planes:
+        return nothing
+    bits = packed._bits(planes)
     dtype = np.min_scalar_type((1 << len(planes)) - 1)
     weights = 1 << np.arange(len(planes), dtype=dtype)
-    labels = np.bitwise_or.reduce(bits.astype(dtype, copy=False) * weights[:, None], axis=0)
-    return labels.reshape(h, row)[:, :w].astype(np.int32) - 1
+    labels = np.bitwise_or.reduce(bits.astype(dtype, copy=False) * weights[:, None, None], axis=0)
+    return labels.astype(np.int32) - 1
 
 
 class OccupancyGrid:
@@ -245,7 +345,10 @@ class OccupancyGrid:
 
     def flood_fill(self, start: Cell) -> np.ndarray:
         """Boolean mask of free cells 8-connected to ``start``."""
-        return wavefront(self.occ == 0, start) >= 0
+        if not self.in_bounds(start):
+            return np.zeros(self.occ.shape, dtype=bool)
+        packed = PackedGrid(self.height, self.width)
+        return packed.unpack(packed.reach(packed.pack(self.occ == 0), packed.bit(start))[0])
 
     def bfs_distances(self, start: Cell, passable: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """8-connected step distances over ``passable`` cells, grown only up to

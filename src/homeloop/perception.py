@@ -20,7 +20,7 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from .errors import ExplorationStalled, NotAtReceptacle, Refused, TargetNotVisible
-from .geometry import Cell, dilate8, wavefront
+from .geometry import Cell, PackedGrid
 from .world import PhantomRecord, World
 
 PHANTOM_CATEGORY_POOL = ("cup", "toy", "fruit", "book", "bottle")
@@ -251,64 +251,53 @@ def capture(world: World, kind: str = "stay", ids: Optional[Iterable[str]] = Non
 # --- global exploration -----------------------------------------------------------
 
 
-def _sense(world: World, explored: np.ndarray, origin_cell: Cell) -> None:
-    """Mark cells visible from the origin: free cells connected to it within
-    the sensing radius, plus the occupied surfaces bordering them. Occlusion
-    falls out of connectivity — the scan cannot pass through furniture, so a
-    walled-off region stays unexplored."""
-    if not world.grid.is_free(origin_cell):
-        return
-    radius = int(world.config.sensing_radius / world.config.grid_resolution)
-    cx0, cy0 = origin_cell
-    x0, y0 = max(0, cx0 - radius), max(0, cy0 - radius)
-    x1, y1 = min(world.grid.width, cx0 + radius + 1), min(world.grid.height, cy0 + radius + 1)
-    ys, xs = np.ogrid[y0:y1, x0:x1]
-    disk = (xs - cx0) ** 2 + (ys - cy0) ** 2 <= radius**2
-    free = world.grid.occ[y0:y1, x0:x1] == 0
-    seen = wavefront(free & disk, (cx0 - x0, cy0 - y0)) >= 0
-    explored[y0:y1, x0:x1] |= seen | (dilate8(seen) & disk)
-
-
-def _frontiers(world: World, explored: np.ndarray) -> np.ndarray:
-    """Mask of explored free cells bordering at least one unexplored cell."""
-    unexplored = ~explored
-    border = np.zeros_like(explored)
-    border[:-1, :] |= unexplored[1:, :]
-    border[1:, :] |= unexplored[:-1, :]
-    border[:, :-1] |= unexplored[:, 1:]
-    border[:, 1:] |= unexplored[:, :-1]
-    return explored & (world.grid.occ == 0) & border
+def _sense(packed: PackedGrid, free: int, explored: int, origin: Cell, radius: int) -> int:
+    """``explored`` plus the cells visible from the origin: free cells
+    connected to it within the sensing radius, plus the occupied surfaces
+    bordering them. Occlusion falls out of connectivity — the scan cannot
+    pass through furniture, so a walled-off region stays unexplored. All
+    masks are packed on ``packed``'s layout."""
+    start = packed.bit(origin)
+    if not free & start:
+        return explored
+    disk = packed.disk(origin, radius)
+    seen, _ = packed.reach(free & disk, start)
+    return explored | seen | (packed.dilate8(seen) & disk)
 
 
 def _sweep(world: World, explored: np.ndarray) -> Optional[tuple[float, float]]:
     """Frontier loop: sense, then repeatedly drive to the nearest frontier
-    cell and sense, until no frontier remains among reachable cells. Grows
-    ``explored`` in place and returns where the robot ended, or None when it
-    never moved."""
-    _sense(world, explored, world.robot_cell())
-    end = None
-    free = world.grid.occ == 0
-    guard = world.grid.width * world.grid.height + 8
-    for _ in range(guard):
-        frontiers = _frontiers(world, explored)
-        if not frontiers.any():
-            return end
-        dist = world.grid.bfs_distances(world.robot_cell(), free & explored, frontiers)
-        ys, xs = np.nonzero(frontiers & (dist >= 0))
-        if len(xs) == 0:
-            remaining = free & world.reachable & ~explored
-            if remaining.any():
-                raise ExplorationStalled(
-                    f"{int(remaining.sum())} reachable cells unexplored but no frontier reachable"
-                )
-            return end
-        # nearest first, then lowest (cx, cy)
-        i = np.lexsort((ys, xs, dist[ys, xs]))[0]
-        target = (int(xs[i]), int(ys[i]))
-        end = world.grid.center_of(target)
-        world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
-        _sense(world, explored, target)
-    raise ExplorationStalled("frontier loop exceeded the cell-count bound")
+    cell and sense, until no frontier remains among reachable cells. A
+    frontier is an explored free cell with an unexplored 4-neighbour. Grows
+    ``explored`` in place (packed on entry, unpacked on exit) and returns
+    where the robot ended, or None when it never moved."""
+    grid = world.grid
+    packed = PackedGrid(grid.height, grid.width)
+    row = packed.row
+    free = packed.pack(grid.occ == 0)
+    radius = int(world.config.sensing_radius / world.config.grid_resolution)
+    known = packed.pack(explored)
+    try:
+        known = _sense(packed, free, known, world.robot_cell(), radius)
+        end = None
+        for _ in range(grid.width * grid.height + 8):
+            unexplored = packed.cells ^ known
+            frontiers = known & free & (unexplored << 1 | unexplored >> 1 | unexplored << row | unexplored >> row)
+            if not frontiers:
+                return end
+            _, nearest = packed.reach(free & known, packed.bit(world.robot_cell()), frontiers)
+            if not nearest:
+                remaining = (free & packed.pack(world.reachable) & ~known).bit_count()
+                if remaining:
+                    raise ExplorationStalled(f"{remaining} reachable cells unexplored but no frontier reachable")
+                return end
+            target = packed.first_cell(nearest)  # nearest first, then lowest (cx, cy)
+            end = grid.center_of(target)
+            world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
+            known = _sense(packed, free, known, target, radius)
+        raise ExplorationStalled("frontier loop exceeded the cell-count bound")
+    finally:
+        explored[...] = packed.unpack(known)
 
 
 def explore_global(world: World, belief: Belief) -> GlobalMap:

@@ -126,6 +126,7 @@ def check_noise_fields(raw: Any, path: str, with_seed: bool) -> dict[str, Any]:
 
 
 MAX_EXTRA_COUNT = 100  # the most clones a variation may add per category
+SHUFFLE_MARGIN = 0.08  # meters between a shuffled offset and its surface's edge
 
 
 @dataclass
@@ -312,6 +313,8 @@ def validate_config(config: WorldConfig) -> None:
 
     receptacle_ids = {f.id for f in config.furniture if f.is_receptacle}
     receptacle_ids |= {o.id for o in config.objects if o.receptacle}
+    half_extents = {f.id: polygon_half_extent(f.footprint) for f in config.furniture if f.is_receptacle}
+    half_extents.update((o.id, (o.extent[0] / 2.0, o.extent[1] / 2.0)) for o in config.objects if o.receptacle)
     seen_o: set[str] = set()
     for i, o in enumerate(config.objects):
         path = f"objects[{i}]"
@@ -320,8 +323,12 @@ def validate_config(config: WorldConfig) -> None:
         seen_o.add(o.id)
         if (o.on is None) == (o.floor is None):
             raise ConfigError(path, "exactly one of 'on' or 'floor' is required")
-        if o.on is not None and (not isinstance(o.on, str) or o.on not in receptacle_ids):
-            raise ConfigError(f"{path}.on", f"unknown receptacle id {o.on!r}")
+        if o.on is not None:
+            if not isinstance(o.on, str) or o.on not in receptacle_ids:
+                raise ConfigError(f"{path}.on", f"unknown receptacle id {o.on!r}")
+            half_w, half_h = half_extents[o.on]
+            if abs(o.offset[0]) > half_w or abs(o.offset[1]) > half_h:
+                raise ConfigError(f"{path}.offset", f"outside surface of {o.on!r}")
         if o.receptacle and (o.extent[0] <= 0 or o.extent[1] <= 0):
             raise ConfigError(f"{path}.extent", "receptacle objects need a positive extent")
     if config.variation is not None:
@@ -332,11 +339,22 @@ def validate_config(config: WorldConfig) -> None:
             for rid in pool:
                 if rid not in receptacle_ids:
                     raise ConfigError(path, f"unknown receptacle id {rid!r}")
-                half_w, half_h = _half_extent_for(config, rid)
+                half_w, half_h = half_extents[rid]
                 for o in config.objects:
                     if o.category == category and not o.receptacle and o.on is not None:
                         if abs(o.offset[0]) > half_w or abs(o.offset[1]) > half_h:
                             raise ConfigError(path, f"offset of {o.id!r} outside surface of {rid!r}")
+        if config.variation.shuffle_offsets:
+            # a shuffled offset is drawn at least SHUFFLE_MARGIN inside each edge
+            for o in config.objects:
+                if o.receptacle or o.on is None:
+                    continue
+                for rid in [o.on, *config.variation.receptacle_pool.get(o.category, [])]:
+                    if min(half_extents[rid]) < SHUFFLE_MARGIN:
+                        raise ConfigError(
+                            "variation.shuffle_offsets",
+                            f"surface {rid!r} of {o.id!r} has a half extent below {SHUFFLE_MARGIN} m",
+                        )
         for category, (low, high) in config.variation.extra_count_range.items():
             path = f"variation.extra_count_range.{category}"
             if not 0 <= low <= high <= MAX_EXTRA_COUNT:
@@ -531,7 +549,6 @@ class World:
             else:
                 placement = Placement.on_floor(spec.floor)  # type: ignore[arg-type]
             self.objects[spec.id] = GroundObject(spec=spec, placement=placement)
-        self._check_offsets_fit()
 
         self.robot = Pose(config.robot_start.x, config.robot_start.y, config.robot_start.heading)
         self.gripper: Optional[str] = None
@@ -541,18 +558,6 @@ class World:
             if spec.receptacle:
                 self.receptacle_versions[spec.id] = 0
         self.phantoms: dict[str, PhantomRecord] = {}
-
-    # -- invariant helper -------------------------------------------------------
-
-    def _check_offsets_fit(self) -> None:
-        for oid, obj in self.objects.items():
-            if obj.placement.kind != "on":
-                continue
-            rid = obj.placement.receptacle
-            half_w, half_h = self._surface_half_extent(rid)
-            ox, oy = obj.placement.offset
-            if abs(ox) > half_w or abs(oy) > half_h:
-                raise ConfigError(f"objects.{oid}.offset", f"outside surface of {rid!r}")
 
     # -- geometry ----------------------------------------------------------------
 
@@ -959,8 +964,8 @@ def vary_config(config: WorldConfig, trial_seed: int) -> WorldConfig:
                     continue
                 for _ in range(40):
                     off = (
-                        rng.uniform(-half_w + 0.08, half_w - 0.08),
-                        rng.uniform(-half_h + 0.08, half_h - 0.08),
+                        rng.uniform(-half_w + SHUFFLE_MARGIN, half_w - SHUFFLE_MARGIN),
+                        rng.uniform(-half_h + SHUFFLE_MARGIN, half_h - SHUFFLE_MARGIN),
                     )
                     if all((off[0] - t[0]) ** 2 + (off[1] - t[1]) ** 2 >= 0.12**2 for t in taken):
                         o.offset = (round(off[0], 3), round(off[1], 3))

@@ -1,0 +1,42 @@
+"""``tools/bench_pairs.py``'s summary and claim verdict on hand-made pairs."""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+HIGHER_BETTER = {"trials_per_s": True, "trial_ms_p50": False}
+PAIRS = [
+    {"parent": {"trials_per_s": p, "trial_ms_p50": pm}, "change": {"trials_per_s": c, "trial_ms_p50": cm}}
+    for p, c, pm, cm in [(100, 150, 5.0, 4.0), (110, 160, 4.0, 4.0), (120, 100, 6.0, 3.0), (130, 170, 5.0, 5.5)]
+]
+
+
+def test_summary_counts_wins_by_the_metrics_direction():
+    summary = bench_pairs.summarise(PAIRS, HIGHER_BETTER)
+    assert summary["trials_per_s"] == {
+        "parent_median": 115.0,
+        "change_median": 155.0,
+        "ratio": 1.3478,
+        "pairs_won": "3/4",
+        "parent_iqr": 15.0,  # inclusive quartiles 107.5 and 122.5
+        "parent_spread": 0.2609,
+    }
+    p50 = summary["trial_ms_p50"]
+    assert (p50["parent_median"], p50["change_median"], p50["ratio"]) == (5.0, 4.0, 0.8)
+    assert p50["pairs_won"] == "2/4"  # a tie counts for neither side
+
+
+def test_claim_is_met_when_the_median_ratio_reaches_the_target():
+    summary = {"apartments": bench_pairs.summarise(PAIRS, HIGHER_BETTER)}
+    faster = bench_pairs.claim(summary, "apartments", "trials_per_s", 1.3, True)
+    assert faster["met"] is True and faster["pairs_won"] == "3/4"
+    assert faster["target"] == ">= 1.3x the parent's median"
+    assert bench_pairs.claim(summary, "apartments", "trials_per_s", 1.4, True)["met"] is False
+    assert bench_pairs.claim(summary, "apartments", "trial_ms_p50", 0.8, False)["met"] is True
+    assert bench_pairs.claim(summary, "apartments", "trial_ms_p50", 0.75, False)["met"] is False

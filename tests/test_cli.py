@@ -212,6 +212,10 @@ MALFORMED_SCENES = [
     ((), {"objects": [TOY, CUP, PLATE], "variation": {"receptacle_pool": {"cup": ["table_0", "plate_0"]}}},
      "variation.receptacle_pool.cup"),
     (("variation", "extra_count_range"), {"book": [0, 1000000000]}, "variation.extra_count_range.book"),
+    # a base offset off its surface, and a surface too narrow for a shuffled offset
+    ((), {"objects": [TOY, dict(CUP, offset=[5.0, 0.0])]}, "objects[1].offset"),
+    ((), {"objects": [TOY, dict(PLATE, extent=[0.04, 0.04]), {"id": "cherry_0", "category": "fruit", "on": "plate_0"}],
+          "variation": {"shuffle_offsets": True}}, "variation.shuffle_offsets"),
 ]
 
 

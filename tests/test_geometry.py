@@ -8,10 +8,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeloop.errors import ExplorationStalled
 from homeloop.geometry import (
     OccupancyGrid,
+    PackedGrid,
     Pose,
     bresenham,
+    dilate8,
     point_in_polygon,
     polygon_bbox,
     polygon_centroid,
@@ -19,7 +22,7 @@ from homeloop.geometry import (
     side_of,
     wavefront,
 )
-from homeloop.perception import _sense
+from homeloop.perception import _sense, _sweep
 
 SQUARE = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
 
@@ -201,10 +204,132 @@ def test_bfs_distances_stop_at_first_target_layer(case, target_density):
 @given(grids(), st.integers(0, 9))
 def test_sense_marks_what_the_queue_scan_marked(case, radius):
     occ, origin, _ = case
-    world = SimpleNamespace(grid=_grid_of(occ), config=SimpleNamespace(sensing_radius=radius, grid_resolution=1.0))
-    explored = np.zeros(occ.shape, dtype=bool)
-    _sense(world, explored, origin)
+    packed = PackedGrid(*occ.shape)
+    explored = packed.unpack(_sense(packed, packed.pack(occ == 0), 0, origin, radius))
     assert np.array_equal(explored, reference_sense(occ, origin, radius))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 45), st.data())
+def test_packed_disk_is_the_disk_clipped_to_the_grid(h, w, radius, data):
+    # radii past the grid's width are where a row of the disk could wrap
+    center = (data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
+    packed = PackedGrid(h, w)
+    ys, xs = np.ogrid[0:h, 0:w]
+    disk = packed.disk(center, radius)
+    assert disk & ~packed.cells == 0
+    assert np.array_equal(packed.unpack(disk), (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius**2)
+
+
+# --- the packed frontier sweep against the numpy sweep it replaced --------------------
+# numpy_sense, numpy_frontiers and numpy_sweep are perception's _sense, _frontiers
+# and _sweep as they were on numpy masks, with int32 BFS distances and a lexsort.
+
+
+def numpy_sense(world, explored, origin_cell):
+    """Mark cells visible from the origin: free cells connected to it within
+    the sensing radius, plus the occupied surfaces bordering them. Occlusion
+    falls out of connectivity — the scan cannot pass through furniture, so a
+    walled-off region stays unexplored."""
+    if not world.grid.is_free(origin_cell):
+        return
+    radius = int(world.config.sensing_radius / world.config.grid_resolution)
+    cx0, cy0 = origin_cell
+    x0, y0 = max(0, cx0 - radius), max(0, cy0 - radius)
+    x1, y1 = min(world.grid.width, cx0 + radius + 1), min(world.grid.height, cy0 + radius + 1)
+    ys, xs = np.ogrid[y0:y1, x0:x1]
+    disk = (xs - cx0) ** 2 + (ys - cy0) ** 2 <= radius**2
+    free = world.grid.occ[y0:y1, x0:x1] == 0
+    seen = wavefront(free & disk, (cx0 - x0, cy0 - y0)) >= 0
+    explored[y0:y1, x0:x1] |= seen | (dilate8(seen) & disk)
+
+
+def numpy_frontiers(world, explored):
+    """Mask of explored free cells bordering at least one unexplored cell."""
+    unexplored = ~explored
+    border = np.zeros_like(explored)
+    border[:-1, :] |= unexplored[1:, :]
+    border[1:, :] |= unexplored[:-1, :]
+    border[:, :-1] |= unexplored[:, 1:]
+    border[:, 1:] |= unexplored[:, :-1]
+    return explored & (world.grid.occ == 0) & border
+
+
+def numpy_sweep(world, explored):
+    """Frontier loop: sense, then repeatedly drive to the nearest frontier
+    cell and sense, until no frontier remains among reachable cells. Grows
+    ``explored`` in place and returns where the robot ended, or None when it
+    never moved."""
+    numpy_sense(world, explored, world.robot_cell())
+    end = None
+    free = world.grid.occ == 0
+    guard = world.grid.width * world.grid.height + 8
+    for _ in range(guard):
+        frontiers = numpy_frontiers(world, explored)
+        if not frontiers.any():
+            return end
+        dist = world.grid.bfs_distances(world.robot_cell(), free & explored, frontiers)
+        ys, xs = np.nonzero(frontiers & (dist >= 0))
+        if len(xs) == 0:
+            remaining = free & world.reachable & ~explored
+            if remaining.any():
+                raise ExplorationStalled(
+                    f"{int(remaining.sum())} reachable cells unexplored but no frontier reachable"
+                )
+            return end
+        # nearest first, then lowest (cx, cy)
+        i = np.lexsort((ys, xs, dist[ys, xs]))[0]
+        target = (int(xs[i]), int(ys[i]))
+        end = world.grid.center_of(target)
+        world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
+        numpy_sense(world, explored, target)
+    raise ExplorationStalled("frontier loop exceeded the cell-count bound")
+
+
+class SweepWorld:
+    """What a sweep reads of a World, with every robot pose it is given
+    recorded as a hop."""
+
+    def __init__(self, occ, start, radius):
+        self.grid = _grid_of(occ)
+        self.config = SimpleNamespace(sensing_radius=radius, grid_resolution=1.0)
+        self.reachable = self.grid.flood_fill(start)
+        self.hops = []
+        self._robot = Pose(*self.grid.center_of(start), 0.25)
+
+    @property
+    def robot(self):
+        return self._robot
+
+    @robot.setter
+    def robot(self, pose):
+        self.hops.append((pose.x, pose.y, pose.heading))
+        self._robot = pose
+
+    def robot_cell(self):
+        return self.grid.cell_of(self._robot.x, self._robot.y)
+
+
+def run_sweep(sweep, occ, start, radius, explored):
+    world = SweepWorld(occ, start, radius)
+    explored = explored.copy()
+    try:
+        outcome = sweep(world, explored)
+    except ExplorationStalled as e:
+        outcome = ("stalled", str(e))
+    return outcome, explored, world.hops
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(), st.integers(0, 9), st.sampled_from([0.0, 0.1, 0.5]))
+def test_packed_sweep_matches_the_numpy_sweep(case, radius, explored_density):
+    occ, start, rng = case
+    explored = rng.random(occ.shape) < explored_density
+    packed = run_sweep(_sweep, occ, start, radius, explored)
+    reference = run_sweep(numpy_sweep, occ, start, radius, explored)
+    assert packed[0] == reference[0]  # end position, or the same stall
+    assert np.array_equal(packed[1], reference[1])  # explored mask
+    assert packed[2] == reference[2]  # hop targets, in order
 
 
 # --- the packed layout: row widths, strips, apartment-sized and long searches ---------

@@ -15,7 +15,8 @@ counts are recorded as well.
 
 The record holds ``what``, ``parent`` and ``change`` (each checkout's commit,
 marked when its tree has uncommitted edits), the host, an optional
-``claim``, a ``summary`` per workload and metric (medians, change/parent
+``claim`` (its pairs won and ``met``: whether the median ratio reaches the
+target), a ``summary`` per workload and metric (medians, change/parent
 ratio, pairs won, the parent's interquartile range and its max-min spread
 over its median), the per-pair ``workloads`` and the ``traced`` runs.
 """
@@ -102,6 +103,21 @@ def summarise(pairs: list[dict[str, Any]], higher_better: dict[str, bool]) -> di
     return out
 
 
+def claim(summary: dict[str, dict[str, Any]], workload: str, metric: str, target: float,
+          higher: bool) -> dict[str, Any]:
+    """The claimed gain and whether the median ratio meets it: at least
+    ``target`` when higher is better, at most ``target`` otherwise."""
+    result = summary[workload][metric]
+    return {
+        "metric": metric,
+        "workload": workload,
+        "target": f"{'>=' if higher else '<='} {target:g}x the parent's median",
+        "result": result,
+        "pairs_won": result["pairs_won"],
+        "met": result["ratio"] >= target if higher else result["ratio"] <= target,
+    }
+
+
 def run_pairs(parent: str, change: str, workload: str, n: int, seed: int, seconds: float) -> list[dict[str, Any]]:
     pairs = []
     for i in range(n):
@@ -180,12 +196,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         record["summary"][name] = summarise(pairs, higher_better)
     if args.claim is not None:
         workload, metric, target = args.claim.split(":")
-        record["claim"] = {
-            "metric": metric,
-            "workload": workload,
-            "target": f"{'>=' if higher_better[metric] else '<='} {target}x the parent's median",
-            "result": record["summary"][workload][metric],
-        }
+        record["claim"] = claim(record["summary"], workload, metric, float(target), higher_better[metric])
     if args.traced_seed is not None:
         record["traced"] = {name: run_traced(args.parent, args.change, name, args.traced_seed, args.seconds)
                             for name, _ in plan}
@@ -196,6 +207,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         for metric, s in metrics.items():
             print(f"{name} {metric}: {s['parent_median']} -> {s['change_median']} "
                   f"(x{s['ratio']}, won {s['pairs_won']})")
+    if "claim" in record:
+        c = record["claim"]
+        print(f"claim {c['workload']} {c['metric']} {c['target']}: {'met' if c['met'] else 'not met'}")
     return 0
 
 
