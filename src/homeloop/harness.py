@@ -66,7 +66,7 @@ from .verification import (
 )
 from .world import (
     NoiseModel, World, WorldConfig, as_json, as_number, check_noise_fields, load_config_file, parse_config,
-    read_json, validate_config, vary_config,
+    read_json, vary_config,
 )
 
 DEFAULT_STEP_CAP = 100
@@ -403,9 +403,7 @@ def _read_builtin(kind: str, name: str, field: str) -> Any:
 
 def _resolve_scene(ref: str, base_dir: Optional[str], field: str) -> WorldConfig:
     if ref.startswith("builtin:"):
-        config = parse_config(_read_builtin("scenes", ref.split(":", 1)[1], field))
-        validate_config(config)
-        return config
+        return parse_config(_read_builtin("scenes", ref.split(":", 1)[1], field))
     path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
     return load_config_file(path, field)
 
@@ -435,10 +433,12 @@ def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
                 step_cap=as_number(t.get("step_cap", DEFAULT_STEP_CAP), f"{path}.step_cap", int),
             )
         )
+    noise_profile = raw.get("noise_profile", "default")
+    resolve_noise_profile(noise_profile)  # checked here; the suite keeps it as written
     return SuiteConfig(
         name=str(raw.get("name", "suite")),
         tasks=tasks,
-        noise_profile=raw.get("noise_profile", "default"),
+        noise_profile=noise_profile,
         planner=str(raw.get("planner", "scripted")),
     )
 

@@ -256,12 +256,10 @@ def _sense(packed: PackedGrid, free: int, explored: int, origin: Cell, radius: i
     connected to it within the sensing radius, plus the occupied surfaces
     bordering them. Occlusion falls out of connectivity — the scan cannot
     pass through furniture, so a walled-off region stays unexplored. All
-    masks are packed on ``packed``'s layout."""
-    start = packed.bit(origin)
-    if not free & start:
-        return explored
+    masks are packed on ``packed``'s layout. An occupied origin sees
+    nothing; validation keeps the robot's cells free."""
     disk = packed.disk(origin, radius)
-    seen, _ = packed.reach(free & disk, start)
+    seen, _ = packed.reach(free & disk, packed.bit(origin))
     return explored | seen | (packed.dilate8(seen) & disk)
 
 

@@ -30,6 +30,7 @@ from .geometry import (
     Pose,
     bresenham,
     polygon_centroid,
+    point_in_polygon,
     polygon_half_extent,
     polygons_overlap,
     side_of,
@@ -100,12 +101,6 @@ class NoiseModel:
         "p_closeup_error",
     )
 
-    def validate(self, path: str = "noise") -> None:
-        for name in self.PROB_FIELDS:
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ConfigError(f"{path}.{name}", f"probability {value} outside [0, 1]")
-
 
 def check_noise_fields(raw: Any, path: str, with_seed: bool) -> dict[str, Any]:
     """Check a block of ``NoiseModel`` fields read from outside the program:
@@ -126,6 +121,7 @@ def check_noise_fields(raw: Any, path: str, with_seed: bool) -> dict[str, Any]:
 
 
 MAX_EXTRA_COUNT = 100  # the most clones a variation may add per category
+MAX_GRID_SIDE = 1000  # the most occupancy-grid cells along a side of the room
 SHUFFLE_MARGIN = 0.08  # meters between a shuffled offset and its surface's edge
 
 
@@ -184,11 +180,14 @@ def as_json(value: Any, kind: type, path: str) -> Any:
 
 
 def as_number(value: Any, path: str, kind: type = float) -> Any:
-    """``kind(value)``: whatever ``float()`` (or ``int()``) takes."""
+    """``kind(value)``: whatever ``float()`` (or ``int()``) takes, if finite."""
     try:
-        return kind(value)
+        number = kind(value)
+        if math.isfinite(number):
+            return number
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"expected a number, got {value!r}") from None
+        pass
+    raise ConfigError(path, f"expected a finite number, got {value!r}")
 
 
 def as_pair(value: Any, path: str, kind: type = float) -> tuple:
@@ -265,7 +264,7 @@ def parse_config(raw: dict) -> WorldConfig:
             },
         )
 
-    return WorldConfig(
+    config = WorldConfig(
         name=str(raw.get("name", "scene")),
         room=room,
         furniture=furniture,
@@ -279,16 +278,47 @@ def parse_config(raw: dict) -> WorldConfig:
         closeup_radius=as_number(raw.get("closeup_radius", 0.3), "closeup_radius"),
         variation=variation,
     )
+    validate_config(config)
+    return config
+
+
+def surface_half_extents(config: WorldConfig) -> dict[str, tuple[float, float]]:
+    """Half width and half height of each receptacle's surface, by id: the
+    footprint's bounding box for furniture, the extent for a small receptacle."""
+    half = {f.id: polygon_half_extent(f.footprint) for f in config.furniture if f.is_receptacle}
+    half.update((o.id, (o.extent[0] / 2.0, o.extent[1] / 2.0)) for o in config.objects if o.receptacle)
+    return half
 
 
 def validate_config(config: WorldConfig) -> None:
-    if config.grid_resolution <= 0:
+    """Raise ConfigError at the first field of a scene that some trial could
+    not build or run. A config that passes builds ``World(vary_config(config,
+    seed))`` for every seed; ``World`` checks nothing again."""
+    res = config.grid_resolution
+    if res <= 0:
         raise ConfigError("grid_resolution", "must be > 0")
     w, h = config.room
     if w <= 0 or h <= 0:
         raise ConfigError("room", "width and height must be > 0")
-    config.noise.validate()
+    for key, side in (("width", w), ("height", h)):
+        if side / res > MAX_GRID_SIDE:
+            raise ConfigError(f"room.{key}", f"more than {MAX_GRID_SIDE} grid cells of {res} m")
+    diagonal = math.hypot(w, h)
+    for name in ("arm_reach", "sensing_radius", "view_radius", "closeup_radius"):
+        if not 0.0 <= getattr(config, name) <= diagonal:
+            raise ConfigError(name, f"must lie in [0, {diagonal:g}], the room's diagonal")
+    if int(config.sensing_radius / res) < 1:  # the sense disk's radius in cells
+        raise ConfigError("sensing_radius", f"shorter than one grid cell of {res} m")
+    check_noise_fields(vars(config.noise), "noise", with_seed=True)
 
+    def in_room(x: float, y: float) -> bool:
+        return 0.0 <= x <= w and 0.0 <= y <= h
+
+    start = config.robot_start
+    if not in_room(start.x, start.y):
+        raise ConfigError("robot_start", "outside room bounds")
+    grid = OccupancyGrid(w, h, res)
+    start_center = grid.center_of(grid.cell_of(start.x, start.y))
     seen_f: set[str] = set()
     for i, f in enumerate(config.furniture):
         path = f"furniture[{i}]"
@@ -296,8 +326,11 @@ def validate_config(config: WorldConfig) -> None:
             raise ConfigError(f"{path}.id", f"duplicate furniture id {f.id!r}")
         seen_f.add(f.id)
         for j, (x, y) in enumerate(f.footprint):
-            if not (0.0 <= x <= w and 0.0 <= y <= h):
+            if not in_room(x, y):
                 raise ConfigError(f"{path}.footprint[{j}]", "vertex outside room bounds")
+        # the exact test rasterize_polygon applies to every cell centre
+        if point_in_polygon(*start_center, f.footprint):
+            raise ConfigError("robot_start", f"its cell is inside the footprint of {f.id!r}")
         for side, mult in f.grasp_difficulty.items():
             if side not in SIDES:
                 raise ConfigError(f"{path}.grasp_difficulty", f"unknown side {side!r}")
@@ -311,10 +344,7 @@ def validate_config(config: WorldConfig) -> None:
                     f"furniture overlap with {config.furniture[i].id!r}",
                 )
 
-    receptacle_ids = {f.id for f in config.furniture if f.is_receptacle}
-    receptacle_ids |= {o.id for o in config.objects if o.receptacle}
-    half_extents = {f.id: polygon_half_extent(f.footprint) for f in config.furniture if f.is_receptacle}
-    half_extents.update((o.id, (o.extent[0] / 2.0, o.extent[1] / 2.0)) for o in config.objects if o.receptacle)
+    half_extents = surface_half_extents(config)
     seen_o: set[str] = set()
     for i, o in enumerate(config.objects):
         path = f"objects[{i}]"
@@ -324,20 +354,29 @@ def validate_config(config: WorldConfig) -> None:
         if (o.on is None) == (o.floor is None):
             raise ConfigError(path, "exactly one of 'on' or 'floor' is required")
         if o.on is not None:
-            if not isinstance(o.on, str) or o.on not in receptacle_ids:
+            if not isinstance(o.on, str) or o.on not in half_extents:
                 raise ConfigError(f"{path}.on", f"unknown receptacle id {o.on!r}")
             half_w, half_h = half_extents[o.on]
             if abs(o.offset[0]) > half_w or abs(o.offset[1]) > half_h:
                 raise ConfigError(f"{path}.offset", f"outside surface of {o.on!r}")
-        if o.receptacle and (o.extent[0] <= 0 or o.extent[1] <= 0):
-            raise ConfigError(f"{path}.extent", "receptacle objects need a positive extent")
+        elif not in_room(*o.floor):
+            raise ConfigError(f"{path}.floor", "outside room bounds")
+        if o.receptacle and not (0.0 < o.extent[0] <= w and 0.0 < o.extent[1] <= h):
+            raise ConfigError(f"{path}.extent", "a receptacle object's extent must be positive and fit the room")
+    resting_on = {o.id: o.on for o in config.objects}
+    for i, o in enumerate(config.objects):
+        chain = [o.id]
+        while chain[-1] in resting_on:  # ends at furniture or on the floor (None)
+            chain.append(resting_on[chain[-1]])
+            if chain[-1] in chain[:-1]:
+                raise ConfigError(f"objects[{i}].on", f"receptacle chain {' -> '.join(chain)} is a cycle")
     if config.variation is not None:
         for category, pool in config.variation.receptacle_pool.items():
             path = f"variation.receptacle_pool.{category}"
             if not pool:
                 raise ConfigError(path, "needs at least one receptacle id")
             for rid in pool:
-                if rid not in receptacle_ids:
+                if rid not in half_extents:
                     raise ConfigError(path, f"unknown receptacle id {rid!r}")
                 half_w, half_h = half_extents[rid]
                 for o in config.objects:
@@ -374,9 +413,7 @@ def read_json(path: str, field: str) -> Any:
 
 
 def load_config_file(path: str, field: str = "scene") -> WorldConfig:
-    config = parse_config(read_json(path, field))
-    validate_config(config)
-    return config
+    return parse_config(read_json(path, field))
 
 
 # --- Runtime state -------------------------------------------------------------
@@ -446,9 +483,9 @@ class GroundOutcome:
 
 class SceneGeometry:
     """What no trial changes about a scene: the rasterised grid, footprint
-    cells, centroids, half extents, the cells reachable from the robot
-    start, the approach tables (built on first use) and the first global
-    sweep from each start cell (filled by ``perception.explore_global``).
+    cells, centroids, the cells reachable from the robot start, the approach
+    tables (built on first use) and the first global sweep from each start
+    cell (filled by ``perception.explore_global``).
 
     Every World of the same layout shares one, across threads too: the
     arrays are read-only, and the lazily filled tables are pure functions of
@@ -464,17 +501,12 @@ class SceneGeometry:
         self.grid = OccupancyGrid(room[0], room[1], resolution)
         self.footprint_cells: dict[str, frozenset[Cell]] = {}
         self.centroids: dict[str, tuple[float, float]] = {}
-        self.half_extents: dict[str, tuple[float, float]] = {}
         for fid, footprint in furniture:
             self.footprint_cells[fid] = frozenset(self.grid.rasterize_polygon(footprint))
             self.centroids[fid] = polygon_centroid(footprint)
-            self.half_extents[fid] = polygon_half_extent(footprint)
         self.grid.occ.flags.writeable = False
 
-        start_cell = self.grid.cell_of(*start)
-        if not self.grid.is_free(start_cell):
-            raise ConfigError("robot_start", "inside a furniture footprint")
-        self.reachable = self.grid.flood_fill(start_cell)
+        self.reachable = self.grid.flood_fill(self.grid.cell_of(*start))
         self.reachable.flags.writeable = False
         self._approach: dict[str, dict[Optional[str], tuple[Cell, ...]]] = {}
         # (start cell, sensing radius) -> (explored mask, end position), the
@@ -513,7 +545,7 @@ def scene_geometry(config: WorldConfig) -> SceneGeometry:
     """The shared geometry of the config's layout, keyed on content: room,
     resolution, each furniture's id and footprint, and the robot start. Every
     ``vary_config`` draw of a scene, and every scene with the same layout,
-    gets the same instance. A bad robot start raises and is never cached."""
+    gets the same instance."""
     return geometry_cache(
         tuple(config.room),
         config.grid_resolution,
@@ -526,12 +558,14 @@ class World:
     """One trial's ground truth. Single-writer: a trial owns its World.
 
     Furniture never moves, so everything static about the scene (grid,
-    footprint cells, centroids, half extents, reachability, approach cells
-    and the first sweep) lives on a ``SceneGeometry`` that every trial of
-    the same layout shares; the World holds the state a trial mutates."""
+    footprint cells, centroids, reachability, approach cells and the first
+    sweep) lives on a ``SceneGeometry`` that every trial of the same layout
+    shares; the World holds the state a trial mutates and the receptacles'
+    half extents (``surface_half_extents``), which depend on the objects.
+    ``config`` is one that ``validate_config`` passed, or a ``vary_config``
+    draw of one: the World checks nothing again."""
 
     def __init__(self, config: WorldConfig) -> None:
-        validate_config(config)
         self.config = config
         self.rng = random.Random(config.noise.rng_seed)
         self.geometry = scene_geometry(config)
@@ -539,7 +573,7 @@ class World:
         self.furniture: dict[str, FurnitureSpec] = {f.id: f for f in config.furniture}
         self.footprint_cells = self.geometry.footprint_cells
         self.centroids = self.geometry.centroids
-        self.half_extents = self.geometry.half_extents
+        self.half_extents = surface_half_extents(config)  # of the receptacles, by id
         self.reachable = self.geometry.reachable
 
         self.objects: dict[str, GroundObject] = {}
@@ -553,33 +587,21 @@ class World:
         self.robot = Pose(config.robot_start.x, config.robot_start.y, config.robot_start.heading)
         self.gripper: Optional[str] = None
         self.step_counter = 0
-        self.receptacle_versions: dict[str, int] = {f.id: 0 for f in config.furniture}
-        for spec in config.objects:
-            if spec.receptacle:
-                self.receptacle_versions[spec.id] = 0
+        self.receptacle_versions = dict.fromkeys(self.half_extents, 0)
         self.phantoms: dict[str, PhantomRecord] = {}
 
     # -- geometry ----------------------------------------------------------------
 
-    def is_receptacle(self, rid: str) -> bool:
-        if rid in self.furniture:
-            return self.furniture[rid].is_receptacle
-        obj = self.objects.get(rid)
-        return obj is not None and obj.spec.receptacle
-
     def root_furniture_of(self, rid: str) -> str:
-        """Furniture id at the bottom of a (possibly nested) receptacle chain."""
-        seen = set()
+        """Furniture id at the bottom of a (possibly nested) receptacle chain.
+        Validation admits no cycle, and no action can close one: a loaded
+        receptacle cannot be grasped."""
         current = rid
         while current not in self.furniture:
-            if current in seen or current not in self.objects:
-                raise KeyError(f"unresolvable receptacle chain at {rid!r}")
-            seen.add(current)
             placement = self.objects[current].placement
-            if placement.kind == "on":
-                current = placement.receptacle  # type: ignore[assignment]
-            else:
+            if placement.kind != "on":
                 raise KeyError(f"receptacle {current!r} is not resting on anything")
+            current = placement.receptacle  # type: ignore[assignment]
         return current
 
     def _resting_root(self, rid: str, verb: str) -> str:
@@ -597,12 +619,6 @@ class World:
         if rid in self.furniture:
             return self.centroids[rid]
         return self.position_of(rid)
-
-    def _surface_half_extent(self, rid: str) -> tuple[float, float]:
-        if rid in self.furniture:
-            return self.half_extents[rid]
-        extent = self.objects[rid].spec.extent
-        return extent[0] / 2.0, extent[1] / 2.0
 
     def position_of(self, oid: str) -> tuple[float, float]:
         obj = self.objects[oid]
@@ -638,14 +654,8 @@ class World:
         return self.grid.cell_of(self.robot.x, self.robot.y)
 
     def robot_adjacent_to(self, furniture_id: str) -> bool:
-        cells = self.footprint_cells.get(furniture_id)
-        if not cells:
-            return False
-        rc = self.robot_cell()
-        for n in self.grid.neighbors8(rc):
-            if n in cells:
-                return True
-        return rc in cells  # degenerate, should not happen
+        cells = self.footprint_cells.get(furniture_id, ())  # the robot's own cell is always free
+        return any(n in cells for n in self.grid.neighbors8(self.robot_cell()))
 
     def robot_side_of(self, furniture_id: str) -> str:
         return side_of(self.centroids[furniture_id], (self.robot.x, self.robot.y))
@@ -812,7 +822,7 @@ class World:
                 dx = (self.rng.random() - 0.5) * 0.1
                 dy = (self.rng.random() - 0.5) * 0.1
                 ox, oy = obj.placement.offset
-                half_w, half_h = self._surface_half_extent(parent)  # type: ignore[arg-type]
+                half_w, half_h = self.half_extents[parent]  # type: ignore[arg-type]
                 obj.placement.offset = (
                     max(-half_w, min(half_w, ox + dx)),
                     max(-half_h, min(half_h, oy + dy)),
@@ -833,7 +843,7 @@ class World:
     def free_offset_on(self, rid: str) -> Optional[tuple[float, float]]:
         """First free, reachable surface offset scanning row-major at 5 cm
         pitch (low y, then low x, first)."""
-        half_w, half_h = self._surface_half_extent(rid)
+        half_w, half_h = self.half_extents[rid]
         margin = 0.05
         anchor = self.anchor_of(rid)
         occupied = [
@@ -870,7 +880,7 @@ class World:
             rid, offset = request.location
         else:
             rid, offset = request.target, None  # type: ignore[assignment]
-        if rid is None or not self.is_receptacle(rid):
+        if rid not in self.half_extents:
             raise Refused(
                 PreconditionFault("unknown_reference", f"place target {rid!r} is not a receptacle"),
                 "place failed: unknown receptacle",
@@ -883,7 +893,7 @@ class World:
         if offset is not None:
             anchor = self.anchor_of(rid)
             pos = (anchor[0] + offset[0], anchor[1] + offset[1])
-            half_w, half_h = self._surface_half_extent(rid)
+            half_w, half_h = self.half_extents[rid]
             if abs(offset[0]) > half_w or abs(offset[1]) > half_h:
                 raise Refused(
                     PreconditionFault("bad_argument", f"offset {offset} outside {rid} surface"),
@@ -955,8 +965,9 @@ def vary_config(config: WorldConfig, trial_seed: int) -> WorldConfig:
         for o in objects:
             if o.on is not None:
                 by_parent.setdefault(o.on, []).append(o)
+        half_extents = surface_half_extents(config)
         for parent_id in sorted(by_parent):
-            half_w, half_h = _half_extent_for(config, parent_id)
+            half_w, half_h = half_extents[parent_id]
             taken: list[tuple[float, float]] = []
             for o in by_parent[parent_id]:
                 if o.receptacle:
@@ -975,13 +986,3 @@ def vary_config(config: WorldConfig, trial_seed: int) -> WorldConfig:
                     taken.append(o.offset)
 
     return replace(config, objects=objects, variation=None)
-
-
-def _half_extent_for(config: WorldConfig, rid: str) -> tuple[float, float]:
-    for f in config.furniture:
-        if f.id == rid:
-            return polygon_half_extent(f.footprint)
-    for o in config.objects:
-        if o.id == rid:
-            return o.extent[0] / 2.0, o.extent[1] / 2.0
-    return 0.2, 0.2

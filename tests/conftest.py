@@ -6,7 +6,7 @@ import pytest
 
 from homeloop.goals import parse_goal
 from homeloop.harness import TaskSpec, TrialOptions, resolve_noise_profile
-from homeloop.world import World, parse_config, validate_config
+from homeloop.world import World, parse_config
 
 # A small two-table room used where the full bedroom would be overkill.
 MINI_SCENE = {
@@ -69,9 +69,7 @@ def scene(doc: dict, **noise) -> dict:
 
 
 def make_world(doc: dict, **noise) -> World:
-    config = parse_config(scene(doc, **noise))
-    validate_config(config)
-    return World(config)
+    return World(parse_config(scene(doc, **noise)))
 
 
 def mini_task(goal=None, **task_kw) -> TaskSpec:

@@ -216,6 +216,25 @@ MALFORMED_SCENES = [
     ((), {"objects": [TOY, dict(CUP, offset=[5.0, 0.0])]}, "objects[1].offset"),
     ((), {"objects": [TOY, dict(PLATE, extent=[0.04, 0.04]), {"id": "cherry_0", "category": "fruit", "on": "plate_0"}],
           "variation": {"shuffle_offsets": True}}, "variation.shuffle_offsets"),
+    # scenes that validated and then failed every trial: the robot starts on
+    # table_0, the sense disk is the robot's own cell, a number is not finite,
+    # two plates rest on each other, or the grid or the sense disk is huge
+    (("robot_start",), {"x": 1.0, "y": 2.3}, "robot_start"),
+    (("sensing_radius",), 0.05, "sensing_radius"),
+    (("grid_resolution",), "nan", "grid_resolution"),
+    (("robot_start", "x"), "nan", "robot_start.x"),
+    (("room", "width"), "inf", "room.width"),
+    (("sensing_radius",), "inf", "sensing_radius"),
+    ((), {"objects": [TOY, dict(PLATE, id="plate_a", on="plate_b"), dict(PLATE, id="plate_b", on="plate_a")]},
+     "objects[1].on"),
+    (("room", "width"), 1e9, "room.width"),
+    (("sensing_radius",), 1e9, "sensing_radius"),
+    # a capture overflows squaring a huge distance, and a place onto a huge
+    # plate scans its surface for ever
+    (("view_radius",), 1e300, "view_radius"),
+    (("robot_start", "x"), 1e300, "robot_start"),
+    ((), {"objects": [TOY, {"id": "ball_0", "category": "ball", "floor": [1e300, 0.0]}]}, "objects[1].floor"),
+    ((), {"objects": [TOY, dict(PLATE, extent=[1e9, 1e9])]}, "objects[1].extent"),
 ]
 
 
@@ -248,14 +267,17 @@ MALFORMED_SUITES = [
     ({"goal": {"holding": {"object": {"category": ["toy"]}}}}, "tasks[0].goal.holding.object.category"),
     ({"goal": {"all_on": {"category": 5}}}, "tasks[0].goal.all_on.category"),
     ({"goal": {"same_receptacle": {"category": None}}}, "tasks[0].goal.same_receptacle.category"),
+    ({"noise_profile": "bogus"}, "noise_profile"),
+    ({"noise_profile": {"p_grasp_fail": 2}}, "noise_profile.p_grasp_fail"),
 ]
+SUITE_FIELDS = {"tasks", "noise_profile"}  # the rest of a change goes to the first task
 
 
 @pytest.mark.parametrize("change, field", MALFORMED_SUITES, ids=[json.dumps(c) for c, _ in MALFORMED_SUITES])
 def test_malformed_suite_exits_2_naming_the_field(tiny_suite, capsys, change, field):
     _, suite_path = tiny_suite
     suite = json.loads(suite_path.read_text())
-    if "tasks" in change:
+    if change.keys() & SUITE_FIELDS:
         suite.update(change)
     else:
         suite["tasks"][0].update(change)

@@ -16,13 +16,15 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeloop import perception
 from homeloop.errors import ConfigError
 from homeloop.geometry import Pose
 from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
 from homeloop.perception import Belief, explore_global
-from homeloop.world import World, geometry_cache, parse_config, validate_config, vary_config
+from homeloop.world import SceneGeometry, World, geometry_cache, parse_config, vary_config
 
 from conftest import MINI_SCENE
 
@@ -30,10 +32,12 @@ BUNDLED_SCENES = ("bedroom", "fruit_among_cups", "gather_cups", "move_cup_and_to
                   "place_fruit", "prepare_cup", "tidy_table", "transfer_all_toys")
 
 # One table in a 1.2 m room: the first sense sees every reachable cell, so
-# no frontier is left and the robot never moves.
+# no frontier is left and the robot never moves. The sensing radius is at
+# most the room's diagonal, as validation requires.
 TINY_SCENE = {
     "name": "tiny",
     "room": {"width": 1.2, "height": 1.2},
+    "sensing_radius": 1.5,
     "robot_start": {"x": 0.8, "y": 0.8},
     "furniture": [
         {"id": "table_0", "category": "table", "footprint": [[0.0, 0.0], [0.4, 0.0], [0.4, 0.4], [0.0, 0.4]],
@@ -48,13 +52,7 @@ def builtin_doc(name: str) -> dict:
 
 
 def builtin_config(name: str):
-    return config_of(builtin_doc(name))
-
-
-def config_of(doc: dict):
-    config = parse_config(doc)
-    validate_config(config)
-    return config
+    return parse_config(builtin_doc(name))
 
 
 def two_room(seed: int) -> dict:
@@ -164,7 +162,7 @@ def test_cold_and_warm_cache_write_identical_traces(tmp_path):
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_memoised_first_sweep_matches_a_fresh_one(case, monkeypatch):
-    config = config_of(copy.deepcopy(SWEEP_CASES[case]))
+    config = parse_config(copy.deepcopy(SWEEP_CASES[case]))
     geometry_cache.cache_clear()
     fresh_world, fresh = World(config), Belief()
     explore_global(fresh_world, fresh)  # a miss: runs the frontier loop
@@ -221,26 +219,57 @@ def test_bundled_scenes_with_one_layout_share_one_geometry():
 
 
 def test_moved_start_or_footprint_gets_its_own_geometry():
-    base = World(config_of(MINI_SCENE))
+    base = World(parse_config(MINI_SCENE))
     moved_start = copy.deepcopy(MINI_SCENE)
     moved_start["robot_start"]["x"] += 0.5
     moved_table = copy.deepcopy(MINI_SCENE)
     moved_table["furniture"][0]["footprint"] = [[x - 0.1, y] for x, y in MINI_SCENE["furniture"][0]["footprint"]]
     for doc in (moved_start, moved_table):
-        world = World(config_of(doc))
+        world = World(parse_config(doc))
         assert world.geometry is not base.geometry
-    assert World(config_of(moved_start)).robot_cell() != base.robot_cell()
-    assert World(config_of(moved_table)).footprint_cells["table_0"] != base.footprint_cells["table_0"]
+    assert World(parse_config(moved_start)).robot_cell() != base.robot_cell()
+    assert World(parse_config(moved_table)).footprint_cells["table_0"] != base.footprint_cells["table_0"]
 
 
 def test_bad_robot_start_is_never_cached():
+    # validation rejects the scene, so no geometry of it is ever built
     geometry_cache.cache_clear()
     doc = copy.deepcopy(MINI_SCENE)
     doc["robot_start"] = {"x": 1.0, "y": 2.3}  # on table_0
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="robot_start"):
-            World(config_of(doc))
+    with pytest.raises(ConfigError, match="robot_start"):
+        parse_config(doc)
     assert geometry_cache.cache_info().currsize == 0
+
+
+def start_points(doc: dict) -> st.SearchStrategy:
+    """Points of the room, often on a cell edge or centre or on a footprint's edge."""
+    w, h, res = doc["room"]["width"], doc["room"]["height"], doc["grid_resolution"]
+    xs = {x for f in doc["furniture"] for x, _ in f["footprint"]}
+    ys = {y for f in doc["furniture"] for _, y in f["footprint"]}
+
+    def axis(size, edges):
+        grid = st.integers(0, int(2 * size / res)).map(lambda k: min(size, k * res / 2))
+        return st.floats(0.0, size) | grid | st.sampled_from(sorted(edges))
+
+    return st.tuples(axis(w, xs), axis(h, ys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BUNDLED_SCENES).flatmap(lambda name: st.tuples(st.just(name), start_points(builtin_doc(name)))))
+def test_validation_rejects_exactly_the_starts_the_grid_marks_occupied(case):
+    name, (x, y) = case
+    doc = dict(builtin_doc(name), robot_start={"x": x, "y": y})
+    try:
+        parse_config(doc)
+        accepted = True
+    except ConfigError as exc:
+        assert exc.field_path == "robot_start", exc
+        accepted = False
+    geometry = SceneGeometry(
+        (doc["room"]["width"], doc["room"]["height"]), doc["grid_resolution"],
+        tuple((f["id"], tuple(map(tuple, f["footprint"]))) for f in doc["furniture"]), (x, y),
+    )
+    assert accepted == geometry.grid.is_free(geometry.grid.cell_of(x, y)), (name, x, y)
 
 
 def test_cache_keeps_at_most_sixteen_layouts():
@@ -248,7 +277,7 @@ def test_cache_keeps_at_most_sixteen_layouts():
     for i in range(17):
         doc = copy.deepcopy(TINY_SCENE)
         doc["room"]["width"] = 1.2 + 0.1 * i
-        World(config_of(doc))
+        World(parse_config(doc))
     info = geometry_cache.cache_info()
     assert info.misses == 17
     assert info.currsize <= 16

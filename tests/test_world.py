@@ -34,7 +34,7 @@ def test_overlapping_furniture_rejected():
     doc = copy.deepcopy(MINI_SCENE)
     doc["furniture"][1]["footprint"] = [[1.0, 2.0], [2.2, 2.0], [2.2, 2.7], [1.0, 2.7]]
     with pytest.raises(ConfigError) as exc:
-        validate_config(parse_config(doc))
+        parse_config(doc)
     assert "furniture overlap" in str(exc.value)
 
 
@@ -42,7 +42,7 @@ def test_missing_receptacle_rejected():
     doc = copy.deepcopy(MINI_SCENE)
     doc["objects"][0]["on"] = "table_9"
     with pytest.raises(ConfigError) as exc:
-        validate_config(parse_config(doc))
+        parse_config(doc)
     assert "table_9" in str(exc.value)
     assert exc.value.field_path.startswith("objects[0]")
 
@@ -51,7 +51,7 @@ def test_footprint_outside_room_rejected():
     doc = copy.deepcopy(MINI_SCENE)
     doc["furniture"][0]["footprint"] = [[-0.5, 2.0], [1.7, 2.0], [1.7, 2.7], [-0.5, 2.7]]
     with pytest.raises(ConfigError) as exc:
-        validate_config(parse_config(doc))
+        parse_config(doc)
     assert "outside room bounds" in str(exc.value)
     assert exc.value.field_path == "furniture[0].footprint[0]"
 
@@ -59,7 +59,7 @@ def test_footprint_outside_room_rejected():
 def test_bad_probability_rejected():
     doc = scene(MINI_SCENE, p_grasp_fail=1.5)
     with pytest.raises(ConfigError) as exc:
-        validate_config(parse_config(doc))
+        parse_config(doc)
     assert "p_grasp_fail" in exc.value.field_path
 
 
@@ -263,7 +263,7 @@ def test_vary_config_deterministic_and_bounded():
     for o in a.objects:
         if o.category == "cup":
             assert o.on in ("table_0", "table_1")
-    World(a)  # varied scenes still satisfy every config invariant
+    validate_config(a)  # varied scenes still satisfy every config invariant
 
 
 def test_place_onto_dropped_receptacle_is_typed_fault():
