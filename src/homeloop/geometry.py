@@ -9,9 +9,8 @@ a one-bit shift out of the first or last column cannot wrap into the next
 row. A layer grows with two shifts by one bit and two by a row, masked by the
 cells not yet reached. ``PackedGrid.reach`` keeps only the reached cells and,
 given a goal mask, the first layer's goal cells: all that flood fill, sensing
-and frontier search read. ``wavefront`` spreads each cell's distance + 1 over
-bit-planes, one int per bit, and unpacks them once at the end into int32
-distances (-1 = unreached). All grid work is deterministic; ties in cell
+and frontier search read; ``OccupancyGrid.bfs_distances`` numbers the same
+layers into int32 distances. All grid work is deterministic; ties in cell
 selection always break by lowest (col, row) lexicographic order on cell
 coordinates expressed as (cx, cy).
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,9 +117,6 @@ def _probe_points(poly: Sequence[tuple[float, float]]) -> Iterator[tuple[float, 
                 yield x, y
 
 
-_NEIGHBORS8 = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
-
-
 def dilate8(mask: np.ndarray) -> np.ndarray:
     """3x3 box dilation of a boolean mask; nothing wraps around the border."""
     rows = mask.copy()
@@ -152,17 +148,12 @@ class PackedGrid:
         padded[:, : self.width] = mask
         return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
 
-    def _bits(self, packed: Sequence[int]) -> np.ndarray:
-        """(len(packed), H, W) uint8 bits of several masks."""
-        size = self.height * self.row
-        nbytes = (size + 7) // 8
-        raw = np.frombuffer(b"".join(p.to_bytes(nbytes, "little") for p in packed), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(packed), nbytes), axis=1, count=size, bitorder="little")
-        return bits.reshape(len(packed), self.height, self.row)[:, :, : self.width]
-
     def unpack(self, packed: int) -> np.ndarray:
         """The (H, W) boolean mask of ``packed``."""
-        return self._bits([packed])[0].astype(bool)
+        size = self.height * self.row
+        raw = np.frombuffer(packed.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=size, bitorder="little")
+        return bits.reshape(self.height, self.row)[:, : self.width].astype(bool)
 
     def bit(self, cell: Cell) -> int:
         cx, cy = cell
@@ -247,34 +238,6 @@ def _half_disks(row: int, radius: int) -> tuple[int, int, int, int]:
     return west, east, reach, c
 
 
-def wavefront(passable: np.ndarray, start: Cell, targets: Optional[np.ndarray] = None) -> np.ndarray:
-    """8-connected BFS from ``start`` over ``passable`` cells, one layer per
-    step on packed ints (``PackedGrid.layers``). Returns int32 step
-    distances, -1 where unreached. With ``targets``, growth stops after the
-    first layer that contains a target."""
-    h, w = passable.shape
-    cx, cy = start
-    nothing = np.full((h, w), -1, dtype=np.int32)
-    if not (0 <= cy < h and 0 <= cx < w):
-        return nothing
-    packed = PackedGrid(h, w)
-    goal = packed.pack(targets) if targets is not None else 0
-    planes: list[int] = []  # planes[b]: the cells whose distance + 1 has bit b set
-    for label, layer in enumerate(packed.layers(packed.pack(passable), packed.bit(start), goal), 1):
-        if label >> len(planes):
-            planes.append(0)
-        for b in range(len(planes)):
-            if label >> b & 1:
-                planes[b] |= layer
-    if not planes:
-        return nothing
-    bits = packed._bits(planes)
-    dtype = np.min_scalar_type((1 << len(planes)) - 1)
-    weights = 1 << np.arange(len(planes), dtype=dtype)
-    labels = np.bitwise_or.reduce(bits.astype(dtype, copy=False) * weights[:, None, None], axis=0)
-    return labels.astype(np.int32) - 1
-
-
 class OccupancyGrid:
     """Rasterized room: ``occ[cy, cx]`` is 1 where furniture stands."""
 
@@ -336,13 +299,6 @@ class OccupancyGrid:
 
     # -- traversal --------------------------------------------------------------
 
-    def neighbors8(self, cell: Cell) -> Iterator[Cell]:
-        cx, cy = cell
-        for dx, dy in _NEIGHBORS8:
-            n = (cx + dx, cy + dy)
-            if self.in_bounds(n):
-                yield n
-
     def flood_fill(self, start: Cell) -> np.ndarray:
         """Boolean mask of free cells 8-connected to ``start``."""
         if not self.in_bounds(start):
@@ -353,7 +309,15 @@ class OccupancyGrid:
     def bfs_distances(self, start: Cell, passable: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """8-connected step distances over ``passable`` cells, grown only up to
         the first layer that contains a ``targets`` cell (-1 = unreached)."""
-        return wavefront(passable, start, targets)
+        h, w = passable.shape
+        dist = np.full((h, w), -1, dtype=np.int32)
+        cx, cy = start
+        if not (0 <= cy < h and 0 <= cx < w):
+            return dist
+        packed = PackedGrid(h, w)
+        for d, layer in enumerate(packed.layers(packed.pack(passable), packed.bit(start), packed.pack(targets))):
+            dist[packed.unpack(layer)] = d
+        return dist
 
     def adjacent_free_cells(self, cells: Iterable[Cell]) -> np.ndarray:
         """Mask of the free cells 8-adjacent to a footprint: the 3x3 dilation

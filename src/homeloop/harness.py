@@ -93,10 +93,6 @@ class TaskSpec:
     placement_style: Optional[str] = None
     step_cap: int = DEFAULT_STEP_CAP
 
-    def __post_init__(self) -> None:
-        if self.trial_count <= 0:
-            raise ConfigError(f"task.{self.id}.trials", "trial_count must be > 0")
-
     def seed_for(self, trial_index: int, base: int = 0) -> int:
         """Seed ``i`` of the cycled seed list, or ``i`` mod the trial count without one."""
         seed = self.seeds[trial_index % len(self.seeds)] if self.seeds else trial_index % self.trial_count
@@ -388,10 +384,6 @@ class SuiteConfig:
     noise_profile: "str | dict[str, float]" = "default"
     planner: str = "scripted"
 
-    def __post_init__(self) -> None:
-        if not self.tasks:
-            raise ConfigError("suite.tasks", "no tasks")
-
 
 def _read_builtin(kind: str, name: str, field: str) -> Any:
     """The bundled document ``data/<kind>/<name>.json``."""
@@ -408,10 +400,21 @@ def _resolve_scene(ref: str, base_dir: Optional[str], field: str) -> WorldConfig
     return load_config_file(path, field)
 
 
+def _count(value: Any, path: str) -> int:
+    """``value`` as an int of at least 1."""
+    number = as_number(value, path, int)
+    if number < 1:
+        raise ConfigError(path, f"expected an integer >= 1, got {value!r}")
+    return number
+
+
 def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
     as_json(raw, dict, "suite")
+    raw_tasks = as_json(raw.get("tasks", []), list, "tasks")
+    if not raw_tasks:
+        raise ConfigError("tasks", "no tasks")
     tasks = []
-    for i, t in enumerate(as_json(raw.get("tasks", []), list, "tasks")):
+    for i, t in enumerate(raw_tasks):
         path = f"tasks[{i}]"
         as_json(t, dict, path)
         for key in ("id", "instruction", "scene", "goal"):
@@ -427,10 +430,10 @@ def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
                 instruction=str(t["instruction"]),
                 scene=_resolve_scene(str(t["scene"]), base_dir, f"{path}.scene"),
                 goal=parse_goal(t["goal"], f"{path}.goal"),
-                trial_count=as_number(t.get("trials", 5), f"{path}.trials", int),
+                trial_count=_count(t.get("trials", 5), f"{path}.trials"),
                 seeds=[as_number(s, f"{path}.seeds[{k}]", int) for k, s in enumerate(seeds)],
                 placement_style=t.get("placement_style"),
-                step_cap=as_number(t.get("step_cap", DEFAULT_STEP_CAP), f"{path}.step_cap", int),
+                step_cap=_count(t.get("step_cap", DEFAULT_STEP_CAP), f"{path}.step_cap"),
             )
         )
     noise_profile = raw.get("noise_profile", "default")

@@ -152,6 +152,18 @@ class Belief:
             ordered = memo["sorted"] = tuple(sorted(self.objects.values(), key=lambda o: o.id))
         return ordered
 
+    def furniture(self, ref: str) -> Optional[SceneObject]:
+        """The global map's entry for ``ref``, or None (also before any sweep)."""
+        return self.global_map.find(ref) if self.global_map is not None else None
+
+    def local_item(self, ref: str) -> Optional[SceneObject]:
+        """The item ``ref`` of the first local map that holds it, or None."""
+        for m in self.local_maps.values():
+            item = m.find(ref)
+            if item is not None:
+                return item
+        return None
+
     def receptacle_entities(self) -> list[BeliefObject]:
         return [o for o in self.sorted_objects() if o.is_receptacle]
 

@@ -149,15 +149,13 @@ class ChatModelPlanner:
             return True
         if not isinstance(step, Call):
             return False
-        arg = step.arg
-        if step.verb == "navigate" and isinstance(arg, Ref):
-            gmap = view.belief.global_map
-            return gmap is not None and gmap.find(arg.name) is not None
-        if step.verb in ("grasp", "report_observation") and isinstance(arg, Ref):
-            return arg.name in view.belief.objects or any(
-                m.find(arg.name) for m in view.belief.local_maps.values()
-            )
-        if step.verb == "place" and isinstance(arg, Ref):
-            known_global = view.belief.global_map is not None and view.belief.global_map.find(arg.name)
-            return bool(known_global) or arg.name in view.belief.objects
+        if not isinstance(step.arg, Ref):
+            return True
+        ref, belief = step.arg.name, view.belief
+        if step.verb == "navigate":
+            return belief.furniture(ref) is not None
+        if step.verb in ("grasp", "report_observation"):
+            return ref in belief.objects or belief.local_item(ref) is not None
+        if step.verb == "place":
+            return belief.furniture(ref) is not None or ref in belief.objects
         return True

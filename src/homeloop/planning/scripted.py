@@ -68,9 +68,7 @@ def _root_of(belief: Belief, oid: str) -> Optional[str]:
     """The furniture ``oid`` rests on (or ``oid`` itself if it is furniture);
     None when its believed chain ends off the global map, e.g. on the floor."""
     root = belief.root_of(oid)
-    if belief.global_map is not None and belief.global_map.find(root) is not None:
-        return root
-    return None
+    return root if belief.furniture(root) is not None else None
 
 
 def _scan_step(belief: Belief, rid: str) -> PlanStep:
@@ -249,10 +247,7 @@ def _styled_location(task, belief: Belief, dest: str) -> Optional[Loc]:
     if not style or not style.startswith("centroid_of:"):
         return None
     category = style.split(":", 1)[1]
-    gmap = belief.global_map
-    if gmap is None:
-        return None
-    dest_obj = gmap.find(dest)
+    dest_obj = belief.furniture(dest)
     if dest_obj is None:
         return None  # style applies to furniture surfaces only
     points = [

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import ApiCallError, Fault, Refused
 from .perception import Belief, Observation, explore_global, explore_local, report_observation
-from .world import ActionRequest, EXECUTION_VERBS, World
+from .world import ActionRequest, EXECUTION_VERBS, GroundOutcome, World
 
 if TYPE_CHECKING:
     from .verification import FailureRecord, SuccessVerdict
@@ -159,14 +159,21 @@ def _fault_json(fault: Optional[Fault]) -> Optional[dict[str, str]]:
 # --- the six verbs --------------------------------------------------------------
 
 
-def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
+def _reference(request: ActionRequest, what: str) -> str:
+    """The request's target; refuses a string literal or a missing target."""
     ref = request.target
     if ref is None or request.params.get("string_literal"):
-        raise Refused(ApiCallError(
-            "bad_argument", f"navigate expects an object reference from the global map, got a string literal {ref!r}"
-        ))
-    gmap = ctx.belief.global_map
-    if gmap is None or gmap.find(ref) is None:
+        raise Refused(ApiCallError("bad_argument", f"{request.verb} expects {what}, got a string literal {ref!r}"))
+    return ref
+
+
+def _executed(ctx: SkillContext, request: ActionRequest, outcome: GroundOutcome) -> Feedback:
+    return _feedback(ctx, request, success=outcome.success, message=outcome.message, details=outcome.details)
+
+
+def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
+    ref = _reference(request, "an object reference from the global map")
+    if ctx.belief.furniture(ref) is None:
         raise Refused(ApiCallError(
             "unknown_reference", f"navigate target {ref!r} is not in the global object map; run explore_global first"
         ))
@@ -174,58 +181,32 @@ def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
     if outcome.success:
         ctx.belief.at_receptacle = ref
         ctx.belief.approach_side = outcome.details.get("approach_side")
-    return _feedback(
-        ctx,
-        request,
-        success=outcome.success,
-        message=outcome.message,
-        details=outcome.details,
-    )
+    return _executed(ctx, request, outcome)
 
 
 def grasp(ctx: SkillContext, request: ActionRequest) -> Feedback:
-    ref = request.target
-    if ref is None or request.params.get("string_literal"):
-        raise Refused(ApiCallError(
-            "bad_argument", f"grasp expects an object reference from a local map, got a string literal {ref!r}"
-        ))
-    if ctx.belief.global_map is not None and ctx.belief.global_map.find(ref) is not None:
+    ref = _reference(request, "an object reference from a local map")
+    if ctx.belief.furniture(ref) is not None:
         raise Refused(ApiCallError("bad_argument", f"{ref!r} is furniture and cannot be grasped"))
     # normal flow: the target entered the belief through a local scan; a
     # dropped object noted on the floor stays referencable for re-grasping
-    known = ref in ctx.belief.objects or any(m.find(ref) for m in ctx.belief.local_maps.values())
-    if not known:
+    if ref not in ctx.belief.objects and ctx.belief.local_item(ref) is None:
         fault = ApiCallError("target_not_in_local_map", f"{ref!r} is not in any current local map")
         raise Refused(fault, f"grasp failed: {ref} not in local map")
     outcome = ctx.world.apply_action(request)
-    details = dict(outcome.details)
     if outcome.success:
         ctx.belief.note_grasped(ref)
-    elif details.get("shifted"):
+    elif outcome.details.get("shifted"):
         b = ctx.belief.objects.get(ref)
         if b is not None and b.parent_id:
             ctx.belief.mark_stale(ctx.belief.root_of(b.parent_id))
-    return _feedback(
-        ctx,
-        request,
-        success=outcome.success,
-        message=outcome.message,
-        details=details,
-    )
+    return _executed(ctx, request, outcome)
 
 
 def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
     if request.location is None:
-        ref = request.target
-        if ref is None or request.params.get("string_literal"):
-            raise Refused(ApiCallError(
-                "bad_argument", f"place expects a receptacle reference or a location, got a string literal {ref!r}"
-            ))
-        known = (
-            (ctx.belief.global_map is not None and ctx.belief.global_map.find(ref) is not None)
-            or ref in ctx.belief.objects
-        )
-        if not known:
+        ref = _reference(request, "a receptacle reference or a location")
+        if ctx.belief.furniture(ref) is None and ref not in ctx.belief.objects:
             raise Refused(ApiCallError("unknown_reference", f"place target {ref!r} is not in any map"))
     held = ctx.world.gripper
     outcome = ctx.world.apply_action(request)
@@ -236,13 +217,7 @@ def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
         # failed place drops the held object on the floor near the robot
         dropped = outcome.details["dropped"]
         ctx.belief.note_dropped(dropped, ctx.world.position_of(dropped))
-    return _feedback(
-        ctx,
-        request,
-        success=outcome.success,
-        message=outcome.message,
-        details=outcome.details,
-    )
+    return _executed(ctx, request, outcome)
 
 
 def do_explore_global(ctx: SkillContext, request: ActionRequest) -> Feedback:
@@ -259,13 +234,8 @@ def do_explore_global(ctx: SkillContext, request: ActionRequest) -> Feedback:
 
 
 def do_explore_local(ctx: SkillContext, request: ActionRequest) -> Feedback:
-    ref = request.target
-    if ref is None or request.params.get("string_literal"):
-        raise Refused(ApiCallError(
-            "bad_argument", f"explore_local expects a furniture reference, got a string literal {ref!r}"
-        ))
-    gmap = ctx.belief.global_map
-    if gmap is None or gmap.find(ref) is None:
+    ref = _reference(request, "a furniture reference")
+    if ctx.belief.furniture(ref) is None:
         raise Refused(ApiCallError(
             "unknown_reference", f"explore_local target {ref!r} is not in the global object map"
         ))
@@ -292,13 +262,7 @@ def do_report_observation(ctx: SkillContext, request: ActionRequest) -> Feedback
         return _feedback(ctx, request, success=True, observation=obs, message=f"{ref} view: {listing}")
     if ref is None:
         raise Refused(ApiCallError("bad_argument", "report_observation needs a target or a mode"))
-    target_obj = None
-    for m in ctx.belief.local_maps.values():
-        target_obj = m.find(ref)
-        if target_obj is not None:
-            break
-    if target_obj is None and ctx.belief.global_map is not None:
-        target_obj = ctx.belief.global_map.find(ref)
+    target_obj = ctx.belief.local_item(ref) or ctx.belief.furniture(ref)
     if target_obj is None:
         raise Refused(ApiCallError(
             "unknown_reference", f"report_observation target {ref!r} is not in any current map"

@@ -592,26 +592,28 @@ class World:
 
     # -- geometry ----------------------------------------------------------------
 
-    def root_furniture_of(self, rid: str) -> str:
-        """Furniture id at the bottom of a (possibly nested) receptacle chain.
+    def root_furniture_of(self, rid: str) -> Optional[str]:
+        """Furniture id at the bottom of the (possibly nested) chain of "on"
+        placements from ``rid``, or None when the chain ends off furniture (on
+        the floor or in the gripper). No object id names furniture.
         Validation admits no cycle, and no action can close one: a loaded
         receptacle cannot be grasped."""
         current = rid
         while current not in self.furniture:
             placement = self.objects[current].placement
             if placement.kind != "on":
-                raise KeyError(f"receptacle {current!r} is not resting on anything")
+                return None
             current = placement.receptacle  # type: ignore[assignment]
         return current
 
     def _resting_root(self, rid: str, verb: str) -> str:
         """``root_furniture_of(rid)``; refuses ``verb`` when the chain ends off
         furniture (a small receptacle on the floor)."""
-        try:
-            return self.root_furniture_of(rid)
-        except KeyError:
+        root = self.root_furniture_of(rid)
+        if root is None:
             fault = PreconditionFault("bad_argument", f"{rid} is not resting on a surface")
-            raise Refused(fault, f"{verb} failed: receptacle not on a surface") from None
+            raise Refused(fault, f"{verb} failed: receptacle not on a surface")
+        return root
 
     def anchor_of(self, rid: str) -> tuple[float, float]:
         """Surface anchor: furniture footprint centroid, or the small
@@ -632,16 +634,7 @@ class World:
 
     def objects_rooted_at(self, furniture_id: str) -> list[str]:
         """Object ids whose placement chain bottoms out at the furniture."""
-        out = []
-        for oid, obj in self.objects.items():
-            if obj.placement.kind != "on":
-                continue
-            try:
-                if self.root_furniture_of(obj.placement.receptacle) == furniture_id:  # type: ignore[arg-type]
-                    out.append(oid)
-            except KeyError:
-                continue
-        return sorted(out)
+        return sorted(oid for oid in self.objects if self.root_furniture_of(oid) == furniture_id)
 
     def objects_directly_on(self, rid: str) -> list[str]:
         return sorted(
@@ -654,8 +647,11 @@ class World:
         return self.grid.cell_of(self.robot.x, self.robot.y)
 
     def robot_adjacent_to(self, furniture_id: str) -> bool:
-        cells = self.footprint_cells.get(furniture_id, ())  # the robot's own cell is always free
-        return any(n in cells for n in self.grid.neighbors8(self.robot_cell()))
+        """Whether a footprint cell of the furniture lies in the robot's 3x3
+        block of cells (its own cell is always free)."""
+        cells = self.footprint_cells.get(furniture_id, ())
+        cx, cy = self.robot_cell()
+        return any((x, y) in cells for x in (cx - 1, cx, cx + 1) for y in (cy - 1, cy, cy + 1))
 
     def robot_side_of(self, furniture_id: str) -> str:
         return side_of(self.centroids[furniture_id], (self.robot.x, self.robot.y))
@@ -721,11 +717,8 @@ class World:
         if rid is not None and rid in self.receptacle_versions:
             self.receptacle_versions[rid] += 1
             # moving the contents of a nested receptacle also disturbs the root
-            try:
-                root = self.root_furniture_of(rid)
-            except KeyError:
-                return
-            if root != rid:
+            root = self.root_furniture_of(rid)
+            if root is not None and root != rid:
                 self.receptacle_versions[root] += 1
 
     # -- phantom registry --------------------------------------------------------------
@@ -778,18 +771,14 @@ class World:
         side = self.robot_side_of(target)
         return True, f"arrived at {target} ({side} side)", {"approach_side": side}
 
-    def _grasp_fail_probability(self, oid: str) -> float:
+    def _grasp_fail_probability(self, root: Optional[str]) -> float:
+        """The grasp failure chance of an object resting on furniture ``root``
+        (None: off furniture), scaled by the side the robot stands on."""
         p = self.config.noise.p_grasp_fail
-        obj = self.objects[oid]
-        if obj.placement.kind == "on":
-            try:
-                root = self.root_furniture_of(obj.placement.receptacle)  # type: ignore[arg-type]
-            except KeyError:
-                return p
-            side = self.robot_side_of(root)
-            mult = self.furniture[root].grasp_difficulty.get(side, 1.0)
-            p = min(1.0, p * mult)
-        return p
+        if root is None:
+            return p
+        mult = self.furniture[root].grasp_difficulty.get(self.robot_side_of(root), 1.0)
+        return min(1.0, p * mult)
 
     def _do_grasp(self, request: ActionRequest):
         target = request.target
@@ -805,6 +794,7 @@ class World:
             )
         obj = self.objects[target]
         pos = self.position_of(target)
+        root = None
         if obj.placement.kind == "on":
             root = self._resting_root(obj.placement.receptacle, "grasp")  # type: ignore[arg-type]
             if not self.robot_adjacent_to(root):
@@ -816,7 +806,7 @@ class World:
                 PreconditionFault("out_of_reach", f"{target} beyond arm reach"), "grasp failed: target out of reach"
             )
         parent = obj.placement.receptacle if obj.placement.kind == "on" else None
-        if self.rng.random() < self._grasp_fail_probability(target):
+        if self.rng.random() < self._grasp_fail_probability(root):
             shifted = False
             if obj.placement.kind == "on" and self.rng.random() < self.config.noise.p_object_shift_on_fail:
                 dx = (self.rng.random() - 0.5) * 0.1

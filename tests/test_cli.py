@@ -257,6 +257,10 @@ MALFORMED_SUITES = [
     ({"seeds": 5}, "tasks[0].seeds"),
     ({"seeds": ["x"]}, "tasks[0].seeds[0]"),
     ({"trials": "many"}, "tasks[0].trials"),
+    ({"trials": 0}, "tasks[0].trials"),
+    ({"step_cap": 0}, "tasks[0].step_cap"),
+    ({"step_cap": -5}, "tasks[0].step_cap"),
+    ({"tasks": []}, "tasks"),
     ({"scene": "builtin:nope"}, "tasks[0].scene"),
     ({"scene": "missing.json"}, "tasks[0].scene"),
     ({"goal": {"on": 5}}, "tasks[0].goal.on"),

@@ -20,7 +20,6 @@ from homeloop.geometry import (
     polygon_centroid,
     polygons_overlap,
     side_of,
-    wavefront,
 )
 from homeloop.perception import _sense, _sweep
 
@@ -82,7 +81,7 @@ def test_pose_distance():
     assert math.isclose(Pose(1, 1).distance_to((1.0, 2.0)), 1.0)
 
 
-# --- the numpy wavefront against a reference queue BFS -------------------------------
+# --- flood fill, BFS distances and sensing against a reference queue BFS --------------
 
 _STEPS8 = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dx, dy) != (0, 0)]
 
@@ -223,7 +222,8 @@ def test_packed_disk_is_the_disk_clipped_to_the_grid(h, w, radius, data):
 
 # --- the packed frontier sweep against the numpy sweep it replaced --------------------
 # numpy_sense, numpy_frontiers and numpy_sweep are perception's _sense, _frontiers
-# and _sweep as they were on numpy masks, with int32 BFS distances and a lexsort.
+# and _sweep as they were on numpy masks, with int32 BFS distances and a lexsort;
+# numpy_sense reads the queue BFS.
 
 
 def numpy_sense(world, explored, origin_cell):
@@ -240,7 +240,9 @@ def numpy_sense(world, explored, origin_cell):
     ys, xs = np.ogrid[y0:y1, x0:x1]
     disk = (xs - cx0) ** 2 + (ys - cy0) ** 2 <= radius**2
     free = world.grid.occ[y0:y1, x0:x1] == 0
-    seen = wavefront(free & disk, (cx0 - x0, cy0 - y0)) >= 0
+    seen = np.zeros(free.shape, dtype=bool)
+    for cx, cy in reference_bfs(free & disk, (cx0 - x0, cy0 - y0)):
+        seen[cy, cx] = True
     explored[y0:y1, x0:x1] |= seen | (dilate8(seen) & disk)
 
 
@@ -332,12 +334,12 @@ def test_packed_sweep_matches_the_numpy_sweep(case, radius, explored_density):
     assert packed[2] == reference[2]  # hop targets, in order
 
 
-# --- the packed layout: row widths, strips, apartment-sized and long searches ---------
+# --- bfs_distances: packed row widths, strips, apartment-sized and long searches -----
 
 
 def reference_distances(passable, start, targets=None):
-    """``wavefront``'s contract from the queue BFS: int32 distances, -1 where
-    unreached or beyond the first layer that holds a target."""
+    """``bfs_distances``' contract from the queue BFS: int32 distances, -1
+    where unreached or beyond the first layer that holds a target."""
     h, w = passable.shape
     expected = np.full((h, w), -1, dtype=np.int32)
     if not (0 <= start[0] < w and 0 <= start[1] < h):
@@ -351,8 +353,9 @@ def reference_distances(passable, start, targets=None):
     return expected
 
 
-def assert_wavefront_matches(passable, start, targets=None):
-    dist = wavefront(passable, start, targets)
+def assert_bfs_distances_match(passable, start, targets=None):
+    grid = _grid_of((~passable).astype(np.uint8))
+    dist = grid.bfs_distances(start, passable, np.zeros_like(passable) if targets is None else targets)
     assert dist.dtype == np.int32 and dist.shape == passable.shape
     assert np.array_equal(dist, reference_distances(passable, start, targets))
     return dist
@@ -374,8 +377,8 @@ def packed_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(packed_cases())
-def test_wavefront_matches_reference_across_packed_row_widths(case):
-    assert_wavefront_matches(*case)
+def test_bfs_distances_match_reference_across_packed_row_widths(case):
+    assert_bfs_distances_match(*case)
 
 
 def walled_apartment(seed, h=80, w=100):
@@ -391,38 +394,38 @@ def walled_apartment(seed, h=80, w=100):
     return passable
 
 
-def test_wavefront_matches_reference_on_apartment_sized_grids():
+def test_bfs_distances_match_reference_on_apartment_sized_grids():
     for seed in range(3):
         passable = walled_apartment(seed)
         free = np.argwhere(passable)
         cy, cx = free[len(free) // 5]
-        dist = assert_wavefront_matches(passable, (int(cx), int(cy)))
+        dist = assert_bfs_distances_match(passable, (int(cx), int(cy)))
         assert dist.max() > 60
         far = dist == dist.max()
-        assert_wavefront_matches(passable, (int(cx), int(cy)), far)
+        assert_bfs_distances_match(passable, (int(cx), int(cy)), far)
 
 
-def test_wavefront_counts_past_255_along_a_serpentine():
+def test_bfs_distances_count_past_255_along_a_serpentine():
     # walls on every other row, each open at alternating ends: one corridor
-    # folded 30 times, so distances need ten bit-planes
+    # folded 30 times, so distances pass 511
     h, w = 61, 40
     passable = np.ones((h, w), dtype=bool)
     for i, y in enumerate(range(1, h, 2)):
         passable[y, :] = False
         passable[y, w - 1 if i % 2 == 0 else 0] = True
-    dist = assert_wavefront_matches(passable, (0, 0))
+    dist = assert_bfs_distances_match(passable, (0, 0))
     assert dist.max() > 511
     targets = np.zeros_like(passable)
     targets[h - 1, 5] = True
-    assert assert_wavefront_matches(passable, (0, 0), targets).max() > 255
+    assert assert_bfs_distances_match(passable, (0, 0), targets).max() > 255
 
 
-def test_wavefront_from_an_off_grid_or_blocked_start_reaches_nothing():
+def test_bfs_distances_from_an_off_grid_or_blocked_start_reach_nothing():
     passable = np.ones((9, 15), dtype=bool)
     passable[:, 7] = False
     passable[4, 7] = True
     for start in [(-1, 4), (15, 4), (4, -1), (4, 9), (-1, -1), (15, 9), (7, 0), (7, 8)]:
-        dist = assert_wavefront_matches(passable, start)
+        dist = assert_bfs_distances_match(passable, start)
         assert (dist == -1).all()
 
 

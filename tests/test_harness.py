@@ -9,10 +9,10 @@ import pytest
 from homeloop import harness, recovery
 from homeloop.errors import ConfigError, TraceFormatError
 from homeloop.harness import (
-    SuiteConfig,
     TrialOptions,
     _Trial,
     load_builtin_suite,
+    parse_suite,
     replay_matches,
     run_suite,
     run_trial,
@@ -187,8 +187,8 @@ def test_run_suite_parallel_matches_serial(tmp_path, zero_options):
 
 def test_empty_suite_rejected():
     with pytest.raises(ConfigError) as exc:
-        SuiteConfig(name="empty", tasks=[])
-    assert "no tasks" in str(exc.value)
+        parse_suite({"name": "empty", "tasks": []})
+    assert exc.value.field_path == "tasks" and "no tasks" in str(exc.value)
 
 
 def test_paired_seed_recovery_dominance_small():

@@ -284,6 +284,39 @@ def test_place_onto_dropped_receptacle_is_typed_fault():
     assert world.gripper == "toy_0"
 
 
+def test_a_chain_that_ends_on_the_floor_has_no_root_furniture():
+    doc = copy.deepcopy(MINI_SCENE)
+    doc["objects"] += [
+        {"id": "plate_0", "category": "plate", "floor": [1.0, 1.0], "receptacle": True, "extent": [0.3, 0.3]},
+        {"id": "cup_1", "category": "cup", "on": "plate_0", "offset": [0.0, 0.0]},
+    ]
+    world = make_world(doc)
+    assert world.root_furniture_of("plate_0") is None
+    assert world.root_furniture_of("cup_1") is None
+    assert world.root_furniture_of("toy_0") == "table_0"
+    rooted = {fid: world.objects_rooted_at(fid) for fid in world.furniture}
+    assert rooted == {"table_0": ["toy_0"], "table_1": ["cup_0"], "bed_0": []}
+
+
+def bundled_scene_docs():
+    scenes = resources.files("homeloop").joinpath("data/scenes")
+    return [json.loads(p.read_text("utf-8")) for p in sorted(scenes.iterdir(), key=lambda p: p.name)]
+
+
+def test_robot_adjacent_to_matches_an_eight_neighbour_reference():
+    adjacent = 0
+    for doc in bundled_scene_docs():
+        world = make_world(doc)
+        for cy, cx in np.argwhere(world.grid.occ == 0).tolist():
+            world.robot = Pose(*world.grid.center_of((cx, cy)), 0.0)
+            neighbours = {(cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy}
+            for fid, cells in world.footprint_cells.items():
+                expected = not neighbours.isdisjoint(cells)
+                assert world.robot_adjacent_to(fid) == expected, (doc["name"], (cx, cy), fid)
+                adjacent += expected
+    assert adjacent > 0
+
+
 # --- approach table vs the per-call computation it replaced ------------------------
 
 # table_1 sits in the room's north-east corner behind an L-shaped wall, so
@@ -318,8 +351,8 @@ WALLED_SCENE = {
 
 def reference_approach_cells(world, fid, side):
     cells = set()
-    for cell in world.footprint_cells[fid]:
-        for n in world.grid.neighbors8(cell):
+    for cx, cy in world.footprint_cells[fid]:
+        for n in ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy):
             if world.grid.is_free(n):
                 cells.add(n)
     cells = {c for c in cells if world.reachable[c[1], c[0]]}
@@ -348,10 +381,7 @@ def reference_select_approach(world, fid, side, focus):
 
 
 def approach_worlds():
-    scenes = resources.files("homeloop").joinpath("data/scenes")
-    docs = [json.loads(p.read_text("utf-8")) for p in sorted(scenes.iterdir(), key=lambda p: p.name)]
-    docs.append(WALLED_SCENE)
-    for doc in docs:
+    for doc in bundled_scene_docs() + [WALLED_SCENE]:
         for seed in (0, 5, 23):
             yield doc["name"], seed, World(vary_config(parse_config(doc), seed))
 
