@@ -13,7 +13,7 @@ code against its belief via a second view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConfigError
 from .world import World, as_json
@@ -33,7 +33,7 @@ class Selector:
             return False
         if self.category is not None and self.category != category:
             return False
-        return self.attributes <= set(attributes)
+        return self.attributes.issubset(attributes)
 
     def describe(self) -> str:
         parts = []
@@ -46,8 +46,7 @@ class Selector:
         return " ".join(parts) or "<any>"
 
 
-@dataclass(frozen=True)
-class EntityView:
+class EntityView(NamedTuple):
     """One entity as seen by an evaluator."""
 
     id: str
@@ -58,10 +57,11 @@ class EntityView:
 
 
 class PlacementView:
-    """Uniform evaluation surface over ground truth or belief."""
+    """Uniform evaluation surface over ground truth or belief. It keeps the
+    ``entities`` dict its builder made."""
 
-    def __init__(self, entities: Mapping[str, EntityView], holding: Optional[str]) -> None:
-        self.entities = dict(entities)
+    def __init__(self, entities: dict[str, EntityView], holding: Optional[str]) -> None:
+        self.entities = entities
         self.holding = holding
 
     def select(self, sel: Selector) -> list[EntityView]:

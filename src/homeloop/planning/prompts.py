@@ -71,40 +71,66 @@ TOKEN_BUDGET = 8000
 _PREFIX = {"plan": "", "feedback": "feedback: ", "observation": "observation: ", "note": "note: "}
 
 
+class Message(dict):
+    """A chat message, ``{"role": ..., "content": ...}``, that refuses every
+    change: history hands the same one to each prompt it appears in. A copy
+    (``copy``, ``pickle`` or ``dict(m)``) is a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a history message is read-only; change a copy")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class HistoryEntry:
-    """One dialogue message. Its chat content and its token estimate are
-    rendered once, when the entry is made."""
+    """One dialogue message. Its chat message and its token estimate are
+    made once, when the entry is."""
 
     kind: str  # "plan" | "feedback" | "observation" | "note"
     text: str
     elidable: bool = True
-    role: str = field(init=False)
-    content: str = field(init=False)
+    message: Message = field(init=False, repr=False, compare=False)
     tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
+        role = "assistant" if self.kind == "plan" else "user"
         content = _PREFIX[self.kind] + self.text
-        object.__setattr__(self, "role", "assistant" if self.kind == "plan" else "user")
-        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "message", Message(role=role, content=content))
         object.__setattr__(self, "tokens", estimate_tokens(content))
+
+    @property
+    def role(self) -> str:
+        return self.message["role"]
+
+    @property
+    def content(self) -> str:
+        return self.message["content"]
 
 
 @dataclass
 class DialogueHistory:
-    """Ordered record of one trial's planner dialogue; ``tokens`` is the
-    running token estimate of all its entries."""
+    """Ordered record of one trial's planner dialogue. ``messages`` holds
+    each entry's message in order, and ``tokens`` is the running token
+    estimate of all the entries."""
 
     instruction: str
     entries: list[HistoryEntry] = field(default_factory=list)
+    messages: list[Message] = field(init=False, repr=False)
     tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
+        self.messages = [e.message for e in self.entries]
         self.tokens = sum(e.tokens for e in self.entries)
 
     def _append(self, kind: str, text: str, elidable: bool = True) -> None:
         entry = HistoryEntry(kind, text, elidable)
         self.entries.append(entry)
+        self.messages.append(entry.message)
         self.tokens += entry.tokens
 
     def append_plan(self, text: str) -> None:
@@ -161,8 +187,9 @@ def assemble_prompt(
 ) -> list[dict[str, str]]:
     """Deterministic message sequence for a chat completion request.
 
-    Each history entry carries its own content and token estimate, so the
-    cost of a call does not grow with the token count of the history."""
+    The history's messages are its own, read-only ``Message`` objects, so
+    the cost of a call does not grow with the history. Elision replaces the
+    messages it shortens with new ones and never changes the history's."""
     instruction = f"Instruction: {history.instruction}"
     messages: list[dict[str, str]] = [
         {"role": "system", "content": SYSTEM_PROMPT},
@@ -171,7 +198,7 @@ def assemble_prompt(
     if not history.entries:
         # nothing has happened yet: exactly the system and instruction messages
         return messages
-    messages.extend({"role": e.role, "content": e.content} for e in history.entries)
+    messages.extend(history.messages)
     tail = render_view(view)
     last_fb = history.last_feedback_text()
     if last_fb:
@@ -181,11 +208,11 @@ def assemble_prompt(
 
     total = SYSTEM_TOKENS + estimate_tokens(instruction) + history.tokens + estimate_tokens(tail)
     if total > token_budget:
-        for message, entry in zip(messages[2:], history.entries):  # oldest first
+        for i, entry in enumerate(history.entries, start=2):  # oldest first
             if total <= token_budget:
                 break
             if entry.elidable:
-                head = entry.content.split(":", 1)[0]
-                message["content"] = f"{head}: [elided]"
-                total -= entry.tokens - estimate_tokens(message["content"])
+                content = entry.content.split(":", 1)[0] + ": [elided]"
+                messages[i] = {"role": entry.role, "content": content}
+                total -= entry.tokens - estimate_tokens(content)
     return messages

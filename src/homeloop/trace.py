@@ -71,21 +71,21 @@ class TrialReport:
             raise ValueError(f"outcome {self.outcome!r} disagrees with goal_satisfied={self.goal_satisfied}")
 
 
-def _dump(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# The bytes of ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+# from one encoder, where each such call would build its own. A trace holds
+# no cycles, so nothing needs the circular-reference check.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def write_trace(report: TrialReport, sink) -> None:
-    """Serialize to a text file object, one JSON document per line."""
+    """Serialize to a text file object, one JSON document per line, in one
+    write."""
     header = {
         "schema": SCHEMA,
         "task": report.task_id,
         "trial": report.trial_index,
         "seed": report.seed,
     }
-    sink.write(_dump(header) + "\n")
-    for event in report.events:
-        sink.write(_dump(event) + "\n")
     footer = {
         "event": "trial_end",
         "outcome": report.outcome,
@@ -100,7 +100,9 @@ def write_trace(report: TrialReport, sink) -> None:
         },
         "failure_records": [r.to_json() for r in report.failure_records],
     }
-    sink.write(_dump(footer) + "\n")
+    encode = _ENCODER.encode
+    lines = [encode(header), *map(encode, report.events), encode(footer), ""]
+    sink.write("\n".join(lines))
 
 
 def write_trace_file(report: TrialReport, path: str) -> None:

@@ -232,16 +232,12 @@ def verify_success(
 
 
 def _build_belief_view(belief: Belief) -> PlacementView:
-    entities: dict[str, EntityView] = {}
-    for b in belief.objects.values():
-        entities[b.id] = EntityView(
-            id=b.id,
-            category=b.category,
-            attributes=frozenset(b.attributes),
-            parent=b.parent_id if b.id != belief.holding else None,
-            is_receptacle=b.is_receptacle,
-        )
-    return PlacementView(entities, belief.holding)
+    holding = belief.holding
+    entities = {
+        b.id: EntityView(b.id, b.category, b.attributes, b.parent_id if b.id != holding else None, b.is_receptacle)
+        for b in belief.objects.values()
+    }
+    return PlacementView(entities, holding)
 
 
 def _belief_view(belief: Belief) -> PlacementView:

@@ -180,9 +180,17 @@ def as_json(value: Any, kind: type, path: str) -> Any:
 
 
 def as_number(value: Any, path: str, kind: type = float) -> Any:
-    """``kind(value)``: whatever ``float()`` (or ``int()``) takes, if finite."""
+    """``value`` as a finite ``kind``: as a float, whatever ``float()``
+    takes; as an int, a JSON number with no fraction, never a bool or a
+    string, so that nothing is truncated."""
+    if kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ConfigError(path, f"expected an integer, got {value!r}")
     try:
-        number = kind(value)
+        number = float(value)
         if math.isfinite(number):
             return number
     except (TypeError, ValueError, OverflowError):
@@ -832,31 +840,42 @@ class World:
 
     def free_offset_on(self, rid: str) -> Optional[tuple[float, float]]:
         """First free, reachable surface offset scanning row-major at 5 cm
-        pitch (low y, then low x, first)."""
+        pitch (low y, then low x, first): at least ``margin`` inside the
+        surface, within arm reach and at least 0.1 m from every object
+        directly on ``rid``.
+
+        A row is skipped whole when it is off the surface or farther from the
+        robot in y than the reach, since ``hypot(dx, dy) >= |dy|``. A row
+        tests only the objects less than 0.1 m from it in y: a squared
+        distance with one term ``>= 0.1**2`` is never below it."""
         half_w, half_h = self.half_extents[rid]
-        margin = 0.05
-        anchor = self.anchor_of(rid)
-        occupied = [
-            self.position_of(o)
-            for o in self.objects_directly_on(rid)
-        ]
-
-        def usable(off: tuple[float, float]) -> bool:
-            if abs(off[0]) > half_w - margin or abs(off[1]) > half_h - margin:
-                return False
-            pos = (anchor[0] + off[0], anchor[1] + off[1])
-            if not self.within_reach(pos):
-                return False
-            return all((pos[0] - ox) ** 2 + (pos[1] - oy) ** 2 >= 0.1**2 for ox, oy in occupied)
-
-        pitch = 0.05
+        margin = pitch = 0.05
+        ax, ay = self.anchor_of(rid)
+        rx, ry = self.robot.x, self.robot.y
+        reach = self.config.arm_reach
+        occupied = [self.position_of(o) for o in self.objects_directly_on(rid)]
         ny = max(1, int((2 * (half_h - margin)) / pitch))
         nx = max(1, int((2 * (half_w - margin)) / pitch))
+        # (offset x, position x) of each column that lies on the surface
+        columns = [
+            (ox, ax + ox)
+            for ox in (-half_w + margin + ix * pitch for ix in range(nx + 1))
+            if abs(ox) <= half_w - margin
+        ]
         for iy in range(ny + 1):
-            for ix in range(nx + 1):
-                off = (-half_w + margin + ix * pitch, -half_h + margin + iy * pitch)
-                if usable(off):
-                    return off
+            oy = -half_h + margin + iy * pitch
+            py = ay + oy
+            if abs(oy) > half_h - margin or abs(ry - py) > reach:
+                continue
+            near = [(qx, (py - qy) ** 2) for qx, qy in occupied if (py - qy) ** 2 < 0.1**2]
+            for ox, px in columns:
+                if math.hypot(rx - px, ry - py) > reach:
+                    continue
+                for qx, dy2 in near:
+                    if (px - qx) ** 2 + dy2 < 0.1**2:
+                        break
+                else:
+                    return (ox, oy)
         return None
 
     def _do_place(self, request: ActionRequest):

@@ -235,6 +235,8 @@ MALFORMED_SCENES = [
     (("robot_start", "x"), 1e300, "robot_start"),
     ((), {"objects": [TOY, {"id": "ball_0", "category": "ball", "floor": [1e300, 0.0]}]}, "objects[1].floor"),
     ((), {"objects": [TOY, dict(PLATE, extent=[1e9, 1e9])]}, "objects[1].extent"),
+    # a clone count that int() would truncate
+    (("variation", "extra_count_range"), {"toy": [0, 2.5]}, "variation.extra_count_range.toy[1]"),
 ]
 
 
@@ -273,6 +275,12 @@ MALFORMED_SUITES = [
     ({"goal": {"same_receptacle": {"category": None}}}, "tasks[0].goal.same_receptacle.category"),
     ({"noise_profile": "bogus"}, "noise_profile"),
     ({"noise_profile": {"p_grasp_fail": 2}}, "noise_profile.p_grasp_fail"),
+    # integer fields that int() would truncate or convert
+    ({"trials": 2.7}, "tasks[0].trials"),
+    ({"trials": True}, "tasks[0].trials"),
+    ({"step_cap": True}, "tasks[0].step_cap"),
+    ({"seeds": [0.9]}, "tasks[0].seeds[0]"),
+    ({"seeds": ["7"]}, "tasks[0].seeds[0]"),
 ]
 SUITE_FIELDS = {"tasks", "noise_profile"}  # the rest of a change goes to the first task
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import io
+import json
 import weakref
 
 import pytest
@@ -122,6 +123,28 @@ def test_trace_round_trip_and_byte_identity(zero_options):
     buf3 = io.StringIO()
     write_trace(again, buf3)
     assert buf3.getvalue() == buf1.getvalue()  # same seed, same bytes
+
+
+def test_trace_writer_matches_per_line_json_dumps(zero_options):
+    """One reused encoder writes the bytes that ``json.dumps`` wrote per
+    line: non-ASCII text stays escaped and floats keep their repr."""
+    report = run_trial(mini_task(), ScriptedPlanner(), seed=3, options=zero_options)
+    report.events.append({
+        "event": "note",
+        "text": "caf\u00e9 \u2014 \U0001f600 \"quoted\" \\ \n",
+        "numbers": [-0.0, 1e-7, 2**70, -(2**64) + 1, 0.1 + 0.2, 1e300],
+        "nested": [[None, True, False], [], [{"z": None, "a": [1.5, [2, [3]]]}]],
+        "none": None,
+        "\u00fcber": {"b": 1, "a": -0.0},
+    })
+    buf = io.StringIO()
+    write_trace(report, buf)
+    lines = buf.getvalue().split("\n")
+    assert lines.pop() == ""  # every line ends in a newline
+    docs = [json.loads(line) for line in lines]
+    assert docs[1:-1] == report.events
+    assert lines == [json.dumps(doc, sort_keys=True, separators=(",", ":")) for doc in docs]
+    assert lines[-2].isascii() and "-0.0" in lines[-2] and "1e-07" in lines[-2]
 
 
 def test_truncated_trace_names_last_valid_line(zero_options):

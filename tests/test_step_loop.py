@@ -101,6 +101,41 @@ def test_short_and_empty_histories_match_the_reference_assembly():
         assert assemble_prompt(history, view) == expected
 
 
+def history_snapshot(history):
+    """Each entry's fields and a plain copy of its message."""
+    return [(e.kind, e.text, e.elidable, e.tokens, dict(e.message)) for e in history.entries]
+
+
+def test_elision_leaves_the_history_as_it_was():
+    history = random_history(600)
+    view = scanned_view()
+    before = history_snapshot(history)
+    assert any(m["content"].endswith(": [elided]") for m in assemble_prompt(history, view, 400))
+    assert history_snapshot(history) == before
+    assert history.messages == [e.message for e in history.entries]
+    # a large budget elides nothing: no elided text leaked into the history
+    budget = 10 * history.tokens
+    assert assemble_prompt(history, view, budget) == reference_assemble_prompt(history, view, budget)
+
+
+def test_changing_a_returned_prompt_leaves_the_next_one_as_it_was():
+    history = random_history(10, seed=2)
+    view = scanned_view()
+    expected = reference_assemble_prompt(history, view)
+    messages = assemble_prompt(history, view)
+    with pytest.raises(TypeError):
+        messages[2]["content"] = "changed"  # a history message is read-only
+    with pytest.raises(TypeError):
+        messages[3].update(content="changed")
+    copied = dict(messages[2])  # a copy is the caller's own
+    copied["content"] = "changed"
+    for message in (messages[0], messages[1], messages[-1]):  # made for this call
+        message["content"] = "changed"
+    del messages[3:5]
+    messages.append({"role": "user", "content": "extra"})
+    assert assemble_prompt(history, view) == expected
+
+
 def test_history_keeps_a_running_token_total():
     history = random_history(600)
     assert history.tokens == sum(e.tokens for e in history.entries)

@@ -3,7 +3,9 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
+import math
 import random
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -13,7 +15,16 @@ from hypothesis import strategies as st
 
 from homeloop.errors import ConfigError, PreconditionFault, Refused
 from homeloop.geometry import Pose, bresenham, polygon_centroid, side_of
-from homeloop.world import ActionRequest, World, parse_config, validate_config, vary_config
+from homeloop.world import (
+    ActionRequest,
+    GroundObject,
+    ObjectSpec,
+    Placement,
+    World,
+    parse_config,
+    validate_config,
+    vary_config,
+)
 
 from conftest import MINI_SCENE, make_world, scene, zero_noise
 
@@ -406,3 +417,86 @@ def test_approach_table_matches_per_call_reference():
                     got = world.select_approach(fid, side, focus)
                     assert got == reference_select_approach(world, fid, side, focus), where + ((cx, cy), focus)
     assert unreachable_cells > 0  # the reachable filter is exercised
+
+
+def reference_free_offset_on(world, rid):
+    """``World.free_offset_on`` as it was when it probed every grid offset."""
+    half_w, half_h = world.half_extents[rid]
+    margin = 0.05
+    anchor = world.anchor_of(rid)
+    occupied = [world.position_of(o) for o in world.objects_directly_on(rid)]
+
+    def usable(off):
+        if abs(off[0]) > half_w - margin or abs(off[1]) > half_h - margin:
+            return False
+        pos = (anchor[0] + off[0], anchor[1] + off[1])
+        if not world.within_reach(pos):
+            return False
+        return all((pos[0] - ox) ** 2 + (pos[1] - oy) ** 2 >= 0.1**2 for ox, oy in occupied)
+
+    pitch = 0.05
+    ny = max(1, int((2 * (half_h - margin)) / pitch))
+    nx = max(1, int((2 * (half_w - margin)) / pitch))
+    for iy in range(ny + 1):
+        for ix in range(nx + 1):
+            off = (-half_w + margin + ix * pitch, -half_h + margin + iy * pitch)
+            if usable(off):
+                return off
+    return None
+
+
+def grid_point(half, index):
+    """The scan's offset at (column, row) ``index``, wrapped onto the grid."""
+    out = []
+    for h, i in zip(half, index):
+        n = max(1, int((2 * (h - 0.05)) / 0.05))
+        out.append(-h + 0.05 + (i % (n + 1)) * 0.05)
+    return out
+
+
+HALF = st.sampled_from([0.0, 0.03, 0.05, 0.0500001, 0.07, 0.1, 0.125]) | st.floats(0.0, 0.6)
+INDEX = st.tuples(st.integers(0, 30), st.integers(0, 30))
+ANGLE = st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]) | st.floats(0.0, 2 * math.pi)
+# from a grid point: on or near the 0.1 m clearance circle, or anywhere
+# within 0.25 m
+RADIUS = st.sampled_from([0.0, 0.05, 0.095, 0.0999999, 0.1, 0.1000001]) | st.floats(0.0, 0.15)
+NEAR = st.builds(lambda r, a: (r * math.cos(a), r * math.sin(a)), RADIUS, ANGLE) | st.tuples(
+    st.floats(-0.25, 0.25), st.floats(-0.25, 0.25)
+)
+
+
+PLATE_SCENE = parse_config(
+    dict(MINI_SCENE, objects=[{"id": "plate_0", "category": "plate", "floor": [1.0, 1.0], "receptacle": True,
+                               "extent": [0.2, 0.2]}])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    half=st.tuples(HALF, HALF),
+    anchor=st.tuples(st.floats(0.3, 3.7), st.floats(0.3, 2.7)),
+    reach=st.sampled_from([0.0, 0.1, 1.0]) | st.floats(0.0, 1.5),
+    robot=st.tuples(INDEX, ANGLE, st.sampled_from([-1e-9, 0.0, 1e-9]) | st.floats(-0.3, 0.3)),
+    occupied=st.lists(st.tuples(INDEX, NEAR), max_size=8),
+)
+def test_free_offset_on_matches_the_probing_reference(half, anchor, reach, robot, occupied):
+    """The same first offset, as the same floats, or None, for surfaces
+    narrower than, as wide as and wider than the margin, a robot on either
+    side of the reach boundary from some grid point, and objects on or near
+    the 0.1 m clearance circle of some grid point."""
+    world = World(replace(PLATE_SCENE, arm_reach=reach))
+    world.objects["plate_0"].placement = Placement.on_floor(anchor)
+    world.half_extents["plate_0"] = half
+    index, angle, slack = robot
+    gx, gy = grid_point(half, index)
+    r = reach + slack
+    world.robot = Pose(anchor[0] + gx + r * math.cos(angle), anchor[1] + gy + r * math.sin(angle), 0.0)
+    for k, (index, (dx, dy)) in enumerate(occupied):
+        gx, gy = grid_point(half, index)
+        spec = ObjectSpec(id=f"cup_{k + 10}", category="cup", on="plate_0", offset=(gx + dx, gy + dy))
+        world.objects[spec.id] = GroundObject(spec, Placement.on("plate_0", spec.offset))
+    expected = reference_free_offset_on(world, "plate_0")
+    got = world.free_offset_on("plate_0")
+    assert got == expected
+    if got is not None:  # the same floats, bit for bit
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, expected))
