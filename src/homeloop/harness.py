@@ -18,7 +18,6 @@ annotating trial videos.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -499,6 +498,8 @@ def run_suite(
         return run_trial(task, planner_factory(), seed, trial_index, options)
 
     if parallel > 1:
+        import concurrent.futures  # a serial run never pays for the thread pool's imports
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
             reports = list(pool.map(run_one, jobs))
     else:

@@ -18,8 +18,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
-import requests
-
 from ..errors import BudgetExceeded, TransportError
 from .base import PlannerView
 from .dsl import Call, Done, ParseError, PlanStep, Ref, parse_plan
@@ -61,6 +59,10 @@ class HttpChatBackend:
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
         }
+        try:
+            import requests  # loads urllib3 and OpenSSL, so only the HTTP path pays for it
+        except ImportError as exc:
+            raise TransportError(f"the HTTP chat backend needs the 'requests' package: {exc}") from exc
         try:
             resp = requests.post(
                 url,

@@ -114,35 +114,41 @@ def load_trace(source) -> TrialReport:
     """Inverse of write_trace. A malformed or truncated stream raises
     TraceFormatError naming the last line that parsed."""
     lines = source.read().splitlines()
-    if not lines:
-        raise TraceFormatError("empty trace", 0)
     parsed: list[dict[str, Any]] = []
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            parsed.append(json.loads(line))
+            doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {i} is not valid JSON: {exc}", i - 1) from exc
+        if not isinstance(doc, dict):
+            raise TraceFormatError(f"line {i} is not a JSON object", i - 1)
+        parsed.append(doc)
+    if not parsed:
+        raise TraceFormatError("empty trace", 0)
     header = parsed[0]
     if header.get("schema") not in READABLE_SCHEMAS:
         raise TraceFormatError(f"unknown schema {header.get('schema')!r}", 0)
     if len(parsed) < 2 or parsed[-1].get("event") != "trial_end":
         raise TraceFormatError("missing trial_end footer", len(parsed))
     footer = parsed[-1]
-    counters = footer["counters"]
-    report = TrialReport(
-        task_id=header["task"],
-        trial_index=header["trial"],
-        seed=header["seed"],
-        outcome=footer["outcome"],
-        reason=footer["reason"],
-        goal_satisfied=footer["goal_satisfied"],
-        execution_steps=counters["execution_steps"],
-        successful_steps=counters["successful_steps"],
-        failure_records=[FailureRecord.from_json(doc) for doc in footer["failure_records"]],
-        events=parsed[1:-1],
-    )
+    try:
+        counters = footer["counters"]
+        report = TrialReport(
+            task_id=header["task"],
+            trial_index=header["trial"],
+            seed=header["seed"],
+            outcome=footer["outcome"],
+            reason=footer["reason"],
+            goal_satisfied=footer["goal_satisfied"],
+            execution_steps=counters["execution_steps"],
+            successful_steps=counters["successful_steps"],
+            failure_records=[FailureRecord.from_json(doc) for doc in footer["failure_records"]],
+            events=parsed[1:-1],
+        )
+    except (KeyError, TypeError) as exc:
+        raise TraceFormatError(f"malformed header or trial_end footer: {exc!r}", len(parsed) - 1) from exc
     expected = {
         "replanned_executions": report.replanned_executions,
         "recovered_executions": report.recovered_executions,

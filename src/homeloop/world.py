@@ -14,7 +14,6 @@ request sequence reproduces a bit-identical outcome sequence.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import random
@@ -704,6 +703,8 @@ class World:
     # -- hashing / determinism -------------------------------------------------------
 
     def state_digest(self) -> str:
+        import hashlib  # loads OpenSSL's libcrypto, which no trial needs
+
         doc: dict[str, Any] = {
             "robot": [repr(self.robot.x), repr(self.robot.y), repr(self.robot.heading)],
             "gripper": self.gripper,

@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Optional
 
 
 class MockChatServer:
     """Serves POST /chat/completions, answering with canned replies in order.
-    Repeats the last reply when the list runs out."""
+    Repeats the last reply when the list runs out. ``status`` sets the HTTP
+    status of every answer; ``raw_body``, when given, is sent as the body in
+    place of a completion document."""
 
-    def __init__(self, replies: list[str]) -> None:
+    def __init__(self, replies: list[str], status: int = 200, raw_body: Optional[bytes] = None) -> None:
         self.replies = list(replies)
         self.requests: list[dict] = []
         self._cursor = 0
@@ -37,8 +40,8 @@ class MockChatServer:
                          "finish_reason": "stop"}
                     ],
                 }
-                payload = json.dumps(doc).encode("utf-8")
-                self.send_response(200)
+                payload = json.dumps(doc).encode("utf-8") if raw_body is None else raw_body
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()

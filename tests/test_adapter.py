@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -135,3 +136,32 @@ def test_stale_pending_steps_trigger_fresh_completion(monkeypatch):
         assert second == Call("explore_global", None)
         assert len(server.requests) == 2
         assert planner.pending == []
+
+
+@pytest.mark.parametrize(
+    "status, raw_body, message",
+    [
+        pytest.param(500, None, "chat endpoint returned HTTP 500", id="http-500"),
+        pytest.param(200, b"<html>not json</html>", "malformed chat completion body", id="body-not-json"),
+    ],
+)
+def test_bad_endpoint_reply_yields_infrastructure_invalid(monkeypatch, status, raw_body, message):
+    monkeypatch.setenv("COME_LLM_API_KEY", "test-key")
+    with MockChatServer(["```\nexplore_global()\n```"], status=status, raw_body=raw_body) as server:
+        planner = ChatModelPlanner(HttpChatBackend(base_url=server.base_url))
+        with pytest.raises(TransportError, match=message):
+            ask(planner)
+        report = run_trial(mini_task(), planner, seed=0, options=TrialOptions(noise=zero_noise()))
+    assert report.outcome == "infrastructure-invalid"
+    assert report.reason.startswith(f"transport: {message}")
+
+
+def test_missing_requests_package_yields_infrastructure_invalid(monkeypatch):
+    monkeypatch.setenv("COME_LLM_API_KEY", "test-key")
+    monkeypatch.setitem(sys.modules, "requests", None)  # makes `import requests` raise ImportError
+    backend = HttpChatBackend(base_url="http://127.0.0.1:9", timeout=0.5)
+    with pytest.raises(TransportError, match="'requests' package"):
+        backend.complete([{"role": "user", "content": "hi"}])
+    report = run_trial(mini_task(), ChatModelPlanner(backend), seed=0, options=TrialOptions(noise=zero_noise()))
+    assert report.outcome == "infrastructure-invalid"
+    assert "'requests' package" in report.reason

@@ -94,6 +94,14 @@ def test_replay_trace_exit_zero(tiny_suite, tmp_path, capsys):
     assert "replay ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["\n\n", "[1]\n"], ids=["blank-lines", "array-first-line"])
+def test_replay_of_a_malformed_trace_exits_2(tmp_path, capsys, text):
+    trace = tmp_path / "f.jsonl"
+    trace.write_text(text)
+    assert main(["replay", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: [trace]")
+
+
 def test_report_from_trace_directory(tiny_suite, tmp_path, capsys):
     _, suite_path = tiny_suite
     out_dir = tmp_path / "out"

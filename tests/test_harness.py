@@ -163,6 +163,40 @@ def test_truncated_trace_names_last_valid_line(zero_options):
     assert exc.value.last_valid_line == 4
 
 
+def _without_footer_key(report, drop):
+    """The report's trace lines with one key removed from its footer."""
+    buf = io.StringIO()
+    write_trace(report, buf)
+    lines = buf.getvalue().splitlines()
+    footer = json.loads(lines[-1])
+    del footer[drop]
+    return "\n".join(lines[:-1] + [json.dumps(footer)])
+
+
+@pytest.mark.parametrize(
+    "text, last_valid",
+    [
+        pytest.param("\n\n  \n", 0, id="blank-lines"),
+        pytest.param("[1]\n", 0, id="array-first-line"),
+        pytest.param('{"schema": "homeloop-trace@2"}\n"text"\n', 1, id="string-second-line"),
+    ],
+)
+def test_trace_without_json_objects_is_a_format_error(text, last_valid):
+    with pytest.raises(TraceFormatError) as exc:
+        load_trace(io.StringIO(text))
+    assert exc.value.last_valid_line == last_valid
+
+
+@pytest.mark.parametrize("drop", ["counters", "outcome", "failure_records"])
+def test_footer_missing_a_field_is_a_format_error(zero_options, drop):
+    report = run_trial(mini_task(), ScriptedPlanner(), seed=0, options=zero_options)
+    text = _without_footer_key(report, drop)
+    with pytest.raises(TraceFormatError) as exc:
+        load_trace(io.StringIO(text))
+    assert drop in str(exc.value)
+    assert exc.value.last_valid_line == len(text.splitlines()) - 1
+
+
 def test_replay_rederives_identical_verdicts():
     noise = zero_noise(p_grasp_fail=0.4)
     for seed in (0, 1, 2, 3):
