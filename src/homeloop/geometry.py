@@ -1,28 +1,28 @@
 """2D geometry and occupancy-grid primitives.
 
 The world is top-down: poses are (x, y, heading) in meters/radians, footprints
-are simple polygons, and the room is rasterized onto a uint8 occupancy grid
-(0 = free, 1 = occupied). Grid search is an 8-connected BFS on bit-packed
+are simple polygons, and the room is rasterized onto one grid of bit-packed
 Python ints (``PackedGrid``): a (H, W) mask becomes one int, row-major with
 W + 1 bits per row, where the extra bit is a guard that no mask ever sets, so
 a one-bit shift out of the first or last column cannot wrap into the next
-row. A layer grows with two shifts by one bit and two by a row, masked by the
-cells not yet reached. ``PackedGrid.reach`` keeps only the reached cells and,
-given a goal mask, the first layer's goal cells: all that flood fill, sensing
-and frontier search read; ``OccupancyGrid.bfs_distances`` numbers the same
-layers into int32 distances. All grid work is deterministic; ties in cell
-selection always break by lowest (col, row) lexicographic order on cell
-coordinates expressed as (cx, cy).
+row. ``OccupancyGrid.free`` is the mask of cells no furniture stands on, and
+every mask built from it (reachability, approach cells, the explored map) is
+an int on the same layout. Grid search is an 8-connected BFS: a layer grows
+with two shifts by one bit and two by a row, masked by the cells not yet
+reached. ``PackedGrid.reach`` keeps only the reached cells and, given a goal
+mask, the first layer's goal cells: all that flood fill, sensing and
+frontier search read. All grid work is deterministic; ties in cell selection
+always break by lowest (col, row) lexicographic order on cell coordinates
+expressed as (cx, cy).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 Cell = tuple[int, int]  # (cx, cy) column/row indices
 
@@ -117,17 +117,6 @@ def _probe_points(poly: Sequence[tuple[float, float]]) -> Iterator[tuple[float, 
                 yield x, y
 
 
-def dilate8(mask: np.ndarray) -> np.ndarray:
-    """3x3 box dilation of a boolean mask; nothing wraps around the border."""
-    rows = mask.copy()
-    rows[1:, :] |= mask[:-1, :]
-    rows[:-1, :] |= mask[1:, :]
-    out = rows.copy()
-    out[:, 1:] |= rows[:, :-1]
-    out[:, :-1] |= rows[:, 1:]
-    return out
-
-
 class PackedGrid:
     """The packed layout of a (height, width) grid: a mask is one int whose
     bit ``y * row + x`` is cell (x, y), with ``row = width + 1``. Bit
@@ -143,32 +132,28 @@ class PackedGrid:
         self.column0 = ((1 << (height * self.row)) - 1) // ((1 << self.row) - 1)  # bit 0 of every row
         self.cells = ((1 << width) - 1) * self.column0  # every cell set, every guard clear
 
-    def pack(self, mask: np.ndarray) -> int:
-        padded = np.zeros((self.height, self.row), dtype=bool)
-        padded[:, : self.width] = mask
-        return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
-
-    def unpack(self, packed: int) -> np.ndarray:
-        """The (H, W) boolean mask of ``packed``."""
-        size = self.height * self.row
-        raw = np.frombuffer(packed.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=size, bitorder="little")
-        return bits.reshape(self.height, self.row)[:, : self.width].astype(bool)
-
     def bit(self, cell: Cell) -> int:
         cx, cy = cell
         return 1 << (cy * self.row + cx)
 
-    def first_cell(self, packed: int) -> Cell:
-        """The set cell with the lowest x, then the lowest y (``packed`` != 0)."""
+    def iter_cells(self, packed: int) -> Iterator[Cell]:
+        """The set cells of ``packed``, sorted by x, then y."""
         fold, span = packed, 1
         while span < self.height:  # OR every row into row 0
             fold |= fold >> (span * self.row)
             span *= 2
         columns = fold & ((1 << self.width) - 1)
-        cx = (columns & -columns).bit_length() - 1
-        column = packed >> cx & self.column0
-        return cx, ((column & -column).bit_length() - 1) // self.row
+        while columns:
+            cx = (columns & -columns).bit_length() - 1
+            columns &= columns - 1
+            column = packed >> cx & self.column0
+            while column:
+                yield cx, ((column & -column).bit_length() - 1) // self.row
+                column &= column - 1
+
+    def first_cell(self, packed: int) -> Cell:
+        """The set cell with the lowest x, then the lowest y (``packed`` != 0)."""
+        return next(self.iter_cells(packed))
 
     def dilate8(self, packed: int) -> int:
         """3x3 box dilation; guard bits may be set in the result."""
@@ -239,13 +224,15 @@ def _half_disks(row: int, radius: int) -> tuple[int, int, int, int]:
 
 
 class OccupancyGrid:
-    """Rasterized room: ``occ[cy, cx]`` is 1 where furniture stands."""
+    """Rasterized room on the layout ``packed``: ``free`` is the mask of the
+    cells no furniture stands on."""
 
     def __init__(self, width_m: float, height_m: float, resolution: float) -> None:
         self.resolution = resolution
         self.width = max(1, int(round(width_m / resolution)))
         self.height = max(1, int(round(height_m / resolution)))
-        self.occ = np.zeros((self.height, self.width), dtype=np.uint8)
+        self.packed = PackedGrid(self.height, self.width)
+        self.free = self.packed.cells
 
     # -- coordinate transforms ------------------------------------------------
 
@@ -263,69 +250,67 @@ class OccupancyGrid:
         return 0 <= cx < self.width and 0 <= cy < self.height
 
     def is_free(self, cell: Cell) -> bool:
-        cx, cy = cell
-        return self.in_bounds(cell) and self.occ[cy, cx] == 0
+        return self.in_bounds(cell) and bool(self.free & self.packed.bit(cell))
 
     # -- rasterization ---------------------------------------------------------
 
     def rasterize_polygon(self, poly: Sequence[tuple[float, float]]) -> set[Cell]:
         """Mark all cells whose center lies inside the polygon; returns them.
         This is ``point_in_polygon`` over every cell center of the bounding
-        box at once, with the same float expressions in the same order: a
-        center on an edge is inside, a crossing right of it toggles parity."""
+        box, one row at a time, with the same float expressions in the same
+        order: each crossing toggles the parity of the centers left of it
+        (their count found by bisection), and a center on an edge is inside."""
         minx, miny, maxx, maxy = polygon_bbox(poly)
         c0x, c0y = self.cell_of(minx, miny)
         c1x, c1y = self.cell_of(maxx, maxy)
-        x = (np.arange(c0x, c1x + 1) + 0.5) * self.resolution
-        y = ((np.arange(c0y, c1y + 1) + 0.5) * self.resolution)[:, None]
-        odd = np.zeros((y.size, x.size), dtype=bool)
-        on_edge = np.zeros_like(odd)
+        xs = [(cx + 0.5) * self.resolution for cx in range(c0x, c1x + 1)]
         n = len(poly)
-        for i in range(n):
-            x0, y0 = poly[i]
-            x1, y1 = poly[(i + 1) % n]
-            if y0 == y1:
-                continue  # no center row crosses a horizontal edge
-            crosses = (y0 > y) != (y1 > y)
-            t = (y - y0) / (y1 - y0)
-            xi = x0 + t * (x1 - x0)
-            left = x < xi
-            odd ^= crosses & left
-            on_edge |= crosses & ~left & (np.abs(x - xi) < 1e-12)
-        inside = odd | on_edge
-        self.occ[c0y : c1y + 1, c0x : c1x + 1][inside] = 1
-        rows, cols = np.nonzero(inside)
-        return {(c0x + cx, c0y + cy) for cy, cx in zip(rows.tolist(), cols.tolist())}
+        # no center row crosses a horizontal edge
+        edges = [(poly[i], poly[(i + 1) % n]) for i in range(n) if poly[i][1] != poly[(i + 1) % n][1]]
+        cells: set[Cell] = set()
+        marked = 0
+        for cy in range(c0y, c1y + 1):
+            y = (cy + 0.5) * self.resolution
+            odd = on_edge = 0
+            for (x0, y0), (x1, y1) in edges:
+                if (y0 > y) != (y1 > y):
+                    xi = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
+                    left = bisect_left(xs, xi)  # the centers with x < xi
+                    odd ^= (1 << left) - 1
+                    if left < len(xs) and abs(xs[left] - xi) < 1e-12:
+                        on_edge |= 1 << left
+            inside = odd | on_edge
+            marked |= inside << (cy * self.packed.row + c0x)
+            while inside:
+                cells.add((c0x + (inside & -inside).bit_length() - 1, cy))
+                inside &= inside - 1
+        self.free &= ~marked
+        return cells
 
     # -- traversal --------------------------------------------------------------
 
-    def flood_fill(self, start: Cell) -> np.ndarray:
-        """Boolean mask of free cells 8-connected to ``start``."""
+    def flood_fill(self, start: Cell) -> int:
+        """The free cells 8-connected to ``start``."""
         if not self.in_bounds(start):
-            return np.zeros(self.occ.shape, dtype=bool)
-        packed = PackedGrid(self.height, self.width)
-        return packed.unpack(packed.reach(packed.pack(self.occ == 0), packed.bit(start))[0])
+            return 0
+        return self.packed.reach(self.free, self.packed.bit(start))[0]
 
-    def bfs_distances(self, start: Cell, passable: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """8-connected step distances over ``passable`` cells, grown only up to
-        the first layer that contains a ``targets`` cell (-1 = unreached)."""
-        h, w = passable.shape
-        dist = np.full((h, w), -1, dtype=np.int32)
-        cx, cy = start
-        if not (0 <= cy < h and 0 <= cx < w):
-            return dist
-        packed = PackedGrid(h, w)
-        for d, layer in enumerate(packed.layers(packed.pack(passable), packed.bit(start), packed.pack(targets))):
-            dist[packed.unpack(layer)] = d
-        return dist
+    def bfs_distances(self, start: Cell, passable: int, targets: int) -> list[int]:
+        """The 8-connected BFS layers over ``passable`` from ``start`` (layer d
+        holds the cells d steps away), up to the first that meets ``targets``.
+        Nothing in homeloop calls it: it stays only while the benchmark's span
+        table binds the name (ROADMAP item 8)."""
+        if not self.in_bounds(start):
+            return []
+        return list(self.packed.layers(passable, self.packed.bit(start), targets))
 
-    def adjacent_free_cells(self, cells: Iterable[Cell]) -> np.ndarray:
-        """Mask of the free cells 8-adjacent to a footprint: the 3x3 dilation
-        of the footprint's mask, minus the footprint, where the grid is free."""
-        mask = np.zeros(self.occ.shape, dtype=bool)
-        for cx, cy in cells:
-            mask[cy, cx] = True
-        return dilate8(mask) & ~mask & (self.occ == 0)
+    def adjacent_free_cells(self, cells: Iterable[Cell]) -> int:
+        """The free cells 8-adjacent to a footprint: the 3x3 dilation of the
+        footprint's mask, minus the footprint, where the grid is free."""
+        mask = 0
+        for cell in cells:
+            mask |= self.packed.bit(cell)
+        return self.packed.dilate8(mask) & ~mask & self.free
 
 
 def bresenham(a: Cell, b: Cell) -> Iterator[Cell]:

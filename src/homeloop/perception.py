@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-import numpy as np
-
 from .errors import ExplorationStalled, NotAtReceptacle, Refused, TargetNotVisible
 from .geometry import Cell, PackedGrid
 from .world import PhantomRecord, World
@@ -61,7 +59,7 @@ def find_by_id(items: Iterable[SceneObject], ref: str) -> Optional[SceneObject]:
 @dataclass
 class GlobalMap:
     furniture: list[SceneObject]
-    explored_mask: np.ndarray
+    explored_mask: int  # packed on the world grid's layout
 
     def find(self, ref: str) -> Optional[SceneObject]:
         return find_by_id(self.furniture, ref)
@@ -275,39 +273,34 @@ def _sense(packed: PackedGrid, free: int, explored: int, origin: Cell, radius: i
     return explored | seen | (packed.dilate8(seen) & disk)
 
 
-def _sweep(world: World, explored: np.ndarray) -> Optional[tuple[float, float]]:
+def _sweep(world: World, known: int) -> tuple[int, Optional[tuple[float, float]]]:
     """Frontier loop: sense, then repeatedly drive to the nearest frontier
     cell and sense, until no frontier remains among reachable cells. A
-    frontier is an explored free cell with an unexplored 4-neighbour. Grows
-    ``explored`` in place (packed on entry, unpacked on exit) and returns
-    where the robot ended, or None when it never moved."""
+    frontier is an explored free cell with an unexplored 4-neighbour.
+    Returns ``known`` grown by what was sensed, and where the robot ended, or
+    None when it never moved."""
     grid = world.grid
-    packed = PackedGrid(grid.height, grid.width)
+    packed, free = grid.packed, grid.free
     row = packed.row
-    free = packed.pack(grid.occ == 0)
     radius = int(world.config.sensing_radius / world.config.grid_resolution)
-    known = packed.pack(explored)
-    try:
-        known = _sense(packed, free, known, world.robot_cell(), radius)
-        end = None
-        for _ in range(grid.width * grid.height + 8):
-            unexplored = packed.cells ^ known
-            frontiers = known & free & (unexplored << 1 | unexplored >> 1 | unexplored << row | unexplored >> row)
-            if not frontiers:
-                return end
-            _, nearest = packed.reach(free & known, packed.bit(world.robot_cell()), frontiers)
-            if not nearest:
-                remaining = (free & packed.pack(world.reachable) & ~known).bit_count()
-                if remaining:
-                    raise ExplorationStalled(f"{remaining} reachable cells unexplored but no frontier reachable")
-                return end
-            target = packed.first_cell(nearest)  # nearest first, then lowest (cx, cy)
-            end = grid.center_of(target)
-            world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
-            known = _sense(packed, free, known, target, radius)
-        raise ExplorationStalled("frontier loop exceeded the cell-count bound")
-    finally:
-        explored[...] = packed.unpack(known)
+    known = _sense(packed, free, known, world.robot_cell(), radius)
+    end = None
+    for _ in range(grid.width * grid.height + 8):
+        unexplored = packed.cells ^ known
+        frontiers = known & free & (unexplored << 1 | unexplored >> 1 | unexplored << row | unexplored >> row)
+        if not frontiers:
+            return known, end
+        _, nearest = packed.reach(free & known, packed.bit(world.robot_cell()), frontiers)
+        if not nearest:
+            remaining = (free & world.reachable & ~known).bit_count()
+            if remaining:
+                raise ExplorationStalled(f"{remaining} reachable cells unexplored but no frontier reachable")
+            return known, end
+        target = packed.first_cell(nearest)  # nearest first, then lowest (cx, cy)
+        end = grid.center_of(target)
+        world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
+        known = _sense(packed, free, known, target, radius)
+    raise ExplorationStalled("frontier loop exceeded the cell-count bound")
 
 
 def explore_global(world: World, belief: Belief) -> GlobalMap:
@@ -316,31 +309,25 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
 
     A trial's first sweep draws no random numbers and depends only on the
     layout, the start cell and the sensing radius, so it is memoised in the
-    scene geometry's ``first_sweeps``: a hit copies the explored mask and
+    scene geometry's ``first_sweeps``: a hit takes the explored mask and
     moves the robot to the recorded end, keeping its heading. A stalled
     sweep is never memoised; later sweeps always run."""
     if belief.global_map is not None:
-        explored = belief.global_map.explored_mask.copy()
-        _sweep(world, explored)
+        explored, _ = _sweep(world, belief.global_map.explored_mask)
     else:
         key = (world.robot_cell(), world.config.sensing_radius)
         memo = world.geometry.first_sweeps.get(key)
         if memo is None:
-            explored = np.zeros(world.grid.occ.shape, dtype=bool)
-            end = _sweep(world, explored)
-            shared = explored.copy()
-            shared.flags.writeable = False
-            world.geometry.first_sweeps[key] = (shared, end)
+            explored, _ = world.geometry.first_sweeps[key] = _sweep(world, 0)
         else:
-            shared, end = memo
-            explored = shared.copy()
+            explored, end = memo
             if end is not None:
                 world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
 
     furniture_objs = []
     for fid in sorted(world.furniture):
         cells = world.footprint_cells[fid]
-        if not any(explored[cy, cx] for cx, cy in cells):
+        if not any(explored & world.grid.packed.bit(cell) for cell in cells):
             continue
         f = world.furniture[fid]
         furniture_objs.append(

@@ -223,7 +223,7 @@ def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
 def do_explore_global(ctx: SkillContext, request: ActionRequest) -> Feedback:
     gmap = explore_global(ctx.world, ctx.belief)
     names = ", ".join(f.id for f in gmap.furniture) or "nothing"
-    coverage = int(gmap.explored_mask.sum())
+    coverage = gmap.explored_mask.bit_count()
     return _feedback(
         ctx,
         request,

@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-import numpy as np
-
 from .errors import ConfigError, PreconditionFault, Refused, TargetNotVisible
 from .geometry import (
     Cell,
@@ -495,8 +493,8 @@ class SceneGeometry:
     cell (filled by ``perception.explore_global``).
 
     Every World of the same layout shares one, across threads too: the
-    arrays are read-only, and the lazily filled tables are pure functions of
-    the layout, so a race at worst computes an entry twice."""
+    masks are immutable ints, and the lazily filled tables are pure
+    functions of the layout, so a race at worst computes an entry twice."""
 
     def __init__(
         self,
@@ -511,14 +509,11 @@ class SceneGeometry:
         for fid, footprint in furniture:
             self.footprint_cells[fid] = frozenset(self.grid.rasterize_polygon(footprint))
             self.centroids[fid] = polygon_centroid(footprint)
-        self.grid.occ.flags.writeable = False
-
         self.reachable = self.grid.flood_fill(self.grid.cell_of(*start))
-        self.reachable.flags.writeable = False
         self._approach: dict[str, dict[Optional[str], tuple[Cell, ...]]] = {}
         # (start cell, sensing radius) -> (explored mask, end position), the
         # end position None when the robot never moved
-        self.first_sweeps: dict[tuple[Cell, float], tuple[np.ndarray, Optional[tuple[float, float]]]] = {}
+        self.first_sweeps: dict[tuple[Cell, float], tuple[int, Optional[tuple[float, float]]]] = {}
 
     def approach_cells(self, furniture_id: str, side: Optional[str] = None) -> tuple[Cell, ...]:
         """The furniture's approach cells, all of them or those on one side."""
@@ -532,8 +527,7 @@ class SceneGeometry:
         keyed by None (all of them) and by the side of the footprint's
         centroid each cell's center lies on."""
         near = self.grid.adjacent_free_cells(self.footprint_cells[furniture_id]) & self.reachable
-        # transposed, nonzero yields cells in (cx, cy) order
-        cells = tuple((int(cx), int(cy)) for cx, cy in zip(*np.nonzero(near.T)))
+        cells = tuple(self.grid.packed.iter_cells(near))
         centroid = self.centroids[furniture_id]
         sides = [side_of(centroid, self.grid.center_of(cell)) for cell in cells]
         table: dict[Optional[str], tuple[Cell, ...]] = {

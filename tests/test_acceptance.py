@@ -226,8 +226,8 @@ def test_criterion_6_perception_soundness():
         gmap = explore_global(world, belief)
         assert {f.id for f in gmap.furniture} == set(world.furniture)
         free_reachable = world.reachable
-        explored_free = gmap.explored_mask & (world.grid.occ == 0)
-        coverage = (explored_free & free_reachable).sum() / max(1, free_reachable.sum())
+        explored_free = gmap.explored_mask & world.grid.free
+        coverage = (explored_free & free_reachable).bit_count() / max(1, free_reachable.bit_count())
         assert coverage >= 0.99, f"{name}: coverage {coverage:.3f}"
         for fid, furn in sorted(world.furniture.items()):
             if not furn.is_receptacle:

@@ -2,8 +2,10 @@
 
 The HTTP stack (``requests``, ``urllib3``, ``ssl``), ``hashlib`` (OpenSSL's
 libcrypto) and ``concurrent.futures`` each load on first use, so scripted,
-transcript and benchmark runs never pay for them. Other tests import
-``requests`` in-process, so the check runs in a fresh interpreter.
+transcript and benchmark runs never pay for them. ``numpy`` never loads:
+the grid is packed ints, and a scripted trial runs without it. Other tests
+import ``requests`` and ``numpy`` in-process, so the check runs in a fresh
+interpreter.
 """
 
 from __future__ import annotations
@@ -12,13 +14,22 @@ import os
 import subprocess
 import sys
 
-DEFERRED = ("requests", "urllib3", "ssl", "hashlib", "concurrent.futures")
+DEFERRED = ("requests", "urllib3", "ssl", "hashlib", "concurrent.futures", "numpy")
 
 _PROBE = f"""
 import os, sys
 import homeloop, homeloop.cli
 loaded = [name for name in {DEFERRED!r} if name in sys.modules]
 assert not loaded, f"loaded at import: {{loaded}}"
+
+from homeloop.harness import TrialOptions, load_builtin_suite, resolve_noise_profile, run_trial
+from homeloop.planning import ScriptedPlanner
+
+suite = load_builtin_suite("acceptance")
+options = TrialOptions(noise=resolve_noise_profile(suite.noise_profile))
+report = run_trial(suite.tasks[0], ScriptedPlanner(), seed=0, options=options)
+assert report.execution_steps > 0, "the trial ran no step"
+assert "numpy" not in sys.modules, "a scripted trial loaded numpy"
 
 from homeloop.perception import Belief
 from homeloop.planning import Call, ChatModelPlanner, DialogueHistory, HttpChatBackend, PlannerView

@@ -14,7 +14,6 @@ from homeloop.geometry import (
     PackedGrid,
     Pose,
     bresenham,
-    dilate8,
     point_in_polygon,
     polygon_bbox,
     polygon_centroid,
@@ -49,7 +48,7 @@ def test_rasterize_counts_cells_inside():
     cells = grid.rasterize_polygon([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)])
     # cell centers at 1.05 .. 1.95 on both axes: 10 x 10
     assert len(cells) == 100
-    assert grid.occ.sum() == 100
+    assert grid.free.bit_count() == 40 * 30 - 100
 
 
 def test_flood_fill_respects_walls():
@@ -57,9 +56,8 @@ def test_flood_fill_respects_walls():
     # a full-height wall at x ~ 1.5 splits the corridor
     grid.rasterize_polygon([(1.4, 0.0), (1.6, 0.0), (1.6, 1.0), (1.4, 1.0)])
     mask = grid.flood_fill(grid.cell_of(0.5, 0.5))
-    assert mask[grid.cell_of(0.5, 0.5)[1], grid.cell_of(0.5, 0.5)[0]]
-    right = grid.cell_of(2.5, 0.5)
-    assert not mask[right[1], right[0]]
+    assert mask & grid.packed.bit(grid.cell_of(0.5, 0.5))
+    assert not mask & grid.packed.bit(grid.cell_of(2.5, 0.5))
 
 
 def test_bresenham_endpoints_and_monotonicity():
@@ -79,6 +77,35 @@ def test_side_of_quadrants():
 def test_pose_distance():
     assert math.isclose(Pose(0, 0).distance_to(Pose(3, 4)), 5.0)
     assert math.isclose(Pose(1, 1).distance_to((1.0, 2.0)), 1.0)
+
+
+# --- numpy oracles: the (H, W) boolean layout the packed grid replaced ---------------
+
+
+def pack(packed, mask):
+    """The (H, W) boolean ``mask`` as an int on ``packed``'s layout."""
+    padded = np.zeros((packed.height, packed.row), dtype=bool)
+    padded[:, : packed.width] = mask
+    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+
+
+def unpack(packed, bits):
+    """The (H, W) boolean mask of the int ``bits``."""
+    size = packed.height * packed.row
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    rows = np.unpackbits(raw, count=size, bitorder="little").reshape(packed.height, packed.row)
+    return rows[:, : packed.width].astype(bool)
+
+
+def dilate8(mask):
+    """3x3 box dilation of a boolean mask; nothing wraps around the border."""
+    rows = mask.copy()
+    rows[1:, :] |= mask[:-1, :]
+    rows[:-1, :] |= mask[1:, :]
+    out = rows.copy()
+    out[:, 1:] |= rows[:, :-1]
+    out[:, :-1] |= rows[:, 1:]
+    return out
 
 
 # --- flood fill, BFS distances and sensing against a reference queue BFS --------------
@@ -167,18 +194,24 @@ def grids(draw):
 
 def _grid_of(occ):
     grid = OccupancyGrid(occ.shape[1], occ.shape[0], 1.0)
-    grid.occ = occ
+    grid.free = pack(grid.packed, occ == 0)
     return grid
+
+
+def numpy_flood_fill(occ, start):
+    """Boolean mask of the free cells 8-connected to ``start``."""
+    mask = np.zeros(occ.shape, dtype=bool)
+    for cx, cy in reference_bfs(occ == 0, start):
+        mask[cy, cx] = True
+    return mask
 
 
 @settings(max_examples=300, deadline=None)
 @given(grids())
 def test_flood_fill_matches_reference_bfs(case):
     occ, start, _ = case
-    expected = np.zeros(occ.shape, dtype=bool)
-    for cx, cy in reference_bfs(occ == 0, start):
-        expected[cy, cx] = True
-    assert np.array_equal(_grid_of(occ).flood_fill(start), expected)
+    grid = _grid_of(occ)
+    assert np.array_equal(unpack(grid.packed, grid.flood_fill(start)), numpy_flood_fill(occ, start))
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,9 +227,7 @@ def test_bfs_distances_stop_at_first_target_layer(case, target_density):
     for (cx, cy), d in reference.items():
         if d <= last:
             expected[cy, cx] = d
-    dist = _grid_of(occ).bfs_distances(start, passable, targets)
-    assert dist.dtype == np.int32
-    assert np.array_equal(dist, expected)
+    assert np.array_equal(layer_distances(passable, start, targets), expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,7 +235,7 @@ def test_bfs_distances_stop_at_first_target_layer(case, target_density):
 def test_sense_marks_what_the_queue_scan_marked(case, radius):
     occ, origin, _ = case
     packed = PackedGrid(*occ.shape)
-    explored = packed.unpack(_sense(packed, packed.pack(occ == 0), 0, origin, radius))
+    explored = unpack(packed, _sense(packed, pack(packed, occ == 0), 0, origin, radius))
     assert np.array_equal(explored, reference_sense(occ, origin, radius))
 
 
@@ -217,13 +248,13 @@ def test_packed_disk_is_the_disk_clipped_to_the_grid(h, w, radius, data):
     ys, xs = np.ogrid[0:h, 0:w]
     disk = packed.disk(center, radius)
     assert disk & ~packed.cells == 0
-    assert np.array_equal(packed.unpack(disk), (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius**2)
+    assert np.array_equal(unpack(packed, disk), (xs - center[0]) ** 2 + (ys - center[1]) ** 2 <= radius**2)
 
 
 # --- the packed frontier sweep against the numpy sweep it replaced --------------------
 # numpy_sense, numpy_frontiers and numpy_sweep are perception's _sense, _frontiers
 # and _sweep as they were on numpy masks, with int32 BFS distances and a lexsort;
-# numpy_sense reads the queue BFS.
+# both read the queue BFS.
 
 
 def numpy_sense(world, explored, origin_cell):
@@ -239,7 +270,7 @@ def numpy_sense(world, explored, origin_cell):
     x1, y1 = min(world.grid.width, cx0 + radius + 1), min(world.grid.height, cy0 + radius + 1)
     ys, xs = np.ogrid[y0:y1, x0:x1]
     disk = (xs - cx0) ** 2 + (ys - cy0) ** 2 <= radius**2
-    free = world.grid.occ[y0:y1, x0:x1] == 0
+    free = world.occ[y0:y1, x0:x1] == 0
     seen = np.zeros(free.shape, dtype=bool)
     for cx, cy in reference_bfs(free & disk, (cx0 - x0, cy0 - y0)):
         seen[cy, cx] = True
@@ -254,7 +285,7 @@ def numpy_frontiers(world, explored):
     border[1:, :] |= unexplored[:-1, :]
     border[:, :-1] |= unexplored[:, 1:]
     border[:, 1:] |= unexplored[:, :-1]
-    return explored & (world.grid.occ == 0) & border
+    return explored & (world.occ == 0) & border
 
 
 def numpy_sweep(world, explored):
@@ -264,16 +295,16 @@ def numpy_sweep(world, explored):
     never moved."""
     numpy_sense(world, explored, world.robot_cell())
     end = None
-    free = world.grid.occ == 0
+    free = world.occ == 0
     guard = world.grid.width * world.grid.height + 8
     for _ in range(guard):
         frontiers = numpy_frontiers(world, explored)
         if not frontiers.any():
             return end
-        dist = world.grid.bfs_distances(world.robot_cell(), free & explored, frontiers)
+        dist = reference_distances(free & explored, world.robot_cell(), frontiers)
         ys, xs = np.nonzero(frontiers & (dist >= 0))
         if len(xs) == 0:
-            remaining = free & world.reachable & ~explored
+            remaining = free & unpack(world.grid.packed, world.reachable) & ~explored
             if remaining.any():
                 raise ExplorationStalled(
                     f"{int(remaining.sum())} reachable cells unexplored but no frontier reachable"
@@ -293,6 +324,7 @@ class SweepWorld:
     recorded as a hop."""
 
     def __init__(self, occ, start, radius):
+        self.occ = occ
         self.grid = _grid_of(occ)
         self.config = SimpleNamespace(sensing_radius=radius, grid_resolution=1.0)
         self.reachable = self.grid.flood_fill(start)
@@ -312,13 +344,22 @@ class SweepWorld:
         return self.grid.cell_of(self._robot.x, self._robot.y)
 
 
+def packed_sweep(world, explored):
+    """``_sweep`` on a numpy mask, grown in place."""
+    known, end = _sweep(world, pack(world.grid.packed, explored))
+    explored[...] = unpack(world.grid.packed, known)
+    return end
+
+
 def run_sweep(sweep, occ, start, radius, explored):
+    """The sweep's end, its explored mask (None after a stall: a stalled
+    sweep's map is dropped) and its hops."""
     world = SweepWorld(occ, start, radius)
     explored = explored.copy()
     try:
         outcome = sweep(world, explored)
     except ExplorationStalled as e:
-        outcome = ("stalled", str(e))
+        outcome, explored = ("stalled", str(e)), None
     return outcome, explored, world.hops
 
 
@@ -327,19 +368,20 @@ def run_sweep(sweep, occ, start, radius, explored):
 def test_packed_sweep_matches_the_numpy_sweep(case, radius, explored_density):
     occ, start, rng = case
     explored = rng.random(occ.shape) < explored_density
-    packed = run_sweep(_sweep, occ, start, radius, explored)
+    packed = run_sweep(packed_sweep, occ, start, radius, explored)
     reference = run_sweep(numpy_sweep, occ, start, radius, explored)
     assert packed[0] == reference[0]  # end position, or the same stall
-    assert np.array_equal(packed[1], reference[1])  # explored mask
+    if packed[1] is not None:
+        assert np.array_equal(packed[1], reference[1])  # explored mask
     assert packed[2] == reference[2]  # hop targets, in order
 
 
-# --- bfs_distances: packed row widths, strips, apartment-sized and long searches -----
+# --- BFS layers: packed row widths, strips, apartment-sized and long searches --------
 
 
 def reference_distances(passable, start, targets=None):
-    """``bfs_distances``' contract from the queue BFS: int32 distances, -1
-    where unreached or beyond the first layer that holds a target."""
+    """BFS distances from the queue BFS: -1 where unreached or beyond the
+    first layer that holds a target, or everywhere from an off-grid start."""
     h, w = passable.shape
     expected = np.full((h, w), -1, dtype=np.int32)
     if not (0 <= start[0] < w and 0 <= start[1] < h):
@@ -353,10 +395,21 @@ def reference_distances(passable, start, targets=None):
     return expected
 
 
+def layer_distances(passable, start, targets=None):
+    """``PackedGrid.layers`` from ``start`` as distances: d on the cells of
+    layer d, -1 elsewhere. An off-grid start has no bit and reaches nothing."""
+    h, w = passable.shape
+    packed = PackedGrid(h, w)
+    dist = np.full((h, w), -1, dtype=np.int32)
+    start_bit = packed.bit(start) if 0 <= start[0] < w and 0 <= start[1] < h else 0
+    goal = 0 if targets is None else pack(packed, targets)
+    for d, layer in enumerate(packed.layers(pack(packed, passable), start_bit, goal)):
+        dist[unpack(packed, layer)] = d
+    return dist
+
+
 def assert_bfs_distances_match(passable, start, targets=None):
-    grid = _grid_of((~passable).astype(np.uint8))
-    dist = grid.bfs_distances(start, passable, np.zeros_like(passable) if targets is None else targets)
-    assert dist.dtype == np.int32 and dist.shape == passable.shape
+    dist = layer_distances(passable, start, targets)
     assert np.array_equal(dist, reference_distances(passable, start, targets))
     return dist
 
@@ -427,6 +480,14 @@ def test_bfs_distances_from_an_off_grid_or_blocked_start_reach_nothing():
     for start in [(-1, 4), (15, 4), (4, -1), (4, 9), (-1, -1), (15, 9), (7, 0), (7, 8)]:
         dist = assert_bfs_distances_match(passable, start)
         assert (dist == -1).all()
+    # a start bit on a row's guard or past the last row meets no passable cell
+    packed = PackedGrid(9, 15)
+    for start in [(15, 0), (15, 4), (15, 8), (0, 9), (14, 9)]:
+        assert list(packed.layers(pack(packed, passable), packed.bit(start))) == []
+    # OccupancyGrid.bfs_distances is the same layers, and none off the grid
+    grid = _grid_of((~passable).astype(np.uint8))
+    assert grid.bfs_distances((3, 3), grid.free, 0) == list(grid.packed.layers(grid.free, grid.packed.bit((3, 3))))
+    assert grid.bfs_distances((-1, 4), grid.free, 0) == grid.bfs_distances((15, 4), grid.free, 0) == []
 
 
 # --- polygon rasterisation against the per-cell crossing test ------------------------
@@ -441,7 +502,7 @@ def rasterize_by_point(grid, poly):
     for cy in range(c0y, c1y + 1):
         for cx in range(c0x, c1x + 1):
             if point_in_polygon(*grid.center_of((cx, cy)), poly):
-                grid.occ[cy, cx] = 1
+                grid.free &= ~grid.packed.bit((cx, cy))
                 cells.add((cx, cy))
     return cells
 
@@ -476,4 +537,71 @@ def test_rasterize_polygon_marks_what_point_in_polygon_marks(case):
     cells = grid.rasterize_polygon(poly)
     expected = rasterize_by_point(reference, poly)
     assert cells == expected and list(cells) == list(expected)
-    assert np.array_equal(grid.occ, reference.occ)
+    assert grid.free == reference.free
+
+
+def numpy_rasterize(grid, poly):
+    """``rasterize_polygon`` as it was on a numpy grid: the crossing test over
+    every cell center of the bounding box at once. Returns the cells and the
+    (H, W) occupancy."""
+    occ = np.zeros((grid.height, grid.width), dtype=np.uint8)
+    minx, miny, maxx, maxy = polygon_bbox(poly)
+    c0x, c0y = grid.cell_of(minx, miny)
+    c1x, c1y = grid.cell_of(maxx, maxy)
+    x = (np.arange(c0x, c1x + 1) + 0.5) * grid.resolution
+    y = ((np.arange(c0y, c1y + 1) + 0.5) * grid.resolution)[:, None]
+    odd = np.zeros((y.size, x.size), dtype=bool)
+    on_edge = np.zeros_like(odd)
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        if y0 == y1:
+            continue  # no center row crosses a horizontal edge
+        crosses = (y0 > y) != (y1 > y)
+        t = (y - y0) / (y1 - y0)
+        xi = x0 + t * (x1 - x0)
+        left = x < xi
+        odd ^= crosses & left
+        on_edge |= crosses & ~left & (np.abs(x - xi) < 1e-12)
+    inside = odd | on_edge
+    occ[c0y : c1y + 1, c0x : c1x + 1][inside] = 1
+    rows, cols = np.nonzero(inside)
+    return {(c0x + cx, c0y + cy) for cy, cx in zip(rows.tolist(), cols.tolist())}, occ
+
+
+@st.composite
+def lattice_polygons(draw):
+    """A resolution in 0.05-0.25 m, a room of 4-30 cells a side, and a ring
+    of 3-7 vertices (or an axis-aligned box) that may reach past the room.
+    Each coordinate lies on a cell centre, on a cell edge, or anywhere; the
+    lattice values repeat, so rings get horizontal and vertical edges."""
+    res = draw(st.sampled_from([0.05, 0.07, 0.1, 0.125, 0.15, 0.2, 0.25]))
+    w, h = draw(st.integers(4, 30)), draw(st.integers(4, 30))
+
+    def coord(cells):
+        k = draw(st.integers(-2, cells + 1))
+        kind = draw(st.sampled_from(["centre", "edge", "any"]))
+        if kind == "centre":
+            return (k + 0.5) * res
+        if kind == "edge":
+            return k * res
+        return draw(st.floats(-2 * res, (cells + 2) * res))
+
+    if draw(st.booleans()):
+        (x0, x1), (y0, y1) = sorted((coord(w), coord(w))), sorted((coord(h), coord(h)))
+        ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    else:
+        ring = [(coord(w), coord(h)) for _ in range(draw(st.integers(3, 7)))]
+    return (w * res, h * res), res, ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_polygons())
+def test_scanline_rasteriser_matches_the_numpy_one(case):
+    room, res, poly = case
+    grid = OccupancyGrid(*room, res)
+    cells = grid.rasterize_polygon(poly)
+    expected, occ = numpy_rasterize(OccupancyGrid(*room, res), poly)
+    assert cells == expected
+    assert grid.free == pack(grid.packed, occ == 0)

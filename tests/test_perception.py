@@ -6,7 +6,6 @@ from importlib import resources
 
 import pytest
 
-import numpy as np
 
 from homeloop.errors import NotAtReceptacle, Refused, TargetNotVisible
 from homeloop.perception import (
@@ -56,9 +55,9 @@ def test_exploration_covers_reachable_free_space():
     for name in ("bedroom", "move_toy", "place_fruit"):
         world, belief = explored_world(load_builtin_scene(name))
         free_reachable = world.reachable
-        explored_free = belief.global_map.explored_mask & (world.grid.occ == 0)
-        covered = (explored_free & free_reachable).sum()
-        assert covered >= 0.99 * free_reachable.sum()
+        explored_free = belief.global_map.explored_mask & world.grid.free
+        covered = (explored_free & free_reachable).bit_count()
+        assert covered >= 0.99 * free_reachable.bit_count()
 
 
 def test_walled_alcove_furniture_stays_unknown():
@@ -96,16 +95,16 @@ def test_monotone_coverage():
     world = make_world(load_builtin_scene("bedroom"))
     belief = Belief()
     explore_global(world, belief)
-    first = belief.global_map.explored_mask.copy()
+    first = belief.global_map.explored_mask
     explore_global(world, belief)
     second = belief.global_map.explored_mask
-    assert (second & first).sum() == first.sum()  # never shrinks
+    assert (second & first).bit_count() == first.bit_count()  # never shrinks
 
 
 def test_frontier_termination_leaves_no_reachable_frontier():
     world, belief = explored_world(load_builtin_scene("bedroom"))
-    explored_free = belief.global_map.explored_mask & (world.grid.occ == 0)
-    assert (explored_free & world.reachable).sum() == world.reachable.sum()
+    explored_free = belief.global_map.explored_mask & world.grid.free
+    assert (explored_free & world.reachable).bit_count() == world.reachable.bit_count()
 
 
 # --- local scans ----------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_root_of_walks_the_believed_parent_chain():
     belief = Belief()
     belief.global_map = GlobalMap(
         [SceneObject("table_0", "table", frozenset(), (1.0, 1.0), "global", is_receptacle=True)],
-        np.zeros((2, 2), dtype=bool),
+        0,
     )
     for b in (
         _believed("table_0", receptacle=True),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
 import sys
 
 from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
@@ -28,6 +29,14 @@ GOLDEN_SHA256 = "2d3f75773e1e1bc1e13d560c4a9e0fdf2dd23dc1a6229a7562dda59d80e58ec
 # bit-packed ints.
 APARTMENTS_SEED = 21
 APARTMENTS_SHA256 = "b9a6ccc634c741dba23aef0b1ecd66f2b9352bfedfedb28170a472425952df9c"
+
+
+# One bundled suite, written to the directory named by the first argument.
+_RUN_ACCEPTANCE = """
+import sys
+from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
+run_suite(load_builtin_suite("acceptance"), make_planner_factory("scripted"), out_dir=sys.argv[1], base_seed=3)
+"""
 
 
 def traces_digest(root) -> str:
@@ -54,3 +63,19 @@ def test_apartments_trace_digest_is_unchanged(tmp_path):
     for suite, base in workload.load(workload.docs(APARTMENTS_SEED, 0), APARTMENTS_SEED, 0):
         run_suite(suite, workload.planner_factory(), out_dir=str(tmp_path / suite.name), base_seed=base)
     assert traces_digest(tmp_path) == APARTMENTS_SHA256
+
+
+def test_traces_do_not_depend_on_the_hash_seed(tmp_path):
+    """str and frozenset hashes change with ``PYTHONHASHSEED``, and with them
+    set and frozenset iteration order; no trace or report byte may."""
+    written = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", _RUN_ACCEPTANCE, str(out)], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file() and p.name != "run_meta.json"})
+    assert len(written[0]) == 42  # 40 traces and the two reports
+    assert written[0] == written[1]

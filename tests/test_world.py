@@ -8,7 +8,6 @@ import random
 from dataclasses import replace
 from importlib import resources
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,7 +95,7 @@ def test_bedroom_reachable_free_cells_flood_fill_oracle():
         occupied += _count_rect_cells((min(xs), min(ys)), (max(xs), max(ys)))
     total = world.grid.width * world.grid.height
     # the bedroom has no enclosed pockets: every free cell is reachable
-    assert int(world.reachable.sum()) == total - occupied
+    assert world.reachable.bit_count() == total - occupied
 
 
 def nav(target, side=None):
@@ -318,7 +317,7 @@ def test_robot_adjacent_to_matches_an_eight_neighbour_reference():
     adjacent = 0
     for doc in bundled_scene_docs():
         world = make_world(doc)
-        for cy, cx in np.argwhere(world.grid.occ == 0).tolist():
+        for cx, cy in world.grid.packed.iter_cells(world.grid.free):
             world.robot = Pose(*world.grid.center_of((cx, cy)), 0.0)
             neighbours = {(cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy}
             for fid, cells in world.footprint_cells.items():
@@ -366,7 +365,7 @@ def reference_approach_cells(world, fid, side):
         for n in ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy):
             if world.grid.is_free(n):
                 cells.add(n)
-    cells = {c for c in cells if world.reachable[c[1], c[0]]}
+    cells = {c for c in cells if world.reachable & world.grid.packed.bit(c)}
     if side is not None:
         centroid = polygon_centroid(world.furniture[fid].footprint)
         cells = {c for c in cells if side_of(centroid, world.grid.center_of(c)) == side}
@@ -401,16 +400,16 @@ def test_approach_table_matches_per_call_reference():
     rng = random.Random(41)
     unreachable_cells = 0
     for name, seed, world in approach_worlds():
-        free = np.argwhere(world.grid.occ == 0)  # (cy, cx) rows
+        free = sorted(world.grid.packed.iter_cells(world.grid.free), key=lambda c: (c[1], c[0]))  # row-major
         width, height = world.config.room
         for fid in sorted(world.furniture):
             near = world.grid.adjacent_free_cells(world.footprint_cells[fid])
-            unreachable_cells += int((near & ~world.reachable).sum())
+            unreachable_cells += (near & ~world.reachable).bit_count()
             for side in (None, "north", "east", "south", "west"):
                 where = (name, seed, fid, side)
                 assert list(world.approach_cells(fid, side)) == reference_approach_cells(world, fid, side), where
                 for _ in range(4):
-                    cy, cx = map(int, free[rng.randrange(len(free))])
+                    cx, cy = free[rng.randrange(len(free))]
                     x, y = world.grid.center_of((cx, cy))
                     world.robot = Pose(x, y, 0.0)
                     focus = rng.choice([None, (rng.uniform(0, width), rng.uniform(0, height))])

@@ -30,9 +30,8 @@ import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from typing import Any, Optional
-
-import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -183,7 +182,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "parent": revision(args.parent),
         "change": revision(args.change),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        # from the package metadata, not an import: Linux carries a process's
+        # peak RSS across exec into every run.py it starts, so importing numpy
+        # here would floor each run's peak_rss_mb at this process's ~29 MB
+        "numpy": metadata.version("numpy"),
         "cpu_count": os.cpu_count(),
         "host": host(),
         "summary_win_rule": WIN_RULE,
