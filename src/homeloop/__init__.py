@@ -23,16 +23,16 @@ from .errors import (
     TraceFormatError,
     TransportError,
 )
-from .world import (
-    ActionRequest,
-    GroundOutcome,
+from .config import (
     NoiseModel,
-    World,
+    SuiteConfig,
+    TaskSpec,
     WorldConfig,
-    load_config_file,
+    load_document,
     parse_config,
     vary_config,
 )
+from .world import ActionRequest, GroundOutcome, World
 from .goals import Goal, Selector, goal_satisfied, parse_goal
 from .perception import Belief, GlobalMap, LocalMap, Observation, SceneObject
 from .skills import Feedback, SkillContext, dispatch
@@ -53,7 +53,7 @@ from .planning import (
     TranscriptBackend,
     parse_plan,
 )
-from .harness import SuiteConfig, TaskSpec, TrialOptions, run_suite, run_trial
+from .harness import TrialOptions, run_suite, run_trial
 from .trace import TrialReport, load_trace_file, write_trace_file
 from .metrics import MetricsTable, compute_metrics
 

@@ -16,22 +16,13 @@ import os
 import sys
 from typing import Optional
 
+from .config import load_document, resolve_noise_profile
 from .errors import ConfigError, TraceFormatError, TransportError
-from .harness import (
-    TrialOptions,
-    load_builtin_suite,
-    load_suite_file,
-    make_planner_factory,
-    replay_matches,
-    resolve_noise_profile,
-    run_suite,
-    run_trial,
-)
+from .harness import TrialOptions, make_planner_factory, replay_matches, run_suite, run_trial
 from .metrics import compute_metrics
 from .planning import API_KEY_ENV, SYSTEM_PROMPT, HttpChatBackend, ParseError, parse_plan
 from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
-from .trace import load_trace_file
-from .world import load_config_file
+from .trace import load_trace_file, write_trace_file
 
 EXIT_OK = 0
 EXIT_TASK_FAILURES = 1
@@ -77,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     p_validate = sub.add_parser("validate", help="check a scene or suite config; writes nothing")
-    p_validate.add_argument("--scene", default=None)
-    p_validate.add_argument("--suite", default=None)
+    p_validate.add_argument("--scene", default=None, help="scene JSON path or builtin:<name>")
+    p_validate.add_argument("--suite", default=None, help="suite JSON path or builtin:<name>")
 
     p_probe = sub.add_parser("probe-llm", help="send one canned prompt to a chat endpoint")
     p_probe.add_argument("--llm-url", required=True)
@@ -86,12 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_S)
 
     return parser
-
-
-def _load_suite(ref: str):
-    if ref.startswith("builtin:"):
-        return load_builtin_suite(ref.split(":", 1)[1])
-    return load_suite_file(ref)
 
 
 def _options_from(args: argparse.Namespace) -> TrialOptions:
@@ -115,7 +100,7 @@ def _planner_factory(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    suite = _load_suite(args.suite)
+    suite = load_document(args.suite, "suite")
     factory = _planner_factory(args)
     options = _options_from(args)
     table, reports = run_suite(
@@ -130,19 +115,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_trial(args: argparse.Namespace) -> int:
-    suite = _load_suite(args.suite)
+    suite = load_document(args.suite, "suite")
     task = next((t for t in suite.tasks if t.id == args.task), None)
     if task is None:
         raise ConfigError("task", f"no task {args.task!r} in suite {suite.name!r}")
     factory = _planner_factory(args)
-    options = _options_from(args)
-    if options.noise is None:
-        options.noise = resolve_noise_profile(suite.noise_profile)
+    options = _options_from(args).for_suite(suite)
     seed = task.seed_for(args.trial_index, args.seed)
     report = run_trial(task, factory(), seed, args.trial_index, options)
     if args.out:
-        from .trace import write_trace_file
-
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         write_trace_file(report, args.out)
     print(
@@ -177,10 +158,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not args.scene and not args.suite:
         raise ConfigError("validate", "pass --scene and/or --suite")
     if args.scene:
-        config = load_config_file(args.scene)
+        config = load_document(args.scene, "scene")
         print(f"scene ok: {config.name} ({len(config.furniture)} furniture, {len(config.objects)} objects)")
     if args.suite:
-        suite = _load_suite(args.suite)
+        suite = load_document(args.suite, "suite")
         print(f"suite ok: {suite.name} ({len(suite.tasks)} tasks)")
     return EXIT_OK
 

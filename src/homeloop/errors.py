@@ -1,4 +1,5 @@
-"""Exceptions and typed faults shared across the simulator.
+"""Exceptions, typed faults and checked document readers shared across the
+simulator.
 
 Exceptions signal misuse or broken infrastructure and abort the caller.
 Faults are *data*: they ride inside action feedback so the planner can read
@@ -13,7 +14,9 @@ and traces (``kind``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Any
 
 
 class ConfigError(Exception):
@@ -26,6 +29,51 @@ class ConfigError(Exception):
         self.field_path = field_path
         self.message = message
         super().__init__(f"{field_path}: {message}")
+
+
+# Checked readers for documents read from outside the program: each returns
+# the value in the shape the parser needs or raises ConfigError at ``path``.
+
+
+def require(raw: dict, key: str, path: str) -> Any:
+    """``raw[key]``, or a ConfigError at ``path.key`` when it is missing."""
+    if key not in raw:
+        raise ConfigError(f"{path}.{key}", "missing required field")
+    return raw[key]
+
+
+def as_json(value: Any, kind: type, path: str) -> Any:
+    """``value`` if it is a JSON object, array, string or boolean (``kind``
+    dict, list, str or bool)."""
+    if not isinstance(value, kind):
+        name = {dict: "object", list: "array", str: "string", bool: "boolean"}[kind]
+        raise ConfigError(path, f"expected a JSON {name}, got {value!r}")
+    return value
+
+
+def as_number(value: Any, path: str, kind: type = float) -> Any:
+    """``value`` as a finite ``kind``: as a float, whatever ``float()``
+    takes; as an int, a JSON number with no fraction, never a bool or a
+    string, so that nothing is truncated."""
+    if kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    try:
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(path, f"expected a finite number, got {value!r}")
+
+
+def as_pair(value: Any, path: str, kind: type = float) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(path, f"expected [a, b], got {value!r}")
+    return as_number(value[0], f"{path}[0]", kind), as_number(value[1], f"{path}[1]", kind)
 
 
 class ExplorationStalled(Exception):

@@ -335,6 +335,9 @@ def bresenham(a: Cell, b: Cell) -> Iterator[Cell]:
             y0 += sy
 
 
+SIDES = ("north", "east", "south", "west")  # what side_of returns
+
+
 def side_of(centroid: tuple[float, float], point: tuple[float, float]) -> str:
     """Which compass side of a footprint a point lies on."""
     dx = point[0] - centroid[0]

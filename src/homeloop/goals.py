@@ -13,10 +13,12 @@ code against its belief via a second view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .errors import ConfigError
-from .world import World, as_json
+from .errors import ConfigError, as_json
+
+if TYPE_CHECKING:
+    from .world import World
 
 
 @dataclass(frozen=True)
@@ -192,10 +194,11 @@ def _parse_selector(raw: dict, path: str) -> Selector:
     for key in ("id", "category"):
         if raw.get(key) is not None:
             as_json(raw[key], str, f"{path}.{key}")
+    attributes = as_json(raw.get("attributes", []), list, f"{path}.attributes")
     return Selector(
         id=raw.get("id"),
         category=raw.get("category"),
-        attributes=frozenset(str(a) for a in as_json(raw.get("attributes", []), list, f"{path}.attributes")),
+        attributes=frozenset(as_json(a, str, f"{path}.attributes[{i}]") for i, a in enumerate(attributes)),
     )
 
 

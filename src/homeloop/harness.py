@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
-from importlib import resources
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
+from .config import SuiteConfig, TaskSpec, resolve_noise_profile, vary_config
+from .config import load_builtin_suite  # noqa: F401  (perfbench reads it here)
 from .errors import BudgetExceeded, ConfigError, Fault, TransportError
-from .goals import Goal, goal_satisfied, ground_view, parse_goal
+from .goals import goal_satisfied, ground_view
 from .perception import Belief
 from .planning import (
     Call,
@@ -63,39 +64,11 @@ from .verification import (
     verify_feasibility,
     verify_success,
 )
-from .world import (
-    NoiseModel, World, WorldConfig, as_json, as_number, check_noise_fields, load_config_file, parse_config,
-    read_json, vary_config,
-)
+from .world import World
 
-DEFAULT_STEP_CAP = 100
 # A trial also ends after this many requests per allowed execution step, so a
 # planner that only issues perception calls still terminates.
 REQUEST_CAP_FACTOR = 10
-
-NOISE_PROFILES: dict[str, dict[str, float]] = {
-    "zero": {name: 0.0 for name in NoiseModel.PROB_FIELDS},
-    "default": {},  # NoiseModel defaults
-    "realistic": {},  # alias for the defaults
-}
-
-
-@dataclass
-class TaskSpec:
-    id: str
-    name: str
-    instruction: str
-    scene: WorldConfig
-    goal: Goal
-    trial_count: int
-    seeds: list[int] = field(default_factory=list)
-    placement_style: Optional[str] = None
-    step_cap: int = DEFAULT_STEP_CAP
-
-    def seed_for(self, trial_index: int, base: int = 0) -> int:
-        """Seed ``i`` of the cycled seed list, or ``i`` mod the trial count without one."""
-        seed = self.seeds[trial_index % len(self.seeds)] if self.seeds else trial_index % self.trial_count
-        return seed + base * 100003
 
 
 @dataclass
@@ -104,15 +77,9 @@ class TrialOptions:
     recovery_enabled: bool = True
     strict_escalation: bool = False
 
-
-def resolve_noise_profile(profile: "str | dict[str, float] | None") -> dict[str, float]:
-    if profile is None:
-        return {}
-    if isinstance(profile, str):
-        if profile not in NOISE_PROFILES:
-            raise ConfigError("noise_profile", f"unknown profile {profile!r}; known: {sorted(NOISE_PROFILES)}")
-        return dict(NOISE_PROFILES[profile])
-    return check_noise_fields(profile, "noise_profile", with_seed=False)
+    def for_suite(self, suite: SuiteConfig) -> "TrialOptions":
+        """These options, with the suite's noise profile when they set no noise."""
+        return self if self.noise is not None else replace(self, noise=resolve_noise_profile(suite.noise_profile))
 
 
 # --- trial execution -------------------------------------------------------------
@@ -376,83 +343,6 @@ def run_trial(
 # --- suites ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteConfig:
-    name: str
-    tasks: list[TaskSpec]
-    noise_profile: "str | dict[str, float]" = "default"
-    planner: str = "scripted"
-
-
-def _read_builtin(kind: str, name: str, field: str) -> Any:
-    """The bundled document ``data/<kind>/<name>.json``."""
-    ref = resources.files("homeloop").joinpath(f"data/{kind}/{name}.json")
-    if not ref.is_file():
-        raise ConfigError(field, f"no builtin {kind[:-1]} {name!r}")
-    return json.loads(ref.read_text("utf-8"))
-
-
-def _resolve_scene(ref: str, base_dir: Optional[str], field: str) -> WorldConfig:
-    if ref.startswith("builtin:"):
-        return parse_config(_read_builtin("scenes", ref.split(":", 1)[1], field))
-    path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
-    return load_config_file(path, field)
-
-
-def _count(value: Any, path: str) -> int:
-    """``value`` as an int of at least 1."""
-    number = as_number(value, path, int)
-    if number < 1:
-        raise ConfigError(path, f"expected an integer >= 1, got {value!r}")
-    return number
-
-
-def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
-    as_json(raw, dict, "suite")
-    raw_tasks = as_json(raw.get("tasks", []), list, "tasks")
-    if not raw_tasks:
-        raise ConfigError("tasks", "no tasks")
-    tasks = []
-    for i, t in enumerate(raw_tasks):
-        path = f"tasks[{i}]"
-        as_json(t, dict, path)
-        for key in ("id", "instruction", "scene", "goal"):
-            if key not in t:
-                raise ConfigError(f"{path}.{key}", "missing required field")
-        if t.get("placement_style") is not None:
-            as_json(t["placement_style"], str, f"{path}.placement_style")
-        seeds = as_json(t.get("seeds", []), list, f"{path}.seeds")
-        tasks.append(
-            TaskSpec(
-                id=str(t["id"]),
-                name=str(t.get("name", t["id"])),
-                instruction=str(t["instruction"]),
-                scene=_resolve_scene(str(t["scene"]), base_dir, f"{path}.scene"),
-                goal=parse_goal(t["goal"], f"{path}.goal"),
-                trial_count=_count(t.get("trials", 5), f"{path}.trials"),
-                seeds=[as_number(s, f"{path}.seeds[{k}]", int) for k, s in enumerate(seeds)],
-                placement_style=t.get("placement_style"),
-                step_cap=_count(t.get("step_cap", DEFAULT_STEP_CAP), f"{path}.step_cap"),
-            )
-        )
-    noise_profile = raw.get("noise_profile", "default")
-    resolve_noise_profile(noise_profile)  # checked here; the suite keeps it as written
-    return SuiteConfig(
-        name=str(raw.get("name", "suite")),
-        tasks=tasks,
-        noise_profile=noise_profile,
-        planner=str(raw.get("planner", "scripted")),
-    )
-
-
-def load_suite_file(path: str) -> SuiteConfig:
-    return parse_suite(read_json(path, "suite"), base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def load_builtin_suite(name: str) -> SuiteConfig:
-    return parse_suite(_read_builtin("suites", name, "suite"), base_dir=None)
-
-
 PlannerFactory = Callable[[], Planner]
 
 
@@ -485,9 +375,7 @@ def run_suite(
 ) -> tuple[MetricsTable, list[TrialReport]]:
     """Run every task's trials (optionally across worker threads, one World
     per trial), write per-trial traces and the aggregate report."""
-    options = options or TrialOptions()
-    if options.noise is None:
-        options = replace(options, noise=resolve_noise_profile(suite.noise_profile))
+    options = (options or TrialOptions()).for_suite(suite)
     jobs = []
     for task in suite.tasks:
         for trial_index in range(task.trial_count):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import perception
+from .geometry import SIDES
 from .goals import Goal
 from .perception import Observation, capture
 from .skills import Feedback, SkillContext, dispatch, evidence_ids, verdict_event
@@ -36,7 +37,7 @@ from .verification import (
     verify_feasibility,
     verify_success,
 )
-from .world import SIDES, ActionRequest
+from .world import ActionRequest
 
 # The recovery ladder, bottom to top; the re-issues each level allows; and
 # the directive each level (and "none", an exhausted episode) is traced as.

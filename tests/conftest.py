@@ -4,9 +4,10 @@ import copy
 
 import pytest
 
+from homeloop.config import TaskSpec, parse_config, resolve_noise_profile
 from homeloop.goals import parse_goal
-from homeloop.harness import TaskSpec, TrialOptions, resolve_noise_profile
-from homeloop.world import World, parse_config
+from homeloop.harness import TrialOptions
+from homeloop.world import World
 
 # A small two-table room used where the full bedroom would be overkill.
 MINI_SCENE = {

@@ -14,14 +14,8 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeloop.harness import (
-    TrialOptions,
-    load_builtin_suite,
-    replay_matches,
-    resolve_noise_profile,
-    run_suite,
-    run_trial,
-)
+from homeloop.config import load_builtin_suite, resolve_noise_profile
+from homeloop.harness import TrialOptions, replay_matches, run_suite, run_trial
 from homeloop.metrics import EMPTY_RATIO, compute_metrics
 from homeloop.perception import Belief, explore_global, explore_local, report_observation
 from homeloop.planning import Call, ChatModelPlanner, HttpChatBackend, ScriptedPlanner, TranscriptBackend
@@ -263,9 +257,8 @@ def test_criterion_6_perception_soundness():
 
 
 def test_criterion_7_dsl_diagnostics_closed_loop_repair():
+    from homeloop.config import TaskSpec, parse_config
     from homeloop.goals import parse_goal
-    from homeloop.harness import TaskSpec
-    from homeloop.world import parse_config
 
     desk = {
         "name": "desk",

@@ -53,6 +53,8 @@ def test_validate_scene_and_suite(tiny_suite, capsys):
     out = capsys.readouterr().out
     assert "scene ok" in out and "suite ok" in out
     assert sorted(os.listdir(scene_path.parent)) == before  # never writes
+    assert main(["validate", "--scene", "builtin:move_toy"]) == 0
+    assert "scene ok: " in capsys.readouterr().out
 
 
 def test_validate_reports_config_error(tmp_path, capsys):
@@ -245,6 +247,18 @@ MALFORMED_SCENES = [
     ((), {"objects": [TOY, dict(PLATE, extent=[1e9, 1e9])]}, "objects[1].extent"),
     # a clone count that int() would truncate
     (("variation", "extra_count_range"), {"toy": [0, 2.5]}, "variation.extra_count_range.toy[1]"),
+    # strings and booleans that str() or bool() would convert
+    (("name",), 5, "name"),
+    (("furniture", 0, "id"), None, "furniture[0].id"),
+    (("furniture", 0, "category"), 5, "furniture[0].category"),
+    (("furniture", 0, "surface_height"), False, "furniture[0].surface_height"),
+    (("objects", 0, "id"), None, "objects[0].id"),
+    (("objects", 0, "category"), 5, "objects[0].category"),
+    (("objects", 0, "attributes"), ["red", 5], "objects[0].attributes[1]"),
+    (("objects", 0, "receptacle"), "false", "objects[0].receptacle"),
+    # its own id: the narrow-surface case above already takes this field's name
+    pytest.param(("variation", "shuffle_offsets"), "no", "variation.shuffle_offsets",
+                 id="variation.shuffle_offsets-not-a-boolean"),
 ]
 
 
@@ -289,8 +303,15 @@ MALFORMED_SUITES = [
     ({"step_cap": True}, "tasks[0].step_cap"),
     ({"seeds": [0.9]}, "tasks[0].seeds[0]"),
     ({"seeds": ["7"]}, "tasks[0].seeds[0]"),
+    # strings that str() would convert; a change naming a suite field goes to the suite
+    ({"id": 5}, "tasks[0].id"),
+    ({"name": 5}, "tasks[0].name"),
+    ({"instruction": 5}, "tasks[0].instruction"),
+    ({"goal": {"holding": {"object": {"attributes": [5]}}}}, "tasks[0].goal.holding.object.attributes[0]"),
+    ({"noise_profile": "zero", "name": 5}, "name"),
+    ({"planner": 5}, "planner"),
 ]
-SUITE_FIELDS = {"tasks", "noise_profile"}  # the rest of a change goes to the first task
+SUITE_FIELDS = {"tasks", "noise_profile", "planner"}  # the rest of a change goes to the first task
 
 
 @pytest.mark.parametrize("change, field", MALFORMED_SUITES, ids=[json.dumps(c) for c, _ in MALFORMED_SUITES])

@@ -22,7 +22,8 @@ import homeloop, homeloop.cli
 loaded = [name for name in {DEFERRED!r} if name in sys.modules]
 assert not loaded, f"loaded at import: {{loaded}}"
 
-from homeloop.harness import TrialOptions, load_builtin_suite, resolve_noise_profile, run_trial
+from homeloop.config import load_builtin_suite, resolve_noise_profile
+from homeloop.harness import TrialOptions, run_trial
 from homeloop.planning import ScriptedPlanner
 
 suite = load_builtin_suite("acceptance")

@@ -20,11 +20,11 @@ from importlib import resources
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homeloop.config import load_builtin_suite, parse_config, parse_suite, vary_config
 from homeloop.errors import ConfigError
 from homeloop.goals import Goal, Selector, parse_goal
-from homeloop.harness import load_builtin_suite, parse_suite
 from homeloop.perception import Belief, explore_global, report_observation
-from homeloop.world import World, parse_config, vary_config
+from homeloop.world import World
 
 from perfbench.workloads import WORKLOADS
 

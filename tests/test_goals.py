@@ -62,7 +62,8 @@ def test_holding(mini_world):
 def test_compound_goal_on_scripted_end_state(zero_options):
     # full zero-noise run of the sequential cup+toy task; the end state must
     # satisfy the compound goal it planned against
-    from homeloop.harness import load_builtin_suite, run_trial
+    from homeloop.config import load_builtin_suite
+    from homeloop.harness import run_trial
     from homeloop.planning import ScriptedPlanner
 
     suite = load_builtin_suite("acceptance")

@@ -8,16 +8,9 @@ import weakref
 import pytest
 
 from homeloop import harness, recovery
+from homeloop.config import SuiteConfig, load_builtin_suite, parse_suite
 from homeloop.errors import ConfigError, TraceFormatError
-from homeloop.harness import (
-    TrialOptions,
-    _Trial,
-    load_builtin_suite,
-    parse_suite,
-    replay_matches,
-    run_suite,
-    run_trial,
-)
+from homeloop.harness import TrialOptions, _Trial, replay_matches, run_suite, run_trial
 from homeloop.planning import ScriptedPlanner
 from homeloop.trace import load_trace, write_trace
 
@@ -242,6 +235,24 @@ def test_run_suite_parallel_matches_serial(tmp_path, zero_options):
     assert serial_table.total_row == parallel_table.total_row
 
 
+def test_run_suite_runs_every_trial_through_the_module_global_run_trial(monkeypatch):
+    """``perfbench/run.py`` times each trial by replacing ``harness.run_trial``
+    and then calling ``harness.run_suite``: every trial must pass through it."""
+    seen = []
+    original = harness.run_trial
+
+    def counting(task, planner, seed, trial_index=0, options=None):
+        seen.append((task.id, trial_index, seed))
+        return original(task, planner, seed, trial_index, options)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
+    task = mini_task()
+    task.trial_count = 3
+    _, reports = harness.run_suite(SuiteConfig(name="one-task", tasks=[task], noise_profile="zero"), ScriptedPlanner)
+    assert len(reports) == 3
+    assert seen == [(r.task_id, r.trial_index, r.seed) for r in reports]
+
+
 def test_empty_suite_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_suite({"name": "empty", "tasks": []})
@@ -294,8 +305,6 @@ def test_strict_remap_after_a_flipped_navigate_flag_stays_in_the_trial():
 def test_prepare_cup_requires_closeups(zero_options):
     # attribute-selective goals force object-level inspection: the policy must
     # look at cups before grasping the empty one
-    from homeloop.harness import load_builtin_suite
-
     suite = load_builtin_suite("acceptance")
     task = next(t for t in suite.tasks if t.id == "B3")
     report = run_trial(task, ScriptedPlanner(), seed=0, options=zero_options)

@@ -218,8 +218,8 @@ def test_scripted_move_toy_zero_noise_sequence(zero_options):
 
 
 def test_scripted_gather_cups_picks_fuller_table(zero_options):
-    from homeloop.harness import load_builtin_suite, run_trial
-    from homeloop.world import vary_config
+    from homeloop.config import load_builtin_suite, vary_config
+    from homeloop.harness import run_trial
 
     suite = load_builtin_suite("acceptance")
     task = next(t for t in suite.tasks if t.id == "A4")

@@ -5,6 +5,7 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeloop.geometry import SIDES
 from homeloop.goals import On, Selector
 from homeloop.perception import Belief, capture, explore_global, explore_local
 from homeloop.recovery import (
@@ -16,7 +17,6 @@ from homeloop.recovery import (
     select_recovery,
 )
 from homeloop.skills import ActionRequest, SkillContext, dispatch
-from homeloop.world import SIDES
 from homeloop.verification import FailureRecord, RetryState, classify_failure
 
 from conftest import MINI_SCENE, make_world, zero_noise

@@ -19,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeloop import perception
+from homeloop.config import load_builtin_suite, parse_config, vary_config
 from homeloop.errors import ConfigError
 from homeloop.geometry import Pose
-from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
+from homeloop.harness import make_planner_factory, run_suite
 from homeloop.perception import Belief, explore_global
-from homeloop.world import SceneGeometry, World, geometry_cache, parse_config, vary_config
+from homeloop.world import SceneGeometry, World, geometry_cache
 
 from conftest import MINI_SCENE
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeloop.config import load_builtin_suite
 from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, Refused, TargetNotVisible
+from homeloop.geometry import SIDES
 from homeloop.goals import parse_goal
-from homeloop.harness import load_builtin_suite
 from homeloop.perception import Belief, Observation, capture
 from homeloop.skills import ActionRequest, SkillContext, dispatch
 from homeloop.verification import (
@@ -20,7 +21,7 @@ from homeloop.verification import (
     belief_goal_satisfied,
     first_unsatisfied_atom,
 )
-from homeloop.world import ALL_VERBS, PERCEPTION_VERBS, SIDES
+from homeloop.world import ALL_VERBS, PERCEPTION_VERBS
 
 from conftest import DOLL_SCENE, MINI_SCENE, make_world, zero_noise
 

@@ -18,7 +18,8 @@ import pytest
 
 import homeloop.planning.prompts as prompts
 import homeloop.verification as verification
-from homeloop.harness import TrialOptions, resolve_noise_profile, run_trial
+from homeloop.config import resolve_noise_profile
+from homeloop.harness import TrialOptions, run_trial
 from homeloop.perception import Belief
 from homeloop.planning import DialogueHistory, PlannerView, assemble_prompt, estimate_tokens
 from homeloop.skills import ActionRequest, SkillContext, dispatch

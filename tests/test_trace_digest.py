@@ -16,7 +16,8 @@ import os
 import subprocess
 import sys
 
-from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
+from homeloop.config import load_builtin_suite
+from homeloop.harness import make_planner_factory, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,7 +35,8 @@ APARTMENTS_SHA256 = "b9a6ccc634c741dba23aef0b1ecd66f2b9352bfedfedb28170a47242595
 # One bundled suite, written to the directory named by the first argument.
 _RUN_ACCEPTANCE = """
 import sys
-from homeloop.harness import load_builtin_suite, make_planner_factory, run_suite
+from homeloop.config import load_builtin_suite
+from homeloop.harness import make_planner_factory, run_suite
 run_suite(load_builtin_suite("acceptance"), make_planner_factory("scripted"), out_dir=sys.argv[1], base_seed=3)
 """
 

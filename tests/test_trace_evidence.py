@@ -21,7 +21,8 @@ import pytest
 from homeloop import harness, recovery, trace
 from homeloop.cli import main
 from homeloop.errors import TraceFormatError
-from homeloop.harness import load_builtin_suite, make_planner_factory, replay_matches, replay_verdicts, run_suite
+from homeloop.config import load_builtin_suite
+from homeloop.harness import make_planner_factory, replay_matches, replay_verdicts, run_suite
 from homeloop.perception import capture
 from homeloop.trace import load_trace, load_trace_file
 

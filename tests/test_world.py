@@ -14,16 +14,8 @@ from hypothesis import strategies as st
 
 from homeloop.errors import ConfigError, PreconditionFault, Refused
 from homeloop.geometry import Pose, bresenham, polygon_centroid, side_of
-from homeloop.world import (
-    ActionRequest,
-    GroundObject,
-    ObjectSpec,
-    Placement,
-    World,
-    parse_config,
-    validate_config,
-    vary_config,
-)
+from homeloop.config import ObjectSpec, parse_config, validate_config, vary_config
+from homeloop.world import ActionRequest, GroundObject, Placement, World
 
 from conftest import MINI_SCENE, make_world, scene, zero_noise
 

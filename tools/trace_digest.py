@@ -41,10 +41,12 @@ from pathlib import Path
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from homeloop.harness import TrialOptions, load_builtin_suite, make_planner_factory, run_suite  # noqa: E402
+from homeloop.config import load_builtin_suite, parse_config  # noqa: E402
+from homeloop.geometry import SIDES  # noqa: E402
+from homeloop.harness import TrialOptions, make_planner_factory, run_suite  # noqa: E402
 from homeloop.perception import Belief  # noqa: E402
 from homeloop.skills import ActionRequest, SkillContext, dispatch  # noqa: E402
-from homeloop.world import ALL_VERBS, SIDES, World, parse_config  # noqa: E402
+from homeloop.world import ALL_VERBS, World  # noqa: E402
 from perfbench.workloads import WORKLOADS, ScriptedChatBackend  # noqa: E402
 
 SUITES_BASE_SEED = 3
