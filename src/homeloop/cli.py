@@ -20,7 +20,7 @@ from .config import load_document, resolve_noise_profile
 from .errors import ConfigError, TraceFormatError, TransportError
 from .harness import TrialOptions, make_planner_factory, replay_matches, run_suite, run_trial
 from .metrics import compute_metrics
-from .planning import API_KEY_ENV, SYSTEM_PROMPT, HttpChatBackend, ParseError, parse_plan
+from .planning import SYSTEM_PROMPT, HttpChatBackend, ParseError, parse_plan
 from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
 from .trace import load_trace_file, write_trace_file
 
@@ -92,8 +92,6 @@ def _options_from(args: argparse.Namespace) -> TrialOptions:
 
 
 def _planner_factory(args: argparse.Namespace):
-    if args.planner == "llm" and not os.environ.get(API_KEY_ENV):
-        raise TransportError(f"missing credential: set {API_KEY_ENV}")
     return make_planner_factory(
         args.planner, llm_url=args.llm_url, llm_model=args.llm_model, timeout=args.timeout_secs
     )

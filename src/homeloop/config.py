@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Optional
 
-from .errors import ConfigError, as_json, as_number, as_pair, require
+from .errors import ConfigError, as_json, as_number, as_pair, only_keys, require
 from .geometry import SIDES, OccupancyGrid, Pose, point_in_polygon, polygon_half_extent, polygons_overlap
 from .goals import Goal, parse_goal
 
@@ -79,12 +79,8 @@ def check_noise_fields(raw: Any, path: str, with_seed: bool) -> dict[str, Any]:
     """Check a block of ``NoiseModel`` fields read from outside the program:
     every key a field, every probability a number in [0, 1], and, where
     ``with_seed`` allows it, ``rng_seed`` an integer. Returns a copy."""
-    if not isinstance(raw, dict):
-        raise ConfigError(path, f"expected a JSON object, got {raw!r}")
     known = NoiseModel.PROB_FIELDS + (("rng_seed",) if with_seed else ())
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", f"unknown field; known: {', '.join(known)}")
+    for key, value in only_keys(as_json(raw, dict, path), known, path).items():
         if key == "rng_seed":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
@@ -131,17 +127,25 @@ class WorldConfig:
     variation: Optional[VariationSpec] = None
 
 
+SCENE_KEYS = (
+    "name", "room", "furniture", "objects", "robot_start", "noise", "grid_resolution", "arm_reach",
+    "sensing_radius", "view_radius", "closeup_radius", "variation",
+)
+FURNITURE_KEYS = ("id", "category", "footprint", "surface_height", "grasp_difficulty")
+OBJECT_KEYS = ("id", "category", "attributes", "on", "offset", "floor", "receptacle", "extent")
+
+
 def parse_config(raw: dict) -> WorldConfig:
     """Build a WorldConfig from a plain JSON document, reporting the field
     path of the first violation."""
-    as_json(raw, dict, "config")
-    room_raw = as_json(require(raw, "room", "config"), dict, "room")
+    only_keys(as_json(raw, dict, "config"), SCENE_KEYS)
+    room_raw = only_keys(as_json(require(raw, "room", "config"), dict, "room"), ("width", "height"), "room")
     room = tuple(as_number(require(room_raw, key, "room"), f"room.{key}") for key in ("width", "height"))
 
     furniture = []
     for i, f in enumerate(as_json(raw.get("furniture", []), list, "furniture")):
         path = f"furniture[{i}]"
-        as_json(f, dict, path)
+        only_keys(as_json(f, dict, path), FURNITURE_KEYS, path)
         vertices = as_json(require(f, "footprint", path), list, f"{path}.footprint")
         footprint = [as_pair(p, f"{path}.footprint[{j}]") for j, p in enumerate(vertices)]
         if len(footprint) < 3:
@@ -161,7 +165,7 @@ def parse_config(raw: dict) -> WorldConfig:
     objects = []
     for i, o in enumerate(as_json(raw.get("objects", []), list, "objects")):
         path = f"objects[{i}]"
-        as_json(o, dict, path)
+        only_keys(as_json(o, dict, path), OBJECT_KEYS, path)
         floor = o.get("floor")
         attributes = as_json(o.get("attributes", []), list, f"{path}.attributes")
         objects.append(
@@ -178,6 +182,7 @@ def parse_config(raw: dict) -> WorldConfig:
         )
 
     start_raw = as_json(require(raw, "robot_start", "config"), dict, "robot_start")
+    only_keys(start_raw, ("x", "y", "heading"), "robot_start")
     robot_start = Pose(
         as_number(require(start_raw, "x", "robot_start"), "robot_start.x"),
         as_number(require(start_raw, "y", "robot_start"), "robot_start.y"),
@@ -189,6 +194,7 @@ def parse_config(raw: dict) -> WorldConfig:
     variation = None
     if "variation" in raw:
         v = as_json(raw["variation"], dict, "variation")
+        only_keys(v, ("shuffle_offsets", "receptacle_pool", "extra_count_range"), "variation")
         pool = {}
         for k, rids in as_json(v.get("receptacle_pool", {}), dict, "variation.receptacle_pool").items():
             where = f"variation.receptacle_pool.{k}"
@@ -448,17 +454,22 @@ def _count(value: Any, path: str) -> int:
     return number
 
 
+TASK_KEYS = ("id", "name", "instruction", "scene", "goal", "trials", "seeds", "placement_style", "step_cap")
+
+
 def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
     """Build a SuiteConfig, loading each task's scene; a relative scene path
     resolves against ``base_dir``."""
-    as_json(raw, dict, "suite")
+    only_keys(as_json(raw, dict, "suite"), ("name", "tasks", "noise_profile", "planner"))
+    if raw.get("planner", "scripted") != "scripted":
+        raise ConfigError("planner", f"expected \"scripted\" (--planner chooses the planner), got {raw['planner']!r}")
     raw_tasks = as_json(raw.get("tasks", []), list, "tasks")
     if not raw_tasks:
         raise ConfigError("tasks", "no tasks")
     tasks = []
     for i, t in enumerate(raw_tasks):
         path = f"tasks[{i}]"
-        as_json(t, dict, path)
+        only_keys(as_json(t, dict, path), TASK_KEYS, path)
         task_id = as_json(require(t, "id", path), str, f"{path}.id")
         scene = as_json(require(t, "scene", path), str, f"{path}.scene")
         style = t.get("placement_style")
@@ -482,7 +493,6 @@ def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
         name=as_json(raw.get("name", "suite"), str, "name"),
         tasks=tasks,
         noise_profile=noise_profile,
-        planner=as_json(raw.get("planner", "scripted"), str, "planner"),
     )
 
 

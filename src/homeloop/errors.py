@@ -42,6 +42,15 @@ def require(raw: dict, key: str, path: str) -> Any:
     return raw[key]
 
 
+def only_keys(raw: dict, known: tuple[str, ...], path: str = "") -> dict:
+    """``raw``, or a ConfigError at ``path.key`` (a document's own keys are
+    named bare) for its first key outside ``known``."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, f"unknown field; known: {', '.join(known)}")
+    return raw
+
+
 def as_json(value: Any, kind: type, path: str) -> Any:
     """``value`` if it is a JSON object, array, string or boolean (``kind``
     dict, list, str or bool)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .errors import ConfigError, as_json
+from .errors import ConfigError, as_json, only_keys
 
 if TYPE_CHECKING:
     from .world import World
@@ -191,6 +191,7 @@ class Not(Goal):
 def _parse_selector(raw: dict, path: str) -> Selector:
     if not isinstance(raw, dict):
         raise ConfigError(path, "selector must be an object")
+    only_keys(raw, ("id", "category", "attributes"), path)
     for key in ("id", "category"):
         if raw.get(key) is not None:
             as_json(raw[key], str, f"{path}.{key}")
@@ -200,6 +201,14 @@ def _parse_selector(raw: dict, path: str) -> Selector:
         category=raw.get("category"),
         attributes=frozenset(as_json(a, str, f"{path}.attributes[{i}]") for i, a in enumerate(attributes)),
     )
+
+
+_BODY_KEYS = {
+    "on": ("object", "receptacle"),
+    "all_on": ("category", "receptacle"),
+    "same_receptacle": ("category",),
+    "holding": ("object",),
+}
 
 
 def parse_goal(raw: dict, path: str = "goal") -> Goal:
@@ -212,8 +221,8 @@ def parse_goal(raw: dict, path: str = "goal") -> Goal:
         return Or(tuple(parse_goal(c, f"{path}.or[{i}]") for i, c in enumerate(as_json(body, list, f"{path}.or"))))
     if op == "not":
         return Not(parse_goal(body, f"{path}.not"))
-    if op in ("on", "all_on", "same_receptacle", "holding"):
-        as_json(body, dict, f"{path}.{op}")
+    if op in _BODY_KEYS:
+        only_keys(as_json(body, dict, f"{path}.{op}"), _BODY_KEYS[op], f"{path}.{op}")
     if op == "on":
         return On(
             obj=_parse_selector(body.get("object", {}), f"{path}.on.object"),

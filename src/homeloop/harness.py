@@ -44,7 +44,7 @@ from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
 from .recovery import EpisodeRunner, RecoveryEpisode, execute
 # unused here, but perfbench/tracing.SPANS wraps capture and dispatch at these names
 from .recovery import capture, dispatch  # noqa: F401
-from .skills import ActionRequest, Feedback, SkillContext
+from .skills import SkillContext
 from .trace import (
     OUTCOME_FAILURE,
     OUTCOME_INVALID,
@@ -64,7 +64,7 @@ from .verification import (
     verify_feasibility,
     verify_success,
 )
-from .world import World
+from .world import ActionRequest, Feedback, World
 
 # A trial also ends after this many requests per allowed execution step, so a
 # planner that only issues perception calls still terminates.

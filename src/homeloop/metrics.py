@@ -40,10 +40,6 @@ class Ratio:
     def __add__(self, other: "Ratio") -> "Ratio":
         return Ratio(self.num + other.num, self.den + other.den)
 
-    @property
-    def value(self) -> float:
-        return self.num / self.den if self.den else 0.0
-
 
 @dataclass(frozen=True)
 class TaskRow:

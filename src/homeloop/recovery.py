@@ -27,7 +27,7 @@ from . import perception
 from .geometry import SIDES
 from .goals import Goal
 from .perception import Observation, capture
-from .skills import Feedback, SkillContext, dispatch, evidence_ids, verdict_event
+from .skills import SkillContext, dispatch, evidence_ids, verdict_event
 from .verification import (
     FailureRecord,
     RetryState,
@@ -37,7 +37,7 @@ from .verification import (
     verify_feasibility,
     verify_success,
 )
-from .world import ActionRequest
+from .world import ActionRequest, Feedback
 
 # The recovery ladder, bottom to top; the re-issues each level allows; and
 # the directive each level (and "none", an exhausted episode) is traced as.

@@ -1,9 +1,7 @@
 """Primitive-action APIs.
 
 The six verbs — navigate, grasp, place, explore_global, explore_local,
-report_observation — are the only way a plan can touch the world. Each call
-returns a Feedback value: a success flag, an optional typed fault, an optional
-observation, and a one-line message rendered into the planner dialogue.
+report_observation — are the only way a plan can touch the world.
 
 Verb names, argument arities and fault strings are frozen: they appear
 verbatim in the system prompt and in the plan DSL grammar.
@@ -11,11 +9,11 @@ verbatim in the system prompt and in the plan DSL grammar.
 Execution verbs (navigate/grasp/place) count toward step-wise accounting;
 perception verbs never do.
 
-Any layer refuses a request by raising ``Refused``; ``dispatch`` is the one
-place that turns it into a failed Feedback.
-
-Every call appends its request, its feedback and any observation to the
-trial's event log on the ``SkillContext``.
+Each verb returns its Feedback (an execution verb the one
+``World.apply_action`` built) and logs nothing. Any layer refuses a request
+by raising ``Refused``. ``dispatch`` alone turns a refusal into a failed
+Feedback, counts the steps and appends the request, the feedback and any
+observation to the trial's event log on the ``SkillContext``.
 """
 
 from __future__ import annotations
@@ -25,37 +23,12 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import ApiCallError, Fault, Refused
 from .perception import Belief, Observation, explore_global, explore_local, report_observation
-from .world import ActionRequest, EXECUTION_VERBS, GroundOutcome, World
+from .world import ActionRequest, Feedback, World
 
 if TYPE_CHECKING:
     from .verification import FailureRecord, SuccessVerdict
 
 __all__ = ["ActionRequest", "Feedback", "SkillContext", "dispatch", "evidence_ids", "verdict_event"]
-
-
-@dataclass
-class Feedback:
-    """Structured result of one primitive API invocation."""
-
-    request_index: int
-    verb: str
-    success: bool
-    fault: Optional[Fault] = None
-    observation: Optional[Observation] = None
-    message: str = ""
-    details: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def counted(self) -> bool:
-        return self.verb in EXECUTION_VERBS
-
-    def render(self) -> str:
-        """One line for the planner dialogue."""
-        status = "ok" if self.success else "FAILED"
-        line = f"[{self.request_index}] {self.verb} -> {status}: {self.message}"
-        if self.fault is not None:
-            line += f" ({self.fault.kind})"
-        return line
 
 
 @dataclass
@@ -77,8 +50,9 @@ class SkillContext:
         return idx
 
 
-def _feedback(ctx: SkillContext, request: ActionRequest, **kw: Any) -> Feedback:
-    fb = Feedback(request_index=request.request_index, verb=request.verb, **kw)
+def _log(ctx: SkillContext, request: ActionRequest, fb: Feedback) -> None:
+    """Count the answered request's step and append its request, feedback and
+    observation events."""
     if fb.counted:
         ctx.execution_steps += 1
         if fb.success:
@@ -111,7 +85,6 @@ def _feedback(ctx: SkillContext, request: ActionRequest, **kw: Any) -> Feedback:
             {"event": "observation", "index": fb.request_index, "phase": "result",
              "observation": fb.observation.to_json()}
         )
-    return fb
 
 
 def evidence_ids(request: ActionRequest, fb: Optional[Feedback] = None) -> tuple[str, ...]:
@@ -167,8 +140,8 @@ def _reference(request: ActionRequest, what: str) -> str:
     return ref
 
 
-def _executed(ctx: SkillContext, request: ActionRequest, outcome: GroundOutcome) -> Feedback:
-    return _feedback(ctx, request, success=outcome.success, message=outcome.message, details=outcome.details)
+def _ok(request: ActionRequest, message: str, **kw: Any) -> Feedback:
+    return Feedback(request.request_index, request.verb, True, message=message, **kw)
 
 
 def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
@@ -177,11 +150,11 @@ def navigate(ctx: SkillContext, request: ActionRequest) -> Feedback:
         raise Refused(ApiCallError(
             "unknown_reference", f"navigate target {ref!r} is not in the global object map; run explore_global first"
         ))
-    outcome = ctx.world.apply_action(request)
-    if outcome.success:
+    fb = ctx.world.apply_action(request)
+    if fb.success:
         ctx.belief.at_receptacle = ref
-        ctx.belief.approach_side = outcome.details.get("approach_side")
-    return _executed(ctx, request, outcome)
+        ctx.belief.approach_side = fb.details.get("approach_side")
+    return fb
 
 
 def grasp(ctx: SkillContext, request: ActionRequest) -> Feedback:
@@ -193,14 +166,14 @@ def grasp(ctx: SkillContext, request: ActionRequest) -> Feedback:
     if ref not in ctx.belief.objects and ctx.belief.local_item(ref) is None:
         fault = ApiCallError("target_not_in_local_map", f"{ref!r} is not in any current local map")
         raise Refused(fault, f"grasp failed: {ref} not in local map")
-    outcome = ctx.world.apply_action(request)
-    if outcome.success:
+    fb = ctx.world.apply_action(request)
+    if fb.success:
         ctx.belief.note_grasped(ref)
-    elif outcome.details.get("shifted"):
+    elif fb.details.get("shifted"):
         b = ctx.belief.objects.get(ref)
         if b is not None and b.parent_id:
             ctx.belief.mark_stale(ctx.belief.root_of(b.parent_id))
-    return _executed(ctx, request, outcome)
+    return fb
 
 
 def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
@@ -209,26 +182,24 @@ def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
         if ctx.belief.furniture(ref) is None and ref not in ctx.belief.objects:
             raise Refused(ApiCallError("unknown_reference", f"place target {ref!r} is not in any map"))
     held = ctx.world.gripper
-    outcome = ctx.world.apply_action(request)
-    if outcome.success and held is not None:
-        rid = outcome.details.get("on", request.target)
+    fb = ctx.world.apply_action(request)
+    if fb.success and held is not None:
+        rid = fb.details.get("on", request.target)
         ctx.belief.note_placed(held, rid, ctx.world.position_of(held))
-    elif outcome.details.get("dropped"):
+    elif fb.details.get("dropped"):
         # failed place drops the held object on the floor near the robot
-        dropped = outcome.details["dropped"]
+        dropped = fb.details["dropped"]
         ctx.belief.note_dropped(dropped, ctx.world.position_of(dropped))
-    return _executed(ctx, request, outcome)
+    return fb
 
 
 def do_explore_global(ctx: SkillContext, request: ActionRequest) -> Feedback:
     gmap = explore_global(ctx.world, ctx.belief)
     names = ", ".join(f.id for f in gmap.furniture) or "nothing"
     coverage = gmap.explored_mask.bit_count()
-    return _feedback(
-        ctx,
+    return _ok(
         request,
-        success=True,
-        message=f"global map built: {names} ({coverage} cells explored)",
+        f"global map built: {names} ({coverage} cells explored)",
         details={"furniture": [f.to_json() for f in gmap.furniture]},
     )
 
@@ -244,12 +215,10 @@ def do_explore_local(ctx: SkillContext, request: ActionRequest) -> Feedback:
     obs = Observation(
         kind="stay", target=ref, visible=tuple(lmap.items), captured_at_step=ctx.world.step_counter
     )
-    return _feedback(
-        ctx,
+    return _ok(
         request,
-        success=True,
+        f"local map of {ref}: {listing}",
         observation=obs,
-        message=f"local map of {ref}: {listing}",
         details={"receptacle_version": lmap.built_version, "scan_count": lmap.scan_count},
     )
 
@@ -259,7 +228,7 @@ def do_report_observation(ctx: SkillContext, request: ActionRequest) -> Feedback
     if ref in ("stay", "rest"):
         obs = report_observation(ctx.world, ctx.belief, ref)
         listing = ", ".join(o.id for o in obs.visible) or "nothing in view"
-        return _feedback(ctx, request, success=True, observation=obs, message=f"{ref} view: {listing}")
+        return _ok(request, f"{ref} view: {listing}", observation=obs)
     if ref is None:
         raise Refused(ApiCallError("bad_argument", "report_observation needs a target or a mode"))
     target_obj = ctx.belief.local_item(ref) or ctx.belief.furniture(ref)
@@ -270,7 +239,7 @@ def do_report_observation(ctx: SkillContext, request: ActionRequest) -> Feedback
     obs = report_observation(ctx.world, ctx.belief, target_obj)
     seen = obs.find(ref)
     desc = f"{seen.category} with attributes {sorted(seen.attributes)}" if seen else "nothing"
-    return _feedback(ctx, request, success=True, observation=obs, message=f"close-up of {ref}: {desc}")
+    return _ok(request, f"close-up of {ref}: {desc}", observation=obs)
 
 
 def _unknown_verb(ctx: SkillContext, request: ActionRequest) -> Feedback:
@@ -291,10 +260,12 @@ _HANDLERS = {
 def dispatch(ctx: SkillContext, request: ActionRequest) -> Feedback:
     """Single entry point for every plan step. Assigns the request index,
     routes to the verb handler, turns a refusal into a failed Feedback, and
-    logs the call on the context."""
+    counts and logs the answer on the context."""
     if request.request_index < 0:
         request.request_index = ctx.take_index()
     try:
-        return _HANDLERS.get(request.verb, _unknown_verb)(ctx, request)
+        fb = _HANDLERS.get(request.verb, _unknown_verb)(ctx, request)
     except Refused as refusal:
-        return _feedback(ctx, request, success=False, fault=refusal.fault, message=refusal.message)
+        fb = Feedback(request.request_index, request.verb, False, fault=refusal.fault, message=refusal.message)
+    _log(ctx, request, fb)
+    return fb

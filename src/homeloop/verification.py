@@ -19,8 +19,7 @@ from typing import Optional
 
 from .goals import EntityView, Goal, PlacementView, Selector, On, AllOn, SameReceptacle, Holding, And, Or, Not
 from .perception import Belief, BeliefObject, Observation
-from .skills import Feedback
-from .world import ActionRequest
+from .world import ActionRequest, Feedback
 
 # The closed failure-cause vocabulary, each cause with the module group the
 # failure table reports it under, in table order.

@@ -18,12 +18,15 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .config import FurnitureSpec, ObjectSpec, WorldConfig, surface_half_extents
 from .config import parse_config, validate_config  # noqa: F401  (perfbench reads them here)
-from .errors import PreconditionFault, Refused, TargetNotVisible
+from .errors import Fault, PreconditionFault, Refused, TargetNotVisible
 from .geometry import SIDES, Cell, OccupancyGrid, Pose, bresenham, polygon_centroid, side_of
+
+if TYPE_CHECKING:
+    from .perception import Observation
 
 # Execution verbs mutate ground state and count toward step-wise accounting;
 # perception verbs are handled by the perception layer and are never counted.
@@ -88,10 +91,30 @@ class ActionRequest:
 
 
 @dataclass
-class GroundOutcome:
+class Feedback:
+    """The answer to one request: a success flag, an optional typed fault, an
+    optional observation, a one-line message for the planner dialogue and the
+    details the trace and the verifier read."""
+
+    request_index: int
+    verb: str
     success: bool
-    message: str
+    fault: Optional[Fault] = None
+    observation: Optional[Observation] = None
+    message: str = ""
     details: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def counted(self) -> bool:
+        return self.verb in EXECUTION_VERBS
+
+    def render(self) -> str:
+        """One line for the planner dialogue."""
+        status = "ok" if self.success else "FAILED"
+        line = f"[{self.request_index}] {self.verb} -> {status}: {self.message}"
+        if self.fault is not None:
+            line += f" ({self.fault.kind})"
+        return line
 
 
 # --- Static scene geometry -------------------------------------------------------
@@ -346,8 +369,9 @@ class World:
 
     # -- action dynamics ----------------------------------------------------------------
 
-    def apply_action(self, request: ActionRequest) -> GroundOutcome:
-        """Execute one execution-verb request against ground truth.
+    def apply_action(self, request: ActionRequest) -> Feedback:
+        """Execute one execution-verb request against ground truth and answer
+        with the request's Feedback.
 
         A violated precondition raises ``Refused`` with its typed fault
         (never sampled) to the caller. Everything else draws success from the
@@ -366,7 +390,7 @@ class World:
             if self.rng.random() < self.config.noise.p_flag_error:
                 success, message = False, message + " (reported)"
                 details["flag_flipped"] = True
-        return GroundOutcome(success=success, message=message, details=details)
+        return Feedback(request.request_index, request.verb, success, message=message, details=details)
 
     def _do_navigate(self, request: ActionRequest):
         target = request.target

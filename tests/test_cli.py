@@ -115,13 +115,17 @@ def test_report_from_trace_directory(tiny_suite, tmp_path, capsys):
     assert doc["total"]["sr"] == [2, 2]
 
 
-def test_trial_llm_without_credential_exits_3(tiny_suite, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["trial", "run"])
+def test_trial_llm_without_credential_exits_3(tiny_suite, tmp_path, monkeypatch, capsys, command):
+    # the chat backend's own check fails the first planner built, before any trial runs
     _, suite_path = tiny_suite
     monkeypatch.delenv("COME_LLM_API_KEY", raising=False)
-    code = main(["trial", "--suite", str(suite_path), "--task", "T1",
-                 "--planner", "llm", "--llm-url", "http://127.0.0.1:9"])
+    out = tmp_path / "out"
+    args = ["--task", "T1"] if command == "trial" else ["--out", str(out), "--parallel", "2"]
+    code = main([command, "--suite", str(suite_path), *args, "--planner", "llm", "--llm-url", "http://127.0.0.1:9"])
     assert code == 3
     assert "missing credential" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trial_scripted_single(tiny_suite, tmp_path, capsys):
@@ -259,6 +263,13 @@ MALFORMED_SCENES = [
     # its own id: the narrow-surface case above already takes this field's name
     pytest.param(("variation", "shuffle_offsets"), "no", "variation.shuffle_offsets",
                  id="variation.shuffle_offsets-not-a-boolean"),
+    # a key that no parser reads, in each kind of object
+    (("grid_resolutoin",), 0.2, "grid_resolutoin"),
+    (("room", "depth"), 3.0, "room.depth"),
+    (("robot_start", "theta"), 0.0, "robot_start.theta"),
+    (("furniture", 0, "grasp_dificulty"), {"north": 2.0}, "furniture[0].grasp_dificulty"),
+    (("objects", 0, "atributes"), ["red"], "objects[0].atributes"),
+    (("variation", "shuffle"), True, "variation.shuffle"),
 ]
 
 
@@ -310,6 +321,14 @@ MALFORMED_SUITES = [
     ({"goal": {"holding": {"object": {"attributes": [5]}}}}, "tasks[0].goal.holding.object.attributes[0]"),
     ({"noise_profile": "zero", "name": 5}, "name"),
     ({"planner": 5}, "planner"),
+    # only --planner chooses the planner
+    ({"planner": "llm"}, "planner"),
+    # a key that no parser reads, in each kind of object
+    ({"noise_profile": "zero", "noise_profle": "default"}, "noise_profle"),
+    ({"trails": 10}, "tasks[0].trails"),
+    ({"goal": {"on": {"object": {"id": "toy_0"}, "receptacle": {"id": "bed_0"}, "recepticle": {}}}},
+     "tasks[0].goal.on.recepticle"),
+    ({"goal": {"on": {"object": {"ids": "toy_0"}, "receptacle": {"id": "bed_0"}}}}, "tasks[0].goal.on.object.ids"),
 ]
 SUITE_FIELDS = {"tasks", "noise_profile", "planner"}  # the rest of a change goes to the first task
 

@@ -422,13 +422,18 @@ def _draw_request(data, ctx) -> ActionRequest:
 def test_dispatch_survives_random_requests_and_keeps_its_books(data):
     """Random requests (``_draw_request``) on a bundled scene with noise on:
     nothing escapes dispatch, indices count up from 0, a fault always means
-    failure, and the step counters match the logged feedback."""
+    failure, each call logs one request and one feedback event (and an
+    observation event exactly when it observed), and the step counters match
+    the logged feedback."""
     scene_name = data.draw(st.sampled_from(sorted(BUNDLED_SCENES)))
     ctx = fresh_ctx(BUNDLED_SCENES[scene_name], rng_seed=data.draw(st.integers(0, 2**16)), **_FUZZ_NOISE)
     for i in range(data.draw(st.integers(1, 30))):
+        logged = len(ctx.events)
         fb = dispatch(ctx, _draw_request(data, ctx))
         assert fb.request_index == i
         assert fb.fault is None or not fb.success
+        expected = ["request", "feedback"] + (["observation"] if fb.observation is not None else [])
+        assert [(e["event"], e["index"]) for e in ctx.events[logged:]] == [(kind, i) for kind in expected]
     counted = [e for e in ctx.events if e["event"] == "feedback" and e["counted"]]
     assert ctx.execution_steps == len(counted)
     assert ctx.successful_steps == sum(e["success"] for e in counted)
