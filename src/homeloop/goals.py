@@ -193,7 +193,7 @@ def _parse_selector(raw: dict, path: str) -> Selector:
         raise ConfigError(path, "selector must be an object")
     only_keys(raw, ("id", "category", "attributes"), path)
     for key in ("id", "category"):
-        if raw.get(key) is not None:
+        if key in raw:
             as_json(raw[key], str, f"{path}.{key}")
     attributes = as_json(raw.get("attributes", []), list, f"{path}.attributes")
     return Selector(

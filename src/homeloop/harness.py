@@ -4,8 +4,9 @@ The closed loop per trial: ask the planner for the next step given the full
 dialogue history and belief; execute it through the skills boundary; verify
 success from before/after observations plus the feedback flag; on failure,
 classify the cause and either run the hierarchical recovery machinery or hand
-the diagnostic back to the planner. The loop ends on done(), goal
-satisfaction, exhausted recovery, or the step cap.
+the diagnostic back to the planner. The loop ends on done(), a cap, a
+rejected plan, a transport failure or an unrecovered failure; the outcome is
+then read once from ground truth.
 
 Accounting model: every failed execution event produces one failure record.
 A record is *replanned* when a recovery re-issue (or a plan-level correction)
@@ -41,7 +42,7 @@ from .planning import (
     to_request,
 )
 from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
-from .recovery import EpisodeRunner, RecoveryEpisode, execute
+from .recovery import execute, recover
 # unused here, but perfbench/tracing.SPANS wraps capture and dispatch at these names
 from .recovery import capture, dispatch  # noqa: F401
 from .skills import SkillContext
@@ -146,18 +147,54 @@ class _Trial:
 
     def run(self) -> TrialReport:
         task = self.task
+        stop, reason = self._loop()
+        satisfied = goal_satisfied(self.world, task.goal)
+        if stop == "transport":
+            outcome = OUTCOME_INVALID
+        else:
+            # outcome mirrors ground truth exactly
+            outcome = OUTCOME_SUCCESS if satisfied else OUTCOME_FAILURE
+        if stop == "done":
+            reason = reason or ("done" if satisfied else "done without goal")
+            if not satisfied:
+                self._record_unsatisfiable_df(reason)
+        elif outcome == OUTCOME_SUCCESS:
+            # the goal holds although the loop ended for another reason
+            reason = f"goal satisfied ({reason})"
+
+        if self.pending_plan_fix is not None:
+            if outcome == OUTCOME_SUCCESS:
+                self.pending_plan_fix.mark_replanned(True)
+            else:
+                self.pending_plan_fix.mark_direct()
+
+        report = TrialReport(
+            task_id=task.id,
+            trial_index=self.trial_index,
+            seed=self.seed,
+            outcome=outcome,
+            reason=reason,
+            goal_satisfied=satisfied,
+            execution_steps=self.ctx.execution_steps,
+            successful_steps=self.ctx.successful_steps,
+            failure_records=self.ctx.records,
+            events=self.ctx.events,
+        )
+        report.check_identities()
+        return report
+
+    def _loop(self) -> tuple[Optional[str], str]:
+        """Run steps until the trial must stop. Returns the kind of stop,
+        "transport", "done" or None for any other, and its reason; a done()
+        gives its message as the reason."""
+        task = self.task
         options = self.options
         request_cap = task.step_cap * REQUEST_CAP_FACTOR
-        outcome = OUTCOME_FAILURE
-        reason = "unset"
-
         while True:
             if self.ctx.execution_steps >= task.step_cap:
-                reason = "step cap"
-                break
+                return None, "step cap"
             if self.ctx.requests_made >= request_cap:
-                reason = "request cap"
-                break
+                return None, "request cap"
             verdict_f = None
             if self.belief.global_map is not None:
                 verdict_f = verify_feasibility(task.goal, self.belief)
@@ -166,8 +203,7 @@ class _Trial:
             try:
                 step = self.planner.next_step(task, self.history, view)
             except TransportError as exc:
-                outcome, reason = OUTCOME_INVALID, f"transport: {exc}"
-                break
+                return "transport", f"transport: {exc}"
             except (BudgetExceeded, ParseError) as exc:
                 self.ctx.records.append(
                     FailureRecord(
@@ -175,8 +211,7 @@ class _Trial:
                         direct_failure=True, detail=str(exc),
                     )
                 )
-                outcome, reason = OUTCOME_FAILURE, f"plan rejected: {exc}"
-                break
+                return None, f"plan rejected: {exc}"
             repairs = getattr(self.planner, "last_repairs", 0)
             for _ in range(repairs):
                 self.ctx.records.append(
@@ -185,17 +220,12 @@ class _Trial:
                         replanned=True, recovered=True, detail="plan repaired after parse diagnostic",
                     )
                 )
-            self.ctx.events.append({"event": "plan", "text": step.render(), "repairs": repairs})
-            self.history.append_plan(step.render())
+            text = step.render()
+            self.ctx.events.append({"event": "plan", "text": text, "repairs": repairs})
+            self.history.append_plan(text)
 
             if isinstance(step, Done):
-                satisfied = goal_satisfied(self.world, task.goal)
-                if satisfied:
-                    outcome, reason = OUTCOME_SUCCESS, step.message or "done"
-                else:
-                    outcome, reason = OUTCOME_FAILURE, step.message or "done without goal"
-                    self._record_unsatisfiable_df(step.message)
-                break
+                return "done", step.message
 
             assert isinstance(step, Call)
             if step.warning:
@@ -206,9 +236,7 @@ class _Trial:
             prior_map = self.belief.local_maps.get(request.target) if request.verb == "explore_local" else None
             fb, verdict, before = execute(self.ctx, request)
             self._perception_findings(request, fb, prior_map)
-            self.history.append_feedback(fb.render())
-            if fb.observation is not None and fb.verb != "explore_global":
-                self.history.append_observation(_compact_observation(fb))
+            self.history.append_result(fb)
 
             if self.pending_plan_fix is not None:
                 # recovered when the follow-up call is well-formed, even if
@@ -229,65 +257,10 @@ class _Trial:
                 continue
             if not options.recovery_enabled:
                 record.mark_direct()
-                outcome, reason = OUTCOME_FAILURE, f"unrecovered {record.cause} (recovery disabled)"
-                break
-
-            episode = RecoveryEpisode(
-                failure=record,
-                verb=request.verb,
-                object_id=_episode_object(request, fb, held_before),
-                target=request.target,
-                location=request.location,
-                # the first shift check reads this as it read the full view:
-                # a grasp's target is in its evidence, and a place moves no
-                # object in view
-                last_before=before,
-                strict_escalation=options.strict_escalation,
-            )
-            EpisodeRunner(self.ctx, task.goal).run(episode)
-            self.ctx.events.append(
-                {
-                    "event": "episode_end",
-                    "status": episode.status,
-                    "attempts": dict(episode.attempts),
-                    "levels": episode.levels,
-                }
-            )
+                return None, f"unrecovered {record.cause} (recovery disabled)"
+            episode = recover(self.ctx, task.goal, record, request, fb, before, held_before, options.strict_escalation)
             if episode.status == "exhausted":
-                outcome, reason = OUTCOME_FAILURE, f"recovery exhausted after {record.cause}"
-                break
-
-        satisfied = goal_satisfied(self.world, task.goal)
-        if outcome != OUTCOME_INVALID:
-            # outcome mirrors ground truth exactly: a trial that reached the
-            # goal is a success even if the loop ended for another reason
-            if satisfied and outcome == OUTCOME_FAILURE:
-                outcome, reason = OUTCOME_SUCCESS, f"goal satisfied ({reason})"
-            elif not satisfied and outcome == OUTCOME_SUCCESS:
-                outcome = OUTCOME_FAILURE
-
-        if self.pending_plan_fix is not None:
-            fix = self.pending_plan_fix
-            if outcome == OUTCOME_SUCCESS:
-                fix.mark_replanned(True)
-            else:
-                fix.mark_direct()
-            self.pending_plan_fix = None
-
-        report = TrialReport(
-            task_id=task.id,
-            trial_index=self.trial_index,
-            seed=self.seed,
-            outcome=outcome,
-            reason=reason,
-            goal_satisfied=satisfied,
-            execution_steps=self.ctx.execution_steps,
-            successful_steps=self.ctx.successful_steps,
-            failure_records=self.ctx.records,
-            events=self.ctx.events,
-        )
-        report.check_identities()
-        return report
+                return None, f"recovery exhausted after {record.cause}"
 
     def _record_unsatisfiable_df(self, message: str) -> None:
         """A done() that gives up on an infeasible goal: when ground truth does
@@ -309,24 +282,6 @@ class _Trial:
                     detail=f"gave up although ground truth holds {sel.describe()}",
                 )
             )
-
-
-def _episode_object(request: ActionRequest, fb: Feedback, held_before: Optional[str]) -> Optional[str]:
-    if request.verb == "grasp":
-        return request.target
-    if request.verb == "place":
-        return fb.details.get("placed") or fb.details.get("dropped") or held_before
-    return None
-
-
-def _compact_observation(fb: Feedback) -> str:
-    obs = fb.observation
-    assert obs is not None
-    parts = [
-        f"{o.id}({o.category}{';' + ','.join(sorted(o.attributes)) if o.attributes else ''})"
-        for o in obs.visible
-    ]
-    return f"{obs.kind}: " + (", ".join(parts) or "nothing")
 
 
 def run_trial(

@@ -158,9 +158,9 @@ def compute_metrics(reports: Iterable[TrialReport]) -> MetricsTable:
         )
     total_row = TaskRow(
         task_id="total",
-        sr=_sum_ratios([r.sr for r in task_rows]),
-        ssr=_sum_ratios([r.ssr for r in task_rows]),
-        rr=_sum_ratios([r.rr for r in task_rows]),
+        sr=sum((r.sr for r in task_rows), Ratio(0, 0)),
+        ssr=sum((r.ssr for r in task_rows), Ratio(0, 0)),
+        rr=sum((r.rr for r in task_rows), Ratio(0, 0)),
     )
 
     failure_rows = []
@@ -189,10 +189,3 @@ def compute_metrics(reports: Iterable[TrialReport]) -> MetricsTable:
         failure_total=failure_total,
         invalid_trials=len(invalid),
     )
-
-
-def _sum_ratios(ratios: list[Ratio]) -> Ratio:
-    total = Ratio(0, 0)
-    for r in ratios:
-        total = total + r
-    return total

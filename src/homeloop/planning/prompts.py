@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..world import ALL_VERBS
+from ..world import ALL_VERBS, Feedback
 from .base import PlannerView
 
 
@@ -141,6 +141,18 @@ class DialogueHistory:
 
     def append_observation(self, text: str) -> None:
         self._append("observation", text)
+
+    def append_result(self, fb: Feedback) -> None:
+        """An executed call's feedback line and, unless it swept the room,
+        what it observed in compact form."""
+        self.append_feedback(fb.render())
+        obs = fb.observation
+        if obs is not None and fb.verb != "explore_global":
+            parts = [
+                f"{o.id}({o.category}{';' + ','.join(sorted(o.attributes)) if o.attributes else ''})"
+                for o in obs.visible
+            ]
+            self.append_observation(f"{obs.kind}: " + (", ".join(parts) or "nothing"))
 
     def append_note(self, text: str) -> None:
         self._append("note", text)

@@ -113,6 +113,30 @@ def execute(ctx: SkillContext, request: ActionRequest) -> tuple[Feedback, Succes
     return fb, verdict, before
 
 
+def recover(ctx: SkillContext, goal: Goal, failure: FailureRecord, request: ActionRequest, fb: Feedback,
+            before: Observation, held_before: Optional[str], strict_escalation: bool) -> RecoveryEpisode:
+    """Run one episode for a failed call: ``failure`` classifies it,
+    ``before`` is its before image and ``held_before`` what the gripper held
+    when it was issued. Returns the ended episode."""
+    object_id = None
+    if request.verb == "grasp":
+        object_id = request.target
+    elif request.verb == "place":
+        object_id = fb.details.get("placed") or fb.details.get("dropped") or held_before
+    episode = RecoveryEpisode(
+        failure=failure,
+        verb=request.verb,
+        object_id=object_id,
+        target=request.target,
+        location=request.location,
+        # the first shift check reads this as it read the full view: a
+        # grasp's target is in its evidence, and a place moves no object in view
+        last_before=before,
+        strict_escalation=strict_escalation,
+    )
+    return EpisodeRunner(ctx, goal).run(episode)
+
+
 @dataclass
 class EpisodeRunner:
     """Drives one episode to recovered/exhausted against a live context,
@@ -163,6 +187,9 @@ class EpisodeRunner:
             episode.latest.mark_direct()
         episode.status = status
         self.ctx.events.append({"event": "recovery", "directive": "end", "status": status})
+        self.ctx.events.append(
+            {"event": "episode_end", "status": status, "attempts": dict(episode.attempts), "levels": episode.levels}
+        )
         return episode
 
     def _update_evidence(self, episode: RecoveryEpisode, fb: Feedback) -> None:

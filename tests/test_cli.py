@@ -304,6 +304,7 @@ MALFORMED_SUITES = [
     ({"placement_style": 5}, "tasks[0].placement_style"),
     ({"goal": {"on": {"object": {"id": 5}, "receptacle": {"id": "bed_0"}}}}, "tasks[0].goal.on.object.id"),
     ({"goal": {"holding": {"object": {"category": ["toy"]}}}}, "tasks[0].goal.holding.object.category"),
+    ({"goal": {"on": {"object": {"id": None}, "receptacle": {"id": "bed_0"}}}}, "tasks[0].goal.on.object.id"),
     ({"goal": {"all_on": {"category": 5}}}, "tasks[0].goal.all_on.category"),
     ({"goal": {"same_receptacle": {"category": None}}}, "tasks[0].goal.same_receptacle.category"),
     ({"noise_profile": "bogus"}, "noise_profile"),

@@ -99,6 +99,14 @@ def test_parse_rejects_unknown_operator():
     assert "unknown goal operator" in str(exc.value)
 
 
+@pytest.mark.parametrize("key", ["id", "category"])
+def test_parse_rejects_a_null_selector_field(key):
+    # a null would leave the field unset, and the selector would match every object
+    with pytest.raises(ConfigError) as exc:
+        parse_goal({"on": {"object": {key: None}, "receptacle": {"id": "bed_0"}}})
+    assert exc.value.field_path == f"goal.on.object.{key}"
+
+
 def test_selector_matching():
     sel = Selector(category="cup", attributes=frozenset({"empty"}))
     assert sel.matches("cup_2", "cup", {"empty", "white"})

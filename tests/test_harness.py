@@ -10,8 +10,9 @@ import pytest
 from homeloop import harness, recovery
 from homeloop.config import SuiteConfig, load_builtin_suite, parse_suite
 from homeloop.errors import ConfigError, TraceFormatError
+from homeloop.goals import parse_goal
 from homeloop.harness import TrialOptions, _Trial, replay_matches, run_suite, run_trial
-from homeloop.planning import ScriptedPlanner
+from homeloop.planning import ChatModelPlanner, ParseError, ScriptedPlanner, TranscriptBackend
 from homeloop.trace import load_trace, write_trace
 
 from conftest import mini_task, zero_noise
@@ -339,3 +340,70 @@ def test_accounting_identities_on_noisy_trials():
         report = run_trial(mini_task(), ScriptedPlanner(), seed=seed, options=TrialOptions(noise=dict(noise)))
         report.check_identities()
         assert report.outcome in ("success", "failure")
+
+
+# --- every way a trial ends ------------------------------------------------------------
+
+# toy_0 starts on table_0 and cup_0 on table_1: the first goal holds from the
+# start, and no plan below scans table_1, so recovery's belief never sees it hold
+GOALS = {
+    True: {"on": {"object": {"id": "cup_0"}, "receptacle": {"id": "table_1"}}},
+    False: {"on": {"object": {"id": "toy_0"}, "receptacle": {"id": "bed_0"}}},
+}
+SCAN = ["explore_global()", "navigate(table_0)", "explore_local(table_0)"]
+MALFORMED = 'navigate("table")'
+BUDGET_REASON = (
+    "plan rejected: plan still malformed after 2 repair round(s): "
+    "line 1: expected object reference, got string literal 'table'"
+)
+
+
+class _RejectingPlanner:
+    """Fails its first plan with a parse error, as a planner without a repair
+    round would."""
+
+    def next_step(self, task, history, view):
+        raise ParseError(1, "plan is empty", "emit at least one call or done()")
+
+
+# name: (plan lines, step cap, noise overrides, recovery enabled, reason when the goal does not hold)
+END_PATHS = {
+    "step-cap": (SCAN + ["grasp(toy_0)"] * 3, 2, {}, True, "step cap"),
+    "request-cap": (["explore_global()"] * 11, 1, {}, True, "request cap"),
+    "plan-rejected-parse": (None, 5, {}, True, "plan rejected: line 1: plan is empty"),
+    "plan-rejected-budget": ([MALFORMED] * 3, 5, {}, True, BUDGET_REASON),
+    "transport": (SCAN, 5, {}, True, "transport: transcript exhausted"),
+    "done-message": (['done("finished")'], 5, {}, True, "finished"),
+    "done-bare": (["done()"], 5, {}, True, "done without goal"),
+    "recovery-disabled": (SCAN + ["grasp(toy_0)"], 5, {"p_grasp_fail": 1.0}, False,
+                          "unrecovered grasp_failed (recovery disabled)"),
+    "recovery-exhausted": (SCAN + ["grasp(toy_0)"], 5, {"p_grasp_fail": 1.0}, True,
+                           "recovery exhausted after grasp_failed"),
+}
+
+
+def _expected_end(name: str, held: bool, reason: str) -> tuple[str, str, bool]:
+    if name == "transport":
+        # a transport failure says nothing about the planner: the trial is invalid either way
+        return "infrastructure-invalid", reason, held
+    if not held:
+        return "failure", reason, False
+    if name == "done-message":
+        return "success", reason, True
+    if name == "done-bare":
+        return "success", "done", True
+    return "success", f"goal satisfied ({reason})", True
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["goal-held", "goal-not-held"])
+@pytest.mark.parametrize("name", list(END_PATHS))
+def test_every_way_a_trial_ends(name, held):
+    lines, step_cap, noise, recovery_enabled, reason = END_PATHS[name]
+    if lines is None:
+        planner = _RejectingPlanner()
+    else:
+        planner = ChatModelPlanner(TranscriptBackend(replies=[f"```\n{line}\n```" for line in lines]))
+    task = mini_task(parse_goal(GOALS[held]), step_cap=step_cap)
+    options = TrialOptions(noise=zero_noise(**noise), recovery_enabled=recovery_enabled)
+    report = run_trial(task, planner, seed=0, options=options)
+    assert (report.outcome, report.reason, report.goal_satisfied) == _expected_end(name, held, reason)
