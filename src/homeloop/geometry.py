@@ -5,15 +5,15 @@ are simple polygons, and the room is rasterized onto one grid of bit-packed
 Python ints (``PackedGrid``): a (H, W) mask becomes one int, row-major with
 W + 1 bits per row, where the extra bit is a guard that no mask ever sets, so
 a one-bit shift out of the first or last column cannot wrap into the next
-row. ``OccupancyGrid.free`` is the mask of cells no furniture stands on, and
-every mask built from it (reachability, approach cells, the explored map) is
-an int on the same layout. Grid search is an 8-connected BFS: a layer grows
-with two shifts by one bit and two by a row, masked by the cells not yet
-reached. ``PackedGrid.reach`` keeps only the reached cells and, given a goal
-mask, the first layer's goal cells: all that flood fill, sensing and
-frontier search read. All grid work is deterministic; ties in cell selection
-always break by lowest (col, row) lexicographic order on cell coordinates
-expressed as (cx, cy).
+row. Footprints, ``OccupancyGrid.free`` (the cells no footprint covers) and
+every mask built from them (reachability, approach cells, the explored map)
+are ints on the same layout. Grid search is an 8-connected BFS: a layer
+grows with two shifts by one bit and two by a row, masked by the cells not
+yet reached. ``PackedGrid.reach`` keeps the reached cells (flood fill,
+sensing), ``PackedGrid.nearest`` the goal cells of the first layer that
+meets a goal (frontier search). All grid work is deterministic; ties in
+cell selection always break by lowest (col, row) lexicographic order on cell
+coordinates expressed as (cx, cy).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Cell = tuple[int, int]  # (cx, cy) column/row indices
 
@@ -191,13 +191,20 @@ class PackedGrid:
             layer = (g | g << row | g >> row) & unreached
             unreached ^= layer
 
-    def reach(self, passable: int, start: int, goal: int = 0) -> tuple[int, int]:
-        """The cells of ``passable`` connected to ``start`` (up to the first
-        layer that meets ``goal``), and that layer's cells in ``goal``."""
-        reached = layer = 0
-        for layer in self.layers(passable, start, goal):
+    def reach(self, passable: int, start: int) -> int:
+        """The cells of ``passable`` 8-connected to the ``start`` bits."""
+        reached = 0
+        for layer in self.layers(passable, start):
             reached |= layer
-        return reached, layer & goal
+        return reached
+
+    def nearest(self, passable: int, start: int, goal: int) -> int:
+        """The ``goal`` cells of the first layer that meets ``goal`` (0 when
+        none does)."""
+        layer = 0
+        for layer in self.layers(passable, start, goal):
+            pass
+        return layer & goal
 
 
 def _shift(packed: int, by: int) -> int:
@@ -254,12 +261,13 @@ class OccupancyGrid:
 
     # -- rasterization ---------------------------------------------------------
 
-    def rasterize_polygon(self, poly: Sequence[tuple[float, float]]) -> set[Cell]:
-        """Mark all cells whose center lies inside the polygon; returns them.
-        This is ``point_in_polygon`` over every cell center of the bounding
-        box, one row at a time, with the same float expressions in the same
-        order: each crossing toggles the parity of the centers left of it
-        (their count found by bisection), and a center on an edge is inside."""
+    def rasterize_polygon(self, poly: Sequence[tuple[float, float]]) -> int:
+        """Mark all cells whose center lies inside the polygon; returns them
+        as a mask on ``packed``'s layout. This is ``point_in_polygon`` over
+        every cell center of the bounding box, one row at a time, with the
+        same float expressions in the same order: each crossing toggles the
+        parity of the centers left of it (their count found by bisection),
+        and a center on an edge is inside."""
         minx, miny, maxx, maxy = polygon_bbox(poly)
         c0x, c0y = self.cell_of(minx, miny)
         c1x, c1y = self.cell_of(maxx, maxy)
@@ -267,7 +275,6 @@ class OccupancyGrid:
         n = len(poly)
         # no center row crosses a horizontal edge
         edges = [(poly[i], poly[(i + 1) % n]) for i in range(n) if poly[i][1] != poly[(i + 1) % n][1]]
-        cells: set[Cell] = set()
         marked = 0
         for cy in range(c0y, c1y + 1):
             y = (cy + 0.5) * self.resolution
@@ -279,13 +286,9 @@ class OccupancyGrid:
                     odd ^= (1 << left) - 1
                     if left < len(xs) and abs(xs[left] - xi) < 1e-12:
                         on_edge |= 1 << left
-            inside = odd | on_edge
-            marked |= inside << (cy * self.packed.row + c0x)
-            while inside:
-                cells.add((c0x + (inside & -inside).bit_length() - 1, cy))
-                inside &= inside - 1
+            marked |= (odd | on_edge) << (cy * self.packed.row + c0x)
         self.free &= ~marked
-        return cells
+        return marked
 
     # -- traversal --------------------------------------------------------------
 
@@ -293,7 +296,7 @@ class OccupancyGrid:
         """The free cells 8-connected to ``start``."""
         if not self.in_bounds(start):
             return 0
-        return self.packed.reach(self.free, self.packed.bit(start))[0]
+        return self.packed.reach(self.free, self.packed.bit(start))
 
     def bfs_distances(self, start: Cell, passable: int, targets: int) -> list[int]:
         """The 8-connected BFS layers over ``passable`` from ``start`` (layer d
@@ -304,13 +307,10 @@ class OccupancyGrid:
             return []
         return list(self.packed.layers(passable, self.packed.bit(start), targets))
 
-    def adjacent_free_cells(self, cells: Iterable[Cell]) -> int:
-        """The free cells 8-adjacent to a footprint: the 3x3 dilation of the
-        footprint's mask, minus the footprint, where the grid is free."""
-        mask = 0
-        for cell in cells:
-            mask |= self.packed.bit(cell)
-        return self.packed.dilate8(mask) & ~mask & self.free
+    def adjacent_free_cells(self, footprint: int) -> int:
+        """The free cells 8-adjacent to a footprint mask on ``packed``'s
+        layout: its 3x3 dilation, minus the footprint, where the grid is free."""
+        return self.packed.dilate8(footprint) & ~footprint & self.free
 
 
 def bresenham(a: Cell, b: Cell) -> Iterator[Cell]:

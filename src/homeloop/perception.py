@@ -269,7 +269,7 @@ def _sense(packed: PackedGrid, free: int, explored: int, origin: Cell, radius: i
     masks are packed on ``packed``'s layout. An occupied origin sees
     nothing; validation keeps the robot's cells free."""
     disk = packed.disk(origin, radius)
-    seen, _ = packed.reach(free & disk, packed.bit(origin))
+    seen = packed.reach(free & disk, packed.bit(origin))
     return explored | seen | (packed.dilate8(seen) & disk)
 
 
@@ -290,7 +290,7 @@ def _sweep(world: World, known: int) -> tuple[int, Optional[tuple[float, float]]
         frontiers = known & free & (unexplored << 1 | unexplored >> 1 | unexplored << row | unexplored >> row)
         if not frontiers:
             return known, end
-        _, nearest = packed.reach(free & known, packed.bit(world.robot_cell()), frontiers)
+        nearest = packed.nearest(free & known, packed.bit(world.robot_cell()), frontiers)
         if not nearest:
             remaining = (free & world.reachable & ~known).bit_count()
             if remaining:
@@ -326,8 +326,7 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
 
     furniture_objs = []
     for fid in sorted(world.furniture):
-        cells = world.footprint_cells[fid]
-        if not any(explored & world.grid.packed.bit(cell) for cell in cells):
+        if not explored & world.footprint_cells[fid]:
             continue
         f = world.furniture[fid]
         furniture_objs.append(

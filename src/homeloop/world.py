@@ -122,9 +122,9 @@ class Feedback:
 
 class SceneGeometry:
     """What no trial changes about a scene: the rasterised grid, footprint
-    cells, centroids, the cells reachable from the robot start, the approach
-    tables (built on first use) and the first global sweep from each start
-    cell (filled by ``perception.explore_global``).
+    masks on its layout, centroids, the cells reachable from the robot start,
+    the approach tables (built on first use) and the first global sweep from
+    each start cell (filled by ``perception.explore_global``).
 
     Every World of the same layout shares one, across threads too: the
     masks are immutable ints, and the lazily filled tables are pure
@@ -138,10 +138,10 @@ class SceneGeometry:
         start: tuple[float, float],
     ) -> None:
         self.grid = OccupancyGrid(room[0], room[1], resolution)
-        self.footprint_cells: dict[str, frozenset[Cell]] = {}
+        self.footprint_cells: dict[str, int] = {}
         self.centroids: dict[str, tuple[float, float]] = {}
         for fid, footprint in furniture:
-            self.footprint_cells[fid] = frozenset(self.grid.rasterize_polygon(footprint))
+            self.footprint_cells[fid] = self.grid.rasterize_polygon(footprint)
             self.centroids[fid] = polygon_centroid(footprint)
         self.reachable = self.grid.flood_fill(self.grid.cell_of(*start))
         self._approach: dict[str, dict[Optional[str], tuple[Cell, ...]]] = {}
@@ -193,7 +193,7 @@ class World:
     """One trial's ground truth. Single-writer: a trial owns its World.
 
     Furniture never moves, so everything static about the scene (grid,
-    footprint cells, centroids, reachability, approach cells and the first
+    footprint masks, centroids, reachability, approach cells and the first
     sweep) lives on a ``SceneGeometry`` that every trial of the same layout
     shares; the World holds the state a trial mutates and the receptacles'
     half extents (``surface_half_extents``), which depend on the objects.
@@ -282,11 +282,10 @@ class World:
         return self.grid.cell_of(self.robot.x, self.robot.y)
 
     def robot_adjacent_to(self, furniture_id: str) -> bool:
-        """Whether a footprint cell of the furniture lies in the robot's 3x3
-        block of cells (its own cell is always free)."""
-        cells = self.footprint_cells.get(furniture_id, ())
-        cx, cy = self.robot_cell()
-        return any((x, y) in cells for x in (cx - 1, cx, cx + 1) for y in (cy - 1, cy, cy + 1))
+        """Whether the furniture's footprint meets the robot's 3x3 block of
+        cells, whose guard bits no footprint holds (its own cell is free)."""
+        packed = self.grid.packed
+        return bool(self.footprint_cells.get(furniture_id, 0) & packed.dilate8(packed.bit(self.robot_cell())))
 
     def robot_side_of(self, furniture_id: str) -> str:
         return side_of(self.centroids[furniture_id], (self.robot.x, self.robot.y))

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeloop.config import parse_config
 from homeloop.errors import ExplorationStalled
 from homeloop.geometry import (
     OccupancyGrid,
@@ -21,6 +24,7 @@ from homeloop.geometry import (
     side_of,
 )
 from homeloop.perception import _sense, _sweep
+from homeloop.world import scene_geometry
 
 SQUARE = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
 
@@ -45,9 +49,9 @@ def test_polygons_overlap_and_disjoint():
 
 def test_rasterize_counts_cells_inside():
     grid = OccupancyGrid(4.0, 3.0, 0.1)
-    cells = grid.rasterize_polygon([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)])
+    mask = grid.rasterize_polygon([(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)])
     # cell centers at 1.05 .. 1.95 on both axes: 10 x 10
-    assert len(cells) == 100
+    assert mask.bit_count() == 100 and mask & ~grid.packed.cells == 0
     assert grid.free.bit_count() == 40 * 30 - 100
 
 
@@ -534,9 +538,9 @@ def polygons(draw):
 def test_rasterize_polygon_marks_what_point_in_polygon_marks(case):
     room, res, poly = case
     grid, reference = OccupancyGrid(*room, res), OccupancyGrid(*room, res)
-    cells = grid.rasterize_polygon(poly)
+    mask = grid.rasterize_polygon(poly)
     expected = rasterize_by_point(reference, poly)
-    assert cells == expected and list(cells) == list(expected)
+    assert set(grid.packed.iter_cells(mask)) == expected and mask & ~grid.packed.cells == 0
     assert grid.free == reference.free
 
 
@@ -601,7 +605,40 @@ def lattice_polygons(draw):
 def test_scanline_rasteriser_matches_the_numpy_one(case):
     room, res, poly = case
     grid = OccupancyGrid(*room, res)
-    cells = grid.rasterize_polygon(poly)
+    mask = grid.rasterize_polygon(poly)
     expected, occ = numpy_rasterize(OccupancyGrid(*room, res), poly)
-    assert cells == expected
+    assert set(grid.packed.iter_cells(mask)) == expected and mask & ~grid.packed.cells == 0
     assert grid.free == pack(grid.packed, occ == 0)
+
+
+def workload_scene_docs():
+    """Every bundled scene, and the generated scenes of the benchmark's
+    ``apartments`` and ``long_horizon`` workloads at seeds 0-9, units 0-2."""
+    from perfbench.workloads import WORKLOADS
+
+    scenes = resources.files("homeloop").joinpath("data/scenes")
+    docs = [json.loads(p.read_text("utf-8")) for p in sorted(scenes.iterdir(), key=lambda p: p.name)]
+    for workload in ("apartments", "long_horizon"):
+        for seed in range(10):
+            for unit in range(3):
+                docs += [doc["scene"] for doc in WORKLOADS[workload].docs(seed, unit)]
+    return docs
+
+
+def test_footprint_masks_are_the_point_in_polygon_cells_on_the_grid_and_disjoint():
+    at_edges = [0, 0]  # masks with a cell in column 0, and in the last column
+    for doc in workload_scene_docs():
+        config = parse_config(doc)
+        geometry = scene_geometry(config)
+        packed = geometry.grid.packed
+        masks = []
+        for f in config.furniture:
+            mask = geometry.footprint_cells[f.id]
+            expected = rasterize_by_point(OccupancyGrid(*config.room, config.grid_resolution), f.footprint)
+            assert set(packed.iter_cells(mask)) == expected, (doc["name"], f.id)
+            assert mask & ~packed.cells == 0, (doc["name"], f.id)  # no guard bit, no cell off the grid
+            assert all(mask & other == 0 for other in masks), (doc["name"], f.id)
+            masks.append(mask)
+            at_edges[0] += bool(mask & packed.column0)
+            at_edges[1] += bool(mask & packed.column0 << (packed.width - 1))
+    assert min(at_edges) > 0

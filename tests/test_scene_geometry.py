@@ -103,17 +103,19 @@ def trace_bytes(out) -> dict[str, bytes]:
 def test_shared_geometry_cannot_be_written():
     """The shared masks are ints, so a trial can only rebind its own names:
     after a trial that sweeps twice (the second from global-level recovery),
-    the geometry's free cells, reachable cells and memo are what they were."""
+    the geometry's free cells, reachable cells, footprints and memo are what
+    they were."""
     geometry_cache.cache_clear()
     world, belief = World(builtin_config("bedroom")), Belief()
     geometry = world.geometry
-    free, reachable = geometry.grid.free, geometry.reachable
+    free, reachable, footprints = geometry.grid.free, geometry.reachable, dict(geometry.footprint_cells)
     assert isinstance(free, int) and isinstance(reachable, int)
+    assert all(isinstance(mask, int) for mask in footprints.values())
     explore_global(world, belief)  # a miss: fills the memo
     memo = dict(geometry.first_sweeps)
     explore_global(world, belief)  # extends the trial's own map
-    assert (geometry.grid.free, geometry.reachable, geometry.first_sweeps) == (free, reachable, memo)
-    assert all(isinstance(cells, frozenset) for cells in world.footprint_cells.values())
+    assert (geometry.grid.free, geometry.reachable, geometry.footprint_cells, geometry.first_sweeps) == (
+        free, reachable, footprints, memo)
 
 
 def test_trial_explored_mask_is_a_copy_of_the_memo():

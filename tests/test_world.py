@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeloop.errors import ConfigError, PreconditionFault, Refused
-from homeloop.geometry import Pose, bresenham, polygon_centroid, side_of
+from homeloop.geometry import Pose, bresenham, point_in_polygon, polygon_bbox, polygon_centroid, side_of
 from homeloop.config import ObjectSpec, parse_config, validate_config, vary_config
 from homeloop.world import ActionRequest, GroundObject, Placement, World
 
@@ -305,18 +305,42 @@ def bundled_scene_docs():
     return [json.loads(p.read_text("utf-8")) for p in sorted(scenes.iterdir(), key=lambda p: p.name)]
 
 
+def apartment_docs():
+    """Three generated ``apartments`` layouts, each with furniture against the
+    west and the east wall: in column 0 and in the last column, where a 3x3
+    dilation of a cell spills into the guard bits of the packed layout."""
+    from perfbench.generators import apartment
+
+    return [apartment(0, 0, index)[0] for index in (3, 4, 5)]
+
+
+def footprint_cells_by_point(world):
+    """Each furniture's cells: those whose centre ``point_in_polygon`` puts
+    inside its footprint."""
+    centres = {(cx, cy): world.grid.center_of((cx, cy)) for cx in range(world.grid.width)
+               for cy in range(world.grid.height)}
+    footprints = {}
+    for fid, f in world.furniture.items():
+        minx, miny, maxx, maxy = polygon_bbox(f.footprint)
+        footprints[fid] = {c for c, (x, y) in centres.items()
+                           if minx <= x <= maxx and miny <= y <= maxy and point_in_polygon(x, y, f.footprint)}
+    return footprints
+
+
 def test_robot_adjacent_to_matches_an_eight_neighbour_reference():
-    adjacent = 0
-    for doc in bundled_scene_docs():
+    adjacent = at_edge = 0
+    for doc in bundled_scene_docs() + apartment_docs():
         world = make_world(doc)
+        footprints = footprint_cells_by_point(world)
         for cx, cy in world.grid.packed.iter_cells(world.grid.free):
             world.robot = Pose(*world.grid.center_of((cx, cy)), 0.0)
             neighbours = {(cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy}
-            for fid, cells in world.footprint_cells.items():
+            for fid, cells in footprints.items():
                 expected = not neighbours.isdisjoint(cells)
                 assert world.robot_adjacent_to(fid) == expected, (doc["name"], (cx, cy), fid)
                 adjacent += expected
-    assert adjacent > 0
+                at_edge += expected and cx in (0, world.grid.width - 1)
+    assert adjacent > 0 and at_edge > 0
 
 
 # --- approach table vs the per-call computation it replaced ------------------------
@@ -351,21 +375,22 @@ WALLED_SCENE = {
 }
 
 
-def reference_approach_cells(world, fid, side):
-    cells = set()
-    for cx, cy in world.footprint_cells[fid]:
-        for n in ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy):
-            if world.grid.is_free(n):
-                cells.add(n)
-    cells = {c for c in cells if world.reachable & world.grid.packed.bit(c)}
+def free_cells_around(world, footprint):
+    """The free cells 8-adjacent to a footprint's cells."""
+    return {n for cx, cy in footprint for n in ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+            if world.grid.is_free(n)}
+
+
+def reference_approach_cells(world, footprint, fid, side):
+    cells = {c for c in free_cells_around(world, footprint) if world.reachable & world.grid.packed.bit(c)}
     if side is not None:
         centroid = polygon_centroid(world.furniture[fid].footprint)
         cells = {c for c in cells if side_of(centroid, world.grid.center_of(c)) == side}
     return sorted(cells)
 
 
-def reference_select_approach(world, fid, side, focus):
-    candidates = set(reference_approach_cells(world, fid, side))
+def reference_select_approach(world, footprint, fid, side, focus):
+    candidates = set(reference_approach_cells(world, footprint, fid, side))
     if not candidates:
         return None
     if focus is None:
@@ -383,7 +408,7 @@ def reference_select_approach(world, fid, side, focus):
 
 
 def approach_worlds():
-    for doc in bundled_scene_docs() + [WALLED_SCENE]:
+    for doc in bundled_scene_docs() + [WALLED_SCENE] + apartment_docs():
         for seed in (0, 5, 23):
             yield doc["name"], seed, World(vary_config(parse_config(doc), seed))
 
@@ -394,19 +419,22 @@ def test_approach_table_matches_per_call_reference():
     for name, seed, world in approach_worlds():
         free = sorted(world.grid.packed.iter_cells(world.grid.free), key=lambda c: (c[1], c[0]))  # row-major
         width, height = world.config.room
+        footprints = footprint_cells_by_point(world)
         for fid in sorted(world.furniture):
-            near = world.grid.adjacent_free_cells(world.footprint_cells[fid])
-            unreachable_cells += (near & ~world.reachable).bit_count()
+            unreachable_cells += sum(not world.reachable & world.grid.packed.bit(c)
+                                     for c in free_cells_around(world, footprints[fid]))
             for side in (None, "north", "east", "south", "west"):
                 where = (name, seed, fid, side)
-                assert list(world.approach_cells(fid, side)) == reference_approach_cells(world, fid, side), where
+                expected = reference_approach_cells(world, footprints[fid], fid, side)
+                assert list(world.approach_cells(fid, side)) == expected, where
                 for _ in range(4):
                     cx, cy = free[rng.randrange(len(free))]
                     x, y = world.grid.center_of((cx, cy))
                     world.robot = Pose(x, y, 0.0)
                     focus = rng.choice([None, (rng.uniform(0, width), rng.uniform(0, height))])
                     got = world.select_approach(fid, side, focus)
-                    assert got == reference_select_approach(world, fid, side, focus), where + ((cx, cy), focus)
+                    expected = reference_select_approach(world, footprints[fid], fid, side, focus)
+                    assert got == expected, where + ((cx, cy), focus)
     assert unreachable_cells > 0  # the reachable filter is exercised
 
 
