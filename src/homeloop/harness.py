@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from .config import SuiteConfig, TaskSpec, resolve_noise_profile, vary_config
 from .config import load_builtin_suite  # noqa: F401  (perfbench reads it here)
-from .errors import BudgetExceeded, ConfigError, Fault, TransportError
+from .errors import BudgetExceeded, ConfigError, Fault, TraceFormatError, TransportError
 from .goals import goal_satisfied, ground_view
 from .perception import Belief
 from .planning import (
@@ -247,7 +247,7 @@ class _Trial:
             if fb.success and verdict.success:
                 continue
 
-            record = classify_failure(verdict, fb, None)
+            record = classify_failure(verdict, fb)
             self.ctx.records.append(record)
             self.ctx.events.append({"event": "failure", **record.to_json()})
 
@@ -381,38 +381,44 @@ def _write_sidecar_meta(out_dir: str, suite: SuiteConfig) -> None:
 
 def replay_verdicts(report: TrialReport) -> list[tuple[dict, SuccessVerdict]]:
     """Re-derive every recorded verdict from its traced evidence. Returns
-    (recorded_event, rederived_verdict) pairs; determinism means they agree."""
+    (recorded_event, rederived_verdict) pairs; determinism means they agree.
+    A verdict event that lacks a field replay reads, or holds one of the
+    wrong type, raises TraceFormatError."""
     out = []
-    for event in report.events:
+    for line, event in enumerate(report.events, start=2):  # line 1 is the header
         if event.get("event") != "verdict":
             continue
-        # the verdict reads only whether a fault exists and its message
-        fault = Fault(event["fault"]["code"], event["fault"]["message"]) if event.get("fault") else None
-        details = {}
-        if event.get("placed"):
-            details["placed"] = event["placed"]
-        if event.get("dropped"):
-            details["dropped"] = event["dropped"]
-        fb = Feedback(
-            request_index=event["index"],
-            verb=event["verb"],
-            success=event["feedback_success"],
-            fault=fault,
-            message="",
-            details=details,
-        )
-        location = None
-        if event.get("location"):
-            location = (event["location"][0], tuple(event["location"][1]))
-        request = ActionRequest(verb=event["verb"], target=event.get("target"), location=location)
-        verdict = verify_success(
-            observation_from_json(event["before"]),
-            observation_from_json(event["after"]),
-            fb,
-            request,
-        )
-        out.append((event, verdict))
+        try:
+            if not all(isinstance(event[key], bool) for key in ("success", "feedback_flag", "delta_consistent")):
+                raise TypeError("a recorded verdict flag is not a boolean")
+            out.append((event, _replay_verdict(event)))
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise TraceFormatError(f"verdict event on line {line} is malformed: {exc!r}", line - 1) from exc
     return out
+
+
+def _replay_verdict(event: dict) -> SuccessVerdict:
+    """The verdict re-derived from one verdict event's request, feedback and
+    evidence. The verdict reads only whether a fault exists and its message."""
+    fault = Fault(event["fault"]["code"], event["fault"]["message"]) if event.get("fault") else None
+    details = {}
+    if event.get("placed"):
+        details["placed"] = event["placed"]
+    if event.get("dropped"):
+        details["dropped"] = event["dropped"]
+    fb = Feedback(
+        request_index=event["index"],
+        verb=event["verb"],
+        success=event["feedback_success"],
+        fault=fault,
+        message="",
+        details=details,
+    )
+    location = None
+    if event.get("location"):
+        location = (event["location"][0], tuple(event["location"][1]))
+    request = ActionRequest(verb=event["verb"], target=event.get("target"), location=location)
+    return verify_success(observation_from_json(event["before"]), observation_from_json(event["after"]), fb, request)
 
 
 def replay_matches(report: TrialReport) -> bool:

@@ -192,16 +192,13 @@ def render_view(view: PlannerView) -> str:
     return "\n".join(lines)
 
 
-def assemble_prompt(
-    history: DialogueHistory,
-    view: PlannerView,
-    token_budget: int = TOKEN_BUDGET,
-) -> list[dict[str, str]]:
+def assemble_prompt(history: DialogueHistory, view: PlannerView) -> list[dict[str, str]]:
     """Deterministic message sequence for a chat completion request.
 
     The history's messages are its own, read-only ``Message`` objects, so
-    the cost of a call does not grow with the history. Elision replaces the
-    messages it shortens with new ones and never changes the history's."""
+    the cost of a call does not grow with the history. Over ``TOKEN_BUDGET``,
+    elision replaces the messages it shortens with new ones and never
+    changes the history's."""
     instruction = f"Instruction: {history.instruction}"
     messages: list[dict[str, str]] = [
         {"role": "system", "content": SYSTEM_PROMPT},
@@ -219,9 +216,9 @@ def assemble_prompt(
     messages.append({"role": "user", "content": tail})
 
     total = SYSTEM_TOKENS + estimate_tokens(instruction) + history.tokens + estimate_tokens(tail)
-    if total > token_budget:
+    if total > TOKEN_BUDGET:
         for i, entry in enumerate(history.entries, start=2):  # oldest first
-            if total <= token_budget:
+            if total <= TOKEN_BUDGET:
                 break
             if entry.elidable:
                 content = entry.content.split(":", 1)[0] + ": [elided]"

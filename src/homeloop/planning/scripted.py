@@ -173,15 +173,8 @@ def _resolve_destination(atom: Goal, belief: Belief) -> Optional[str]:
     sel = atom.receptacle if isinstance(atom, (On, AllOn)) else None
     if sel is None:
         return None
-    matches = []
-    if belief.global_map is not None:
-        for f in belief.global_map.furniture:
-            if f.is_receptacle and sel.matches(f.id, f.category, f.attributes):
-                matches.append(f.id)
-    for b in belief.receptacle_entities():
-        if sel.matches(b.id, b.category, b.attributes):
-            matches.append(b.id)
-    return sorted(matches)[0] if matches else None
+    # every receptacle on the global map is also a belief entity, in id order
+    return next((b.id for b in belief.receptacle_entities() if sel.matches(b.id, b.category, b.attributes)), None)
 
 
 def _next_mover(atom: Goal, belief: Belief, dest: str) -> Optional[str]:

@@ -30,7 +30,6 @@ from .perception import Observation, capture
 from .skills import SkillContext, dispatch, evidence_ids, verdict_event
 from .verification import (
     FailureRecord,
-    RetryState,
     SuccessVerdict,
     belief_goal_satisfied,
     classify_failure,
@@ -55,11 +54,15 @@ class RecoveryEpisode:
     object_id: Optional[str]
     target: Optional[str]
     location: Optional[tuple[str, tuple[float, float]]] = None
-    attempts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(LADDER, 0))
     status: str = "active"  # active | recovered | exhausted
-    evidence: RetryState = field(default_factory=RetryState)
-    current_level: str = "object"
-    levels: list[str] = field(default_factory=list)  # every level selected, in order
+    # evidence from failed re-issues: the target moved, could not be found
+    # again, or was out of reach
+    shifted: bool = False
+    target_lost: bool = False
+    out_of_reach: bool = False
+    # every level selected, in order: the last is the floor, and a level's
+    # count is its attempts
+    levels: list[str] = field(default_factory=list)
     tried_sides: set[str] = field(default_factory=set)
     last_before: Optional[Observation] = None
     strict_escalation: bool = False
@@ -79,21 +82,18 @@ def select_recovery(episode: RecoveryEpisode) -> str:
     """
     if episode.status != "active":
         return "none"
-    floors = [episode.current_level]
+    floors = episode.levels[-1:]
     if not episode.strict_escalation:
-        ev = episode.evidence
         floors.append(episode.failure.recovery_level)  # "none" sets no floor
-        if ev.shifted:
+        if episode.shifted:
             floors.append("local")
-        if ev.out_of_reach or ev.target_lost:
+        if episode.out_of_reach or episode.target_lost:
             floors.append("global")
-    rank = max(LADDER.index(f) for f in floors if f in LADDER)
-    level = next((lv for lv in LADDER[rank:] if episode.attempts[lv] < BUDGETS[lv]), None)
+    rank = max((LADDER.index(f) for f in floors if f in LADDER), default=0)
+    level = next((lv for lv in LADDER[rank:] if episode.levels.count(lv) < BUDGETS[lv]), None)
     if level is None:
         episode.status = "exhausted"
         return "none"
-    episode.current_level = level
-    episode.attempts[level] += 1
     episode.levels.append(level)
     return level
 
@@ -122,7 +122,7 @@ def recover(ctx: SkillContext, goal: Goal, failure: FailureRecord, request: Acti
     if request.verb == "grasp":
         object_id = request.target
     elif request.verb == "place":
-        object_id = fb.details.get("placed") or fb.details.get("dropped") or held_before
+        object_id = fb.moved or held_before
     episode = RecoveryEpisode(
         failure=failure,
         verb=request.verb,
@@ -161,11 +161,11 @@ class EpisodeRunner:
                     "event": "recovery",
                     "directive": DIRECTIVES[level],
                     "level": level,
-                    "attempt": episode.attempts.get(level, 0),
+                    "attempt": episode.levels.count(level),
                     "evidence": {
-                        "shifted": episode.evidence.shifted,
-                        "target_lost": episode.evidence.target_lost,
-                        "out_of_reach": episode.evidence.out_of_reach,
+                        "shifted": episode.shifted,
+                        "target_lost": episode.target_lost,
+                        "out_of_reach": episode.out_of_reach,
                     },
                 }
             )
@@ -187,26 +187,18 @@ class EpisodeRunner:
             episode.latest.mark_direct()
         episode.status = status
         self.ctx.events.append({"event": "recovery", "directive": "end", "status": status})
+        attempts = {lv: episode.levels.count(lv) for lv in LADDER}
         self.ctx.events.append(
-            {"event": "episode_end", "status": status, "attempts": dict(episode.attempts), "levels": episode.levels}
+            {"event": "episode_end", "status": status, "attempts": attempts, "levels": episode.levels}
         )
         return episode
-
-    def _update_evidence(self, episode: RecoveryEpisode, fb: Feedback) -> None:
-        if fb.details.get("shifted"):
-            episode.evidence.shifted = True
-        fault = fb.fault
-        if fault is not None:
-            if fault.code == "out_of_reach":
-                episode.evidence.out_of_reach = True
-            if fault.code == "target_not_visible":
-                episode.evidence.target_lost = True
 
     # -- one verified execution ------------------------------------------------------
 
     def _execute(self, episode: RecoveryEpisode, request: ActionRequest) -> bool:
         """Re-issue one verified request; a failure answers the episode's
-        latest failure and becomes the new latest. Returns the success."""
+        latest failure, becomes the new latest and adds its evidence to the
+        episode. Returns the success."""
         # the shift check reads only the episode object and is not traced; a
         # retargeted object has not moved since, unless it rode on the old one
         seen = capture(self.ctx.world, "stay", () if episode.object_id is None else (episode.object_id,))
@@ -225,9 +217,12 @@ class EpisodeRunner:
         )
         if not success:
             episode.latest.mark_replanned(False)
-            episode.latest = classify_failure(verdict, fb, episode.evidence)
-            self._update_evidence(episode, fb)
+            episode.latest = classify_failure(verdict, fb, episode.shifted)
             self.ctx.records.append(episode.latest)
+            code = fb.fault.code if fb.fault is not None else None
+            episode.shifted |= bool(fb.details.get("shifted"))
+            episode.target_lost |= code == "target_not_visible"
+            episode.out_of_reach |= code == "out_of_reach"
         return success
 
     def _check_shift(self, episode: RecoveryEpisode, fresh: Observation) -> None:
@@ -241,7 +236,7 @@ class EpisodeRunner:
             dx = old.location[0] - new.location[0]
             dy = old.location[1] - new.location[1]
             if dx * dx + dy * dy > SHIFT_EPSILON**2:
-                episode.evidence.shifted = True
+                episode.shifted = True
 
     def _reissue(self, episode: RecoveryEpisode, level: str) -> bool:
         """Re-run the failed verb; a place whose object fell to the floor is
@@ -250,10 +245,14 @@ class EpisodeRunner:
             g = ActionRequest(verb="grasp", target=episode.object_id, params={"recovery_level": level})
             if not self._execute(episode, g):
                 return False
-        request = ActionRequest(
+        return self._execute(episode, self._request(episode, level))
+
+    @staticmethod
+    def _request(episode: RecoveryEpisode, level: str) -> ActionRequest:
+        """The episode's failed request, re-issued at ``level``."""
+        return ActionRequest(
             verb=episode.verb, target=episode.target, location=episode.location, params={"recovery_level": level}
         )
-        return self._execute(episode, request)
 
     def _reissue_after_scan(self, episode: RecoveryEpisode, lmap, level: str) -> Optional[bool]:
         """Re-issue at ``level`` after a fresh scan. A grasp, or a place whose
@@ -261,7 +260,7 @@ class EpisodeRunner:
         matches, the target is lost and nothing is issued."""
         if episode.verb == "grasp" or (episode.verb == "place" and self.ctx.belief.holding is None):
             if self._resolve_object(episode, lmap) is None:
-                episode.evidence.target_lost = True
+                episode.target_lost = True
                 return None
         return self._reissue(episode, level)
 
@@ -287,7 +286,7 @@ class EpisodeRunner:
             return True
         if episode.verb == "place":
             snap = fresh.find(oid)
-            rid = episode.location[0] if episode.location else episode.target
+            rid = self._request(episode, "object").receptacle
             if snap is not None and snap.parent_id == rid:
                 self.ctx.belief.note_placed(oid, rid, snap.location)
                 return True
@@ -302,7 +301,7 @@ class EpisodeRunner:
         # a flipped success flag can leave the belief at a receptacle the
         # robot is not next to, where a scan would be refused
         if root is None or root not in belief.local_maps or not self.ctx.world.robot_adjacent_to(root):
-            episode.evidence.target_lost = True
+            episode.target_lost = True
             return None
         # looked up through the module, where perfbench/tracing.SPANS counts it
         lmap = perception.explore_local(self.ctx.world, belief, root)
@@ -373,7 +372,7 @@ class EpisodeRunner:
         dispatch(self.ctx, scan)  # perception, not counted
         lmap = belief.local_maps.get(suggestion.receptacle)
         if lmap is None:
-            episode.evidence.target_lost = True
+            episode.target_lost = True
             return None
         return self._reissue_after_scan(episode, lmap, "global")
 
@@ -408,6 +407,6 @@ class EpisodeRunner:
             return None
         ranked.sort()
         reachable_exists = any(r[0] == 0 for r in ranked)
-        if episode.evidence.out_of_reach and not reachable_exists and target_pos is not None:
+        if episode.out_of_reach and not reachable_exists and target_pos is not None:
             return None
         return ranked[0][2]

@@ -90,14 +90,14 @@ def _log(ctx: SkillContext, request: ActionRequest, fb: Feedback) -> None:
 def evidence_ids(request: ActionRequest, fb: Optional[Feedback] = None) -> tuple[str, ...]:
     """The objects ``verify_success`` reads from the before image (no
     ``fb``) or the after image of ``request``: a grasp's target before and
-    after, a place's placed or dropped object after, nothing otherwise."""
+    after, a place's moved object after, nothing otherwise."""
     if request.verb == "grasp":
-        ids = (request.target,)
+        oid = request.target
     elif request.verb == "place" and fb is not None:
-        ids = (fb.details.get("placed"), fb.details.get("dropped"))
+        oid = fb.moved
     else:
-        return ()
-    return tuple(i for i in ids if i)
+        oid = None
+    return (oid,) if oid else ()
 
 
 def verdict_event(
@@ -184,8 +184,7 @@ def place(ctx: SkillContext, request: ActionRequest) -> Feedback:
     held = ctx.world.gripper
     fb = ctx.world.apply_action(request)
     if fb.success and held is not None:
-        rid = fb.details.get("on", request.target)
-        ctx.belief.note_placed(held, rid, ctx.world.position_of(held))
+        ctx.belief.note_placed(held, request.receptacle, ctx.world.position_of(held))
     elif fb.details.get("dropped"):
         # failed place drops the held object on the floor near the robot
         dropped = fb.details["dropped"]

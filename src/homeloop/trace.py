@@ -147,7 +147,7 @@ def load_trace(source) -> TrialReport:
             failure_records=[FailureRecord.from_json(doc) for doc in footer["failure_records"]],
             events=parsed[1:-1],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed header or trial_end footer: {exc!r}", len(parsed) - 1) from exc
     expected = {
         "replanned_executions": report.replanned_executions,

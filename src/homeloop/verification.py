@@ -137,89 +137,60 @@ class FailureRecord:
         )
 
 
-@dataclass
-class RetryState:
-    """Evidence accumulated across recovery attempts for one episode."""
-
-    shifted: bool = False
-    target_lost: bool = False
-    out_of_reach: bool = False
-
-
 # --- success verification ----------------------------------------------------------
 
 
 def verify_success(
     before: Observation, after: Observation, fb: Feedback, intent: ActionRequest
 ) -> SuccessVerdict:
-    """Per-verb delta rules:
+    """Per-verb delta rules: whether the after view confirms a claimed
+    success, and whether it contradicts a claimed failure.
 
-    grasp(t):  the delta confirms success when t has vanished from the after
-               view (it is in the gripper, which the camera cannot see).
-    place(t):  the delta confirms success when the placed object appears in
-               the after view resting on the intended receptacle.
+    grasp(t):  t has vanished from the after view (it is in the gripper,
+               which the camera cannot see) confirms; vanished after being
+               seen in the before view contradicts.
+    place(t):  the moved object seen on the intended receptacle in the after
+               view confirms and contradicts.
     other:     no object-delta rule; the feedback flag is trusted.
 
     A flag/delta mismatch yields success=False with a visual_feedback_error
     suspicion; a typed fault always means failure.
     """
     if fb.fault is not None:
-        return SuccessVerdict(
-            success=False,
-            feedback_flag=fb.success,
-            delta_consistent=True,
-            explanation=f"typed fault: {fb.fault.message}",
-        )
+        return SuccessVerdict(False, fb.success, True, f"typed fault: {fb.fault.message}")
 
     verb = intent.verb
     if verb == "grasp":
         target = intent.target or ""
-        gone_after = after.find(target) is None
-        seen_before = before.find(target) is not None
-        delta_says_success = gone_after and seen_before
-        if fb.success and gone_after:
-            return SuccessVerdict(True, True, True, f"{target} no longer on the surface; grasp confirmed")
-        if fb.success and not gone_after:
-            return SuccessVerdict(
-                False, True, False,
-                f"feedback claims success but {target} is still visible",
-                suspected_cause="visual_feedback_error",
-            )
-        if not fb.success and delta_says_success:
-            return SuccessVerdict(
-                False, False, False,
-                f"feedback claims failure but {target} vanished from view",
-                suspected_cause="visual_feedback_error",
-            )
-        return SuccessVerdict(False, False, True, f"grasp of {target} failed; target still in place")
-
-    if verb == "place":
-        placed = fb.details.get("placed") or fb.details.get("dropped") or ""
-        rid = intent.location[0] if intent.location is not None else intent.target
+        confirmed = after.find(target) is None
+        contradicted = confirmed and before.find(target) is not None
+        # (feedback flag, delta consistent) -> explanation
+        texts = {
+            (True, True): f"{target} no longer on the surface; grasp confirmed",
+            (True, False): f"feedback claims success but {target} is still visible",
+            (False, False): f"feedback claims failure but {target} vanished from view",
+            (False, True): f"grasp of {target} failed; target still in place",
+        }
+    elif verb == "place":
+        placed, rid = fb.moved or "", intent.receptacle
         snap = after.find(placed) if placed else None
-        on_target = snap is not None and snap.parent_id == rid
-        if fb.success and on_target:
-            return SuccessVerdict(True, True, True, f"{placed} observed on {rid}; place confirmed")
-        if fb.success and not on_target:
-            visible = snap is not None
-            return SuccessVerdict(
-                False, True, False,
-                f"feedback claims success but {placed} is "
-                + (f"not on {rid}" if visible else "not visible on the target"),
-                suspected_cause="visual_feedback_error",
-            )
-        if not fb.success and on_target:
-            return SuccessVerdict(
-                False, False, False,
-                f"feedback claims failure but {placed} is on {rid}",
-                suspected_cause="visual_feedback_error",
-            )
-        return SuccessVerdict(False, False, True, f"place onto {rid} failed")
-
-    # navigation and perception verbs: trust the flag
-    if fb.success:
-        return SuccessVerdict(True, True, True, f"{verb} reported success")
-    return SuccessVerdict(False, False, True, f"{verb} reported failure: {fb.message}")
+        confirmed = contradicted = snap is not None and snap.parent_id == rid
+        missing = f"not on {rid}" if snap is not None else "not visible on the target"
+        texts = {
+            (True, True): f"{placed} observed on {rid}; place confirmed",
+            (True, False): f"feedback claims success but {placed} is {missing}",
+            (False, False): f"feedback claims failure but {placed} is on {rid}",
+            (False, True): f"place onto {rid} failed",
+        }
+    else:
+        # navigation and perception verbs: trust the flag
+        confirmed, contradicted = True, False
+        texts = {(True, True): f"{verb} reported success", (False, True): f"{verb} reported failure: {fb.message}"}
+    consistent = confirmed if fb.success else not contradicted
+    return SuccessVerdict(
+        fb.success and consistent, fb.success, consistent, texts[fb.success, consistent],
+        None if consistent else "visual_feedback_error",
+    )
 
 
 # --- feasibility verification -----------------------------------------------------
@@ -389,9 +360,7 @@ def verify_feasibility(goal: Goal, belief: Belief) -> FeasibilityVerdict:
 # --- failure classification -----------------------------------------------------------
 
 
-def classify_failure(
-    verdict: Optional[SuccessVerdict], fb: Feedback, retry_state: Optional[RetryState] = None
-) -> FailureRecord:
+def classify_failure(verdict: Optional[SuccessVerdict], fb: Feedback, shifted: bool = False) -> FailureRecord:
     """Map evidence onto exactly one cause and an initial recovery level.
 
     A fault is classified by its code alone: a target no longer where it was
@@ -399,9 +368,9 @@ def classify_failure(
     manipulation failure (global level), and every other fault a plan-level
     mistake handed back to the planner (level none). Without a fault,
     manipulation failures start at object level and navigation failures at
-    global level.
+    global level; a grasp whose target shifted, in this attempt or an
+    earlier one of the episode (``shifted``), starts at local level.
     """
-    rs = retry_state or RetryState()
     fault = fb.fault
     if fault is not None:
         if fault.code not in PHYSICAL_FAULT_CODES:
@@ -417,7 +386,7 @@ def classify_failure(
     if fb.verb == "navigate":
         return FailureRecord("navigation_failed", fb.request_index, "global", detail=fb.message)
     if fb.verb == "grasp":
-        level = "local" if (rs.shifted or fb.details.get("shifted")) else "object"
+        level = "local" if (shifted or fb.details.get("shifted")) else "object"
         return FailureRecord("grasp_failed", fb.request_index, level, detail=fb.message)
     if fb.verb == "place":
         return FailureRecord("place_failed", fb.request_index, "object", detail=fb.message)

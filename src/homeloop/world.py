@@ -89,6 +89,11 @@ class ActionRequest:
     params: dict[str, Any] = field(default_factory=dict)
     request_index: int = -1
 
+    @property
+    def receptacle(self) -> Optional[str]:
+        """A place's receptacle: its location's, or else its target."""
+        return self.location[0] if self.location is not None else self.target
+
 
 @dataclass
 class Feedback:
@@ -107,6 +112,11 @@ class Feedback:
     @property
     def counted(self) -> bool:
         return self.verb in EXECUTION_VERBS
+
+    @property
+    def moved(self) -> Optional[str]:
+        """The object a place set down or dropped."""
+        return self.details.get("placed") or self.details.get("dropped")
 
     def render(self) -> str:
         """One line for the planner dialogue."""
@@ -514,10 +524,8 @@ class World:
                 PreconditionFault("place_without_grasp", "place without prior grasping"),
                 "place failed: place without prior grasping",
             )
-        if request.location is not None:
-            rid, offset = request.location
-        else:
-            rid, offset = request.target, None  # type: ignore[assignment]
+        rid = request.receptacle
+        offset = request.location[1] if request.location is not None else None
         if rid not in self.half_extents:
             raise Refused(
                 PreconditionFault("unknown_reference", f"place target {rid!r} is not a receptacle"),

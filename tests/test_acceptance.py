@@ -177,22 +177,22 @@ def test_criterion_5_escalation_protocol(events, start_level):
         if DIRECTIVES[level] == "exhausted":
             break
         levels.append(level)
-        if episode.evidence.shifted:
+        if episode.shifted:
             assert LADDER.index(level) >= LADDER.index("local")
-        if episode.evidence.out_of_reach or episode.evidence.target_lost:
+        if episode.out_of_reach or episode.target_lost:
             assert level == "global"
         event = events[step % len(events)] if events else "none"
         if event == "shift":
-            episode.evidence.shifted = True
+            episode.shifted = True
         elif event == "lost":
-            episode.evidence.target_lost = True
+            episode.target_lost = True
         elif event == "reach":
-            episode.evidence.out_of_reach = True
+            episode.out_of_reach = True
     else:
         raise AssertionError("episode failed to terminate within budget")
     assert levels == sorted(levels, key=LADDER.index)
     for level, budget in BUDGETS.items():
-        assert episode.attempts[level] <= budget
+        assert episode.levels.count(level) <= budget
 
 
 def test_criterion_5_note():

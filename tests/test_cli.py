@@ -104,6 +104,43 @@ def test_replay_of_a_malformed_trace_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: [trace]")
 
 
+def edit_first(path, event, edit):
+    """Apply ``edit`` to the first JSON line of ``path`` whose event is
+    ``event``."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line).get("event") == event)
+    doc = json.loads(lines[i])
+    edit(doc)
+    lines[i] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_an_unknown_failure_cause_in_the_footer_exits_2(tiny_suite, tmp_path, capsys, command):
+    _, suite_path = tiny_suite
+    out_dir = tmp_path / "out"
+    main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
+    trace = out_dir / "T1" / "0.jsonl"
+    record = {"cause": "bogus", "request_index": 0, "recovery_level": "object", "direct_failure": True,
+              "replanned": False, "recovered": False, "detail": ""}
+    edit_first(trace, "trial_end", lambda doc: doc["failure_records"].append(record))
+    capsys.readouterr()
+    args = ["replay", "--trace", str(trace)] if command == "replay" else ["report", "--traces", str(out_dir)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: [trace]")
+
+
+def test_replay_of_a_verdict_without_its_flag_exits_2(tiny_suite, tmp_path, capsys):
+    _, suite_path = tiny_suite
+    out_dir = tmp_path / "out"
+    main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
+    trace = out_dir / "T1" / "0.jsonl"
+    edit_first(trace, "verdict", lambda doc: doc.pop("feedback_success"))
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: [trace]")
+
+
 def test_report_from_trace_directory(tiny_suite, tmp_path, capsys):
     _, suite_path = tiny_suite
     out_dir = tmp_path / "out"

@@ -25,6 +25,7 @@ from homeloop.planning import (
     scripted_next_step,
     to_request,
 )
+from homeloop.planning.prompts import TOKEN_BUDGET
 
 from conftest import mini_task, zero_noise
 
@@ -166,10 +167,9 @@ def test_elision_keeps_budget_and_sections():
         history.append_feedback(f"[{i}] navigate -> ok: arrived " + "x" * 300)
         history.append_observation("stay: " + "y" * 200)
     view = PlannerView(belief=Belief())
-    budget = 8000
-    messages = assemble_prompt(history, view, token_budget=budget)
+    messages = assemble_prompt(history, view)
     total = sum(estimate_tokens(m["content"]) for m in messages)
-    assert total <= budget
+    assert total <= TOKEN_BUDGET
     assert "# Useful Tips" in messages[0]["content"]  # sections intact
     elided = [m for m in messages if m["content"].endswith("[elided]")]
     assert elided, "old feedback bodies should elide first"

@@ -17,7 +17,7 @@ from homeloop.recovery import (
     select_recovery,
 )
 from homeloop.skills import ActionRequest, SkillContext, dispatch
-from homeloop.verification import FailureRecord, RetryState, classify_failure
+from homeloop.verification import FailureRecord, classify_failure
 
 from conftest import MINI_SCENE, make_world, zero_noise
 
@@ -60,34 +60,34 @@ def test_budget_exhaustion_escalates():
 def test_shift_evidence_skips_to_local():
     episode = fresh_episode()
     assert select_recovery(episode) == "object"
-    episode.evidence.shifted = True
+    episode.shifted = True
     assert select_recovery(episode) == "local"
 
 
 def test_out_of_reach_evidence_skips_to_global():
     episode = fresh_episode()
-    episode.evidence.out_of_reach = True
+    episode.out_of_reach = True
     assert select_recovery(episode) == "global"
 
 
 def test_target_lost_evidence_forces_global():
     episode = fresh_episode(level="local", cause="false_positive")
     assert select_recovery(episode) == "local"
-    episode.evidence.target_lost = True
+    episode.target_lost = True
     assert select_recovery(episode) == "global"
 
 
 def test_strict_escalation_ignores_evidence_skips():
     episode = fresh_episode(strict=True)
-    episode.evidence.out_of_reach = True
+    episode.out_of_reach = True
     assert select_recovery(episode) == "object"
 
 
 def test_levels_ratchet_never_decrease():
     episode = fresh_episode()
-    episode.evidence.shifted = True
+    episode.shifted = True
     assert select_recovery(episode) == "local"
-    episode.evidence.shifted = False  # evidence retraction must not demote
+    episode.shifted = False  # evidence retraction must not demote
     assert select_recovery(episode) == "local"
 
 
@@ -108,22 +108,22 @@ def test_escalation_property_under_adversarial_schedules(events, start_level):
         if DIRECTIVES[level] == "exhausted":
             break
         levels.append(level)
-        if episode.evidence.shifted:
+        if episode.shifted:
             assert LADDER.index(level) >= LADDER.index("local")
-        if episode.evidence.out_of_reach or episode.evidence.target_lost:
+        if episode.out_of_reach or episode.target_lost:
             assert level == "global"
         event = events[step % len(events)] if events else "none"
         if event == "shift":
-            episode.evidence.shifted = True
+            episode.shifted = True
         elif event == "lost":
-            episode.evidence.target_lost = True
+            episode.target_lost = True
         elif event == "reach":
-            episode.evidence.out_of_reach = True
+            episode.out_of_reach = True
     else:
         raise AssertionError("episode did not terminate within budget")
     assert levels == sorted(levels, key=LADDER.index)
     for level, budget in BUDGETS.items():
-        assert episode.attempts[level] <= budget
+        assert episode.levels.count(level) <= budget
 
 
 # --- live episodes against the world ------------------------------------------------
@@ -145,7 +145,7 @@ def trigger_grasp_failure(ctx) -> RecoveryEpisode:
     ctx.world.config.noise.p_grasp_fail = 1.0
     fb = dispatch(ctx, ActionRequest(verb="grasp", target="toy_0"))
     assert not fb.success
-    record = classify_failure(None, fb, RetryState())
+    record = classify_failure(None, fb)
     return RecoveryEpisode(
         failure=record, verb="grasp", object_id="toy_0", target="toy_0", last_before=before
     )
@@ -228,10 +228,10 @@ def test_out_of_reach_recovers_by_renavigating_to_reachable_side():
     dispatch(ctx, ActionRequest(verb="explore_local", target="table_0"))
     fb = dispatch(ctx, ActionRequest(verb="grasp", target="toy_0"))
     assert fb.fault is not None and fb.fault.code == "out_of_reach"
-    record = classify_failure(None, fb, RetryState())
+    record = classify_failure(None, fb)
     assert record.recovery_level == "global"
     episode = RecoveryEpisode(failure=record, verb="grasp", object_id="toy_0", target="toy_0")
-    episode.evidence.out_of_reach = True
+    episode.out_of_reach = True
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
     assert ctx.world.gripper == "toy_0"
@@ -267,12 +267,12 @@ def test_phantom_vanishes_on_remap_then_escalates():
     phantom_id = next(o.id for m in ctx.belief.local_maps.values() for o in m.items)
     ctx.world.config.noise.p_false_positive = 0.0  # the re-scan comes up clean
     fb = dispatch(ctx, ActionRequest(verb="grasp", target=phantom_id))
-    record = classify_failure(None, fb, RetryState())
+    record = classify_failure(None, fb)
     assert record.cause == "false_positive"
     episode = RecoveryEpisode(failure=record, verb="grasp", object_id=phantom_id, target=phantom_id)
     goal = On(Selector(category="cup"), Selector(id="table_1"))
     EpisodeRunner(ctx, goal).run(episode)
-    assert episode.evidence.target_lost
+    assert episode.target_lost
     assert all(m.find(phantom_id) is None for m in ctx.belief.local_maps.values())
 
 
@@ -286,7 +286,7 @@ def test_place_failure_regrasps_from_floor_and_replaces():
     assert not fb.success and fb.details.get("dropped") == "toy_0"
     assert ctx.world.objects["toy_0"].placement.kind == "floor"
     ctx.world.config.noise.p_place_fail = 0.0
-    record = classify_failure(None, fb, RetryState())
+    record = classify_failure(None, fb)
     episode = RecoveryEpisode(
         failure=record, verb="place", object_id="toy_0", target="bed_0", last_before=before
     )
@@ -303,7 +303,7 @@ def test_termination_bound_on_total_reissues():
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "exhausted"
     assert len(episode.levels) <= sum(BUDGETS.values())
-    assert sum(episode.attempts.values()) <= sum(BUDGETS.values())
+    assert len(episode.levels) <= sum(BUDGETS.values())
 
 
 def phantom_grasp_with_every_side_tried(rng_seed: int) -> tuple[SkillContext, RecoveryEpisode]:
@@ -318,7 +318,7 @@ def phantom_grasp_with_every_side_tried(rng_seed: int) -> tuple[SkillContext, Re
     ctx.world.config.noise.p_false_positive = 0.0
     fb = dispatch(ctx, ActionRequest(verb="grasp", target=phantom_id))
     episode = RecoveryEpisode(
-        failure=classify_failure(None, fb, RetryState()), verb="grasp", object_id=phantom_id, target=phantom_id
+        failure=classify_failure(None, fb), verb="grasp", object_id=phantom_id, target=phantom_id
     )
     episode.tried_sides = set(SIDES)
     return ctx, episode
@@ -343,7 +343,7 @@ def test_global_fallback_loses_a_target_of_another_category():
     assert ctx.world.phantoms[episode.object_id].believed_category != "cup"
     EpisodeRunner(ctx, On(Selector(category="cup"), Selector(id="bed_0"))).run(episode)
     assert episode.status == "exhausted"
-    assert episode.evidence.target_lost
+    assert episode.target_lost
     assert ctx.world.gripper is None
     assert "table_1" in ctx.belief.local_maps
     assert episode.failure.direct_failure

@@ -87,11 +87,12 @@ def scanned_view() -> PlannerView:
 
 
 @pytest.mark.parametrize("budget", [400, 2000, 8000])
-def test_elision_matches_the_reference_assembly(budget):
+def test_elision_matches_the_reference_assembly(budget, monkeypatch):
     history = random_history(600)
     view = scanned_view()
     expected = reference_assemble_prompt(history, view, budget)
-    assert assemble_prompt(history, view, budget) == expected
+    monkeypatch.setattr(prompts, "TOKEN_BUDGET", budget)
+    assert assemble_prompt(history, view) == expected
     assert any(m["content"].endswith(": [elided]") for m in expected)
 
 
@@ -107,16 +108,18 @@ def history_snapshot(history):
     return [(e.kind, e.text, e.elidable, e.tokens, dict(e.message)) for e in history.entries]
 
 
-def test_elision_leaves_the_history_as_it_was():
+def test_elision_leaves_the_history_as_it_was(monkeypatch):
     history = random_history(600)
     view = scanned_view()
     before = history_snapshot(history)
-    assert any(m["content"].endswith(": [elided]") for m in assemble_prompt(history, view, 400))
+    monkeypatch.setattr(prompts, "TOKEN_BUDGET", 400)
+    assert any(m["content"].endswith(": [elided]") for m in assemble_prompt(history, view))
     assert history_snapshot(history) == before
     assert history.messages == [e.message for e in history.entries]
     # a large budget elides nothing: no elided text leaked into the history
     budget = 10 * history.tokens
-    assert assemble_prompt(history, view, budget) == reference_assemble_prompt(history, view, budget)
+    monkeypatch.setattr(prompts, "TOKEN_BUDGET", budget)
+    assert assemble_prompt(history, view) == reference_assemble_prompt(history, view, budget)
 
 
 def test_changing_a_returned_prompt_leaves_the_next_one_as_it_was():
@@ -157,10 +160,11 @@ def test_prompt_assembly_estimates_the_same_number_of_texts_for_any_history(monk
         return estimate_tokens(text)
 
     monkeypatch.setattr(prompts, "estimate_tokens", counting)
+    monkeypatch.setattr(prompts, "TOKEN_BUDGET", budget)
     per_call = {}
     for n, history in histories.items():
         calls.clear()
-        messages = assemble_prompt(history, view, budget)
+        messages = assemble_prompt(history, view)
         assert not any(m["content"].endswith(": [elided]") for m in messages)
         per_call[n] = calls["n"]
     assert per_call[10] == per_call[600] == 2, per_call

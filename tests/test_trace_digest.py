@@ -16,8 +16,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from homeloop.config import load_builtin_suite
-from homeloop.harness import make_planner_factory, run_suite
+from homeloop.harness import TrialOptions, make_planner_factory, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,12 +33,24 @@ GOLDEN_SHA256 = "2d3f75773e1e1bc1e13d560c4a9e0fdf2dd23dc1a6229a7562dda59d80e58ec
 APARTMENTS_SEED = 21
 APARTMENTS_SHA256 = "b9a6ccc634c741dba23aef0b1ecd66f2b9352bfedfedb28170a472425952df9c"
 
+# The bundled suites at the same seed under each recovery ablation that
+# ``tools/trace_digest.py`` runs. Only ``flags`` reaches visual-feedback-error
+# verdicts and recovery's re-observation.
+ABLATIONS = {
+    "strict": (TrialOptions(strict_escalation=True),
+               "a427425f732326c73f7aa9dad0d2c5b1469d251ed13e86f69c0c28797b648afd"),
+    "no-recovery": (TrialOptions(recovery_enabled=False),
+                    "a97cbd00bdd6fcb55825aded77f5ed379f553e44d096c97c2756bdfd3c4fd905"),
+    "flags": (TrialOptions(noise={"p_flag_error": 0.3, "p_closeup_error": 0.3}),
+              "f3221d5bf8f0f8986ff295aa76fb7879efcfb9a0d022585de8c50297193183c1"),
+}
+
 
 # One bundled suite, written to the directory named by the first argument.
 _RUN_ACCEPTANCE = """
 import sys
 from homeloop.config import load_builtin_suite
-from homeloop.harness import make_planner_factory, run_suite
+from homeloop.harness import TrialOptions, make_planner_factory, run_suite
 run_suite(load_builtin_suite("acceptance"), make_planner_factory("scripted"), out_dir=sys.argv[1], base_seed=3)
 """
 
@@ -54,6 +68,15 @@ def test_bundled_trace_digest_is_unchanged(tmp_path):
         run_suite(load_builtin_suite(name), make_planner_factory("scripted"),
                   out_dir=str(tmp_path / name), base_seed=BASE_SEED)
     assert traces_digest(tmp_path) == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+def test_ablation_trace_digest_is_unchanged(tmp_path, ablation):
+    options, golden = ABLATIONS[ablation]
+    for name in ("acceptance", "benchmark"):
+        run_suite(load_builtin_suite(name), make_planner_factory("scripted"),
+                  out_dir=str(tmp_path / name), options=options, base_seed=BASE_SEED)
+    assert traces_digest(tmp_path) == golden
 
 
 def test_apartments_trace_digest_is_unchanged(tmp_path):

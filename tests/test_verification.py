@@ -10,7 +10,6 @@ from homeloop.errors import ApiCallError, PreconditionFault, TargetNotVisible
 from homeloop.perception import Belief, Observation, SceneObject
 from homeloop.skills import ActionRequest, Feedback, SkillContext, dispatch
 from homeloop.verification import (
-    RetryState,
     classify_failure,
     verify_feasibility,
     verify_success,
@@ -91,6 +90,91 @@ def test_noop_perception_verdict_vacuously_true():
     same = obs(snap("cup_1", "cup", "table_0"))
     verdict = verify_success(same, same, fb, request)
     assert verdict.success
+
+
+# The verdict table. Each row is one request, its feedback flag and details,
+# and a before/after pair whose after image confirms a claimed success,
+# contradicts a claimed failure, both or neither; then all five verdict fields.
+CUP = snap("cup_1", "cup", "table_0")
+VFE = "visual_feedback_error"
+PLACE_AT = ActionRequest(verb="place", location=("plate_0", (0.1, 0.0)), request_index=3)
+PLACE_ON = ActionRequest(verb="place", target="plate_0", request_index=3)
+NAVIGATE = ActionRequest(verb="navigate", target="table_0", request_index=3)
+SCAN = ActionRequest(verb="explore_local", target="table_0", request_index=3)
+ON_PLATE = obs(snap("cup_1", "cup", "plate_0"))
+ON_TABLE = obs(CUP)
+ON_FLOOR = obs(snap("cup_1", "cup", None))
+PLACED = {"placed": "cup_1"}
+
+VERDICT_TABLE = [
+    # grasp: gone confirms a success; gone after being seen contradicts a failure
+    ("grasp-ok-gone", GRASP, True, {}, obs(CUP), obs(),
+     (True, True, True, "cup_1 no longer on the surface; grasp confirmed", None)),
+    ("grasp-ok-gone-unseen", GRASP, True, {}, obs(), obs(),
+     (True, True, True, "cup_1 no longer on the surface; grasp confirmed", None)),
+    ("grasp-ok-still", GRASP, True, {}, obs(CUP), obs(CUP),
+     (False, True, False, "feedback claims success but cup_1 is still visible", VFE)),
+    ("grasp-fail-gone", GRASP, False, {}, obs(CUP), obs(),
+     (False, False, False, "feedback claims failure but cup_1 vanished from view", VFE)),
+    ("grasp-fail-gone-unseen", GRASP, False, {}, obs(), obs(),
+     (False, False, True, "grasp of cup_1 failed; target still in place", None)),
+    ("grasp-fail-still", GRASP, False, {"shifted": True}, obs(CUP), obs(CUP),
+     (False, False, True, "grasp of cup_1 failed; target still in place", None)),
+]
+for form, place in (("at", PLACE_AT), ("on", PLACE_ON)):
+    VERDICT_TABLE += [
+        # place: the moved object seen on the receptacle confirms and contradicts
+        (f"place-{form}-ok-on", place, True, PLACED, obs(), ON_PLATE,
+         (True, True, True, "cup_1 observed on plate_0; place confirmed", None)),
+        (f"place-{form}-ok-elsewhere", place, True, PLACED, obs(), ON_TABLE,
+         (False, True, False, "feedback claims success but cup_1 is not on plate_0", VFE)),
+        (f"place-{form}-ok-unseen", place, True, PLACED, obs(), obs(),
+         (False, True, False, "feedback claims success but cup_1 is not visible on the target", VFE)),
+        (f"place-{form}-ok-nothing-moved", place, True, {}, obs(), ON_PLATE,
+         (False, True, False, "feedback claims success but  is not visible on the target", VFE)),
+        (f"place-{form}-fail-on", place, False, PLACED, obs(), ON_PLATE,
+         (False, False, False, "feedback claims failure but cup_1 is on plate_0", VFE)),
+        (f"place-{form}-fail-dropped", place, False, {"dropped": "cup_1"}, obs(), ON_FLOOR,
+         (False, False, True, "place onto plate_0 failed", None)),
+        (f"place-{form}-fail-elsewhere", place, False, PLACED, obs(), ON_TABLE,
+         (False, False, True, "place onto plate_0 failed", None)),
+        (f"place-{form}-fail-nothing-moved", place, False, {}, obs(), ON_PLATE,
+         (False, False, True, "place onto plate_0 failed", None)),
+    ]
+VERDICT_TABLE += [
+    # every other verb trusts the flag, whatever the images show
+    ("navigate-ok", NAVIGATE, True, {}, obs(CUP), obs(),
+     (True, True, True, "navigate reported success", None)),
+    ("navigate-fail", NAVIGATE, False, {}, obs(CUP), obs(),
+     (False, False, True, "navigate reported failure: no luck", None)),
+    ("explore_local-ok", SCAN, True, {}, obs(), obs(CUP),
+     (True, True, True, "explore_local reported success", None)),
+    ("explore_local-fail", SCAN, False, {}, obs(CUP), obs(CUP),
+     (False, False, True, "explore_local reported failure: no luck", None)),
+]
+
+
+def verdict_fields(verdict):
+    return (verdict.success, verdict.feedback_flag, verdict.delta_consistent, verdict.explanation,
+            verdict.suspected_cause)
+
+
+@pytest.mark.parametrize("case", VERDICT_TABLE, ids=[row[0] for row in VERDICT_TABLE])
+def test_verdict_table(case):
+    _, request, flag, details, before, after, expected = case
+    fb = Feedback(request_index=3, verb=request.verb, success=flag, message="no luck", details=dict(details))
+    assert verdict_fields(verify_success(before, after, fb, request)) == expected
+
+
+@pytest.mark.parametrize("case", VERDICT_TABLE, ids=[row[0] for row in VERDICT_TABLE])
+def test_verdict_table_with_a_fault(case):
+    """A typed fault fails the step whatever the flag and the images say."""
+    _, request, flag, details, before, after, _ = case
+    fault = PreconditionFault("out_of_reach", "not adjacent to table_0")
+    fb = Feedback(request_index=3, verb=request.verb, success=flag, fault=fault, message="no luck",
+                  details=dict(details))
+    expected = (False, flag, True, "typed fault: not adjacent to table_0", None)
+    assert verdict_fields(verify_success(before, after, fb, request)) == expected
 
 
 def test_verdict_purity():
@@ -181,46 +265,46 @@ def test_rollback_suggestions_point_at_unscanned_global_map_entries():
 
 
 def test_classify_sampled_grasp_failure_object_level():
-    record = classify_failure(None, grasp_fb(False), RetryState())
+    record = classify_failure(None, grasp_fb(False))
     assert record.cause == "grasp_failed"
     assert record.recovery_level == "object"
 
 
 def test_classify_shifted_grasp_failure_local_level():
-    record = classify_failure(None, grasp_fb(False, details={"shifted": True}), RetryState())
+    record = classify_failure(None, grasp_fb(False, details={"shifted": True}))
     assert record.recovery_level == "local"
-    record2 = classify_failure(None, grasp_fb(False), RetryState(shifted=True))
+    record2 = classify_failure(None, grasp_fb(False), shifted=True)
     assert record2.recovery_level == "local"
 
 
 def test_classify_out_of_reach_global_level():
     fault = PreconditionFault("out_of_reach", "not adjacent to table_0")
-    record = classify_failure(None, grasp_fb(False, fault=fault), RetryState())
+    record = classify_failure(None, grasp_fb(False, fault=fault))
     assert record.cause == "grasp_failed"
     assert record.recovery_level == "global"
 
 
 def test_classify_phantom_target_false_positive():
     fault = TargetNotVisible("target_not_visible", "cup_0 no longer exists")
-    record = classify_failure(None, grasp_fb(False, fault=fault), RetryState())
+    record = classify_failure(None, grasp_fb(False, fault=fault))
     assert record.cause == "false_positive"
     assert record.recovery_level == "local"
 
 
 def test_classify_api_errors_plan_level():
     fault = ApiCallError("bad_argument", "expected object reference")
-    record = classify_failure(None, grasp_fb(False, fault=fault), RetryState())
+    record = classify_failure(None, grasp_fb(False, fault=fault))
     assert record.cause == "api_call_error"
     assert record.recovery_level == "none"
     pre = PreconditionFault("place_without_grasp", "place without prior grasping")
     fb = Feedback(request_index=1, verb="place", success=False, fault=pre)
-    record2 = classify_failure(None, fb, RetryState())
+    record2 = classify_failure(None, fb)
     assert record2.cause == "api_call_error"
 
 
 def test_classify_navigation_failure_global():
     fb = Feedback(request_index=2, verb="navigate", success=False, message="navigation failed")
-    record = classify_failure(None, fb, RetryState())
+    record = classify_failure(None, fb)
     assert record.cause == "navigation_failed"
     assert record.recovery_level == "global"
 
@@ -238,7 +322,7 @@ def test_cause_totality_every_failed_feedback_classifies():
                  fault=ApiCallError("unknown_verb", "x")),
     ]
     for fb in samples:
-        record = classify_failure(None, fb, RetryState())
+        record = classify_failure(None, fb)
         assert record.cause in {
             "false_positive", "missed_detection", "visual_feedback_error",
             "api_call_error", "grasp_failed", "place_failed", "navigation_failed",
