@@ -287,12 +287,11 @@ def ground_view(world: World) -> PlacementView:
             is_receptacle=f.is_receptacle,
         )
     for oid, obj in world.objects.items():
-        parent = obj.placement.receptacle if obj.placement.kind == "on" else None
         entities[oid] = EntityView(
             id=oid,
             category=obj.spec.category,
             attributes=frozenset(obj.spec.attributes),
-            parent=parent,
+            parent=obj.placement.receptacle,
             is_receptacle=obj.spec.receptacle,
         )
     return PlacementView(entities, world.gripper)

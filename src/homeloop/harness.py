@@ -244,7 +244,7 @@ class _Trial:
                 self.pending_plan_fix.mark_replanned(fb.fault is None or fb.fault.code in PHYSICAL_FAULT_CODES)
                 self.pending_plan_fix = None
 
-            if fb.success and verdict.success:
+            if verdict.success:
                 continue
 
             record = classify_failure(verdict, fb)
@@ -380,10 +380,12 @@ def _write_sidecar_meta(out_dir: str, suite: SuiteConfig) -> None:
 
 
 def replay_verdicts(report: TrialReport) -> list[tuple[dict, SuccessVerdict]]:
-    """Re-derive every recorded verdict from its traced evidence. Returns
+    """Re-derive every recorded verdict from its traced evidence and the
+    message of the feedback event of the same index. Returns
     (recorded_event, rederived_verdict) pairs; determinism means they agree.
-    A verdict event that lacks a field replay reads, or holds one of the
-    wrong type, raises TraceFormatError."""
+    A verdict event that lacks a field replay reads, holds one of the wrong
+    type or has no feedback event raises TraceFormatError."""
+    messages = {e.get("index"): e.get("message") for e in report.events if e.get("event") == "feedback"}
     out = []
     for line, event in enumerate(report.events, start=2):  # line 1 is the header
         if event.get("event") != "verdict":
@@ -391,15 +393,19 @@ def replay_verdicts(report: TrialReport) -> list[tuple[dict, SuccessVerdict]]:
         try:
             if not all(isinstance(event[key], bool) for key in ("success", "feedback_flag", "delta_consistent")):
                 raise TypeError("a recorded verdict flag is not a boolean")
-            out.append((event, _replay_verdict(event)))
+            message = messages.get(event["index"])
+            if not isinstance(message, str):
+                raise KeyError(f"no feedback message for request {event['index']}")
+            out.append((event, _replay_verdict(event, message)))
         except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             raise TraceFormatError(f"verdict event on line {line} is malformed: {exc!r}", line - 1) from exc
     return out
 
 
-def _replay_verdict(event: dict) -> SuccessVerdict:
+def _replay_verdict(event: dict, message: str) -> SuccessVerdict:
     """The verdict re-derived from one verdict event's request, feedback and
-    evidence. The verdict reads only whether a fault exists and its message."""
+    evidence, and its feedback's ``message``. Of the feedback, the verdict
+    reads only its flag, its fault's message and its own message."""
     fault = Fault(event["fault"]["code"], event["fault"]["message"]) if event.get("fault") else None
     details = {}
     if event.get("placed"):
@@ -411,7 +417,7 @@ def _replay_verdict(event: dict) -> SuccessVerdict:
         verb=event["verb"],
         success=event["feedback_success"],
         fault=fault,
-        message="",
+        message=message,
         details=details,
     )
     location = None
@@ -422,12 +428,8 @@ def _replay_verdict(event: dict) -> SuccessVerdict:
 
 
 def replay_matches(report: TrialReport) -> bool:
-    for event, verdict in replay_verdicts(report):
-        if (
-            event["success"] != verdict.success
-            or event["feedback_flag"] != verdict.feedback_flag
-            or event["delta_consistent"] != verdict.delta_consistent
-            or event.get("suspected_cause") != verdict.suspected_cause
-        ):
-            return False
-    return True
+    """Whether every verdict re-derives whole: all fields of ``to_json``."""
+    return all(
+        all(event.get(key) == value for key, value in verdict.to_json().items())
+        for event, verdict in replay_verdicts(report)
+    )

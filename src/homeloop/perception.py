@@ -179,22 +179,16 @@ class Belief:
             m.items = [o for o in m.items if o.id != oid]
         self.touch()
 
-    def note_placed(self, oid: str, rid: str, pos: tuple[float, float]) -> None:
+    def note_released(self, oid: str, pos: tuple[float, float], rid: Optional[str]) -> None:
+        """The held object now rests at ``pos`` on ``rid``, or on the floor
+        when ``rid`` is None (a failed place dropped it)."""
         self.holding = None
         b = self.objects.get(oid)
         if b is not None:
             b.parent_id = rid
             b.location = pos
-        self.mark_stale(self.root_of(rid))
-        self.touch()
-
-    def note_dropped(self, oid: str, pos: tuple[float, float]) -> None:
-        """A failed place left the held object on the floor at ``pos``."""
-        self.holding = None
-        b = self.objects.get(oid)
-        if b is not None:
-            b.parent_id = None
-            b.location = pos
+        if rid is not None:
+            self.mark_stale(self.root_of(rid))
         self.touch()
 
     def root_of(self, ref: str) -> str:
@@ -212,27 +206,33 @@ class Belief:
 # --- snapshot helpers -----------------------------------------------------------
 
 
-def _snapshot(
-    world: World,
-    oid: str,
-    provenance: str,
-    with_attributes: bool = True,
-) -> SceneObject:
+def _snapshot(world: World, oid: str, provenance: str) -> SceneObject:
     """Snapshot one ground object. Local-level detections deliberately omit
     attribute tags: fine-grained attributes are an object-level (close-up)
     product, which is what makes the close-up step informative."""
     obj = world.objects[oid]
-    pos = world.position_of(oid)
-    parent = obj.placement.receptacle if obj.placement.kind == "on" else None
     return SceneObject(
         id=oid,
         category=obj.spec.category,
-        attributes=frozenset(obj.spec.attributes) if with_attributes else frozenset(),
-        location=pos,
+        attributes=frozenset() if provenance == "local" else frozenset(obj.spec.attributes),
+        location=world.position_of(oid),
         provenance=provenance,
-        parent_id=parent,
+        parent_id=obj.placement.receptacle,
         is_receptacle=obj.spec.receptacle,
     )
+
+
+def _in_view(world: World, ids: Iterable[str], origin: tuple[float, float], radius: float) -> list[SceneObject]:
+    """Snapshots of the non-held ground objects of ``ids`` within ``radius``
+    of ``origin``, in id order."""
+    visible = []
+    for oid in sorted(ids):
+        if world.objects[oid].placement.kind == "gripper":
+            continue
+        pos = world.position_of(oid)
+        if (pos[0] - origin[0]) ** 2 + (pos[1] - origin[1]) ** 2 <= radius**2:
+            visible.append(_snapshot(world, oid, "object"))
+    return visible
 
 
 def capture(world: World, kind: str = "stay", ids: Optional[Iterable[str]] = None) -> Observation:
@@ -248,13 +248,7 @@ def capture(world: World, kind: str = "stay", ids: Optional[Iterable[str]] = Non
     else:
         origin = (world.robot.x, world.robot.y)
     candidates = world.objects if ids is None else world.objects.keys() & ids
-    visible = []
-    for oid in sorted(candidates):
-        if world.objects[oid].placement.kind == "gripper":
-            continue
-        pos = world.position_of(oid)
-        if (pos[0] - origin[0]) ** 2 + (pos[1] - origin[1]) ** 2 <= world.config.view_radius**2:
-            visible.append(_snapshot(world, oid, "object"))
+    visible = _in_view(world, candidates, origin, world.config.view_radius)
     return Observation(kind=kind, target=None, visible=tuple(visible), captured_at_step=world.step_counter)
 
 
@@ -328,31 +322,16 @@ def explore_global(world: World, belief: Belief) -> GlobalMap:
     for fid in sorted(world.furniture):
         if not explored & world.footprint_cells[fid]:
             continue
-        f = world.furniture[fid]
-        furniture_objs.append(
-            SceneObject(
-                id=fid,
-                category=f.category,
-                attributes=frozenset(),
-                location=world.centroids[fid],
-                provenance="global",
-                is_receptacle=f.is_receptacle,
-            )
-        )
+        f, location = world.furniture[fid], world.centroids[fid]
+        furniture_objs.append(SceneObject(id=fid, category=f.category, attributes=frozenset(), location=location,
+                                          provenance="global", is_receptacle=f.is_receptacle))
+        belief.objects[fid] = BeliefObject(id=fid, category=f.category, attributes=frozenset(), location=location,
+                                           parent_id=None, is_receptacle=f.is_receptacle)
 
     gmap = GlobalMap(furniture=furniture_objs, explored_mask=explored)
     belief.global_map = gmap
     belief.at_receptacle = None
     belief.approach_side = None
-    for f in furniture_objs:
-        belief.objects[f.id] = BeliefObject(
-            id=f.id,
-            category=f.category,
-            attributes=f.attributes,
-            location=f.location,
-            parent_id=None,
-            is_receptacle=f.is_receptacle,
-        )
     belief.touch()
     return gmap
 
@@ -376,17 +355,15 @@ def explore_local(world: World, belief: Belief, receptacle_id: str) -> LocalMap:
 
     noise = world.config.noise
     items: list[SceneObject] = []
-    detected_ids: set[str] = set()
     ground_ids = world.objects_rooted_at(receptacle_id)
     for oid in ground_ids:
         missed = world.rng.random() < noise.p_missed_detection
         if missed:
             continue
-        items.append(_snapshot(world, oid, "local", with_attributes=False))
-        detected_ids.add(oid)
+        items.append(_snapshot(world, oid, "local"))
 
     if world.rng.random() < noise.p_false_positive:
-        items.append(_insert_phantom(world, receptacle_id, detected_ids))
+        items.append(_insert_phantom(world, receptacle_id, ground_ids))
 
     version = world.receptacle_versions.get(receptacle_id, 0)
     prior = belief.local_maps.get(receptacle_id)
@@ -402,12 +379,12 @@ def explore_local(world: World, belief: Belief, receptacle_id: str) -> LocalMap:
     return lmap
 
 
-def _insert_phantom(world: World, receptacle_id: str, detected: set[str]) -> SceneObject:
-    """Hallucinate one detection. When real objects sit on the receptacle the
-    phantom anchors to the nearest one (a misread: its close-up reveals the
-    anchor's true category); an empty surface yields an unanchored phantom
-    whose close-up reveals bare surface."""
-    ground_ids = world.objects_rooted_at(receptacle_id)
+def _insert_phantom(world: World, receptacle_id: str, ground_ids: list[str]) -> SceneObject:
+    """Hallucinate one detection. When real objects (``ground_ids``, those
+    rooted at the receptacle) sit on it, the phantom anchors to one of them
+    (a misread: its close-up reveals the anchor's true category); an empty
+    surface yields an unanchored phantom whose close-up reveals bare
+    surface."""
     anchor_id = ground_ids[world.rng.randrange(len(ground_ids))] if ground_ids else None
     if anchor_id is not None:
         ax, ay = world.position_of(anchor_id)
@@ -465,8 +442,9 @@ def _merge_into_belief(belief: Belief, lmap: LocalMap) -> None:
 # --- object-level inspection ------------------------------------------------------------
 
 
-def report_observation(world: World, belief: Belief, target: "SceneObject | str") -> Observation:
-    """Close-up of one object, or a wide capture for the "stay"/"rest" modes.
+def report_observation(world: World, belief: Belief, target: SceneObject) -> Observation:
+    """Close-up of one object and its non-held neighbours within the
+    close-up radius.
 
     Close-ups are truthful: real objects report their ground attributes, and
     phantoms are revealed as whatever actually occupies their believed spot
@@ -474,9 +452,6 @@ def report_observation(world: World, belief: Belief, target: "SceneObject | str"
     target that is no ground object or no longer sits at its believed
     location.
     """
-    if isinstance(target, str):
-        return capture(world, target)
-
     oid = target.id
     if oid in world.phantoms:
         record = world.phantoms[oid]
@@ -504,12 +479,7 @@ def report_observation(world: World, belief: Belief, target: "SceneObject | str"
         raise Refused(TargetNotVisible("target_not_visible", f"{oid} no longer exists at its believed location"))
 
     visible = [_snapshot(world, oid, "object")]
-    for other in sorted(world.objects):
-        if other == oid or world.objects[other].placement.kind == "gripper":
-            continue
-        opos = world.position_of(other)
-        if (opos[0] - pos[0]) ** 2 + (opos[1] - pos[1]) ** 2 <= world.config.closeup_radius**2:
-            visible.append(_snapshot(world, other, "object"))
+    visible += _in_view(world, world.objects.keys() - {oid}, pos, world.config.closeup_radius)
     obs = Observation(
         kind="close_up", target=oid, visible=tuple(visible), captured_at_step=world.step_counter
     )
@@ -523,15 +493,8 @@ def _merge_closeup(belief: Belief, obs: Observation) -> None:
         if prior is None:
             continue
         ruled_out = prior.ruled_out or (o.category != prior.category)
-        belief.objects[o.id] = BeliefObject(
-            id=o.id,
-            category=o.category,
-            attributes=o.attributes,
-            location=prior.location,
-            parent_id=prior.parent_id,
-            is_receptacle=prior.is_receptacle,
-            inspected=True,
-            ruled_out=ruled_out,
+        belief.objects[o.id] = replace(
+            prior, category=o.category, attributes=o.attributes, inspected=True, ruled_out=ruled_out
         )
         for m in belief.local_maps.values():
             m.items = [

@@ -205,17 +205,16 @@ class EpisodeRunner:
         self._check_shift(episode, seen)
         episode.last_before = seen
         fb, verdict, _ = execute(self.ctx, request)
-        success = fb.success and verdict.success
         self.ctx.events.append(
             {
                 "event": "recovery_action",
                 "verb": request.verb,
                 "target": request.target,
                 "index": fb.request_index,
-                "success": success,
+                "success": verdict.success,
             }
         )
-        if not success:
+        if not verdict.success:
             episode.latest.mark_replanned(False)
             episode.latest = classify_failure(verdict, fb, episode.shifted)
             self.ctx.records.append(episode.latest)
@@ -223,7 +222,7 @@ class EpisodeRunner:
             episode.shifted |= bool(fb.details.get("shifted"))
             episode.target_lost |= code == "target_not_visible"
             episode.out_of_reach |= code == "out_of_reach"
-        return success
+        return verdict.success
 
     def _check_shift(self, episode: RecoveryEpisode, fresh: Observation) -> None:
         """Compare before-images across attempts: a moved target is evidence
@@ -288,7 +287,7 @@ class EpisodeRunner:
             snap = fresh.find(oid)
             rid = self._request(episode, "object").receptacle
             if snap is not None and snap.parent_id == rid:
-                self.ctx.belief.note_placed(oid, rid, snap.location)
+                self.ctx.belief.note_released(oid, snap.location, rid)
                 return True
         return False
 
@@ -344,16 +343,13 @@ class EpisodeRunner:
         if root is not None and belief.approach_side:
             episode.tried_sides.add(belief.approach_side)
 
-        focus = None
-        if episode.object_id is not None:
-            b = belief.objects.get(episode.object_id)
-            if b is not None:
-                focus = list(b.location)
-        side = self._pick_side(episode, root) if root is not None else None
+        b = belief.objects.get(episode.object_id or "")
+        target_pos = b.location if b is not None else None
+        side = self._pick_side(episode, root, target_pos) if root is not None else None
         if side is not None:
+            focus = list(target_pos) if target_pos is not None else None
             nav = ActionRequest(
-                verb="navigate", target=root, side=side,
-                params={"recovery_level": "global", "focus": focus},
+                verb="navigate", target=root, side=side, params={"recovery_level": "global", "focus": focus}
             )
             if not self._execute(episode, nav):
                 return False
@@ -376,17 +372,15 @@ class EpisodeRunner:
             return None
         return self._reissue_after_scan(episode, lmap, "global")
 
-    def _pick_side(self, episode: RecoveryEpisode, root: str) -> Optional[str]:
+    def _pick_side(
+        self, episode: RecoveryEpisode, root: str, target_pos: Optional[tuple[float, float]]
+    ) -> Optional[str]:
         """Untried sides with a usable approach, preferring those that bring
-        the believed target within arm reach, then shorter distances."""
+        ``target_pos``, the believed target position (None: unknown), within
+        arm reach, then shorter distances."""
         world = self.ctx.world
         if root not in world.furniture:
             return None
-        target_pos = None
-        if episode.object_id is not None:
-            b = self.ctx.belief.objects.get(episode.object_id)
-            if b is not None:
-                target_pos = b.location
         ranked = []
         for side in SIDES:
             if side in episode.tried_sides:

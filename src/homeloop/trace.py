@@ -161,8 +161,18 @@ def load_trace(source) -> TrialReport:
 
 
 def load_trace_file(path: str) -> TrialReport:
+    """``load_trace`` of a file, which must also keep the accounting
+    identities (``TrialReport.check_identities``): a trace file whose footer
+    breaks one raises TraceFormatError. ``load_trace`` alone lets a checker
+    load such a trace and report what is wrong with it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_trace(fh)
+        report = load_trace(fh)
+    try:
+        report.check_identities()
+    except (ValueError, TypeError) as exc:  # TypeError: a counter that is not a number
+        footer = len(report.events) + 2  # after the header and the events
+        raise TraceFormatError(f"trial_end footer breaks an accounting identity: {exc}", footer) from exc
+    return report
 
 
 # --- observation reconstruction (for replay) ---------------------------------------

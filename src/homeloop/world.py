@@ -43,7 +43,7 @@ class Placement:
     """Where an object currently is. Exactly one of the three forms."""
 
     kind: str  # "on" | "gripper" | "floor"
-    receptacle: Optional[str] = None
+    receptacle: Optional[str] = None  # the parent; None off a surface
     offset: tuple[float, float] = (0.0, 0.0)
     floor_pos: tuple[float, float] = (0.0, 0.0)
 
@@ -251,13 +251,18 @@ class World:
             current = placement.receptacle  # type: ignore[assignment]
         return current
 
-    def _resting_root(self, rid: str, verb: str) -> str:
-        """``root_furniture_of(rid)``; refuses ``verb`` when the chain ends off
-        furniture (a small receptacle on the floor)."""
+    def _surface_root(self, rid: str, verb: str) -> str:
+        """``root_furniture_of(rid)``, the furniture a hand must reach to
+        ``verb`` on ``rid``; refuses when the chain ends off furniture (a
+        small receptacle on the floor) or the robot is not next to it."""
         root = self.root_furniture_of(rid)
         if root is None:
             fault = PreconditionFault("bad_argument", f"{rid} is not resting on a surface")
             raise Refused(fault, f"{verb} failed: receptacle not on a surface")
+        if not self.robot_adjacent_to(root):
+            raise Refused(
+                PreconditionFault("out_of_reach", f"not adjacent to {root}"), f"{verb} failed: target out of reach"
+            )
         return root
 
     def anchor_of(self, rid: str) -> tuple[float, float]:
@@ -282,11 +287,7 @@ class World:
         return sorted(oid for oid in self.objects if self.root_furniture_of(oid) == furniture_id)
 
     def objects_directly_on(self, rid: str) -> list[str]:
-        return sorted(
-            oid
-            for oid, obj in self.objects.items()
-            if obj.placement.kind == "on" and obj.placement.receptacle == rid
-        )
+        return sorted(oid for oid, obj in self.objects.items() if obj.placement.receptacle == rid)
 
     def robot_cell(self) -> Cell:
         return self.grid.cell_of(self.robot.x, self.robot.y)
@@ -440,26 +441,19 @@ class World:
                 f"grasp({target}) -> target not visible",
             )
         obj = self.objects[target]
-        pos = self.position_of(target)
-        root = None
-        if obj.placement.kind == "on":
-            root = self._resting_root(obj.placement.receptacle, "grasp")  # type: ignore[arg-type]
-            if not self.robot_adjacent_to(root):
-                raise Refused(
-                    PreconditionFault("out_of_reach", f"not adjacent to {root}"), "grasp failed: target out of reach"
-                )
-        if not self.within_reach(pos):
+        parent = obj.placement.receptacle
+        root = self._surface_root(parent, "grasp") if parent is not None else None
+        if not self.within_reach(self.position_of(target)):
             raise Refused(
                 PreconditionFault("out_of_reach", f"{target} beyond arm reach"), "grasp failed: target out of reach"
             )
-        parent = obj.placement.receptacle if obj.placement.kind == "on" else None
         if self.rng.random() < self._grasp_fail_probability(root):
             shifted = False
-            if obj.placement.kind == "on" and self.rng.random() < self.config.noise.p_object_shift_on_fail:
+            if parent is not None and self.rng.random() < self.config.noise.p_object_shift_on_fail:
                 dx = (self.rng.random() - 0.5) * 0.1
                 dy = (self.rng.random() - 0.5) * 0.1
                 ox, oy = obj.placement.offset
-                half_w, half_h = self.half_extents[parent]  # type: ignore[arg-type]
+                half_w, half_h = self.half_extents[parent]
                 obj.placement.offset = (
                     max(-half_w, min(half_w, ox + dx)),
                     max(-half_h, min(half_h, oy + dy)),
@@ -531,11 +525,7 @@ class World:
                 PreconditionFault("unknown_reference", f"place target {rid!r} is not a receptacle"),
                 "place failed: unknown receptacle",
             )
-        root = self._resting_root(rid, "place")
-        if not self.robot_adjacent_to(root):
-            raise Refused(
-                PreconditionFault("out_of_reach", f"not adjacent to {root}"), "place failed: target out of reach"
-            )
+        root = self._surface_root(rid, "place")
         if offset is not None:
             anchor = self.anchor_of(rid)
             pos = (anchor[0] + offset[0], anchor[1] + offset[1])

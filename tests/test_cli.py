@@ -141,6 +141,45 @@ def test_replay_of_a_verdict_without_its_flag_exits_2(tiny_suite, tmp_path, caps
     assert capsys.readouterr().err.startswith("error: [trace]")
 
 
+def test_replay_of_a_rewritten_explanation_exits_1(tiny_suite, tmp_path, capsys):
+    _, suite_path = tiny_suite
+    out_dir = tmp_path / "out"
+    main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
+    trace = out_dir / "T1" / "0.jsonl"
+    edit_first(trace, "verdict", lambda doc: doc.update(explanation="anything at all"))
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: [replay-mismatch]")
+
+
+def _more_successful_than_executed(footer):
+    footer["counters"]["successful_steps"] = footer["counters"]["execution_steps"] + 1
+
+
+def _success_without_the_goal(footer):
+    assert footer["outcome"] == "success"
+    footer["goal_satisfied"] = False
+
+
+def _a_counter_that_is_not_a_number(footer):
+    footer["counters"]["successful_steps"] = "x"
+
+
+@pytest.mark.parametrize("edit", [_more_successful_than_executed, _success_without_the_goal,
+                                  _a_counter_that_is_not_a_number],
+                         ids=["successful-over-executed", "success-without-goal", "counter-not-a-number"])
+def test_a_footer_that_breaks_an_accounting_identity_exits_2(tiny_suite, tmp_path, capsys, edit):
+    _, suite_path = tiny_suite
+    out_dir = tmp_path / "out"
+    main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
+    trace = out_dir / "T1" / "0.jsonl"
+    edit_first(trace, "trial_end", edit)
+    for args in (["replay", "--trace", str(trace)], ["report", "--traces", str(out_dir)]):
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: [trace]")
+
+
 def test_report_from_trace_directory(tiny_suite, tmp_path, capsys):
     _, suite_path = tiny_suite
     out_dir = tmp_path / "out"

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from homeloop.config import load_builtin_suite, parse_config, parse_suite, vary_config
 from homeloop.errors import ConfigError
 from homeloop.goals import Goal, Selector, parse_goal
-from homeloop.perception import Belief, explore_global, report_observation
+from homeloop.perception import Belief, capture, explore_global
 from homeloop.world import World
 
 from perfbench.workloads import WORKLOADS
@@ -179,8 +179,8 @@ def test_a_scene_that_validates_builds_and_runs_every_trial(doc):
         if seed == 0:
             belief = Belief()
             explore_global(world, belief)
-            report_observation(world, belief, "stay")
-            report_observation(world, belief, "rest")
+            capture(world, "stay")
+            capture(world, "rest")
 
 
 def test_every_workload_scene_validates():

@@ -188,8 +188,7 @@ def test_stay_mode_empty_when_alone():
     doc = copy.deepcopy(MINI_SCENE)
     doc["objects"] = []
     world = make_world(doc)
-    belief = Belief()
-    obs = report_observation(world, belief, "stay")
+    obs = capture(world, "stay")
     assert obs.kind == "stay" and obs.visible == ()
 
 

@@ -375,22 +375,25 @@ WALLED_SCENE = {
 }
 
 
-def free_cells_around(world, footprint):
-    """The free cells 8-adjacent to a footprint's cells."""
-    return {n for cx, cy in footprint for n in ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-            if world.grid.is_free(n)}
+def free_cells_around(world, footprints, fid):
+    """The free cells 8-adjacent to a footprint's cells: on the grid and in
+    no footprint of ``footprints`` (``footprint_cells_by_point``)."""
+    occupied = set().union(*footprints.values())
+    return {n for cx, cy in footprints[fid] for n in ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+            if 0 <= n[0] < world.grid.width and 0 <= n[1] < world.grid.height and n not in occupied}
 
 
-def reference_approach_cells(world, footprint, fid, side):
-    cells = {c for c in free_cells_around(world, footprint) if world.reachable & world.grid.packed.bit(c)}
+def reference_approach_cells(world, around, fid, side):
+    """``around``: the free cells 8-adjacent to the furniture's footprint."""
+    cells = {c for c in around if world.reachable & world.grid.packed.bit(c)}
     if side is not None:
         centroid = polygon_centroid(world.furniture[fid].footprint)
         cells = {c for c in cells if side_of(centroid, world.grid.center_of(c)) == side}
     return sorted(cells)
 
 
-def reference_select_approach(world, footprint, fid, side, focus):
-    candidates = set(reference_approach_cells(world, footprint, fid, side))
+def reference_select_approach(world, around, fid, side, focus):
+    candidates = set(reference_approach_cells(world, around, fid, side))
     if not candidates:
         return None
     if focus is None:
@@ -421,11 +424,11 @@ def test_approach_table_matches_per_call_reference():
         width, height = world.config.room
         footprints = footprint_cells_by_point(world)
         for fid in sorted(world.furniture):
-            unreachable_cells += sum(not world.reachable & world.grid.packed.bit(c)
-                                     for c in free_cells_around(world, footprints[fid]))
+            around = free_cells_around(world, footprints, fid)
+            unreachable_cells += sum(not world.reachable & world.grid.packed.bit(c) for c in around)
             for side in (None, "north", "east", "south", "west"):
                 where = (name, seed, fid, side)
-                expected = reference_approach_cells(world, footprints[fid], fid, side)
+                expected = reference_approach_cells(world, around, fid, side)
                 assert list(world.approach_cells(fid, side)) == expected, where
                 for _ in range(4):
                     cx, cy = free[rng.randrange(len(free))]
@@ -433,7 +436,7 @@ def test_approach_table_matches_per_call_reference():
                     world.robot = Pose(x, y, 0.0)
                     focus = rng.choice([None, (rng.uniform(0, width), rng.uniform(0, height))])
                     got = world.select_approach(fid, side, focus)
-                    expected = reference_select_approach(world, footprints[fid], fid, side, focus)
+                    expected = reference_select_approach(world, around, fid, side, focus)
                     assert got == expected, where + ((cx, cy), focus)
     assert unreachable_cells > 0  # the reachable filter is exercised
 

@@ -24,6 +24,10 @@ Run it from the root of a checkout; it imports homeloop from that checkout's
 Each line is ``<name> <seed> <sha256>``. Two commits that print the same lines
 write byte-identical traces and reports for those trials, and the same event
 logs for those requests. ``run_meta.json`` holds a timestamp and is left out.
+
+Every trace file is also replayed (``replay_matches``): the first whose
+verdicts do not all re-derive whole ends the run with exit status 1 and its
+name on stderr.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from homeloop.config import load_builtin_suite, parse_config  # noqa: E402
 from homeloop.geometry import SIDES  # noqa: E402
-from homeloop.harness import TrialOptions, make_planner_factory, run_suite  # noqa: E402
+from homeloop.harness import TrialOptions, make_planner_factory, replay_matches, run_suite  # noqa: E402
 from homeloop.perception import Belief  # noqa: E402
 from homeloop.skills import ActionRequest, SkillContext, dispatch  # noqa: E402
+from homeloop.trace import load_trace_file  # noqa: E402
 from homeloop.world import ALL_VERBS, World  # noqa: E402
 from perfbench.workloads import WORKLOADS, ScriptedChatBackend  # noqa: E402
 
@@ -66,8 +71,12 @@ NOISE = {"p_grasp_fail": 0.3, "p_place_fail": 0.3, "p_nav_fail": 0.1, "p_false_p
 
 
 def digest(out: Path) -> str:
+    """The digest of every file under ``out`` but ``run_meta.json``; exits
+    on the first trace file that does not replay."""
     h = hashlib.sha256()
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "run_meta.json"):
+        if path.suffix == ".jsonl" and not replay_matches(load_trace_file(str(path))):
+            sys.exit(f"replay mismatch: {out.name}/{path.relative_to(out).as_posix()}")
         h.update(path.relative_to(out).as_posix().encode("utf-8") + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
