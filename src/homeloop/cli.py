@@ -117,6 +117,8 @@ def cmd_trial(args: argparse.Namespace) -> int:
     task = next((t for t in suite.tasks if t.id == args.task), None)
     if task is None:
         raise ConfigError("task", f"no task {args.task!r} in suite {suite.name!r}")
+    if args.trial_index < 0:
+        raise ConfigError("trial_index", f"must be at least 0, got {args.trial_index}")
     factory = _planner_factory(args)
     options = _options_from(args).for_suite(suite)
     seed = task.seed_for(args.trial_index, args.seed)

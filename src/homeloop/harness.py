@@ -330,6 +330,8 @@ def run_suite(
 ) -> tuple[MetricsTable, list[TrialReport]]:
     """Run every task's trials (optionally across worker threads, one World
     per trial), write per-trial traces and the aggregate report."""
+    if parallel < 1:
+        raise ConfigError("parallel", f"must be at least 1, got {parallel}")
     options = (options or TrialOptions()).for_suite(suite)
     jobs = []
     for task in suite.tasks:

@@ -234,6 +234,28 @@ def test_unknown_task_exits_2(tiny_suite, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_a_parallel_count_below_one_exits_2(tiny_suite, tmp_path, capsys, parallel):
+    _, suite_path = tiny_suite
+    out = tmp_path / "out"
+    code = main(["run", "--suite", str(suite_path), "--parallel", parallel, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: [config] parallel: ")
+    assert not out.exists()
+
+
+def test_a_negative_trial_index_exits_2(tiny_suite, tmp_path, capsys):
+    # a negative index would wrap onto the task's last seed
+    _, suite_path = tiny_suite
+    trace = tmp_path / "trial.jsonl"
+    code = main(["trial", "--suite", str(suite_path), "--task", "T1", "--trial-index", "-1", "--out", str(trace)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [config] trial_index: ")
+    assert captured.out == ""
+    assert not trace.exists()
+
+
 def test_strict_escalation_after_a_flipped_flag_ends_without_a_traceback(capsys):
     code = main(["trial", "--suite", "builtin:benchmark", "--task", "A2", "--trial-index", "4", "--seed", "2",
                  "--strict-escalation", "--noise-profile", json.dumps({"p_flag_error": 0.3})])

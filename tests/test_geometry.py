@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from functools import reduce
 from importlib import resources
+from itertools import islice
+from operator import or_
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,11 +165,12 @@ def reference_sense(occ, origin, radius):
 
 
 @st.composite
-def grids(draw):
-    """A random occupancy grid, maybe split by a wall with or without a gap,
-    and a start cell that is more often than not on an edge or a corner."""
-    h = draw(st.integers(1, 14))
-    w = draw(st.integers(1, 14))
+def grids(draw, side=14):
+    """A random occupancy grid of at most ``side`` cells a side, maybe split
+    by a wall with or without a gap, and a start cell that is more often
+    than not on an edge or a corner."""
+    h = draw(st.integers(1, side))
+    w = draw(st.integers(1, side))
     density = draw(st.sampled_from([0.0, 0.2, 0.4, 0.6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     occ = (rng.random((h, w)) < density).astype(np.uint8)
@@ -239,7 +243,8 @@ def test_bfs_distances_stop_at_first_target_layer(case, target_density):
 def test_sense_marks_what_the_queue_scan_marked(case, radius):
     occ, origin, _ = case
     packed = PackedGrid(*occ.shape)
-    explored = unpack(packed, _sense(packed, pack(packed, occ == 0), 0, origin, radius))
+    known, _, _ = _sense(packed, pack(packed, occ == 0), 0, origin, radius)
+    explored = unpack(packed, known)
     assert np.array_equal(explored, reference_sense(occ, origin, radius))
 
 
@@ -378,6 +383,94 @@ def test_packed_sweep_matches_the_numpy_sweep(case, radius, explored_density):
     if packed[1] is not None:
         assert np.array_equal(packed[1], reference[1])  # explored mask
     assert packed[2] == reference[2]  # hop targets, in order
+
+
+# --- the frontier search resumes from the sensing scan's layer d ---------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(side=32), st.integers(0, 20), st.sampled_from([0.0, 0.1, 0.5]))
+def test_the_frontier_search_grows_the_scans_first_layers_and_meets_no_frontier_before_d(case, radius, density):
+    # every cell within d = isqrt(r*r // 2) steps of the origin is in the disk
+    occ, origin, rng = case
+    packed = PackedGrid(*occ.shape)
+    free, start = pack(packed, occ == 0), packed.bit(origin)
+    depth = math.isqrt(radius * radius // 2)
+    known, rim, inner = _sense(packed, free, pack(packed, rng.random(occ.shape) < density), origin, radius)
+    scan = list(islice(packed.layers(free & packed.disk(origin, radius), start), depth + 1))
+    assert list(islice(packed.layers(free & known, start), depth + 1)) == scan
+    frontiers = pack(packed, numpy_frontiers(SimpleNamespace(occ=occ), unpack(packed, known)))
+    assert not frontiers & reduce(or_, scan[:depth], 0)
+    if len(scan) > depth:
+        assert (rim, inner) == (scan[depth], reduce(or_, scan[:depth], 0))
+    else:  # the scan stopped short of depth d: the origin's component has no frontier
+        assert (rim, inner) == (0, 0) and not frontiers & reduce(or_, scan, 0)
+
+
+def two_search_sweep(world, known):
+    """``_sweep`` as it was before its frontier search resumed from the
+    scan: each hop searches again from the robot's cell over every explored
+    free cell."""
+    grid = world.grid
+    packed, free = grid.packed, grid.free
+    row = packed.row
+    radius = int(world.config.sensing_radius / world.config.grid_resolution)
+    known = _sense(packed, free, known, world.robot_cell(), radius)[0]
+    end = None
+    for _ in range(grid.width * grid.height + 8):
+        unexplored = packed.cells ^ known
+        frontiers = known & free & (unexplored << 1 | unexplored >> 1 | unexplored << row | unexplored >> row)
+        if not frontiers:
+            return known, end
+        nearest = packed.nearest(free & known, packed.bit(world.robot_cell()), frontiers)
+        if not nearest:
+            remaining = (free & world.reachable & ~known).bit_count()
+            if remaining:
+                raise ExplorationStalled(f"{remaining} reachable cells unexplored but no frontier reachable")
+            return known, end
+        target = packed.first_cell(nearest)  # nearest first, then lowest (cx, cy)
+        end = grid.center_of(target)
+        world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
+        known = _sense(packed, free, known, target, radius)[0]
+    raise ExplorationStalled("frontier loop exceeded the cell-count bound")
+
+
+class LayoutSweepWorld(SweepWorld):
+    """A ``SweepWorld`` on a scene's rasterised layout, at the robot start."""
+
+    def __init__(self, config, sensing_radius):
+        geometry = scene_geometry(config)
+        self.grid = geometry.grid
+        self.config = SimpleNamespace(sensing_radius=sensing_radius, grid_resolution=config.grid_resolution)
+        self.reachable = geometry.reachable
+        self.hops = []
+        self._robot = Pose(config.robot_start.x, config.robot_start.y, 0.25)
+
+
+def test_the_resumed_sweep_matches_the_two_search_sweep_on_generated_layouts():
+    from perfbench.workloads import WORKLOADS
+
+    hops = 0
+    for workload in ("apartments", "long_horizon"):
+        for seed in range(3):
+            for doc in WORKLOADS[workload].docs(seed, 0):
+                config = parse_config(doc["scene"])
+                packed = scene_geometry(config).grid.packed
+                rng = np.random.default_rng(seed)
+                partial = pack(packed, rng.random((packed.height, packed.width)) < 0.3)
+                for radius in (config.sensing_radius, 1.5):
+                    for explored in (0, partial):
+                        runs = []
+                        for sweep in (_sweep, two_search_sweep):
+                            world = LayoutSweepWorld(config, radius)
+                            try:
+                                outcome = sweep(world, explored)
+                            except ExplorationStalled as e:
+                                outcome = ("stalled", str(e))
+                            runs.append((outcome, world.hops))  # explored mask and end, or the stall; hops
+                        assert runs[0] == runs[1], (doc["name"], radius, bool(explored))
+                        hops += len(runs[0][1])
+    assert hops > 1000
 
 
 # --- BFS layers: packed row widths, strips, apartment-sized and long searches --------
