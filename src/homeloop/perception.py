@@ -256,23 +256,23 @@ def capture(world: World, kind: str = "stay", ids: Optional[Iterable[str]] = Non
 # --- global exploration -----------------------------------------------------------
 
 
-def _sense(packed: PackedGrid, free: int, explored: int, origin: Cell, radius: int) -> tuple[int, int, int]:
+def _sense(packed: PackedGrid, free: int, explored: int, origin: Cell, radius: int) -> tuple[int, int]:
     """``explored`` plus the cells visible from the origin: free cells
     connected to it within the sensing radius, plus the occupied surfaces
     bordering them. Occlusion falls out of connectivity — the scan cannot
     pass through furniture, so a walled-off region stays unexplored. All
     masks are packed on ``packed``'s layout. An occupied origin sees
     nothing; validation keeps the robot's cells free. Also returns the
-    scan's BFS layer at depth ``d = isqrt(radius**2 // 2)`` and the union of
-    the layers before it (both 0 when the scan stops sooner), for ``_sweep``."""
+    scan's BFS layer at depth ``d = isqrt(radius**2 // 2)`` (0 when the scan
+    stops sooner), where ``_sweep`` resumes its frontier search."""
     disk = packed.disk(origin, radius)
     depth = math.isqrt(radius * radius // 2)
-    seen = inner = rim = 0
+    seen = rim = 0
     for d, layer in enumerate(packed.layers(free & disk, packed.bit(origin))):
         if d == depth:
-            inner, rim = seen, layer
+            rim = layer
         seen |= layer
-    return explored | seen | (packed.dilate8(seen) & disk), rim, inner
+    return explored | seen | (packed.dilate8(seen) & disk), rim
 
 
 def _sweep(world: World, known: int) -> tuple[int, Optional[tuple[float, float]]]:
@@ -283,19 +283,20 @@ def _sweep(world: World, known: int) -> tuple[int, Optional[tuple[float, float]]
     None when it never moved. Every cell within ``d`` steps of the robot's
     cell is in the disk it just sensed, so a frontier search from there grows
     the scan's layers up to depth ``d``, and none but layer ``d`` meets a
-    frontier: the search resumes from that layer, past the ones before it."""
+    frontier. The search resumes from that layer: a frontier ``k`` steps
+    from the robot is then ``k - d`` steps away, and no nearer."""
     grid = world.grid
     packed, free = grid.packed, grid.free
     row = packed.row
     radius = int(world.config.sensing_radius / world.config.grid_resolution)
-    known, rim, inner = _sense(packed, free, known, world.robot_cell(), radius)
+    known, rim = _sense(packed, free, known, world.robot_cell(), radius)
     end = None
     for _ in range(grid.width * grid.height + 8):
         unexplored = packed.cells ^ known
         frontiers = known & free & (unexplored << 1 | unexplored >> 1 | unexplored << row | unexplored >> row)
         if not frontiers:
             return known, end
-        nearest = packed.nearest(free & known & ~inner, rim, frontiers)
+        nearest = packed.nearest(free & known, rim, frontiers)
         if not nearest:
             remaining = (free & world.reachable & ~known).bit_count()
             if remaining:
@@ -304,7 +305,7 @@ def _sweep(world: World, known: int) -> tuple[int, Optional[tuple[float, float]]
         target = packed.first_cell(nearest)  # nearest first, then lowest (cx, cy)
         end = grid.center_of(target)
         world.robot = type(world.robot)(end[0], end[1], world.robot.heading)
-        known, rim, inner = _sense(packed, free, known, target, radius)
+        known, rim = _sense(packed, free, known, target, radius)
     raise ExplorationStalled("frontier loop exceeded the cell-count bound")
 
 

@@ -243,7 +243,7 @@ def test_bfs_distances_stop_at_first_target_layer(case, target_density):
 def test_sense_marks_what_the_queue_scan_marked(case, radius):
     occ, origin, _ = case
     packed = PackedGrid(*occ.shape)
-    known, _, _ = _sense(packed, pack(packed, occ == 0), 0, origin, radius)
+    known, _ = _sense(packed, pack(packed, occ == 0), 0, origin, radius)
     explored = unpack(packed, known)
     assert np.array_equal(explored, reference_sense(occ, origin, radius))
 
@@ -396,15 +396,15 @@ def test_the_frontier_search_grows_the_scans_first_layers_and_meets_no_frontier_
     packed = PackedGrid(*occ.shape)
     free, start = pack(packed, occ == 0), packed.bit(origin)
     depth = math.isqrt(radius * radius // 2)
-    known, rim, inner = _sense(packed, free, pack(packed, rng.random(occ.shape) < density), origin, radius)
+    known, rim = _sense(packed, free, pack(packed, rng.random(occ.shape) < density), origin, radius)
     scan = list(islice(packed.layers(free & packed.disk(origin, radius), start), depth + 1))
     assert list(islice(packed.layers(free & known, start), depth + 1)) == scan
     frontiers = pack(packed, numpy_frontiers(SimpleNamespace(occ=occ), unpack(packed, known)))
     assert not frontiers & reduce(or_, scan[:depth], 0)
     if len(scan) > depth:
-        assert (rim, inner) == (scan[depth], reduce(or_, scan[:depth], 0))
+        assert rim == scan[depth]
     else:  # the scan stopped short of depth d: the origin's component has no frontier
-        assert (rim, inner) == (0, 0) and not frontiers & reduce(or_, scan, 0)
+        assert rim == 0 and not frontiers & reduce(or_, scan, 0)
 
 
 def two_search_sweep(world, known):
@@ -456,7 +456,7 @@ def test_the_resumed_sweep_matches_the_two_search_sweep_on_generated_layouts():
             for doc in WORKLOADS[workload].docs(seed, 0):
                 config = parse_config(doc["scene"])
                 packed = scene_geometry(config).grid.packed
-                rng = np.random.default_rng(seed)
+                rng = np.random.default_rng(doc["seed"])
                 partial = pack(packed, rng.random((packed.height, packed.width)) < 0.3)
                 for radius in (config.sensing_radius, 1.5):
                     for explored in (0, partial):
