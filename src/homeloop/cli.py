@@ -22,7 +22,7 @@ from .harness import TrialOptions, make_planner_factory, replay_matches, run_sui
 from .metrics import compute_metrics
 from .planning import SYSTEM_PROMPT, HttpChatBackend, ParseError, parse_plan
 from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
-from .trace import load_trace_file, write_trace_file
+from .trace import OUTCOME_INVALID, OUTCOME_SUCCESS, load_trace_file, write_trace_file
 
 EXIT_OK = 0
 EXIT_TASK_FAILURES = 1
@@ -105,7 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         suite, factory, out_dir=args.out, options=options, base_seed=args.seed, parallel=args.parallel
     )
     print(table.render_text())
-    if any(r.outcome == "infrastructure-invalid" for r in reports):
+    if any(r.outcome == OUTCOME_INVALID for r in reports):
         return EXIT_INFRA
     if table.failure_total.direct > 0:
         return EXIT_TASK_FAILURES
@@ -130,9 +130,9 @@ def cmd_trial(args: argparse.Namespace) -> int:
         f"{task.id} trial {args.trial_index} seed {seed}: {report.outcome} ({report.reason}); "
         f"steps {report.successful_steps}/{report.execution_steps}"
     )
-    if report.outcome == "infrastructure-invalid":
+    if report.outcome == OUTCOME_INVALID:
         return EXIT_INFRA
-    return EXIT_OK if report.outcome == "success" else EXIT_TASK_FAILURES
+    return EXIT_OK if report.outcome == OUTCOME_SUCCESS else EXIT_TASK_FAILURES
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

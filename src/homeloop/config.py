@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Optional
 
-from .errors import ConfigError, as_json, as_number, as_pair, only_keys, require
+from .errors import ConfigError, as_json, as_number, as_pair, field_names, only_keys, require
 from .geometry import SIDES, OccupancyGrid, Pose, point_in_polygon, polygon_half_extent, polygons_overlap
 from .goals import Goal, parse_goal
 
@@ -63,23 +63,15 @@ class NoiseModel:
     p_closeup_error: float = 0.0
     rng_seed: int = 0
 
-    PROB_FIELDS = (
-        "p_grasp_fail",
-        "p_place_fail",
-        "p_nav_fail",
-        "p_false_positive",
-        "p_missed_detection",
-        "p_object_shift_on_fail",
-        "p_flag_error",
-        "p_closeup_error",
-    )
+
+NOISE_PROBABILITIES = tuple(name for name in field_names(NoiseModel) if name != "rng_seed")
 
 
 def check_noise_fields(raw: Any, path: str, with_seed: bool) -> dict[str, Any]:
     """Check a block of ``NoiseModel`` fields read from outside the program:
     every key a field, every probability a number in [0, 1], and, where
     ``with_seed`` allows it, ``rng_seed`` an integer. Returns a copy."""
-    known = NoiseModel.PROB_FIELDS + (("rng_seed",) if with_seed else ())
+    known = NOISE_PROBABILITIES + (("rng_seed",) if with_seed else ())
     for key, value in only_keys(as_json(raw, dict, path), known, path).items():
         if key == "rng_seed":
             if isinstance(value, bool) or not isinstance(value, int):
@@ -127,12 +119,12 @@ class WorldConfig:
     variation: Optional[VariationSpec] = None
 
 
-SCENE_KEYS = (
-    "name", "room", "furniture", "objects", "robot_start", "noise", "grid_resolution", "arm_reach",
-    "sensing_radius", "view_radius", "closeup_radius", "variation",
-)
-FURNITURE_KEYS = ("id", "category", "footprint", "surface_height", "grasp_difficulty")
-OBJECT_KEYS = ("id", "category", "attributes", "on", "offset", "floor", "receptacle", "extent")
+SCENE_KEYS = field_names(WorldConfig)
+FURNITURE_KEYS = field_names(FurnitureSpec)
+OBJECT_KEYS = field_names(ObjectSpec)
+POSE_KEYS = field_names(Pose)
+VARIATION_KEYS = field_names(VariationSpec)
+RADII = ("arm_reach", "sensing_radius", "view_radius", "closeup_radius")  # each within the room's diagonal
 
 
 def parse_config(raw: dict) -> WorldConfig:
@@ -182,7 +174,7 @@ def parse_config(raw: dict) -> WorldConfig:
         )
 
     start_raw = as_json(require(raw, "robot_start", "config"), dict, "robot_start")
-    only_keys(start_raw, ("x", "y", "heading"), "robot_start")
+    only_keys(start_raw, POSE_KEYS, "robot_start")
     robot_start = Pose(
         as_number(require(start_raw, "x", "robot_start"), "robot_start.x"),
         as_number(require(start_raw, "y", "robot_start"), "robot_start.y"),
@@ -194,7 +186,7 @@ def parse_config(raw: dict) -> WorldConfig:
     variation = None
     if "variation" in raw:
         v = as_json(raw["variation"], dict, "variation")
-        only_keys(v, ("shuffle_offsets", "receptacle_pool", "extra_count_range"), "variation")
+        only_keys(v, VARIATION_KEYS, "variation")
         pool = {}
         for k, rids in as_json(v.get("receptacle_pool", {}), dict, "variation.receptacle_pool").items():
             where = f"variation.receptacle_pool.{k}"
@@ -215,12 +207,8 @@ def parse_config(raw: dict) -> WorldConfig:
         objects=objects,
         robot_start=robot_start,
         noise=noise,
-        grid_resolution=as_number(raw.get("grid_resolution", 0.1), "grid_resolution"),
-        arm_reach=as_number(raw.get("arm_reach", 1.0), "arm_reach"),
-        sensing_radius=as_number(raw.get("sensing_radius", 3.0), "sensing_radius"),
-        view_radius=as_number(raw.get("view_radius", 1.5), "view_radius"),
-        closeup_radius=as_number(raw.get("closeup_radius", 0.3), "closeup_radius"),
         variation=variation,
+        **{key: as_number(raw[key], key) for key in ("grid_resolution", *RADII) if key in raw},  # else the defaults
     )
     validate_config(config)
     return config
@@ -232,6 +220,11 @@ def surface_half_extents(config: WorldConfig) -> dict[str, tuple[float, float]]:
     half = {f.id: polygon_half_extent(f.footprint) for f in config.furniture if f.is_receptacle}
     half.update((o.id, (o.extent[0] / 2.0, o.extent[1] / 2.0)) for o in config.objects if o.receptacle)
     return half
+
+
+def off_surface(offset: tuple[float, float], half_extent: tuple[float, float]) -> bool:
+    """Whether ``offset`` lies beyond a surface's half extents (a NaN one does not)."""
+    return abs(offset[0]) > half_extent[0] or abs(offset[1]) > half_extent[1]
 
 
 def validate_config(config: WorldConfig) -> None:
@@ -248,7 +241,7 @@ def validate_config(config: WorldConfig) -> None:
         if side / res > MAX_GRID_SIDE:
             raise ConfigError(f"room.{key}", f"more than {MAX_GRID_SIDE} grid cells of {res} m")
     diagonal = math.hypot(w, h)
-    for name in ("arm_reach", "sensing_radius", "view_radius", "closeup_radius"):
+    for name in RADII:
         if not 0.0 <= getattr(config, name) <= diagonal:
             raise ConfigError(name, f"must lie in [0, {diagonal:g}], the room's diagonal")
     if int(config.sensing_radius / res) < 1:  # the sense disk's radius in cells
@@ -300,8 +293,7 @@ def validate_config(config: WorldConfig) -> None:
         if o.on is not None:
             if not isinstance(o.on, str) or o.on not in half_extents:
                 raise ConfigError(f"{path}.on", f"unknown receptacle id {o.on!r}")
-            half_w, half_h = half_extents[o.on]
-            if abs(o.offset[0]) > half_w or abs(o.offset[1]) > half_h:
+            if off_surface(o.offset, half_extents[o.on]):
                 raise ConfigError(f"{path}.offset", f"outside surface of {o.on!r}")
         elif not in_room(*o.floor):
             raise ConfigError(f"{path}.floor", "outside room bounds")
@@ -322,10 +314,9 @@ def validate_config(config: WorldConfig) -> None:
             for rid in pool:
                 if rid not in half_extents:
                     raise ConfigError(path, f"unknown receptacle id {rid!r}")
-                half_w, half_h = half_extents[rid]
                 for o in config.objects:
                     if o.category == category and not o.receptacle and o.on is not None:
-                        if abs(o.offset[0]) > half_w or abs(o.offset[1]) > half_h:
+                        if off_surface(o.offset, half_extents[rid]):
                             raise ConfigError(path, f"offset of {o.id!r} outside surface of {rid!r}")
         if config.variation.shuffle_offsets:
             # a shuffled offset is drawn at least SHUFFLE_MARGIN inside each edge
@@ -404,7 +395,7 @@ def vary_config(config: WorldConfig, trial_seed: int) -> WorldConfig:
 DEFAULT_STEP_CAP = 100
 
 NOISE_PROFILES: dict[str, dict[str, float]] = {
-    "zero": {name: 0.0 for name in NoiseModel.PROB_FIELDS},
+    "zero": {name: 0.0 for name in NOISE_PROBABILITIES},
     "default": {},  # NoiseModel defaults
     "realistic": {},  # alias for the defaults
 }
@@ -454,13 +445,14 @@ def _count(value: Any, path: str) -> int:
     return number
 
 
+SUITE_KEYS = field_names(SuiteConfig)
 TASK_KEYS = ("id", "name", "instruction", "scene", "goal", "trials", "seeds", "placement_style", "step_cap")
 
 
 def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
     """Build a SuiteConfig, loading each task's scene; a relative scene path
     resolves against ``base_dir``."""
-    only_keys(as_json(raw, dict, "suite"), ("name", "tasks", "noise_profile", "planner"))
+    only_keys(as_json(raw, dict, "suite"), SUITE_KEYS)
     if raw.get("planner", "scripted") != "scripted":
         raise ConfigError("planner", f"expected \"scripted\" (--planner chooses the planner), got {raw['planner']!r}")
     raw_tasks = as_json(raw.get("tasks", []), list, "tasks")

@@ -15,7 +15,7 @@ and traces (``kind``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 
@@ -40,6 +40,11 @@ def require(raw: dict, key: str, path: str) -> Any:
     if key not in raw:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return raw[key]
+
+
+def field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names in declaration order: its document's keys."""
+    return tuple(f.name for f in fields(cls))
 
 
 def only_keys(raw: dict, known: tuple[str, ...], path: str = "") -> dict:

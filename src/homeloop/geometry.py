@@ -256,9 +256,6 @@ class OccupancyGrid:
         cx, cy = cell
         return 0 <= cx < self.width and 0 <= cy < self.height
 
-    def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and bool(self.free & self.packed.bit(cell))
-
     # -- rasterization ---------------------------------------------------------
 
     def rasterize_polygon(self, poly: Sequence[tuple[float, float]]) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .errors import ConfigError, as_json, only_keys
+from .errors import ConfigError, as_json, field_names, only_keys
 
 if TYPE_CHECKING:
     from .world import World
@@ -147,31 +147,23 @@ class Holding(Goal):
 
 
 @dataclass(frozen=True)
-class And(Goal):
+class _Junction(Goal):
+    """And or Or over ``children``; dataclass equality keeps And and Or apart."""
+
     children: tuple[Goal, ...]
 
+    def atoms(self) -> list[Goal]:
+        return [a for c in self.children for a in c.atoms()]
+
+
+class And(_Junction):
     def satisfied(self, view: PlacementView) -> bool:
         return all(c.satisfied(view) for c in self.children)
 
-    def atoms(self) -> list[Goal]:
-        out: list[Goal] = []
-        for c in self.children:
-            out.extend(c.atoms())
-        return out
 
-
-@dataclass(frozen=True)
-class Or(Goal):
-    children: tuple[Goal, ...]
-
+class Or(_Junction):
     def satisfied(self, view: PlacementView) -> bool:
         return any(c.satisfied(view) for c in self.children)
-
-    def atoms(self) -> list[Goal]:
-        out: list[Goal] = []
-        for c in self.children:
-            out.extend(c.atoms())
-        return out
 
 
 @dataclass(frozen=True)
@@ -188,10 +180,19 @@ class Not(Goal):
 # --- JSON (de)serialization ---------------------------------------------------
 
 
+SELECTOR_KEYS = field_names(Selector)
+_BODY_KEYS = {
+    "on": ("object", "receptacle"),
+    "all_on": ("category", "receptacle"),
+    "same_receptacle": ("category",),
+    "holding": ("object",),
+}
+
+
 def _parse_selector(raw: dict, path: str) -> Selector:
     if not isinstance(raw, dict):
         raise ConfigError(path, "selector must be an object")
-    only_keys(raw, ("id", "category", "attributes"), path)
+    only_keys(raw, SELECTOR_KEYS, path)
     for key in ("id", "category"):
         if key in raw:
             as_json(raw[key], str, f"{path}.{key}")
@@ -201,14 +202,6 @@ def _parse_selector(raw: dict, path: str) -> Selector:
         category=raw.get("category"),
         attributes=frozenset(as_json(a, str, f"{path}.attributes[{i}]") for i, a in enumerate(attributes)),
     )
-
-
-_BODY_KEYS = {
-    "on": ("object", "receptacle"),
-    "all_on": ("category", "receptacle"),
-    "same_receptacle": ("category",),
-    "holding": ("object",),
-}
 
 
 def parse_goal(raw: dict, path: str = "goal") -> Goal:

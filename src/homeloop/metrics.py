@@ -135,27 +135,19 @@ def compute_metrics(reports: Iterable[TrialReport]) -> MetricsTable:
     invalid = [r for r in reports if r.outcome == OUTCOME_INVALID]
     valid = [r for r in reports if r.outcome != OUTCOME_INVALID]
 
-    by_task: dict[str, list[TrialReport]] = {}
-    order: list[str] = []
+    by_task: dict[str, list[TrialReport]] = {}  # in first-seen order
     for r in valid:
-        if r.task_id not in by_task:
-            order.append(r.task_id)
         by_task.setdefault(r.task_id, []).append(r)
 
-    task_rows = []
-    for task_id in order:
-        group = by_task[task_id]
-        task_rows.append(
-            TaskRow(
-                task_id=task_id,
-                sr=Ratio(sum(1 for g in group if g.outcome == OUTCOME_SUCCESS), len(group)),
-                ssr=Ratio(sum(g.successful_steps for g in group), sum(g.execution_steps for g in group)),
-                rr=Ratio(
-                    sum(g.recovered_executions for g in group),
-                    sum(g.replanned_executions for g in group),
-                ),
-            )
+    task_rows = [
+        TaskRow(
+            task_id=task_id,
+            sr=Ratio(sum(1 for g in group if g.outcome == OUTCOME_SUCCESS), len(group)),
+            ssr=Ratio(sum(g.successful_steps for g in group), sum(g.execution_steps for g in group)),
+            rr=Ratio(sum(g.recovered_executions for g in group), sum(g.replanned_executions for g in group)),
         )
+        for task_id, group in by_task.items()
+    ]
     total_row = TaskRow(
         task_id="total",
         sr=sum((r.sr for r in task_rows), Ratio(0, 0)),

@@ -166,8 +166,9 @@ class Belief:
     def receptacle_entities(self) -> list[BeliefObject]:
         return [o for o in self.sorted_objects() if o.is_receptacle]
 
-    def mark_stale(self, furniture_id: str) -> None:
-        m = self.local_maps.get(furniture_id)
+    def mark_stale(self, ref: str) -> None:
+        """Mark stale the local map of the furniture at the root of ``ref``."""
+        m = self.local_maps.get(self.root_of(ref))
         if m is not None:
             m.stale = True
 
@@ -189,7 +190,7 @@ class Belief:
             b.parent_id = rid
             b.location = pos
         if rid is not None:
-            self.mark_stale(self.root_of(rid))
+            self.mark_stale(rid)
         self.touch()
 
     def root_of(self, ref: str) -> str:

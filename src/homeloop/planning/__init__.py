@@ -10,7 +10,7 @@ from .prompts import (
     render_view,
 )
 from .scripted import ScriptedPlanner, scripted_next_step
-from .adapter import API_KEY_ENV, ChatBackend, ChatModelPlanner, HttpChatBackend, TranscriptBackend
+from .adapter import API_KEY_ENV, ChatBackend, ChatModelPlanner, HttpChatBackend
 
 __all__ = [
     "API_KEY_ENV",
@@ -29,7 +29,6 @@ __all__ = [
     "SYSTEM_PROMPT",
     "ScriptedPlanner",
     "Str",
-    "TranscriptBackend",
     "assemble_prompt",
     "estimate_tokens",
     "parse_plan",

@@ -6,16 +6,12 @@ variable. Replies are parsed through the plan DSL; a reply that fails the
 static checks triggers an automatic repair round-trip with the rendered error
 appended, at most ``MAX_REPAIR_ROUNDS`` times. Decoding is greedy
 (temperature 0, at most 512 reply tokens).
-
-A transcript backend replays canned replies from a JSON fixture for offline
-tests and deterministic demos.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..errors import BudgetExceeded, TransportError
@@ -79,29 +75,6 @@ class HttpChatBackend:
             return doc["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat completion body: {exc}") from exc
-
-
-@dataclass
-class TranscriptBackend:
-    """Replays recorded replies in order; used for offline fixtures."""
-
-    replies: list[str]
-    requests_seen: list[list[dict[str, str]]] = field(default_factory=list)
-    cursor: int = 0
-
-    @staticmethod
-    def from_file(path: str) -> "TranscriptBackend":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return TranscriptBackend(replies=list(doc["replies"]))
-
-    def complete(self, messages: list[dict[str, str]]) -> str:
-        self.requests_seen.append([dict(m) for m in messages])
-        if self.cursor >= len(self.replies):
-            raise TransportError("transcript exhausted")
-        reply = self.replies[self.cursor]
-        self.cursor += 1
-        return reply
 
 
 class ChatModelPlanner:

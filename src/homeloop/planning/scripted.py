@@ -47,8 +47,9 @@ def scripted_next_step(task, history, view: PlannerView) -> PlanStep:
 
     goal: Goal = task.goal
     if belief_goal_satisfied(goal, belief):
-        if _needs_full_scan(goal) and unscanned_receptacles(belief):
-            return _scan_step(belief, unscanned_receptacles(belief)[0])
+        pending = _needs_full_scan(goal) and unscanned_receptacles(belief)
+        if pending:
+            return _scan_step(belief, pending[0])
         return Done("goal satisfied")
 
     atom = first_unsatisfied_atom(goal, belief)
@@ -91,12 +92,9 @@ def _pursue(atom: Goal, task, view: PlannerView) -> PlanStep:
 
     # category-quantified atoms need complete knowledge before moving anything
     if isinstance(atom, (AllOn, SameReceptacle)):
-        pending = unscanned_receptacles(belief)
-        if pending:
-            return _scan_step(belief, pending[0])
-        dest = _resolve_destination(atom, belief)
+        dest = None if unscanned_receptacles(belief) else _resolve_destination(atom, belief)
         if dest is None:
-            return _dest_search(atom, belief)
+            return _dest_search(belief)
         mover = _next_mover(atom, belief, dest)
         if mover is None:
             # nothing left to move but the atom is unsatisfied: a member is
@@ -112,7 +110,7 @@ def _pursue(atom: Goal, task, view: PlannerView) -> PlanStep:
         if isinstance(atom, On):
             dest = _resolve_destination(atom, belief)
             if dest is None:
-                return _dest_search(atom, belief)
+                return _dest_search(belief)
         return _grasp_path(belief, verified[0])
     uninspected = [c for c in candidates if not belief.objects[c].inspected]
     if uninspected:
@@ -144,7 +142,7 @@ def _deliver_or_unload(atom: Goal, task, view: PlannerView, held: str) -> PlanSt
 
     dest = _resolve_destination(atom, belief)
     if dest is None:
-        return _dest_search(atom, belief)
+        return _dest_search(belief)
     droot = _root_of(belief, dest) or dest
     if belief.at_receptacle != droot:
         return Call("navigate", Ref(droot))
@@ -219,13 +217,10 @@ def _object_search(atom: Goal, task, view: PlannerView) -> PlanStep:
         raise PolicyStuck("feasible verdict but no actionable candidate")
     if verdict.rollback is None:
         return Done(f"infeasible: {verdict.explanation}")
-    rid = verdict.rollback.receptacle
-    if belief.at_receptacle != rid:
-        return Call("navigate", Ref(rid))
-    return Call("explore_local", Ref(rid))
+    return _scan_step(belief, verdict.rollback.receptacle)
 
 
-def _dest_search(atom: Goal, belief: Belief) -> PlanStep:
+def _dest_search(belief: Belief) -> PlanStep:
     pending = unscanned_receptacles(belief)
     if pending:
         return _scan_step(belief, pending[0])

@@ -173,7 +173,7 @@ def grasp(ctx: SkillContext, request: ActionRequest) -> Feedback:
     elif fb.details.get("shifted"):
         b = ctx.belief.objects.get(ref)
         if b is not None and b.parent_id:
-            ctx.belief.mark_stale(ctx.belief.root_of(b.parent_id))
+            ctx.belief.mark_stale(b.parent_id)
     return fb
 
 

@@ -25,6 +25,9 @@ OUTCOME_SUCCESS = "success"
 OUTCOME_FAILURE = "failure"
 OUTCOME_INVALID = "infrastructure-invalid"
 
+# The footer counters that are tallies of ``failure_records``.
+RECORD_TALLIES = ("replanned_executions", "recovered_executions", "direct_failures")
+
 
 @dataclass
 class TrialReport:
@@ -53,6 +56,10 @@ class TrialReport:
     @property
     def direct_failures(self) -> int:
         return sum(1 for r in self.failure_records if r.direct_failure)
+
+    def counters(self) -> dict[str, int]:
+        """The trace footer's ``counters``: the step counts, then the record tallies."""
+        return {key: getattr(self, key) for key in ("execution_steps", "successful_steps", *RECORD_TALLIES)}
 
     def check_identities(self) -> None:
         """Accounting invariants every trace must satisfy. Explicit raises,
@@ -91,13 +98,7 @@ def write_trace(report: TrialReport, sink) -> None:
         "outcome": report.outcome,
         "reason": report.reason,
         "goal_satisfied": report.goal_satisfied,
-        "counters": {
-            "execution_steps": report.execution_steps,
-            "successful_steps": report.successful_steps,
-            "replanned_executions": report.replanned_executions,
-            "recovered_executions": report.recovered_executions,
-            "direct_failures": report.direct_failures,
-        },
+        "counters": report.counters(),
         "failure_records": [r.to_json() for r in report.failure_records],
     }
     encode = _ENCODER.encode
@@ -149,13 +150,8 @@ def load_trace(source) -> TrialReport:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed header or trial_end footer: {exc!r}", len(parsed) - 1) from exc
-    expected = {
-        "replanned_executions": report.replanned_executions,
-        "recovered_executions": report.recovered_executions,
-        "direct_failures": report.direct_failures,
-    }
-    for key, value in expected.items():
-        if counters.get(key) != value:
+    for key in RECORD_TALLIES:
+        if counters.get(key) != getattr(report, key):
             raise TraceFormatError(f"counter {key} does not match failure records", len(parsed))
     return report
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from .config import FurnitureSpec, ObjectSpec, WorldConfig, surface_half_extents
+from .config import FurnitureSpec, ObjectSpec, WorldConfig, off_surface, surface_half_extents
 from .config import parse_config, validate_config  # noqa: F401  (perfbench reads them here)
 from .errors import Fault, PreconditionFault, Refused, TargetNotVisible
 from .geometry import SIDES, Cell, OccupancyGrid, Pose, bresenham, polygon_centroid, side_of
@@ -371,9 +371,10 @@ class World:
     # -- phantom registry --------------------------------------------------------------
 
     def mint_phantom_id(self, category: str) -> str:
-        """The first ``<category>_<n>`` that names neither an object nor a phantom."""
+        """The first ``<category>_<n>`` that names no furniture, object or phantom."""
+        taken = (self.furniture, self.objects, self.phantoms)
         n = 0
-        while f"{category}_{n}" in self.objects or f"{category}_{n}" in self.phantoms:
+        while any(f"{category}_{n}" in ids for ids in taken):
             n += 1
         return f"{category}_{n}"
 
@@ -529,8 +530,7 @@ class World:
         if offset is not None:
             anchor = self.anchor_of(rid)
             pos = (anchor[0] + offset[0], anchor[1] + offset[1])
-            half_w, half_h = self.half_extents[rid]
-            if abs(offset[0]) > half_w or abs(offset[1]) > half_h:
+            if off_surface(offset, self.half_extents[rid]):
                 raise Refused(
                     PreconditionFault("bad_argument", f"offset {offset} outside {rid} surface"),
                     "place failed: offset outside surface",

@@ -1,11 +1,15 @@
-"""Tiny threaded chat-completions mock for adapter tests."""
+"""Chat-model test doubles: a tiny threaded chat-completions server, and a
+backend that replays canned replies without one."""
 
 from __future__ import annotations
 
 import json
 import threading
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Optional
+
+from homeloop.errors import TransportError
 
 
 class MockChatServer:
@@ -65,3 +69,26 @@ class MockChatServer:
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
         self._server.server_close()
+
+
+@dataclass
+class TranscriptBackend:
+    """Replays recorded replies in order; used for offline fixtures."""
+
+    replies: list[str]
+    requests_seen: list[list[dict[str, str]]] = field(default_factory=list)
+    cursor: int = 0
+
+    @staticmethod
+    def from_file(path: str) -> "TranscriptBackend":
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return TranscriptBackend(replies=list(doc["replies"]))
+
+    def complete(self, messages: list[dict[str, str]]) -> str:
+        self.requests_seen.append([dict(m) for m in messages])
+        if self.cursor >= len(self.replies):
+            raise TransportError("transcript exhausted")
+        reply = self.replies[self.cursor]
+        self.cursor += 1
+        return reply

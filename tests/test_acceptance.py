@@ -18,14 +18,14 @@ from homeloop.config import load_builtin_suite, resolve_noise_profile
 from homeloop.harness import TrialOptions, replay_matches, run_suite, run_trial
 from homeloop.metrics import EMPTY_RATIO, compute_metrics
 from homeloop.perception import Belief, explore_global, explore_local, report_observation
-from homeloop.planning import Call, ChatModelPlanner, HttpChatBackend, ScriptedPlanner, TranscriptBackend
+from homeloop.planning import Call, ChatModelPlanner, HttpChatBackend, ScriptedPlanner
 from homeloop.recovery import BUDGETS, DIRECTIVES, LADDER, RecoveryEpisode, select_recovery
 from homeloop.trace import load_trace, write_trace
 from homeloop.verification import FailureRecord
 from homeloop.world import ActionRequest
 
 from conftest import DOLL_SCENE, make_world, mini_task, zero_noise
-from mock_llm import MockChatServer
+from mock_llm import MockChatServer, TranscriptBackend
 from test_metrics import direct, failed_replan, per_task_reports, recovered, trial
 
 

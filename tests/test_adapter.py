@@ -17,10 +17,9 @@ from homeloop.planning import (
     HttpChatBackend,
     PlannerView,
     Ref,
-    TranscriptBackend,
 )
 
-from mock_llm import MockChatServer
+from mock_llm import MockChatServer, TranscriptBackend
 from conftest import mini_task, zero_noise
 
 

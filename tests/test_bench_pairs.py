@@ -1,9 +1,12 @@
-"""``tools/bench_pairs.py``'s summary and claim verdict on hand-made pairs."""
+"""``tools/bench_pairs.py``'s summary and claim verdict on hand-made pairs,
+and the checkouts it names by path or by git revision."""
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import subprocess
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
@@ -40,3 +43,25 @@ def test_claim_is_met_when_the_median_ratio_reaches_the_target():
     assert bench_pairs.claim(summary, "apartments", "trials_per_s", 1.4, True)["met"] is False
     assert bench_pairs.claim(summary, "apartments", "trial_ms_p50", 0.8, False)["met"] is True
     assert bench_pairs.claim(summary, "apartments", "trial_ms_p50", 0.75, False)["met"] is False
+
+
+def test_a_revision_is_exported_and_named_by_its_commit(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "marker.txt").write_text("exported\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    for cmd in (["init", "-q"], ["add", "marker.txt"], ["commit", "-q", "-m", "one file"]):
+        subprocess.run([*git, *cmd], check=True, capture_output=True)
+    commit = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
+
+    with bench_pairs.checkout("HEAD", repo=str(repo)) as (tree, name):
+        assert name == commit and len(name) == 40
+        assert (Path(tree) / "marker.txt").read_text() == "exported\n"
+        assert not (Path(tree) / ".git").exists()
+    assert not Path(tree).exists()
+
+    plain = tmp_path / "plain"  # a directory keeps its record: here its path, as it is no git checkout
+    plain.mkdir()
+    with bench_pairs.checkout(str(plain), repo=str(repo)) as (root, name):
+        assert (root, name) == (str(plain), str(plain))
+    assert plain.exists()

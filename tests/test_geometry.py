@@ -271,7 +271,7 @@ def numpy_sense(world, explored, origin_cell):
     the sensing radius, plus the occupied surfaces bordering them. Occlusion
     falls out of connectivity — the scan cannot pass through furniture, so a
     walled-off region stays unexplored."""
-    if not world.grid.is_free(origin_cell):
+    if not world.grid.free & world.grid.packed.bit(origin_cell):
         return
     radius = int(world.config.sensing_radius / world.config.grid_resolution)
     cx0, cy0 = origin_cell

@@ -12,10 +12,11 @@ from homeloop.config import SuiteConfig, load_builtin_suite, parse_suite
 from homeloop.errors import ConfigError, TraceFormatError
 from homeloop.goals import parse_goal
 from homeloop.harness import TrialOptions, _Trial, replay_matches, run_suite, run_trial
-from homeloop.planning import ChatModelPlanner, ParseError, ScriptedPlanner, TranscriptBackend
+from homeloop.planning import ChatModelPlanner, ParseError, ScriptedPlanner
 from homeloop.trace import load_trace, write_trace
 
 from conftest import mini_task, zero_noise
+from mock_llm import TranscriptBackend
 
 
 def test_move_toy_zero_noise_counts(zero_options):

@@ -279,7 +279,8 @@ def test_validation_rejects_exactly_the_starts_the_grid_marks_occupied(case):
         (doc["room"]["width"], doc["room"]["height"]), doc["grid_resolution"],
         tuple((f["id"], tuple(map(tuple, f["footprint"]))) for f in doc["furniture"]), (x, y),
     )
-    assert accepted == geometry.grid.is_free(geometry.grid.cell_of(x, y)), (name, x, y)
+    grid = geometry.grid
+    assert accepted == bool(grid.free & grid.packed.bit(grid.cell_of(x, y))), (name, x, y)
 
 
 def test_cache_keeps_at_most_sixteen_layouts():

@@ -522,3 +522,12 @@ def test_free_offset_on_matches_the_probing_reference(half, anchor, reach, robot
     assert got == expected
     if got is not None:  # the same floats, bit for bit
         assert tuple(map(float.hex, got)) == tuple(map(float.hex, expected))
+
+
+def test_a_phantom_id_skips_furniture_ids():
+    doc = copy.deepcopy(MINI_SCENE)
+    doc["furniture"][2]["id"] = "cup_0"  # the bed
+    doc["objects"] = [o for o in doc["objects"] if o["id"] != "cup_0"]
+    world = make_world(doc)
+    assert "cup_0" in world.furniture
+    assert world.mint_phantom_id("cup") == "cup_1"

@@ -5,16 +5,19 @@ the record as one ``BENCH_*.json``.
         --workload apartments=10 --workload bundled=4 --traced-seed 31 \\
         --claim apartments:trials_per_s:1.6 --out BENCH_example.json
 
-``--parent`` and ``--change`` are the roots of two checkouts, for example a
-``git worktree`` or clone of the parent commit and the working tree. Each
+``--parent`` and ``--change`` each name a checkout's root, for example a
+clone of the parent commit or the working tree, or a git revision of this
+repository (``HEAD~1``, a branch, a commit id). A revision is exported with
+``git archive`` into a temporary directory, which is removed afterwards. Each
 pair runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in each checkout, one run at a time: even pairs run the
 parent first, odd pairs the change first. With ``--traced-seed`` each
 workload then gets one ``--trace 1`` run per side, whose per-layer spans and
 counts are recorded as well.
 
-The record holds ``what``, ``parent`` and ``change`` (each checkout's commit,
-marked when its tree has uncommitted edits), the host, an optional
+The record holds ``what``, ``parent`` and ``change`` (a revision's full commit
+id; a checkout's commit, marked when its tree has uncommitted edits, or its
+path when it is not a git checkout), the host, an optional
 ``claim`` (its pairs won and ``met``: whether the median ratio reaches the
 target), a ``summary`` per workload and metric (medians, change/parent
 ratio, pairs won, the parent's interquartile range and its max-min spread
@@ -24,14 +27,16 @@ over its median), the per-pair ``workloads`` and the ``traced`` runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,6 +67,25 @@ def revision(checkout: str) -> str:
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=checkout,
                            capture_output=True, text=True).stdout.strip()
     return head.stdout.strip() + (" with uncommitted changes" if dirty else "")
+
+
+@contextlib.contextmanager
+def checkout(ref: str, repo: str = ROOT) -> Iterator[tuple[str, str]]:
+    """The root to run ``ref`` in and the name its record gives it: a
+    directory is itself, named by ``revision``; anything else is a git
+    revision of ``repo``, exported into a temporary directory for the
+    duration and named by its full commit id."""
+    if os.path.isdir(ref):
+        yield ref, revision(ref)
+        return
+    commit = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"], cwd=repo,
+                            capture_output=True, text=True).stdout.strip()
+    if not commit:
+        raise SystemExit(f"error: {ref!r} is neither a directory nor a git revision of {repo}")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tree:
+        archive = subprocess.run(["git", "archive", commit], cwd=repo, capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        yield tree, commit
 
 
 def host() -> str:
@@ -154,21 +178,10 @@ def run_traced(parent: str, change: str, workload: str, seed: int, seconds: floa
     }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="root of the parent's checkout")
-    parser.add_argument("--change", default=ROOT, help="root of the changed checkout (default: this one)")
-    parser.add_argument("--workload", action="append", required=True, metavar="NAME=PAIRS",
-                        help="a workload and its number of alternating pairs; repeatable")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--traced-seed", type=int, help="also one --trace 1 run per side and workload")
-    parser.add_argument("--claim", metavar="WORKLOAD:METRIC:RATIO",
-                        help="the claimed gain, e.g. apartments:trials_per_s:1.6")
-    parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
-    args = parser.parse_args(argv)
+def compare(args: argparse.Namespace, parent: tuple[str, str], change: tuple[str, str]) -> dict[str, Any]:
+    """The record of ``args``' runs in the ``(root, name)`` checkouts."""
     plan = [(name, int(n)) for name, n in (w.split("=") for w in args.workload)]
-    higher_better = higher_is_better(args.change)
+    higher_better = higher_is_better(change[0])
 
     record: dict[str, Any] = {
         "what": (
@@ -179,8 +192,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                if args.traced_seed is not None else "")
             + ". Times are scaled by perfbench/pace.py; peak_rss_mb is raw."
         ),
-        "parent": revision(args.parent),
-        "change": revision(args.change),
+        "parent": parent[1],
+        "change": change[1],
         "python": platform.python_version(),
         # from the package metadata, not an import: Linux carries a process's
         # peak RSS across exec into every run.py it starts, so importing numpy
@@ -193,15 +206,34 @@ def main(argv: Optional[list[str]] = None) -> int:
         "workloads": {},
     }
     for name, n in plan:
-        pairs = run_pairs(args.parent, args.change, name, n, args.seed, args.seconds)
+        pairs = run_pairs(parent[0], change[0], name, n, args.seed, args.seconds)
         record["workloads"][name] = {"seed": args.seed, "pairs": pairs}
         record["summary"][name] = summarise(pairs, higher_better)
     if args.claim is not None:
         workload, metric, target = args.claim.split(":")
         record["claim"] = claim(record["summary"], workload, metric, float(target), higher_better[metric])
     if args.traced_seed is not None:
-        record["traced"] = {name: run_traced(args.parent, args.change, name, args.traced_seed, args.seconds)
+        record["traced"] = {name: run_traced(parent[0], change[0], name, args.traced_seed, args.seconds)
                             for name, _ in plan}
+    return record
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="root of the parent's checkout, or a git revision")
+    parser.add_argument("--change", default=ROOT,
+                        help="root of the changed checkout, or a git revision (default: this checkout)")
+    parser.add_argument("--workload", action="append", required=True, metavar="NAME=PAIRS",
+                        help="a workload and its number of alternating pairs; repeatable")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--traced-seed", type=int, help="also one --trace 1 run per side and workload")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC:RATIO",
+                        help="the claimed gain, e.g. apartments:trials_per_s:1.6")
+    parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
+    args = parser.parse_args(argv)
+    with checkout(args.parent) as parent, checkout(args.change) as change:
+        record = compare(args, parent, change)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
