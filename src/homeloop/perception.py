@@ -480,22 +480,15 @@ def report_observation(world: World, belief: Belief, target: SceneObject) -> Obs
                 parent_id=target.parent_id,
                 is_receptacle=False,
             )
-        obs = Observation(
-            kind="close_up", target=oid, visible=(revealed,), captured_at_step=world.step_counter
-        )
-        _merge_closeup(belief, obs)
-        return obs
-
-    pos = world.position_of(oid) if oid in world.objects else None
-    believed = target.location
-    if pos is None or (pos[0] - believed[0]) ** 2 + (pos[1] - believed[1]) ** 2 > world.config.closeup_radius**2:
-        raise Refused(TargetNotVisible("target_not_visible", f"{oid} no longer exists at its believed location"))
-
-    visible = [_snapshot(world, oid, "object")]
-    visible += _in_view(world, world.objects.keys() - {oid}, pos, world.config.closeup_radius)
-    obs = Observation(
-        kind="close_up", target=oid, visible=tuple(visible), captured_at_step=world.step_counter
-    )
+        visible = [revealed]
+    else:
+        pos = world.position_of(oid) if oid in world.objects else None
+        believed = target.location
+        if pos is None or (pos[0] - believed[0]) ** 2 + (pos[1] - believed[1]) ** 2 > world.config.closeup_radius**2:
+            raise Refused(TargetNotVisible("target_not_visible", f"{oid} no longer exists at its believed location"))
+        visible = [_snapshot(world, oid, "object")]
+        visible += _in_view(world, world.objects.keys() - {oid}, pos, world.config.closeup_radius)
+    obs = Observation(kind="close_up", target=oid, visible=tuple(visible), captured_at_step=world.step_counter)
     _merge_closeup(belief, obs)
     return obs
 

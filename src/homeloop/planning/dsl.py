@@ -89,7 +89,6 @@ _STR_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"$')
 _LOC_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(-?\d+(?:\.\d+)?(?:e-?\d+)?)\s*,\s*(-?\d+(?:\.\d+)?(?:e-?\d+)?)$")
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9]*\n(.*?)```", re.DOTALL)
 
-REFERENCE_VERBS = ("navigate", "grasp", "explore_local")
 MODES = ("stay", "rest")
 
 
@@ -165,43 +164,26 @@ def parse_plan(text: str, gripper_occupied: bool = False) -> list[PlanStep]:
 
 
 def _check_call(verb: str, arg: Optional[PlanArg], line_no: int) -> Call:
-    if verb == "explore_global":
-        if arg is not None:
-            raise ParseError(line_no, "explore_global takes no argument", "")
-        return Call(verb, None)
-    if arg is None:
+    """One rule per argument kind: explore_global takes no argument and every
+    other verb takes one; a string literal is allowed only as an observation
+    mode, and a location only for place. ``parse_plan`` has already refused
+    any verb outside ``ALL_VERBS``."""
+    if verb == "explore_global" and arg is not None:
+        raise ParseError(line_no, "explore_global takes no argument", "")
+    if verb != "explore_global" and arg is None:
         raise ParseError(line_no, f"{verb} requires an argument", "")
-    if verb in REFERENCE_VERBS:
-        if isinstance(arg, Str):
-            raise ParseError(
-                line_no,
-                f"expected object reference, got string literal {arg.text!r}",
-                f"pass the map reference token itself, e.g. {verb}(table_0)",
-            )
-        if isinstance(arg, Loc):
-            raise ParseError(line_no, f"{verb} does not take a location", "")
-        return Call(verb, arg)
-    if verb == "place":
-        if isinstance(arg, Str):
-            raise ParseError(
-                line_no,
-                f"expected object reference, got string literal {arg.text!r}",
-                "pass a receptacle reference or receptacle:dx,dy location",
-            )
-        return Call(verb, arg)
-    if verb == "report_observation":
-        if isinstance(arg, Str):
-            if arg.text not in MODES:
-                raise ParseError(
-                    line_no,
-                    f"unknown observation mode {arg.text!r}",
-                    'modes are "stay" and "rest"',
-                )
-            return Call(verb, arg)
-        if isinstance(arg, Loc):
-            raise ParseError(line_no, "report_observation does not take a location", "")
-        return Call(verb, arg)
-    raise ParseError(line_no, f"unhandled verb {verb!r}", "")
+    if isinstance(arg, Str) and not (verb == "report_observation" and arg.text in MODES):
+        if verb == "report_observation":
+            raise ParseError(line_no, f"unknown observation mode {arg.text!r}", 'modes are "stay" and "rest"')
+        hint = (
+            "pass a receptacle reference or receptacle:dx,dy location"
+            if verb == "place"
+            else f"pass the map reference token itself, e.g. {verb}(table_0)"
+        )
+        raise ParseError(line_no, f"expected object reference, got string literal {arg.text!r}", hint)
+    if isinstance(arg, Loc) and verb != "place":
+        raise ParseError(line_no, f"{verb} does not take a location", "")
+    return Call(verb, arg)
 
 
 def render_plan(steps: list[PlanStep]) -> str:
@@ -216,5 +198,5 @@ def to_request(step: Call) -> ActionRequest:
     if isinstance(arg, Ref):
         return ActionRequest(verb=step.verb, target=arg.name)
     if isinstance(arg, Str):
-        return ActionRequest(verb=step.verb, target=arg.text, params={"string_literal": True})
+        return ActionRequest(verb=step.verb, target=arg.text, string_literal=True)
     return ActionRequest(verb=step.verb, location=(arg.receptacle, arg.offset))

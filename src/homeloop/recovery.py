@@ -20,7 +20,7 @@ what became of the episode: nothing issued (None), recovered or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import perception
@@ -50,10 +50,10 @@ SHIFT_EPSILON = 0.02  # meters of believed movement that counts as "shifted"
 @dataclass
 class RecoveryEpisode:
     failure: FailureRecord
-    verb: str
+    # the failed request: a re-issue is a copy of it, and a grasp retarget
+    # aims it at the new object
+    request: ActionRequest
     object_id: Optional[str]
-    target: Optional[str]
-    location: Optional[tuple[str, tuple[float, float]]] = None
     status: str = "active"  # active | recovered | exhausted
     # evidence from failed re-issues: the target moved, could not be found
     # again, or was out of reach
@@ -125,10 +125,8 @@ def recover(ctx: SkillContext, goal: Goal, failure: FailureRecord, request: Acti
         object_id = fb.moved or held_before
     episode = RecoveryEpisode(
         failure=failure,
-        verb=request.verb,
+        request=request,
         object_id=object_id,
-        target=request.target,
-        location=request.location,
         # the first shift check reads this as it read the full view: a
         # grasp's target is in its evidence, and a place moves no object in view
         last_before=before,
@@ -238,26 +236,20 @@ class EpisodeRunner:
                 episode.shifted = True
 
     def _reissue(self, episode: RecoveryEpisode, level: str) -> bool:
-        """Re-run the failed verb; a place whose object fell to the floor is
-        re-grasped first."""
-        if episode.verb == "place" and self.ctx.belief.holding is None and episode.object_id is not None:
-            g = ActionRequest(verb="grasp", target=episode.object_id, params={"recovery_level": level})
+        """Re-issue the failed request at ``level``; a place whose object fell
+        to the floor is re-grasped first."""
+        if episode.request.verb == "place" and self.ctx.belief.holding is None and episode.object_id is not None:
+            g = ActionRequest(verb="grasp", target=episode.object_id, source=level)
             if not self._execute(episode, g):
                 return False
-        return self._execute(episode, self._request(episode, level))
-
-    @staticmethod
-    def _request(episode: RecoveryEpisode, level: str) -> ActionRequest:
-        """The episode's failed request, re-issued at ``level``."""
-        return ActionRequest(
-            verb=episode.verb, target=episode.target, location=episode.location, params={"recovery_level": level}
-        )
+        return self._execute(episode, replace(episode.request, source=level))
 
     def _reissue_after_scan(self, episode: RecoveryEpisode, lmap, level: str) -> Optional[bool]:
         """Re-issue at ``level`` after a fresh scan. A grasp, or a place whose
         object fell, first re-resolves its object in the new map; when none
         matches, the target is lost and nothing is issued."""
-        if episode.verb == "grasp" or (episode.verb == "place" and self.ctx.belief.holding is None):
+        verb = episode.request.verb
+        if verb == "grasp" or (verb == "place" and self.ctx.belief.holding is None):
             if self._resolve_object(episode, lmap) is None:
                 episode.target_lost = True
                 return None
@@ -280,12 +272,12 @@ class EpisodeRunner:
         if oid is None:
             return False
         fresh = capture(self.ctx.world, "stay", (oid,))
-        if episode.verb == "grasp" and fresh.find(oid) is None and self.ctx.world.gripper == oid:
+        if episode.request.verb == "grasp" and fresh.find(oid) is None and self.ctx.world.gripper == oid:
             self.ctx.belief.note_grasped(oid)
             return True
-        if episode.verb == "place":
+        if episode.request.verb == "place":
             snap = fresh.find(oid)
-            rid = self._request(episode, "object").receptacle
+            rid = episode.request.receptacle
             if snap is not None and snap.parent_id == rid:
                 self.ctx.belief.note_released(oid, snap.location, rid)
                 return True
@@ -326,8 +318,8 @@ class EpisodeRunner:
                 continue
             if item.category == want_category and item.id != oid:
                 episode.object_id = item.id
-                if episode.verb == "grasp":
-                    episode.target = item.id
+                if episode.request.verb == "grasp":
+                    episode.request = replace(episode.request, target=item.id)
                 self.ctx.events.append({"event": "recovery_retarget", "from": oid, "to": item.id})
                 return item.id
         return None
@@ -336,7 +328,7 @@ class EpisodeRunner:
         """New vantage point: an untried side with the target in reach, or an
         alternative receptacle suggested by the feasibility check."""
         belief = self.ctx.belief
-        if episode.verb == "navigate":
+        if episode.request.verb == "navigate":
             return self._reissue(episode, "global")
 
         root = belief.at_receptacle
@@ -347,10 +339,7 @@ class EpisodeRunner:
         target_pos = b.location if b is not None else None
         side = self._pick_side(episode, root, target_pos) if root is not None else None
         if side is not None:
-            focus = list(target_pos) if target_pos is not None else None
-            nav = ActionRequest(
-                verb="navigate", target=root, side=side, params={"recovery_level": "global", "focus": focus}
-            )
+            nav = ActionRequest(verb="navigate", target=root, side=side, source="global", focus=target_pos)
             if not self._execute(episode, nav):
                 return False
             episode.tried_sides.add(side)
@@ -359,12 +348,10 @@ class EpisodeRunner:
         suggestion = verify_feasibility(self.goal, belief).rollback
         if suggestion is None or suggestion.level != "global":
             return None
-        nav = ActionRequest(
-            verb="navigate", target=suggestion.receptacle, params={"recovery_level": "global"}
-        )
+        nav = ActionRequest(verb="navigate", target=suggestion.receptacle, source="global")
         if not self._execute(episode, nav):
             return False
-        scan = ActionRequest(verb="explore_local", target=suggestion.receptacle, params={"recovery_level": "global"})
+        scan = ActionRequest(verb="explore_local", target=suggestion.receptacle, source="global")
         dispatch(self.ctx, scan)  # perception, not counted
         lmap = belief.local_maps.get(suggestion.receptacle)
         if lmap is None:

@@ -45,11 +45,6 @@ class SkillContext:
     execution_steps: int = 0
     successful_steps: int = 0
 
-    def take_index(self) -> int:
-        idx = self.requests_made
-        self.requests_made += 1
-        return idx
-
 
 def _log(ctx: SkillContext, request: ActionRequest, fb: Feedback) -> None:
     """Count the answered request's step and append its request, feedback and
@@ -66,7 +61,7 @@ def _log(ctx: SkillContext, request: ActionRequest, fb: Feedback) -> None:
             "target": request.target,
             "location": _location_json(request),
             "side": request.side,
-            "source": request.params.get("recovery_level", "planner"),
+            "source": request.source,
         }
     )
     ctx.events.append(
@@ -136,7 +131,7 @@ def _fault_json(fault: Optional[Fault]) -> Optional[dict[str, str]]:
 def _reference(request: ActionRequest, what: str) -> str:
     """The request's target; refuses a string literal or a missing target."""
     ref = request.target
-    if ref is None or request.params.get("string_literal"):
+    if ref is None or request.string_literal:
         raise Refused(ApiCallError("bad_argument", f"{request.verb} expects {what}, got a string literal {ref!r}"))
     return ref
 
@@ -259,11 +254,11 @@ _HANDLERS = {
 
 
 def dispatch(ctx: SkillContext, request: ActionRequest) -> Feedback:
-    """Single entry point for every plan step. Assigns the request index,
-    routes to the verb handler, turns a refusal into a failed Feedback, and
-    counts and logs the answer on the context."""
-    if request.request_index < 0:
-        request.request_index = ctx.take_index()
+    """Single entry point for every plan step. Numbers the request, routes it
+    to the verb handler, turns a refusal into a failed Feedback, and counts
+    and logs the answer on the context."""
+    request.request_index = ctx.requests_made
+    ctx.requests_made += 1
     try:
         fb = _HANDLERS.get(request.verb, _unknown_verb)(ctx, request)
     except Refused as refusal:

@@ -86,8 +86,10 @@ class ActionRequest:
     target: Optional[str] = None  # belief reference (object/receptacle id) or mode
     location: Optional[tuple[str, tuple[float, float]]] = None  # place location form
     side: Optional[str] = None  # preferred approach side for navigate
-    params: dict[str, Any] = field(default_factory=dict)
-    request_index: int = -1
+    source: str = "planner"  # who issued it: the planner or a recovery level
+    focus: Optional[tuple[float, float]] = None  # a point for navigate's approach cell to be nearest
+    string_literal: bool = False  # the target came as a quoted string
+    request_index: int = -1  # set by ``skills.dispatch``
 
     @property
     def receptacle(self) -> Optional[str]:
@@ -408,8 +410,7 @@ class World:
         if target not in self.furniture:
             fault = PreconditionFault("unknown_reference", f"navigate target {target!r} is not furniture")
             raise Refused(fault, f"navigate({target}) -> unknown furniture")
-        focus = request.params.get("focus")
-        approach = self.select_approach(target, request.side, tuple(focus) if focus else None)
+        approach = self.select_approach(target, request.side, request.focus)
         if approach is None:
             return False, "navigation failed (no reachable approach)", {"unreachable": True}
         if self.rng.random() < self.config.noise.p_nav_fail:

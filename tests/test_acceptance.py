@@ -167,9 +167,8 @@ def test_criterion_4_table_fixtures():
 def test_criterion_5_escalation_protocol(events, start_level):
     episode = RecoveryEpisode(
         failure=FailureRecord("grasp_failed", 0, start_level),
-        verb="grasp",
+        request=ActionRequest(verb="grasp", target="toy_0"),
         object_id="toy_0",
-        target="toy_0",
     )
     levels = []
     for step in range(sum(BUDGETS.values()) + 1):

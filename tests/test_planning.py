@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from homeloop.planning import (
     to_request,
 )
 from homeloop.planning.prompts import TOKEN_BUDGET
+from homeloop.world import ALL_VERBS
 
 from conftest import mini_task, zero_noise
 
@@ -88,11 +90,91 @@ def test_empty_plan_rejected():
         parse_plan("# just a comment\n")
 
 
+class Rejected(NamedTuple):
+    message: str
+    hint: str = ""
+
+
+# Every verb, done and an unknown verb, against every argument form: the
+# parsed step, or the ParseError's message and hint.
+ARG_FORMS = {"none": "", "reference": "table_0", "stay": '"stay"', "rest": '"rest"', "string": '"sideways"',
+             "location": "table_0:0.25,-0.1", "unparsable": "table 0"}
+_UNPARSABLE = Rejected("cannot parse argument 'table 0'",
+                       "arguments are bare reference tokens, quoted strings, or receptacle:dx,dy locations")
+_NOT_DONE = Rejected("done() takes no argument or a quoted message")
+_FLY = Rejected("unknown verb 'fly'",
+                "available verbs: navigate, grasp, place, explore_global, explore_local, report_observation, done")
+
+
+def _literal(verb, text, hint=None):
+    return Rejected(f"expected object reference, got string literal {text!r}",
+                    hint or f"pass the map reference token itself, e.g. {verb}(table_0)")
+
+
+def _reference_verb(verb):
+    return {"none": Rejected(f"{verb} requires an argument"), "reference": Call(verb, Ref("table_0")),
+            "stay": _literal(verb, "stay"), "rest": _literal(verb, "rest"), "string": _literal(verb, "sideways"),
+            "location": Rejected(f"{verb} does not take a location"), "unparsable": _UNPARSABLE}
+
+
+_PLACE_HINT = "pass a receptacle reference or receptacle:dx,dy location"
+PLAN_CHECKS = {
+    "navigate": _reference_verb("navigate"),
+    "grasp": _reference_verb("grasp"),
+    "explore_local": _reference_verb("explore_local"),
+    "place": {"none": Rejected("place requires an argument"), "reference": Call("place", Ref("table_0")),
+              "stay": _literal("place", "stay", _PLACE_HINT), "rest": _literal("place", "rest", _PLACE_HINT),
+              "string": _literal("place", "sideways", _PLACE_HINT),
+              "location": Call("place", Loc("table_0", (0.25, -0.1))), "unparsable": _UNPARSABLE},
+    "explore_global": {"none": Call("explore_global"),
+                       **dict.fromkeys(("reference", "stay", "rest", "string", "location"),
+                                       Rejected("explore_global takes no argument")),
+                       "unparsable": _UNPARSABLE},
+    "report_observation": {"none": Rejected("report_observation requires an argument"),
+                           "reference": Call("report_observation", Ref("table_0")),
+                           "stay": Call("report_observation", Str("stay")),
+                           "rest": Call("report_observation", Str("rest")),
+                           "string": Rejected("unknown observation mode 'sideways'", 'modes are "stay" and "rest"'),
+                           "location": Rejected("report_observation does not take a location"),
+                           "unparsable": _UNPARSABLE},
+    "done": {"none": Done(""), "reference": _NOT_DONE, "stay": Done("stay"), "rest": Done("rest"),
+             "string": Done("sideways"), "location": _NOT_DONE, "unparsable": _UNPARSABLE},
+    "fly": dict.fromkeys(ARG_FORMS, _FLY),
+}
+
+
+def test_the_plan_check_table_covers_every_verb_and_argument_form():
+    assert set(PLAN_CHECKS) == set(ALL_VERBS) | {"done", "fly"}
+    assert all(set(row) == set(ARG_FORMS) for row in PLAN_CHECKS.values())
+
+
+@pytest.mark.parametrize("gripper_occupied", [False, True])
+@pytest.mark.parametrize("verb, form", [(verb, form) for verb in PLAN_CHECKS for form in ARG_FORMS])
+def test_every_plan_check_keeps_its_verdict(verb, form, gripper_occupied):
+    """The call sits on line 2, below a comment; only a place's no-grasp
+    warning depends on ``gripper_occupied``."""
+    text = f"# checked\n{verb}({ARG_FORMS[form]})"
+    expected = PLAN_CHECKS[verb][form]
+    if isinstance(expected, Rejected):
+        with pytest.raises(ParseError) as exc:
+            parse_plan(text, gripper_occupied=gripper_occupied)
+        error = exc.value
+        assert (error.line_number, error.message, error.hint) == (2, expected.message, expected.hint)
+        hint = f" Hint: {expected.hint}" if expected.hint else ""
+        assert error.render() == f"plan rejected at line 2: {expected.message}{hint}"
+        return
+    steps = parse_plan(text, gripper_occupied=gripper_occupied)
+    assert steps == [expected]
+    if isinstance(expected, Call):
+        no_grasp = verb == "place" and not gripper_occupied
+        assert steps[0].warning == ("no prior grasp in plan or history; place may fault" if no_grasp else None)
+
+
 def test_to_request_lowering():
     request = to_request(Call("place", Loc("table_0", (0.1, 0.2))))
     assert request.location == ("table_0", (0.1, 0.2))
     request = to_request(Call("report_observation", Str("rest")))
-    assert request.target == "rest" and request.params.get("string_literal")
+    assert request.target == "rest" and request.string_literal
 
 
 _REF = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(

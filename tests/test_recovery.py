@@ -22,6 +22,9 @@ from homeloop.verification import FailureRecord, classify_failure
 from conftest import MINI_SCENE, make_world, zero_noise
 
 
+GRASP_TOY = ActionRequest(verb="grasp", target="toy_0")
+
+
 def fresh_record(level="object", cause="grasp_failed") -> FailureRecord:
     return FailureRecord(cause, 1, level)
 
@@ -29,9 +32,8 @@ def fresh_record(level="object", cause="grasp_failed") -> FailureRecord:
 def fresh_episode(level="object", cause="grasp_failed", strict=False) -> RecoveryEpisode:
     return RecoveryEpisode(
         failure=fresh_record(level, cause),
-        verb="grasp",
+        request=GRASP_TOY,
         object_id="toy_0",
-        target="toy_0",
         strict_escalation=strict,
     )
 
@@ -146,9 +148,7 @@ def trigger_grasp_failure(ctx) -> RecoveryEpisode:
     fb = dispatch(ctx, ActionRequest(verb="grasp", target="toy_0"))
     assert not fb.success
     record = classify_failure(None, fb)
-    return RecoveryEpisode(
-        failure=record, verb="grasp", object_id="toy_0", target="toy_0", last_before=before
-    )
+    return RecoveryEpisode(failure=record, request=GRASP_TOY, object_id="toy_0", last_before=before)
 
 
 def test_retry_success_terminates_episode():
@@ -230,7 +230,7 @@ def test_out_of_reach_recovers_by_renavigating_to_reachable_side():
     assert fb.fault is not None and fb.fault.code == "out_of_reach"
     record = classify_failure(None, fb)
     assert record.recovery_level == "global"
-    episode = RecoveryEpisode(failure=record, verb="grasp", object_id="toy_0", target="toy_0")
+    episode = RecoveryEpisode(failure=record, request=GRASP_TOY, object_id="toy_0")
     episode.out_of_reach = True
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "recovered"
@@ -269,7 +269,8 @@ def test_phantom_vanishes_on_remap_then_escalates():
     fb = dispatch(ctx, ActionRequest(verb="grasp", target=phantom_id))
     record = classify_failure(None, fb)
     assert record.cause == "false_positive"
-    episode = RecoveryEpisode(failure=record, verb="grasp", object_id=phantom_id, target=phantom_id)
+    episode = RecoveryEpisode(failure=record, request=ActionRequest(verb="grasp", target=phantom_id),
+                              object_id=phantom_id)
     goal = On(Selector(category="cup"), Selector(id="table_1"))
     EpisodeRunner(ctx, goal).run(episode)
     assert episode.target_lost
@@ -277,22 +278,28 @@ def test_phantom_vanishes_on_remap_then_escalates():
 
 
 def test_place_failure_regrasps_from_floor_and_replaces():
-    ctx = booted_ctx(MINI_SCENE, **zero_noise())
-    dispatch(ctx, ActionRequest(verb="grasp", target="toy_0"))
-    dispatch(ctx, ActionRequest(verb="navigate", target="bed_0"))
-    before = capture(ctx.world, "stay")
-    ctx.world.config.noise.p_place_fail = 1.0
-    fb = dispatch(ctx, ActionRequest(verb="place", target="bed_0"))
-    assert not fb.success and fb.details.get("dropped") == "toy_0"
-    assert ctx.world.objects["toy_0"].placement.kind == "floor"
-    ctx.world.config.noise.p_place_fail = 0.0
-    record = classify_failure(None, fb)
-    episode = RecoveryEpisode(
-        failure=record, verb="place", object_id="toy_0", target="bed_0", last_before=before
-    )
-    EpisodeRunner(ctx, GOAL).run(episode)
-    assert episode.status == "recovered"
-    assert ctx.world.objects["toy_0"].placement.receptacle == "bed_0"
+    """In the reference form and the location form alike, the re-issued place
+    is the failed request: its request event differs only in index and
+    source."""
+    for form in ({"target": "bed_0"}, {"location": ("bed_0", (0.0, 0.0))}):
+        ctx = booted_ctx(MINI_SCENE, **zero_noise())
+        dispatch(ctx, ActionRequest(verb="grasp", target="toy_0"))
+        dispatch(ctx, ActionRequest(verb="navigate", target="bed_0"))
+        before = capture(ctx.world, "stay")
+        ctx.world.config.noise.p_place_fail = 1.0
+        failed = ActionRequest(verb="place", **form)
+        fb = dispatch(ctx, failed)
+        assert not fb.success and fb.details.get("dropped") == "toy_0"
+        assert ctx.world.objects["toy_0"].placement.kind == "floor"
+        ctx.world.config.noise.p_place_fail = 0.0
+        record = classify_failure(None, fb)
+        episode = RecoveryEpisode(failure=record, request=failed, object_id="toy_0", last_before=before)
+        EpisodeRunner(ctx, GOAL).run(episode)
+        assert episode.status == "recovered"
+        assert ctx.world.objects["toy_0"].placement.receptacle == "bed_0"
+        first, reissue = [e for e in ctx.events if e["event"] == "request" and e["verb"] == "place"]
+        assert reissue == {**first, "index": reissue["index"], "source": "object"}
+        assert reissue["index"] > first["index"] and first["source"] == "planner"
 
 
 def test_termination_bound_on_total_reissues():
@@ -318,7 +325,8 @@ def phantom_grasp_with_every_side_tried(rng_seed: int) -> tuple[SkillContext, Re
     ctx.world.config.noise.p_false_positive = 0.0
     fb = dispatch(ctx, ActionRequest(verb="grasp", target=phantom_id))
     episode = RecoveryEpisode(
-        failure=classify_failure(None, fb), verb="grasp", object_id=phantom_id, target=phantom_id
+        failure=classify_failure(None, fb), request=ActionRequest(verb="grasp", target=phantom_id),
+        object_id=phantom_id,
     )
     episode.tried_sides = set(SIDES)
     return ctx, episode

@@ -48,7 +48,7 @@ def test_navigate_success_updates_belief():
 def test_navigate_with_string_literal_is_api_error():
     ctx = fresh_ctx()
     boot(ctx)
-    fb = dispatch(ctx, ActionRequest(verb="navigate", target="table", params={"string_literal": True}))
+    fb = dispatch(ctx, ActionRequest(verb="navigate", target="table", string_literal=True))
     assert not fb.success
     assert isinstance(fb.fault, ApiCallError)
     assert "object reference" in fb.fault.message
@@ -148,6 +148,17 @@ def test_dispatch_unknown_verb():
     assert fb.fault.code == "unknown_verb"
 
 
+def test_a_request_dispatched_twice_is_numbered_twice():
+    """Every dispatch numbers its request, so the request cap, which counts
+    ``requests_made``, counts each call of a reused request."""
+    ctx = fresh_ctx()
+    request = ActionRequest(verb="explore_global")
+    dispatch(ctx, request)
+    dispatch(ctx, request)
+    assert [e["index"] for e in ctx.events if e["event"] == "request"] == [0, 1]
+    assert ctx.requests_made == 2
+
+
 def test_ssr_partition_execution_vs_perception():
     ctx = fresh_ctx()
     seq = [
@@ -233,12 +244,12 @@ BUNDLED_SCENES = {
 
 
 def _req(verb, target=None, literal=False, **kw):
-    return ActionRequest(verb=verb, target=target, params={"string_literal": True} if literal else {}, **kw)
+    return ActionRequest(verb=verb, target=target, string_literal=literal, **kw)
 
 
 _BOOT = [_req("explore_global")]
 # the approach cell nearest the bench's middle: cup_0 within reach, toy_0 not
-_TO_BENCH = ActionRequest(verb="navigate", target="bench_0", params={"focus": [3.0, 2.95]})
+_TO_BENCH = ActionRequest(verb="navigate", target="bench_0", focus=(3.0, 2.95))
 _AT_BENCH = _BOOT + [_TO_BENCH, _req("explore_local", "bench_0")]
 _HOLDING = _AT_BENCH + [_req("grasp", "cup_0")]
 _UNKNOWN_VERB = (
@@ -413,7 +424,7 @@ def _draw_request(data, ctx) -> ActionRequest:
         location=location,
         side=data.draw(st.sampled_from((None,) + SIDES)),
         # one request in eight comes as a string literal
-        params={"string_literal": True} if data.draw(st.integers(0, 7)) == 0 else {},
+        string_literal=data.draw(st.integers(0, 7)) == 0,
     )
 
 

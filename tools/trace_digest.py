@@ -155,7 +155,7 @@ def random_request(ctx: SkillContext, rng: random.Random) -> ActionRequest:
         target=rng.choice(targets),
         location=location,
         side=rng.choice((None,) + SIDES),
-        params={"string_literal": True} if rng.random() < 0.125 else {},
+        string_literal=rng.random() < 0.125,
     )
 
 
