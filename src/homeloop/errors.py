@@ -20,7 +20,8 @@ from typing import Any
 
 
 class ConfigError(Exception):
-    """Raised when a scene or suite config violates an invariant.
+    """Raised when a document read from outside the program (a scene, a
+    suite, a goal or a trace's header and footer) violates an invariant.
 
     ``field_path`` names the offending field, e.g. ``furniture[1].footprint``.
     """
@@ -45,6 +46,13 @@ def require(raw: dict, key: str, path: str) -> Any:
 def field_names(cls: type) -> tuple[str, ...]:
     """A dataclass's field names in declaration order: its document's keys."""
     return tuple(f.name for f in fields(cls))
+
+
+def fields_json(record: Any) -> dict[str, Any]:
+    """A dataclass record as the JSON object of its fields: a copy of its
+    instance dict, which for a dataclass without slots holds exactly its
+    fields, in declaration order."""
+    return dict(vars(record))
 
 
 def only_keys(raw: dict, known: tuple[str, ...], path: str = "") -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .errors import ConfigError, as_json, field_names, only_keys
+from .errors import ConfigError, as_json, field_names, fields_json, only_keys
 
 if TYPE_CHECKING:
     from .world import World
@@ -181,89 +181,73 @@ class Not(Goal):
 
 
 SELECTOR_KEYS = field_names(Selector)
-_BODY_KEYS = {
-    "on": ("object", "receptacle"),
-    "all_on": ("category", "receptacle"),
-    "same_receptacle": ("category",),
-    "holding": ("object",),
+
+# Each operator's node class. An atom's body holds its fields (``obj``
+# spelled "object"): a ``category`` is a required string, every other field a
+# selector, which when left out matches anything.
+OPERATORS: dict[str, type[Goal]] = {
+    "and": And, "or": Or, "not": Not,
+    "on": On, "all_on": AllOn, "same_receptacle": SameReceptacle, "holding": Holding,
 }
+_OPERATOR_OF = {cls: op for op, cls in OPERATORS.items()}
+
+
+def _body_keys(atom: type[Goal]) -> dict[str, str]:
+    """An atom's body keys, each with the field it fills."""
+    return {"object" if name == "obj" else name: name for name in field_names(atom)}
 
 
 def _parse_selector(raw: dict, path: str) -> Selector:
     if not isinstance(raw, dict):
         raise ConfigError(path, "selector must be an object")
     only_keys(raw, SELECTOR_KEYS, path)
-    for key in ("id", "category"):
-        if key in raw:
-            as_json(raw[key], str, f"{path}.{key}")
+    id_, category = (as_json(raw[key], str, f"{path}.{key}") if key in raw else None for key in ("id", "category"))
     attributes = as_json(raw.get("attributes", []), list, f"{path}.attributes")
-    return Selector(
-        id=raw.get("id"),
-        category=raw.get("category"),
-        attributes=frozenset(as_json(a, str, f"{path}.attributes[{i}]") for i, a in enumerate(attributes)),
-    )
+    tags = frozenset(as_json(a, str, f"{path}.attributes[{i}]") for i, a in enumerate(attributes))
+    return Selector(id_, category, tags)
 
 
 def parse_goal(raw: dict, path: str = "goal") -> Goal:
     if not isinstance(raw, dict) or len(raw) != 1:
         raise ConfigError(path, "goal node must be a single-key object")
     op, body = next(iter(raw.items()))
-    if op == "and":
-        return And(tuple(parse_goal(c, f"{path}.and[{i}]") for i, c in enumerate(as_json(body, list, f"{path}.and"))))
-    if op == "or":
-        return Or(tuple(parse_goal(c, f"{path}.or[{i}]") for i, c in enumerate(as_json(body, list, f"{path}.or"))))
-    if op == "not":
-        return Not(parse_goal(body, f"{path}.not"))
-    if op in _BODY_KEYS:
-        only_keys(as_json(body, dict, f"{path}.{op}"), _BODY_KEYS[op], f"{path}.{op}")
-    if op == "on":
-        return On(
-            obj=_parse_selector(body.get("object", {}), f"{path}.on.object"),
-            receptacle=_parse_selector(body.get("receptacle", {}), f"{path}.on.receptacle"),
-        )
-    if op == "all_on":
-        if "category" not in body:
-            raise ConfigError(f"{path}.all_on", "missing category")
-        return AllOn(
-            category=as_json(body["category"], str, f"{path}.all_on.category"),
-            receptacle=_parse_selector(body.get("receptacle", {}), f"{path}.all_on.receptacle"),
-        )
-    if op == "same_receptacle":
-        if "category" not in body:
-            raise ConfigError(f"{path}.same_receptacle", "missing category")
-        return SameReceptacle(category=as_json(body["category"], str, f"{path}.same_receptacle.category"))
-    if op == "holding":
-        return Holding(obj=_parse_selector(body.get("object", {}), f"{path}.holding.object"))
-    raise ConfigError(path, f"unknown goal operator {op!r}")
+    cls = OPERATORS.get(op)
+    if cls is None:
+        raise ConfigError(path, f"unknown goal operator {op!r}")
+    path = f"{path}.{op}"
+    if issubclass(cls, _Junction):
+        return cls(tuple(parse_goal(c, f"{path}[{i}]") for i, c in enumerate(as_json(body, list, path))))
+    if cls is Not:
+        return Not(parse_goal(body, path))
+    keys = _body_keys(cls)
+    only_keys(as_json(body, dict, path), tuple(keys), path)
+    if "category" in keys and "category" not in body:
+        raise ConfigError(path, "missing category")
+    return cls(**{
+        name: as_json(body[key], str, f"{path}.{key}") if name == "category"
+        else _parse_selector(body.get(key, {}), f"{path}.{key}")
+        for key, name in keys.items()
+    })
 
 
 def _selector_json(sel: Selector) -> dict:
-    out: dict = {}
-    if sel.id is not None:
-        out["id"] = sel.id
-    if sel.category is not None:
-        out["category"] = sel.category
-    if sel.attributes:
-        out["attributes"] = sorted(sel.attributes)
-    return out
+    """The fields that narrow the selector, its attributes sorted."""
+    return {
+        key: sorted(value) if key == "attributes" else value
+        for key, value in fields_json(sel).items() if value not in (None, frozenset())
+    }
 
 
 def goal_to_json(goal: Goal) -> dict:
-    if isinstance(goal, And):
-        return {"and": [goal_to_json(c) for c in goal.children]}
-    if isinstance(goal, Or):
-        return {"or": [goal_to_json(c) for c in goal.children]}
+    op = _OPERATOR_OF[type(goal)]
+    if isinstance(goal, _Junction):
+        return {op: [goal_to_json(c) for c in goal.children]}
     if isinstance(goal, Not):
-        return {"not": goal_to_json(goal.child)}
-    if isinstance(goal, On):
-        return {"on": {"object": _selector_json(goal.obj), "receptacle": _selector_json(goal.receptacle)}}
-    if isinstance(goal, AllOn):
-        return {"all_on": {"category": goal.category, "receptacle": _selector_json(goal.receptacle)}}
-    if isinstance(goal, SameReceptacle):
-        return {"same_receptacle": {"category": goal.category}}
-    if isinstance(goal, Holding):
-        return {"holding": {"object": _selector_json(goal.obj)}}
-    raise TypeError(f"unknown goal node {goal!r}")
+        return {op: goal_to_json(goal.child)}
+    return {op: {
+        key: goal.category if name == "category" else _selector_json(getattr(goal, name))
+        for key, name in _body_keys(type(goal)).items()
+    }}
 
 
 # --- ground-truth evaluation -----------------------------------------------------

@@ -28,7 +28,7 @@ from .config import SuiteConfig, TaskSpec, resolve_noise_profile, vary_config
 from .config import load_builtin_suite  # noqa: F401  (perfbench reads it here)
 from .errors import BudgetExceeded, ConfigError, Fault, TraceFormatError, TransportError
 from .goals import goal_satisfied, ground_view
-from .perception import Belief
+from .perception import Belief, Observation
 from .planning import (
     Call,
     ChatModelPlanner,
@@ -51,7 +51,6 @@ from .trace import (
     OUTCOME_INVALID,
     OUTCOME_SUCCESS,
     TrialReport,
-    observation_from_json,
     write_trace_file,
 )
 from .metrics import MetricsTable, compute_metrics
@@ -426,7 +425,7 @@ def _replay_verdict(event: dict, message: str) -> SuccessVerdict:
     if event.get("location"):
         location = (event["location"][0], tuple(event["location"][1]))
     request = ActionRequest(verb=event["verb"], target=event.get("target"), location=location)
-    return verify_success(observation_from_json(event["before"]), observation_from_json(event["after"]), fb, request)
+    return verify_success(Observation.from_json(event["before"]), Observation.from_json(event["after"]), fb, request)
 
 
 def replay_matches(report: TrialReport) -> bool:

@@ -48,6 +48,19 @@ class SceneObject:
             "receptacle": self.is_receptacle,
         }
 
+    @classmethod
+    def from_json(cls, doc: dict[str, Any]) -> SceneObject:
+        pose = tuple(doc.get("pose", (0.0, 0.0)))
+        return cls(
+            id=doc["id"],
+            category=doc["category"],
+            attributes=frozenset(doc.get("attributes", [])),
+            location=(float(pose[0]), float(pose[1])),
+            provenance=doc.get("provenance", "object"),
+            parent_id=doc.get("parent"),
+            is_receptacle=bool(doc.get("receptacle", False)),
+        )
+
 
 def find_by_id(items: Iterable[SceneObject], ref: str) -> Optional[SceneObject]:
     """The first of ``items`` with id ``ref``, or None."""
@@ -95,6 +108,15 @@ class Observation:
             "visible": [o.to_json() for o in self.visible],
             "step": self.captured_at_step,
         }
+
+    @classmethod
+    def from_json(cls, doc: dict[str, Any]) -> Observation:
+        return cls(
+            kind=doc["kind"],
+            target=doc.get("target"),
+            visible=tuple(SceneObject.from_json(o) for o in doc.get("visible", [])),
+            captured_at_step=int(doc.get("step", 0)),
+        )
 
 
 @dataclass

@@ -12,8 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import TraceFormatError
-from .perception import Observation, SceneObject
+from .errors import ConfigError, TraceFormatError, as_json, as_number
 from .verification import FailureRecord
 
 # @2 verdicts hold only the objects the verdict read; an @1 verdict holds
@@ -135,20 +134,21 @@ def load_trace(source) -> TrialReport:
         raise TraceFormatError("missing trial_end footer", len(parsed))
     footer = parsed[-1]
     try:
-        counters = footer["counters"]
+        counters = as_json(footer["counters"], dict, "counters")
+        records = as_json(footer["failure_records"], list, "failure_records")
         report = TrialReport(
-            task_id=header["task"],
-            trial_index=header["trial"],
-            seed=header["seed"],
-            outcome=footer["outcome"],
-            reason=footer["reason"],
-            goal_satisfied=footer["goal_satisfied"],
-            execution_steps=counters["execution_steps"],
-            successful_steps=counters["successful_steps"],
-            failure_records=[FailureRecord.from_json(doc) for doc in footer["failure_records"]],
+            task_id=as_json(header["task"], str, "task"),
+            trial_index=as_number(header["trial"], "trial", int),
+            seed=as_number(header["seed"], "seed", int),
+            outcome=as_json(footer["outcome"], str, "outcome"),
+            reason=as_json(footer["reason"], str, "reason"),
+            goal_satisfied=as_json(footer["goal_satisfied"], bool, "goal_satisfied"),
+            execution_steps=as_number(counters["execution_steps"], "counters.execution_steps", int),
+            successful_steps=as_number(counters["successful_steps"], "counters.successful_steps", int),
+            failure_records=[FailureRecord.from_json(doc) for doc in records],
             events=parsed[1:-1],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed header or trial_end footer: {exc!r}", len(parsed) - 1) from exc
     for key in RECORD_TALLIES:
         if counters.get(key) != getattr(report, key):
@@ -165,32 +165,7 @@ def load_trace_file(path: str) -> TrialReport:
         report = load_trace(fh)
     try:
         report.check_identities()
-    except (ValueError, TypeError) as exc:  # TypeError: a counter that is not a number
+    except ValueError as exc:
         footer = len(report.events) + 2  # after the header and the events
         raise TraceFormatError(f"trial_end footer breaks an accounting identity: {exc}", footer) from exc
     return report
-
-
-# --- observation reconstruction (for replay) ---------------------------------------
-
-
-def scene_object_from_json(doc: dict[str, Any]) -> SceneObject:
-    pose = tuple(doc.get("pose", (0.0, 0.0)))
-    return SceneObject(
-        id=doc["id"],
-        category=doc["category"],
-        attributes=frozenset(doc.get("attributes", [])),
-        location=(float(pose[0]), float(pose[1])),
-        provenance=doc.get("provenance", "object"),
-        parent_id=doc.get("parent"),
-        is_receptacle=bool(doc.get("receptacle", False)),
-    )
-
-
-def observation_from_json(doc: dict[str, Any]) -> Observation:
-    return Observation(
-        kind=doc["kind"],
-        target=doc.get("target"),
-        visible=tuple(scene_object_from_json(o) for o in doc.get("visible", [])),
-        captured_at_step=int(doc.get("step", 0)),
-    )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import as_json, field_names, fields_json, only_keys, require
 from .goals import EntityView, Goal, PlacementView, Selector, On, AllOn, SameReceptacle, Holding, And, Or, Not
 from .perception import Belief, BeliefObject, Observation
 from .world import ActionRequest, Feedback
@@ -49,14 +50,7 @@ class SuccessVerdict:
     explanation: str
     suspected_cause: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return {
-            "success": self.success,
-            "feedback_flag": self.feedback_flag,
-            "delta_consistent": self.delta_consistent,
-            "explanation": self.explanation,
-            "suspected_cause": self.suspected_cause,
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -73,15 +67,10 @@ class FeasibilityVerdict:
     explanation: str
 
     def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "rollback": (
-                {"level": self.rollback.level, "receptacle": self.rollback.receptacle, "reason": self.rollback.reason}
-                if self.rollback
-                else None
-            ),
-            "explanation": self.explanation,
-        }
+        doc = fields_json(self)
+        if self.rollback:
+            doc["rollback"] = fields_json(self.rollback)
+        return doc
 
 
 @dataclass
@@ -113,28 +102,19 @@ class FailureRecord:
         self.replanned = True
         self.recovered = recovered
 
-    def to_json(self) -> dict:
-        return {
-            "cause": self.cause,
-            "request_index": self.request_index,
-            "recovery_level": self.recovery_level,
-            "direct_failure": self.direct_failure,
-            "replanned": self.replanned,
-            "recovered": self.recovered,
-            "detail": self.detail,
-        }
+    to_json = fields_json
 
-    @staticmethod
-    def from_json(doc: dict) -> "FailureRecord":
-        return FailureRecord(
-            cause=doc["cause"],
-            request_index=doc["request_index"],
-            recovery_level=doc["recovery_level"],
-            direct_failure=doc["direct_failure"],
-            replanned=doc["replanned"],
-            recovered=doc["recovered"],
-            detail=doc.get("detail", ""),
-        )
+    @classmethod
+    def from_json(cls, doc: dict) -> FailureRecord:
+        """Inverse of ``to_json``: exactly the record's fields, ``detail``
+        optional and each flag a JSON boolean, else a ConfigError."""
+        only_keys(as_json(doc, dict, "failure_record"), field_names(cls), "failure_record")
+        for name in field_names(cls):
+            if name != "detail":
+                require(doc, name, "failure_record")
+        for flag in ("direct_failure", "replanned", "recovered"):
+            as_json(doc[flag], bool, f"failure_record.{flag}")
+        return cls(**doc)
 
 
 # --- success verification ----------------------------------------------------------

@@ -49,8 +49,13 @@ def test_a_revision_is_exported_and_named_by_its_commit(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
     (repo / "marker.txt").write_text("exported\n")
+    package = repo / "src" / "homeloop"
+    (package / "planning").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "planning" / "b.py").write_text("three\n\nfive\n")
+    (package / "data.json").write_text("{}\n")  # not Python: not counted
     git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
-    for cmd in (["init", "-q"], ["add", "marker.txt"], ["commit", "-q", "-m", "one file"]):
+    for cmd in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "a marker and a package"]):
         subprocess.run([*git, *cmd], check=True, capture_output=True)
     commit = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
 
@@ -58,10 +63,12 @@ def test_a_revision_is_exported_and_named_by_its_commit(tmp_path):
         assert name == commit and len(name) == 40
         assert (Path(tree) / "marker.txt").read_text() == "exported\n"
         assert not (Path(tree) / ".git").exists()
+        assert bench_pairs.src_lines(tree) == 5
     assert not Path(tree).exists()
 
     plain = tmp_path / "plain"  # a directory keeps its record: here its path, as it is no git checkout
     plain.mkdir()
     with bench_pairs.checkout(str(plain), repo=str(repo)) as (root, name):
         assert (root, name) == (str(plain), str(plain))
+        assert bench_pairs.src_lines(root) == 0
     assert plain.exists()

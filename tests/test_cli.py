@@ -130,6 +130,31 @@ def test_an_unknown_failure_cause_in_the_footer_exits_2(tiny_suite, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: [trace]")
 
 
+def _string_flags(footer):
+    # counted as replanned and recovered, the tallies agree with the record
+    footer["failure_records"].append({"cause": "grasp_failed", "request_index": 0, "recovery_level": "object",
+                                      "direct_failure": False, "replanned": "no", "recovered": "no", "detail": ""})
+    footer["counters"].update(replanned_executions=1, recovered_executions=1)
+
+
+@pytest.mark.parametrize("event, edit", [
+    (None, lambda header: header.update(task=["A"])),  # the header is the first line, with no event
+    ("trial_end", lambda footer: footer["counters"].update(execution_steps="5", successful_steps="4")),
+    ("trial_end", _string_flags),
+], ids=["task-a-list", "step-counters-strings", "record-flags-strings"])
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_a_mistyped_header_footer_or_record_exits_2(tiny_suite, tmp_path, capsys, command, event, edit):
+    _, suite_path = tiny_suite
+    out_dir = tmp_path / "out"
+    main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
+    trace = out_dir / "T1" / "0.jsonl"
+    edit_first(trace, event, edit)
+    capsys.readouterr()
+    args = ["replay", "--trace", str(trace)] if command == "replay" else ["report", "--traces", str(out_dir)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: [trace]")
+
+
 def test_replay_of_a_verdict_without_its_flag_exits_2(tiny_suite, tmp_path, capsys):
     _, suite_path = tiny_suite
     out_dir = tmp_path / "out"

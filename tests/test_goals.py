@@ -3,13 +3,17 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeloop.errors import ConfigError
 from homeloop.goals import (
     AllOn,
     And,
     Holding,
+    Not,
     On,
+    Or,
     SameReceptacle,
     Selector,
     goal_satisfied,
@@ -91,6 +95,98 @@ def test_parse_round_trip():
     }
     goal = parse_goal(doc)
     assert goal_to_json(goal) == doc
+
+
+SELECTORS = st.builds(
+    Selector,
+    id=st.none() | st.sampled_from(["cup_0", "table_1", ""]),
+    category=st.none() | st.sampled_from(["cup", "toy", "table"]),
+    attributes=st.frozensets(st.sampled_from(["blue", "empty", "used"])),
+)
+GOALS = st.recursive(
+    st.builds(On, SELECTORS, SELECTORS)
+    | st.builds(AllOn, st.sampled_from(["cup", "toy"]), SELECTORS)
+    | st.builds(SameReceptacle, st.sampled_from(["cup", "toy"]))
+    | st.builds(Holding, SELECTORS),
+    lambda inner: (
+        st.lists(inner, max_size=3).map(lambda cs: And(tuple(cs)))
+        | st.lists(inner, max_size=3).map(lambda cs: Or(tuple(cs)))
+        | inner.map(Not)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GOALS)
+def test_a_goal_parses_back_from_its_json(goal):
+    assert parse_goal(goal_to_json(goal)) == goal
+
+
+KNOWN_SELECTOR = "unknown field; known: id, category, attributes"
+
+# Every ConfigError of the goal parser: a document, then the path and text of
+# the first problem found in it. The last group holds documents with more than
+# one problem, and pins which of them is found first.
+GOAL_ERRORS = [
+    # a node
+    (5, "goal", "goal node must be a single-key object"),
+    ({}, "goal", "goal node must be a single-key object"),
+    ({"on": {}, "not": {}}, "goal", "goal node must be a single-key object"),
+    ({"near": {}}, "goal", "unknown goal operator 'near'"),
+    ({"not": []}, "goal.not", "goal node must be a single-key object"),
+    ({"and": [{"on": {}}, 3]}, "goal.and[1]", "goal node must be a single-key object"),
+    # a junction's or an atom's body
+    ({"and": {"on": {}}}, "goal.and", "expected a JSON array, got {'on': {}}"),
+    ({"or": "x"}, "goal.or", "expected a JSON array, got 'x'"),
+    ({"on": []}, "goal.on", "expected a JSON object, got []"),
+    ({"holding": "cup"}, "goal.holding", "expected a JSON object, got 'cup'"),
+    # an atom's keys
+    ({"on": {"object": {}, "target": {}}}, "goal.on.target", "unknown field; known: object, receptacle"),
+    ({"all_on": {"category": "toy", "object": {}}}, "goal.all_on.object",
+     "unknown field; known: category, receptacle"),
+    ({"same_receptacle": {"category": "cup", "receptacle": {}}}, "goal.same_receptacle.receptacle",
+     "unknown field; known: category"),
+    ({"holding": {"receptacle": {}}}, "goal.holding.receptacle", "unknown field; known: object"),
+    ({"all_on": {"receptacle": {}}}, "goal.all_on", "missing category"),
+    ({"same_receptacle": {}}, "goal.same_receptacle", "missing category"),
+    ({"all_on": {"category": 3}}, "goal.all_on.category", "expected a JSON string, got 3"),
+    ({"same_receptacle": {"category": None}}, "goal.same_receptacle.category", "expected a JSON string, got None"),
+    # a selector
+    ({"holding": {"object": "cup"}}, "goal.holding.object", "selector must be an object"),
+    ({"on": {"receptacle": []}}, "goal.on.receptacle", "selector must be an object"),
+    ({"all_on": {"category": "toy", "receptacle": None}}, "goal.all_on.receptacle", "selector must be an object"),
+    ({"on": {"object": {"colour": "red"}}}, "goal.on.object.colour", KNOWN_SELECTOR),
+    ({"on": {"object": {"id": None}}}, "goal.on.object.id", "expected a JSON string, got None"),
+    ({"on": {"object": {"id": 7}}}, "goal.on.object.id", "expected a JSON string, got 7"),
+    ({"on": {"receptacle": {"category": None}}}, "goal.on.receptacle.category", "expected a JSON string, got None"),
+    ({"all_on": {"category": "toy", "receptacle": {"category": 4}}}, "goal.all_on.receptacle.category",
+     "expected a JSON string, got 4"),
+    ({"on": {"receptacle": {"attributes": "blue"}}}, "goal.on.receptacle.attributes",
+     "expected a JSON array, got 'blue'"),
+    ({"holding": {"object": {"attributes": ["blue", 7]}}}, "goal.holding.object.attributes[1]",
+     "expected a JSON string, got 7"),
+    # the first of several problems
+    ({"on": {"receptacle": 5, "object": 5}}, "goal.on.object", "selector must be an object"),
+    ({"on": {"target": 1, "object": 5}}, "goal.on.target", "unknown field; known: object, receptacle"),
+    ({"all_on": {"receptacle": 5}}, "goal.all_on", "missing category"),
+    ({"all_on": {"receptacle": 5, "category": 1}}, "goal.all_on.category", "expected a JSON string, got 1"),
+    ({"on": {"object": {"attributes": 1, "category": 2, "id": 3}}}, "goal.on.object.id",
+     "expected a JSON string, got 3"),
+    ({"on": {"object": {"attributes": 1, "category": 2}}}, "goal.on.object.category",
+     "expected a JSON string, got 2"),
+    ({"on": {"object": {"id": 1, "shape": "round"}}}, "goal.on.object.shape", KNOWN_SELECTOR),
+    ({"and": [{"on": {"object": 1}}, {"near": {}}]}, "goal.and[0].on.object", "selector must be an object"),
+    ({"not": {"or": [{"holding": {"object": {"id": 1}}}]}}, "goal.not.or[0].holding.object.id",
+     "expected a JSON string, got 1"),
+]
+
+
+@pytest.mark.parametrize("doc, field_path, message", GOAL_ERRORS)
+def test_every_goal_error_keeps_its_path_and_text(doc, field_path, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_goal(doc)
+    assert (exc.value.field_path, exc.value.message) == (field_path, message)
 
 
 def test_parse_rejects_unknown_operator():

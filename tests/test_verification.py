@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import io
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-from homeloop.errors import ApiCallError, PreconditionFault, TargetNotVisible
+from homeloop.config import load_builtin_suite
+from homeloop.errors import ApiCallError, PreconditionFault, TargetNotVisible, TraceFormatError, field_names
+from homeloop.harness import make_planner_factory, run_suite
 from homeloop.perception import Belief, Observation, SceneObject
 from homeloop.skills import ActionRequest, Feedback, SkillContext, dispatch
+from homeloop.trace import TrialReport, load_trace, write_trace
 from homeloop.verification import (
+    FailureRecord,
+    FeasibilityVerdict,
+    RollbackSuggestion,
+    SuccessVerdict,
     classify_failure,
     verify_feasibility,
     verify_success,
@@ -373,3 +382,55 @@ def test_invariants_survive_python_dash_o(message):
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode != 0
     assert f"ValueError: {message}" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("record", [
+    SuccessVerdict(False, True, False, "feedback claims success", "visual_feedback_error"),
+    FeasibilityVerdict(True, None, "goal believed satisfied"),
+    FeasibilityVerdict(False, RollbackSuggestion("global", "table_1", "search table_1"), "no candidate"),
+    FailureRecord("grasp_failed", 4, "object", replanned=True, detail="slipped"),
+], ids=["success", "feasibility", "feasibility-rollback", "failure"])
+def test_a_record_writes_its_fields(record):
+    doc = record.to_json()
+    assert tuple(doc) == field_names(type(record))
+    if isinstance(record, FeasibilityVerdict) and record.rollback is not None:
+        assert doc["rollback"] == {name: getattr(record.rollback, name) for name in field_names(RollbackSuggestion)}
+
+
+def test_every_bundled_failure_record_reads_back_from_its_json():
+    records = [
+        r for name in ("acceptance", "benchmark")
+        for report in run_suite(load_builtin_suite(name), make_planner_factory("scripted"), base_seed=3)[1]
+        for r in report.failure_records
+    ]
+    assert records  # the bundled suites fail and recover at this seed
+    assert [FailureRecord.from_json(r.to_json()) for r in records] == records
+
+
+def _trace_with_record(edit) -> str:
+    """A one-record trace whose footer record ``edit`` changed."""
+    report = TrialReport("t", 0, 0, "failure", "", False, 1, 0,
+                         failure_records=[FailureRecord("grasp_failed", 0, "object", replanned=True)])
+    buf = io.StringIO()
+    write_trace(report, buf)
+    lines = buf.getvalue().splitlines()
+    footer = json.loads(lines[-1])
+    edit(footer["failure_records"][0])
+    return "\n".join(lines[:-1] + [json.dumps(footer)])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(replanned="no"),
+    lambda doc: doc.update(attempts=2),
+    lambda doc: doc.pop("cause"),
+    lambda doc: doc.pop("recovered"),
+], ids=["string-flag", "unknown-key", "no-cause", "no-flag"])
+def test_a_mistyped_failure_record_does_not_load(edit):
+    assert load_trace(io.StringIO(_trace_with_record(lambda doc: None))).failure_records[0].replanned
+    with pytest.raises(TraceFormatError):
+        load_trace(io.StringIO(_trace_with_record(edit)))
+
+
+def test_a_failure_record_without_detail_loads():
+    report = load_trace(io.StringIO(_trace_with_record(lambda doc: doc.pop("detail"))))
+    assert report.failure_records == [FailureRecord("grasp_failed", 0, "object", replanned=True)]

@@ -17,7 +17,8 @@ counts are recorded as well.
 
 The record holds ``what``, ``parent`` and ``change`` (a revision's full commit
 id; a checkout's commit, marked when its tree has uncommitted edits, or its
-path when it is not a git checkout), the host, an optional
+path when it is not a git checkout), ``src_lines`` (each side's line count of
+the Python files under ``src/homeloop``), the host, an optional
 ``claim`` (its pairs won and ``met``: whether the median ratio reaches the
 target), a ``summary`` per workload and metric (medians, change/parent
 ratio, pairs won, the parent's interquartile range and its max-min spread
@@ -86,6 +87,18 @@ def checkout(ref: str, repo: str = ROOT) -> Iterator[tuple[str, str]]:
         archive = subprocess.run(["git", "archive", commit], cwd=repo, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         yield tree, commit
+
+
+def src_lines(root: str) -> int:
+    """The newlines in the Python files under ``root``'s ``src/homeloop``, as
+    ``wc -l`` counts them."""
+    total = 0
+    for folder, _, files in os.walk(os.path.join(root, "src", "homeloop")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def host() -> str:
@@ -194,6 +207,7 @@ def compare(args: argparse.Namespace, parent: tuple[str, str], change: tuple[str
         ),
         "parent": parent[1],
         "change": change[1],
+        "src_lines": {"parent": src_lines(parent[0]), "change": src_lines(change[0])},
         "python": platform.python_version(),
         # from the package metadata, not an import: Linux carries a process's
         # peak RSS across exec into every run.py it starts, so importing numpy
