@@ -185,9 +185,6 @@ class Belief:
                 return item
         return None
 
-    def receptacle_entities(self) -> list[BeliefObject]:
-        return [o for o in self.sorted_objects() if o.is_receptacle]
-
     def mark_stale(self, ref: str) -> None:
         """Mark stale the local map of the furniture at the root of ``ref``."""
         m = self.local_maps.get(self.root_of(ref))
@@ -419,36 +416,27 @@ def _insert_phantom(world: World, receptacle_id: str, ground_ids: list[str]) -> 
     rooted at the receptacle) sit on it, the phantom anchors to one of them
     (a misread: its close-up reveals the anchor's true category); an empty
     surface yields an unanchored phantom whose close-up reveals bare
-    surface."""
+    surface. That close-up's object is built here, once, as the record's
+    ``revealed``."""
     anchor_id = ground_ids[world.rng.randrange(len(ground_ids))] if ground_ids else None
     if anchor_id is not None:
         ax, ay = world.position_of(anchor_id)
         pos = (ax + (world.rng.random() - 0.5) * 0.06, ay + (world.rng.random() - 0.5) * 0.06)
-        reveal_cat = world.objects[anchor_id].spec.category
-        reveal_attrs = tuple(sorted(world.objects[anchor_id].spec.attributes))
+        spec = world.objects[anchor_id].spec
+        reveal_cat = spec.category
+        reveal_attrs = frozenset(spec.attributes)
     else:
         cx, cy = world.anchor_of(receptacle_id)
         pos = (cx + (world.rng.random() - 0.5) * 0.2, cy + (world.rng.random() - 0.5) * 0.2)
         reveal_cat = "bare_surface"
-        reveal_attrs = ()
+        reveal_attrs = frozenset()
     pool = [c for c in PHANTOM_CATEGORY_POOL if c != reveal_cat]
     believed = pool[world.rng.randrange(len(pool))]
     pid = world.mint_phantom_id(believed)
-    world.phantoms[pid] = PhantomRecord(
-        believed_category=believed,
-        reveal_category=reveal_cat,
-        reveal_attributes=reveal_attrs,
-        position=pos,
-    )
-    return SceneObject(
-        id=pid,
-        category=believed,
-        attributes=frozenset(),
-        location=pos,
-        provenance="local",
-        parent_id=receptacle_id,
-        is_receptacle=False,
-    )
+    revealed = SceneObject(id=pid, category=reveal_cat, attributes=reveal_attrs, location=pos, provenance="object",
+                           parent_id=receptacle_id)
+    world.phantoms[pid] = PhantomRecord(believed, revealed)
+    return replace(revealed, category=believed, attributes=frozenset(), provenance="local")
 
 
 def _merge_into_belief(belief: Belief, lmap: LocalMap) -> None:
@@ -489,20 +477,11 @@ def report_observation(world: World, belief: Belief, target: SceneObject) -> Obs
     """
     oid = target.id
     if oid in world.phantoms:
-        record = world.phantoms[oid]
-        if world.config.noise.p_closeup_error > 0 and world.rng.random() < world.config.noise.p_closeup_error:
-            revealed = replace(target, provenance="object")
+        p_error = world.config.noise.p_closeup_error
+        if p_error > 0 and world.rng.random() < p_error:
+            visible = [replace(target, provenance="object")]
         else:
-            revealed = SceneObject(
-                id=oid,
-                category=record.reveal_category,
-                attributes=frozenset(record.reveal_attributes),
-                location=record.position,
-                provenance="object",
-                parent_id=target.parent_id,
-                is_receptacle=False,
-            )
-        visible = [revealed]
+            visible = [world.phantoms[oid].revealed]
     else:
         pos = world.position_of(oid) if oid in world.objects else None
         believed = target.location

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import PolicyStuck
-from ..goals import AllOn, Goal, Holding, Not, On, Or, SameReceptacle, Selector
+from ..goals import AllOn, Goal, Holding, Not, On, SameReceptacle, Selector
 from ..perception import Belief, BeliefObject
 from ..verification import (
     atom_object_selector,
@@ -72,19 +72,26 @@ def _root_of(belief: Belief, oid: str) -> Optional[str]:
     return root if belief.furniture(root) is not None else None
 
 
+def _go_to(belief: Belief, root: Optional[str]) -> Optional[PlanStep]:
+    """A navigate to ``root`` until the robot stands there, then None: every
+    step at a receptacle is ``_go_to(belief, root) or step``, which builds
+    ``step`` only once it is the answer. A None ``root`` (an object on the
+    floor) needs no navigate."""
+    if root is not None and belief.at_receptacle != root:
+        return Call("navigate", Ref(root))
+    return None
+
+
 def _scan_step(belief: Belief, rid: str) -> PlanStep:
-    if belief.at_receptacle != rid:
-        return Call("navigate", Ref(rid))
-    return Call("explore_local", Ref(rid))
+    return _go_to(belief, rid) or Call("explore_local", Ref(rid))
 
 
 def _pursue(atom: Goal, task, view: PlannerView) -> PlanStep:
     belief = view.belief
 
-    if isinstance(atom, (Not, Or)):
-        raise PolicyStuck(f"scripted policy cannot pursue {type(atom).__name__} goals")
-    if not isinstance(atom, (On, AllOn, SameReceptacle, Holding)):
-        raise PolicyStuck(f"unknown goal atom {type(atom).__name__}")
+    # first_unsatisfied_atom descends into every Or: a Not or an atom is left
+    if isinstance(atom, Not):
+        raise PolicyStuck("scripted policy cannot pursue Not goals")
 
     held = belief.holding
     if held is not None:
@@ -102,8 +109,7 @@ def _pursue(atom: Goal, task, view: PlannerView) -> PlanStep:
             return _object_search(atom, task, view)
         return _grasp_path(belief, mover)
 
-    sel = atom.obj if isinstance(atom, (On, Holding)) else None
-    assert sel is not None
+    sel = atom.obj  # type: ignore[attr-defined]  # an On or a Holding
     candidates = candidate_objects(belief, sel)
     verified = [c for c in candidates if _attrs_verified(belief.objects[c], sel)]
     if verified:
@@ -114,7 +120,8 @@ def _pursue(atom: Goal, task, view: PlannerView) -> PlanStep:
         return _grasp_path(belief, verified[0])
     uninspected = [c for c in candidates if not belief.objects[c].inspected]
     if uninspected:
-        return _inspect_path(belief, uninspected[0])
+        oid = uninspected[0]
+        return _go_to(belief, _root_of(belief, oid)) or Call("report_observation", Ref(oid))
     return _object_search(atom, task, view)
 
 
@@ -144,12 +151,7 @@ def _deliver_or_unload(atom: Goal, task, view: PlannerView, held: str) -> PlanSt
     if dest is None:
         return _dest_search(belief)
     droot = _root_of(belief, dest) or dest
-    if belief.at_receptacle != droot:
-        return Call("navigate", Ref(droot))
-    loc = _styled_location(task, belief, dest)
-    if loc is not None:
-        return Call("place", loc)
-    return Call("place", Ref(dest))
+    return _go_to(belief, droot) or Call("place", _styled_location(task, belief, dest) or Ref(dest))
 
 
 def _resolve_destination(atom: Goal, belief: Belief) -> Optional[str]:
@@ -168,11 +170,10 @@ def _resolve_destination(atom: Goal, belief: Belief) -> Optional[str]:
         recs = scannable_receptacles(belief)
         return recs[0] if recs else None
 
-    sel = atom.receptacle if isinstance(atom, (On, AllOn)) else None
-    if sel is None:
-        return None
+    sel = atom.receptacle  # type: ignore[attr-defined]  # an On or an AllOn
     # every receptacle on the global map is also a belief entity, in id order
-    return next((b.id for b in belief.receptacle_entities() if sel.matches(b.id, b.category, b.attributes)), None)
+    receptacles = (b for b in belief.sorted_objects() if b.is_receptacle)
+    return next((b.id for b in receptacles if sel.matches(b.id, b.category, b.attributes)), None)
 
 
 def _next_mover(atom: Goal, belief: Belief, dest: str) -> Optional[str]:
@@ -186,23 +187,12 @@ def _next_mover(atom: Goal, belief: Belief, dest: str) -> Optional[str]:
 
 
 def _grasp_path(belief: Belief, oid: str) -> PlanStep:
+    """Grasp ``oid``, rescanning a stale map of its receptacle first."""
     root = _root_of(belief, oid)
-    if root is None:
-        # dropped on the floor near the robot: grasp directly
-        return Call("grasp", Ref(oid))
-    if belief.at_receptacle != root:
-        return Call("navigate", Ref(root))
-    lmap = belief.local_maps.get(root)
+    lmap = belief.local_maps.get(root)  # type: ignore[arg-type]
     if lmap is not None and lmap.stale:
-        return Call("explore_local", Ref(root))
-    return Call("grasp", Ref(oid))
-
-
-def _inspect_path(belief: Belief, oid: str) -> PlanStep:
-    root = _root_of(belief, oid)
-    if root is not None and belief.at_receptacle != root:
-        return Call("navigate", Ref(root))
-    return Call("report_observation", Ref(oid))
+        return _scan_step(belief, root)  # type: ignore[arg-type]
+    return _go_to(belief, root) or Call("grasp", Ref(oid))
 
 
 def _object_search(atom: Goal, task, view: PlannerView) -> PlanStep:
@@ -238,11 +228,7 @@ def _styled_location(task, belief: Belief, dest: str) -> Optional[Loc]:
     dest_obj = belief.furniture(dest)
     if dest_obj is None:
         return None  # style applies to furniture surfaces only
-    points = [
-        b.location
-        for b in belief.sorted_objects()
-        if b.category == category and not b.ruled_out and not b.is_receptacle
-    ]
+    points = [belief.objects[oid].location for oid in candidate_objects(belief, Selector(category=category))]
     if not points:
         return None
     cx = sum(p[0] for p in points) / len(points)

@@ -29,6 +29,7 @@ from .goals import Goal
 from .perception import Observation, capture
 from .skills import SkillContext, dispatch, evidence_ids, verdict_event
 from .verification import (
+    LADDER,
     FailureRecord,
     SuccessVerdict,
     belief_goal_satisfied,
@@ -38,9 +39,8 @@ from .verification import (
 )
 from .world import ActionRequest, Feedback
 
-# The recovery ladder, bottom to top; the re-issues each level allows; and
-# the directive each level (and "none", an exhausted episode) is traced as.
-LADDER = ("object", "local", "global")
+# The re-issues each level of ``LADDER`` allows, and the directive each level
+# (and "none", an exhausted episode) is traced as.
 BUDGETS = {"object": 3, "local": 2, "global": 2}
 DIRECTIVES = {"object": "retry", "local": "remap", "global": "renavigate", "none": "exhausted"}
 

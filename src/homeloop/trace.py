@@ -23,6 +23,7 @@ READABLE_SCHEMAS = ("homeloop-trace@1", SCHEMA)
 OUTCOME_SUCCESS = "success"
 OUTCOME_FAILURE = "failure"
 OUTCOME_INVALID = "infrastructure-invalid"
+OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_FAILURE, OUTCOME_INVALID)
 
 # The footer counters that are tallies of ``failure_records``.
 RECORD_TALLIES = ("replanned_executions", "recovered_executions", "direct_failures")
@@ -148,6 +149,8 @@ def load_trace(source) -> TrialReport:
             failure_records=[FailureRecord.from_json(doc) for doc in records],
             events=parsed[1:-1],
         )
+        if report.outcome not in OUTCOMES:
+            raise ValueError(f"unknown outcome {report.outcome!r}")
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed header or trial_end footer: {exc!r}", len(parsed) - 1) from exc
     for key in RECORD_TALLIES:

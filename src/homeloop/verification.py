@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import as_json, field_names, fields_json, only_keys, require
+from .errors import as_json, as_number, field_names, fields_json, only_keys, require
 from .goals import EntityView, Goal, PlacementView, Selector, On, AllOn, SameReceptacle, Holding, And, Or, Not
 from .perception import Belief, BeliefObject, Observation
 from .world import ActionRequest, Feedback
@@ -35,7 +35,10 @@ CAUSE_GROUP = {
 }
 CAUSES = tuple(CAUSE_GROUP)
 
-LEVELS = ("object", "local", "global", "none")
+# The recovery ladder, bottom to top, and every level a failure record may
+# name: "none" for a failure that goes straight back to the planner.
+LADDER = ("object", "local", "global")
+LEVELS = LADDER + ("none",)
 
 # The only fault codes that report a physical failure; every other fault is a
 # planner mistake (wrong or missing call), an api_call_error.
@@ -107,14 +110,17 @@ class FailureRecord:
     @classmethod
     def from_json(cls, doc: dict) -> FailureRecord:
         """Inverse of ``to_json``: exactly the record's fields, ``detail``
-        optional and each flag a JSON boolean, else a ConfigError."""
+        optional, ``request_index`` an integer, each flag a JSON boolean and
+        ``detail`` a string, else a ConfigError (``__post_init__`` checks the
+        cause and the level)."""
         only_keys(as_json(doc, dict, "failure_record"), field_names(cls), "failure_record")
         for name in field_names(cls):
             if name != "detail":
                 require(doc, name, "failure_record")
         for flag in ("direct_failure", "replanned", "recovered"):
             as_json(doc[flag], bool, f"failure_record.{flag}")
-        return cls(**doc)
+        as_json(doc.get("detail", ""), str, "failure_record.detail")
+        return cls(**{**doc, "request_index": as_number(doc["request_index"], "failure_record.request_index", int)})
 
 
 # --- success verification ----------------------------------------------------------

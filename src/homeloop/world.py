@@ -26,7 +26,7 @@ from .errors import Fault, PreconditionFault, Refused, TargetNotVisible
 from .geometry import SIDES, Cell, OccupancyGrid, Pose, bresenham, polygon_centroid, side_of
 
 if TYPE_CHECKING:
-    from .perception import Observation
+    from .perception import Observation, SceneObject
 
 # Execution verbs mutate ground state and count toward step-wise accounting;
 # perception verbs are handled by the perception layer and are never counted.
@@ -69,13 +69,11 @@ class GroundObject:
 @dataclass
 class PhantomRecord:
     """Book-keeping for a hallucinated detection, keyed by its belief id in
-    ``World.phantoms``: where it was believed to be, and what a close-up
-    actually finds there."""
+    ``World.phantoms``: the category it was detected as, and what a close-up
+    actually finds at its spot."""
 
     believed_category: str
-    reveal_category: str
-    reveal_attributes: tuple[str, ...]
-    position: tuple[float, float]
+    revealed: SceneObject
 
 
 @dataclass

@@ -243,7 +243,7 @@ def test_criterion_6_perception_soundness():
         obs = report_observation(world, belief, item)
         seen = obs.find(item.id)
         if item.id in world.phantoms:
-            assert seen.category == world.phantoms[item.id].reveal_category
+            assert seen.category == world.phantoms[item.id].revealed.category
         else:
             truth = world.objects[item.id].spec
             assert seen.category == truth.category

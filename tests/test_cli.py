@@ -130,18 +130,28 @@ def test_an_unknown_failure_cause_in_the_footer_exits_2(tiny_suite, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: [trace]")
 
 
-def _string_flags(footer):
+def _record(footer, **fields):
     # counted as replanned and recovered, the tallies agree with the record
     footer["failure_records"].append({"cause": "grasp_failed", "request_index": 0, "recovery_level": "object",
-                                      "direct_failure": False, "replanned": "no", "recovered": "no", "detail": ""})
+                                      "direct_failure": False, "replanned": True, "recovered": True, "detail": "",
+                                      **fields})
     footer["counters"].update(replanned_executions=1, recovered_executions=1)
+
+
+def _unwritten_outcome(footer):
+    # an outcome write_trace never writes; with the goal unsatisfied it keeps every identity
+    footer.update(outcome="succeeded", goal_satisfied=False)
 
 
 @pytest.mark.parametrize("event, edit", [
     (None, lambda header: header.update(task=["A"])),  # the header is the first line, with no event
     ("trial_end", lambda footer: footer["counters"].update(execution_steps="5", successful_steps="4")),
-    ("trial_end", _string_flags),
-], ids=["task-a-list", "step-counters-strings", "record-flags-strings"])
+    ("trial_end", lambda footer: _record(footer, replanned="no", recovered="no")),
+    ("trial_end", lambda footer: _record(footer, request_index="zero", detail=5)),
+    ("trial_end", lambda footer: _record(footer, request_index=True)),
+    ("trial_end", _unwritten_outcome),
+], ids=["task-a-list", "step-counters-strings", "record-flags-strings", "record-index-string-detail-number",
+        "record-index-boolean", "outcome-unwritten"])
 @pytest.mark.parametrize("command", ["replay", "report"])
 def test_a_mistyped_header_footer_or_record_exits_2(tiny_suite, tmp_path, capsys, command, event, edit):
     _, suite_path = tiny_suite

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -143,13 +145,39 @@ def test_phantom_inserted_and_unmasked_by_closeup():
     assert len(phantoms) == 1
     phantom = phantoms[0]
     record = world.phantoms[phantom.id]
-    assert phantom.category != record.reveal_category
+    assert phantom.category != record.revealed.category
     # the close-up reveals what actually occupies the spot
     obs = report_observation(world, belief, phantom)
     revealed = obs.find(phantom.id)
     assert revealed is not None
-    assert revealed.category == record.reveal_category
+    assert revealed.category == record.revealed.category
     assert belief.objects[phantom.id].ruled_out
+
+
+@pytest.mark.parametrize("doc, rid", [(DOLL_SCENE, "table_0"), (MINI_SCENE, "bed_0")], ids=["anchored", "unanchored"])
+def test_a_phantom_closeup_returns_its_revealed_object(doc, rid):
+    world, belief = explored_world(doc, **zero_noise(p_false_positive=1.0))
+    goto(world, belief, rid)
+    phantom = next(o for o in explore_local(world, belief, rid).items if o.id in world.phantoms)
+    revealed = world.phantoms[phantom.id].revealed
+    assert report_observation(world, belief, phantom).visible == (revealed,)
+    # drawn at the detection's spot, on the receptacle the scan inserted it on
+    assert (revealed.id, revealed.location, revealed.provenance, revealed.parent_id, revealed.is_receptacle) == (
+        phantom.id, phantom.location, "object", rid, False)
+    # within the anchor's jitter (0.03 m a coordinate) of the object it misreads, or of nothing
+    anchors = [world.objects[oid].spec for oid in world.objects_rooted_at(rid)
+               if math.dist(world.position_of(oid), revealed.location) <= 0.03 * math.sqrt(2)]
+    assert len(anchors) == (1 if doc is DOLL_SCENE else 0)
+    shows = (anchors[0].category, frozenset(anchors[0].attributes)) if anchors else ("bare_surface", frozenset())
+    assert (revealed.category, revealed.attributes) == shows
+
+
+def test_a_closeup_error_returns_the_phantom_detection_itself():
+    world, belief = explored_world(DOLL_SCENE, **zero_noise(p_false_positive=1.0, p_closeup_error=1.0))
+    goto(world, belief, "table_0")
+    phantom = next(o for o in explore_local(world, belief, "table_0").items if o.id in world.phantoms)
+    assert report_observation(world, belief, phantom).visible == (replace(phantom, provenance="object"),)
+    assert not belief.objects[phantom.id].ruled_out
 
 
 def test_closeup_reports_ground_truth_attributes():

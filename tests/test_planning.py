@@ -368,3 +368,162 @@ def test_scripted_purity_same_view_same_step():
     a = scripted_next_step(task, history, view)
     b = scripted_next_step(task, history, view)
     assert a == b
+
+
+# --- scripted policy: one hand-made belief per branch -------------------------------
+
+# Furniture of the hand-made beliefs: (category, centroid). Tables come first
+# in search order, so an unscanned table_0 is the first scan target.
+_FURNITURE = {"table_0": ("table", (1.0, 1.0)), "table_1": ("table", (3.0, 1.0)), "bed_0": ("bed", (3.0, 3.0))}
+
+
+def _obj(oid, parent, location=(1.0, 1.0), attributes=(), inspected=False, ruled_out=False, receptacle=False):
+    from homeloop.perception import BeliefObject
+
+    return BeliefObject(oid, oid.rsplit("_", 1)[0], frozenset(attributes), location, parent, receptacle,
+                        inspected=inspected, ruled_out=ruled_out)
+
+
+def _hand_belief(*objects, at=None, holding=None, scanned=(), stale=(), furniture=tuple(_FURNITURE)):
+    """A belief after a sweep that found ``furniture``, with ``objects`` on it
+    and a local map (no items) for each of ``scanned``; ``furniture=None``
+    is the belief before any sweep."""
+    from homeloop.perception import BeliefObject, GlobalMap, LocalMap, SceneObject
+
+    belief = Belief()
+    if furniture is None:
+        return belief
+    found = [SceneObject(fid, _FURNITURE[fid][0], frozenset(), _FURNITURE[fid][1], "global", None, True)
+             for fid in furniture]
+    belief.global_map = GlobalMap(found, 0)
+    for f in found:
+        belief.objects[f.id] = BeliefObject(f.id, f.category, frozenset(), f.location, None, True)
+    for o in objects:
+        belief.objects[o.id] = o
+    for rid in scanned:
+        belief.local_maps[rid] = LocalMap(rid, [], 0, stale=rid in stale)
+    belief.holding, belief.at_receptacle = holding, at
+    belief.touch()
+    return belief
+
+
+_TOY_TO_BED = {"on": {"object": {"id": "toy_0"}, "receptacle": {"id": "bed_0"}}}
+_RED_CUP_TO_BED = {"on": {"object": {"category": "cup", "attributes": ["red"]}, "receptacle": {"category": "bed"}}}
+_TOY_TO_SOFA = {"on": {"object": {"id": "toy_0"}, "receptacle": {"category": "sofa"}}}
+_CUPS_ON_TABLE_1 = {"all_on": {"category": "cup", "receptacle": {"id": "table_1"}}}
+_CUPS_TOGETHER = {"same_receptacle": {"category": "cup"}}
+_ALL_SCANNED = tuple(_FURNITURE)
+_ON_TABLE_0 = dict(at="table_0", scanned=_ALL_SCANNED)
+
+
+def _verdict(feasible, rollback=None):
+    from homeloop.verification import FeasibilityVerdict, RollbackSuggestion
+
+    return FeasibilityVerdict(feasible, rollback and RollbackSuggestion(rollback[0], rollback[1], "pinned"), "pinned")
+
+
+# (id, goal document, placement style, belief, feasibility verdict or None,
+#  the rendered step or the PolicyStuck message)
+_POLICY_BRANCHES = [
+    ("no-global-map", _TOY_TO_BED, None, _hand_belief(furniture=None), None, "explore_global()"),
+    ("satisfied-category-unscanned-away", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_1"), scanned=("table_1",)), None, "navigate(table_0)"),
+    ("satisfied-category-unscanned-at", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_1"), at="table_0", scanned=("table_1",)), None, "explore_local(table_0)"),
+    ("satisfied-category-all-scanned", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_1"), scanned=_ALL_SCANNED), None, 'done("goal satisfied")'),
+    ("not-goal", {"not": _TOY_TO_BED}, None,
+     _hand_belief(_obj("toy_0", "bed_0"), scanned=_ALL_SCANNED), None, "scripted policy cannot pursue Not goals"),
+    ("or-goal-pursues-its-first-child", {"or": [_TOY_TO_BED, _TOY_TO_SOFA]}, None,
+     _hand_belief(_obj("toy_0", "table_0"), **_ON_TABLE_0), None, "grasp(toy_0)"),
+    ("irrelevant-held-at-receptacle", _TOY_TO_BED, None,
+     _hand_belief(_obj("cup_0", None), holding="cup_0", **_ON_TABLE_0), None, "place(table_0)"),
+    ("irrelevant-held-away", _TOY_TO_BED, None,
+     _hand_belief(_obj("cup_0", None), holding="cup_0", scanned=_ALL_SCANNED), None, "navigate(table_0)"),
+    ("irrelevant-held-no-receptacle", _TOY_TO_BED, None,
+     _hand_belief(_obj("cup_0", None), holding="cup_0", furniture=()), None,
+     "holding an object with no receptacle in the global map"),
+    ("held-holding-target-satisfied", {"holding": {"object": {"id": "toy_0"}}}, None,
+     _hand_belief(_obj("toy_0", None), holding="toy_0"), None, 'done("goal satisfied")'),
+    ("held-holding-target-unverified", {"holding": {"object": {"category": "cup", "attributes": ["red"]}}}, None,
+     _hand_belief(_obj("cup_0", None), holding="cup_0"), None, 'done("holding the requested object")'),
+    ("deliver-away-from-destination-root", _TOY_TO_BED, None,
+     _hand_belief(_obj("toy_0", None), holding="toy_0", **_ON_TABLE_0), None, "navigate(bed_0)"),
+    ("deliver-by-reference", _TOY_TO_BED, None,
+     _hand_belief(_obj("toy_0", None), holding="toy_0", at="bed_0"), None, "place(bed_0)"),
+    ("deliver-by-centroid-location", _TOY_TO_BED, "centroid_of:cup",
+     _hand_belief(_obj("toy_0", None), _obj("cup_0", "bed_0", (2.5, 3.25)), _obj("cup_1", "bed_0", (2.75, 3.5)),
+                  _obj("cup_2", "bed_0", (9.0, 9.0), ruled_out=True), holding="toy_0", at="bed_0"),
+     None, "place(bed_0:-0.375,0.375)"),
+    ("deliver-centroid-with-no-members", _TOY_TO_BED, "centroid_of:cup",
+     _hand_belief(_obj("toy_0", None), holding="toy_0", at="bed_0"), None, "place(bed_0)"),
+    ("deliver-centroid-onto-an-object", {"on": {"object": {"id": "toy_0"}, "receptacle": {"category": "tray"}}},
+     "centroid_of:cup", _hand_belief(_obj("toy_0", None), _obj("tray_0", "bed_0", receptacle=True),
+                                     _obj("cup_0", "bed_0"), holding="toy_0", at="bed_0"), None, "place(tray_0)"),
+    ("deliver-no-destination-unscanned", _TOY_TO_SOFA, None,
+     _hand_belief(_obj("toy_0", None), holding="toy_0", at="table_1", scanned=("table_1",)), None,
+     "navigate(table_0)"),
+    ("deliver-no-destination-all-scanned", _TOY_TO_SOFA, None,
+     _hand_belief(_obj("toy_0", None), holding="toy_0", scanned=_ALL_SCANNED), None,
+     'done("infeasible: destination receptacle not found")'),
+    ("category-unscanned", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_0"), at="table_1", scanned=("table_1",)), None, "navigate(table_0)"),
+    ("category-mover-stale-map", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_0"), stale=("table_0",), **_ON_TABLE_0), None, "explore_local(table_0)"),
+    ("category-mover-away", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_0"), scanned=_ALL_SCANNED), None, "navigate(table_0)"),
+    ("category-mover-fresh-map", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_0"), **_ON_TABLE_0), None, "grasp(cup_0)"),
+    ("category-mover-on-floor", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", None), scanned=_ALL_SCANNED), None, "grasp(cup_0)"),
+    ("same-receptacle-joins-the-fuller", _CUPS_TOGETHER, None,
+     _hand_belief(_obj("cup_0", "table_0"), _obj("cup_1", "bed_0"), _obj("cup_2", "bed_0"), **_ON_TABLE_0), None,
+     "grasp(cup_0)"),
+    ("category-no-mover-feasible-here", _CUPS_ON_TABLE_1, None,
+     _hand_belief(_obj("cup_0", "table_1"), _obj("cup_1", "table_0", inspected=True, ruled_out=True),
+                  **_ON_TABLE_0), None, "explore_local(table_0)"),
+    ("category-no-member-left", _CUPS_TOGETHER, None, _hand_belief(scanned=_ALL_SCANNED), None,
+     'done("infeasible: no candidate for cup anywhere and nothing left to search")'),
+    ("verified-candidate", _TOY_TO_BED, None, _hand_belief(_obj("toy_0", "table_0"), **_ON_TABLE_0), None,
+     "grasp(toy_0)"),
+    ("verified-candidate-away", _RED_CUP_TO_BED, None,
+     _hand_belief(_obj("cup_0", "table_0", attributes=("red",), inspected=True), scanned=_ALL_SCANNED), None,
+     "navigate(table_0)"),
+    ("verified-candidate-no-destination", _TOY_TO_SOFA, None,
+     _hand_belief(_obj("toy_0", "table_0"), **_ON_TABLE_0), None,
+     'done("infeasible: destination receptacle not found")'),
+    ("uninspected-candidate-away", _RED_CUP_TO_BED, None,
+     _hand_belief(_obj("cup_0", "table_0"), scanned=_ALL_SCANNED), None, "navigate(table_0)"),
+    ("uninspected-candidate-at", _RED_CUP_TO_BED, None,
+     _hand_belief(_obj("cup_0", "table_0"), **_ON_TABLE_0), None, "report_observation(cup_0)"),
+    ("uninspected-candidate-on-floor", _RED_CUP_TO_BED, None,
+     _hand_belief(_obj("cup_0", None), scanned=_ALL_SCANNED), None, "report_observation(cup_0)"),
+    ("search-feasible-at-scanned", _RED_CUP_TO_BED, None, _hand_belief(**_ON_TABLE_0), _verdict(True),
+     "explore_local(table_0)"),
+    ("search-feasible-away", _RED_CUP_TO_BED, None, _hand_belief(scanned=_ALL_SCANNED), _verdict(True),
+     "feasible verdict but no actionable candidate"),
+    ("search-feasible-at-unscanned", _RED_CUP_TO_BED, None, _hand_belief(at="table_0"), _verdict(True),
+     "feasible verdict but no actionable candidate"),
+    ("search-no-rollback", _RED_CUP_TO_BED, None, _hand_belief(scanned=_ALL_SCANNED), _verdict(False),
+     'done("infeasible: pinned")'),
+    ("search-rollback-away", _RED_CUP_TO_BED, None, _hand_belief(at="table_0"), _verdict(False, ("global", "table_1")),
+     "navigate(table_1)"),
+    ("search-rollback-at", _RED_CUP_TO_BED, None, _hand_belief(at="table_1"), _verdict(False, ("global", "table_1")),
+     "explore_local(table_1)"),
+    ("search-computes-its-verdict", _RED_CUP_TO_BED, None, _hand_belief(at="table_1"), None, "navigate(table_0)"),
+]
+
+
+@pytest.mark.parametrize("goal_doc, style, belief, feasibility, expected",
+                         [case[1:] for case in _POLICY_BRANCHES], ids=[case[0] for case in _POLICY_BRANCHES])
+def test_every_policy_branch_keeps_its_step(goal_doc, style, belief, feasibility, expected):
+    from homeloop.errors import PolicyStuck
+    from homeloop.goals import parse_goal
+
+    task = mini_task(goal=parse_goal(goal_doc), placement_style=style)
+    view = PlannerView(belief=belief, feasibility=feasibility)
+    try:
+        rendered = scripted_next_step(task, DialogueHistory(instruction=task.instruction), view).render()
+    except PolicyStuck as exc:
+        rendered = str(exc)
+    assert rendered == expected

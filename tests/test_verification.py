@@ -424,7 +424,12 @@ def _trace_with_record(edit) -> str:
     lambda doc: doc.update(attempts=2),
     lambda doc: doc.pop("cause"),
     lambda doc: doc.pop("recovered"),
-], ids=["string-flag", "unknown-key", "no-cause", "no-flag"])
+    lambda doc: doc.update(request_index="zero", detail=5),
+    lambda doc: doc.update(request_index=True),
+    lambda doc: doc.update(request_index=0.5),
+    lambda doc: doc.update(detail=5),
+], ids=["string-flag", "unknown-key", "no-cause", "no-flag", "string-index-number-detail", "boolean-index",
+        "fractional-index", "number-detail"])
 def test_a_mistyped_failure_record_does_not_load(edit):
     assert load_trace(io.StringIO(_trace_with_record(lambda doc: None))).failure_records[0].replanned
     with pytest.raises(TraceFormatError):

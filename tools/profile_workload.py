@@ -11,14 +11,17 @@ the top ``TOP`` functions by self time and by cumulative time. It then runs
 the same units again, unprofiled and from an empty geometry cache, with
 ``PackedGrid.layers`` wrapped to count the BFS layers grown, and prints
 them in total and by caller (``_sense``, ``PackedGrid.nearest``,
-``OccupancyGrid.flood_fill``). Traces go to a temporary directory that is
-deleted afterwards.
+``OccupancyGrid.flood_fill``). Last it prints the lines and bytes of the
+profiled run's traces by kind: ``header``, each event kind (the footer's is
+``trial_end``) and the total, with each kind's share of the bytes. Traces go
+to a temporary directory that is deleted afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import json
 import os
 import pstats
 import sys
@@ -75,6 +78,22 @@ def count_layers(name: str, seed: int, units: int, out: Path) -> Counter:
     return counts
 
 
+def tally_traces(root: Path) -> tuple[Counter, Counter]:
+    """The lines and the bytes of the trace files under ``root``, by kind:
+    ``header`` for a file's first line, else the line's ``event``. A line's
+    bytes include its newline, so the totals are the files' line counts and
+    sizes."""
+    lines: Counter = Counter()
+    size: Counter = Counter()
+    for path in sorted(root.rglob("*.jsonl")):
+        with open(path, "rb") as fh:
+            for i, raw in enumerate(fh):
+                kind = "header" if i == 0 else json.loads(raw)["event"]
+                lines[kind] += 1
+                size[kind] += len(raw)
+    return lines, size
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -89,6 +108,7 @@ def main(argv: list[str] | None = None) -> None:
         profile.enable()
         trials = run_units(args.workload, args.seed, args.units, Path(tmp) / "profiled")
         profile.disable()
+        lines, size = tally_traces(Path(tmp) / "profiled")
         layers = count_layers(args.workload, args.seed, args.units, Path(tmp) / "counted")
     stats = pstats.Stats(profile, stream=sys.stdout)
     print(f"{args.workload} seed {args.seed}: {args.units} unit(s), {trials} trial(s), "
@@ -99,6 +119,11 @@ def main(argv: list[str] | None = None) -> None:
     print(f"\n=== BFS layers grown (PackedGrid.layers) ===\ntotal {sum(layers.values())}")
     for caller, count in sorted(layers.items()):
         print(f"{caller} {count}")
+    total = sum(size.values())
+    print("\n=== trace lines and bytes by kind (kind lines bytes share) ===")
+    for kind in sorted(size, key=lambda k: (-size[k], k)):
+        print(f"{kind} {lines[kind]} {size[kind]} {size[kind] / total:.1%}")
+    print(f"total {sum(lines.values())} {total}")
 
 
 if __name__ == "__main__":
