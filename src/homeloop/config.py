@@ -463,6 +463,10 @@ def parse_suite(raw: dict, base_dir: Optional[str] = None) -> SuiteConfig:
         path = f"tasks[{i}]"
         only_keys(as_json(t, dict, path), TASK_KEYS, path)
         task_id = as_json(require(t, "id", path), str, f"{path}.id")
+        if task_id in ("", ".", "..") or "/" in task_id or "\\" in task_id:
+            raise ConfigError(f"{path}.id", f"{task_id!r} is not one directory name")
+        if any(task.id == task_id for task in tasks):
+            raise ConfigError(f"{path}.id", f"duplicate task id {task_id!r}")
         scene = as_json(require(t, "scene", path), str, f"{path}.scene")
         style = t.get("placement_style")
         seeds = as_json(t.get("seeds", []), list, f"{path}.seeds")

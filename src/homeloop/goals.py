@@ -216,7 +216,9 @@ def parse_goal(raw: dict, path: str = "goal") -> Goal:
         raise ConfigError(path, f"unknown goal operator {op!r}")
     path = f"{path}.{op}"
     if issubclass(cls, _Junction):
-        return cls(tuple(parse_goal(c, f"{path}[{i}]") for i, c in enumerate(as_json(body, list, path))))
+        if not as_json(body, list, path):
+            raise ConfigError(path, f"{op} needs at least one child")
+        return cls(tuple(parse_goal(c, f"{path}[{i}]") for i, c in enumerate(body)))
     if cls is Not:
         return Not(parse_goal(body, path))
     keys = _body_keys(cls)
@@ -268,7 +270,7 @@ def ground_view(world: World) -> PlacementView:
             id=oid,
             category=obj.spec.category,
             attributes=frozenset(obj.spec.attributes),
-            parent=obj.placement.receptacle,
+            parent=obj.on,
             is_receptacle=obj.spec.receptacle,
         )
     return PlacementView(entities, world.gripper)

@@ -221,16 +221,15 @@ class _Trial:
                 )
             text = step.render()
             self.ctx.events.append({"event": "plan", "text": text, "repairs": repairs})
-            self.history.append_plan(text)
+            self.history.append("plan", text)
 
             if isinstance(step, Done):
                 return "done", step.message
 
             assert isinstance(step, Call)
             if step.warning:
-                self.history.append_note(step.warning)
+                self.history.append("note", step.warning)
             request = to_request(step)
-            held_before = self.belief.holding
             # a scan installs a new map and leaves the old one as it was
             prior_map = self.belief.local_maps.get(request.target) if request.verb == "explore_local" else None
             fb, verdict, before = execute(self.ctx, request)
@@ -257,7 +256,7 @@ class _Trial:
             if not options.recovery_enabled:
                 record.mark_direct()
                 return None, f"unrecovered {record.cause} (recovery disabled)"
-            episode = recover(self.ctx, task.goal, record, request, fb, before, held_before, options.strict_escalation)
+            episode = recover(self.ctx, task.goal, record, request, fb, before, options.strict_escalation)
             if episode.status == "exhausted":
                 return None, f"recovery exhausted after {record.cause}"
 

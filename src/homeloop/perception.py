@@ -238,7 +238,7 @@ def _snapshot(world: World, oid: str, provenance: str) -> SceneObject:
         attributes=frozenset() if provenance == "local" else frozenset(obj.spec.attributes),
         location=world.position_of(oid),
         provenance=provenance,
-        parent_id=obj.placement.receptacle,
+        parent_id=obj.on,
         is_receptacle=obj.spec.receptacle,
     )
 
@@ -248,7 +248,7 @@ def _in_view(world: World, ids: Iterable[str], origin: tuple[float, float], radi
     of ``origin``, in id order."""
     visible = []
     for oid in sorted(ids):
-        if world.objects[oid].placement.kind == "gripper":
+        if oid == world.gripper:
             continue
         pos = world.position_of(oid)
         if (pos[0] - origin[0]) ** 2 + (pos[1] - origin[1]) ** 2 <= radius**2:

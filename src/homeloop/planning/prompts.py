@@ -93,7 +93,6 @@ class HistoryEntry:
 
     kind: str  # "plan" | "feedback" | "observation" | "note"
     text: str
-    elidable: bool = True
     message: Message = field(init=False, repr=False, compare=False)
     tokens: int = field(init=False)
 
@@ -102,6 +101,10 @@ class HistoryEntry:
         content = _PREFIX[self.kind] + self.text
         object.__setattr__(self, "message", Message(role=role, content=content))
         object.__setattr__(self, "tokens", estimate_tokens(content))
+
+    @property
+    def elidable(self) -> bool:
+        return self.kind != "plan"
 
     @property
     def role(self) -> str:
@@ -127,35 +130,23 @@ class DialogueHistory:
         self.messages = [e.message for e in self.entries]
         self.tokens = sum(e.tokens for e in self.entries)
 
-    def _append(self, kind: str, text: str, elidable: bool = True) -> None:
-        entry = HistoryEntry(kind, text, elidable)
+    def append(self, kind: str, text: str) -> None:
+        entry = HistoryEntry(kind, text)
         self.entries.append(entry)
         self.messages.append(entry.message)
         self.tokens += entry.tokens
 
-    def append_plan(self, text: str) -> None:
-        self._append("plan", text, elidable=False)
-
-    def append_feedback(self, text: str) -> None:
-        self._append("feedback", text)
-
-    def append_observation(self, text: str) -> None:
-        self._append("observation", text)
-
     def append_result(self, fb: Feedback) -> None:
         """An executed call's feedback line and, unless it swept the room,
         what it observed in compact form."""
-        self.append_feedback(fb.render())
+        self.append("feedback", fb.render())
         obs = fb.observation
         if obs is not None and fb.verb != "explore_global":
             parts = [
                 f"{o.id}({o.category}{';' + ','.join(sorted(o.attributes)) if o.attributes else ''})"
                 for o in obs.visible
             ]
-            self.append_observation(f"{obs.kind}: " + (", ".join(parts) or "nothing"))
-
-    def append_note(self, text: str) -> None:
-        self._append("note", text)
+            self.append("observation", f"{obs.kind}: " + (", ".join(parts) or "nothing"))
 
     def last_feedback_text(self) -> str:
         for entry in reversed(self.entries):

@@ -21,7 +21,6 @@ from ..goals import AllOn, Goal, Holding, Not, On, SameReceptacle, Selector
 from ..perception import Belief, BeliefObject
 from ..verification import (
     atom_object_selector,
-    belief_goal_satisfied,
     candidate_objects,
     first_unsatisfied_atom,
     scannable_receptacles,
@@ -46,14 +45,11 @@ def scripted_next_step(task, history, view: PlannerView) -> PlanStep:
         return Call("explore_global", None)
 
     goal: Goal = task.goal
-    if belief_goal_satisfied(goal, belief):
+    atom = first_unsatisfied_atom(goal, belief)
+    if atom is None:
         pending = _needs_full_scan(goal) and unscanned_receptacles(belief)
         if pending:
             return _scan_step(belief, pending[0])
-        return Done("goal satisfied")
-
-    atom = first_unsatisfied_atom(goal, belief)
-    if atom is None:
         return Done("goal satisfied")
     return _pursue(atom, task, view)
 
@@ -177,13 +173,8 @@ def _resolve_destination(atom: Goal, belief: Belief) -> Optional[str]:
 
 
 def _next_mover(atom: Goal, belief: Belief, dest: str) -> Optional[str]:
-    category = atom.category  # type: ignore[union-attr]
-    for b in belief.sorted_objects():
-        if b.is_receptacle or b.ruled_out or b.category != category:
-            continue
-        if b.parent_id != dest:
-            return b.id
-    return None
+    movers = candidate_objects(belief, Selector(category=atom.category))  # type: ignore[attr-defined]
+    return next((oid for oid in movers if belief.objects[oid].parent_id != dest), None)
 
 
 def _grasp_path(belief: Belief, oid: str) -> PlanStep:

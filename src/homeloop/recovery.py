@@ -114,15 +114,15 @@ def execute(ctx: SkillContext, request: ActionRequest) -> tuple[Feedback, Succes
 
 
 def recover(ctx: SkillContext, goal: Goal, failure: FailureRecord, request: ActionRequest, fb: Feedback,
-            before: Observation, held_before: Optional[str], strict_escalation: bool) -> RecoveryEpisode:
-    """Run one episode for a failed call: ``failure`` classifies it,
-    ``before`` is its before image and ``held_before`` what the gripper held
-    when it was issued. Returns the ended episode."""
+            before: Observation, strict_escalation: bool) -> RecoveryEpisode:
+    """Run one episode for a failed call: ``failure`` classifies it and
+    ``before`` is its before image; a failed place's object is the one it
+    moved, else the one the belief still holds. Returns the ended episode."""
     object_id = None
     if request.verb == "grasp":
         object_id = request.target
     elif request.verb == "place":
-        object_id = fb.moved or held_before
+        object_id = fb.moved or ctx.belief.holding
     episode = RecoveryEpisode(
         failure=failure,
         request=request,

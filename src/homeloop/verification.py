@@ -204,31 +204,24 @@ def _belief_view(belief: Belief) -> PlacementView:
     return view
 
 
-def _goal_status(goal: Goal, belief: Belief) -> tuple[bool, Optional[Goal]]:
-    """(satisfied, first unsatisfied atom) against the belief. ``_first_unsat``
-    returns a node only from an unsatisfied subtree, so a found atom already
-    answers "not satisfied" and the full evaluation runs only when none is.
-    The memo is keyed on the goal's identity, cheap where a goal tree's hash
-    is not; the entry keeps the goal alive, so its id cannot be reused."""
+def first_unsatisfied_atom(goal: Goal, belief: Belief) -> Optional[Goal]:
+    """Deterministic left-to-right search through the predicate tree. The
+    memo is keyed on the goal's identity, cheap where a goal tree's hash is
+    not; the entry keeps the goal alive, so its id cannot be reused."""
     memo = belief.derived()
     entry = memo.get(id(goal))
     if entry is None:
-        view = _belief_view(belief)
-        atom = _first_unsat(goal, view)
-        entry = memo[id(goal)] = (goal, atom is None and goal.satisfied(view), atom)
-    return entry[1], entry[2]
+        entry = memo[id(goal)] = (goal, _first_unsat(goal, _belief_view(belief)))
+    return entry[1]
 
 
 def belief_goal_satisfied(goal: Goal, belief: Belief) -> bool:
-    return _goal_status(goal, belief)[0]
-
-
-def first_unsatisfied_atom(goal: Goal, belief: Belief) -> Optional[Goal]:
-    """Deterministic left-to-right search through the predicate tree."""
-    return _goal_status(goal, belief)[1]
+    return first_unsatisfied_atom(goal, belief) is None
 
 
 def _first_unsat(goal: Goal, view: PlacementView) -> Optional[Goal]:
+    """None exactly when the goal holds: an unsatisfied junction has an
+    unsatisfied child, since ``parse_goal`` builds none without children."""
     if isinstance(goal, And):
         for c in goal.children:
             found = _first_unsat(c, view)
@@ -238,7 +231,7 @@ def _first_unsat(goal: Goal, view: PlacementView) -> Optional[Goal]:
     if isinstance(goal, Or):
         if goal.satisfied(view):
             return None
-        return _first_unsat(goal.children[0], view) if goal.children else None
+        return _first_unsat(goal.children[0], view)
     if isinstance(goal, Not):
         return goal if goal.satisfied(view) is False else None
     return None if goal.satisfied(view) else goal

@@ -39,31 +39,13 @@ ALL_VERBS = EXECUTION_VERBS + PERCEPTION_VERBS
 
 
 @dataclass
-class Placement:
-    """Where an object currently is. Exactly one of the three forms."""
-
-    kind: str  # "on" | "gripper" | "floor"
-    receptacle: Optional[str] = None  # the parent; None off a surface
-    offset: tuple[float, float] = (0.0, 0.0)
-    floor_pos: tuple[float, float] = (0.0, 0.0)
-
-    @staticmethod
-    def on(receptacle: str, offset: tuple[float, float]) -> "Placement":
-        return Placement(kind="on", receptacle=receptacle, offset=offset)
-
-    @staticmethod
-    def gripper() -> "Placement":
-        return Placement(kind="gripper")
-
-    @staticmethod
-    def on_floor(pos: tuple[float, float]) -> "Placement":
-        return Placement(kind="floor", floor_pos=pos)
-
-
-@dataclass
 class GroundObject:
+    """An object and where it rests. The held object is ``World.gripper``
+    and rests on nothing."""
+
     spec: ObjectSpec
-    placement: Placement
+    on: Optional[str]  # the receptacle it rests on; None off a surface
+    at: tuple[float, float]  # offset from that receptacle's anchor, or the floor position
 
 
 @dataclass
@@ -221,13 +203,10 @@ class World:
         self.half_extents = surface_half_extents(config)  # of the receptacles, by id
         self.reachable = self.geometry.reachable
 
-        self.objects: dict[str, GroundObject] = {}
-        for spec in config.objects:
-            if spec.on is not None:
-                placement = Placement.on(spec.on, spec.offset)
-            else:
-                placement = Placement.on_floor(spec.floor)  # type: ignore[arg-type]
-            self.objects[spec.id] = GroundObject(spec=spec, placement=placement)
+        self.objects: dict[str, GroundObject] = {
+            s.id: GroundObject(s, s.on, s.offset if s.on is not None else s.floor)  # type: ignore[arg-type]
+            for s in config.objects
+        }
 
         self.robot = Pose(config.robot_start.x, config.robot_start.y, config.robot_start.heading)
         self.gripper: Optional[str] = None
@@ -243,12 +222,11 @@ class World:
         the floor or in the gripper). No object id names furniture.
         Validation admits no cycle, and no action can close one: a loaded
         receptacle cannot be grasped."""
-        current = rid
+        current: Optional[str] = rid
         while current not in self.furniture:
-            placement = self.objects[current].placement
-            if placement.kind != "on":
+            current = self.objects[current].on  # type: ignore[index]
+            if current is None:
                 return None
-            current = placement.receptacle  # type: ignore[assignment]
         return current
 
     def _surface_root(self, rid: str, verb: str) -> str:
@@ -274,20 +252,19 @@ class World:
 
     def position_of(self, oid: str) -> tuple[float, float]:
         obj = self.objects[oid]
-        p = obj.placement
-        if p.kind == "floor":
-            return p.floor_pos
-        if p.kind == "gripper":
+        if obj.on is not None:
+            ax, ay = self.anchor_of(obj.on)
+            return (ax + obj.at[0], ay + obj.at[1])
+        if oid == self.gripper:
             return (self.robot.x, self.robot.y)
-        ax, ay = self.anchor_of(p.receptacle)  # type: ignore[arg-type]
-        return (ax + p.offset[0], ay + p.offset[1])
+        return obj.at
 
     def objects_rooted_at(self, furniture_id: str) -> list[str]:
         """Object ids whose placement chain bottoms out at the furniture."""
         return sorted(oid for oid in self.objects if self.root_furniture_of(oid) == furniture_id)
 
     def objects_directly_on(self, rid: str) -> list[str]:
-        return sorted(oid for oid, obj in self.objects.items() if obj.placement.receptacle == rid)
+        return sorted(oid for oid, obj in self.objects.items() if obj.on == rid)
 
     def robot_cell(self) -> Cell:
         return self.grid.cell_of(self.robot.x, self.robot.y)
@@ -350,12 +327,15 @@ class World:
             "placements": {},
         }
         for oid in sorted(self.objects):
-            p = self.objects[oid].placement
+            obj = self.objects[oid]
+            kind = "on" if obj.on is not None else "gripper" if oid == self.gripper else "floor"
+            offset = obj.at if kind == "on" else (0.0, 0.0)
+            floor_pos = obj.at if kind == "floor" else (0.0, 0.0)
             doc["placements"][oid] = [
-                p.kind,
-                p.receptacle,
-                [repr(p.offset[0]), repr(p.offset[1])],
-                [repr(p.floor_pos[0]), repr(p.floor_pos[1])],
+                kind,
+                obj.on,
+                [repr(offset[0]), repr(offset[1])],
+                [repr(floor_pos[0]), repr(floor_pos[1])],
             ]
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -441,7 +421,7 @@ class World:
                 f"grasp({target}) -> target not visible",
             )
         obj = self.objects[target]
-        parent = obj.placement.receptacle
+        parent = obj.on
         root = self._surface_root(parent, "grasp") if parent is not None else None
         if not self.within_reach(self.position_of(target)):
             raise Refused(
@@ -452,9 +432,9 @@ class World:
             if parent is not None and self.rng.random() < self.config.noise.p_object_shift_on_fail:
                 dx = (self.rng.random() - 0.5) * 0.1
                 dy = (self.rng.random() - 0.5) * 0.1
-                ox, oy = obj.placement.offset
+                ox, oy = obj.at
                 half_w, half_h = self.half_extents[parent]
-                obj.placement.offset = (
+                obj.at = (
                     max(-half_w, min(half_w, ox + dx)),
                     max(-half_h, min(half_h, oy + dy)),
                 )
@@ -466,7 +446,7 @@ class World:
                 PreconditionFault("bad_argument", f"{target} is loaded; unload it first"),
                 "grasp failed: receptacle not empty",
             )
-        obj.placement = Placement.gripper()
+        obj.on = None
         self.gripper = target
         self._bump(parent)
         return True, f"grasped {target}", {"holding": target}
@@ -549,11 +529,11 @@ class World:
                 )
         if self.rng.random() < self.config.noise.p_place_fail:
             drop = (self.robot.x + 0.2, self.robot.y)
-            self.objects[held].placement = Placement.on_floor(drop)
+            self.objects[held].on, self.objects[held].at = None, drop
             self.gripper = None
             self._bump(root)
             return False, "place failed", {"dropped": held}
-        self.objects[held].placement = Placement.on(rid, chosen)
+        self.objects[held].on, self.objects[held].at = rid, chosen
         self.gripper = None
         self._bump(rid)
         return True, f"placed {held} on {rid}", {"placed": held, "on": rid, "offset": list(chosen)}

@@ -1,0 +1,125 @@
+"""Kept mutants: small breaks of ``src/homeloop`` that the tests must catch.
+
+Each entry names a module under ``src/homeloop``, an exact source text that
+occurs once in ``src/``, its replacement, and what must fail once the text is
+replaced: pytest node ids, or ``tools/trace_digest.py``, whose lines must then
+differ from the unmutated checkout's (or which must exit non-zero). ``named``
+is the change that first named the mutant.
+
+``tools/mutants.py`` applies the mutants one at a time to an exported
+checkout and runs each one's tests. ``tests/test_mutants.py`` checks this
+file without running anything: a refactor that moves a mutated line fails
+tier-1, and the same change updates the entry.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import NamedTuple
+
+TRACE_DIGEST = "tools/trace_digest.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # relative to src/homeloop
+    source: str
+    replacement: str
+    tests: tuple[str, ...]
+    named: str
+
+
+def occurrences(src: str, text: str) -> dict[str, int]:
+    """The Python files under ``src`` that hold ``text``, as paths relative
+    to ``src``, each with how often it does."""
+    found = {}
+    for folder, _, files in os.walk(src):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    count = fh.read().count(text)
+                if count:
+                    found[os.path.relpath(path, src)] = count
+    return found
+
+
+FREE_OFFSET_REFERENCE = "tests/test_world.py::test_free_offset_on_matches_the_probing_reference"
+RASTERISER_REFERENCES = (
+    "tests/test_geometry.py::test_rasterize_polygon_marks_what_point_in_polygon_marks",
+    "tests/test_geometry.py::test_scanline_rasteriser_matches_the_numpy_one",
+)
+RESUMED_SWEEP = (
+    "tests/test_geometry.py::test_packed_sweep_matches_the_numpy_sweep",
+    "tests/test_geometry.py::test_the_frontier_search_grows_the_scans_first_layers_and_meets_no_frontier_before_d",
+    "tests/test_geometry.py::test_the_resumed_sweep_matches_the_two_search_sweep_on_generated_layouts",
+)
+
+MUTANTS = (
+    # World.free_offset_on against its probing reference
+    Mutant("free-offset-rows-at-reach", "world.py",
+           "or abs(ry - py) > reach:", "or abs(ry - py) >= reach:",
+           (FREE_OFFSET_REFERENCE,), "the free_offset_on row skip"),
+    Mutant("free-offset-reach-inclusive", "world.py",
+           "if math.hypot(rx - px, ry - py) > reach:", "if math.hypot(rx - px, ry - py) >= reach:",
+           (FREE_OFFSET_REFERENCE,), "the free_offset_on row skip"),
+    Mutant("free-offset-no-column-bound", "world.py",
+           "if abs(ox) <= half_w - margin", "if True",
+           (FREE_OFFSET_REFERENCE,), "the free_offset_on row skip"),
+    Mutant("free-offset-no-off-surface-row-skip", "world.py",
+           "if abs(oy) > half_h - margin or abs(ry - py)", "if abs(ry - py)",
+           (FREE_OFFSET_REFERENCE,), "the free_offset_on row skip"),
+    Mutant("free-offset-narrow-row-filter", "world.py",
+           "if (py - qy) ** 2 < 0.1**2]", "if (py - qy) ** 2 < 0.0999**2]",
+           (FREE_OFFSET_REFERENCE,), "the free_offset_on row skip"),
+    # a transport failure makes the trial invalid whatever ground truth says
+    Mutant("transport-follows-ground-truth", "harness.py",
+           'if stop == "transport":', "if False:",
+           ("tests/test_harness.py::test_every_way_a_trial_ends[transport-goal-held]",
+            "tests/test_harness.py::test_every_way_a_trial_ends[transport-goal-not-held]"),
+           "every way a trial ends"),
+    # the scanline rasteriser against point_in_polygon
+    Mutant("rasterise-bisect-right", "geometry.py",
+           "left = bisect_left(xs, xi)", 'left = __import__("bisect").bisect_right(xs, xi)',
+           RASTERISER_REFERENCES, "the scanline rasteriser"),
+    Mutant("rasterise-no-on-edge", "geometry.py",
+           "on_edge |= 1 << left", "on_edge |= 0",
+           RASTERISER_REFERENCES, "the scanline rasteriser"),
+    Mutant("rasterise-guard-bit", "geometry.py",
+           "marked |= (odd | on_edge) << (cy * self.packed.row + c0x)",
+           "marked |= (odd | on_edge | ((odd | on_edge) >> (self.width - 1 - c0x) & 1) << (self.width - c0x))"
+           " << (cy * self.packed.row + c0x)",
+           RASTERISER_REFERENCES
+           + ("tests/test_geometry.py::test_footprint_masks_are_the_point_in_polygon_cells_on_the_grid_and_disjoint",),
+           "footprints as packed masks"),
+    # approach cells are reachable ones
+    Mutant("approach-cells-unreachable", "world.py",
+           "adjacent_free_cells(self.footprint_cells[furniture_id]) & self.reachable",
+           "adjacent_free_cells(self.footprint_cells[furniture_id])",
+           ("tests/test_world.py::test_approach_table_matches_per_call_reference",),
+           "one placement and view rule"),
+    # replay re-derives a verdict's explanation from the feedback message
+    Mutant("replay-drops-the-message", "harness.py",
+           "message=message,\n        details=details,", 'message="",\n        details=details,',
+           (TRACE_DIGEST,), "readers that refuse bad traces"),
+    # the frontier search resumes from the sensing scan's layer d
+    Mutant("resume-one-layer-late", "perception.py",
+           "depth = math.isqrt(radius * radius // 2)", "depth = math.isqrt(radius * radius // 2) + 1",
+           RESUMED_SWEEP, "the resumed frontier search"),
+    Mutant("resume-at-the-radius", "perception.py",
+           "depth = math.isqrt(radius * radius // 2)", "depth = radius",
+           RESUMED_SWEEP, "the resumed frontier search"),
+    # the held object: World.gripper alone
+    Mutant("held-object-in-view", "perception.py",
+           "if oid == world.gripper:", "if False:",
+           ("tests/test_perception.py::test_capture_excludes_gripper_contents",),
+           "the held object kept once"),
+    Mutant("held-object-digested-as-floor", "world.py",
+           'else "gripper" if oid == self.gripper else "floor"', 'else "floor"',
+           ("tests/test_world.py::test_state_digest_entries",),
+           "the held object kept once"),
+    Mutant("failed-place-object-only-if-moved", "recovery.py",
+           "object_id = fb.moved or ctx.belief.holding", "object_id = fb.moved",
+           ("tests/test_skills.py::test_a_place_refused_before_it_moved_anything_recovers_the_held_object",),
+           "the held object kept once"),
+)

@@ -433,6 +433,9 @@ MALFORMED_SUITES = [
     ({"scene": "missing.json"}, "tasks[0].scene"),
     ({"goal": {"on": 5}}, "tasks[0].goal.on"),
     ({"goal": {"and": 5}}, "tasks[0].goal.and"),
+    # a junction that can never hold, or that always does
+    ({"goal": {"or": []}}, "tasks[0].goal.or"),
+    ({"goal": {"and": []}}, "tasks[0].goal.and"),
     ({"goal": {"or": [{"holding": []}]}}, "tasks[0].goal.or[0].holding"),
     ({"placement_style": 5}, "tasks[0].placement_style"),
     ({"goal": {"on": {"object": {"id": 5}, "receptacle": {"id": "bed_0"}}}}, "tasks[0].goal.on.object.id"),
@@ -450,6 +453,13 @@ MALFORMED_SUITES = [
     ({"seeds": ["7"]}, "tasks[0].seeds[0]"),
     # strings that str() would convert; a change naming a suite field goes to the suite
     ({"id": 5}, "tasks[0].id"),
+    # a task's traces go to <out>/<task id>/: the id must be one directory name
+    ({"id": ""}, "tasks[0].id"),
+    ({"id": "."}, "tasks[0].id"),
+    ({"id": ".."}, "tasks[0].id"),
+    ({"id": "../escape"}, "tasks[0].id"),
+    ({"id": "a/b"}, "tasks[0].id"),
+    ({"id": "a\\b"}, "tasks[0].id"),
     ({"name": 5}, "tasks[0].name"),
     ({"instruction": 5}, "tasks[0].instruction"),
     ({"goal": {"holding": {"object": {"attributes": [5]}}}}, "tasks[0].goal.holding.object.attributes[0]"),
@@ -478,6 +488,16 @@ def test_malformed_suite_exits_2_naming_the_field(tiny_suite, capsys, change, fi
     suite_path.write_text(json.dumps(suite))
     assert main(["validate", "--suite", str(suite_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: [config] {field}:")
+
+
+def test_a_duplicate_task_id_exits_2(tiny_suite, capsys):
+    # two tasks with one id would write their traces to one directory
+    _, suite_path = tiny_suite
+    suite = json.loads(suite_path.read_text())
+    suite["tasks"].append(dict(suite["tasks"][0]))
+    suite_path.write_text(json.dumps(suite))
+    assert main(["validate", "--suite", str(suite_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [config] tasks[1].id: duplicate task id 'T1'")
 
 
 MISSING_DOCUMENTS = [["--suite", "builtin:nope"], ["--suite", "no/such.json"], ["--scene", "no/such.json"]]

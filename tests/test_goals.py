@@ -10,16 +10,19 @@ from homeloop.errors import ConfigError
 from homeloop.goals import (
     AllOn,
     And,
+    EntityView,
     Holding,
     Not,
     On,
     Or,
+    PlacementView,
     SameReceptacle,
     Selector,
     goal_satisfied,
     goal_to_json,
     parse_goal,
 )
+from homeloop.verification import _first_unsat
 from homeloop.world import ActionRequest
 
 from conftest import MINI_SCENE, make_world
@@ -109,8 +112,8 @@ GOALS = st.recursive(
     | st.builds(SameReceptacle, st.sampled_from(["cup", "toy"]))
     | st.builds(Holding, SELECTORS),
     lambda inner: (
-        st.lists(inner, max_size=3).map(lambda cs: And(tuple(cs)))
-        | st.lists(inner, max_size=3).map(lambda cs: Or(tuple(cs)))
+        st.lists(inner, min_size=1, max_size=3).map(lambda cs: And(tuple(cs)))
+        | st.lists(inner, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs)))
         | inner.map(Not)
     ),
     max_leaves=8,
@@ -123,11 +126,38 @@ def test_a_goal_parses_back_from_its_json(goal):
     assert parse_goal(goal_to_json(goal)) == goal
 
 
+# Views over the selectors' ids: each entity rests on another, on nothing or
+# an unknown id, and any of them (or none) is held.
+VIEW_IDS = ["cup_0", "toy_0", "table_1", ""]
+ENTITIES = st.builds(
+    EntityView,
+    st.sampled_from(VIEW_IDS),
+    st.sampled_from(["cup", "toy", "table"]),
+    st.frozensets(st.sampled_from(["blue", "empty", "used"])),
+    st.none() | st.sampled_from(VIEW_IDS + ["bed_0"]),
+    st.booleans(),
+)
+VIEWS = st.builds(
+    lambda entities, holding: PlacementView({e.id: e for e in entities}, holding),
+    st.lists(ENTITIES, max_size=5),
+    st.none() | st.sampled_from(VIEW_IDS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GOALS, VIEWS)
+def test_no_unsatisfied_atom_exactly_when_the_goal_holds(goal, view):
+    # the scripted policy and the feasibility check read "believed satisfied"
+    # as "no unsatisfied atom"
+    assert (_first_unsat(goal, view) is None) == goal.satisfied(view)
+
+
 KNOWN_SELECTOR = "unknown field; known: id, category, attributes"
 
 # Every ConfigError of the goal parser: a document, then the path and text of
-# the first problem found in it. The last group holds documents with more than
-# one problem, and pins which of them is found first.
+# the first problem found in it. The group "the first of several problems"
+# holds documents with more than one problem, and pins which of them is found
+# first.
 GOAL_ERRORS = [
     # a node
     (5, "goal", "goal node must be a single-key object"),
@@ -179,6 +209,9 @@ GOAL_ERRORS = [
     ({"and": [{"on": {"object": 1}}, {"near": {}}]}, "goal.and[0].on.object", "selector must be an object"),
     ({"not": {"or": [{"holding": {"object": {"id": 1}}}]}}, "goal.not.or[0].holding.object.id",
      "expected a JSON string, got 1"),
+    # a junction with no child, which no goal tree may hold
+    ({"or": []}, "goal.or", "or needs at least one child"),
+    ({"and": []}, "goal.and", "and needs at least one child"),
 ]
 
 

@@ -262,7 +262,7 @@ def test_zero_noise_equivalence_on_bundled_scenes():
             assert {o.id for o in lmap.items} == expected
             for item in lmap.items:
                 assert item.category == world.objects[item.id].spec.category
-                assert item.parent_id == (world.objects[item.id].placement.receptacle)
+                assert item.parent_id == (world.objects[item.id].on)
 
 
 def test_capture_excludes_gripper_contents(mini_world):

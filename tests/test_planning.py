@@ -235,8 +235,8 @@ def test_system_prompt_bytes_are_pinned():
 
 def test_last_message_carries_latest_fault_string():
     history = DialogueHistory(instruction="Move the toy.")
-    history.append_plan("grasp(toy_0)")
-    history.append_feedback("[3] grasp -> FAILED: grasp failed")
+    history.append("plan", "grasp(toy_0)")
+    history.append("feedback", "[3] grasp -> FAILED: grasp failed")
     view = PlannerView(belief=Belief())
     messages = assemble_prompt(history, view)
     assert "grasp failed" in messages[-1]["content"]
@@ -245,9 +245,9 @@ def test_last_message_carries_latest_fault_string():
 def test_elision_keeps_budget_and_sections():
     history = DialogueHistory(instruction="Do everything.")
     for i in range(200):
-        history.append_plan(f"navigate(table_{i % 3})")
-        history.append_feedback(f"[{i}] navigate -> ok: arrived " + "x" * 300)
-        history.append_observation("stay: " + "y" * 200)
+        history.append("plan", f"navigate(table_{i % 3})")
+        history.append("feedback", f"[{i}] navigate -> ok: arrived " + "x" * 300)
+        history.append("observation", "stay: " + "y" * 200)
     view = PlannerView(belief=Belief())
     messages = assemble_prompt(history, view)
     total = sum(estimate_tokens(m["content"]) for m in messages)
@@ -263,8 +263,8 @@ def test_elision_keeps_budget_and_sections():
 
 def test_assembly_deterministic():
     history = DialogueHistory(instruction="Move the toy.")
-    history.append_plan("explore_global()")
-    history.append_feedback("[0] explore_global -> ok: global map built")
+    history.append("plan", "explore_global()")
+    history.append("feedback", "[0] explore_global -> ok: global map built")
     view = PlannerView(belief=Belief())
     a = assemble_prompt(history, view)
     b = assemble_prompt(history, view)

@@ -177,9 +177,7 @@ def test_object_level_recovery_rate_matches_bernoulli_oracle():
         # reset the plant for the next episode
         world = ctx.world
         if world.gripper is not None:
-            world.objects[world.gripper].placement.kind = "on"
-            world.objects[world.gripper].placement.receptacle = "table_0"
-            world.objects[world.gripper].placement.offset = (0.3, -0.1)
+            world.objects[world.gripper].on, world.objects[world.gripper].at = "table_0", (0.3, -0.1)
             world.gripper = None
         world.config.noise.p_grasp_fail = 0.0
         dispatch(ctx, ActionRequest(verb="navigate", target="table_0"))
@@ -290,13 +288,13 @@ def test_place_failure_regrasps_from_floor_and_replaces():
         failed = ActionRequest(verb="place", **form)
         fb = dispatch(ctx, failed)
         assert not fb.success and fb.details.get("dropped") == "toy_0"
-        assert ctx.world.objects["toy_0"].placement.kind == "floor"
+        assert ctx.world.objects["toy_0"].on is None and ctx.world.gripper is None
         ctx.world.config.noise.p_place_fail = 0.0
         record = classify_failure(None, fb)
         episode = RecoveryEpisode(failure=record, request=failed, object_id="toy_0", last_before=before)
         EpisodeRunner(ctx, GOAL).run(episode)
         assert episode.status == "recovered"
-        assert ctx.world.objects["toy_0"].placement.receptacle == "bed_0"
+        assert ctx.world.objects["toy_0"].on == "bed_0"
         first, reissue = [e for e in ctx.events if e["event"] == "request" and e["verb"] == "place"]
         assert reissue == {**first, "index": reissue["index"], "source": "object"}
         assert reissue["index"] > first["index"] and first["source"] == "planner"

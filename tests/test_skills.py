@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeloop.config import load_builtin_suite
+from homeloop.config import TaskSpec, load_builtin_suite, parse_config
 from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, Refused, TargetNotVisible
 from homeloop.geometry import SIDES
 from homeloop.goals import parse_goal
+from homeloop.harness import TrialOptions, run_trial
 from homeloop.perception import Belief, Observation, capture
+from homeloop.planning import ChatModelPlanner
+from homeloop.recovery import EpisodeRunner
 from homeloop.skills import ActionRequest, SkillContext, dispatch
 from homeloop.verification import (
     _belief_view,
@@ -23,7 +26,8 @@ from homeloop.verification import (
 )
 from homeloop.world import ALL_VERBS, PERCEPTION_VERBS
 
-from conftest import DOLL_SCENE, MINI_SCENE, make_world, zero_noise
+from conftest import DOLL_SCENE, MINI_SCENE, make_world, scene, zero_noise
+from mock_llm import TranscriptBackend
 
 
 def fresh_ctx(doc=MINI_SCENE, **noise):
@@ -116,12 +120,12 @@ def test_place_receptacle_and_location_forms():
     dispatch(ctx, ActionRequest(verb="grasp", target="cup_2"))
     fb = dispatch(ctx, ActionRequest(verb="place", target="plate_0"))
     assert fb.success
-    assert ctx.world.objects["cup_2"].placement.receptacle == "plate_0"
+    assert ctx.world.objects["cup_2"].on == "plate_0"
     # location form: put the doll at an explicit offset on the table
     dispatch(ctx, ActionRequest(verb="grasp", target="doll_0"))
     fb = dispatch(ctx, ActionRequest(verb="place", location=("table_0", (-0.4, -0.2))))
     assert fb.success
-    assert ctx.world.objects["doll_0"].placement.offset == (-0.4, -0.2)
+    assert ctx.world.objects["doll_0"].at == (-0.4, -0.2)
 
 
 def test_place_centroid_location_matches_mean():
@@ -375,6 +379,33 @@ def test_every_refusal_keeps_its_fault_and_message(case):
     assert out.message == (fault_message if message is None else message)
 
 
+def test_a_place_refused_before_it_moved_anything_recovers_the_held_object(monkeypatch):
+    """The "place-beyond-reach" refusal, planned in a trial: nothing was set
+    down or dropped, so the recovery episode is about the object the gripper
+    still holds."""
+    episodes = []
+    run = EpisodeRunner.run
+
+    def recording(self, episode):
+        episodes.append((episode.request.verb, episode.object_id))
+        return run(self, episode)
+
+    monkeypatch.setattr(EpisodeRunner, "run", recording)
+    lines = ["explore_global()", "navigate(bench_0)", "explore_local(bench_0)", "grasp(cup_0)",
+             "place(bench_0:2.0,0.0)"]
+    task = TaskSpec(
+        id="refused-place", name="refused_place", instruction="Put the cup on the bed.",
+        scene=parse_config(scene(REFUSAL_SCENE)),
+        goal=parse_goal({"on": {"object": {"id": "cup_0"}, "receptacle": {"id": "bed_0"}}}), trial_count=1,
+    )
+    planner = ChatModelPlanner(TranscriptBackend(replies=[f"```\n{line}\n```" for line in lines]))
+    report = run_trial(task, planner, seed=0, options=TrialOptions(noise=zero_noise()))
+    place = next(e for e in report.events if e["event"] == "feedback" and e["verb"] == "place")
+    assert place["fault"]["message"] == "location on bench_0 beyond arm reach"
+    # the first grasp is refused out of reach too, and recovery walks round the bench
+    assert episodes == [("grasp", "cup_0"), ("place", "cup_0")]
+
+
 # --- dispatch under random requests -----------------------------------------------
 
 _FUZZ_NOISE = dict(p_grasp_fail=0.3, p_place_fail=0.3, p_nav_fail=0.1, p_false_positive=0.3,
@@ -452,14 +483,13 @@ def test_dispatch_survives_random_requests_and_keeps_its_books(data):
 
 # --- derived values never go stale ----------------------------------------------------
 
-# Goals of every node type, the empty Or included, over categories that occur
-# in the bundled scenes; each scene's suite goals are checked as well.
+# Goals of every node type over categories that occur in the bundled scenes;
+# each scene's suite goals are checked as well.
 _PROBE_GOALS = [parse_goal(g) for g in (
     {"holding": {"object": {"category": "cup"}}},
     {"not": {"on": {"object": {"category": "toy"}, "receptacle": {"category": "table"}}}},
     {"or": [{"all_on": {"category": "cup", "receptacle": {"category": "table"}}},
             {"same_receptacle": {"category": "toy"}}]},
-    {"or": []},
     {"and": [{"all_on": {"category": "fruit", "receptacle": {"category": "table"}}},
              {"not": {"holding": {"object": {}}}}]},
 )]

@@ -71,10 +71,9 @@ def random_history(n: int, seed: int = 0) -> DialogueHistory:
     of which hold colons of their own."""
     rng = random.Random(seed)
     history = DialogueHistory(instruction="Put every cup on the table.")
-    appenders = (history.append_plan, history.append_feedback, history.append_observation, history.append_note)
     for i in range(n):
         body = "".join(rng.choice("abc d:") for _ in range(rng.randrange(401)))
-        rng.choice(appenders)(f"[{i}] {body}")
+        history.append(rng.choice(("plan", "feedback", "observation", "note")), f"[{i}] {body}")
     return history
 
 

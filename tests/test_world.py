@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from homeloop.errors import ConfigError, PreconditionFault, Refused
 from homeloop.geometry import Pose, bresenham, point_in_polygon, polygon_bbox, polygon_centroid, side_of
 from homeloop.config import ObjectSpec, parse_config, validate_config, vary_config
-from homeloop.world import ActionRequest, GroundObject, Placement, World
+from homeloop.world import ActionRequest, GroundObject, World
 
 from conftest import MINI_SCENE, make_world, scene, zero_noise
 
@@ -99,12 +100,12 @@ def test_zero_noise_grasp_and_place(mini_world):
     assert world.apply_action(nav("table_0")).success
     out = world.apply_action(ActionRequest(verb="grasp", target="toy_0"))
     assert out.success
-    assert world.objects["toy_0"].placement.kind == "gripper"
+    assert world.objects["toy_0"].on is None
     assert world.gripper == "toy_0"
     assert world.apply_action(nav("bed_0")).success
     out = world.apply_action(ActionRequest(verb="place", target="bed_0"))
     assert out.success
-    assert world.objects["toy_0"].placement.receptacle == "bed_0"
+    assert world.objects["toy_0"].on == "bed_0"
     assert world.gripper is None
 
 
@@ -140,9 +141,7 @@ def test_grasp_failure_rate_monte_carlo():
         out = world.apply_action(ActionRequest(verb="grasp", target="toy_0"))
         if out.success:
             # reset for the next repetition without consuming RNG draws
-            world.objects["toy_0"].placement.kind = "on"
-            world.objects["toy_0"].placement.receptacle = "table_0"
-            world.objects["toy_0"].placement.offset = (0.3, -0.1)
+            world.objects["toy_0"].on, world.objects["toy_0"].at = "table_0", (0.3, -0.1)
             world.gripper = None
         else:
             failures += 1
@@ -173,6 +172,33 @@ def test_determinism_identical_outcome_sequences():
     assert len(set(first[1])) > 1  # the actions moved the state the digests cover
 
 
+def spelled_out_digest(world, entries) -> str:
+    """``state_digest`` written out: the robot pose, the gripper, the step
+    counter and each object's ``[kind, receptacle, offset, floor position]``."""
+    robot = [repr(world.robot.x), repr(world.robot.y), repr(world.robot.heading)]
+    doc = {"robot": robot, "gripper": world.gripper, "step": world.step_counter, "placements": entries}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
+def test_state_digest_entries(mini_world):
+    """An object on a surface is filed "on" at its offset, a held one
+    "gripper" and a dropped one "floor" at its floor position; an offset or a
+    floor position that does not apply is zero."""
+    world = mini_world
+    zero = ["0.0", "0.0"]
+    entries = {oid: ["on", o.spec.on, [repr(v) for v in o.spec.offset], zero] for oid, o in world.objects.items()}
+    assert world.state_digest() == spelled_out_digest(world, entries)
+    assert world.apply_action(nav("table_0")).success
+    assert world.apply_action(ActionRequest(verb="grasp", target="toy_0")).success
+    entries["toy_0"] = ["gripper", None, zero, zero]
+    assert world.state_digest() == spelled_out_digest(world, entries)
+    world.config.noise.p_place_fail = 1.0
+    assert world.apply_action(nav("bed_0")).success
+    assert world.apply_action(ActionRequest(verb="place", target="bed_0")).details == {"dropped": "toy_0"}
+    entries["toy_0"] = ["floor", None, zero, [repr(world.robot.x + 0.2), repr(world.robot.y)]]
+    assert world.state_digest() == spelled_out_digest(world, entries)
+
+
 def test_zero_noise_totality(mini_world):
     # every precondition-satisfying action succeeds when all probabilities are 0
     world = mini_world
@@ -201,12 +227,8 @@ def test_placement_exclusivity_and_conservation(actions, seed):
         with contextlib.suppress(Refused):  # a refusal, like a failed outcome, keeps the invariants
             world.apply_action(ActionRequest(verb=verb, target=target))
         assert set(world.objects) == ids  # conservation
-        in_gripper = [oid for oid, o in world.objects.items() if o.placement.kind == "gripper"]
-        assert len(in_gripper) <= 1
-        if world.gripper is None:
-            assert in_gripper == []
-        else:
-            assert in_gripper == [world.gripper]
+        # the gripper names the one held object, which rests on nothing
+        assert world.gripper is None or world.objects[world.gripper].on is None
 
 
 def test_side_multiplier_drives_grasp_failure():
@@ -275,7 +297,7 @@ def test_place_onto_dropped_receptacle_is_typed_fault():
     world.config.noise.p_place_fail = 1.0
     out = world.apply_action(ActionRequest(verb="place", target="table_0"))
     assert not out.success and out.details == {"dropped": "box_0"}
-    assert world.objects["box_0"].placement.kind == "floor"
+    assert world.objects["box_0"].on is None and world.gripper is None
     world.config.noise.p_place_fail = 0.0
     assert world.apply_action(ActionRequest(verb="grasp", target="toy_0")).success
     with pytest.raises(Refused) as refusal:
@@ -507,7 +529,7 @@ def test_free_offset_on_matches_the_probing_reference(half, anchor, reach, robot
     side of the reach boundary from some grid point, and objects on or near
     the 0.1 m clearance circle of some grid point."""
     world = World(replace(PLATE_SCENE, arm_reach=reach))
-    world.objects["plate_0"].placement = Placement.on_floor(anchor)
+    world.objects["plate_0"].on, world.objects["plate_0"].at = None, anchor
     world.half_extents["plate_0"] = half
     index, angle, slack = robot
     gx, gy = grid_point(half, index)
@@ -516,7 +538,7 @@ def test_free_offset_on_matches_the_probing_reference(half, anchor, reach, robot
     for k, (index, (dx, dy)) in enumerate(occupied):
         gx, gy = grid_point(half, index)
         spec = ObjectSpec(id=f"cup_{k + 10}", category="cup", on="plate_0", offset=(gx + dx, gy + dy))
-        world.objects[spec.id] = GroundObject(spec, Placement.on("plate_0", spec.offset))
+        world.objects[spec.id] = GroundObject(spec, "plate_0", spec.offset)
     expected = reference_free_offset_on(world, "plate_0")
     got = world.free_offset_on("plate_0")
     assert got == expected
