@@ -10,7 +10,7 @@ from dataclasses import replace
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homeloop.errors import ConfigError, PreconditionFault, Refused
@@ -523,6 +523,10 @@ PLATE_SCENE = parse_config(
     robot=st.tuples(INDEX, ANGLE, st.sampled_from([-1e-9, 0.0, 1e-9]) | st.floats(-0.3, 0.3)),
     occupied=st.lists(st.tuples(INDEX, NEAR), max_size=8),
 )
+# an object just inside the clearance circle, straight across the row from the
+# first grid point: a row filter narrower than 0.1 m misses it
+@example(half=(0.1, 0.1), anchor=(1.0, 1.0), reach=0.1, robot=((0, 0), 0.0, -0.05),
+         occupied=[((0, 0), (0.0, 0.0999999))])
 def test_free_offset_on_matches_the_probing_reference(half, anchor, reach, robot, occupied):
     """The same first offset, as the same floats, or None, for surfaces
     narrower than, as wide as and wider than the margin, a robot on either

@@ -11,7 +11,8 @@ export. A mutant is killed when every test it names fails (pytest runs with
 non-zero or prints other lines than it does on the unmutated export.
 
 Exits 1 when a mutant survives, 2 when a mutant's source text does not occur
-exactly once in the export's ``src/``, in its module.
+exactly once in the export's ``src/``, in its module, or when
+``tools/trace_digest.py`` fails on the unmutated export.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ def surviving_tests(tree: str, tests: tuple[str, ...], digest: str, baseline: Op
         failed = {line.split(" ")[1] for line in out if line.startswith(("FAILED ", "ERROR "))}
         survivors = [t for t in ids if t not in failed]
     if digest in tests:
-        code, lines = trace_digest(tree)
-        if code == 0 and (0, lines) == baseline:
+        if trace_digest(tree) == baseline:  # exit status 0 and the same lines
             survivors.append(digest)
     return survivors
 
@@ -96,6 +96,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: source text not found once in its module: {', '.join(misplaced)}", file=sys.stderr)
             return 2
         baseline = trace_digest(tree) if any(kept.TRACE_DIGEST in m.tests for m in chosen) else None
+        if baseline is not None and baseline[0] != 0:
+            print(f"error: {kept.TRACE_DIGEST} fails on the unmutated export", file=sys.stderr)
+            return 2
         survived = 0
         for m in chosen:
             began = time.monotonic()
