@@ -79,11 +79,19 @@ def checkout(ref: str, repo: str = ROOT) -> Iterator[tuple[str, str]]:
     if os.path.isdir(ref):
         yield ref, revision(ref)
         return
+    with export(ref, repo) as exported:
+        yield exported
+
+
+@contextlib.contextmanager
+def export(ref: str, repo: str = ROOT) -> Iterator[tuple[str, str]]:
+    """A temporary ``git archive`` export of the git revision ``ref`` of
+    ``repo``, removed afterwards, and the revision's full commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"], cwd=repo,
                             capture_output=True, text=True).stdout.strip()
     if not commit:
-        raise SystemExit(f"error: {ref!r} is neither a directory nor a git revision of {repo}")
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tree:
+        raise SystemExit(f"error: {ref!r} is not a git revision of {repo}")
+    with tempfile.TemporaryDirectory(prefix="export-") as tree:
         archive = subprocess.run(["git", "archive", commit], cwd=repo, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         yield tree, commit

@@ -1,12 +1,12 @@
 """Apply each kept mutant of ``tests/mutants.py`` to an export of a revision,
 one at a time, run only that mutant's tests, and print whether it was killed.
 
-    python3 tools/mutants.py [--rev HEAD] [--only NAME ...]
+    python3 tools/mutants.py [--rev HEAD]
 
 ``--rev`` is a git revision of this repository (default ``HEAD``), exported
 with ``git archive`` into a temporary directory that is removed afterwards,
-or a directory, whose files are copied there. The registry is read from the
-export. A mutant is killed when every test it names fails (pytest runs with
+as ``tools/bench_pairs.py`` does. The registry is read from the export. A
+mutant is killed when every test it names fails (pytest runs with
 ``--hypothesis-seed=0``); ``tools/trace_digest.py`` fails when it exits
 non-zero or prints other lines than it does on the unmutated export.
 
@@ -18,39 +18,22 @@ exactly once in the export's ``src/``, in its module, or when
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib.util
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 import time
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # no bytecode is written, so a mutated module is always compiled afresh
 ENV = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
 
 
-@contextlib.contextmanager
-def export(ref: str) -> Iterator[str]:
-    """A temporary copy of ``ref``: a directory's files, or a git revision
-    of this repository."""
-    with tempfile.TemporaryDirectory(prefix="mutants-") as tree:
-        if os.path.isdir(ref):
-            ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
-            shutil.copytree(ref, tree, dirs_exist_ok=True, ignore=ignore)
-        else:
-            archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        yield tree
-
-
-def registry(tree: str) -> Any:
-    """The export's ``tests/mutants.py``, loaded by path: this script's own
-    name would shadow it on ``sys.path``."""
-    spec = importlib.util.spec_from_file_location("kept_mutants", os.path.join(tree, "tests", "mutants.py"))
+def load(name: str, path: str) -> Any:
+    """The module at ``path``, loaded by path: this script's own name would
+    shadow ``tests/mutants.py`` on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)  # type: ignore[arg-type]
     spec.loader.exec_module(module)  # type: ignore[union-attr]
     return module
@@ -79,28 +62,24 @@ def surviving_tests(tree: str, tests: tuple[str, ...], digest: str, baseline: Op
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rev", default="HEAD", help="a git revision, or a directory to copy (default: HEAD)")
-    parser.add_argument("--only", action="append", metavar="NAME", help="run only this mutant; repeatable")
+    parser.add_argument("--rev", default="HEAD", help="a git revision of this repository (default: HEAD)")
     args = parser.parse_args(argv)
     start = time.monotonic()
-    with export(args.rev) as tree:
-        kept = registry(tree)
-        chosen = [m for m in kept.MUTANTS if not args.only or m.name in args.only]
-        unknown = set(args.only or ()) - {m.name for m in chosen}
-        if unknown:
-            print(f"error: no mutant named {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 2
+    bench_pairs = load("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+    with bench_pairs.export(args.rev) as (tree, _):
+        kept = load("kept_mutants", os.path.join(tree, "tests", "mutants.py"))
         src = os.path.join(tree, "src")
-        misplaced = [m.name for m in chosen if kept.occurrences(src, m.source) != {os.path.join("homeloop", m.module): 1}]
+        misplaced = [m.name for m in kept.MUTANTS
+                     if kept.occurrences(src, m.source) != {os.path.join("homeloop", m.module): 1}]
         if misplaced:
             print(f"error: source text not found once in its module: {', '.join(misplaced)}", file=sys.stderr)
             return 2
-        baseline = trace_digest(tree) if any(kept.TRACE_DIGEST in m.tests for m in chosen) else None
+        baseline = trace_digest(tree) if any(kept.TRACE_DIGEST in m.tests for m in kept.MUTANTS) else None
         if baseline is not None and baseline[0] != 0:
             print(f"error: {kept.TRACE_DIGEST} fails on the unmutated export", file=sys.stderr)
             return 2
         survived = 0
-        for m in chosen:
+        for m in kept.MUTANTS:
             began = time.monotonic()
             path = os.path.join(src, "homeloop", m.module)
             with open(path, encoding="utf-8") as fh:
@@ -115,7 +94,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             verdict = f"SURVIVED ({', '.join(alive)} did not fail)" if alive else "killed"
             print(f"{m.name}: {verdict} in {time.monotonic() - began:.1f} s", flush=True)
             survived += bool(alive)
-    print(f"{len(chosen) - survived}/{len(chosen)} killed in {time.monotonic() - start:.0f} s")
+    print(f"{len(kept.MUTANTS) - survived}/{len(kept.MUTANTS)} killed in {time.monotonic() - start:.0f} s")
     return 1 if survived else 0
 
 
