@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Optional
 
-from .errors import ConfigError, as_json, as_number, as_pair, field_names, only_keys, require
+from .errors import ConfigError, as_json, as_number, as_pair, as_strings, field_names, only_keys, require
 from .geometry import SIDES, OccupancyGrid, Pose, point_in_polygon, polygon_half_extent, polygons_overlap
 from .goals import Goal, parse_goal
 
@@ -159,12 +159,11 @@ def parse_config(raw: dict) -> WorldConfig:
         path = f"objects[{i}]"
         only_keys(as_json(o, dict, path), OBJECT_KEYS, path)
         floor = o.get("floor")
-        attributes = as_json(o.get("attributes", []), list, f"{path}.attributes")
         objects.append(
             ObjectSpec(
                 id=as_json(require(o, "id", path), str, f"{path}.id"),
                 category=as_json(require(o, "category", path), str, f"{path}.category"),
-                attributes=[as_json(a, str, f"{path}.attributes[{j}]") for j, a in enumerate(attributes)],
+                attributes=as_strings(o.get("attributes", []), f"{path}.attributes"),
                 on=o.get("on"),
                 offset=as_pair(o.get("offset", [0.0, 0.0]), f"{path}.offset"),
                 floor=as_pair(floor, f"{path}.floor") if floor is not None else None,

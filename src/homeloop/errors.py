@@ -73,6 +73,11 @@ def as_json(value: Any, kind: type, path: str) -> Any:
     return value
 
 
+def as_strings(value: Any, path: str) -> list[str]:
+    """``value`` if it is a JSON array of strings."""
+    return [as_json(item, str, f"{path}[{i}]") for i, item in enumerate(as_json(value, list, path))]
+
+
 def as_number(value: Any, path: str, kind: type = float) -> Any:
     """``value`` as a finite ``kind``: as a float, whatever ``float()``
     takes; as an int, a JSON number with no fraction, never a bool or a

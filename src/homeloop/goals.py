@@ -5,17 +5,19 @@ Holding — combined with And/Or/Not. Atoms reference objects and receptacles
 through selectors (by id, by category, and/or by required attribute tags).
 
 Evaluation happens in one pass against a *placement view*: a mapping from
-object id to (category, attributes, direct parent id). The ground-truth
-evaluator never consults belief maps; the planner uses the same predicate
-code against its belief via a second view.
+id to entity (category, attributes, direct parent id) and the held id. Each
+node defines ``satisfied`` or ``first_unsat``, and each of the two is stated
+by the other: atoms say whether they hold, junctions and Not where the first
+unsatisfied atom lies. The ground-truth evaluator never consults belief
+maps; the planner evaluates the same tree on the belief's own objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ConfigError, as_json, field_names, fields_json, only_keys
+from .errors import ConfigError, as_json, as_strings, field_names, fields_json, only_keys
 
 if TYPE_CHECKING:
     from .world import World
@@ -54,29 +56,39 @@ class EntityView(NamedTuple):
     id: str
     category: str
     attributes: frozenset[str]
-    parent: Optional[str]  # direct receptacle id, None for floor/gripper
+    parent_id: Optional[str]  # direct receptacle id, None for floor/gripper
     is_receptacle: bool
 
 
-class PlacementView:
-    """Uniform evaluation surface over ground truth or belief. It keeps the
-    ``entities`` dict its builder made."""
+class PlacementView(NamedTuple):
+    """Uniform evaluation surface over ground truth or belief: any mapping
+    from id to an entity with ``EntityView``'s fields, and the held id."""
 
-    def __init__(self, entities: dict[str, EntityView], holding: Optional[str]) -> None:
-        self.entities = entities
-        self.holding = holding
+    entities: Mapping[str, EntityView]
+    holding: Optional[str]
 
     def select(self, sel: Selector) -> list[EntityView]:
-        out = [e for e in self.entities.values() if sel.matches(e.id, e.category, e.attributes)]
-        return sorted(out, key=lambda e: e.id)
+        return [e for e in self.entities.values() if sel.matches(e.id, e.category, e.attributes)]
+
+    def parent(self, e: EntityView) -> Optional[str]:
+        """The id of what ``e`` rests on: None for the held entity, whatever
+        it was last seen on."""
+        return e.parent_id if e.id != self.holding else None
 
 
 # --- predicate tree ---------------------------------------------------------
 
 
 class Goal:
+    """A node of the goal tree. ``satisfied`` and ``first_unsat`` are each
+    stated by the other, so a node defines one of them: whether it holds,
+    or the first atom, left to right, that does not."""
+
     def satisfied(self, view: PlacementView) -> bool:
-        raise NotImplementedError
+        return self.first_unsat(view) is None
+
+    def first_unsat(self, view: PlacementView) -> Optional[Goal]:
+        return None if self.satisfied(view) else self
 
     def atoms(self) -> list["Goal"]:
         return [self]
@@ -92,9 +104,7 @@ class On(Goal):
 
     def satisfied(self, view: PlacementView) -> bool:
         for e in view.select(self.obj):
-            if e.parent is None:
-                continue
-            parent = view.entities.get(e.parent)
+            parent = view.entities.get(view.parent(e))
             if parent and self.receptacle.matches(parent.id, parent.category, parent.attributes):
                 return True
         return False
@@ -112,9 +122,7 @@ class AllOn(Goal):
         for e in view.select(Selector(category=self.category)):
             if e.is_receptacle:
                 continue
-            if e.parent is None:
-                return False
-            parent = view.entities.get(e.parent)
+            parent = view.entities.get(view.parent(e))
             if parent is None or not self.receptacle.matches(parent.id, parent.category, parent.attributes):
                 return False
         return True
@@ -128,10 +136,7 @@ class SameReceptacle(Goal):
     category: str
 
     def satisfied(self, view: PlacementView) -> bool:
-        members = [e for e in view.select(Selector(category=self.category)) if not e.is_receptacle]
-        if not members:
-            return False
-        parents = {e.parent for e in members}
+        parents = {view.parent(e) for e in view.select(Selector(category=self.category)) if not e.is_receptacle}
         return len(parents) == 1 and None not in parents
 
 
@@ -140,15 +145,15 @@ class Holding(Goal):
     obj: Selector
 
     def satisfied(self, view: PlacementView) -> bool:
-        if view.holding is None:
-            return False
         held = view.entities.get(view.holding)
         return held is not None and self.obj.matches(held.id, held.category, held.attributes)
 
 
 @dataclass(frozen=True)
 class _Junction(Goal):
-    """And or Or over ``children``; dataclass equality keeps And and Or apart."""
+    """And or Or over ``children``; dataclass equality keeps And and Or apart.
+    ``parse_goal`` builds none without children, so an unsatisfied junction
+    has an unsatisfied child."""
 
     children: tuple[Goal, ...]
 
@@ -157,21 +162,27 @@ class _Junction(Goal):
 
 
 class And(_Junction):
-    def satisfied(self, view: PlacementView) -> bool:
-        return all(c.satisfied(view) for c in self.children)
+    def first_unsat(self, view: PlacementView) -> Optional[Goal]:
+        return next((a for c in self.children if (a := c.first_unsat(view)) is not None), None)
 
 
 class Or(_Junction):
-    def satisfied(self, view: PlacementView) -> bool:
-        return any(c.satisfied(view) for c in self.children)
+    def first_unsat(self, view: PlacementView) -> Optional[Goal]:
+        """None when any child holds, else the first child's first
+        unsatisfied atom."""
+        if any(c.satisfied(view) for c in self.children):
+            return None
+        return self.children[0].first_unsat(view)
 
 
 @dataclass(frozen=True)
 class Not(Goal):
+    """Unsatisfied, and its own first unsatisfied atom, when its child holds."""
+
     child: Goal
 
-    def satisfied(self, view: PlacementView) -> bool:
-        return not self.child.satisfied(view)
+    def first_unsat(self, view: PlacementView) -> Optional[Goal]:
+        return self if self.child.satisfied(view) else None
 
     def atoms(self) -> list[Goal]:
         return self.child.atoms()
@@ -202,9 +213,7 @@ def _parse_selector(raw: dict, path: str) -> Selector:
         raise ConfigError(path, "selector must be an object")
     only_keys(raw, SELECTOR_KEYS, path)
     id_, category = (as_json(raw[key], str, f"{path}.{key}") if key in raw else None for key in ("id", "category"))
-    attributes = as_json(raw.get("attributes", []), list, f"{path}.attributes")
-    tags = frozenset(as_json(a, str, f"{path}.attributes[{i}]") for i, a in enumerate(attributes))
-    return Selector(id_, category, tags)
+    return Selector(id_, category, frozenset(as_strings(raw.get("attributes", []), f"{path}.attributes")))
 
 
 def parse_goal(raw: dict, path: str = "goal") -> Goal:
@@ -262,7 +271,7 @@ def ground_view(world: World) -> PlacementView:
             id=fid,
             category=f.category,
             attributes=frozenset(),
-            parent=None,
+            parent_id=None,
             is_receptacle=f.is_receptacle,
         )
     for oid, obj in world.objects.items():
@@ -270,7 +279,7 @@ def ground_view(world: World) -> PlacementView:
             id=oid,
             category=obj.spec.category,
             attributes=frozenset(obj.spec.attributes),
-            parent=obj.on,
+            parent_id=obj.on,
             is_receptacle=obj.spec.receptacle,
         )
     return PlacementView(entities, world.gripper)

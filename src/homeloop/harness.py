@@ -397,7 +397,7 @@ def replay_verdicts(report: TrialReport) -> list[tuple[dict, SuccessVerdict]]:
             if not isinstance(message, str):
                 raise KeyError(f"no feedback message for request {event['index']}")
             out.append((event, _replay_verdict(event, message)))
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             raise TraceFormatError(f"verdict event on line {line} is malformed: {exc!r}", line - 1) from exc
     return out
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
 from .errors import ExplorationStalled, NotAtReceptacle, Refused, TargetNotVisible
+from .errors import as_json, as_number, as_pair, as_strings, only_keys, require
 from .geometry import Cell, PackedGrid
 from .world import PhantomRecord, World
 
@@ -49,16 +50,20 @@ class SceneObject:
         }
 
     @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> SceneObject:
-        pose = tuple(doc.get("pose", (0.0, 0.0)))
+    def from_json(cls, doc: Any, path: str = "object") -> SceneObject:
+        """Inverse of ``to_json``: exactly the keys it writes, each of the
+        type it writes, else a ConfigError."""
+        keys = ("id", "category", "attributes", "pose", "provenance", "parent", "receptacle")
+        only_keys(as_json(doc, dict, path), keys, path)
+        id_, category, attributes, pose, provenance, parent, receptacle = (require(doc, k, path) for k in keys)
         return cls(
-            id=doc["id"],
-            category=doc["category"],
-            attributes=frozenset(doc.get("attributes", [])),
-            location=(float(pose[0]), float(pose[1])),
-            provenance=doc.get("provenance", "object"),
-            parent_id=doc.get("parent"),
-            is_receptacle=bool(doc.get("receptacle", False)),
+            id=as_json(id_, str, f"{path}.id"),
+            category=as_json(category, str, f"{path}.category"),
+            attributes=frozenset(as_strings(attributes, f"{path}.attributes")),
+            location=as_pair(pose, f"{path}.pose"),
+            provenance=as_json(provenance, str, f"{path}.provenance"),
+            parent_id=None if parent is None else as_json(parent, str, f"{path}.parent"),
+            is_receptacle=as_json(receptacle, bool, f"{path}.receptacle"),
         )
 
 
@@ -110,12 +115,20 @@ class Observation:
         }
 
     @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> Observation:
+    def from_json(cls, doc: Any, path: str = "observation") -> Observation:
+        """Inverse of ``to_json``: exactly the keys it writes, each of the
+        type it writes, else a ConfigError."""
+        keys = ("kind", "target", "visible", "step")
+        only_keys(as_json(doc, dict, path), keys, path)
+        kind, target, visible, step = (require(doc, k, path) for k in keys)
         return cls(
-            kind=doc["kind"],
-            target=doc.get("target"),
-            visible=tuple(SceneObject.from_json(o) for o in doc.get("visible", [])),
-            captured_at_step=int(doc.get("step", 0)),
+            kind=as_json(kind, str, f"{path}.kind"),
+            target=None if target is None else as_json(target, str, f"{path}.target"),
+            visible=tuple(
+                SceneObject.from_json(o, f"{path}.visible[{i}]")
+                for i, o in enumerate(as_json(visible, list, f"{path}.visible"))
+            ),
+            captured_at_step=as_number(step, f"{path}.step", int),
         )
 
 
@@ -140,7 +153,7 @@ class Belief:
     ``version`` counts the writes to ``objects`` and ``holding``: every
     writer is a method here or a perception merge, and each ends with
     ``touch()``. Values derived from those two fields (the objects in id
-    order, the placement view, goal results) are kept in ``derived()`` and
+    order, goal results) are kept in ``derived()`` and
     live as long as the version they were computed at."""
 
     global_map: Optional[GlobalMap] = None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import as_json, as_number, field_names, fields_json, only_keys, require
-from .goals import EntityView, Goal, PlacementView, Selector, On, AllOn, SameReceptacle, Holding, And, Or, Not
+from .goals import Goal, PlacementView, Selector, On, AllOn, SameReceptacle, Holding
 from .perception import Belief, BeliefObject, Observation
 from .world import ActionRequest, Feedback
 
@@ -182,26 +182,10 @@ def verify_success(
 # --- feasibility verification -----------------------------------------------------
 
 
-# The view and the goal results below are read several times per step (the
-# harness's feasibility check, then the planner) but change only when the
-# belief's objects or holding do: each is computed once per belief version.
-
-
-def _build_belief_view(belief: Belief) -> PlacementView:
-    holding = belief.holding
-    entities = {
-        b.id: EntityView(b.id, b.category, b.attributes, b.parent_id if b.id != holding else None, b.is_receptacle)
-        for b in belief.objects.values()
-    }
-    return PlacementView(entities, holding)
-
-
-def _belief_view(belief: Belief) -> PlacementView:
-    memo = belief.derived()
-    view = memo.get("view")
-    if view is None:
-        view = memo["view"] = _build_belief_view(belief)
-    return view
+# A goal's first unsatisfied atom is read several times per step (the
+# harness's feasibility check, then the planner) but changes only when the
+# belief's objects or holding do: it is computed once per belief version, on
+# the belief's own objects as the placement view.
 
 
 def first_unsatisfied_atom(goal: Goal, belief: Belief) -> Optional[Goal]:
@@ -211,30 +195,12 @@ def first_unsatisfied_atom(goal: Goal, belief: Belief) -> Optional[Goal]:
     memo = belief.derived()
     entry = memo.get(id(goal))
     if entry is None:
-        entry = memo[id(goal)] = (goal, _first_unsat(goal, _belief_view(belief)))
+        entry = memo[id(goal)] = (goal, goal.first_unsat(PlacementView(belief.objects, belief.holding)))
     return entry[1]
 
 
 def belief_goal_satisfied(goal: Goal, belief: Belief) -> bool:
     return first_unsatisfied_atom(goal, belief) is None
-
-
-def _first_unsat(goal: Goal, view: PlacementView) -> Optional[Goal]:
-    """None exactly when the goal holds: an unsatisfied junction has an
-    unsatisfied child, since ``parse_goal`` builds none without children."""
-    if isinstance(goal, And):
-        for c in goal.children:
-            found = _first_unsat(c, view)
-            if found is not None:
-                return found
-        return None
-    if isinstance(goal, Or):
-        if goal.satisfied(view):
-            return None
-        return _first_unsat(goal.children[0], view)
-    if isinstance(goal, Not):
-        return goal if goal.satisfied(view) is False else None
-    return None if goal.satisfied(view) else goal
 
 
 def atom_object_selector(atom: Goal) -> Optional[Selector]:
@@ -250,11 +216,7 @@ def atom_object_selector(atom: Goal) -> Optional[Selector]:
 def selector_admits(sel: Selector, b: BeliefObject) -> bool:
     """The believed object could be the selected one: id and category match,
     and its attributes are either verified or still unknown (uninspected)."""
-    return (
-        (sel.id is None or sel.id == b.id)
-        and (sel.category is None or sel.category == b.category)
-        and not (sel.attributes and b.inspected and not sel.attributes <= set(b.attributes))
-    )
+    return sel.matches(b.id, b.category, b.attributes if b.inspected else sel.attributes)
 
 
 def candidate_objects(belief: Belief, sel: Selector) -> list[str]:

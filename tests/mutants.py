@@ -49,6 +49,7 @@ RASTERISER_REFERENCES = (
     "tests/test_geometry.py::test_rasterize_polygon_marks_what_point_in_polygon_marks",
     "tests/test_geometry.py::test_scanline_rasteriser_matches_the_numpy_one",
 )
+GOAL_REFERENCE = "tests/test_goals.py::test_goal_evaluation_matches_the_reference"
 RESUMED_SWEEP = (
     "tests/test_geometry.py::test_packed_sweep_matches_the_numpy_sweep",
     "tests/test_geometry.py::test_the_frontier_search_grows_the_scans_first_layers_and_meets_no_frontier_before_d",
@@ -122,4 +123,24 @@ MUTANTS = (
            "object_id = fb.moved or ctx.belief.holding", "object_id = fb.moved",
            ("tests/test_skills.py::test_a_place_refused_before_it_moved_anything_recovers_the_held_object",),
            "the held object kept once"),
+    # goal evaluation: each node finds its own first unsatisfied atom, and
+    # the held entity rests on nothing
+    Mutant("held-object-keeps-its-parent", "goals.py",
+           "return e.parent_id if e.id != self.holding else None", "return e.parent_id",
+           ("tests/test_goals.py::test_the_held_object_is_not_on_its_last_seen_parent",
+            "tests/test_trace_digest.py::test_ablation_trace_digest_is_unchanged[flags]", TRACE_DIGEST),
+           "goal evaluation stated once"),
+    Mutant("or-needs-every-child", "goals.py",
+           "if any(c.satisfied(view) for c in self.children):", "if all(c.satisfied(view) for c in self.children):",
+           (GOAL_REFERENCE,), "goal evaluation stated once"),
+    Mutant("not-inverted", "goals.py",
+           "return self if self.child.satisfied(view) else None",
+           "return self if not self.child.satisfied(view) else None",
+           (GOAL_REFERENCE,), "goal evaluation stated once"),
+    # an uninspected object may still carry the attributes a selector needs
+    Mutant("uninspected-never-admitted", "verification.py",
+           "b.attributes if b.inspected else sel.attributes", "b.attributes",
+           ("tests/test_planning.py::test_every_policy_branch_keeps_its_step[uninspected-candidate-at]",
+            "tests/test_harness.py::test_prepare_cup_requires_closeups"),
+           "goal evaluation stated once"),
 )

@@ -104,11 +104,12 @@ def test_replay_of_a_malformed_trace_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: [trace]")
 
 
-def edit_first(path, event, edit):
+def edit_first(path, event, edit, verb=None):
     """Apply ``edit`` to the first JSON line of ``path`` whose event is
-    ``event``."""
+    ``event`` (and whose verb is ``verb``, when given)."""
     lines = path.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if json.loads(line).get("event") == event)
+    i = next(i for i, line in enumerate(lines)
+             if json.loads(line).get("event") == event and verb in (None, json.loads(line).get("verb")))
     doc = json.loads(lines[i])
     edit(doc)
     lines[i] = json.dumps(doc)
@@ -171,6 +172,26 @@ def test_replay_of_a_verdict_without_its_flag_exits_2(tiny_suite, tmp_path, caps
     main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
     trace = out_dir / "T1" / "0.jsonl"
     edit_first(trace, "verdict", lambda doc: doc.pop("feedback_success"))
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: [trace]")
+
+
+def _drop_pose_and_step(before):
+    del before["visible"][0]["pose"], before["step"]
+
+
+@pytest.mark.parametrize("verb, edit", [
+    ("place", lambda doc: doc["after"]["visible"][0].pop("parent")),
+    ("grasp", lambda doc: _drop_pose_and_step(doc["before"])),
+], ids=["place-after-without-parent", "grasp-before-without-pose-and-step"])
+def test_replay_of_verdict_evidence_missing_a_key_exits_2(tiny_suite, tmp_path, capsys, verb, edit):
+    # a malformed file, not a determinism failure, and never a replay ok
+    _, suite_path = tiny_suite
+    out_dir = tmp_path / "out"
+    main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
+    trace = out_dir / "T1" / "0.jsonl"
+    edit_first(trace, "verdict", edit, verb)
     capsys.readouterr()
     assert main(["replay", "--trace", str(trace)]) == 2
     assert capsys.readouterr().err.startswith("error: [trace]")

@@ -22,7 +22,8 @@ from homeloop.goals import (
     goal_to_json,
     parse_goal,
 )
-from homeloop.verification import _first_unsat
+from homeloop.perception import Belief, BeliefObject
+from homeloop.verification import belief_goal_satisfied, first_unsatisfied_atom
 from homeloop.world import ActionRequest
 
 from conftest import MINI_SCENE, make_world
@@ -144,12 +145,61 @@ VIEWS = st.builds(
 )
 
 
+def _reference_satisfied(goal, view):
+    """Junctions evaluated by all / any / not over their children."""
+    if isinstance(goal, And):
+        return all(_reference_satisfied(c, view) for c in goal.children)
+    if isinstance(goal, Or):
+        return any(_reference_satisfied(c, view) for c in goal.children)
+    if isinstance(goal, Not):
+        return not _reference_satisfied(goal.child, view)
+    return goal.satisfied(view)
+
+
+def _reference_first_unsat(goal, view):
+    """The first unsatisfied atom: an And's first child's, an unsatisfied
+    Or's first child's, and a Not itself when its child holds."""
+    if isinstance(goal, And):
+        for c in goal.children:
+            found = _reference_first_unsat(c, view)
+            if found is not None:
+                return found
+        return None
+    if isinstance(goal, Or):
+        return None if _reference_satisfied(goal, view) else _reference_first_unsat(goal.children[0], view)
+    if isinstance(goal, Not):
+        return goal if _reference_satisfied(goal.child, view) else None
+    return None if _reference_satisfied(goal, view) else goal
+
+
+def _held_on_nothing(view):
+    """The view with its held entity resting on nothing."""
+    held = view.entities.get(view.holding)
+    if held is None:
+        return view
+    return view._replace(entities={**view.entities, held.id: held._replace(parent_id=None)})
+
+
 @settings(max_examples=300, deadline=None)
 @given(GOALS, VIEWS)
-def test_no_unsatisfied_atom_exactly_when_the_goal_holds(goal, view):
-    # the scripted policy and the feasibility check read "believed satisfied"
-    # as "no unsatisfied atom"
-    assert (_first_unsat(goal, view) is None) == goal.satisfied(view)
+def test_goal_evaluation_matches_the_reference(goal, view):
+    # VIEWS draws held entities that still name a parent: the held entity
+    # rests on nothing, whatever it was last seen on
+    reference = _held_on_nothing(view)
+    assert goal.satisfied(view) == _reference_satisfied(goal, reference)
+    assert goal.first_unsat(view) == _reference_first_unsat(goal, reference)
+
+
+def test_the_held_object_is_not_on_its_last_seen_parent():
+    # a flag-flipped place leaves the belief holding toy_0 while its believed
+    # parent still names the table it was placed on
+    belief = Belief(objects={
+        "table_0": BeliefObject("table_0", "table", frozenset(), (1.0, 1.0), None, True),
+        "toy_0": BeliefObject("toy_0", "toy", frozenset(), (1.0, 1.0), "table_0", False),
+    }, holding="toy_0")
+    atom = On(Selector(id="toy_0"), Selector(id="table_0"))
+    assert not belief_goal_satisfied(atom, belief)
+    assert first_unsatisfied_atom(atom, belief) is atom
 
 
 KNOWN_SELECTOR = "unknown field; known: id, category, attributes"

@@ -11,19 +11,13 @@ from hypothesis import strategies as st
 from homeloop.config import TaskSpec, load_builtin_suite, parse_config
 from homeloop.errors import ApiCallError, NotAtReceptacle, PreconditionFault, Refused, TargetNotVisible
 from homeloop.geometry import SIDES
-from homeloop.goals import parse_goal
+from homeloop.goals import PlacementView, parse_goal
 from homeloop.harness import TrialOptions, run_trial
 from homeloop.perception import Belief, Observation, capture
 from homeloop.planning import ChatModelPlanner
 from homeloop.recovery import EpisodeRunner
 from homeloop.skills import ActionRequest, SkillContext, dispatch
-from homeloop.verification import (
-    _belief_view,
-    _build_belief_view,
-    _first_unsat,
-    belief_goal_satisfied,
-    first_unsatisfied_atom,
-)
+from homeloop.verification import belief_goal_satisfied, first_unsatisfied_atom
 from homeloop.world import ALL_VERBS, PERCEPTION_VERBS
 
 from conftest import DOLL_SCENE, MINI_SCENE, make_world, scene, zero_noise
@@ -502,12 +496,10 @@ for _suite in ("acceptance", "benchmark"):
 def _assert_derived_values_fresh(ctx, goals) -> None:
     """Every memoised read equals a recomputation from scratch."""
     assert ctx.belief.sorted_objects() == tuple(sorted(ctx.belief.objects.values(), key=lambda o: o.id))
-    fresh = _build_belief_view(ctx.belief)
-    view = _belief_view(ctx.belief)
-    assert (view.entities, view.holding) == (fresh.entities, fresh.holding)
+    fresh = PlacementView(dict(ctx.belief.objects), ctx.belief.holding)
     for goal in goals:
         assert belief_goal_satisfied(goal, ctx.belief) == goal.satisfied(fresh)
-        assert first_unsatisfied_atom(goal, ctx.belief) == _first_unsat(goal, fresh)
+        assert first_unsatisfied_atom(goal, ctx.belief) == goal.first_unsat(fresh)
 
 
 def _assert_evidence_lookup_is_the_filtered_view(data, ctx) -> None:

@@ -182,20 +182,26 @@ def long_horizon_trial():
     return task, ScriptedChatPlanner(), task.seed_for(0, base)
 
 
-def test_one_view_build_per_belief_version_over_a_long_horizon_trial(monkeypatch):
+def test_one_goal_evaluation_per_belief_version_over_a_long_horizon_trial(monkeypatch):
     task, planner, seed = long_horizon_trial()
-    builds = Counter()
-    build = verification._build_belief_view
+    evaluations = Counter()
+    reads = []  # (belief, version) of each memo read, the last one the evaluation's
+    derived, view = Belief.derived, verification.PlacementView
 
-    def counting(belief):
-        builds[(id(belief), belief.version)] += 1
-        return build(belief)
+    def reading(belief):
+        reads.append((id(belief), belief.version))
+        return derived(belief)
 
-    monkeypatch.setattr(verification, "_build_belief_view", counting)
+    def evaluating(entities, holding):
+        evaluations[reads[-1]] += 1
+        return view(entities, holding)
+
+    monkeypatch.setattr(Belief, "derived", reading)
+    monkeypatch.setattr(verification, "PlacementView", evaluating)
     report = run_trial(task, planner, seed, 0, TrialOptions(noise=resolve_noise_profile("default")))
     feasibility_checks = sum(e["event"] == "feasibility" for e in report.events)
     assert report.execution_steps >= 30
-    assert max(builds.values()) == 1
+    assert max(evaluations.values()) == 1
     # three readers per step (the harness's feasibility check, then the
-    # planner's two goal reads) share one build while the belief is unchanged
-    assert sum(builds.values()) < feasibility_checks
+    # planner's two goal reads) share one evaluation while the belief is unchanged
+    assert sum(evaluations.values()) < feasibility_checks
