@@ -163,13 +163,15 @@ class _Junction(Goal):
 
 class And(_Junction):
     def first_unsat(self, view: PlacementView) -> Optional[Goal]:
-        return next((a for c in self.children if (a := c.first_unsat(view)) is not None), None)
+        for c in self.children:
+            found = c.first_unsat(view)
+            if found is not None:
+                return found
+        return None
 
 
 class Or(_Junction):
     def first_unsat(self, view: PlacementView) -> Optional[Goal]:
-        """None when any child holds, else the first child's first
-        unsatisfied atom."""
         if any(c.satisfied(view) for c in self.children):
             return None
         return self.children[0].first_unsat(view)
@@ -177,8 +179,6 @@ class Or(_Junction):
 
 @dataclass(frozen=True)
 class Not(Goal):
-    """Unsatisfied, and its own first unsatisfied atom, when its child holds."""
-
     child: Goal
 
     def first_unsat(self, view: PlacementView) -> Optional[Goal]:

@@ -108,11 +108,10 @@ def edit_first(path, event, edit, verb=None):
     """Apply ``edit`` to the first JSON line of ``path`` whose event is
     ``event`` (and whose verb is ``verb``, when given)."""
     lines = path.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines)
-             if json.loads(line).get("event") == event and verb in (None, json.loads(line).get("verb")))
-    doc = json.loads(lines[i])
-    edit(doc)
-    lines[i] = json.dumps(doc)
+    docs = [json.loads(line) for line in lines]
+    i = next(i for i, doc in enumerate(docs) if doc.get("event") == event and verb in (None, doc.get("verb")))
+    edit(docs[i])
+    lines[i] = json.dumps(docs[i])
     path.write_text("\n".join(lines) + "\n")
 
 
