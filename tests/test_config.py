@@ -2,11 +2,15 @@
 
 Each document's keys are its dataclass's fields, in declaration order; the
 refusal texts below pin that order, so a reordered or renamed field shows.
+The outcome of every single-field edit of some bundled scenes is pinned too.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -16,6 +20,7 @@ from homeloop.errors import ConfigError
 from homeloop.goals import parse_goal
 
 from conftest import MINI_SCENE
+from test_config_fuzz import bundled, field_paths
 
 NOISE_KNOWN = ("p_grasp_fail, p_place_fail, p_nav_fail, p_false_positive, p_missed_detection, "
                "p_object_shift_on_fail, p_flag_error, p_closeup_error")
@@ -76,3 +81,54 @@ def test_a_scene_without_the_numeric_settings_takes_the_field_defaults():
     assert [getattr(config, key) for key in settings] == [0.1, 1.0, 3.0, 1.5, 0.3]
     given = parse_config(dict(doc, grid_resolution=0.05, view_radius=2))
     assert (given.grid_resolution, given.view_radius, given.arm_reach) == (0.05, 2.0, 1.0)
+
+
+# Each field and each whole sub-document of a scene, the scene itself too, is
+# replaced by each of these values or, below the scene, deleted.
+EDIT_VALUES = (None, True, False, 0, -1, 1.5, "x", "1.5", [], [1.5, 2.0], {}, {"x": 1}, math.nan)
+DELETED = object()
+
+
+def single_edits(doc: dict) -> list:
+    """Every single-field edit of ``doc``, each a new document."""
+    edits = []
+    for path in field_paths(doc):
+        for value in EDIT_VALUES + ((DELETED,) if path else ()):
+            if not path:
+                edits.append(value)
+                continue
+            edit = json.loads(json.dumps(doc))
+            parent = edit
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETED:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            edits.append(edit)
+    return edits
+
+
+def outcome(doc) -> str:
+    """The repr of the WorldConfig ``doc`` parses to, or its ConfigError's text."""
+    try:
+        return repr(parse_config(doc))
+    except ConfigError as exc:
+        return str(exc)
+
+
+# A SHA-256 of the outcomes of all single-field edits of each scene, one per
+# line. Four of the nine scenes keep the test near a second; their variation
+# blocks hold a receptacle_pool and an extra_count_range.
+EDIT_OUTCOMES_SHA256 = {
+    "fruit_among_cups": "c22e97c19e02a04c5461dd91c023ec75a1393fbcdf46e00e0f1d302855c72624",
+    "gather_cups": "924d8bd45a41b86324b01a349f66903b5066a9b1a1124eb378452121a5937a84",
+    "place_fruit": "b23eef18035e7a722d5b665ab54ef81812d63f83b6a20fbe5ca15f0b6f02d811",
+    "prepare_cup": "99d3f34b1e6cfc2b1f90ad699b0ef97eff20911b560bf1eb38b9682d304509a8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDIT_OUTCOMES_SHA256))
+def test_every_single_field_edit_of_a_bundled_scene_parses_as_pinned(name):
+    outcomes = "\n".join(outcome(doc) for doc in single_edits(bundled("scenes", name)))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == EDIT_OUTCOMES_SHA256[name]
