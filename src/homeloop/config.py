@@ -142,7 +142,6 @@ def parse_config(raw: dict) -> WorldConfig:
         footprint = [as_pair(p, f"{path}.footprint[{j}]") for j, p in enumerate(vertices)]
         if len(footprint) < 3:
             raise ConfigError(f"{path}.footprint", "needs at least 3 vertices")
-        difficulty = as_json(f.get("grasp_difficulty", {}), dict, f"{path}.grasp_difficulty")
         height = f.get("surface_height")
         furniture.append(
             FurnitureSpec(
@@ -150,7 +149,10 @@ def parse_config(raw: dict) -> WorldConfig:
                 category=as_json(require(f, "category", path), str, f"{path}.category"),
                 footprint=footprint,
                 surface_height=None if height is None else as_json(height, str, f"{path}.surface_height"),
-                grasp_difficulty={k: as_number(v, f"{path}.grasp_difficulty.{k}") for k, v in difficulty.items()},
+                grasp_difficulty={
+                    k: as_number(v, f"{path}.grasp_difficulty.{k}")
+                    for k, v in as_json(f.get("grasp_difficulty", {}), dict, f"{path}.grasp_difficulty").items()
+                },
             )
         )
 
@@ -190,12 +192,12 @@ def parse_config(raw: dict) -> WorldConfig:
         for k, rids in as_json(v.get("receptacle_pool", {}), dict, "variation.receptacle_pool").items():
             where = f"variation.receptacle_pool.{k}"
             pool[k] = [as_json(rid, str, where) for rid in as_json(rids, list, where)]
-        counts = as_json(v.get("extra_count_range", {}), dict, "variation.extra_count_range")
         variation = VariationSpec(
             shuffle_offsets=as_json(v.get("shuffle_offsets", False), bool, "variation.shuffle_offsets"),
             receptacle_pool=pool,
             extra_count_range={
-                k: as_pair(r, f"variation.extra_count_range.{k}", int) for k, r in counts.items()
+                k: as_pair(r, f"variation.extra_count_range.{k}", int)
+                for k, r in as_json(v.get("extra_count_range", {}), dict, "variation.extra_count_range").items()
             },
         )
 

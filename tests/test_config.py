@@ -132,3 +132,25 @@ EDIT_OUTCOMES_SHA256 = {
 def test_every_single_field_edit_of_a_bundled_scene_parses_as_pinned(name):
     outcomes = "\n".join(outcome(doc) for doc in single_edits(bundled("scenes", name)))
     assert hashlib.sha256(outcomes.encode()).hexdigest() == EDIT_OUTCOMES_SHA256[name]
+
+
+
+# Two problems in one document, and the one named first: the scene reads room
+# first, a furniture piece its footprint, and each mapping is read whole, where
+# its values are read.
+@pytest.mark.parametrize("doc, text", [
+    ({"name": 5}, "config.room: missing required field"),
+    (dict(MINI_SCENE, furniture=[{"id": 5, "footprint": []}]), "furniture[0].footprint: needs at least 3 vertices"),
+    (dict(MINI_SCENE, furniture=[{"id": 5, "grasp_difficulty": "x"}]), "furniture[0].footprint: missing required field"),
+    (dict(MINI_SCENE, furniture=[{"footprint": [[0, 0], [1, 0], [1, 1]], "id": 5, "grasp_difficulty": "x"}]),
+     "furniture[0].id: expected a JSON string, got 5"),
+    (dict(MINI_SCENE, variation={"receptacle_pool": "x", "shuffle_offsets": 1}),
+     "variation.receptacle_pool: expected a JSON object, got 'x'"),
+    (dict(MINI_SCENE, variation={"extra_count_range": "x", "shuffle_offsets": 1}),
+     "variation.shuffle_offsets: expected a JSON boolean, got 1"),
+], ids=["room-before-name", "footprint-before-id", "footprint-missing", "id-before-grasp-difficulty",
+        "pool-before-shuffle", "shuffle-before-extra-count-range"])
+def test_the_first_of_two_scene_problems_is_named(doc, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == text
