@@ -10,9 +10,9 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import ConfigError, as_json, as_number, as_pair, as_strings, field_names, only_keys, require
 from .geometry import SIDES, OccupancyGrid, Pose, point_in_polygon, polygon_half_extent, polygons_overlap
@@ -105,10 +105,10 @@ class VariationSpec:
 
 @dataclass
 class WorldConfig:
-    name: str
+    name: str = field(default="scene", kw_only=True)
     room: tuple[float, float]  # width, height in meters
-    furniture: list[FurnitureSpec]
-    objects: list[ObjectSpec]
+    furniture: list[FurnitureSpec] = field(default_factory=list, kw_only=True)
+    objects: list[ObjectSpec] = field(default_factory=list, kw_only=True)
     robot_start: Pose
     noise: NoiseModel = field(default_factory=NoiseModel)
     grid_resolution: float = 0.1
@@ -119,98 +119,93 @@ class WorldConfig:
     variation: Optional[VariationSpec] = None
 
 
-SCENE_KEYS = field_names(WorldConfig)
-FURNITURE_KEYS = field_names(FurnitureSpec)
-OBJECT_KEYS = field_names(ObjectSpec)
-POSE_KEYS = field_names(Pose)
-VARIATION_KEYS = field_names(VariationSpec)
 RADII = ("arm_reach", "sensing_radius", "view_radius", "closeup_radius")  # each within the room's diagonal
+
+Reader = Callable[[Any, str], Any]  # reads a JSON value found at a path
+
+
+def read_fields(cls: type, raw: Any, path: str, readers: dict[str, Reader]) -> Any:
+    """The dataclass ``cls`` read from the JSON object ``raw`` of its fields:
+    each key present, or absent with no default, in the table's order, and
+    the rest left to the dataclass. Problems are named at ``path.key``; the
+    scene (``path`` "") names its own keys bare, its type and absent keys
+    ``config``."""
+    only_keys(as_json(raw, dict, path or "config"), field_names(cls), path)
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    return cls(**{
+        key: read(require(raw, key, path or "config"), f"{path}.{key}" if path else key)
+        for key, read in readers.items() if key in raw or key in required
+    })
+
+
+def _json(kind: type) -> Reader:
+    return lambda value, path: as_json(value, kind, path)
+
+
+def _optional(read: Reader) -> Reader:
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _mapping(read: Reader) -> Reader:
+    return lambda value, path: {k: read(v, f"{path}.{k}") for k, v in as_json(value, dict, path).items()}
+
+
+def _array(read: Reader) -> Reader:
+    return lambda value, path: [read(item, f"{path}[{i}]") for i, item in enumerate(as_json(value, list, path))]
+
+
+def _footprint(value: Any, path: str) -> list[tuple[float, float]]:
+    footprint = _array(as_pair)(value, path)
+    if len(footprint) < 3:
+        raise ConfigError(path, "needs at least 3 vertices")
+    return footprint
+
+
+def _room(value: Any, path: str) -> tuple[float, float]:
+    only_keys(as_json(value, dict, path), ("width", "height"), path)
+    return tuple(as_number(require(value, key, path), f"{path}.{key}") for key in ("width", "height"))
+
+
+# Each document's readers, in the order its problems are found.
+FURNITURE_READERS = {
+    "footprint": _footprint,
+    "id": _json(str),
+    "category": _json(str),
+    "surface_height": _optional(_json(str)),
+    "grasp_difficulty": _mapping(as_number),
+}
+OBJECT_READERS = {
+    "id": _json(str),
+    "category": _json(str),
+    "attributes": as_strings,
+    "on": lambda value, path: value,  # validate_config checks the receptacle id
+    "offset": as_pair,
+    "floor": _optional(as_pair),
+    "receptacle": _json(bool),
+    "extent": as_pair,
+}
+POSE_READERS = dict.fromkeys(field_names(Pose), as_number)
+VARIATION_READERS = {
+    "receptacle_pool": _mapping(lambda value, path: [as_json(rid, str, path) for rid in as_json(value, list, path)]),
+    "shuffle_offsets": _json(bool),
+    "extra_count_range": _mapping(lambda value, path: as_pair(value, path, int)),
+}
+SCENE_READERS = {
+    "room": _room,
+    "furniture": _array(lambda value, path: read_fields(FurnitureSpec, value, path, FURNITURE_READERS)),
+    "objects": _array(lambda value, path: read_fields(ObjectSpec, value, path, OBJECT_READERS)),
+    "robot_start": lambda value, path: read_fields(Pose, value, path, POSE_READERS),
+    "noise": lambda value, path: NoiseModel(**check_noise_fields(value, path, with_seed=True)),
+    "variation": lambda value, path: read_fields(VariationSpec, value, path, VARIATION_READERS),
+    "name": _json(str),
+    **dict.fromkeys(("grid_resolution", *RADII), as_number),
+}
 
 
 def parse_config(raw: dict) -> WorldConfig:
     """Build a WorldConfig from a plain JSON document, reporting the field
     path of the first violation."""
-    only_keys(as_json(raw, dict, "config"), SCENE_KEYS)
-    room_raw = only_keys(as_json(require(raw, "room", "config"), dict, "room"), ("width", "height"), "room")
-    room = tuple(as_number(require(room_raw, key, "room"), f"room.{key}") for key in ("width", "height"))
-
-    furniture = []
-    for i, f in enumerate(as_json(raw.get("furniture", []), list, "furniture")):
-        path = f"furniture[{i}]"
-        only_keys(as_json(f, dict, path), FURNITURE_KEYS, path)
-        vertices = as_json(require(f, "footprint", path), list, f"{path}.footprint")
-        footprint = [as_pair(p, f"{path}.footprint[{j}]") for j, p in enumerate(vertices)]
-        if len(footprint) < 3:
-            raise ConfigError(f"{path}.footprint", "needs at least 3 vertices")
-        height = f.get("surface_height")
-        furniture.append(
-            FurnitureSpec(
-                id=as_json(require(f, "id", path), str, f"{path}.id"),
-                category=as_json(require(f, "category", path), str, f"{path}.category"),
-                footprint=footprint,
-                surface_height=None if height is None else as_json(height, str, f"{path}.surface_height"),
-                grasp_difficulty={
-                    k: as_number(v, f"{path}.grasp_difficulty.{k}")
-                    for k, v in as_json(f.get("grasp_difficulty", {}), dict, f"{path}.grasp_difficulty").items()
-                },
-            )
-        )
-
-    objects = []
-    for i, o in enumerate(as_json(raw.get("objects", []), list, "objects")):
-        path = f"objects[{i}]"
-        only_keys(as_json(o, dict, path), OBJECT_KEYS, path)
-        floor = o.get("floor")
-        objects.append(
-            ObjectSpec(
-                id=as_json(require(o, "id", path), str, f"{path}.id"),
-                category=as_json(require(o, "category", path), str, f"{path}.category"),
-                attributes=as_strings(o.get("attributes", []), f"{path}.attributes"),
-                on=o.get("on"),
-                offset=as_pair(o.get("offset", [0.0, 0.0]), f"{path}.offset"),
-                floor=as_pair(floor, f"{path}.floor") if floor is not None else None,
-                receptacle=as_json(o.get("receptacle", False), bool, f"{path}.receptacle"),
-                extent=as_pair(o.get("extent", [0.0, 0.0]), f"{path}.extent"),
-            )
-        )
-
-    start_raw = as_json(require(raw, "robot_start", "config"), dict, "robot_start")
-    only_keys(start_raw, POSE_KEYS, "robot_start")
-    robot_start = Pose(
-        as_number(require(start_raw, "x", "robot_start"), "robot_start.x"),
-        as_number(require(start_raw, "y", "robot_start"), "robot_start.y"),
-        as_number(start_raw.get("heading", 0.0), "robot_start.heading"),
-    )
-
-    noise = NoiseModel(**check_noise_fields(raw.get("noise", {}), "noise", with_seed=True))
-
-    variation = None
-    if "variation" in raw:
-        v = as_json(raw["variation"], dict, "variation")
-        only_keys(v, VARIATION_KEYS, "variation")
-        pool = {}
-        for k, rids in as_json(v.get("receptacle_pool", {}), dict, "variation.receptacle_pool").items():
-            where = f"variation.receptacle_pool.{k}"
-            pool[k] = [as_json(rid, str, where) for rid in as_json(rids, list, where)]
-        variation = VariationSpec(
-            shuffle_offsets=as_json(v.get("shuffle_offsets", False), bool, "variation.shuffle_offsets"),
-            receptacle_pool=pool,
-            extra_count_range={
-                k: as_pair(r, f"variation.extra_count_range.{k}", int)
-                for k, r in as_json(v.get("extra_count_range", {}), dict, "variation.extra_count_range").items()
-            },
-        )
-
-    config = WorldConfig(
-        name=as_json(raw.get("name", "scene"), str, "name"),
-        room=room,
-        furniture=furniture,
-        objects=objects,
-        robot_start=robot_start,
-        noise=noise,
-        variation=variation,
-        **{key: as_number(raw[key], key) for key in ("grid_resolution", *RADII) if key in raw},  # else the defaults
-    )
+    config = read_fields(WorldConfig, raw, "", SCENE_READERS)
     validate_config(config)
     return config
 
