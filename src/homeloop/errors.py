@@ -79,22 +79,19 @@ def as_strings(value: Any, path: str) -> list[str]:
 
 
 def as_number(value: Any, path: str, kind: type = float) -> Any:
-    """``value`` as a finite ``kind``: as a float, whatever ``float()``
-    takes; as an int, a JSON number with no fraction, never a bool or a
-    string, so that nothing is truncated."""
-    if kind is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    try:
-        number = float(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(path, f"expected a finite number, got {value!r}")
+    """``value`` as a finite ``kind`` if it is a JSON number, never a bool or
+    a string; as an int, one with no fraction, so that nothing is truncated."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int:
+            if isinstance(value, int) or value.is_integer():
+                return int(value)
+        else:
+            try:
+                if math.isfinite(value):
+                    return float(value)
+            except OverflowError:  # an int beyond the largest float
+                pass
+    raise ConfigError(path, f"expected {'an integer' if kind is int else 'a finite number'}, got {value!r}")
 
 
 def as_pair(value: Any, path: str, kind: type = float) -> tuple:

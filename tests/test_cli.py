@@ -196,6 +196,18 @@ def test_replay_of_verdict_evidence_missing_a_key_exits_2(tiny_suite, tmp_path, 
     assert capsys.readouterr().err.startswith("error: [trace]")
 
 
+def test_replay_of_a_verdict_whose_pose_is_strings_exits_2(tiny_suite, tmp_path, capsys):
+    # a number in a trace is a JSON number, never a string that float() reads
+    _, suite_path = tiny_suite
+    out_dir = tmp_path / "out"
+    main(["run", "--suite", str(suite_path), "--out", str(out_dir)])
+    trace = out_dir / "T1" / "0.jsonl"
+    edit_first(trace, "verdict", lambda doc: doc["before"]["visible"][0].update(pose=["1.5", " 2 "]), "grasp")
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: [trace]")
+
+
 def test_replay_of_a_rewritten_explanation_exits_1(tiny_suite, tmp_path, capsys):
     _, suite_path = tiny_suite
     out_dir = tmp_path / "out"

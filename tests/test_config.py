@@ -121,10 +121,10 @@ def outcome(doc) -> str:
 # line. Four of the nine scenes keep the test near a second; their variation
 # blocks hold a receptacle_pool and an extra_count_range.
 EDIT_OUTCOMES_SHA256 = {
-    "fruit_among_cups": "c22e97c19e02a04c5461dd91c023ec75a1393fbcdf46e00e0f1d302855c72624",
-    "gather_cups": "924d8bd45a41b86324b01a349f66903b5066a9b1a1124eb378452121a5937a84",
-    "place_fruit": "b23eef18035e7a722d5b665ab54ef81812d63f83b6a20fbe5ca15f0b6f02d811",
-    "prepare_cup": "99d3f34b1e6cfc2b1f90ad699b0ef97eff20911b560bf1eb38b9682d304509a8",
+    "fruit_among_cups": "27557fad3b91aace4b14ebc9a4af3d41efd856c07aac584f148c8eca1cca6dfb",
+    "gather_cups": "2a188cb743eebaa9d71224082df4fc0379d8b6269963b0e221f4931fa75143b4",
+    "place_fruit": "6a0f10aa607a24e6e4d7b94654bd2ad5bd8e2d01de15b45ac7bdd92acd7e6bf3",
+    "prepare_cup": "f7b410feb1af78d2c2be8c309c148b8d86b444cded72b279db32a2f557264166",
 }
 
 
@@ -151,6 +151,22 @@ def test_every_single_field_edit_of_a_bundled_scene_parses_as_pinned(name):
 ], ids=["room-before-name", "footprint-before-id", "footprint-missing", "id-before-grasp-difficulty",
         "pool-before-shuffle", "shuffle-before-extra-count-range"])
 def test_the_first_of_two_scene_problems_is_named(doc, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda doc: doc["objects"][0].update(offset=["0.1", "-0.0"]),
+     "objects[0].offset[0]: expected a finite number, got '0.1'"),
+    (lambda doc: doc["objects"][0].update(offset=[False, False]),
+     "objects[0].offset[0]: expected a finite number, got False"),
+    (lambda doc: doc["room"].update(width="4"), "room.width: expected a finite number, got '4'"),
+    (lambda doc: doc.update(arm_reach=True), "arm_reach: expected a finite number, got True"),
+], ids=["offset-strings", "offset-booleans", "room-width-string", "arm-reach-boolean"])
+def test_a_scene_number_is_a_json_number_never_a_string_or_a_boolean(edit, text):
+    doc = copy.deepcopy(MINI_SCENE)
+    edit(doc)
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert str(err.value) == text
