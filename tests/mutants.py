@@ -50,6 +50,7 @@ RASTERISER_REFERENCES = (
     "tests/test_geometry.py::test_scanline_rasteriser_matches_the_numpy_one",
 )
 GOAL_REFERENCE = "tests/test_goals.py::test_goal_evaluation_matches_the_reference"
+SCENE_EDITS = "tests/test_config.py::test_every_single_field_edit_of_a_bundled_scene_parses_as_pinned"
 RESUMED_SWEEP = (
     "tests/test_geometry.py::test_packed_sweep_matches_the_numpy_sweep",
     "tests/test_geometry.py::test_the_frontier_search_grows_the_scans_first_layers_and_meets_no_frontier_before_d",
@@ -127,7 +128,7 @@ MUTANTS = (
     # the held entity rests on nothing
     Mutant("held-object-keeps-its-parent", "goals.py",
            "return e.parent_id if e.id != self.holding else None", "return e.parent_id",
-           ("tests/test_goals.py::test_the_held_object_is_not_on_its_last_seen_parent",
+           ("tests/test_goals.py::test_the_held_object_is_not_on_its_last_seen_parent", GOAL_REFERENCE,
             "tests/test_trace_digest.py::test_ablation_trace_digest_is_unchanged[flags]", TRACE_DIGEST),
            "goal evaluation stated once"),
     Mutant("or-needs-every-child", "goals.py",
@@ -143,4 +144,22 @@ MUTANTS = (
            ("tests/test_planning.py::test_every_policy_branch_keeps_its_step[uninspected-candidate-at]",
             "tests/test_harness.py::test_prepare_cup_requires_closeups"),
            "goal evaluation stated once"),
+    # scene documents: each field read by its reader, numbers only from JSON numbers
+    Mutant("required-field-left-to-the-dataclass", "config.py",
+           "for key, read in readers.items() if key in raw or key in required",
+           "for key, read in readers.items() if key in raw",
+           (SCENE_EDITS + "[place_fruit]",
+            "tests/test_config.py::test_the_first_of_two_scene_problems_is_named[room-before-name]"),
+           "each scene field stated once"),
+    Mutant("wall-refused", "config.py",
+           '"surface_height": _optional(_json(str)),', '"surface_height": _json(str),',
+           (SCENE_EDITS + "[gather_cups]", "tests/test_config_fuzz.py::test_every_workload_scene_validates"),
+           "each scene field stated once"),
+    Mutant("number-from-a-string", "errors.py",
+           "    if isinstance(value, (int, float)) and not isinstance(value, bool):",
+           "    if isinstance(value, str):\n        value = float(value)\n"
+           "    if isinstance(value, (int, float)) and not isinstance(value, bool):",
+           ("tests/test_config.py::test_a_scene_number_is_a_json_number_never_a_string_or_a_boolean[room-width-string]",
+            "tests/test_cli.py::test_replay_of_a_verdict_whose_pose_is_strings_exits_2"),
+           "each scene field stated once"),
 )

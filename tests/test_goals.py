@@ -138,11 +138,22 @@ ENTITIES = st.builds(
     st.none() | st.sampled_from(VIEW_IDS + ["bed_0"]),
     st.booleans(),
 )
-VIEWS = st.builds(
-    lambda entities, holding: PlacementView({e.id: e for e in entities}, holding),
-    st.lists(ENTITIES, max_size=5),
-    st.none() | st.sampled_from(VIEW_IDS),
-)
+
+
+@st.composite
+def views(draw) -> PlacementView:
+    """In half the views, one entity is held while it still names another
+    entity of the view as its parent, as after a flag-flipped place."""
+    entities = {e.id: e for e in draw(st.lists(ENTITIES, max_size=5))}
+    if not draw(st.booleans()):
+        return PlacementView(entities, draw(st.none() | st.sampled_from(VIEW_IDS)))
+    held, parent = draw(st.permutations(VIEW_IDS))[:2]
+    entities[parent] = entities.get(parent) or draw(ENTITIES)._replace(id=parent)
+    entities[held] = (entities.get(held) or draw(ENTITIES))._replace(id=held, parent_id=parent)
+    return PlacementView(entities, held)
+
+
+VIEWS = views()
 
 
 def _reference_satisfied(goal, view):
