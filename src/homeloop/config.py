@@ -125,11 +125,11 @@ Reader = Callable[[Any, str], Any]  # reads a JSON value found at a path
 
 
 def read_fields(cls: type, raw: Any, path: str, readers: dict[str, Reader]) -> Any:
-    """The dataclass ``cls`` read from the JSON object ``raw`` of its fields:
-    each key present, or absent with no default, in the table's order, and
-    the rest left to the dataclass. Problems are named at ``path.key``; the
-    scene (``path`` "") names its own keys bare, its type and absent keys
-    ``config``."""
+    """The dataclass ``cls`` read from ``raw``, a JSON object of its fields.
+    Each key of ``readers`` is read in the table's order when present; an
+    absent key is left to its field's default, or missing when it has none.
+    Problems are named at ``path.key``, but the scene (``path`` "") names its
+    own keys bare, and its type and missing keys at ``config``."""
     only_keys(as_json(raw, dict, path or "config"), field_names(cls), path)
     required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
     return cls(**{

@@ -141,7 +141,8 @@ def test_every_single_field_edit_of_a_bundled_scene_parses_as_pinned(name):
 @pytest.mark.parametrize("doc, text", [
     ({"name": 5}, "config.room: missing required field"),
     (dict(MINI_SCENE, furniture=[{"id": 5, "footprint": []}]), "furniture[0].footprint: needs at least 3 vertices"),
-    (dict(MINI_SCENE, furniture=[{"id": 5, "grasp_difficulty": "x"}]), "furniture[0].footprint: missing required field"),
+    (dict(MINI_SCENE, furniture=[{"id": 5, "grasp_difficulty": "x"}]),
+     "furniture[0].footprint: missing required field"),
     (dict(MINI_SCENE, furniture=[{"footprint": [[0, 0], [1, 0], [1, 1]], "id": 5, "grasp_difficulty": "x"}]),
      "furniture[0].id: expected a JSON string, got 5"),
     (dict(MINI_SCENE, variation={"receptacle_pool": "x", "shuffle_offsets": 1}),
