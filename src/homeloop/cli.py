@@ -22,7 +22,7 @@ from .harness import TrialOptions, make_planner_factory, replay_matches, run_sui
 from .metrics import compute_metrics
 from .planning import SYSTEM_PROMPT, HttpChatBackend, ParseError, parse_plan
 from .planning.adapter import DEFAULT_MODEL, DEFAULT_TIMEOUT_S
-from .trace import OUTCOME_INVALID, OUTCOME_SUCCESS, load_trace_file, write_trace_file
+from .trace import OUTCOME_INVALID, OUTCOME_SUCCESS, load_trace_file, trace_text, write_trace_file
 
 EXIT_OK = 0
 EXIT_TASK_FAILURES = 1
@@ -125,7 +125,7 @@ def cmd_trial(args: argparse.Namespace) -> int:
     report = run_trial(task, factory(), seed, args.trial_index, options)
     if args.out:
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-        write_trace_file(report, args.out)
+        write_trace_file(trace_text(report), args.out)
     print(
         f"{task.id} trial {args.trial_index} seed {seed}: {report.outcome} ({report.reason}); "
         f"steps {report.successful_steps}/{report.execution_steps}"

@@ -51,6 +51,7 @@ from .trace import (
     OUTCOME_INVALID,
     OUTCOME_SUCCESS,
     TrialReport,
+    trace_text,
     write_trace_file,
 )
 from .metrics import MetricsTable, compute_metrics
@@ -327,7 +328,14 @@ def run_suite(
     parallel: int = 1,
 ) -> tuple[MetricsTable, list[TrialReport]]:
     """Run every task's trials (optionally across worker threads, one World
-    per trial), write per-trial traces and the aggregate report."""
+    per trial), write per-trial traces and the aggregate report.
+
+    With ``out_dir`` each trace is encoded when its trial ends, and the
+    returned reports carry their counters and failure records but no events:
+    ``load_trace_file`` reads the events back from the trace files. The files
+    are written together once the last trial has ended, so a trial that
+    raises leaves nothing written. Without ``out_dir`` the reports keep their
+    events."""
     if parallel < 1:
         raise ConfigError("parallel", f"must be at least 1, got {parallel}")
     options = (options or TrialOptions()).for_suite(suite)
@@ -336,23 +344,29 @@ def run_suite(
         for trial_index in range(task.trial_count):
             jobs.append((task, trial_index, task.seed_for(trial_index, base_seed)))
 
-    def run_one(job):
+    def run_one(job) -> tuple[TrialReport, Optional[str]]:
         task, trial_index, seed = job
-        return run_trial(task, planner_factory(), seed, trial_index, options)
+        report = run_trial(task, planner_factory(), seed, trial_index, options)
+        if out_dir is None:
+            return report, None
+        text = trace_text(report)
+        report.events = []  # the text holds them until the files are written
+        return report, text
 
     if parallel > 1:
         import concurrent.futures  # a serial run never pays for the thread pool's imports
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            reports = list(pool.map(run_one, jobs))
+            results = list(pool.map(run_one, jobs))
     else:
-        reports = [run_one(job) for job in jobs]
+        results = [run_one(job) for job in jobs]
+    reports = [report for report, _ in results]
 
     if out_dir is not None:
-        for report in reports:
+        for report, text in results:
             task_dir = os.path.join(out_dir, report.task_id)
             os.makedirs(task_dir, exist_ok=True)
-            write_trace_file(report, os.path.join(task_dir, f"{report.trial_index}.jsonl"))
+            write_trace_file(text, os.path.join(task_dir, f"{report.trial_index}.jsonl"))
     table = compute_metrics(reports)
     if out_dir is not None:
         with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:

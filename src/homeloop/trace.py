@@ -84,9 +84,9 @@ class TrialReport:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def write_trace(report: TrialReport, sink) -> None:
-    """Serialize to a text file object, one JSON document per line, in one
-    write."""
+def trace_text(report: TrialReport) -> str:
+    """The report's trace: one JSON document per line, each line ending in a
+    newline."""
     header = {
         "schema": SCHEMA,
         "task": report.task_id,
@@ -102,13 +102,18 @@ def write_trace(report: TrialReport, sink) -> None:
         "failure_records": [r.to_json() for r in report.failure_records],
     }
     encode = _ENCODER.encode
-    lines = [encode(header), *map(encode, report.events), encode(footer), ""]
-    sink.write("\n".join(lines))
+    return "\n".join([encode(header), *map(encode, report.events), encode(footer), ""])
 
 
-def write_trace_file(report: TrialReport, path: str) -> None:
+def write_trace(report: TrialReport, sink) -> None:
+    """Serialize to a text file object in one write."""
+    sink.write(trace_text(report))
+
+
+def write_trace_file(text: str, path: str) -> None:
+    """Write a trace's text (``trace_text``) to a file."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_trace(report, fh)
+        fh.write(text)
 
 
 def load_trace(source) -> TrialReport:
