@@ -1,11 +1,13 @@
 """``tools/bench_pairs.py``'s summary and claim verdict on hand-made pairs,
-and the checkouts it names by path or by git revision."""
+and the checkouts it names by path or by git revision. An export never
+holds its archive in memory."""
 
 from __future__ import annotations
 
 import importlib.util
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,6 +47,13 @@ def test_claim_is_met_when_the_median_ratio_reaches_the_target():
     assert bench_pairs.claim(summary, "apartments", "trial_ms_p50", 0.75, False)["met"] is False
 
 
+def _git_repo(path: Path) -> list[str]:
+    """A git command line for ``path``, made a repository, with an identity."""
+    git = ["git", "-C", str(path), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True, capture_output=True)
+    return git
+
+
 def test_a_revision_is_exported_and_named_by_its_commit(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
@@ -54,8 +63,8 @@ def test_a_revision_is_exported_and_named_by_its_commit(tmp_path):
     (package / "a.py").write_text("one\ntwo\n")
     (package / "planning" / "b.py").write_text("three\n\nfive\n")
     (package / "data.json").write_text("{}\n")  # not Python: not counted
-    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
-    for cmd in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "a marker and a package"]):
+    git = _git_repo(repo)
+    for cmd in (["add", "."], ["commit", "-q", "-m", "a marker and a package"]):
         subprocess.run([*git, *cmd], check=True, capture_output=True)
     commit = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
 
@@ -72,3 +81,31 @@ def test_a_revision_is_exported_and_named_by_its_commit(tmp_path):
         assert (root, name) == (str(plain), str(plain))
         assert bench_pairs.src_lines(root) == 0
     assert plain.exists()
+
+
+# Every run.py that bench_pairs starts inherits its peak RSS, so an archive
+# read into this process would floor the peak_rss_mb of the runs.
+EXPORT_PEAK = """
+import importlib.util, resource, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with bench_pairs.export("HEAD", repo=sys.argv[2]) as (tree, _):
+    pass
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_an_export_does_not_raise_the_peak_rss_by_its_archive(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "blob.bin").write_bytes(os.urandom(16 * 2**20))
+    git = _git_repo(repo)
+    for cmd in (["add", "."], ["commit", "-q", "-m", "a 16 MiB blob"]):
+        subprocess.run([*git, *cmd], check=True, capture_output=True)
+    script = os.path.join(ROOT, "tools", "bench_pairs.py")
+    # started from a shell that waits for it, so it does not inherit pytest's peak
+    cmd = ["sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-c", EXPORT_PEAK, script, str(repo)]
+    grown_kib = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+    assert int(grown_kib) < 4 * 1024

@@ -92,8 +92,15 @@ def export(ref: str, repo: str = ROOT) -> Iterator[tuple[str, str]]:
     if not commit:
         raise SystemExit(f"error: {ref!r} is not a git revision of {repo}")
     with tempfile.TemporaryDirectory(prefix="export-") as tree:
-        archive = subprocess.run(["git", "archive", commit], cwd=repo, capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        # piped from git to tar, never read here: every run.py this process
+        # starts inherits its peak RSS (see "numpy" in ``compare``), and an
+        # archive read into memory raised that floor above the peak_rss_mb of
+        # a bundled run
+        archive = subprocess.Popen(["git", "archive", commit], cwd=repo, stdout=subprocess.PIPE)
+        with archive:
+            subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout, check=True)
+        if archive.returncode != 0:
+            raise SystemExit(f"error: git archive {commit} exited {archive.returncode}")
         yield tree, commit
 
 
