@@ -51,6 +51,7 @@ RASTERISER_REFERENCES = (
 )
 GOAL_REFERENCE = "tests/test_goals.py::test_goal_evaluation_matches_the_reference"
 SCENE_EDITS = "tests/test_config.py::test_every_single_field_edit_of_a_bundled_scene_parses_as_pinned"
+SCENE_CHECKS = "tests/test_config.py::test_a_repeated_id_or_a_bad_grasp_difficulty_is_refused"
 RESUMED_SWEEP = (
     "tests/test_geometry.py::test_packed_sweep_matches_the_numpy_sweep",
     "tests/test_geometry.py::test_the_frontier_search_grows_the_scans_first_layers_and_meets_no_frontier_before_d",
@@ -162,4 +163,29 @@ MUTANTS = (
            ("tests/test_config.py::test_a_scene_number_is_a_json_number_never_a_string_or_a_boolean[room-width-string]",
             "tests/test_cli.py::test_replay_of_a_verdict_whose_pose_is_strings_exits_2"),
            "each scene field stated once"),
+    # checks no bundled scene or written trace fires
+    Mutant("furniture-id-repeats", "config.py",
+           "if f.id in seen_f:", "if False:",
+           (SCENE_CHECKS + "[furniture-id-repeats]",), "the streamed trace writer"),
+    Mutant("object-id-repeats", "config.py",
+           "if o.id in seen_o or o.id in seen_f:", "if o.id in seen_f:",
+           (SCENE_CHECKS + "[object-id-repeats]",), "the streamed trace writer"),
+    Mutant("object-id-names-furniture", "config.py",
+           "if o.id in seen_o or o.id in seen_f:", "if o.id in seen_o:",
+           (SCENE_CHECKS + "[object-id-names-furniture]",), "the streamed trace writer"),
+    Mutant("grasp-side-unchecked", "config.py",
+           "if side not in SIDES:", "if False:",
+           (SCENE_CHECKS + "[grasp-side-unknown]",), "the streamed trace writer"),
+    Mutant("grasp-multiplier-negative", "config.py",
+           "if mult < 0:", "if False:",
+           (SCENE_CHECKS + "[grasp-multiplier-negative]",), "the streamed trace writer"),
+    Mutant("recovered-above-replanned", "trace.py",
+           "if self.recovered_executions > self.replanned_executions:", "if False:",
+           ("tests/test_harness.py::test_more_recovered_than_replanned_records_break_an_identity",),
+           "the streamed trace writer"),
+    Mutant("footer-counter-unchecked", "trace.py",
+           "if counters.get(key) != getattr(report, key):", "if False:",
+           tuple(f"tests/test_harness.py::test_a_footer_counter_that_does_not_match_the_records_is_a_format_error[{key}]"
+                 for key in ("replanned_executions", "recovered_executions", "direct_failures")),
+           "the streamed trace writer"),
 )

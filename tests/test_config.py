@@ -171,3 +171,22 @@ def test_a_scene_number_is_a_json_number_never_a_string_or_a_boolean(edit, text)
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert str(err.value) == text
+
+
+# validate_config's checks that no bundled or generated scene fires.
+@pytest.mark.parametrize("edit, text", [
+    (lambda doc: doc["furniture"][1].update(id="table_0"), "furniture[1].id: duplicate furniture id 'table_0'"),
+    (lambda doc: doc["objects"][1].update(id="toy_0"), "objects[1].id: duplicate object id 'toy_0'"),
+    (lambda doc: doc["objects"][0].update(id="bed_0"), "objects[0].id: duplicate object id 'bed_0'"),
+    (lambda doc: doc["furniture"][0].update(grasp_difficulty={"north": 1.0, "up": 2.0}),
+     "furniture[0].grasp_difficulty: unknown side 'up'"),
+    (lambda doc: doc["furniture"][0].update(grasp_difficulty={"north": -0.5}),
+     "furniture[0].grasp_difficulty.north: multiplier must be >= 0"),
+], ids=["furniture-id-repeats", "object-id-repeats", "object-id-names-furniture", "grasp-side-unknown",
+        "grasp-multiplier-negative"])
+def test_a_repeated_id_or_a_bad_grasp_difficulty_is_refused(edit, text):
+    doc = copy.deepcopy(MINI_SCENE)
+    edit(doc)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == text

@@ -3,7 +3,9 @@ from __future__ import annotations
 import gc
 import io
 import json
+import tracemalloc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -11,9 +13,10 @@ from homeloop import harness, recovery
 from homeloop.config import SuiteConfig, load_builtin_suite, parse_suite
 from homeloop.errors import ConfigError, TraceFormatError
 from homeloop.goals import parse_goal
-from homeloop.harness import TrialOptions, _Trial, replay_matches, run_suite, run_trial
+from homeloop.harness import TrialOptions, _Trial, make_planner_factory, replay_matches, run_suite, run_trial
 from homeloop.planning import ChatModelPlanner, ParseError, ScriptedPlanner
-from homeloop.trace import load_trace, write_trace
+from homeloop.trace import RECORD_TALLIES, TrialReport, load_trace, load_trace_file, trace_text, write_trace
+from homeloop.verification import FailureRecord
 
 from conftest import mini_task, zero_noise
 from mock_llm import TranscriptBackend
@@ -158,13 +161,11 @@ def test_truncated_trace_names_last_valid_line(zero_options):
     assert exc.value.last_valid_line == 4
 
 
-def _without_footer_key(report, drop):
-    """The report's trace lines with one key removed from its footer."""
-    buf = io.StringIO()
-    write_trace(report, buf)
-    lines = buf.getvalue().splitlines()
+def _with_footer_edited(report, edit):
+    """The report's trace lines with ``edit`` applied to its footer."""
+    lines = trace_text(report).splitlines()
     footer = json.loads(lines[-1])
-    del footer[drop]
+    edit(footer)
     return "\n".join(lines[:-1] + [json.dumps(footer)])
 
 
@@ -185,11 +186,32 @@ def test_trace_without_json_objects_is_a_format_error(text, last_valid):
 @pytest.mark.parametrize("drop", ["counters", "outcome", "failure_records"])
 def test_footer_missing_a_field_is_a_format_error(zero_options, drop):
     report = run_trial(mini_task(), ScriptedPlanner(), seed=0, options=zero_options)
-    text = _without_footer_key(report, drop)
+    text = _with_footer_edited(report, lambda footer: footer.pop(drop))
     with pytest.raises(TraceFormatError) as exc:
         load_trace(io.StringIO(text))
     assert drop in str(exc.value)
     assert exc.value.last_valid_line == len(text.splitlines()) - 1
+
+
+@pytest.mark.parametrize("key", RECORD_TALLIES)
+def test_a_footer_counter_that_does_not_match_the_records_is_a_format_error(key):
+    noise = zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=0.0)
+    report = run_trial(mini_task(), ScriptedPlanner(), seed=0, options=TrialOptions(noise=noise))
+    assert report.failure_records
+    text = _with_footer_edited(report, lambda footer: footer["counters"].update({key: footer["counters"][key] + 1}))
+    with pytest.raises(TraceFormatError) as exc:
+        load_trace(io.StringIO(text))
+    footer_line = len(text.splitlines())
+    assert str(exc.value) == f"counter {key} does not match failure records (last valid line: {footer_line})"
+
+
+def test_more_recovered_than_replanned_records_break_an_identity():
+    # the record is direct, so failures = replanned + direct still holds
+    record = FailureRecord("grasp_failed", 0, "none", direct_failure=True, recovered=True)
+    report = TrialReport("t", 0, 0, "failure", "", False, 1, 0, failure_records=[record])
+    with pytest.raises(ValueError) as exc:
+        report.check_identities()
+    assert str(exc.value) == "1 recovered > 0 replanned"
 
 
 def test_replay_rederives_identical_verdicts():
@@ -235,6 +257,43 @@ def test_run_suite_parallel_matches_serial(tmp_path, zero_options):
     )
     assert [r.outcome for r in serial_reports] == [r.outcome for r in parallel_reports]
     assert serial_table.total_row == parallel_table.total_row
+
+
+def test_run_suite_with_an_output_directory_returns_reports_without_events(tmp_path):
+    """The events are in the trace files: each loads to the events a run of
+    the same suite without an output directory returns."""
+    suite = load_builtin_suite("acceptance")
+    factory = make_planner_factory("scripted")
+    _, streamed = run_suite(suite, factory, out_dir=str(tmp_path), base_seed=5)
+    _, kept = run_suite(suite, factory, base_seed=5)
+    assert [r.events for r in streamed] == [[]] * len(kept)
+    assert all(r.events for r in kept)
+    for report, full in zip(streamed, kept):
+        loaded = load_trace_file(str(tmp_path / report.task_id / f"{report.trial_index}.jsonl"))
+        assert loaded.events == full.events
+        assert replace(loaded, events=[]) == report
+
+
+def _held_after_run_suite(out_dir) -> int:
+    """The bytes ``tracemalloc`` still traces once ``run_suite`` of
+    ``builtin:benchmark`` has returned, with its reports still referenced."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_suite(load_builtin_suite("benchmark"), make_planner_factory("scripted"), out_dir=out_dir)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result[1]) == 60
+    return held
+
+
+def test_run_suite_with_an_output_directory_holds_a_quarter_of_the_memory(tmp_path):
+    run_suite(load_builtin_suite("benchmark"), make_planner_factory("scripted"))  # fills the geometry cache
+    streamed = _held_after_run_suite(str(tmp_path))
+    kept = _held_after_run_suite(None)
+    assert streamed < kept / 4, (streamed, kept)
 
 
 def test_run_suite_runs_every_trial_through_the_module_global_run_trial(monkeypatch):
@@ -380,6 +439,8 @@ END_PATHS = {
                           "unrecovered grasp_failed (recovery disabled)"),
     "recovery-exhausted": (SCAN + ["grasp(toy_0)"], 5, {"p_grasp_fail": 1.0}, True,
                            "recovery exhausted after grasp_failed"),
+    # a done() right after a plan-level mistake: the mistake's record is settled by the outcome
+    "pending-plan-fix": (["explore_global()", "grasp(nothing_0)", 'done("gave up")'], 5, {}, True, "gave up"),
 }
 
 
@@ -389,7 +450,7 @@ def _expected_end(name: str, held: bool, reason: str) -> tuple[str, str, bool]:
         return "infrastructure-invalid", reason, held
     if not held:
         return "failure", reason, False
-    if name == "done-message":
+    if name in ("done-message", "pending-plan-fix"):
         return "success", reason, True
     if name == "done-bare":
         return "success", "done", True
@@ -408,3 +469,7 @@ def test_every_way_a_trial_ends(name, held):
     options = TrialOptions(noise=zero_noise(**noise), recovery_enabled=recovery_enabled)
     report = run_trial(task, planner, seed=0, options=options)
     assert (report.outcome, report.reason, report.goal_satisfied) == _expected_end(name, held, reason)
+    if name == "pending-plan-fix":
+        [record] = report.failure_records
+        assert record.cause == "api_call_error"
+        assert (record.replanned, record.recovered, record.direct_failure) == (held, held, not held)
