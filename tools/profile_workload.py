@@ -11,21 +11,27 @@ the top ``TOP`` functions by self time and by cumulative time. It then runs
 the same units again, unprofiled and from an empty geometry cache, with
 ``PackedGrid.layers`` wrapped to count the BFS layers grown, and prints
 them in total and by caller (``_sense``, ``PackedGrid.nearest``,
-``OccupancyGrid.flood_fill``). Last it prints the lines and bytes of the
-profiled run's traces by kind: ``header``, each event kind (the footer's is
-``trial_end``) and the total, with each kind's share of the bytes. Traces go
-to a temporary directory that is deleted afterwards.
+``OccupancyGrid.flood_fill``). It runs them once more, unprofiled and with
+the geometry cache as the profiled run left it, under ``tracemalloc``, and
+prints the peak of memory traced, the memory still traced once the units
+have returned (after a collection), and the garbage collections each
+generation ran (``gc.get_stats()``). Last it prints the lines and bytes of
+the profiled run's traces by kind: ``header``, each event kind (the footer's
+is ``trial_end``) and the total, with each kind's share of the bytes. Traces
+go to a temporary directory that is deleted afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import os
 import pstats
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -78,6 +84,22 @@ def count_layers(name: str, seed: int, units: int, out: Path) -> Counter:
     return counts
 
 
+def measure_memory(name: str, seed: int, units: int, out: Path) -> tuple[int, int, list[int]]:
+    """Run the workload's units under ``tracemalloc`` and return the peak of
+    bytes traced, the bytes still traced after they return and a collection,
+    and the collections each garbage-collector generation ran meanwhile."""
+    before = [generation["collections"] for generation in gc.get_stats()]
+    tracemalloc.start()
+    try:
+        run_units(name, seed, units, out)
+        collections = [generation["collections"] - n for generation, n in zip(gc.get_stats(), before)]
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held, collections
+
+
 def tally_traces(root: Path) -> tuple[Counter, Counter]:
     """The lines and the bytes of the trace files under ``root``, by kind:
     ``header`` for a file's first line, else the line's ``event``. A line's
@@ -109,6 +131,7 @@ def main(argv: list[str] | None = None) -> None:
         trials = run_units(args.workload, args.seed, args.units, Path(tmp) / "profiled")
         profile.disable()
         lines, size = tally_traces(Path(tmp) / "profiled")
+        peak, held, collections = measure_memory(args.workload, args.seed, args.units, Path(tmp) / "measured")
         layers = count_layers(args.workload, args.seed, args.units, Path(tmp) / "counted")
     stats = pstats.Stats(profile, stream=sys.stdout)
     print(f"{args.workload} seed {args.seed}: {args.units} unit(s), {trials} trial(s), "
@@ -119,6 +142,9 @@ def main(argv: list[str] | None = None) -> None:
     print(f"\n=== BFS layers grown (PackedGrid.layers) ===\ntotal {sum(layers.values())}")
     for caller, count in sorted(layers.items()):
         print(f"{caller} {count}")
+    print("\n=== memory and garbage collection (unprofiled run) ===")
+    print(f"tracemalloc peak {peak / 1e6:.3f} MB\nheld after {held / 1e6:.3f} MB")
+    print("gc collections " + " ".join(f"gen{i} {n}" for i, n in enumerate(collections)))
     total = sum(size.values())
     print("\n=== trace lines and bytes by kind (kind lines bytes share) ===")
     for kind in sorted(size, key=lambda k: (-size[k], k)):
