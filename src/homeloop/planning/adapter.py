@@ -10,6 +10,7 @@ appended, at most ``MAX_REPAIR_ROUNDS`` times. Decoding is greedy
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from typing import Optional, Protocol
@@ -48,31 +49,30 @@ class HttpChatBackend:
             raise TransportError(f"missing credential: set {API_KEY_ENV}")
 
     def complete(self, messages: list[dict[str, str]]) -> str:
-        url = self.base_url.rstrip("/") + "/chat/completions"
+        import http.client  # with urllib.request it loads ssl, so only the HTTP path pays for it
+        import urllib.request
+        from urllib.error import HTTPError
+
         body = {
             "model": self.model,
             "messages": messages,
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
         }
+        headers = {"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"}
         try:
-            import requests  # loads urllib3 and OpenSSL, so only the HTTP path pays for it
-        except ImportError as exc:
-            raise TransportError(f"the HTTP chat backend needs the 'requests' package: {exc}") from exc
-        try:
-            resp = requests.post(
-                url,
-                json=body,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(self.base_url.rstrip("/") + "/chat/completions",
+                                             data=json.dumps(body).encode("utf-8"), headers=headers)
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status, raw = resp.status, resp.read()  # a timeout while reading raises a bare TimeoutError
+        except HTTPError as exc:  # every status from 400 up, and a redirect of the POST that urllib refuses
+            raise TransportError(f"chat endpoint returned HTTP {exc.code}") from exc
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # no connection, a bad URL, a garbled reply
             raise TransportError(f"chat endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"chat endpoint returned HTTP {resp.status_code}")
+        if status != 200:
+            raise TransportError(f"chat endpoint returned HTTP {status}")
         try:
-            doc = resp.json()
-            return doc["choices"][0]["message"]["content"]
+            return json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat completion body: {exc}") from exc
 

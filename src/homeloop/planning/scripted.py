@@ -212,7 +212,7 @@ def _styled_location(task, belief: Belief, dest: str) -> Optional[Loc]:
     """Location-form placement for styles like "centroid_of:cup": the offset
     is the centroid of the believed positions of that category, relative to
     the destination surface anchor."""
-    style = getattr(task, "placement_style", None)
+    style = task.placement_style
     if not style or not style.startswith("centroid_of:"):
         return None
     category = style.split(":", 1)[1]

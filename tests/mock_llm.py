@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Optional
@@ -16,11 +17,15 @@ class MockChatServer:
     """Serves POST /chat/completions, answering with canned replies in order.
     Repeats the last reply when the list runs out. ``status`` sets the HTTP
     status of every answer; ``raw_body``, when given, is sent as the body in
-    place of a completion document."""
+    place of a completion document; ``delay`` is the seconds each answer
+    waits before it is sent. Each request's body is kept in ``requests`` and
+    its headers, looked up by any case, in ``headers``."""
 
-    def __init__(self, replies: list[str], status: int = 200, raw_body: Optional[bytes] = None) -> None:
+    def __init__(self, replies: list[str], status: int = 200, raw_body: Optional[bytes] = None,
+                 delay: float = 0.0) -> None:
         self.replies = list(replies)
         self.requests: list[dict] = []
+        self.headers: list = []
         self._cursor = 0
         self._lock = threading.Lock()
 
@@ -32,6 +37,7 @@ class MockChatServer:
                 body = json.loads(self.rfile.read(length) or b"{}")
                 with outer._lock:
                     outer.requests.append(body)
+                    outer.headers.append(self.headers)
                     idx = min(outer._cursor, len(outer.replies) - 1)
                     reply = outer.replies[idx]
                     outer._cursor += 1
@@ -45,6 +51,7 @@ class MockChatServer:
                     ],
                 }
                 payload = json.dumps(doc).encode("utf-8") if raw_body is None else raw_body
+                time.sleep(delay)
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))

@@ -188,4 +188,9 @@ MUTANTS = (
            tuple(f"tests/test_harness.py::test_a_footer_counter_that_does_not_match_the_records_is_a_format_error[{key}]"
                  for key in ("replanned_executions", "recovered_executions", "direct_failures")),
            "the streamed trace writer"),
+    # a success status other than 200 carries no completion
+    Mutant("any-status-answers", "planning/adapter.py",
+           "if status != 200:", "if False:",
+           ("tests/test_adapter.py::test_an_accepted_or_late_reply_yields_infrastructure_invalid[http-202]",),
+           "the standard-library chat backend"),
 )

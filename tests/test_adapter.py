@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
@@ -155,12 +154,27 @@ def test_bad_endpoint_reply_yields_infrastructure_invalid(monkeypatch, status, r
     assert report.reason.startswith(f"transport: {message}")
 
 
-def test_missing_requests_package_yields_infrastructure_invalid(monkeypatch):
+def test_the_request_carries_the_bearer_key_and_a_json_content_type(monkeypatch):
     monkeypatch.setenv("COME_LLM_API_KEY", "test-key")
-    monkeypatch.setitem(sys.modules, "requests", None)  # makes `import requests` raise ImportError
-    backend = HttpChatBackend(base_url="http://127.0.0.1:9", timeout=0.5)
-    with pytest.raises(TransportError, match="'requests' package"):
-        backend.complete([{"role": "user", "content": "hi"}])
-    report = run_trial(mini_task(), ChatModelPlanner(backend), seed=0, options=TrialOptions(noise=zero_noise()))
+    with MockChatServer(["```\nexplore_global()\n```"]) as server:
+        ask(ChatModelPlanner(HttpChatBackend(base_url=server.base_url)))
+    headers = server.headers[0]
+    assert headers["Authorization"] == "Bearer test-key"
+    assert headers["Content-Type"] == "application/json"
+
+
+@pytest.mark.parametrize(
+    "server_options, timeout, message",
+    [
+        # a success status other than 200 is still no completion
+        pytest.param({"status": 202}, 30.0, "chat endpoint returned HTTP 202", id="http-202"),
+        pytest.param({"delay": 0.4}, 0.1, "chat endpoint unreachable: ", id="reply-after-the-timeout"),
+    ],
+)
+def test_an_accepted_or_late_reply_yields_infrastructure_invalid(monkeypatch, server_options, timeout, message):
+    monkeypatch.setenv("COME_LLM_API_KEY", "test-key")
+    with MockChatServer(["```\nexplore_global()\n```"], **server_options) as server:
+        backend = HttpChatBackend(base_url=server.base_url, timeout=timeout)
+        report = run_trial(mini_task(), ChatModelPlanner(backend), seed=0, options=TrialOptions(noise=zero_noise()))
     assert report.outcome == "infrastructure-invalid"
-    assert "'requests' package" in report.reason
+    assert report.reason.startswith(f"transport: {message}")

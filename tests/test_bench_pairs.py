@@ -1,6 +1,6 @@
 """``tools/bench_pairs.py``'s summary and claim verdict on hand-made pairs,
-and the checkouts it names by path or by git revision. An export never
-holds its archive in memory."""
+the checkouts it names by path or by git revision, and its counting pass. An
+export never holds its archive in memory."""
 
 from __future__ import annotations
 
@@ -109,3 +109,13 @@ def test_an_export_does_not_raise_the_peak_rss_by_its_archive(tmp_path):
     cmd = ["sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-c", EXPORT_PEAK, script, str(repo)]
     grown_kib = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     assert int(grown_kib) < 4 * 1024
+
+
+def test_the_counting_pass_gives_the_same_counts_twice_under_hash_seeds_0_and_1():
+    runs = [bench_pairs.count_work(ROOT, "apartments", 31, 1, env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    counts = runs[0]
+    assert set(counts["bfs_layers"]) == {"_sense", "nearest", "flood_fill"}
+    assert counts["trace_lines"]["header"] == counts["trace_lines"]["trial_end"] == 10  # one unit's ten trials
+    assert set(counts["trace_bytes"]) == set(counts["trace_lines"])

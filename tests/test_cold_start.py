@@ -1,11 +1,11 @@
 """What a fresh ``import homeloop`` loads.
 
-The HTTP stack (``requests``, ``urllib3``, ``ssl``), ``hashlib`` (OpenSSL's
-libcrypto) and ``concurrent.futures`` each load on first use, so scripted,
-transcript and benchmark runs never pay for them. ``numpy`` never loads:
-the grid is packed ints, and a scripted trial runs without it. Other tests
-import ``requests`` and ``numpy`` in-process, so the check runs in a fresh
-interpreter.
+The HTTP stack (``urllib.request``, ``http.client``, ``ssl``), ``hashlib``
+(OpenSSL's libcrypto) and ``concurrent.futures`` each load on first use, so
+scripted, transcript and benchmark runs never pay for them. ``numpy`` never
+loads: the grid is packed ints, and a scripted trial runs without it. Other
+tests load the HTTP stack and ``numpy`` in-process, so the check runs in a
+fresh interpreter.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 
-DEFERRED = ("requests", "urllib3", "ssl", "hashlib", "concurrent.futures", "numpy")
+DEFERRED = ("urllib.request", "http.client", "ssl", "hashlib", "concurrent.futures", "numpy")
 
 _PROBE = f"""
 import os, sys
@@ -41,7 +41,7 @@ with MockChatServer(["```\\nexplore_global()\\n```"]) as server:
     planner = ChatModelPlanner(HttpChatBackend(base_url=server.base_url))
     step = planner.next_step(None, DialogueHistory(instruction="tidy up"), PlannerView(belief=Belief()))
 assert step == Call("explore_global", None), step
-assert "requests" in sys.modules
+assert "urllib.request" in sys.modules
 print("ok")
 """
 

@@ -2,7 +2,7 @@
 
 Each document's keys are its dataclass's fields, in declaration order; the
 refusal texts below pin that order, so a reordered or renamed field shows.
-The outcome of every single-field edit of some bundled scenes is pinned too.
+The outcome of every single-field edit of some scenes is pinned too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from homeloop.errors import ConfigError
 from homeloop.goals import parse_goal
 
 from conftest import MINI_SCENE
-from test_config_fuzz import bundled, field_paths
+from test_config_fuzz import field_paths, scene_with
 
 NOISE_KNOWN = ("p_grasp_fail, p_place_fail, p_nav_fail, p_false_positive, p_missed_detection, "
                "p_object_shift_on_fail, p_flag_error, p_closeup_error")
@@ -118,9 +118,11 @@ def outcome(doc) -> str:
 
 
 # A SHA-256 of the outcomes of all single-field edits of each scene, one per
-# line. Four of the nine scenes keep the test near a second; their variation
-# blocks hold a receptacle_pool and an extra_count_range.
+# line. Four of the nine bundled scenes keep the test near a second; their
+# variation blocks hold a receptacle_pool and an extra_count_range. The test
+# scene every_field sets every optional field that no bundled scene does.
 EDIT_OUTCOMES_SHA256 = {
+    "every_field": "220842f9083f88ec4e2a0ec232a0aa5a7ab3e887c59151cb0f675896aa23578d",
     "fruit_among_cups": "27557fad3b91aace4b14ebc9a4af3d41efd856c07aac584f148c8eca1cca6dfb",
     "gather_cups": "2a188cb743eebaa9d71224082df4fc0379d8b6269963b0e221f4931fa75143b4",
     "place_fruit": "6a0f10aa607a24e6e4d7b94654bd2ad5bd8e2d01de15b45ac7bdd92acd7e6bf3",
@@ -130,7 +132,7 @@ EDIT_OUTCOMES_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(EDIT_OUTCOMES_SHA256))
 def test_every_single_field_edit_of_a_bundled_scene_parses_as_pinned(name):
-    outcomes = "\n".join(outcome(doc) for doc in single_edits(bundled("scenes", name)))
+    outcomes = "\n".join(outcome(doc) for doc in single_edits(scene_with(name)))
     assert hashlib.sha256(outcomes.encode()).hexdigest() == EDIT_OUTCOMES_SHA256[name]
 
 

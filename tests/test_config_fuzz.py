@@ -16,6 +16,7 @@ import copy
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,10 @@ def bundled(kind: str, name: str) -> dict:
     return json.loads(resources.files("homeloop").joinpath(f"data/{kind}/{name}.json").read_text("utf-8"))
 
 
+# The bundled scenes, and a test scene that sets every optional field: an
+# object on the floor, a grasp_difficulty, a wall and both view radii.
 SCENES = [bundled("scenes", p.stem) for p in resources.files("homeloop").joinpath("data/scenes").iterdir()]
+SCENES.append(json.loads(Path(__file__).with_name("every_field_scene.json").read_text("utf-8")))
 SUITES = [bundled("suites", "acceptance"), bundled("suites", "benchmark")]
 GOALS = [task["goal"] for suite in SUITES for task in suite["tasks"]]
 
@@ -91,7 +95,7 @@ def new_number(x: float) -> st.SearchStrategy:
     return st.one_of(st.sampled_from(near), st.sampled_from(near), st.floats(-20.0, 20.0))
 
 
-# The bundled scenes with every radius spelled out and a ball on the floor.
+# The scenes with every radius spelled out and a ball on the floor.
 BALL = {"id": "ball_0", "category": "ball", "floor": [1.0, 1.0]}
 NUMERIC_SCENES = [dict(doc, view_radius=1.5, closeup_radius=0.3, objects=[BALL, *doc["objects"]]) for doc in SCENES]
 

@@ -13,7 +13,12 @@ pair runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in each checkout, one run at a time: even pairs run the
 parent first, odd pairs the change first. With ``--traced-seed`` each
 workload then gets one ``--trace 1`` run per side, whose per-layer spans and
-counts are recorded as well.
+counts are recorded as well. Last, a counting pass runs ``COUNT_UNITS`` units
+of each workload at the seed once per side, unprofiled and untimed, through
+that checkout's ``tools/profile_workload.py``: the BFS layers grown by caller
+(``count_layers``) and the trace lines and bytes by kind (``tally_traces``).
+Counts are the same on every run, so they show a change's mechanism where
+the host's timing noise hides it.
 
 The record holds ``what``, ``parent`` and ``change`` (a revision's full commit
 id; a checkout's commit, marked when its tree has uncommitted edits, or its
@@ -22,7 +27,8 @@ the Python files under ``src/homeloop``), the host, an optional
 ``claim`` (its pairs won and ``met``: whether the median ratio reaches the
 target), a ``summary`` per workload and metric (medians, change/parent
 ratio, pairs won, the parent's interquartile range and its max-min spread
-over its median), the per-pair ``workloads`` and the ``traced`` runs.
+over its median), the per-pair ``workloads``, the ``traced`` runs and the
+``counts`` of each side, with the names of those that differ.
 """
 
 from __future__ import annotations
@@ -40,6 +46,22 @@ from importlib import metadata
 from typing import Any, Iterator, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+COUNT_UNITS = 2  # units of each workload in the counting pass
+
+# Run in a checkout's root: its own homeloop and perfbench, counted by its own
+# tools/profile_workload.py; prints the counts as one JSON line.
+COUNT_PASS = """
+import importlib.util, json, sys, tempfile
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("profile_workload", "tools/profile_workload.py")
+profile_workload = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(profile_workload)
+with tempfile.TemporaryDirectory() as out:
+    layers = profile_workload.count_layers(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), Path(out))
+    lines, size = profile_workload.tally_traces(Path(out))
+print(json.dumps({"bfs_layers": layers, "trace_lines": lines, "trace_bytes": size}, sort_keys=True))
+"""
 
 WIN_RULE = ("a pair is won by the change when its trials_per_s is higher, or its time or peak RSS lower, "
             "than the parent's in the same pair; ties count for neither")
@@ -206,6 +228,31 @@ def run_traced(parent: str, change: str, workload: str, seed: int, seconds: floa
     }
 
 
+def count_work(checkout: str, workload: str, seed: int, units: int,
+               env: Optional[dict[str, str]] = None) -> dict[str, dict[str, int]]:
+    """The counting pass of ``units`` units of ``workload`` at ``seed``, run in
+    ``checkout`` by a fresh interpreter (with ``env``, if given)."""
+    cmd = [sys.executable, "-c", COUNT_PASS, workload, str(seed), str(units)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the counting pass of {workload} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def run_counts(parent: str, change: str, workload: str, seed: int) -> dict[str, Any]:
+    counts = {side: count_work(path, workload, seed, COUNT_UNITS) for side, path in (("parent", parent), ("change", change))}
+    flat = {side: {f"{group}.{kind}": n for group, by_kind in c.items() for kind, n in by_kind.items()}
+            for side, c in counts.items()}
+    return {
+        "seed": seed,
+        "units": COUNT_UNITS,
+        **counts,
+        "counts_that_differ": sorted(name for name in flat["parent"].keys() | flat["change"].keys()
+                                     if flat["parent"].get(name) != flat["change"].get(name)),
+    }
+
+
 def compare(args: argparse.Namespace, parent: tuple[str, str], change: tuple[str, str]) -> dict[str, Any]:
     """The record of ``args``' runs in the ``(root, name)`` checkouts."""
     plan = [(name, int(n)) for name, n in (w.split("=") for w in args.workload)]
@@ -244,6 +291,7 @@ def compare(args: argparse.Namespace, parent: tuple[str, str], change: tuple[str
     if args.traced_seed is not None:
         record["traced"] = {name: run_traced(parent[0], change[0], name, args.traced_seed, args.seconds)
                             for name, _ in plan}
+    record["counts"] = {name: run_counts(parent[0], change[0], name, args.seed) for name, _ in plan}
     return record
 
 
@@ -270,6 +318,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for metric, s in metrics.items():
             print(f"{name} {metric}: {s['parent_median']} -> {s['change_median']} "
                   f"(x{s['ratio']}, won {s['pairs_won']})")
+    for name, counts in record["counts"].items():
+        print(f"{name} counts that differ: {', '.join(counts['counts_that_differ']) or 'none'}")
     if "claim" in record:
         c = record["claim"]
         print(f"claim {c['workload']} {c['metric']} {c['target']}: {'met' if c['met'] else 'not met'}")
