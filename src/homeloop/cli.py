@@ -206,7 +206,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TransportError as exc:
         _err("infrastructure", str(exc))
         return EXIT_INFRA
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError among them
         _err("usage", str(exc))
         return EXIT_USAGE
 

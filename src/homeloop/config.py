@@ -397,9 +397,7 @@ NOISE_PROFILES: dict[str, dict[str, float]] = {
 }
 
 
-def resolve_noise_profile(profile: "str | dict[str, float] | None") -> dict[str, float]:
-    if profile is None:
-        return {}
+def resolve_noise_profile(profile: "str | dict[str, float]") -> dict[str, float]:
     if isinstance(profile, str):
         if profile not in NOISE_PROFILES:
             raise ConfigError("noise_profile", f"unknown profile {profile!r}; known: {sorted(NOISE_PROFILES)}")

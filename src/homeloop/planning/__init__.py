@@ -1,7 +1,7 @@
 """Planner boundary: plan DSL, prompt assembly, scripted policy, chat adapter."""
 
 from .base import Planner, PlannerView
-from .dsl import Call, Done, Loc, ParseError, PlanStep, Ref, Str, parse_plan, render_plan, to_request
+from .dsl import Call, Done, Loc, ParseError, PlanStep, Ref, Str, parse_plan, to_request
 from .prompts import (
     SYSTEM_PROMPT,
     DialogueHistory,
@@ -32,7 +32,6 @@ __all__ = [
     "assemble_prompt",
     "estimate_tokens",
     "parse_plan",
-    "render_plan",
     "render_view",
     "scripted_next_step",
     "to_request",

@@ -186,10 +186,6 @@ def _check_call(verb: str, arg: Optional[PlanArg], line_no: int) -> Call:
     return Call(verb, arg)
 
 
-def render_plan(steps: list[PlanStep]) -> str:
-    return "\n".join(s.render() for s in steps)
-
-
 def to_request(step: Call) -> ActionRequest:
     """Lower a parsed call to an executable request."""
     arg = step.arg

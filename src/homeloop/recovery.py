@@ -80,8 +80,6 @@ def select_recovery(episode: RecoveryEpisode) -> str:
     The returned level is recorded as the episode's new floor, so selected
     levels form a non-decreasing sequence.
     """
-    if episode.status != "active":
-        return "none"
     floors = episode.levels[-1:]
     if not episode.strict_escalation:
         floors.append(episode.failure.recovery_level)  # "none" sets no floor
@@ -146,8 +144,9 @@ class EpisodeRunner:
     def run(self, episode: RecoveryEpisode) -> RecoveryEpisode:
         act_at = {"object": self.object_level_retry, "local": self.local_level_remap,
                   "global": self.global_level_renavigate}
-        guard = sum(BUDGETS.values()) + 2
-        for _ in range(guard):
+        # each selection records a level below its budget, so the selection
+        # after the last budgeted level returns "none" and ends the loop
+        while True:
             if belief_goal_satisfied(self.goal, self.ctx.belief):
                 # the situation resolved itself (e.g. a phantom target cleared
                 # on re-map and the goal is already met): the map-level fix
@@ -174,7 +173,6 @@ class EpisodeRunner:
             # returns None: its evidence is updated, keep escalating
             if act_at[level](episode):
                 return self._end(episode, "recovered")
-        return self._end(episode, "exhausted")
 
     def _end(self, episode: RecoveryEpisode, status: str) -> RecoveryEpisode:
         """Close the episode: the last failure record is recovered by the

@@ -62,7 +62,8 @@ class MockChatServer:
                 pass
 
         self._server = HTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll: ``shutdown`` waits for the serving loop's next poll
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True)
 
     @property
     def base_url(self) -> str:

@@ -193,4 +193,27 @@ MUTANTS = (
            "if status != 200:", "if False:",
            ("tests/test_adapter.py::test_an_accepted_or_late_reply_yields_infrastructure_invalid[http-202]",),
            "the standard-library chat backend"),
+    # checks that only a hand-made record, trace or number fires
+    Mutant("failures-not-replanned-plus-direct", "trace.py",
+           "if total != self.replanned_executions + self.direct_failures:", "if False:",
+           ("tests/test_harness.py::test_a_record_neither_replanned_nor_direct_breaks_an_identity",),
+           "every line run in a test"),
+    Mutant("recovery-level-unchecked", "verification.py",
+           "if self.recovery_level not in LEVELS:", "if False:",
+           ("tests/test_verification.py::test_an_unknown_recovery_level_is_refused",),
+           "every line run in a test"),
+    Mutant("replay-verdict-flag-unchecked", "harness.py",
+           'if not all(isinstance(event[key], bool) for key in ("success", "feedback_flag", "delta_consistent")):',
+           "if False:",
+           ("tests/test_harness.py::test_replay_names_a_verdict_it_cannot_rederive[string-flag]",),
+           "every line run in a test"),
+    Mutant("replay-feedback-unchecked", "harness.py",
+           "if not isinstance(message, str):", "if False:",
+           ("tests/test_harness.py::test_replay_names_a_verdict_it_cannot_rederive[no-feedback]",),
+           "every line run in a test"),
+    Mutant("number-overflow-escapes", "errors.py",
+           "except OverflowError:", "except ZeroDivisionError:",
+           ("tests/test_config.py::test_a_scene_number_is_a_json_number_never_a_string_or_a_boolean"
+            "[room-width-beyond-float]",),
+           "every line run in a test"),
 )

@@ -16,6 +16,7 @@ from homeloop.planning import (
     HttpChatBackend,
     PlannerView,
     Ref,
+    Str,
 )
 
 from mock_llm import MockChatServer, TranscriptBackend
@@ -134,6 +135,22 @@ def test_stale_pending_steps_trigger_fresh_completion(monkeypatch):
         assert second == Call("explore_global", None)
         assert len(server.requests) == 2
         assert planner.pending == []
+
+
+@pytest.mark.parametrize("queued", [Done("finished"), Call("report_observation", Str("stay"))],
+                         ids=["done", "string-argument"])
+def test_a_queued_step_that_names_no_map_reference_is_taken_without_a_completion(queued):
+    planner = ChatModelPlanner(TranscriptBackend(replies=[]))  # a completion would raise
+    planner.pending = [queued]
+    assert ask(planner) == queued
+
+
+def test_a_queued_step_that_is_not_a_call_is_dropped():
+    backend = TranscriptBackend(replies=["```\nexplore_global()\n```"])
+    planner = ChatModelPlanner(backend)
+    planner.pending = ["navigate(table_0)"]  # unparsed text: only parse_plan fills the queue
+    assert ask(planner) == Call("explore_global", None)
+    assert len(backend.requests_seen) == 1
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,26 @@ def test_trial_llm_without_credential_exits_3(tiny_suite, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["trial", "run"])
+def test_an_unreachable_endpoint_exits_3(tiny_suite, tmp_path, monkeypatch, capsys, command):
+    # each trial ends infrastructure-invalid
+    _, suite_path = tiny_suite
+    monkeypatch.setenv("COME_LLM_API_KEY", "test-key")
+    args = ["--task", "T1"] if command == "trial" else ["--out", str(tmp_path / "out")]
+    code = main([command, "--suite", str(suite_path), *args, "--planner", "llm",
+                 "--llm-url", "http://127.0.0.1:9", "--timeout-secs", "0.5"])
+    assert code == 3
+    assert "infrastructure-invalid" in capsys.readouterr().out
+
+
+def test_a_run_with_direct_failures_exits_1(tiny_suite, tmp_path, capsys):
+    _, suite_path = tiny_suite
+    code = main(["run", "--suite", str(suite_path), "--out", str(tmp_path / "out"), "--no-recovery",
+                 "--noise-profile", json.dumps({"p_grasp_fail": 1.0})])
+    assert code == 1
+    assert "0/2" in capsys.readouterr().out
+
+
 def test_trial_scripted_single(tiny_suite, tmp_path, capsys):
     _, suite_path = tiny_suite
     trace = tmp_path / "trial.jsonl"
@@ -293,6 +313,25 @@ def test_probe_llm_unreachable_exits_3(monkeypatch, capsys):
     code = main(["probe-llm", "--llm-url", "http://127.0.0.1:9", "--timeout-secs", "0.5"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_probe_llm_on_a_reply_that_does_not_parse_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("COME_LLM_API_KEY", "test-key")
+    with MockChatServer(['```\nnavigate("table")\n```']) as server:
+        code = main(["probe-llm", "--llm-url", server.base_url])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: [probe-parse] endpoint reachable but reply did not parse: ")
+
+
+@pytest.mark.parametrize("args, err", [
+    (["report", "--traces", "."], "error: [config] traces: no trace files under "),
+    (["validate"], "error: [config] validate: pass --scene and/or --suite"),
+    (["trial", "--task", "A1", "--noise-profile", "{bad"], "error: [usage] "),
+], ids=["report-without-traces", "validate-without-a-document", "noise-profile-not-json"])
+def test_a_command_without_what_it_reads_exits_2(tmp_path, monkeypatch, capsys, args, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_unknown_task_exits_2(tiny_suite, capsys):
@@ -476,6 +515,8 @@ MALFORMED_SUITES = [
     ({"goal": {"all_on": {"category": 5}}}, "tasks[0].goal.all_on.category"),
     ({"goal": {"same_receptacle": {"category": None}}}, "tasks[0].goal.same_receptacle.category"),
     ({"noise_profile": "bogus"}, "noise_profile"),
+    # a profile is a name or an object, never null
+    ({"noise_profile": None}, "noise_profile"),
     ({"noise_profile": {"p_grasp_fail": 2}}, "noise_profile.p_grasp_fail"),
     # integer fields that int() would truncate or convert
     ({"trials": 2.7}, "tasks[0].trials"),

@@ -166,7 +166,10 @@ def test_the_first_of_two_scene_problems_is_named(doc, text):
      "objects[0].offset[0]: expected a finite number, got False"),
     (lambda doc: doc["room"].update(width="4"), "room.width: expected a finite number, got '4'"),
     (lambda doc: doc.update(arm_reach=True), "arm_reach: expected a finite number, got True"),
-], ids=["offset-strings", "offset-booleans", "room-width-string", "arm-reach-boolean"])
+    # a JSON integer that no float holds
+    (lambda doc: doc["room"].update(width=int("1" + "0" * 400)),
+     "room.width: expected a finite number, got 1" + "0" * 400),
+], ids=["offset-strings", "offset-booleans", "room-width-string", "arm-reach-boolean", "room-width-beyond-float"])
 def test_a_scene_number_is_a_json_number_never_a_string_or_a_boolean(edit, text):
     doc = copy.deepcopy(MINI_SCENE)
     edit(doc)

@@ -19,6 +19,7 @@ from homeloop.geometry import (
     OccupancyGrid,
     PackedGrid,
     Pose,
+    _probe_points,
     bresenham,
     point_in_polygon,
     polygon_bbox,
@@ -35,6 +36,8 @@ SQUARE = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
 def test_centroid_and_bbox_of_square():
     assert polygon_centroid(SQUARE) == (1.0, 1.0)
     assert polygon_bbox(SQUARE) == (0.0, 0.0, 2.0, 2.0)
+    # a polygon with no area: the mean of its vertices
+    assert polygon_centroid([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]) == (1.0, 1.0)
 
 
 def test_point_in_polygon():
@@ -48,6 +51,10 @@ def test_polygons_overlap_and_disjoint():
     touching = [(1.5, 1.5), (3.5, 1.5), (3.5, 3.5), (1.5, 3.5)]
     assert not polygons_overlap(SQUARE, shifted)
     assert polygons_overlap(SQUARE, touching)
+    # the speck lies between the square's probe points, which are 2/101 m apart
+    speck = [(0.992, 0.992), (0.998, 0.992), (0.998, 0.998), (0.992, 0.998)]
+    assert not any(point_in_polygon(x, y, speck) for x, y in _probe_points(SQUARE))
+    assert polygons_overlap(SQUARE, speck)
 
 
 def test_rasterize_counts_cells_inside():
@@ -65,6 +72,7 @@ def test_flood_fill_respects_walls():
     mask = grid.flood_fill(grid.cell_of(0.5, 0.5))
     assert mask & grid.packed.bit(grid.cell_of(0.5, 0.5))
     assert not mask & grid.packed.bit(grid.cell_of(2.5, 0.5))
+    assert grid.flood_fill((-1, 0)) == 0  # a start off the grid reaches nothing
 
 
 def test_bresenham_endpoints_and_monotonicity():

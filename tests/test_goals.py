@@ -86,6 +86,12 @@ def test_goal_purity(mini_world):
     assert goal_satisfied(mini_world, goal) == goal_satisfied(mini_world, goal)
 
 
+def test_a_negation_has_its_childs_atoms():
+    # the scripted policy reads them: a negated all_on still needs every receptacle scanned
+    child = And((AllOn("toy", Selector(id="bed_0")), Holding(Selector(id="cup_0"))))
+    assert Not(child).atoms() == child.atoms() == list(child.children)
+
+
 def test_parse_round_trip():
     doc = {
         "and": [

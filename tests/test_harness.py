@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import io
 import json
@@ -13,7 +14,9 @@ from homeloop import harness, recovery
 from homeloop.config import SuiteConfig, load_builtin_suite, parse_suite
 from homeloop.errors import ConfigError, TraceFormatError
 from homeloop.goals import parse_goal
-from homeloop.harness import TrialOptions, _Trial, make_planner_factory, replay_matches, run_suite, run_trial
+from homeloop.harness import (
+    TrialOptions, _Trial, make_planner_factory, replay_matches, replay_verdicts, run_suite, run_trial,
+)
 from homeloop.planning import ChatModelPlanner, ParseError, ScriptedPlanner
 from homeloop.trace import RECORD_TALLIES, TrialReport, load_trace, load_trace_file, trace_text, write_trace
 from homeloop.verification import FailureRecord
@@ -214,6 +217,36 @@ def test_more_recovered_than_replanned_records_break_an_identity():
     assert str(exc.value) == "1 recovered > 0 replanned"
 
 
+def test_a_record_neither_replanned_nor_direct_breaks_an_identity():
+    report = TrialReport("t", 0, 0, "failure", "", False, 1, 0,
+                         failure_records=[FailureRecord("grasp_failed", 0, "object")])
+    with pytest.raises(ValueError) as exc:
+        report.check_identities()
+    assert str(exc.value) == "1 failures != 0 replanned + 0 direct"
+
+
+def _first_verdict_flag_a_string(events):
+    next(e for e in events if e["event"] == "verdict")["success"] = "yes"
+
+
+def _first_verdicts_feedback_dropped(events):
+    index = next(e for e in events if e["event"] == "verdict")["index"]
+    events[:] = [e for e in events if not (e["event"] == "feedback" and e["index"] == index)]
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (_first_verdict_flag_a_string, "TypeError('a recorded verdict flag is not a boolean')"),
+    (_first_verdicts_feedback_dropped, "KeyError('no feedback message for request "),
+], ids=["string-flag", "no-feedback"])
+def test_replay_names_a_verdict_it_cannot_rederive(zero_options, edit, cause):
+    report = run_trial(mini_task(), ScriptedPlanner(), seed=0, options=zero_options)
+    events = copy.deepcopy(report.events)
+    edit(events)
+    with pytest.raises(TraceFormatError) as exc:
+        replay_verdicts(replace(report, events=events))
+    assert cause in str(exc.value)
+
+
 def test_replay_rederives_identical_verdicts():
     noise = zero_noise(p_grasp_fail=0.4)
     for seed in (0, 1, 2, 3):
@@ -312,6 +345,16 @@ def test_run_suite_runs_every_trial_through_the_module_global_run_trial(monkeypa
     _, reports = harness.run_suite(SuiteConfig(name="one-task", tasks=[task], noise_profile="zero"), ScriptedPlanner)
     assert len(reports) == 3
     assert seen == [(r.task_id, r.trial_index, r.seed) for r in reports]
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("llm", "planner: llm planner requires --llm-url"),
+    ("oracle", "planner: unknown planner 'oracle'"),
+])
+def test_a_planner_factory_is_refused_without_what_it_needs(kind, message):
+    with pytest.raises(ConfigError) as exc:
+        make_planner_factory(kind)
+    assert str(exc.value) == message
 
 
 def test_empty_suite_rejected():
@@ -473,3 +516,22 @@ def test_every_way_a_trial_ends(name, held):
         [record] = report.failure_records
         assert record.cause == "api_call_error"
         assert (record.replanned, record.recovered, record.direct_failure) == (held, held, not held)
+
+
+# the toy stays on table_0 and the cup on table_1, so neither goal holds; after
+# SCAN the belief holds the first (it never saw the cup), and the second's first
+# unsatisfied atom is the negation itself, which names no object
+NEGATED_GOALS = {
+    "no-atom": {"not": {"on": {"object": {"id": "cup_0"}, "receptacle": {"id": "table_1"}}}},
+    "no-selector": {"not": {"on": {"object": {"id": "toy_0"}, "receptacle": {"id": "table_0"}}}},
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATED_GOALS))
+def test_an_infeasible_done_on_a_negated_goal_records_no_missed_detection(name):
+    lines = SCAN + ['done("infeasible: nothing to move")']
+    planner = ChatModelPlanner(TranscriptBackend(replies=[f"```\n{line}\n```" for line in lines]))
+    report = run_trial(mini_task(parse_goal(NEGATED_GOALS[name])), planner, seed=0,
+                       options=TrialOptions(noise=zero_noise()))
+    assert (report.outcome, report.reason) == ("failure", "infeasible: nothing to move")
+    assert report.failure_records == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 from typing import NamedTuple
 
 import pytest
@@ -22,7 +23,6 @@ from homeloop.planning import (
     assemble_prompt,
     estimate_tokens,
     parse_plan,
-    render_plan,
     scripted_next_step,
     to_request,
 )
@@ -201,7 +201,7 @@ _STEP = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_STEP, min_size=1, max_size=8))
 def test_render_parse_round_trip(steps):
-    assert parse_plan(render_plan(steps), gripper_occupied=True) == steps
+    assert parse_plan("\n".join(s.render() for s in steps), gripper_occupied=True) == steps
 
 
 # --- prompt assembly -----------------------------------------------------------------
@@ -240,6 +240,22 @@ def test_last_message_carries_latest_fault_string():
     view = PlannerView(belief=Belief())
     messages = assemble_prompt(history, view)
     assert "grasp failed" in messages[-1]["content"]
+
+
+def test_the_last_feedback_text_is_empty_until_a_feedback_line():
+    history = DialogueHistory(instruction="Move the toy.")
+    history.append("plan", "grasp(toy_0)")
+    assert history.last_feedback_text() == ""
+    history.append("feedback", "[0] grasp -> ok")
+    assert history.last_feedback_text() == "[0] grasp -> ok"
+
+
+def test_a_pickled_history_message_is_a_plain_dict():
+    history = DialogueHistory(instruction="Move the toy.")
+    history.append("plan", "grasp(toy_0)")
+    message = history.messages[0]
+    copied = pickle.loads(pickle.dumps(message))
+    assert type(copied) is dict and copied == message == {"role": "assistant", "content": "grasp(toy_0)"}
 
 
 def test_elision_keeps_budget_and_sections():

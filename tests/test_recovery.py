@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,7 @@ from homeloop.recovery import (
 from homeloop.skills import ActionRequest, SkillContext, dispatch
 from homeloop.verification import FailureRecord, classify_failure
 
-from conftest import MINI_SCENE, make_world, zero_noise
+from conftest import DOLL_SCENE, MINI_SCENE, make_world, zero_noise
 
 
 GRASP_TOY = ActionRequest(verb="grasp", target="toy_0")
@@ -353,3 +355,99 @@ def test_global_fallback_loses_a_target_of_another_category():
     assert ctx.world.gripper is None
     assert "table_1" in ctx.belief.local_maps
     assert episode.failure.direct_failure
+
+
+def test_strict_escalation_selects_every_budgeted_level_then_none():
+    # every re-issue fails: each selection records a level below its budget,
+    # so the eighth selection is "none" and ends the episode
+    ctx = booted_ctx(MINI_SCENE, **zero_noise(p_grasp_fail=1.0, p_object_shift_on_fail=0.0))
+    episode = trigger_grasp_failure(ctx)
+    episode.strict_escalation = True
+    EpisodeRunner(ctx, GOAL).run(episode)
+    assert episode.levels == ["object"] * 3 + ["local"] * 2 + ["global"] * 2
+    selected = [e["level"] for e in ctx.events if e["event"] == "recovery" and e["directive"] != "end"]
+    assert selected == episode.levels + ["none"]
+    assert episode.status == "exhausted"
+
+
+CUP_ON_BED = On(Selector(category="cup"), Selector(id="bed_0"))
+
+
+def test_a_failed_navigate_to_the_rollback_receptacle_fails_the_global_level():
+    ctx, episode = phantom_grasp_with_every_side_tried(rng_seed=4)
+    ctx.world.config.noise.p_nav_fail = 1.0
+    EpisodeRunner(ctx, CUP_ON_BED).run(episode)
+    assert episode.levels == ["local", "global", "global"]
+    assert episode.status == "exhausted"
+    actions = [(e["verb"], e["target"], e["success"]) for e in ctx.events if e["event"] == "recovery_action"]
+    assert actions == [("navigate", "table_1", False)] * 2
+    assert [(r.cause, r.replanned, r.direct_failure) for r in ctx.records[-2:]] == [
+        ("navigation_failed", True, False), ("navigation_failed", False, True)]
+
+
+def test_a_refused_scan_of_the_rollback_receptacle_loses_the_target(monkeypatch):
+    # no input makes a scan fail right after a successful navigate; the world
+    # is told to refuse it, and the level issues nothing more
+    ctx, episode = phantom_grasp_with_every_side_tried(rng_seed=4)
+    adjacent = ctx.world.robot_adjacent_to
+    monkeypatch.setattr(ctx.world, "robot_adjacent_to", lambda fid: fid != "table_1" and adjacent(fid))
+    EpisodeRunner(ctx, CUP_ON_BED).run(episode)
+    assert episode.target_lost and episode.status == "exhausted"
+    assert "table_1" not in ctx.belief.local_maps
+    actions = [(e["verb"], e["target"], e["success"]) for e in ctx.events if e["event"] == "recovery_action"]
+    assert actions == [("navigate", "table_1", True)] * 2
+    assert ctx.world.gripper is None
+
+
+def test_the_global_level_picks_no_side_of_a_root_that_is_not_furniture():
+    ctx = booted_ctx(MINI_SCENE, **zero_noise())
+    ctx.belief.at_receptacle = "toy_0"
+    episode = fresh_episode(level="global")
+    made = ctx.requests_made
+    # no side, and the toy is still a candidate, so no rollback either
+    assert EpisodeRunner(ctx, GOAL).global_level_renavigate(episode) is None
+    assert ctx.requests_made == made
+
+
+def test_out_of_reach_with_no_side_in_reach_issues_nothing():
+    doc = copy.deepcopy(MINI_SCENE)
+    doc["room"] = {"width": 8.0, "height": 8.0}
+    doc["furniture"] = [
+        {"id": "table_0", "category": "table",
+         "footprint": [[2.0, 2.0], [6.0, 2.0], [6.0, 6.0], [2.0, 6.0]], "surface_height": "mid"},
+        {"id": "bed_0", "category": "bed",
+         "footprint": [[6.6, 0.4], [7.6, 0.4], [7.6, 1.2], [6.6, 1.2]], "surface_height": "low"},
+    ]
+    doc["objects"] = [{"id": "toy_0", "category": "toy", "on": "table_0", "offset": [0.0, 0.0]}]
+    doc["robot_start"] = {"x": 1.0, "y": 1.0}
+    ctx = booted_ctx(doc, **zero_noise())
+    fb = dispatch(ctx, ActionRequest(verb="grasp", target="toy_0"))
+    assert fb.fault is not None and fb.fault.code == "out_of_reach"
+    episode = RecoveryEpisode(failure=classify_failure(None, fb), request=GRASP_TOY, object_id="toy_0")
+    episode.out_of_reach = True
+    made = ctx.requests_made
+    EpisodeRunner(ctx, GOAL).run(episode)
+    assert (episode.levels, episode.status) == (["global", "global"], "exhausted")
+    assert ctx.requests_made == made  # the table's middle is beyond reach from every side
+
+
+@pytest.mark.parametrize("object_id", [None, "toy_0"], ids=["no-object", "target-still-in-view"])
+def test_a_second_look_that_shows_no_grasp_is_followed_by_a_real_retry(object_id):
+    ctx = booted_ctx(MINI_SCENE, **zero_noise())
+    episode = RecoveryEpisode(failure=fresh_record(cause="visual_feedback_error"), request=GRASP_TOY,
+                              object_id=object_id)
+    assert EpisodeRunner(ctx, GOAL).object_level_retry(episode)
+    actions = [(e["verb"], e["target"], e["success"]) for e in ctx.events if e["event"] == "recovery_action"]
+    assert actions == [("grasp", "toy_0", True)]
+
+
+@pytest.mark.parametrize("ruled_out, found", [(False, "cup_1"), (True, None)], ids=["kept", "ruled-out"])
+def test_a_retarget_skips_a_ruled_out_item(ruled_out, found):
+    ctx = booted_ctx(DOLL_SCENE, **zero_noise())
+    ctx.belief.objects["cup_1"].ruled_out = ruled_out
+    lmap = ctx.belief.local_maps["table_0"]
+    without_cup_2 = replace(lmap, items=[o for o in lmap.items if o.id != "cup_2"])
+    episode = RecoveryEpisode(failure=fresh_record(), request=ActionRequest(verb="grasp", target="cup_2"),
+                              object_id="cup_2")
+    assert EpisodeRunner(ctx, GOAL)._resolve_object(episode, without_cup_2) == found
+    assert episode.object_id == (found or "cup_2")

@@ -19,11 +19,13 @@ from homeloop.verification import (
     FeasibilityVerdict,
     RollbackSuggestion,
     SuccessVerdict,
+    atom_object_selector,
     classify_failure,
+    scannable_receptacles,
     verify_feasibility,
     verify_success,
 )
-from homeloop.goals import On, Selector
+from homeloop.goals import Not, On, Selector
 
 from conftest import DOLL_SCENE, make_world
 
@@ -439,3 +441,46 @@ def test_a_mistyped_failure_record_does_not_load(edit):
 def test_a_failure_record_without_detail_loads():
     report = load_trace(io.StringIO(_trace_with_record(lambda doc: doc.pop("detail"))))
     assert report.failure_records == [FailureRecord("grasp_failed", 0, "object", replanned=True)]
+
+
+# --- paths no bundled trial reaches ----------------------------------------------------
+
+
+def test_an_unknown_recovery_level_is_refused():
+    with pytest.raises(ValueError) as exc:
+        FailureRecord("grasp_failed", 0, "nowhere")
+    assert str(exc.value) == "unknown recovery level 'nowhere'"
+
+
+def test_before_the_global_map_every_plan_is_feasible_and_nothing_is_scannable():
+    belief = Belief()
+    assert verify_feasibility(On(Selector(id="toy_0"), Selector(id="bed_0")), belief) == FeasibilityVerdict(
+        True, None, "no global map yet; exploration pending")
+    assert scannable_receptacles(belief) == []
+
+
+def test_a_negated_sub_goal_names_no_object_to_find():
+    from conftest import MINI_SCENE
+
+    belief = scanned_belief(make_world(MINI_SCENE), ["table_0"])
+    goal = Not(On(Selector(id="toy_0"), Selector(id="table_0")))
+    assert atom_object_selector(goal) is None
+    assert verify_feasibility(goal, belief) == FeasibilityVerdict(
+        True, None, "no object requirement in the current sub-goal")
+
+
+def test_a_scan_that_listed_the_wanted_id_is_not_repeated():
+    # the toy was seen here and ruled out: a re-scan would not help, so the
+    # rollback goes to the first unscanned table
+    from conftest import MINI_SCENE
+
+    belief = scanned_belief(make_world(MINI_SCENE), ["table_0"])
+    belief.objects["toy_0"].ruled_out = True
+    verdict = verify_feasibility(On(Selector(id="toy_0"), Selector(id="bed_0")), belief)
+    assert not verdict.feasible
+    assert (verdict.rollback.level, verdict.rollback.receptacle) == ("global", "table_1")
+
+
+def test_a_failed_perception_call_without_a_fault_is_an_api_call_error():
+    fb = Feedback(3, "explore_global", False, message="nothing swept")
+    assert classify_failure(None, fb) == FailureRecord("api_call_error", 3, "none", detail="nothing swept")

@@ -269,6 +269,18 @@ def test_out_of_reach_fault():
     assert "target out of reach" in refusal.value.message
 
 
+def test_navigate_to_a_side_with_no_approach_cell_fails_in_place():
+    doc = copy.deepcopy(MINI_SCENE)
+    doc["furniture"][0]["footprint"] = [[0.5, 2.0], [1.7, 2.0], [1.7, 3.0], [0.5, 3.0]]  # against the north wall
+    world = make_world(doc)
+    assert world.approach_cells("table_0", "north") == ()
+    start = world.robot
+    out = world.apply_action(nav("table_0", side="north"))
+    assert (out.success, out.message, out.details) == (False, "navigation failed (no reachable approach)",
+                                                       {"unreachable": True})
+    assert world.robot == start
+
+
 def test_vary_config_deterministic_and_bounded():
     doc = copy.deepcopy(MINI_SCENE)
     doc["variation"] = {
@@ -288,6 +300,12 @@ def test_vary_config_deterministic_and_bounded():
         if o.category == "cup":
             assert o.on in ("table_0", "table_1")
     validate_config(a)  # varied scenes still satisfy every config invariant
+
+
+def test_extra_clones_of_a_category_with_no_object_are_none():
+    doc = dict(MINI_SCENE, variation={"extra_count_range": {"plate": [1, 2]}})
+    base = parse_config(doc)
+    assert vary_config(base, trial_seed=5).objects == base.objects
 
 
 def test_place_onto_dropped_receptacle_is_typed_fault():
