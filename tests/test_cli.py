@@ -328,7 +328,7 @@ def test_probe_llm_on_a_reply_that_does_not_parse_exits_1(monkeypatch, capsys):
     (["validate"], "error: [config] validate: pass --scene and/or --suite"),
     (["trial", "--task", "A1", "--noise-profile", "{bad"], "error: [usage] "),
 ], ids=["report-without-traces", "validate-without-a-document", "noise-profile-not-json"])
-def test_a_command_without_what_it_reads_exits_2(tmp_path, monkeypatch, capsys, args, err):
+def test_a_command_with_nothing_usable_to_read_exits_2(tmp_path, monkeypatch, capsys, args, err):
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
     assert capsys.readouterr().err.startswith(err)
