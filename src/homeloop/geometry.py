@@ -9,11 +9,11 @@ row. Footprints, ``OccupancyGrid.free`` (the cells no footprint covers) and
 every mask built from them (reachability, approach cells, the explored map)
 are ints on the same layout. Grid search is an 8-connected BFS: a layer
 grows with two shifts by one bit and two by a row, masked by the cells not
-yet reached. ``PackedGrid.reach`` keeps the reached cells (flood fill,
-sensing), ``PackedGrid.nearest`` the goal cells of the first layer that
-meets a goal (frontier search). All grid work is deterministic; ties in
-cell selection always break by lowest (col, row) lexicographic order on cell
-coordinates expressed as (cx, cy).
+yet reached. ``PackedGrid.reach`` returns the reached cells and one layer
+(flood fill, sensing), ``PackedGrid.nearest`` the goal cells of the first
+layer that meets a goal (frontier search). All grid work is deterministic;
+ties in cell selection always break by lowest (col, row) lexicographic order
+on cell coordinates expressed as (cx, cy).
 """
 
 from __future__ import annotations
@@ -179,7 +179,10 @@ class PackedGrid:
 
     def layers(self, passable: int, start: int, goal: int = 0) -> Iterator[int]:
         """The 8-connected BFS layers over ``passable`` from the ``start``
-        bits, nearest first; stops after the first layer that meets ``goal``."""
+        bits, nearest first; stops after the first layer that meets ``goal``.
+        ``reach`` and ``nearest`` grow the same layers in a loop of their own;
+        this stays for ``OccupancyGrid.bfs_distances`` and as the tests'
+        reference."""
         layer = start & passable
         unreached = passable ^ layer
         row = self.row
@@ -191,19 +194,33 @@ class PackedGrid:
             layer = (g | g << row | g >> row) & unreached
             unreached ^= layer
 
-    def reach(self, passable: int, start: int) -> int:
-        """The cells of ``passable`` 8-connected to the ``start`` bits."""
-        reached = 0
-        for layer in self.layers(passable, start):
-            reached |= layer
-        return reached
+    def reach(self, passable: int, start: int, keep: int = 0) -> tuple[int, int]:
+        """The cells of ``passable`` 8-connected to the ``start`` bits, and
+        the BFS layer at depth ``keep`` (0 when the search ends sooner). The
+        reached cells are the passable ones no layer took from ``unreached``."""
+        layer = start & passable
+        unreached = passable ^ layer
+        row = self.row
+        kept = d = 0
+        while layer:
+            if d == keep:
+                kept = layer
+            d += 1
+            g = layer | layer << 1 | layer >> 1
+            layer = (g | g << row | g >> row) & unreached
+            unreached ^= layer
+        return passable ^ unreached, kept
 
     def nearest(self, passable: int, start: int, goal: int) -> int:
-        """The ``goal`` cells of the first layer that meets ``goal`` (0 when
-        none does)."""
-        layer = 0
-        for layer in self.layers(passable, start, goal):
-            pass
+        """The ``goal`` cells of the first BFS layer that meets ``goal`` (0
+        when none does)."""
+        layer = start & passable
+        unreached = passable ^ layer
+        row = self.row
+        while layer and not layer & goal:
+            g = layer | layer << 1 | layer >> 1
+            layer = (g | g << row | g >> row) & unreached
+            unreached ^= layer
         return layer & goal
 
 
@@ -228,6 +245,14 @@ def _half_disks(row: int, radius: int) -> tuple[int, int, int, int]:
         west = west << row | run << (c - half)
         east = east << row | run
     return west, east, reach, c
+
+
+def _crossing(xs: list[float], xi: float) -> tuple[int, int]:
+    """Where an edge crosses a row of cell centers ``xs`` at ``xi``: the mask
+    of the centers left of it, whose parity the crossing toggles, and the
+    bit of the center on it (0 when none is)."""
+    left = bisect_left(xs, xi)  # the centers with x < xi
+    return (1 << left) - 1, 1 << left if left < len(xs) and abs(xs[left] - xi) < 1e-12 else 0
 
 
 class OccupancyGrid:
@@ -264,25 +289,28 @@ class OccupancyGrid:
         every cell center of the bounding box, one row at a time, with the
         same float expressions in the same order: each crossing toggles the
         parity of the centers left of it (their count found by bisection),
-        and a center on an edge is inside."""
+        and a center on an edge is inside. A vertical edge crosses each of
+        its rows at ``x0`` exactly (``t * 0.0`` is zero, ``t`` being in [0,
+        1]), so its crossing is placed once, not once a row."""
         minx, miny, maxx, maxy = polygon_bbox(poly)
         c0x, c0y = self.cell_of(minx, miny)
         c1x, c1y = self.cell_of(maxx, maxy)
         xs = [(cx + 0.5) * self.resolution for cx in range(c0x, c1x + 1)]
         n = len(poly)
-        # no center row crosses a horizontal edge
-        edges = [(poly[i], poly[(i + 1) % n]) for i in range(n) if poly[i][1] != poly[(i + 1) % n][1]]
+        edges = []  # (x0, y0, x1, y1, a vertical edge's crossing or None)
+        for i in range(n):
+            (x0, y0), (x1, y1) = poly[i], poly[(i + 1) % n]
+            if y0 != y1:  # no center row crosses a horizontal edge
+                edges.append((x0, y0, x1, y1, _crossing(xs, x0) if x0 == x1 else None))
         marked = 0
         for cy in range(c0y, c1y + 1):
             y = (cy + 0.5) * self.resolution
             odd = on_edge = 0
-            for (x0, y0), (x1, y1) in edges:
+            for x0, y0, x1, y1, vertical in edges:
                 if (y0 > y) != (y1 > y):
-                    xi = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
-                    left = bisect_left(xs, xi)  # the centers with x < xi
-                    odd ^= (1 << left) - 1
-                    if left < len(xs) and abs(xs[left] - xi) < 1e-12:
-                        on_edge |= 1 << left
+                    left, on = vertical or _crossing(xs, x0 + (y - y0) / (y1 - y0) * (x1 - x0))
+                    odd ^= left
+                    on_edge |= on
             marked |= (odd | on_edge) << (cy * self.packed.row + c0x)
         self.free &= ~marked
         return marked
@@ -293,7 +321,7 @@ class OccupancyGrid:
         """The free cells 8-connected to ``start``."""
         if not self.in_bounds(start):
             return 0
-        return self.packed.reach(self.free, self.packed.bit(start))
+        return self.packed.reach(self.free, self.packed.bit(start))[0]
 
     def bfs_distances(self, start: Cell, passable: int, targets: int) -> list[int]:
         """The 8-connected BFS layers over ``passable`` from ``start`` (layer d

@@ -297,15 +297,17 @@ def _sense(packed: PackedGrid, free: int, explored: int, origin: Cell, radius: i
     masks are packed on ``packed``'s layout. An occupied origin sees
     nothing; validation keeps the robot's cells free. Also returns the
     scan's BFS layer at depth ``d = isqrt(radius**2 // 2)`` (0 when the scan
-    stops sooner), where ``_sweep`` resumes its frontier search."""
-    disk = packed.disk(origin, radius)
+    stops sooner), where ``_sweep`` resumes its frontier search.
+
+    The scan runs on the disk's rows alone: each mask is shifted down by the
+    ``lo`` bits of the rows before the disk's first, so every big-int
+    operation is as wide as the disk rather than the grid, and the seen
+    cells and the layer are shifted back up."""
+    lo = max(0, origin[1] - radius) * packed.row
+    band = packed.disk(origin, radius) >> lo
     depth = math.isqrt(radius * radius // 2)
-    seen = rim = 0
-    for d, layer in enumerate(packed.layers(free & disk, packed.bit(origin))):
-        if d == depth:
-            rim = layer
-        seen |= layer
-    return explored | seen | (packed.dilate8(seen) & disk), rim
+    seen, rim = packed.reach(free >> lo & band, packed.bit(origin) >> lo, depth)
+    return explored | (packed.dilate8(seen) & band) << lo, rim << lo
 
 
 def _sweep(world: World, known: int) -> tuple[int, Optional[tuple[float, float]]]:

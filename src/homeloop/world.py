@@ -115,7 +115,7 @@ class Feedback:
 class SceneGeometry:
     """What no trial changes about a scene: the rasterised grid, footprint
     masks on its layout, centroids, the cells reachable from the robot start,
-    the approach tables (built on first use) and the first global sweep from
+    the approach cells (found on first use) and the first global sweep from
     each start cell (filled by ``perception.explore_global``).
 
     Every World of the same layout shares one, across threads too: the
@@ -142,25 +142,22 @@ class SceneGeometry:
         self.first_sweeps: dict[tuple[Cell, float], tuple[int, Optional[tuple[float, float]]]] = {}
 
     def approach_cells(self, furniture_id: str, side: Optional[str] = None) -> tuple[Cell, ...]:
-        """The furniture's approach cells, all of them or those on one side."""
+        """The furniture's approach cells: the reachable free cells adjacent
+        to its footprint, sorted by (cx, cy), all of them (``side`` None) or
+        those whose center lies on ``side`` of the footprint's centroid. All
+        of them are found on the first request, and split by side, every
+        side at once, on the first request for a side."""
         table = self._approach.get(furniture_id)
         if table is None:
-            table = self._approach[furniture_id] = self._approach_table(furniture_id)
+            near = self.grid.adjacent_free_cells(self.footprint_cells[furniture_id]) & self.reachable
+            table = self._approach[furniture_id] = {None: tuple(self.grid.packed.iter_cells(near))}
+        if side not in table:
+            centroid = self.centroids[furniture_id]
+            split: dict[str, list[Cell]] = {s: [] for s in SIDES}
+            for cell in table[None]:
+                split[side_of(centroid, self.grid.center_of(cell))].append(cell)
+            table.update((s, tuple(cells)) for s, cells in split.items())
         return table[side]
-
-    def _approach_table(self, furniture_id: str) -> dict[Optional[str], tuple[Cell, ...]]:
-        """Reachable free cells adjacent to the footprint, sorted by (cx, cy),
-        keyed by None (all of them) and by the side of the footprint's
-        centroid each cell's center lies on."""
-        near = self.grid.adjacent_free_cells(self.footprint_cells[furniture_id]) & self.reachable
-        cells = tuple(self.grid.packed.iter_cells(near))
-        centroid = self.centroids[furniture_id]
-        sides = [side_of(centroid, self.grid.center_of(cell)) for cell in cells]
-        table: dict[Optional[str], tuple[Cell, ...]] = {
-            side: tuple(cell for cell, s in zip(cells, sides) if s == side) for side in SIDES
-        }
-        table[None] = cells
-        return table
 
 
 # Layouts kept; a stream of never-repeating scenes (generated layouts) then

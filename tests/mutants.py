@@ -86,7 +86,7 @@ MUTANTS = (
            "left = bisect_left(xs, xi)", 'left = __import__("bisect").bisect_right(xs, xi)',
            RASTERISER_REFERENCES, "the scanline rasteriser"),
     Mutant("rasterise-no-on-edge", "geometry.py",
-           "on_edge |= 1 << left", "on_edge |= 0",
+           "1 << left if left < len(xs) and abs(xs[left] - xi) < 1e-12 else 0", "0",
            RASTERISER_REFERENCES, "the scanline rasteriser"),
     Mutant("rasterise-guard-bit", "geometry.py",
            "marked |= (odd | on_edge) << (cy * self.packed.row + c0x)",
@@ -112,6 +112,22 @@ MUTANTS = (
     Mutant("resume-at-the-radius", "perception.py",
            "depth = math.isqrt(radius * radius // 2)", "depth = radius",
            RESUMED_SWEEP, "the resumed frontier search"),
+    # a new layout's geometry: the sensing scan on the disk's rows, a
+    # vertical edge's crossing placed once, the reached cells read off the
+    # unreached ones
+    Mutant("sense-band-one-row-off", "perception.py",
+           "lo = max(0, origin[1] - radius) * packed.row", "lo = max(0, origin[1] - radius + 1) * packed.row",
+           ("tests/test_geometry.py::test_sense_marks_what_the_queue_scan_marked",
+            "tests/test_geometry.py::test_the_banded_sense_matches_the_unbanded_scan_near_every_grid_edge"),
+           "a new layout's geometry at less cost"),
+    Mutant("rasterise-vertical-no-on-edge", "geometry.py",
+           "_crossing(xs, x0) if x0 == x1 else None", "(_crossing(xs, x0)[0], 0) if x0 == x1 else None",
+           RASTERISER_REFERENCES, "a new layout's geometry at less cost"),
+    Mutant("reach-returns-passable", "geometry.py",
+           "return passable ^ unreached, kept", "return passable, kept",
+           ("tests/test_geometry.py::test_flood_fill_matches_reference_bfs",
+            "tests/test_geometry.py::test_reach_and_nearest_match_the_layers_generator"),
+           "a new layout's geometry at less cost"),
     # the held object: World.gripper alone
     Mutant("held-object-in-view", "perception.py",
            "if oid == world.gripper:", "if False:",

@@ -17,6 +17,7 @@ from homeloop.config import parse_config
 from homeloop.errors import ExplorationStalled
 from homeloop.geometry import (
     OccupancyGrid,
+    SIDES,
     PackedGrid,
     Pose,
     _probe_points,
@@ -28,7 +29,7 @@ from homeloop.geometry import (
     side_of,
 )
 from homeloop.perception import _sense, _sweep
-from homeloop.world import scene_geometry
+from homeloop.world import SceneGeometry, scene_geometry
 
 SQUARE = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
 
@@ -256,6 +257,70 @@ def test_sense_marks_what_the_queue_scan_marked(case, radius):
     assert np.array_equal(explored, reference_sense(occ, origin, radius))
 
 
+@st.composite
+def searches(draw):
+    """A random passable mask, start bits (one cell, often on the first or
+    the last row, or a scattered few, some of them blocked) and a sparse
+    goal mask."""
+    occ, start, rng = draw(grids(side=20))
+    h, w = occ.shape
+    packed = PackedGrid(h, w)
+    passable = pack(packed, occ == 0)
+    kind = draw(st.sampled_from(["first row", "last row", "scattered", "drawn"]))
+    if kind == "scattered":
+        bits = pack(packed, rng.random((h, w)) < 0.05)
+    else:
+        if kind != "drawn":
+            start = (start[0], 0 if kind == "first row" else h - 1)
+        bits = packed.bit(start)
+    goal = pack(packed, rng.random((h, w)) < draw(st.sampled_from([0.0, 0.02, 0.2])))
+    return packed, passable, bits, goal, draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_reach_and_nearest_match_the_layers_generator(case):
+    packed, passable, start, goal, drawn = case
+    layers = list(packed.layers(passable, start))
+    for keep in {0, 1, drawn, len(layers) - 1, len(layers), len(layers) + 3} - {-1}:
+        # a keep at or past len(layers) is a depth the search ends before
+        assert packed.reach(passable, start, keep) == (
+            reduce(or_, layers, 0), layers[keep] if keep < len(layers) else 0
+        ), keep
+    to_goal = list(packed.layers(passable, start, goal))
+    assert packed.nearest(passable, start, goal) == (to_goal[-1] & goal if to_goal else 0)
+
+
+def unbanded_sense(packed, free, explored, origin, radius):
+    """``_sense`` on the whole grid, over the layers generator."""
+    disk = packed.disk(origin, radius)
+    depth = math.isqrt(radius * radius // 2)
+    seen = rim = 0
+    for d, layer in enumerate(packed.layers(free & disk, packed.bit(origin))):
+        if d == depth:
+            rim = layer
+        seen |= layer
+    return explored | seen | (packed.dilate8(seen) & disk), rim
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(side=32), st.integers(0, 2), st.sampled_from(SIDES), st.integers(0, 40), st.data())
+def test_the_banded_sense_matches_the_unbanded_scan_near_every_grid_edge(case, inset, edge, radius, data):
+    # an origin ``inset`` cells in from one edge, so the disk is clipped there
+    occ, _, rng = case
+    h, w = occ.shape
+    x, y = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+    origin = {
+        "south": (x, min(inset, h - 1)),
+        "north": (x, max(h - 1 - inset, 0)),
+        "west": (min(inset, w - 1), y),
+        "east": (max(w - 1 - inset, 0), y),
+    }[edge]
+    packed = PackedGrid(h, w)
+    free, explored = pack(packed, occ == 0), pack(packed, rng.random((h, w)) < 0.2)
+    assert _sense(packed, free, explored, origin, radius) == unbanded_sense(packed, free, explored, origin, radius)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 45), st.data())
 def test_packed_disk_is_the_disk_clipped_to_the_grid(h, w, radius, data):
@@ -391,6 +456,16 @@ def test_packed_sweep_matches_the_numpy_sweep(case, radius, explored_density):
     if packed[1] is not None:
         assert np.array_equal(packed[1], reference[1])  # explored mask
     assert packed[2] == reference[2]  # hop targets, in order
+
+
+def test_a_sweep_with_frontiers_but_none_reachable_stalls_as_the_numpy_sweep_does():
+    # (0, 1) is explored beforehand and borders an unexplored cell, but the
+    # robot at (2, 0) reaches it only through the unexplored (1, 1)
+    occ = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.uint8)
+    explored = np.array([[0, 1, 0], [1, 0, 0]], dtype=bool)
+    packed = run_sweep(packed_sweep, occ, (2, 0), 1, explored)
+    assert packed == (("stalled", "2 reachable cells unexplored but no frontier reachable"), None, [])
+    assert run_sweep(numpy_sweep, occ, (2, 0), 1, explored) == packed
 
 
 # --- the frontier search resumes from the sensing scan's layer d ---------------------
@@ -664,7 +739,9 @@ def numpy_rasterize(grid, poly):
         if y0 == y1:
             continue  # no center row crosses a horizontal edge
         crosses = (y0 > y) != (y1 > y)
-        t = (y - y0) / (y1 - y0)
+        # t on the rows the edge crosses, where it lies in [0, 1]; 0 on the
+        # others, whose t can overflow on a near-horizontal edge
+        t = np.divide(y - y0, y1 - y0, out=np.zeros_like(y), where=crosses)
         xi = x0 + t * (x1 - x0)
         left = x < xi
         odd ^= crosses & left
@@ -710,6 +787,35 @@ def test_scanline_rasteriser_matches_the_numpy_one(case):
     expected, occ = numpy_rasterize(OccupancyGrid(*room, res), poly)
     assert set(grid.packed.iter_cells(mask)) == expected and mask & ~grid.packed.cells == 0
     assert grid.free == pack(grid.packed, occ == 0)
+
+
+def approach_layouts():
+    """The bundled scenes and one unit of generated ``apartments`` scenes."""
+    from perfbench.workloads import WORKLOADS
+
+    scenes = resources.files("homeloop").joinpath("data/scenes")
+    docs = [json.loads(p.read_text("utf-8")) for p in sorted(scenes.iterdir(), key=lambda p: p.name)]
+    return docs + [doc["scene"] for doc in WORKLOADS["apartments"].docs(0, 0)]
+
+
+def test_approach_cells_are_the_same_whichever_side_is_asked_for_first():
+    sides = (None, *SIDES)
+    split = 0
+    for doc in approach_layouts():
+        config = parse_config(doc)
+        args = (tuple(config.room), config.grid_resolution,
+                tuple((f.id, tuple(map(tuple, f.footprint))) for f in config.furniture),
+                (config.robot_start.x, config.robot_start.y))
+        for f in config.furniture:
+            answers = []
+            for first in sides:
+                geometry = SceneGeometry(*args)  # a fresh one, so ``first`` is its first request
+                answers.append({side: geometry.approach_cells(f.id, side) for side in (first, *sides)})
+            assert all(answer == answers[0] for answer in answers), (doc["name"], f.id)
+            cells = answers[0][None]
+            assert sorted(c for side in SIDES for c in answers[0][side]) == list(cells)
+            split += len(cells) > 0
+    assert split > 20
 
 
 def workload_scene_docs():

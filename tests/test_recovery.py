@@ -310,7 +310,6 @@ def test_termination_bound_on_total_reissues():
     EpisodeRunner(ctx, GOAL).run(episode)
     assert episode.status == "exhausted"
     assert len(episode.levels) <= sum(BUDGETS.values())
-    assert len(episode.levels) <= sum(BUDGETS.values())
 
 
 def phantom_grasp_with_every_side_tried(rng_seed: int) -> tuple[SkillContext, RecoveryEpisode]:

@@ -9,16 +9,17 @@ Run it from the root of a checkout; it imports homeloop from that checkout's
 ``run_suite`` with an output directory, as the benchmark does, and prints
 the top ``TOP`` functions by self time and by cumulative time. It then runs
 the same units again, unprofiled and from an empty geometry cache, with
-``PackedGrid.layers`` wrapped to count the BFS layers grown, and prints
-them in total and by caller (``_sense``, ``PackedGrid.nearest``,
-``OccupancyGrid.flood_fill``). It runs them once more, unprofiled and with
-the geometry cache as the profiled run left it, under ``tracemalloc``, and
-prints the peak of memory traced, the memory still traced once the units
-have returned (after a collection), and the garbage collections each
-generation ran (``gc.get_stats()``). Last it prints the lines and bytes of
-the profiled run's traces by kind: ``header``, each event kind (the footer's
-is ``trial_end``) and the total, with each kind's share of the bytes. Traces
-go to a temporary directory that is deleted afterwards.
+``PackedGrid.reach`` and ``PackedGrid.nearest`` wrapped to count the BFS
+layers they grow, and prints them in total and by caller (``_sense``,
+``PackedGrid.nearest``, ``OccupancyGrid.flood_fill``). It runs them once
+more, unprofiled and with the geometry cache as the profiled run left it,
+under ``tracemalloc``, and prints the peak of memory traced, the memory
+still traced once the units have returned (after a collection), and the
+garbage collections each generation ran (``gc.get_stats()``). Last it
+prints the lines and bytes of the profiled run's traces by kind:
+``header``, each event kind (the footer's is ``trial_end``) and the total,
+with each kind's share of the bytes. Traces go to a temporary directory
+that is deleted afterwards.
 """
 
 from __future__ import annotations
@@ -61,26 +62,32 @@ def run_units(name: str, seed: int, units: int, out: Path) -> int:
 
 def count_layers(name: str, seed: int, units: int, out: Path) -> Counter:
     """Run the workload's units from an empty geometry cache with
-    ``PackedGrid.layers`` wrapped, and return the layers it yielded by the
-    innermost caller named in ``LAYER_CALLERS`` ("other" when none is)."""
+    ``PackedGrid.reach`` and ``PackedGrid.nearest`` wrapped, and return the
+    BFS layers they grew by the innermost caller named in ``LAYER_CALLERS``
+    ("other" when none is). Each wrapped call counts its layers by
+    replaying ``PackedGrid.layers``, the reference BFS, on its arguments."""
     counts: Counter = Counter()
-    layers = PackedGrid.layers
+    reach, nearest = PackedGrid.reach, PackedGrid.nearest
 
-    def counted(self, passable, start, goal=0):
-        frame = sys._getframe(1)
+    def count(frame, layers) -> None:
         while frame is not None and frame.f_code.co_name not in LAYER_CALLERS:
             frame = frame.f_back
-        caller = frame.f_code.co_name if frame is not None else "other"
-        for layer in layers(self, passable, start, goal):
-            counts[caller] += 1
-            yield layer
+        counts[frame.f_code.co_name if frame is not None else "other"] += sum(1 for _ in layers)
+
+    def counted_reach(self, passable, start, keep=0):
+        count(sys._getframe(1), self.layers(passable, start))
+        return reach(self, passable, start, keep)
+
+    def counted_nearest(self, passable, start, goal):
+        counts["nearest"] += sum(1 for _ in self.layers(passable, start, goal))
+        return nearest(self, passable, start, goal)
 
     geometry_cache.cache_clear()
-    PackedGrid.layers = counted
+    PackedGrid.reach, PackedGrid.nearest = counted_reach, counted_nearest
     try:
         run_units(name, seed, units, out)
     finally:
-        PackedGrid.layers = layers
+        PackedGrid.reach, PackedGrid.nearest = reach, nearest
     return counts
 
 
@@ -139,7 +146,7 @@ def main(argv: list[str] | None = None) -> None:
     for order, title in (("tottime", "self time"), ("cumulative", "cumulative time")):
         print(f"\n=== top {TOP} by {title} ===")
         stats.sort_stats(order).print_stats(TOP)
-    print(f"\n=== BFS layers grown (PackedGrid.layers) ===\ntotal {sum(layers.values())}")
+    print(f"\n=== BFS layers grown (PackedGrid.reach and nearest) ===\ntotal {sum(layers.values())}")
     for caller, count in sorted(layers.items()):
         print(f"{caller} {count}")
     print("\n=== memory and garbage collection (unprofiled run) ===")
